@@ -4,8 +4,8 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 (payloads and serialization latency), ``compute`` (FLOPs timing),
 ``oracle`` (synthetic drafter/target pair), ``head`` (rejection MLP),
 ``labeler`` (trace collection and link-aware relabeling), ``engine``
-(round state machine and baselines), ``metrics`` (aggregation), and
-``cli`` (experiment pipeline).
+(the episode decision loop and its latency ledger), ``metrics``
+(aggregation), and ``cli`` (experiment pipeline).
 """
 
 from .channel import (
@@ -32,22 +32,17 @@ from .compute import (
 from .engine import (
     EngineConfig,
     EpisodeResult,
-    RoundOutcome,
     SystemModel,
     localize,
     run_episode,
-    sd_greedy_round,
     sd_reject_round,
     select_protocol,
-    wisv_round,
 )
-from .head import HeadParams, TrainConfig, assemble, bce_loss, decide, forward, train
+from .head import HeadParams, TrainConfig, bce_from_logit, forward_batch, train
 from .labeler import (
     Episode,
     MismatchRecord,
     RelabelConfig,
-    RelabeledInstance,
-    budget_of_csi,
     collect_traces,
     lambda_of_csi,
     relabel,

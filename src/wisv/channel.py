@@ -41,6 +41,21 @@ class CsiState:
 
 
 @dataclass(frozen=True)
+class CsiColumns:
+    """Link conditions of consecutive rounds, one array entry per round.
+
+    Same fields as ``CsiState``, so ``effective_rate`` and the wire latency
+    functions accept either; the states were validated when created.
+    """
+
+    r_up: np.ndarray
+    r_down: np.ndarray
+    per_up: np.ndarray
+    per_down: np.ndarray
+    rtt: np.ndarray
+
+
+@dataclass(frozen=True)
 class NormalizationBounds:
     """Bounds used to map raw link quantities into [0, 1] features.
 
@@ -58,7 +73,7 @@ class NormalizationBounds:
             raise ValueError("rtt_max must be positive")
 
 
-def effective_rate(state: CsiState, direction: str) -> float:
+def effective_rate(state: CsiState | CsiColumns, direction: str) -> float | np.ndarray:
     """Expected goodput R*(1-PER) for ``direction`` in {"up", "down"}."""
     if direction == "up":
         return state.r_up * (1.0 - state.per_up)
@@ -168,6 +183,14 @@ class ChannelTrace:
     def at_round(self, r: int) -> CsiState:
         """State for round ``r``; traces shorter than a run wrap around."""
         return self.states[r % len(self.states)]
+
+    def columns(self, n_rounds: int) -> CsiColumns:
+        """States of rounds 0 .. n_rounds-1 as arrays, wrapping like ``at_round``."""
+        rows = [
+            (s.r_up, s.r_down, s.per_up, s.per_down, s.rtt)
+            for s in map(self.at_round, range(n_rounds))
+        ]
+        return CsiColumns(*np.array(rows, dtype=np.float64).T)
 
 
 def generate_trace(

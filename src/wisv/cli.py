@@ -33,7 +33,7 @@ from .config import (
     SEED_TRAIN,
     ExperimentConfig,
 )
-from .engine import run_episode
+from .engine import PROTO_NAMES, run_episode
 from .head import forward_batch, load_params, save_params, train
 from .labeler import (
     collect_traces,
@@ -59,6 +59,10 @@ ROUNDS_JSONL = "rounds.jsonl"
 PLOT_DATA = "plot_latency_vs_k.json"
 ABLATE_CSV = "ablate.csv"
 ABLATE_META = "ablate_meta.json"
+
+
+def _json_line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -106,7 +110,8 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
+def _relabeled_dataset(cfg: ExperimentConfig, out: Path):
+    """Relabel the trace file: (episodes, features, labels, CSI quality per row)."""
     traces_path = out / TRACES
     if not traces_path.exists():
         raise FileNotFoundError(f"missing trace file {traces_path}; run 'trace' first")
@@ -118,18 +123,22 @@ def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     bounds = cfg.bounds()
     relabel_channel = cfg.channel(cfg.raw["labeler"]["channel"])
     rng = np.random.default_rng([cfg.seed, SEED_RELABEL])
-
     feats, labels, qualities = [], [], []
     for ep in episodes:
+        # Drawn even for an episode without mismatches: the rng stream, and
+        # so the dataset, must not depend on which episodes are empty.
         samples = sample_csi_states(relabel_channel, rcfg.csi_samples_per_episode, rng)
-        per_sample_q = [quality(s, bounds) for s in samples]
-        for inst in relabel(ep, samples, rcfg, bounds, rng):
-            feats.append(inst.features)
-            labels.append(inst.label)
-            qualities.append(per_sample_q[inst.csi_sample_id])
-    x = np.array(feats)
-    y = np.array(labels, dtype=np.float64)
-    q = np.array(qualities)
+        x, y, sample_ids = relabel(ep, samples, rcfg, bounds, rng)
+        if len(y):
+            feats.append(x)
+            labels.append(y)
+            qualities.append(np.array([quality(s, bounds) for s in samples])[sample_ids])
+    y = np.concatenate(labels).astype(np.float64)
+    return episodes, np.vstack(feats), y, np.concatenate(qualities)
+
+
+def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
+    _, x, y, q = _relabeled_dataset(cfg, out)
     write_dataset(out / DATASET, x, y)
 
     edges = np.linspace(0.0, 1.0, 6)
@@ -235,7 +244,7 @@ def _eval_point(payload: dict) -> dict:
     head = load_params(payload["head_path"]) if mode.startswith("wisv") else None
 
     results = []
-    episode_records, round_records = [], []
+    episode_lines, round_lines = [], []
     base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
     for ep in range(payload["episodes"]):
         trace = generate_trace(
@@ -247,49 +256,50 @@ def _eval_point(payload: dict) -> dict:
             system, engine_cfg, oracle_cfg, trace, head, seed=[SEED_EVAL, ep]
         )
         results.append(res)
-        episode_records.append(
-            {
-                **base,
-                "episode": ep,
-                "rounds": res.n_rounds,
-                "aal": res.aal,
-                "accepted": res.accepted_total,
-                "tokens": res.total_tokens,
-                "latency_s": res.total_latency_s,
-                "uplink_bits": res.uplink_bits,
-                "downlink_bits": res.downlink_bits,
-                "accepted_critical": res.accepted_critical,
-                "correct": res.synthetic_correct,
-            }
-        )
-        for r in res.rounds:
-            round_records.append(
+        comm = res.comm
+        episode_lines.append(
+            _json_line(
                 {
                     **base,
                     "episode": ep,
-                    "round": r.index,
-                    "m": r.m,
-                    "reject_pos": r.reject_pos,
-                    "accepted": r.accepted,
-                    "committed": len(r.committed),
-                    "proto": r.proto,
-                    "uplink_bits": r.comm.uplink_bits,
-                    "downlink_bits": r.comm.downlink_bits,
-                    "draft_s": r.draft_s,
-                    "verify_s": r.verify_s,
-                    "head_s": r.head_s,
-                    "comm_s": r.comm.total_s,
-                    "total_s": r.total_s,
-                    "accepted_critical": r.accepted_critical,
+                    "rounds": res.n_rounds,
+                    "aal": res.aal,
+                    "accepted": res.accepted_total,
+                    "tokens": res.total_tokens,
+                    "latency_s": res.total_latency_s,
+                    "uplink_bits": int(comm.uplink_bits.sum()),
+                    "downlink_bits": int(comm.downlink_bits.sum()),
+                    "accepted_critical": int(res.accepted_critical.sum()),
+                    "correct": res.synthetic_correct,
                 }
+            )
+        )
+        columns = {
+            "m": res.m.tolist(),
+            "reject_pos": [None if j < 0 else j for j in res.reject_pos.tolist()],
+            "accepted": res.accepted.tolist(),
+            "committed": res.committed.tolist(),
+            "proto": [PROTO_NAMES[code] for code in res.proto.tolist()],
+            "uplink_bits": comm.uplink_bits.tolist(),
+            "downlink_bits": comm.downlink_bits.tolist(),
+            "draft_s": res.draft_s.tolist(),
+            "verify_s": res.verify_s.tolist(),
+            "head_s": res.head_s.tolist(),
+            "comm_s": comm.total_s.tolist(),
+            "total_s": res.total_s.tolist(),
+            "accepted_critical": res.accepted_critical.tolist(),
+        }
+        for r, values in enumerate(zip(*columns.values())):
+            round_lines.append(
+                _json_line({**base, "episode": ep, "round": r, **dict(zip(columns, values))})
             )
     summary = summarize(results)
     row = csv_row(mode, k, tau, scenario["rate_up_bps"], scenario["rtt_s"], summary)
     return {
         "row": row,
         "summary_latency": summary.latency_mean_s,
-        "episodes": episode_records,
-        "rounds": round_records,
+        "episodes": "".join(episode_lines),
+        "rounds": "".join(round_lines),
     }
 
 
@@ -328,10 +338,8 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
     write_csv(out / RESULTS, rows)
     with open(out / EPISODES_JSONL, "w") as ef, open(out / ROUNDS_JSONL, "w") as rf:
         for o in outputs:
-            for rec in o["episodes"]:
-                ef.write(json.dumps(rec, separators=(",", ":")) + "\n")
-            for rec in o["rounds"]:
-                rf.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            ef.write(o["episodes"])
+            rf.write(o["rounds"])
 
     first_tau = sweep["tau_values"][0]
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
@@ -356,28 +364,8 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _build_relabeled_dataset(cfg: ExperimentConfig, out: Path):
-    episodes = read_traces(out / TRACES, n_episodes=cfg.raw["trace"]["episodes"])
-    if sum(len(ep) for ep in episodes) == 0:
-        raise ValueError("trace set contains no mismatches")
-    rcfg = cfg.relabel()
-    bounds = cfg.bounds()
-    relabel_channel = cfg.channel(cfg.raw["labeler"]["channel"])
-    rng = np.random.default_rng([cfg.seed, SEED_RELABEL])
-    feats, labels = [], []
-    for ep in episodes:
-        samples = sample_csi_states(relabel_channel, rcfg.csi_samples_per_episode, rng)
-        for inst in relabel(ep, samples, rcfg, bounds, rng):
-            feats.append(inst.features)
-            labels.append(inst.label)
-    return episodes, np.array(feats), np.array(labels, dtype=np.float64)
-
-
 def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
-    traces_path = out / TRACES
-    if not traces_path.exists():
-        raise FileNotFoundError(f"missing trace file {traces_path}; run 'trace' first")
-    episodes, x_csi, y_csi = _build_relabeled_dataset(cfg, out)
+    episodes, x_csi, y_csi, _ = _relabeled_dataset(cfg, out)
 
     # Link-blind variant: base labels, CSI feature slot zeroed.
     feats, labels = [], []

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .wire import LatencyBreakdown
 
 
@@ -79,12 +81,14 @@ def per_token_flops(dims: ModelDims, consts: FlopsConstants, ctx_len: int) -> fl
     )
 
 
-def _window_flops(dims: ModelDims, consts: FlopsConstants, prefix: int, k: int) -> float:
+def _window_flops(
+    dims: ModelDims, consts: FlopsConstants, prefix: int | np.ndarray, k: int
+) -> float | np.ndarray:
     # Closed form of sum over l = prefix .. prefix+k-1 of per_token_flops(l);
     # the context term contributes N*c3*d * (k*prefix + k*(k-1)/2).
     if k < 1:
         raise ValueError("block length must be >= 1")
-    if prefix < 0:
+    if np.any(prefix < 0):
         raise ValueError("prefix length must be nonnegative")
     fixed = per_token_flops(dims, consts, 0)
     ctx_sum = k * prefix + k * (k - 1) // 2
@@ -92,22 +96,25 @@ def _window_flops(dims: ModelDims, consts: FlopsConstants, prefix: int, k: int) 
 
 
 def draft_round_flops(
-    dims: ModelDims, consts: FlopsConstants, prefix: int, k: int
-) -> float:
-    """Drafter FLOPs to autoregressively extend a ``prefix``-token context by k."""
+    dims: ModelDims, consts: FlopsConstants, prefix: int | np.ndarray, k: int
+) -> float | np.ndarray:
+    """Drafter FLOPs to autoregressively extend a ``prefix``-token context by k.
+
+    ``prefix`` may be an array of per-round prefix lengths.
+    """
     return _window_flops(dims, consts, prefix, k)
 
 
 def verify_round_flops(
-    dims_target: ModelDims, consts: FlopsConstants, prefix: int, k: int
-) -> float:
+    dims_target: ModelDims, consts: FlopsConstants, prefix: int | np.ndarray, k: int
+) -> float | np.ndarray:
     """Target FLOPs to verify a k-token block; same causal-chain summation."""
     return _window_flops(dims_target, consts, prefix, k)
 
 
-def head_flops(d_in: int, d_j: int, m: int) -> float:
-    """Decision-head FLOPs for ``m`` evaluated positions."""
-    if m < 0:
+def head_flops(d_in: int, d_j: int, m: int | np.ndarray) -> float | np.ndarray:
+    """Decision-head FLOPs for ``m`` evaluated positions (scalar or per round)."""
+    if np.any(m < 0):
         raise ValueError("position count must be nonnegative")
     return m * (2 * d_in * d_j + d_j + 2 * d_j + 1)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -83,7 +83,6 @@ DEFAULT_CONFIG: dict = {
         "rho": 0.15,
         "lambda_hi": 1.0,
         "lambda_lo": 0.0,
-        "b_min": 0,
         "csi_samples_per_episode": 4,
         "channel": {
             "rate_up_bps": 500e6,
@@ -146,6 +145,35 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+_CHANNEL_KEYS = frozenset(f.name for f in fields(ChannelConfig))
+# Sections that configure a channel take ChannelConfig's fields, not the
+# (partial) keys their defaults happen to spell out.
+_CHANNEL_SECTIONS = ("channel", "labeler.channel")
+
+
+def _check_keys(section: dict, allowed, path: str) -> None:
+    """Reject keys of ``section`` outside ``allowed``, naming the dotted path.
+
+    Where ``allowed`` is a defaults mapping, nested mappings are checked
+    against the matching defaults.
+    """
+    for key, value in section.items():
+        dotted = f"{path}.{key}" if path else str(key)
+        if key not in allowed:
+            raise ValueError(
+                f"unknown config key {dotted!r}; expected one of {sorted(allowed)}"
+            )
+        if dotted in _CHANNEL_SECTIONS and isinstance(value, dict):
+            _check_keys(value, _CHANNEL_KEYS, dotted)
+        elif dotted == "sweep.scenarios" and isinstance(value, list):
+            for i, scenario in enumerate(value):
+                if isinstance(scenario, dict):
+                    _check_keys(scenario, _CHANNEL_KEYS | {"name"}, f"{dotted}[{i}]")
+        elif isinstance(value, dict) and isinstance(allowed, dict):
+            if isinstance(allowed[key], dict):
+                _check_keys(value, allowed[key], dotted)
+
+
 def config_hash(raw: dict) -> str:
     """Stable hash of the fully merged configuration."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -175,6 +203,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        _check_keys(self.raw, DEFAULT_CONFIG, "")
         if self.raw["compute"]["preset"] not in MODEL_PRESETS:
             raise ValueError(
                 f"unknown compute preset {self.raw['compute']['preset']!r}; "
@@ -268,7 +297,6 @@ class ExperimentConfig:
             rho=sec["rho"],
             lambda_hi=sec["lambda_hi"],
             lambda_lo=sec["lambda_lo"],
-            b_min=sec["b_min"],
             csi_samples_per_episode=sec["csi_samples_per_episode"],
         )
 

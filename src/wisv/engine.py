@@ -1,4 +1,4 @@
-"""Round-by-round device-edge decoding state machine and baselines.
+"""Device-edge decoding episodes: one decision loop and one latency ledger.
 
 Modes:
 
@@ -12,18 +12,23 @@ Modes:
   localized positions at the cost of a second round trip.
 * ``wisv_adaptive``: per-round protocol choice from the measured RTT.
 
-The verification logic is identical for FH and SH, so token streams, AAL,
-and round counts match exactly between them; only the latency ledger
-differs.
+``run_episode`` is the only episode loop. A mode only chooses where a round
+rejects: at the first mismatch, at the first mismatch the head screens at
+p >= tau, or where the speculative-sampling draw rejects. The commit rule
+and the bookkeeping are shared, and the loop records integer columns per
+round. ``ledger`` then bills the whole episode at once from those columns
+and the trace's per-round CSI. FH, SH and adaptive differ only in the
+``proto`` column, so their token streams, AAL and round counts match
+exactly; only the ledger's output differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelTrace, CsiState, NormalizationBounds, features
+from .channel import ChannelTrace, CsiColumns, NormalizationBounds, features
 from .compute import (
     FlopsConstants,
     HardwareProfile,
@@ -35,7 +40,7 @@ from .compute import (
     verify_round_flops,
 )
 from .head import HeadParams, forward_batch
-from .oracle import DraftBlock, EpisodeOracle, OracleConfig, TargetView
+from .oracle import EpisodeOracle, OracleConfig
 from .wire import (
     LatencyBreakdown,
     WireConfig,
@@ -48,6 +53,19 @@ from .wire import (
 )
 
 MODES = ("sd_greedy", "sd_reject", "wisv_fh", "wisv_sh", "wisv_adaptive")
+
+# Wire protocol of a round, as stored in EpisodeResult.proto: token IDs only
+# (greedy), dense probabilities (rejection sampling), full or selective
+# hidden upload. The head-verified protocols FH and SH have the highest
+# codes. PROTO_NAMES is what the per-round records report.
+PROTO_TOKENS, PROTO_DENSE, PROTO_FH, PROTO_SH = range(4)
+PROTO_NAMES = (None, None, "FH", "SH")
+_MODE_PROTO = {
+    "sd_greedy": PROTO_TOKENS,
+    "sd_reject": PROTO_DENSE,
+    "wisv_fh": PROTO_FH,
+    "wisv_sh": PROTO_SH,
+}
 
 
 @dataclass(frozen=True)
@@ -95,81 +113,64 @@ class SystemModel:
     head_d_j: int = 256
 
 
-@dataclass
-class RoundOutcome:
-    """Result of one interaction round; indices are window-relative."""
-
-    index: int
-    k: int
-    mismatches: list[int]
-    reject_pos: int | None
-    accepted: int
-    committed: list[int]
-    accepted_critical: int
-    comm: LatencyBreakdown
-    draft_s: float
-    verify_s: float
-    head_s: float
-    proto: str | None = None
-    residual_fallback: bool = False
-
-    @property
-    def m(self) -> int:
-        return len(self.mismatches)
-
-    @property
-    def total_s(self) -> float:
-        return round_latency(self.draft_s, self.comm, self.verify_s, self.head_s)
-
-
-@dataclass
+@dataclass(frozen=True)
 class EpisodeResult:
-    rounds: list[RoundOutcome] = field(default_factory=list)
+    """One episode as columns; entry r of every array belongs to round r.
+
+    The decision columns come from the episode loop: ``m`` localized
+    mismatches, ``reject_pos`` (window-relative, -1 on full accept),
+    ``accepted`` draft tokens, ``committed`` tokens (accepted + 1), the
+    number of accepted critical mismatches, and the ``proto`` code. The
+    rest is the ledger's bill. ``tokens`` is the committed token stream.
+    """
+
+    tokens: np.ndarray
+    m: np.ndarray
+    reject_pos: np.ndarray
+    accepted: np.ndarray
+    committed: np.ndarray
+    accepted_critical: np.ndarray
+    proto: np.ndarray
+    comm: LatencyBreakdown
+    draft_s: np.ndarray
+    verify_s: np.ndarray
+    head_s: np.ndarray
+    total_s: np.ndarray
 
     @property
     def n_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def tokens(self) -> list[int]:
-        out: list[int] = []
-        for r in self.rounds:
-            out.extend(r.committed)
-        return out
+        return len(self.m)
 
     @property
     def total_tokens(self) -> int:
-        return sum(len(r.committed) for r in self.rounds)
+        return int(self.committed.sum())
 
     @property
     def accepted_total(self) -> int:
-        return sum(r.accepted for r in self.rounds)
+        return int(self.accepted.sum())
 
     @property
     def total_latency_s(self) -> float:
-        return sum(r.total_s for r in self.rounds)
-
-    @property
-    def uplink_bits(self) -> int:
-        return sum(r.comm.uplink_bits for r in self.rounds)
-
-    @property
-    def downlink_bits(self) -> int:
-        return sum(r.comm.downlink_bits for r in self.rounds)
-
-    @property
-    def accepted_critical(self) -> int:
-        return sum(r.accepted_critical for r in self.rounds)
+        return round_order_sum(self.total_s)
 
     @property
     def synthetic_correct(self) -> bool:
-        return self.accepted_critical == 0
+        return not self.accepted_critical.any()
 
     @property
     def aal(self) -> float:
-        if not self.rounds:
+        if not self.n_rounds:
             raise ValueError("episode has no rounds")
         return self.accepted_total / self.n_rounds
+
+
+def round_order_sum(column: np.ndarray) -> float:
+    """Sum of a float column in round order, as Python's ``sum`` adds it.
+
+    ``np.sum`` adds pairwise and can move the last digit, which would
+    change the written results.
+    """
+    return sum(column.tolist())
 
 
 def localize(draft_tokens: np.ndarray, target_argmax: np.ndarray) -> list[int]:
@@ -183,136 +184,6 @@ def select_protocol(measured_rtt: float, cutoff: float = 0.010) -> str:
     return "FH" if measured_rtt > cutoff else "SH"
 
 
-def _compute_times(
-    system: SystemModel, prefix: int, k: int, m: int
-) -> tuple[float, float, float]:
-    draft_s = exec_time(
-        draft_round_flops(system.draft_dims, system.consts, prefix, k), system.hw_draft
-    )
-    verify_s = exec_time(
-        verify_round_flops(system.target_dims, system.consts, prefix, k), system.hw_target
-    )
-    head_s = exec_time(head_flops(system.head_d_in, system.head_d_j, m), system.hw_target)
-    return draft_s, verify_s, head_s
-
-
-def _commit(
-    block: DraftBlock, view: TargetView, mismatches: list[int], reject_pos: int | None
-) -> tuple[list[int], int, int]:
-    """Token commit per the shared rollback rule.
-
-    Full accept commits all k draft tokens plus the bonus argmax; a
-    rejection at j commits the j tokens before it plus the corrected
-    token. Returns (committed tokens, accepted length, accepted-critical
-    count).
-    """
-    k = len(block)
-    if reject_pos is None:
-        committed = [int(t) for t in block.tokens] + [int(view.argmax[k])]
-        accepted_mm = mismatches
-        accepted = k
-    else:
-        committed = [int(t) for t in block.tokens[:reject_pos]] + [int(view.argmax[reject_pos])]
-        accepted_mm = [i for i in mismatches if i < reject_pos]
-        accepted = reject_pos
-    n_crit = int(sum(bool(view.crit[i]) for i in accepted_mm))
-    return committed, accepted, n_crit
-
-
-def sd_greedy_round(
-    system: SystemModel,
-    block: DraftBlock,
-    view: TargetView,
-    csi: CsiState,
-    index: int = 0,
-) -> RoundOutcome:
-    """Strict argmax matching: the first mismatch always rejects."""
-    k = len(block)
-    mismatches = localize(block.tokens, view.argmax)
-    reject_pos = mismatches[0] if mismatches else None
-    committed, accepted, n_crit = _commit(block, view, mismatches, reject_pos)
-    comm = single_exchange_latency(
-        token_uplink_bits(system.wire, k), feedback_bits(system.wire), csi
-    )
-    draft_s, verify_s, _ = _compute_times(system, block.start, k, 0)
-    return RoundOutcome(
-        index=index,
-        k=k,
-        mismatches=mismatches,
-        reject_pos=reject_pos,
-        accepted=accepted,
-        committed=committed,
-        accepted_critical=n_crit,
-        comm=comm,
-        draft_s=draft_s,
-        verify_s=verify_s,
-        head_s=0.0,
-    )
-
-
-def wisv_round(
-    system: SystemModel,
-    block: DraftBlock,
-    view: TargetView,
-    params: HeadParams,
-    tau: float,
-    csi: CsiState,
-    proto: str,
-    index: int = 0,
-    zero_csi_features: bool = False,
-) -> RoundOutcome:
-    """Head-screened verification; ``proto`` selects the payload ledger.
-
-    The head is evaluated at every localized mismatch (SH fetches all of
-    them in one request), and the earliest position whose rejection
-    probability reaches tau stops the block.
-    """
-    if proto not in ("FH", "SH"):
-        raise ValueError(f"unknown protocol {proto!r}")
-    k = len(block)
-    if len(view.hiddens_target) != k:
-        raise ValueError("draft block and target view lengths differ")
-    mismatches = localize(block.tokens, view.argmax)
-    m = len(mismatches)
-    reject_pos = None
-    if m:
-        csi_feats = features(csi, system.bounds)
-        if zero_csi_features:
-            csi_feats = np.zeros_like(csi_feats)
-        z = np.concatenate(
-            [
-                block.hiddens_draft[mismatches],
-                view.hiddens_target[mismatches],
-                np.tile(csi_feats, (m, 1)),
-            ],
-            axis=1,
-        )
-        _, p = forward_batch(params, z, training=False)
-        rejected = np.nonzero(p >= tau)[0]
-        if rejected.size:
-            reject_pos = mismatches[int(rejected[0])]
-    committed, accepted, n_crit = _commit(block, view, mismatches, reject_pos)
-    if proto == "FH":
-        comm = comm_latency_fh(system.wire, k, csi)
-    else:
-        comm = comm_latency_sh(system.wire, k, m, csi)
-    draft_s, verify_s, head_s = _compute_times(system, block.start, k, m)
-    return RoundOutcome(
-        index=index,
-        k=k,
-        mismatches=mismatches,
-        reject_pos=reject_pos,
-        accepted=accepted,
-        committed=committed,
-        accepted_critical=n_crit,
-        comm=comm,
-        draft_s=draft_s,
-        verify_s=verify_s,
-        head_s=head_s,
-        proto=proto,
-    )
-
-
 def _sample(p: np.ndarray, rng) -> int:
     """Inverse-CDF draw from a categorical distribution."""
     idx = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
@@ -320,62 +191,78 @@ def _sample(p: np.ndarray, rng) -> int:
 
 
 def sd_reject_round(
-    system: SystemModel,
-    oracle: EpisodeOracle,
-    prefix: int,
-    k: int,
-    csi: CsiState,
-    rng: np.random.Generator,
-    index: int = 0,
-) -> RoundOutcome:
-    """Probabilistic verification over per-position distribution pairs.
+    oracle: EpisodeOracle, prefix: int, k: int, rng: np.random.Generator
+) -> tuple[list[int], int | None, int]:
+    """Speculative-sampling draw over one window of per-position distributions.
 
     Each draft token y ~ p_draft is accepted with min(1, p_target(y) /
     p_draft(y)); a rejection emits a token from the normalized residual
     max(p_target - p_draft, 0), falling back to p_target when the residual
-    is all zero. The emitted stream is distributed per the target model.
+    is all zero. After a full accept the bonus token is drawn from
+    p_target. The emitted stream is distributed per the target model.
+    Returns (accepted draft tokens, reject position or None, emitted token).
     """
-    committed: list[int] = []
-    reject_pos = None
-    fallback = False
+    drafted: list[int] = []
     for i in range(k):
         p_d, p_t = oracle.distributions(prefix + i)
         y = _sample(p_d, rng)
         ratio = p_t[y] / p_d[y]
         if rng.random() < min(1.0, ratio):
-            committed.append(y)
+            drafted.append(y)
             continue
         residual = np.maximum(p_t - p_d, 0.0)
         total = residual.sum()
-        if total <= 0.0:
-            residual, fallback = p_t, True
-        else:
-            residual = residual / total
-        committed.append(_sample(residual, rng))
-        reject_pos = i
-        break
-    if reject_pos is None:
-        _, p_t = oracle.distributions(prefix + k)
-        committed.append(_sample(p_t, rng))
-    accepted = reject_pos if reject_pos is not None else k
-    comm = single_exchange_latency(
-        reject_uplink_bits(system.wire, k), feedback_bits(system.wire), csi
+        residual = p_t if total <= 0.0 else residual / total
+        return drafted, i, _sample(residual, rng)
+    _, p_t = oracle.distributions(prefix + k)
+    return drafted, None, _sample(p_t, rng)
+
+
+def _exchange(
+    code: int, wire: WireConfig, k: int, m: np.ndarray, csi: CsiColumns
+) -> LatencyBreakdown:
+    """Communication of every round as if it used protocol ``code``."""
+    if code == PROTO_FH:
+        return comm_latency_fh(wire, k, csi)
+    if code == PROTO_SH:
+        return comm_latency_sh(wire, k, m, csi)
+    uplink = token_uplink_bits if code == PROTO_TOKENS else reject_uplink_bits
+    return single_exchange_latency(uplink(wire, k), feedback_bits(wire), csi)
+
+
+def ledger(
+    system: SystemModel,
+    k: int,
+    start: np.ndarray,
+    m: np.ndarray,
+    proto: np.ndarray,
+    csi: CsiColumns,
+) -> tuple[LatencyBreakdown, np.ndarray, np.ndarray, np.ndarray]:
+    """Bill every round of an episode: (communication, draft, verify, head seconds).
+
+    ``start`` is each round's prefix length, ``m`` its localized mismatch
+    count, ``proto`` its protocol code, and ``csi`` its link state. Only
+    rounds verified by the head (FH or SH) pay for screening their m
+    mismatches.
+    """
+    draft_s = exec_time(
+        draft_round_flops(system.draft_dims, system.consts, start, k), system.hw_draft
     )
-    draft_s, verify_s, _ = _compute_times(system, prefix, k, 0)
-    return RoundOutcome(
-        index=index,
-        k=k,
-        mismatches=[reject_pos] if reject_pos is not None else [],
-        reject_pos=reject_pos,
-        accepted=accepted,
-        committed=committed,
-        accepted_critical=0,
-        comm=comm,
-        draft_s=draft_s,
-        verify_s=verify_s,
-        head_s=0.0,
-        residual_fallback=fallback,
+    verify_s = exec_time(
+        verify_round_flops(system.target_dims, system.consts, start, k), system.hw_target
     )
+    screened = np.where(proto >= PROTO_FH, m, 0)
+    head_s = exec_time(head_flops(system.head_d_in, system.head_d_j, screened), system.hw_target)
+    columns: dict[str, np.ndarray] = {}
+    for code in sorted(set(proto.tolist())):
+        part = _exchange(code, system.wire, k, m, csi)
+        selected = proto == code
+        for f in fields(LatencyBreakdown):
+            value = np.broadcast_to(getattr(part, f.name), proto.shape)
+            old = columns.get(f.name)
+            columns[f.name] = value if old is None else np.where(selected, value, old)
+    comm = LatencyBreakdown(**columns)
+    return comm, draft_s, verify_s, head_s
 
 
 def run_episode(
@@ -388,9 +275,10 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one generation episode to its token budget.
 
-    The committed prefix grows by accepted length + 1 each round (+window+1
-    on full accept); per-round CSI comes from the channel trace, wrapping
-    if the episode outlives it.
+    Each round commits the accepted draft tokens plus one target-side
+    token: the target argmax at the rejected position (or the bonus token
+    after a full accept), or the speculative-sampling draw. Round r uses
+    the trace's state r, wrapping if the episode outlives the trace.
     """
     mode = engine_cfg.mode
     if mode.startswith("wisv") and head_params is None:
@@ -404,32 +292,67 @@ def run_episode(
     extra = [seed] if isinstance(seed, int) else list(seed)
     rng = np.random.default_rng([oracle_cfg.seed, *extra, 0x5A])
 
-    result = EpisodeResult()
+    rows: list[tuple[int, int, int, int, int]] = []
+    tokens: list[int] = []
     prefix = engine_cfg.prefix_len
-    committed = 0
-    r = 0
-    while committed < engine_cfg.max_tokens:
-        csi = trace.at_round(r)
-        if mode == "sd_greedy":
-            block = oracle.draft(prefix, k)
-            outcome = sd_greedy_round(system, block, oracle.verify_view(block), csi, r)
-        elif mode == "sd_reject":
-            outcome = sd_reject_round(system, oracle, prefix, k, csi, rng, r)
+    end = prefix + engine_cfg.max_tokens
+    while prefix < end:
+        csi = trace.at_round(len(rows))
+        proto = _MODE_PROTO.get(mode)
+        if proto is None:
+            cutoff = engine_cfg.adaptive_rtt_cutoff_s
+            proto = PROTO_FH if select_protocol(csi.rtt, cutoff) == "FH" else PROTO_SH
+        if mode == "sd_reject":
+            drafted, reject_pos, fix = sd_reject_round(oracle, prefix, k, rng)
+            mismatches = [] if reject_pos is None else [reject_pos]
         else:
-            if mode == "wisv_fh":
-                proto = "FH"
-            elif mode == "wisv_sh":
-                proto = "SH"
-            else:
-                proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
             block = oracle.draft(prefix, k)
-            outcome = wisv_round(
-                system, block, oracle.verify_view(block), head_params,
-                engine_cfg.tau, csi, proto, r,
-                zero_csi_features=engine_cfg.zero_csi_features,
-            )
-        result.rounds.append(outcome)
-        prefix += len(outcome.committed)
-        committed += len(outcome.committed)
-        r += 1
-    return result
+            view = oracle.verify_view(block)
+            drafted = block.tokens.tolist()
+            mismatches = localize(block.tokens, view.argmax)
+            reject_pos = mismatches[0] if mismatches else None
+            if proto >= PROTO_FH and mismatches:
+                csi_feats = features(csi, system.bounds)
+                if engine_cfg.zero_csi_features:
+                    csi_feats = np.zeros_like(csi_feats)
+                z = np.concatenate(
+                    [
+                        block.hiddens_draft[mismatches],
+                        view.hiddens_target[mismatches],
+                        np.tile(csi_feats, (len(mismatches), 1)),
+                    ],
+                    axis=1,
+                )
+                _, p = forward_batch(head_params, z, training=False)
+                hits = np.flatnonzero(p >= engine_cfg.tau)
+                reject_pos = mismatches[hits[0]] if hits.size else None
+            fix = int(view.argmax[k if reject_pos is None else reject_pos])
+        accepted = k if reject_pos is None else reject_pos
+        tokens.extend(drafted[:accepted])
+        tokens.append(fix)
+        n_crit = sum(bool(oracle.crit[prefix + i]) for i in mismatches if i < accepted)
+        rows.append(
+            (len(mismatches), -1 if reject_pos is None else reject_pos, accepted, n_crit, proto)
+        )
+        prefix += accepted + 1
+
+    m, reject_col, accepted_col, crit_col, proto_col = np.array(rows, dtype=np.int64).T
+    committed = accepted_col + 1
+    start = engine_cfg.prefix_len + np.cumsum(committed) - committed
+    comm, draft_s, verify_s, head_s = ledger(
+        system, k, start, m, proto_col, trace.columns(len(rows))
+    )
+    return EpisodeResult(
+        tokens=np.array(tokens, dtype=np.int64),
+        m=m,
+        reject_pos=reject_col,
+        accepted=accepted_col,
+        committed=committed,
+        accepted_critical=crit_col,
+        proto=proto_col,
+        comm=comm,
+        draft_s=draft_s,
+        verify_s=verify_s,
+        head_s=head_s,
+        total_s=round_latency(draft_s, comm, verify_s, head_s),
+    )

@@ -85,11 +85,6 @@ def init_params(d_in: int, d_j: int, seed: int, dropout_rate: float = 0.1) -> He
     )
 
 
-def assemble(h_d: np.ndarray, h_t: np.ndarray, csi_features: np.ndarray) -> np.ndarray:
-    """Feature vector [h_draft; h_target; csi] in exactly that order."""
-    return np.concatenate([h_d, h_t, csi_features])
-
-
 def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
@@ -117,17 +112,6 @@ def forward_batch(
     return s, sigmoid(s)
 
 
-def forward(
-    params: HeadParams,
-    z: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Single-vector forward pass; returns (logit, rejection probability)."""
-    s, p = forward_batch(params, z[None, :], training=training, rng=rng)
-    return float(s[0]), float(p[0])
-
-
 def bce_from_logit(s, y, pos_weight: float = 1.0):
     """Elementwise BCE evaluated from the logit (log-sum-exp form)."""
     s = np.asarray(s, dtype=np.float64)
@@ -137,22 +121,6 @@ def bce_from_logit(s, y, pos_weight: float = 1.0):
     loss_pos = np.maximum(-s, 0.0) + common
     loss_neg = np.maximum(s, 0.0) + common
     return pos_weight * y * loss_pos + (1.0 - y) * loss_neg
-
-
-def bce_loss(p: float, y: float) -> float:
-    """BCE for a probability in (0, 1); routed through the logit internally."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("probability must lie strictly in (0, 1)")
-    s = np.log(p) - np.log1p(-p)
-    return float(bce_from_logit(s, y))
-
-
-def decide(params: HeadParams, z: np.ndarray, tau: float) -> bool:
-    """True means reject. The boundary is inclusive: reject iff p >= tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    _, p = forward(params, z, training=False)
-    return p >= tau
 
 
 def loss_and_grads(

@@ -52,15 +52,6 @@ class Episode:
         return len(self.records)
 
 
-@dataclass
-class RelabeledInstance:
-    features: np.ndarray
-    label: int
-    episode_id: int
-    mismatch_index: int
-    csi_sample_id: int
-
-
 @dataclass(frozen=True)
 class RelabelConfig:
     """Smoothing, policy sharpness, and link-to-multiplier map settings."""
@@ -69,7 +60,6 @@ class RelabelConfig:
     rho: float = 0.1
     lambda_hi: float = 0.8
     lambda_lo: float = 0.2
-    b_min: int = 0
     csi_samples_per_episode: int = 4
 
     def __post_init__(self) -> None:
@@ -183,45 +173,37 @@ def lambda_of_csi(q: float, lambda_hi: float, lambda_lo: float) -> float:
     return lambda_hi - (lambda_hi - lambda_lo) * q
 
 
-def budget_of_csi(q: float, n_important: int, b_min: int = 0) -> int:
-    """Repair budget max(b_min, round(q * n_important)); half rounds up."""
-    return max(b_min, int(np.floor(q * n_important + 0.5)))
-
-
 def relabel(
     episode: Episode,
     csi_samples: list[CsiState],
     cfg: RelabelConfig,
     bounds: NormalizationBounds,
     rng: np.random.Generator,
-) -> list[RelabeledInstance]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample repair actions per CSI draw and emit supervised instances.
 
-    Every instance satisfies label <= base label (the b_t gate inside the
-    soft policy never repairs a non-critical mismatch).
+    Returns (features, labels, CSI sample ids) with one row per (CSI sample,
+    mismatch) pair, ordered by sample and then by mismatch. A feature row
+    is [h_draft; h_target; CSI features]. Every label is <= its base label
+    (the b_t gate inside the soft policy never repairs a non-critical
+    mismatch). An episode without mismatches yields empty arrays and draws
+    nothing from ``rng``.
     """
-    if len(episode) == 0:
-        return []
+    n = len(episode)
+    if n == 0:
+        return np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     b = episode.base_labels
     b_smooth = smooth(b, cfg.alpha)
-    out = []
-    for csi_id, csi in enumerate(csi_samples):
+    hiddens = np.array([np.concatenate([r.h_draft, r.h_target]) for r in episode.records])
+    feats, labels = [], []
+    for csi in csi_samples:
         q = quality(csi, bounds)
         lam = lambda_of_csi(q, cfg.lambda_hi, cfg.lambda_lo)
-        csi_feats = features(csi, bounds)
         pi = soft_policy(b, b_smooth, lam, cfg.rho)
-        actions = (rng.random(len(b)) < pi).astype(np.int64)
-        for t, rec in enumerate(episode.records):
-            out.append(
-                RelabeledInstance(
-                    features=np.concatenate([rec.h_draft, rec.h_target, csi_feats]),
-                    label=int(actions[t]),
-                    episode_id=episode.episode_id,
-                    mismatch_index=t,
-                    csi_sample_id=csi_id,
-                )
-            )
-    return out
+        labels.append((rng.random(n) < pi).astype(np.int64))
+        feats.append(np.hstack([hiddens, np.tile(features(csi, bounds), (n, 1))]))
+    sample_ids = np.repeat(np.arange(len(csi_samples)), n)
+    return np.vstack(feats), np.concatenate(labels), sample_ids
 
 
 def sample_csi_states(

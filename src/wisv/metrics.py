@@ -1,10 +1,17 @@
 """Aggregation of episode results into system-level metrics.
 
+Every metric reduces the per-round columns of each ``EpisodeResult`` to one
+number per episode, then combines the episodes in order. Float columns are
+added in round order (``round_order_sum``), so the written numbers do not
+depend on numpy's summation order.
+
 AAL and end-to-end latency use two-level averaging (per episode, then over
 episodes). Throughput is the pooled ratio of total accepted tokens to total
 wall-clock latency, which makes throughput * mean-latency * episode count
-recover the accepted token total exactly and reproduces the reference
-identity throughput = AAL * rounds / latency at the aggregate level.
+recover the accepted token total exactly. The reference identity
+throughput = AAL * rounds / latency is exact for one episode, or with the
+pooled AAL (total accepted over total rounds); with the two-level AAL it
+holds only approximately when round counts differ between episodes.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import csv as _csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import EpisodeResult
+from .engine import EpisodeResult, round_order_sum
 
 CSV_COLUMNS = [
     "mode",
@@ -88,23 +95,27 @@ def accuracy_proxy(results: list[EpisodeResult]) -> float:
     return sum(ep.synthetic_correct for ep in results) / len(results)
 
 
+def _mean_total(columns) -> float:
+    """Mean over episodes of each episode's column total."""
+    return sum(round_order_sum(col) for col in columns) / len(columns)
+
+
 def summarize(results: list[EpisodeResult]) -> MetricsSummary:
     _require(results)
-    n = len(results)
     return MetricsSummary(
         aal=aal(results),
         rounds_mean=round_count(results),
         latency_mean_s=e2e_latency(results),
         throughput_tokens_per_s=throughput(results),
         accuracy_proxy=accuracy_proxy(results),
-        uplink_bits_total=sum(ep.uplink_bits for ep in results),
-        downlink_bits_total=sum(ep.downlink_bits for ep in results),
-        draft_s_mean=sum(sum(r.draft_s for r in ep.rounds) for ep in results) / n,
-        verify_s_mean=sum(sum(r.verify_s for r in ep.rounds) for ep in results) / n,
-        head_s_mean=sum(sum(r.head_s for r in ep.rounds) for ep in results) / n,
-        uplink_s_mean=sum(sum(r.comm.uplink_s for r in ep.rounds) for ep in results) / n,
-        downlink_s_mean=sum(sum(r.comm.downlink_s for r in ep.rounds) for ep in results) / n,
-        rtt_s_mean=sum(sum(r.comm.rtt_s for r in ep.rounds) for ep in results) / n,
+        uplink_bits_total=sum(int(ep.comm.uplink_bits.sum()) for ep in results),
+        downlink_bits_total=sum(int(ep.comm.downlink_bits.sum()) for ep in results),
+        draft_s_mean=_mean_total([ep.draft_s for ep in results]),
+        verify_s_mean=_mean_total([ep.verify_s for ep in results]),
+        head_s_mean=_mean_total([ep.head_s for ep in results]),
+        uplink_s_mean=_mean_total([ep.comm.uplink_s for ep in results]),
+        downlink_s_mean=_mean_total([ep.comm.downlink_s for ep in results]),
+        rtt_s_mean=_mean_total([ep.comm.rtt_s for ep in results]),
     )
 
 

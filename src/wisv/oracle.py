@@ -202,13 +202,3 @@ def calibrate_p_match(target_aal: float, k: int, tol: float = 1e-9) -> float:
     assert abs(geometric_accepted_length(a, k) - target_aal) < 1e-6
     return a
 
-
-def distribution_pair(
-    config: OracleConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One standalone (p_draft, p_target) pair; same family the episodes use."""
-    v = config.vocab_syn
-    p_t = rng.dirichlet(np.ones(v))
-    other = rng.dirichlet(np.ones(v))
-    p_d = (1.0 - config.mixing) * p_t + config.mixing * other
-    return p_d, p_t

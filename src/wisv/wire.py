@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import CsiState, effective_rate
+import numpy as np
+
+from .channel import CsiColumns, CsiState, effective_rate
 
 
 @dataclass(frozen=True)
@@ -51,16 +53,20 @@ class WireConfig:
 
 @dataclass(frozen=True)
 class LatencyBreakdown:
-    """One exchange's latency split; total_s is the exact component sum."""
+    """Latency split of one exchange; total_s is the exact component sum.
 
-    uplink_s: float
-    downlink_s: float
-    rtt_s: float
-    uplink_bits: int
-    downlink_bits: int
+    Fields are scalars for one exchange, or arrays with one entry per round
+    when the CSI is given as ``CsiColumns``.
+    """
+
+    uplink_s: float | np.ndarray
+    downlink_s: float | np.ndarray
+    rtt_s: float | np.ndarray
+    uplink_bits: int | np.ndarray
+    downlink_bits: int | np.ndarray
 
     @property
-    def total_s(self) -> float:
+    def total_s(self) -> float | np.ndarray:
         return self.uplink_s + self.downlink_s + self.rtt_s
 
 
@@ -88,13 +94,13 @@ def fh_uplink_bits(cfg: WireConfig, k: int) -> int:
     return cfg.hdr_up + k * cfg.b_id + k * hidden_bits(cfg)
 
 
-def sh_bits(cfg: WireConfig, k: int, m: int) -> tuple[int, int, int]:
+def sh_bits(cfg: WireConfig, k: int, m: int | np.ndarray) -> tuple[int, int, int]:
     """Selective-hidden payload triple (first uplink, request, second uplink).
 
     ``m`` is the number of positions whose hidden states the edge requests;
-    0 <= m <= k.
+    0 <= m <= k. It may be an array of per-round counts.
     """
-    if not 0 <= m <= k:
+    if np.any((m < 0) | (m > k)):
         raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
     u1 = token_uplink_bits(cfg, k)
     req = cfg.hdr_down + m * cfg.b_pos
@@ -110,7 +116,7 @@ def reject_uplink_bits(cfg: WireConfig, k: int) -> int:
 
 
 def single_exchange_latency(
-    uplink_bits: int, downlink_bits: int, csi: CsiState
+    uplink_bits: int, downlink_bits: int, csi: CsiState | CsiColumns
 ) -> LatencyBreakdown:
     """Latency of one uplink + one downlink + one round trip."""
     return LatencyBreakdown(
@@ -122,12 +128,14 @@ def single_exchange_latency(
     )
 
 
-def comm_latency_fh(cfg: WireConfig, k: int, csi: CsiState) -> LatencyBreakdown:
+def comm_latency_fh(cfg: WireConfig, k: int, csi: CsiState | CsiColumns) -> LatencyBreakdown:
     """Full-hidden round: uplink serialization + feedback + one RTT."""
     return single_exchange_latency(fh_uplink_bits(cfg, k), feedback_bits(cfg), csi)
 
 
-def comm_latency_sh(cfg: WireConfig, k: int, m: int, csi: CsiState) -> LatencyBreakdown:
+def comm_latency_sh(
+    cfg: WireConfig, k: int, m: int | np.ndarray, csi: CsiState | CsiColumns
+) -> LatencyBreakdown:
     """Selective-hidden round: four serialization terms + two RTTs."""
     u1, req, u2 = sh_bits(cfg, k, m)
     fb = feedback_bits(cfg)

@@ -30,7 +30,7 @@ from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
 from wisv.engine import run_episode, sd_reject_round
 from wisv.head import HeadParams, init_params, load_params, loss_and_grads
 from wisv.labeler import solve_budget_exact
-from wisv.metrics import aal, accuracy_proxy, e2e_latency, round_count
+from wisv.metrics import aal, accuracy_proxy, e2e_latency, round_count, summarize
 from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match
 from wisv.wire import (
     WireConfig,
@@ -142,19 +142,15 @@ def test_criterion_2_budget_solver_oracle():
 
 
 def test_criterion_3_speculative_sampling_exactness():
-    from tests.test_engine import small_system
-
     t0 = time.monotonic()
-    system = small_system()
-    csi = CsiState(500e6, 500e6, 0.0, 0.0, 0.05)
     cfg = OracleConfig(p_match=0.9, d_h_draft=1, d_h_target=1, mixing=0.7, vocab_syn=64, seed=3)
     oracle = EpisodeOracle(cfg, seed=0, n_positions=3, with_distributions=True)
     rng = np.random.default_rng(1)
     trials = 100_000
     counts = np.zeros(cfg.vocab_syn)
     for _ in range(trials):
-        out = sd_reject_round(system, oracle, 0, 1, csi, rng)
-        counts[out.committed[0]] += 1
+        drafted, _, emitted = sd_reject_round(oracle, 0, 1, rng)
+        counts[drafted[0] if drafted else emitted] += 1
     tv = 0.5 * np.abs(counts / trials - oracle.p_target[0]).sum()
     dt = time.monotonic() - t0
     report(3, tv < 0.01 and dt < 10.0, f"TV(emitted, target) = {tv:.5f} over 1e5 trials in {dt:.2f}s")
@@ -211,7 +207,8 @@ def test_criterion_5_reduction_equivalence():
             system, cfg.engine(mode="wisv_fh", tau=1e-12), oracle_cfg, trace, head,
             seed=[SEED_EVAL, ep],
         )
-        if not (g.tokens == w.tokens and g.n_rounds == w.n_rounds and g.aal == w.aal):
+        same = np.array_equal(g.tokens, w.tokens)
+        if not (same and g.n_rounds == w.n_rounds and g.aal == w.aal):
             mismatching += 1
     dt = time.monotonic() - t0
     report(5, mismatching == 0 and dt < 30.0,
@@ -230,14 +227,14 @@ def test_criterion_6_fh_sh_invariance(pipeline):
                          seed=[SEED_EVAL, ep])
         sh = run_episode(system, cfg.engine(mode="wisv_sh", tau=0.9), oracle_cfg, trace, head,
                          seed=[SEED_EVAL, ep])
-        if fh.aal != sh.aal or fh.n_rounds != sh.n_rounds or fh.tokens != sh.tokens:
+        same = np.array_equal(fh.tokens, sh.tokens)
+        if fh.aal != sh.aal or fh.n_rounds != sh.n_rounds or not same:
             violations += 1
             continue
-        for rf, rs in zip(fh.rounds, sh.rounds):
-            if rs.comm.uplink_bits > rf.comm.uplink_bits + wire.hdr_up:
-                violations += 1
-            if rf.m < rf.k and rs.comm.uplink_bits >= rf.comm.uplink_bits + wire.hdr_up:
-                violations += 1
+        fh_up, sh_up = fh.comm.uplink_bits, sh.comm.uplink_bits
+        violations += np.count_nonzero(sh_up > fh_up + wire.hdr_up)
+        k = cfg.engine().window
+        violations += np.count_nonzero((fh.m < k) & (sh_up >= fh_up + wire.hdr_up))
     report(6, violations == 0,
            "AAL/rounds/tokens identical across FH and SH; per-round SH uplink bound holds")
 
@@ -256,8 +253,34 @@ def test_criterion_7_reference_throughput_identity():
     for _, aal_v, rounds_v, latency_v, reported in rows:
         computed = aal_v * rounds_v / latency_v  # accepted tokens / latency
         worst = max(worst, abs(computed - reported) / reported)
-    report(7, worst < 0.005,
-           f"throughput identity holds on {len(rows)} reference rows, worst error {worst:.2e}")
+
+    # The same identity on summarize() output of a short eval. It is exact
+    # for one episode, and for several with the pooled AAL (accepted over
+    # rounds). The reported AAL averages per episode, so across episodes it
+    # departs from the identity by the printed gap.
+    def rel_error(aal_v, s):
+        return abs(aal_v * s.rounds_mean / s.latency_mean_s / s.throughput_tokens_per_s - 1)
+
+    cfg = ExperimentConfig.load()
+    head = init_params(cfg.feature_dim(), 16, seed=0)
+    worst_real, gap, points = 0.0, 0.0, 0
+    for mode in ("sd_greedy", "sd_reject", "wisv_fh", "wisv_sh", "wisv_adaptive"):
+        for s_idx, scenario in ((1, "20mbps_50ms"), (2, "500mbps_5ms")):
+            episodes = eval_episodes(cfg, mode, 16, 0.5, scenario, 4, head=head, s_idx=s_idx)
+            for ep in episodes:
+                single = summarize([ep])
+                worst_real = max(worst_real, rel_error(single.aal, single))
+            pooled = summarize(episodes)
+            pooled_aal = sum(ep.accepted_total for ep in episodes) / sum(
+                ep.n_rounds for ep in episodes
+            )
+            worst_real = max(worst_real, rel_error(pooled_aal, pooled))
+            gap = max(gap, rel_error(pooled.aal, pooled))
+            points += 1
+    report(7, worst < 0.005 and worst_real < 1e-9,
+           f"throughput identity holds on {len(rows)} reference rows, worst error {worst:.2e}; "
+           f"on summarize() output of {points} eval points, worst error {worst_real:.1e} "
+           f"(episode-averaged AAL departs by up to {gap:.1e})")
 
 
 def test_criterion_8_trend_reproduction(pipeline):

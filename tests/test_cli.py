@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,31 @@ class TestConfig:
         path = write_config(tmp_path, {"sweep": {"k_values": []}})
         with pytest.raises(ValueError, match="k_values"):
             ExperimentConfig.load(path)
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"sweep": {"episods": 5}}, "sweep.episods"),
+            ({"enigne": {"window": 8}}, "enigne"),
+            ({"compute": {"device": {"peak_flop": 1e12}}}, "compute.device.peak_flop"),
+            ({"channel": {"rate_bps": 1e6}}, "channel.rate_bps"),
+            ({"labeler": {"b_min": 0}}, "labeler.b_min"),
+            ({"labeler": {"channel": {"regim": "static"}}}, "labeler.channel.regim"),
+            ({"sweep": {"scenarios": [{"name": "a", "rtt_s": 0.01},
+                                      {"name": "b", "rtt": 0.01}]}}, "sweep.scenarios[1].rtt"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, overrides, path):
+        with pytest.raises(ValueError, match=re.escape(repr(path))):
+            ExperimentConfig.load(write_config(tmp_path, overrides))
+
+    def test_shipped_configs_load(self):
+        root = Path(__file__).resolve().parents[1]
+        workloads = sorted((root / "perfbench" / "workloads").glob("*.yaml"))
+        assert len(workloads) == 3
+        for path in [root / "configs" / "example.yaml", *workloads]:
+            ExperimentConfig.load(path)
+        assert ExperimentConfig.load(root / "configs" / "example.yaml").raw == DEFAULT_CONFIG
 
     def test_unknown_ablate_scenario_rejected(self, tmp_path):
         path = write_config(tmp_path, {"ablate": {"scenarios": ["6g_lab"]}})

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from wisv.channel import CsiState, NormalizationBounds, features
+from wisv.engine import EngineConfig
 from wisv.head import (
     HeadParams,
     TrainConfig,
-    assemble,
     bce_from_logit,
-    bce_loss,
-    decide,
-    forward,
+    forward_batch,
     init_params,
     load_params,
     loss_and_grads,
@@ -16,6 +15,8 @@ from wisv.head import (
     sigmoid,
     train,
 )
+from wisv.labeler import Episode, MismatchRecord, RelabelConfig, relabel
+from tests.test_engine import CSI, crafted_oracle, run_one_round
 
 
 def zero_params(d_in=4, d_j=3, dropout=0.0):
@@ -36,56 +37,79 @@ def separable_dataset(n=200, margin=1.0, seed=0):
     return x, y
 
 
+def one(params, z, **kw):
+    """(logit, probability) of a single feature vector through the batch pass."""
+    s, p = forward_batch(params, z[None, :], **kw)
+    return float(s[0]), float(p[0])
+
+
+def logit(p):
+    return np.log(p) - np.log1p(-p)
+
+
+def relabeled_row(h_d, h_t, csi):
+    """The head-input row the labeler builds for one mismatch."""
+    rec = MismatchRecord(position=0, draft_token=0, target_token=1, h_draft=h_d,
+                         h_target=h_t, base_label=1)
+    x, _, _ = relabel(Episode(0, [rec]), [csi], RelabelConfig(), NormalizationBounds(),
+                      np.random.default_rng(0))
+    return x[0]
+
+
 class TestAssemble:
+    """Head input layout [h_draft; h_target; csi], as the labeler assembles it."""
+
     def test_zeros_through(self):
-        out = assemble(np.zeros(3), np.zeros(4), np.zeros(5))
+        # At or below r_min with zero RTT every CSI feature is 0.
+        out = relabeled_row(np.zeros(3), np.zeros(4), CsiState(5e6, 5e6, 0.0, 0.0, 0.0))
         np.testing.assert_array_equal(out, np.zeros(12))
 
     def test_length_additivity(self):
-        out = assemble(np.ones(2048), np.ones(4096), np.ones(5))
+        out = relabeled_row(np.ones(2048), np.ones(4096), CSI)
         assert len(out) == 6149
 
     def test_index_bookkeeping(self):
         h_d = np.arange(8.0)
         h_t = np.arange(100.0, 106.0)
-        out = assemble(h_d, h_t, np.zeros(5))
+        out = relabeled_row(h_d, h_t, CSI)
         assert out[8 + 3] == h_t[3]
+        np.testing.assert_array_equal(out[14:], features(CSI, NormalizationBounds()))
 
 
 class TestForward:
     def test_zero_params_give_half(self):
-        s, p = forward(zero_params(), np.ones(4))
+        s, p = one(zero_params(), np.ones(4))
         assert s == 0.0 and p == 0.5
 
     def test_inference_deterministic(self):
         params = init_params(6, 4, seed=1, dropout_rate=0.5)
         z = np.arange(6.0)
-        assert forward(params, z) == forward(params, z)
+        assert one(params, z) == one(params, z)
 
     def test_one_dim_toy(self):
         params = HeadParams(
             w1=np.array([[1.0]]), b1=np.array([0.0]), w2=np.array([2.0]), b2=0.0,
             dropout_rate=0.0,
         )
-        s, p = forward(params, np.array([3.0]))
+        s, p = one(params, np.array([3.0]))
         assert s == 6.0
         assert p == pytest.approx(0.9975273768433653, rel=1e-12)
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError):
-            forward(zero_params(), np.array([1.0, np.nan, 0.0, 0.0]))
+            one(zero_params(), np.array([1.0, np.nan, 0.0, 0.0]))
 
     def test_training_forward_needs_rng_with_dropout(self):
         params = init_params(4, 3, seed=0, dropout_rate=0.5)
         with pytest.raises(ValueError):
-            forward(params, np.ones(4), training=True)
+            one(params, np.ones(4), training=True)
 
     def test_inverted_dropout_preserves_expectation(self):
         params = init_params(16, 32, seed=3, dropout_rate=0.4)
         z = np.linspace(-1, 1, 16)
         rng = np.random.default_rng(0)
-        s_ref, _ = forward(params, z, training=False)
-        draws = [forward(params, z, training=True, rng=rng)[0] for _ in range(4000)]
+        s_ref, _ = one(params, z, training=False)
+        draws = [one(params, z, training=True, rng=rng)[0] for _ in range(4000)]
         assert np.mean(draws) == pytest.approx(s_ref, abs=0.05)
 
     def test_sigmoid_open_interval(self):
@@ -95,19 +119,15 @@ class TestForward:
 
 class TestBceLoss:
     def test_half_probability(self):
-        assert bce_loss(0.5, 1.0) == pytest.approx(np.log(2.0), rel=1e-12)
-        assert bce_loss(0.5, 0.0) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert bce_from_logit(logit(0.5), 1.0) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert bce_from_logit(logit(0.5), 0.0) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_reference_value(self):
-        assert bce_loss(0.9, 1.0) == pytest.approx(0.10536051565782628, rel=1e-9)
+        assert bce_from_logit(logit(0.9), 1.0) == pytest.approx(0.10536051565782628, rel=1e-9)
 
     def test_vanishes_as_p_approaches_label(self):
-        assert bce_loss(1.0 - 1e-9, 1.0) < 1e-8
-        assert bce_loss(1e-9, 0.0) < 1e-8
-
-    def test_probability_domain_enforced(self):
-        with pytest.raises(ValueError):
-            bce_loss(0.0, 0.0)
+        assert bce_from_logit(logit(1.0 - 1e-9), 1.0) < 1e-8
+        assert bce_from_logit(logit(1e-9), 0.0) < 1e-8
 
     def test_logit_form_stable_at_extremes(self):
         assert np.isfinite(bce_from_logit(1000.0, 0.0))
@@ -206,36 +226,47 @@ class TestTraining:
         assert report.pos_weight == pytest.approx(150 / 50)
 
 
+def engine_rejects(params, h_d, h_t, tau):
+    """The engine's verdict on one mismatch whose head input is [h_d; h_t; CSI]."""
+    oracle = crafted_oracle([0], [1, 0], h_draft=[h_d], h_target=[h_t])
+    return run_one_round(oracle, "wisv_fh", 1, params, tau=tau).reject_pos[0] == 0
+
+
+def head_input(h_d, h_t):
+    return np.concatenate([h_d, h_t, features(CSI, NormalizationBounds())])
+
+
 class TestDecide:
+    """Reject iff p >= tau, checked through the engine's per-round decision."""
+
     def test_threshold_floor_always_rejects(self):
-        params = init_params(4, 3, seed=0, dropout_rate=0.0)
-        assert decide(params, np.ones(4), tau=1e-12)
+        params = init_params(1 + 1 + 5, 3, seed=0, dropout_rate=0.0)
+        assert engine_rejects(params, [1.0], [1.0], tau=1e-12)
 
     def test_threshold_ceiling_always_accepts(self):
-        params = init_params(4, 3, seed=0, dropout_rate=0.0)
-        assert not decide(params, np.ones(4), tau=1.0 - 1e-12)
+        params = init_params(1 + 1 + 5, 3, seed=0, dropout_rate=0.0)
+        assert not engine_rejects(params, [1.0], [1.0], tau=1.0 - 1e-12)
 
     def test_boundary_inclusive(self):
-        params = init_params(4, 3, seed=5, dropout_rate=0.0)
-        z = np.array([0.3, -0.2, 0.9, 0.1])
-        _, p = forward(params, z)
-        assert decide(params, z, tau=p) is True
-        assert decide(params, z, tau=min(p + 1e-9, 1 - 1e-12)) is False
+        params = init_params(2 + 2 + 5, 3, seed=5, dropout_rate=0.0)
+        h_d, h_t = np.array([0.3, -0.2]), np.array([0.9, 0.1])
+        _, p = one(params, head_input(h_d, h_t))
+        assert engine_rejects(params, h_d, h_t, tau=p)
+        assert not engine_rejects(params, h_d, h_t, tau=min(p + 1e-9, 1 - 1e-12))
 
     def test_monotone_in_tau(self):
-        params = init_params(6, 4, seed=2, dropout_rate=0.0)
+        params = init_params(1 + 1 + 5, 4, seed=2, dropout_rate=0.0)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            z = rng.normal(0, 1, 6)
+            h_d, h_t = rng.normal(0, 1, 1), rng.normal(0, 1, 1)
             taus = np.linspace(0.01, 0.99, 9)
-            decisions = [decide(params, z, t) for t in taus]
+            decisions = [engine_rejects(params, h_d, h_t, t) for t in taus]
             # once acceptance starts at some tau it never reverts to rejection
             assert decisions == sorted(decisions, reverse=True)
 
     def test_tau_domain(self):
-        params = zero_params()
         with pytest.raises(ValueError):
-            decide(params, np.zeros(4), tau=0.0)
+            EngineConfig(mode="wisv_fh", tau=0.0)
 
 
 class TestSerialization:

@@ -8,7 +8,6 @@ from wisv.labeler import (
     Episode,
     MismatchRecord,
     RelabelConfig,
-    budget_of_csi,
     collect_traces,
     lambda_of_csi,
     read_dataset,
@@ -180,38 +179,29 @@ class TestPolicyMaps:
     def test_lambda_midpoint(self):
         assert lambda_of_csi(0.5, 0.8, 0.2) == pytest.approx(0.5)
 
-    def test_budget_endpoints(self):
-        assert budget_of_csi(1.0, 7) == 7
-        assert budget_of_csi(0.0, 7, b_min=0) == 0
-
-    def test_budget_half_rounds_up(self):
-        assert budget_of_csi(0.5, 7, b_min=1) == 4
-
-    def test_budget_floor(self):
-        assert budget_of_csi(0.0, 7, b_min=2) == 2
-
 
 class TestRelabel:
     def test_one_way_relaxation(self):
         ep = toy_episode([1, 0, 1, 1, 0, 0, 1])
         rng = np.random.default_rng(0)
         csi = [make_csi(rate=r) for r in (20e6, 100e6, 900e6)]
-        for inst in relabel(ep, csi, RelabelConfig(), BOUNDS, rng):
-            assert inst.label <= ep.records[inst.mismatch_index].base_label
+        x, labels, sample_ids = relabel(ep, csi, RelabelConfig(), BOUNDS, rng)
+        assert len(x) == len(labels) == 3 * 7
+        np.testing.assert_array_equal(sample_ids, np.repeat([0, 1, 2], 7))
+        assert np.all(labels <= np.tile(ep.base_labels, 3))
 
     def test_sharp_policy_matches_hard_threshold(self):
         ep = toy_episode([1, 0, 0, 1, 0, 1, 1, 0])
         cfg = RelabelConfig(rho=1e-4)
         csi = [make_csi(rate=100e6)]
         rng = np.random.default_rng(1)
-        insts = relabel(ep, csi, cfg, BOUNDS, rng)
+        _, got, _ = relabel(ep, csi, cfg, BOUNDS, rng)
         from wisv.channel import quality
 
         q = quality(csi[0], BOUNDS)
         lam = lambda_of_csi(q, cfg.lambda_hi, cfg.lambda_lo)
         b = ep.base_labels
         hard = b * (smooth(b, cfg.alpha) > lam)
-        got = np.array([inst.label for inst in insts])
         np.testing.assert_array_equal(got, hard)
 
     def test_perfect_channel_preserves_labels(self):
@@ -219,16 +209,16 @@ class TestRelabel:
         cfg = RelabelConfig(lambda_lo=0.0, lambda_hi=0.8)
         csi = [make_csi(rate=1e9)] * 50
         rng = np.random.default_rng(2)
-        insts = relabel(ep, csi, cfg, BOUNDS, rng)
-        rate = np.mean([inst.label for inst in insts])
-        assert rate > sigmoid(1.0 / cfg.rho) - 0.01  # ~ sigmoid(10)
+        _, labels, _ = relabel(ep, csi, cfg, BOUNDS, rng)
+        assert labels.mean() > sigmoid(1.0 / cfg.rho) - 0.01  # ~ sigmoid(10)
 
     def test_seeded_determinism(self):
         ep = toy_episode([1, 0, 1])
         csi = [make_csi(rate=50e6)]
         a = relabel(ep, csi, RelabelConfig(), BOUNDS, np.random.default_rng(7))
         b = relabel(ep, csi, RelabelConfig(), BOUNDS, np.random.default_rng(7))
-        assert [i.label for i in a] == [i.label for i in b]
+        for col_a, col_b in zip(a, b):
+            np.testing.assert_array_equal(col_a, col_b)
 
     def test_stochastic_dominance_in_quality(self):
         ep = toy_episode([1] * 30)
@@ -237,23 +227,26 @@ class TestRelabel:
         rng = np.random.default_rng(3)
         n = 2000
         good_counts = np.array(
-            [sum(i.label for i in relabel(ep, [good], cfg, BOUNDS, rng)) for _ in range(n // 30)]
+            [relabel(ep, [good], cfg, BOUNDS, rng)[1].sum() for _ in range(n // 30)]
         )
         poor_counts = np.array(
-            [sum(i.label for i in relabel(ep, [poor], cfg, BOUNDS, rng)) for _ in range(n // 30)]
+            [relabel(ep, [poor], cfg, BOUNDS, rng)[1].sum() for _ in range(n // 30)]
         )
         sem = np.sqrt(good_counts.var(ddof=1) / len(good_counts) + poor_counts.var(ddof=1) / len(poor_counts))
         assert good_counts.mean() - poor_counts.mean() > 3 * sem
 
     def test_empty_episode_yields_nothing(self):
-        assert relabel(Episode(episode_id=0), [make_csi()], RelabelConfig(), BOUNDS,
-                       np.random.default_rng(0)) == []
+        rng = np.random.default_rng(0)
+        x, labels, sample_ids = relabel(Episode(episode_id=0), [make_csi()], RelabelConfig(),
+                                        BOUNDS, rng)
+        assert len(x) == len(labels) == len(sample_ids) == 0
+        assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
     def test_feature_layout(self):
         ep = toy_episode([1])
-        insts = relabel(ep, [make_csi()], RelabelConfig(), BOUNDS, np.random.default_rng(0))
-        assert insts[0].features.shape == (4 + 4 + 5,)
-        np.testing.assert_array_equal(insts[0].features[:4], ep.records[0].h_draft)
+        x, _, _ = relabel(ep, [make_csi()], RelabelConfig(), BOUNDS, np.random.default_rng(0))
+        assert x[0].shape == (4 + 4 + 5,)
+        np.testing.assert_array_equal(x[0][:4], ep.records[0].h_draft)
 
 
 class TestFileFormats:

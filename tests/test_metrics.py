@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from wisv.engine import EpisodeResult, RoundOutcome
+from wisv.compute import round_latency
+from wisv.engine import PROTO_TOKENS, EpisodeResult
 from wisv.metrics import (
     CSV_COLUMNS,
     aal,
@@ -18,26 +19,33 @@ from wisv.metrics import (
 from wisv.wire import LatencyBreakdown
 
 
-def fake_round(accepted, latency=0.1, committed=None, critical=0, k=10):
-    if committed is None:
-        committed = accepted + 1
-    comm = LatencyBreakdown(
-        uplink_s=latency / 2, downlink_s=0.0, rtt_s=latency / 2,
-        uplink_bits=1000, downlink_bits=100,
-    )
-    return RoundOutcome(
-        index=0, k=k, mismatches=[], reject_pos=None, accepted=accepted,
-        committed=list(range(committed)), accepted_critical=critical,
-        comm=comm, draft_s=0.0, verify_s=0.0, head_s=0.0,
-    )
-
-
 def fake_episode(accepted_lengths, latency_per_round=0.1, critical=0):
-    ep = EpisodeResult()
-    for i, a in enumerate(accepted_lengths):
-        ep.rounds.append(fake_round(a, latency=latency_per_round,
-                                    critical=critical if i == 0 else 0))
-    return ep
+    """Full-accept rounds, latency split between uplink and RTT; the first
+    round accepts ``critical`` critical mismatches."""
+    n = len(accepted_lengths)
+    accepted = np.array(accepted_lengths, dtype=np.int64)
+    zeros = np.zeros(n)
+    half = np.full(n, latency_per_round / 2)
+    comm = LatencyBreakdown(
+        uplink_s=half, downlink_s=zeros, rtt_s=half,
+        uplink_bits=np.full(n, 1000), downlink_bits=np.full(n, 100),
+    )
+    crit = np.zeros(n, dtype=np.int64)
+    crit[:1] = critical
+    return EpisodeResult(
+        tokens=np.zeros(int((accepted + 1).sum()), dtype=np.int64),
+        m=np.zeros(n, dtype=np.int64),
+        reject_pos=np.full(n, -1),
+        accepted=accepted,
+        committed=accepted + 1,
+        accepted_critical=crit,
+        proto=np.full(n, PROTO_TOKENS),
+        comm=comm,
+        draft_s=zeros,
+        verify_s=zeros,
+        head_s=zeros,
+        total_s=round_latency(zeros, comm, zeros, zeros),
+    )
 
 
 class TestAal:
@@ -55,7 +63,7 @@ class TestAal:
 
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError):
-            aal([EpisodeResult()])
+            aal([fake_episode([])])
 
 
 class TestRoundCount:
@@ -76,7 +84,7 @@ class TestLatency:
 
     def test_matches_component_recomputation(self):
         eps = [fake_episode([2, 3], 0.05), fake_episode([4], 0.2)]
-        recomputed = np.mean([sum(r.total_s for r in ep.rounds) for ep in eps])
+        recomputed = np.mean([sum(ep.comm.total_s) for ep in eps])
         assert e2e_latency(eps) == pytest.approx(recomputed, rel=1e-12)
 
 

@@ -5,7 +5,6 @@ from wisv.oracle import (
     EpisodeOracle,
     OracleConfig,
     calibrate_p_match,
-    distribution_pair,
     geometric_accepted_length,
     unit_direction,
 )
@@ -145,13 +144,10 @@ class TestDistributions:
     def test_full_mixing_lowers_acceptance(self):
         # Mean acceptance probability E_y~pD[min(1, pT/pD)] = 1 - TV(pD, pT);
         # report-style calibration check that it is measurably below 1.
-        rng = np.random.default_rng(11)
         cfg = slim_config(mixing=1.0)
-        rates = []
-        for _ in range(10_000):
-            p_d, p_t = distribution_pair(cfg, rng)
-            rates.append(1.0 - 0.5 * np.abs(p_d - p_t).sum())
-        assert np.mean(rates) < 0.9
+        oracle = EpisodeOracle(cfg, seed=11, n_positions=10_000, with_distributions=True)
+        rates = 1.0 - 0.5 * np.abs(oracle.p_draft - oracle.p_target).sum(axis=1)
+        assert rates.mean() < 0.9
 
     def test_missing_distributions_guarded(self):
         oracle = EpisodeOracle(slim_config(), seed=0, n_positions=10)
