@@ -4,7 +4,7 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 (payloads and serialization latency), ``compute`` (FLOPs timing),
 ``oracle`` (synthetic drafter/target pair), ``head`` (rejection MLP),
 ``labeler`` (trace collection and link-aware relabeling), ``engine``
-(the episode decision loop and its latency ledger), ``metrics``
+(the episode decision loop, ``decide``, and its latency ledger, ``bill``), ``metrics``
 (aggregation), and ``cli`` (experiment pipeline).
 """
 
@@ -30,9 +30,13 @@ from .compute import (
     verify_round_flops,
 )
 from .engine import (
+    Decisions,
     EngineConfig,
     EpisodeResult,
     SystemModel,
+    bill,
+    decide,
+    episode_oracle,
     localize,
     run_episode,
     sd_reject_round,

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +35,8 @@ from .config import (
     SEED_TRAIN,
     ExperimentConfig,
 )
-from .engine import PROTO_NAMES, run_episode
-from .head import forward_batch, load_params, save_params, train
+from .engine import PROTO_NAMES, EpisodeResult, bill, decide, episode_oracle, run_episode
+from .head import HeadParams, forward_batch, load_params, save_params, train
 from .labeler import (
     collect_traces,
     read_traces,
@@ -44,7 +46,7 @@ from .labeler import (
     read_dataset,
     write_traces,
 )
-from .metrics import csv_row, summarize, write_csv
+from .metrics import EpisodeTotals, csv_row, summarize, write_csv
 
 TRACES = "traces.jsonl"
 TRACES_META = "traces_meta.json"
@@ -232,124 +234,154 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _eval_point(payload: dict) -> dict:
-    """Run one (scenario, mode, k, tau) sweep point. Must stay picklable."""
-    cfg = ExperimentConfig(raw=payload["raw"])
-    scenario = cfg.scenario(payload["scenario"])
-    mode, k, tau = payload["mode"], payload["k"], payload["tau"]
-    engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
-    oracle_cfg = cfg.oracle()
-    system = cfg.system()
-    channel_cfg = cfg.channel(scenario)
-    head = load_params(payload["head_path"]) if mode.startswith("wisv") else None
-
-    results = []
-    episode_lines, round_lines = [], []
-    base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
-    for ep in range(payload["episodes"]):
-        trace = generate_trace(
-            channel_cfg,
-            [cfg.seed, SEED_CHANNEL, payload["scenario_index"], ep],
-            rounds=engine_cfg.max_tokens,
-        )
-        res = run_episode(
-            system, engine_cfg, oracle_cfg, trace, head, seed=[SEED_EVAL, ep]
-        )
-        results.append(res)
-        comm = res.comm
-        episode_lines.append(
-            _json_line(
-                {
-                    **base,
-                    "episode": ep,
-                    "rounds": res.n_rounds,
-                    "aal": res.aal,
-                    "accepted": res.accepted_total,
-                    "tokens": res.total_tokens,
-                    "latency_s": res.total_latency_s,
-                    "uplink_bits": int(comm.uplink_bits.sum()),
-                    "downlink_bits": int(comm.downlink_bits.sum()),
-                    "accepted_critical": int(res.accepted_critical.sum()),
-                    "correct": res.synthetic_correct,
-                }
-            )
-        )
-        columns = {
-            "m": res.m.tolist(),
-            "reject_pos": [None if j < 0 else j for j in res.reject_pos.tolist()],
-            "accepted": res.accepted.tolist(),
-            "committed": res.committed.tolist(),
-            "proto": [PROTO_NAMES[code] for code in res.proto.tolist()],
-            "uplink_bits": comm.uplink_bits.tolist(),
-            "downlink_bits": comm.downlink_bits.tolist(),
-            "draft_s": res.draft_s.tolist(),
-            "verify_s": res.verify_s.tolist(),
-            "head_s": res.head_s.tolist(),
-            "comm_s": comm.total_s.tolist(),
-            "total_s": res.total_s.tolist(),
-            "accepted_critical": res.accepted_critical.tolist(),
+def _episode_lines(base: dict, ep: int, res: EpisodeResult) -> tuple[str, str]:
+    """One episode's ``episodes.jsonl`` line and its ``rounds.jsonl`` lines."""
+    comm = res.comm
+    episode_line = _json_line(
+        {
+            **base,
+            "episode": ep,
+            "rounds": res.n_rounds,
+            "aal": res.aal,
+            "accepted": res.accepted_total,
+            "tokens": res.total_tokens,
+            "latency_s": res.total_latency_s,
+            "uplink_bits": int(comm.uplink_bits.sum()),
+            "downlink_bits": int(comm.downlink_bits.sum()),
+            "accepted_critical": int(res.accepted_critical.sum()),
+            "correct": res.synthetic_correct,
         }
-        for r, values in enumerate(zip(*columns.values())):
-            round_lines.append(
-                _json_line({**base, "episode": ep, "round": r, **dict(zip(columns, values))})
-            )
-    summary = summarize(results)
-    row = csv_row(mode, k, tau, scenario["rate_up_bps"], scenario["rtt_s"], summary)
-    return {
-        "row": row,
-        "summary_latency": summary.latency_mean_s,
-        "episodes": "".join(episode_lines),
-        "rounds": "".join(round_lines),
+    )
+    columns = {
+        "m": res.m.tolist(),
+        "reject_pos": [None if j < 0 else j for j in res.reject_pos.tolist()],
+        "accepted": res.accepted.tolist(),
+        "committed": res.committed.tolist(),
+        "proto": [PROTO_NAMES[code] for code in res.proto.tolist()],
+        "uplink_bits": comm.uplink_bits.tolist(),
+        "downlink_bits": comm.downlink_bits.tolist(),
+        "draft_s": res.draft_s.tolist(),
+        "verify_s": res.verify_s.tolist(),
+        "head_s": res.head_s.tolist(),
+        "comm_s": comm.total_s.tolist(),
+        "total_s": res.total_s.tolist(),
+        "accepted_critical": res.accepted_critical.tolist(),
     }
+    round_lines = "".join(
+        _json_line({**base, "episode": ep, "round": r, **dict(zip(columns, values))})
+        for r, values in enumerate(zip(*columns.values()))
+    )
+    return episode_line, round_lines
+
+
+def _eval_point(payload: dict) -> list[tuple]:
+    """Run every sweep point of one (k, episode) group. Must stay picklable.
+
+    The group builds the episode's oracle once and each scenario's channel
+    trace once. ``sd_greedy`` and ``sd_reject`` read neither the channel
+    nor tau, so each decides once for the whole group; the head-verified
+    modes decide once per (scenario, tau), shared by FH, SH and adaptive.
+    Every (scenario, mode, tau) point is then billed on its own. Returns
+    ``(point, episode totals, episode line, round lines)`` per point in grid
+    order, where ``point`` is ``(scenario index, mode, k, tau)``.
+    """
+    cfg = ExperimentConfig(raw=payload["raw"])
+    sweep = cfg.raw["sweep"]
+    k, ep, head = payload["k"], payload["episode"], payload["head"]
+    system = cfg.system()
+    seed = [SEED_EVAL, ep]
+    oracle = episode_oracle(
+        cfg.oracle(), cfg.engine(window=k), seed,
+        with_distributions="sd_reject" in sweep["modes"],
+    )
+    decisions: dict = {}
+    out = []
+    for s_idx, scenario in enumerate(sweep["scenarios"]):
+        trace = generate_trace(
+            cfg.channel(scenario),
+            [cfg.seed, SEED_CHANNEL, s_idx, ep],
+            rounds=cfg.raw["engine"]["max_tokens"],
+        )
+        for mode in sweep["modes"]:
+            for tau in sweep["tau_values"]:
+                engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
+                key = (s_idx, tau) if mode.startswith("wisv") else mode
+                if key not in decisions:
+                    decisions[key] = decide(system, engine_cfg, oracle, trace, head, seed)
+                res = bill(system, engine_cfg, decisions[key], trace)
+                base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
+                lines = _episode_lines(base, ep, res)
+                out.append(((s_idx, mode, k, tau), EpisodeTotals.of(res), *lines))
+    return out
+
+
+def _load_head(cfg: ExperimentConfig, head_path: Path) -> HeadParams:
+    """Load the trained head and check it takes this config's feature vector."""
+    if not head_path.exists():
+        raise FileNotFoundError(f"missing head parameters {head_path}; run 'train' first")
+    head = load_params(head_path)
+    if head.d_in != cfg.feature_dim():
+        raise ValueError(
+            f"head {head_path} takes {head.d_in} input features, but this config "
+            f"gives {cfg.feature_dim()} (oracle.d_h_draft + oracle.d_h_target + "
+            f"{N_CSI_FEATURES} CSI features); rerun 'train'"
+        )
+    return head
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
-    head_path = out / HEAD
     sweep = cfg.raw["sweep"]
     needs_head = any(m.startswith("wisv") for m in sweep["modes"])
-    if needs_head and not head_path.exists():
-        raise FileNotFoundError(f"missing head parameters {head_path}; run 'train' first")
+    head = _load_head(cfg, out / HEAD) if needs_head else None
 
-    payloads = []
-    for s_idx, scenario in enumerate(sweep["scenarios"]):
-        for mode in sweep["modes"]:
-            for k in sweep["k_values"]:
-                for tau in sweep["tau_values"]:
-                    payloads.append(
-                        {
-                            "raw": cfg.raw,
-                            "scenario": scenario["name"],
-                            "scenario_index": s_idx,
-                            "mode": mode,
-                            "k": k,
-                            "tau": tau,
-                            "episodes": sweep["episodes"],
-                            "head_path": str(head_path),
-                        }
-                    )
+    points = [
+        (s_idx, mode, k, tau)
+        for s_idx in range(len(sweep["scenarios"]))
+        for mode in sweep["modes"]
+        for k in sweep["k_values"]
+        for tau in sweep["tau_values"]
+    ]
+    payloads = [
+        {"raw": cfg.raw, "k": k, "episode": ep, "head": head}
+        for k in sweep["k_values"]
+        for ep in range(sweep["episodes"])
+    ]
+    # Groups arrive k by k, so the episodes of a point complete together: it
+    # is summarized then, and its episode totals are dropped.
+    pending: dict = {point: [] for point in points}
+    summaries, episode_lines, round_lines = {}, defaultdict(list), defaultdict(list)
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            groups = pool.map(_eval_point, payloads)
+        else:
+            groups = map(_eval_point, payloads)
+        for group in groups:
+            for point, totals, episode_line, rounds in group:
+                episode_lines[point].append(episode_line)
+                round_lines[point].append(rounds)
+                results = pending[point]
+                results.append(totals)
+                if len(results) == sweep["episodes"]:
+                    summaries[point] = summarize(pending.pop(point))
 
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_eval_point, payloads))
-    else:
-        outputs = [_eval_point(p) for p in payloads]
-
-    rows = [o["row"] for o in outputs]
-    write_csv(out / RESULTS, rows)
-    with open(out / EPISODES_JSONL, "w") as ef, open(out / ROUNDS_JSONL, "w") as rf:
-        for o in outputs:
-            ef.write(o["episodes"])
-            rf.write(o["rounds"])
-
+    rows = []
     first_tau = sweep["tau_values"][0]
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
-    for payload, o in zip(payloads, outputs):
-        if payload["tau"] != first_tau:
-            continue
-        panel = plot["panels"].setdefault(payload["scenario"], {})
-        series = panel.setdefault(payload["mode"], {"k": [], "latency_s": []})
-        series["k"].append(payload["k"])
-        series["latency_s"].append(o["summary_latency"])
+    for point in points:
+        s_idx, mode, k, tau = point
+        scenario, summary = sweep["scenarios"][s_idx], summaries[point]
+        rows.append(csv_row(mode, k, tau, scenario["rate_up_bps"], scenario["rtt_s"], summary))
+        if tau == first_tau:
+            panel = plot["panels"].setdefault(scenario["name"], {})
+            series = panel.setdefault(mode, {"k": [], "latency_s": []})
+            series["k"].append(k)
+            series["latency_s"].append(summary.latency_mean_s)
+    write_csv(out / RESULTS, rows)
+    with open(out / EPISODES_JSONL, "w") as ef, open(out / ROUNDS_JSONL, "w") as rf:
+        for point in points:
+            ef.writelines(episode_lines[point])
+            rf.writelines(round_lines[point])
     _dump_json(out / PLOT_DATA, plot)
     _dump_json(
         out / RESULTS_META,
@@ -391,6 +423,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         s_idx = [s["name"] for s in cfg.raw["sweep"]["scenarios"]].index(s_name)
         channel_cfg = cfg.channel(scenario)
         per_variant: dict = {}
+        aals: dict = {}
         for variant, params, zero_csi in (
             ("csi", params_csi, False),
             ("no_csi", params_base, True),
@@ -411,14 +444,18 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
                 "wisv_fh", abl["k"], abl["tau"], scenario["rate_up_bps"], scenario["rtt_s"], summary
             )
             rows.append({"variant": variant, **row})
-            aals = np.array([r.aal for r in results])
+            aals[variant] = a = np.array([r.aal for r in results])
             per_variant[variant] = {
-                "aal_mean": float(aals.mean()),
-                "aal_std": float(aals.std(ddof=1)),
-                "aal_sem": float(aals.std(ddof=1) / np.sqrt(len(aals))),
+                "aal_mean": float(a.mean()),
+                "aal_std": float(a.std(ddof=1)),
+                "aal_sem": float(a.std(ddof=1) / np.sqrt(len(a))),
                 "latency_mean_s": summary.latency_mean_s,
                 "accuracy_proxy": summary.accuracy_proxy,
             }
+        # Both variants run the same episodes: the per-episode difference
+        # cancels the episode-to-episode spread the unpaired SEMs carry.
+        diff = aals["csi"] - aals["no_csi"]
+        per_variant["aal_diff_sem"] = float(diff.std(ddof=1) / np.sqrt(len(diff)))
         paired["scenarios"][s_name] = per_variant
 
     with open(out / ABLATE_CSV, "w", newline="") as fh:
@@ -432,7 +469,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     for s_name, pv in paired["scenarios"].items():
         print(
             f"ablate[{s_name}]: csi aal {pv['csi']['aal_mean']:.3f} "
-            f"vs no-csi {pv['no_csi']['aal_mean']:.3f}"
+            f"vs no-csi {pv['no_csi']['aal_mean']:.3f} (paired diff SEM {pv['aal_diff_sem']:.3f})"
         )
     return paired
 

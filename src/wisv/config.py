@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .channel import N_CSI_FEATURES, ChannelConfig, NormalizationBounds
+from .channel import N_CSI_FEATURES, REGIMES, ChannelConfig, NormalizationBounds
 from .compute import MODEL_PRESETS, FlopsConstants, HardwareProfile, ModelDims
 from .engine import EngineConfig, SystemModel
 from .head import TrainConfig
@@ -154,8 +154,8 @@ _CHANNEL_SECTIONS = ("channel", "labeler.channel")
 def _check_keys(section: dict, allowed, path: str) -> None:
     """Reject keys of ``section`` outside ``allowed``, naming the dotted path.
 
-    Where ``allowed`` is a defaults mapping, nested mappings are checked
-    against the matching defaults.
+    Where ``allowed`` is a defaults mapping, a key whose default is a
+    mapping must hold one, and it is checked against that default.
     """
     for key, value in section.items():
         dotted = f"{path}.{key}" if path else str(key)
@@ -163,15 +163,32 @@ def _check_keys(section: dict, allowed, path: str) -> None:
             raise ValueError(
                 f"unknown config key {dotted!r}; expected one of {sorted(allowed)}"
             )
-        if dotted in _CHANNEL_SECTIONS and isinstance(value, dict):
+        expected = allowed[key] if isinstance(allowed, dict) else None
+        if isinstance(expected, dict) and not isinstance(value, dict):
+            raise ValueError(
+                f"config section {dotted!r} must be a mapping, got {type(value).__name__}"
+            )
+        if dotted in _CHANNEL_SECTIONS:
             _check_keys(value, _CHANNEL_KEYS, dotted)
-        elif dotted == "sweep.scenarios" and isinstance(value, list):
+        elif dotted == "sweep.scenarios":
+            if not isinstance(value, list):
+                raise ValueError(f"config key {dotted!r} must be a list of mappings")
             for i, scenario in enumerate(value):
-                if isinstance(scenario, dict):
-                    _check_keys(scenario, _CHANNEL_KEYS | {"name"}, f"{dotted}[{i}]")
-        elif isinstance(value, dict) and isinstance(allowed, dict):
-            if isinstance(allowed[key], dict):
-                _check_keys(value, allowed[key], dotted)
+                where = f"{dotted}[{i}]"
+                if not isinstance(scenario, dict) or "name" not in scenario:
+                    raise ValueError(f"config section {where!r} must be a mapping with a 'name'")
+                _check_keys(scenario, _CHANNEL_KEYS | {"name"}, where)
+        elif isinstance(expected, dict):
+            _check_keys(value, expected, dotted)
+
+
+# Counts that size a stage's work; zero or fractional values fail only later.
+_POSITIVE_COUNTS = (
+    "trace.episodes",
+    "labeler.csi_samples_per_episode",
+    "sweep.episodes",
+    "ablate.episodes",
+)
 
 
 def config_hash(raw: dict) -> str:
@@ -209,15 +226,40 @@ class ExperimentConfig:
                 f"unknown compute preset {self.raw['compute']['preset']!r}; "
                 f"choose from {sorted(MODEL_PRESETS)}"
             )
+        for dotted in _POSITIVE_COUNTS:
+            section, key = dotted.split(".")
+            value = self.raw[section][key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"config key {dotted!r} must be a positive integer, got {value!r}")
         sweep = self.raw["sweep"]
         for grid in ("k_values", "tau_values", "modes", "scenarios"):
-            if not sweep[grid]:
-                raise ValueError(f"sweep grid {grid!r} must be nonempty")
-        names = {s["name"] for s in sweep["scenarios"]}
-        for name in self.raw["ablate"]["scenarios"]:
+            if not isinstance(sweep[grid], list) or not sweep[grid]:
+                raise ValueError(f"sweep grid {grid!r} must be a nonempty list")
+        channels = {"channel": self.raw["channel"], "labeler.channel": self.raw["labeler"]["channel"]}
+        channels.update((f"sweep.scenarios[{i}]", sc) for i, sc in enumerate(sweep["scenarios"]))
+        for where, section in channels.items():
+            regime = self.channel(section).regime
+            if regime not in REGIMES:
+                raise ValueError(f"config key '{where}.regime' must be one of {REGIMES}, got {regime!r}")
+        abl = self.raw["ablate"]
+        # Instantiating the typed views runs their own invariant checks; every
+        # engine variant the sweep and the ablation will run is built here.
+        variants = [(m, k, t) for m in sweep["modes"] for k in sweep["k_values"]
+                    for t in sweep["tau_values"]]
+        for mode, k, tau in [*variants, ("wisv_fh", abl["k"], abl["tau"])]:
+            try:
+                self.engine(mode=mode, window=k, tau=tau)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"engine variant mode={mode!r}, k={k!r}, tau={tau!r}: {exc}") from exc
+        # A repeated grid value would write the same sweep point twice.
+        names = [s["name"] for s in sweep["scenarios"]]
+        grids = {g: sweep[g] for g in ("k_values", "tau_values", "modes")}
+        for grid, values in {**grids, "scenarios": names}.items():
+            if len(set(values)) != len(values):
+                raise ValueError(f"sweep grid {grid!r} repeats a value: {values}")
+        for name in abl["scenarios"]:
             if name not in names:
                 raise ValueError(f"ablate scenario {name!r} not defined in sweep.scenarios")
-        # Instantiating the typed views runs their own invariant checks.
         self.oracle()
         self.engine()
         self.system()

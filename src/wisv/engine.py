@@ -12,14 +12,18 @@ Modes:
   localized positions at the cost of a second round trip.
 * ``wisv_adaptive``: per-round protocol choice from the measured RTT.
 
-``run_episode`` is the only episode loop. A mode only chooses where a round
-rejects: at the first mismatch, at the first mismatch the head screens at
-p >= tau, or where the speculative-sampling draw rejects. The commit rule
-and the bookkeeping are shared, and the loop records integer columns per
-round. ``ledger`` then bills the whole episode at once from those columns
-and the trace's per-round CSI. FH, SH and adaptive differ only in the
-``proto`` column, so their token streams, AAL and round counts match
-exactly; only the ledger's output differs.
+An episode runs in two steps. ``decide`` is the only episode loop: a mode
+only chooses where a round rejects, at the first mismatch, at the first
+mismatch the head screens at p >= tau, or where the speculative-sampling
+draw rejects. The commit rule and the bookkeeping are shared, and the loop
+records integer ``Decisions`` columns per round. ``bill`` then picks each
+round's wire protocol and prices the whole episode at once with ``ledger``
+from those columns and the trace's per-round CSI. Decisions never read the
+protocol: FH, SH and adaptive share one decision and differ only in the
+``proto`` column, and ``sd_greedy``/``sd_reject`` decisions read neither
+the channel nor tau. ``run_episode`` is both steps for one mode; a sweep
+can decide once and bill many variants from the same oracle
+(``episode_oracle``).
 """
 
 from __future__ import annotations
@@ -83,8 +87,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        if not isinstance(self.window, (int, np.integer)) or self.window < 1:
+            raise ValueError("window must be an integer >= 1")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         if self.adaptive_rtt_cutoff_s <= 0:
@@ -117,11 +121,10 @@ class SystemModel:
 class EpisodeResult:
     """One episode as columns; entry r of every array belongs to round r.
 
-    The decision columns come from the episode loop: ``m`` localized
-    mismatches, ``reject_pos`` (window-relative, -1 on full accept),
-    ``accepted`` draft tokens, ``committed`` tokens (accepted + 1), the
-    number of accepted critical mismatches, and the ``proto`` code. The
-    rest is the ledger's bill. ``tokens`` is the committed token stream.
+    ``tokens``, ``m``, ``reject_pos``, ``accepted`` and
+    ``accepted_critical`` are the episode's ``Decisions``; ``committed`` is
+    accepted + 1 and ``proto`` the protocol code the bill chose per round.
+    The rest is the ledger's bill.
     """
 
     tokens: np.ndarray
@@ -179,9 +182,9 @@ def localize(draft_tokens: np.ndarray, target_argmax: np.ndarray) -> list[int]:
     return np.nonzero(np.asarray(draft_tokens) != np.asarray(target_argmax)[:k])[0].tolist()
 
 
-def select_protocol(measured_rtt: float, cutoff: float = 0.010) -> str:
-    """FH when the RTT strictly exceeds the cutoff, SH otherwise."""
-    return "FH" if measured_rtt > cutoff else "SH"
+def select_protocol(rtt: np.ndarray, cutoff: float = 0.010) -> np.ndarray:
+    """Protocol code per round: FH where the RTT strictly exceeds the cutoff, SH otherwise."""
+    return np.where(rtt > cutoff, PROTO_FH, PROTO_SH)
 
 
 def _sample(p: np.ndarray, rng) -> int:
@@ -265,43 +268,75 @@ def ledger(
     return comm, draft_s, verify_s, head_s
 
 
-def run_episode(
+@dataclass(frozen=True)
+class Decisions:
+    """One episode's verification decisions; entry r of every array is round r.
+
+    The columns of ``EpisodeResult`` that do not depend on the wire
+    protocol: ``m`` localized mismatches, ``reject_pos`` (window-relative,
+    -1 on full accept), ``accepted`` draft tokens and accepted critical
+    mismatches. ``tokens`` is the committed token stream.
+    """
+
+    tokens: np.ndarray
+    m: np.ndarray
+    reject_pos: np.ndarray
+    accepted: np.ndarray
+    accepted_critical: np.ndarray
+
+
+def episode_oracle(
+    oracle_cfg: OracleConfig,
+    engine_cfg: EngineConfig,
+    seed: int | list[int],
+    with_distributions: bool,
+) -> EpisodeOracle:
+    """The oracle of one episode at window ``engine_cfg.window``.
+
+    Its positions cover the token budget plus an overshooting window, so
+    they depend on k but not on mode, tau or the channel: every variant of
+    one (k, episode) can share it. Only ``sd_reject`` reads distributions;
+    they are drawn after every other field, so building them leaves the
+    other fields unchanged.
+    """
+    k = engine_cfg.window
+    n_positions = engine_cfg.prefix_len + engine_cfg.max_tokens + 2 * k + 2
+    return EpisodeOracle(
+        oracle_cfg, seed=seed, n_positions=n_positions, with_distributions=with_distributions
+    )
+
+
+def decide(
     system: SystemModel,
     engine_cfg: EngineConfig,
-    oracle_cfg: OracleConfig,
+    oracle: EpisodeOracle,
     trace: ChannelTrace,
     head_params: HeadParams | None = None,
     seed: int | list[int] = 0,
-) -> EpisodeResult:
-    """Run one generation episode to its token budget.
+) -> Decisions:
+    """Verify one episode to its token budget.
 
     Each round commits the accepted draft tokens plus one target-side
     token: the target argmax at the rejected position (or the bonus token
-    after a full accept), or the speculative-sampling draw. Round r uses
-    the trace's state r, wrapping if the episode outlives the trace.
+    after a full accept), or the speculative-sampling draw. Only the
+    head-verified modes read the trace: round r's head features use state
+    r, wrapping if the episode outlives the trace. ``sd_reject`` draws from
+    a generator keyed to (oracle seed, ``seed``), so a rerun decides alike.
     """
     mode = engine_cfg.mode
-    if mode.startswith("wisv") and head_params is None:
+    screen = mode.startswith("wisv")
+    if screen and head_params is None:
         raise ValueError(f"mode {mode} requires trained head parameters")
     k = engine_cfg.window
-    n_positions = engine_cfg.prefix_len + engine_cfg.max_tokens + 2 * k + 2
-    oracle = EpisodeOracle(
-        oracle_cfg, seed=seed, n_positions=n_positions,
-        with_distributions=(mode == "sd_reject"),
-    )
-    extra = [seed] if isinstance(seed, int) else list(seed)
-    rng = np.random.default_rng([oracle_cfg.seed, *extra, 0x5A])
+    if mode == "sd_reject":
+        extra = [seed] if isinstance(seed, int) else list(seed)
+        rng = np.random.default_rng([oracle.config.seed, *extra, 0x5A])
 
-    rows: list[tuple[int, int, int, int, int]] = []
+    rows: list[tuple[int, int, int, int]] = []
     tokens: list[int] = []
     prefix = engine_cfg.prefix_len
     end = prefix + engine_cfg.max_tokens
     while prefix < end:
-        csi = trace.at_round(len(rows))
-        proto = _MODE_PROTO.get(mode)
-        if proto is None:
-            cutoff = engine_cfg.adaptive_rtt_cutoff_s
-            proto = PROTO_FH if select_protocol(csi.rtt, cutoff) == "FH" else PROTO_SH
         if mode == "sd_reject":
             drafted, reject_pos, fix = sd_reject_round(oracle, prefix, k, rng)
             mismatches = [] if reject_pos is None else [reject_pos]
@@ -311,8 +346,8 @@ def run_episode(
             drafted = block.tokens.tolist()
             mismatches = localize(block.tokens, view.argmax)
             reject_pos = mismatches[0] if mismatches else None
-            if proto >= PROTO_FH and mismatches:
-                csi_feats = features(csi, system.bounds)
+            if screen and mismatches:
+                csi_feats = features(trace.at_round(len(rows)), system.bounds)
                 if engine_cfg.zero_csi_features:
                     csi_feats = np.zeros_like(csi_feats)
                 z = np.concatenate(
@@ -331,28 +366,64 @@ def run_episode(
         tokens.extend(drafted[:accepted])
         tokens.append(fix)
         n_crit = sum(bool(oracle.crit[prefix + i]) for i in mismatches if i < accepted)
-        rows.append(
-            (len(mismatches), -1 if reject_pos is None else reject_pos, accepted, n_crit, proto)
-        )
+        rows.append((len(mismatches), -1 if reject_pos is None else reject_pos, accepted, n_crit))
         prefix += accepted + 1
 
-    m, reject_col, accepted_col, crit_col, proto_col = np.array(rows, dtype=np.int64).T
-    committed = accepted_col + 1
-    start = engine_cfg.prefix_len + np.cumsum(committed) - committed
-    comm, draft_s, verify_s, head_s = ledger(
-        system, k, start, m, proto_col, trace.columns(len(rows))
-    )
-    return EpisodeResult(
+    m, reject_col, accepted_col, crit_col = np.array(rows, dtype=np.int64).T
+    return Decisions(
         tokens=np.array(tokens, dtype=np.int64),
         m=m,
         reject_pos=reject_col,
         accepted=accepted_col,
-        committed=committed,
         accepted_critical=crit_col,
-        proto=proto_col,
+    )
+
+
+def bill(
+    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions, trace: ChannelTrace
+) -> EpisodeResult:
+    """Price one episode's decisions under ``engine_cfg``'s protocol and the trace's CSI.
+
+    Round r uses the trace's state r, wrapping if the episode outlives the
+    trace. Adaptive picks FH or SH per round from that state's RTT.
+    """
+    n_rounds = len(decisions.m)
+    csi = trace.columns(n_rounds)
+    code = _MODE_PROTO.get(engine_cfg.mode)
+    if code is None:
+        proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
+    else:
+        proto = np.full(n_rounds, code, dtype=np.int64)
+    committed = decisions.accepted + 1
+    start = engine_cfg.prefix_len + np.cumsum(committed) - committed
+    comm, draft_s, verify_s, head_s = ledger(
+        system, engine_cfg.window, start, decisions.m, proto, csi
+    )
+    return EpisodeResult(
+        tokens=decisions.tokens,
+        m=decisions.m,
+        reject_pos=decisions.reject_pos,
+        accepted=decisions.accepted,
+        committed=committed,
+        accepted_critical=decisions.accepted_critical,
+        proto=proto,
         comm=comm,
         draft_s=draft_s,
         verify_s=verify_s,
         head_s=head_s,
         total_s=round_latency(draft_s, comm, verify_s, head_s),
     )
+
+
+def run_episode(
+    system: SystemModel,
+    engine_cfg: EngineConfig,
+    oracle_cfg: OracleConfig,
+    trace: ChannelTrace,
+    head_params: HeadParams | None = None,
+    seed: int | list[int] = 0,
+) -> EpisodeResult:
+    """Run one generation episode of one mode: build its oracle, decide, bill."""
+    oracle = episode_oracle(oracle_cfg, engine_cfg, seed, engine_cfg.mode == "sd_reject")
+    decisions = decide(system, engine_cfg, oracle, trace, head_params, seed)
+    return bill(system, engine_cfg, decisions, trace)

@@ -336,12 +336,15 @@ def test_criterion_9_csi_aware_ablation(pipeline):
     poor = paired["scenarios"]["20mbps_50ms"]
     diff = poor["csi"]["aal_mean"] - poor["no_csi"]["aal_mean"]
     sem = np.hypot(poor["csi"]["aal_sem"], poor["no_csi"]["aal_sem"])
+    paired_sem = poor["aal_diff_sem"]
     dt = time.monotonic() - t0
     report(
         9,
         diff > 3 * sem and dt < 300.0,
         f"poor-channel AAL: csi {poor['csi']['aal_mean']:.3f} vs "
-        f"no-csi {poor['no_csi']['aal_mean']:.3f} ({diff / sem:.1f} sigma) in {dt:.0f}s",
+        f"no-csi {poor['no_csi']['aal_mean']:.3f} ({diff / sem:.1f} sigma unpaired, "
+        f"SEM {sem:.3f}; {diff / paired_sem:.1f} sigma paired, SEM {paired_sem:.3f}) "
+        f"in {dt:.0f}s",
     )
 
 

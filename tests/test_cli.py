@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import re
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
+from wisv import cli, engine
+from wisv.channel import generate_trace
 from wisv.cli import (
     ABLATE_CSV,
     ABLATE_META,
@@ -16,6 +19,7 @@ from wisv.cli import (
     HEAD,
     PLOT_DATA,
     RESULTS,
+    RESULTS_META,
     ROUNDS_JSONL,
     TRACES,
     TRACES_META,
@@ -25,8 +29,10 @@ from wisv.cli import (
     cmd_train,
     main,
 )
-from wisv.config import DEFAULT_CONFIG, ExperimentConfig, config_hash
-from wisv.metrics import CSV_COLUMNS
+from wisv.config import SEED_CHANNEL, SEED_EVAL, DEFAULT_CONFIG, ExperimentConfig, config_hash
+from wisv.engine import MODES, run_episode
+from wisv.head import HeadParams
+from wisv.metrics import CSV_COLUMNS, EpisodeTotals
 
 SMALL_OVERRIDES = {
     "trace": {"episodes": 50},
@@ -44,6 +50,24 @@ SMALL_OVERRIDES = {
     },
     "ablate": {"episodes": 20, "k": 10, "tau": 0.95, "scenarios": ["20mbps_5ms"]},
 }
+
+
+EVAL_FILES = (RESULTS, RESULTS_META, EPISODES_JSONL, ROUNDS_JSONL, PLOT_DATA)
+
+
+def derived_config(cfg, **sweep):
+    """``cfg`` with some sweep keys replaced, validated."""
+    raw = copy.deepcopy(cfg.raw)
+    raw["sweep"].update(sweep)
+    out = ExperimentConfig(raw=raw)
+    out.validate()
+    return out
+
+
+def copy_artifacts(src, dst, names=(HEAD, HEAD + ".json")):
+    dst.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        (dst / name).write_bytes((src / name).read_bytes())
 
 
 def write_config(tmp_path, overrides=None):
@@ -105,6 +129,36 @@ class TestConfig:
     )
     def test_unknown_key_rejected(self, tmp_path, overrides, path):
         with pytest.raises(ValueError, match=re.escape(repr(path))):
+            ExperimentConfig.load(write_config(tmp_path, overrides))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sweep": {"episodes": 0}}, "'sweep.episodes' must be a positive integer"),
+            ({"trace": {"episodes": 0}}, "'trace.episodes' must be a positive integer"),
+            ({"ablate": {"episodes": 2.5}}, "'ablate.episodes' must be a positive integer"),
+            ({"labeler": {"csi_samples_per_episode": 0}},
+             "'labeler.csi_samples_per_episode' must be a positive integer"),
+            ({"sweep": {"k_values": [0]}}, "k=0, tau=0.9: window must be an integer >= 1"),
+            ({"sweep": {"k_values": [10.5]}}, "window must be an integer"),
+            ({"sweep": {"modes": ["sd_grredy"]}}, "unknown mode 'sd_grredy'"),
+            ({"sweep": {"tau_values": [1.5]}}, "tau=1.5: tau must lie in (0, 1)"),
+            ({"ablate": {"k": 0}}, "mode='wisv_fh', k=0"),
+            ({"sweep": {"k_values": [10, 16, 10]}}, "'k_values' repeats a value"),
+            ({"sweep": {"k_values": 10}}, "'k_values' must be a nonempty list"),
+            ({"sweep": 5}, "section 'sweep' must be a mapping, got int"),
+            ({"compute": {"device": [1]}}, "section 'compute.device' must be a mapping"),
+            ({"sweep": {"scenarios": [{"name": "a"}, 5]}}, "'sweep.scenarios[1]' must be a mapping"),
+            ({"sweep": {"scenarios": [{"rtt_s": 0.01}]}}, "with a 'name'"),
+            ({"sweep": {"scenarios": [{"name": "a"}, {"name": "a"}]}},
+             "'scenarios' repeats a value"),
+            ({"sweep": {"scenarios": [{"name": "a", "regime": "two_state"}]}},
+             "'sweep.scenarios[0].regime' must be one of"),
+            ({"labeler": {"channel": {"regime": "fading"}}}, "'labeler.channel.regime'"),
+        ],
+    )
+    def test_impossible_value_rejected(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.load(write_config(tmp_path, overrides))
 
     def test_shipped_configs_load(self):
@@ -246,12 +300,95 @@ class TestEvalCommand:
         assert aal[500e6] == aal[20e6]  # same verification decisions
 
     def test_parallel_matches_serial(self, small_run, tmp_path):
+        # 3 k values x 3 episodes = 9 groups: two workers finish unevenly.
         cfg, out = small_run
-        for name in (TRACES, DATASET, HEAD, HEAD + ".json"):
-            (tmp_path / name).write_bytes((out / name).read_bytes())
-        cmd_eval(cfg, tmp_path, jobs=2)
-        assert (tmp_path / RESULTS).read_bytes() == (out / RESULTS).read_bytes()
-        assert (tmp_path / ROUNDS_JSONL).read_bytes() == (out / ROUNDS_JSONL).read_bytes()
+        cfg = derived_config(cfg, k_values=[10, 16, 24], episodes=3)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        for run_dir, jobs in ((serial, 1), (parallel, 2)):
+            copy_artifacts(out, run_dir)
+            cmd_eval(cfg, run_dir, jobs=jobs)
+        for name in EVAL_FILES:
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
+
+    def test_grouped_eval_matches_per_point_episodes(self, small_run, tmp_path, monkeypatch):
+        """One oracle per (k, episode), and shared decisions bill exactly like run_episode."""
+        cfg, out = small_run
+        scenarios = [
+            {"name": "20mbps_5ms", "rate_up_bps": 20e6, "rate_down_bps": 20e6, "rtt_s": 0.005},
+            {"name": "two_state", "regime": "two-state", "rate_up_bps": 500e6,
+             "rate_down_bps": 500e6, "rtt_s": 0.05, "alt_rate_up_bps": 20e6,
+             "alt_rate_down_bps": 20e6, "alt_rtt_s": 0.005, "switch_prob": 0.3},
+        ]
+        cfg = derived_config(cfg, modes=list(MODES), k_values=[4, 10], tau_values=[0.5, 0.9],
+                             episodes=3, scenarios=scenarios)
+        # logit = relu(drafter hidden along the critical direction)
+        #         - 4 relu(rtt feature) - 1: decisions move with tau and the link.
+        w1 = np.zeros((2, cfg.feature_dim()))
+        d_h = cfg.raw["oracle"]["d_h_draft"]
+        w1[0, :d_h] = 1.0 / np.sqrt(d_h)
+        w1[1, -1] = 1.0
+        head = HeadParams(w1=w1, b1=np.zeros(2), w2=np.array([1.0, -4.0]), b2=-1.0,
+                          dropout_rate=0.0)
+        builds = []
+        real_oracle = engine.EpisodeOracle
+
+        def counting_oracle(*args, **kwargs):
+            builds.append(kwargs["n_positions"])
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "EpisodeOracle", counting_oracle)
+        copy_artifacts(out, tmp_path)
+        cmd_eval(cfg, tmp_path)
+        assert len(builds) == 2 * 3  # len(k_values) x episodes
+        builds.clear()
+        groups = [
+            (ep, cli._eval_point({"raw": cfg.raw, "k": k, "episode": ep, "head": head}))
+            for k in (4, 10) for ep in range(3)
+        ]
+        assert len(builds) == 2 * 3
+        monkeypatch.undo()
+
+        # Each point's totals and written lines, whose round records carry
+        # every decision and bill column with floats in repr form, must equal
+        # those of its own run_episode.
+        system, oracle_cfg = cfg.system(), cfg.oracle()
+        checked, protos, by_tau, by_scenario = 0, set(), {}, {}
+        for ep, group in groups:
+            assert len(group) == 2 * 5 * 2  # scenarios x modes x taus
+            for (s_idx, mode, k, tau), totals, episode_line, round_lines in group:
+                trace = generate_trace(cfg.channel(scenarios[s_idx]),
+                                       [cfg.seed, SEED_CHANNEL, s_idx, ep],
+                                       rounds=cfg.raw["engine"]["max_tokens"])
+                ref = run_episode(system, cfg.engine(mode=mode, window=k, tau=tau), oracle_cfg,
+                                  trace, head if mode.startswith("wisv") else None,
+                                  seed=[SEED_EVAL, ep])
+                assert totals == EpisodeTotals.of(ref)
+                base = {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau}
+                assert (episode_line, round_lines) == cli._episode_lines(base, ep, ref)
+                rounds = [json.loads(line) for line in round_lines.splitlines()]
+                assert len(rounds) == ref.n_rounds
+                if mode == "wisv_adaptive":
+                    protos.update(r["proto"] for r in rounds)
+                if mode == "wisv_fh":
+                    by_tau.setdefault(tau, []).extend(ref.accepted.tolist())
+                    by_scenario.setdefault(s_idx, []).extend(ref.accepted.tolist())
+                checked += 1
+        assert checked == 2 * 3 * 2 * 5 * 2
+        # Not vacuous: adaptive switches protocol, and tau and the link change decisions.
+        assert protos == {"FH", "SH"}
+        assert by_tau[0.5] != by_tau[0.9]
+        assert by_scenario[0] != by_scenario[1]
+
+    def test_stale_head_rejected(self, small_run, tmp_path):
+        cfg, out = small_run
+        raw = copy.deepcopy(cfg.raw)
+        raw["oracle"]["d_h_draft"] = 16
+        other = ExperimentConfig(raw=raw)
+        cmd_trace(other, tmp_path)
+        cmd_relabel(other, tmp_path)
+        cmd_train(other, tmp_path)
+        with pytest.raises(ValueError, match=r"takes 53 input features.* gives 69"):
+            cmd_eval(cfg, tmp_path)
 
     def test_throughput_latency_token_identity(self, small_run):
         # Per row: throughput x mean latency x episodes == total accepted

@@ -90,13 +90,13 @@ class TestLocalize:
 
 class TestSelectProtocol:
     def test_high_rtt_full_hidden(self):
-        assert select_protocol(0.050, 0.010) == "FH"
+        assert select_protocol(np.array([0.050]), 0.010).tolist() == [PROTO_FH]
 
     def test_low_rtt_selective(self):
-        assert select_protocol(0.005, 0.010) == "SH"
+        assert select_protocol(np.array([0.005]), 0.010).tolist() == [PROTO_SH]
 
     def test_boundary_is_selective(self):
-        assert select_protocol(0.010, 0.010) == "SH"
+        assert select_protocol(np.array([0.010]), 0.010).tolist() == [PROTO_SH]
 
 
 def crafted_oracle(tokens, argmax, crit=None, h_draft=None, h_target=None):

@@ -7,6 +7,7 @@ from wisv.compute import round_latency
 from wisv.engine import PROTO_TOKENS, EpisodeResult
 from wisv.metrics import (
     CSV_COLUMNS,
+    EpisodeTotals,
     aal,
     accuracy_proxy,
     csv_row,
@@ -134,6 +135,11 @@ class TestSummaryAndCsv:
         assert s.uplink_bits_total == 3000
         assert s.downlink_bits_total == 300
         assert s.rtt_s_mean == pytest.approx((0.1 + 0.1) / 2)
+
+    def test_episode_totals_summarize_like_results(self):
+        eps = [fake_episode([2, 4], 0.1), fake_episode([6], 0.3, critical=1),
+               fake_episode([1, 1, 7], 0.7)]
+        assert summarize([EpisodeTotals.of(ep) for ep in eps]) == summarize(eps)
 
     def test_csv_columns_exact(self, tmp_path):
         eps = [fake_episode([2, 4], 0.1)]
