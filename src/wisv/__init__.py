@@ -45,7 +45,6 @@ from .engine import (
 from .head import HeadParams, TrainConfig, bce_from_logit, forward_batch, train
 from .labeler import (
     Episode,
-    MismatchRecord,
     RelabelConfig,
     collect_traces,
     lambda_of_csi,

@@ -35,7 +35,7 @@ from .config import (
     SEED_TRAIN,
     ExperimentConfig,
 )
-from .engine import PROTO_NAMES, EpisodeResult, bill, decide, episode_oracle, run_episode
+from .engine import PROTO_NAMES, EpisodeResult, bill, decide, episode_oracle
 from .head import HeadParams, forward_batch, load_params, save_params, train
 from .labeler import (
     collect_traces,
@@ -46,7 +46,7 @@ from .labeler import (
     read_dataset,
     write_traces,
 )
-from .metrics import EpisodeTotals, csv_row, summarize, write_csv
+from .metrics import CSV_COLUMNS, EpisodeTotals, csv_row, summarize, write_csv
 
 TRACES = "traces.jsonl"
 TRACES_META = "traces_meta.json"
@@ -307,7 +307,10 @@ def _eval_point(payload: dict) -> list[tuple]:
                 engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
                 key = (s_idx, tau) if mode.startswith("wisv") else mode
                 if key not in decisions:
-                    decisions[key] = decide(system, engine_cfg, oracle, trace, head, seed)
+                    decisions[key] = decide(
+                        engine_cfg, oracle, seed, head_params=head, trace=trace,
+                        bounds=system.bounds,
+                    )
                 res = bill(system, engine_cfg, decisions[key], trace)
                 base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
                 lines = _episode_lines(base, ep, res)
@@ -399,46 +402,46 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
 def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     episodes, x_csi, y_csi, _ = _relabeled_dataset(cfg, out)
 
-    # Link-blind variant: base labels, CSI feature slot zeroed.
-    feats, labels = [], []
-    for ep in episodes:
-        for rec in ep.records:
-            feats.append(
-                np.concatenate([rec.h_draft, rec.h_target, np.zeros(N_CSI_FEATURES)])
-            )
-            labels.append(rec.base_label)
-    x_base, y_base = np.array(feats), np.array(labels, dtype=np.float64)
+    # Link-blind variant: trained on base labels with the CSI slot zeroed,
+    # then deployed with its CSI weights zeroed, so it reads no link state.
+    x_base = np.vstack(
+        [np.hstack([ep.h_draft, ep.h_target, np.zeros((len(ep), N_CSI_FEATURES))])
+         for ep in episodes]
+    )
+    y_base = np.concatenate([ep.base_labels for ep in episodes]).astype(np.float64)
 
     tcfg = cfg.train()
     params_csi, _ = train(x_csi, y_csi, tcfg)
     params_base, _ = train(x_base, y_base, tcfg)
+    params_base.w1[:, -N_CSI_FEATURES:] = 0.0
+    variants = {"csi": params_csi, "no_csi": params_base}
 
     abl = cfg.raw["ablate"]
     oracle_cfg = cfg.oracle()
     system = cfg.system()
+    engine_cfg = cfg.engine(mode="wisv_fh", window=abl["k"], tau=abl["tau"])
     rows = []
     paired: dict = {"config_hash": cfg.hash, "scenarios": {}}
     for s_name in abl["scenarios"]:
         scenario = cfg.scenario(s_name)
         s_idx = [s["name"] for s in cfg.raw["sweep"]["scenarios"]].index(s_name)
         channel_cfg = cfg.channel(scenario)
+        # Both variants decide on each episode's one oracle and channel trace.
+        totals: dict = {variant: [] for variant in variants}
+        for ep in range(abl["episodes"]):
+            seed = [SEED_EVAL, ep]
+            oracle = episode_oracle(oracle_cfg, engine_cfg, seed, False)
+            trace = generate_trace(
+                channel_cfg, [cfg.seed, SEED_CHANNEL, s_idx, ep], rounds=engine_cfg.max_tokens
+            )
+            for variant, params in variants.items():
+                decisions = decide(
+                    engine_cfg, oracle, seed, head_params=params, trace=trace, bounds=system.bounds
+                )
+                totals[variant].append(EpisodeTotals.of(bill(system, engine_cfg, decisions, trace)))
         per_variant: dict = {}
         aals: dict = {}
-        for variant, params, zero_csi in (
-            ("csi", params_csi, False),
-            ("no_csi", params_base, True),
-        ):
-            engine_cfg = cfg.engine(
-                mode="wisv_fh", window=abl["k"], tau=abl["tau"], zero_csi_features=zero_csi
-            )
-            results = []
-            for ep in range(abl["episodes"]):
-                trace = generate_trace(
-                    channel_cfg, [cfg.seed, SEED_CHANNEL, s_idx, ep], rounds=engine_cfg.max_tokens
-                )
-                results.append(
-                    run_episode(system, engine_cfg, oracle_cfg, trace, params, seed=[SEED_EVAL, ep])
-                )
+        for variant, results in totals.items():
             summary = summarize(results)
             row = csv_row(
                 "wisv_fh", abl["k"], abl["tau"], scenario["rate_up_bps"], scenario["rtt_s"], summary
@@ -458,13 +461,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         per_variant["aal_diff_sem"] = float(diff.std(ddof=1) / np.sqrt(len(diff)))
         paired["scenarios"][s_name] = per_variant
 
-    with open(out / ABLATE_CSV, "w", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.DictWriter(fh, fieldnames=["variant"] + list(rows[0].keys())[1:])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(out / ABLATE_CSV, rows, ["variant", *CSV_COLUMNS])
     _dump_json(out / ABLATE_META, paired)
     for s_name, pv in paired["scenarios"].items():
         print(

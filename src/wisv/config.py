@@ -231,6 +231,12 @@ class ExperimentConfig:
             value = self.raw[section][key]
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"config key {dotted!r} must be a positive integer, got {value!r}")
+        if self.raw["ablate"]["episodes"] < 2:
+            raise ValueError("config key 'ablate.episodes' must be at least 2: the ablation "
+                             "reports spreads over episodes")
+        holdout = self.raw["train"]["holdout_fraction"]
+        if isinstance(holdout, bool) or not isinstance(holdout, (int, float)) or not 0 < holdout < 1:
+            raise ValueError(f"config key 'train.holdout_fraction' must lie in (0, 1), got {holdout!r}")
         sweep = self.raw["sweep"]
         for grid in ("k_values", "tau_values", "modes", "scenarios"):
             if not isinstance(sweep[grid], list) or not sweep[grid]:

@@ -12,18 +12,18 @@ Modes:
   localized positions at the cost of a second round trip.
 * ``wisv_adaptive``: per-round protocol choice from the measured RTT.
 
-An episode runs in two steps. ``decide`` is the only episode loop: a mode
-only chooses where a round rejects, at the first mismatch, at the first
-mismatch the head screens at p >= tau, or where the speculative-sampling
-draw rejects. The commit rule and the bookkeeping are shared, and the loop
-records integer ``Decisions`` columns per round. ``bill`` then picks each
-round's wire protocol and prices the whole episode at once with ``ledger``
-from those columns and the trace's per-round CSI. Decisions never read the
-protocol: FH, SH and adaptive share one decision and differ only in the
-``proto`` column, and ``sd_greedy``/``sd_reject`` decisions read neither
-the channel nor tau. ``run_episode`` is both steps for one mode; a sweep
-can decide once and bill many variants from the same oracle
-(``episode_oracle``).
+An episode runs in two steps. ``decide`` is the only loop that decodes an
+episode, for eval, the ablation and trace collection: a mode only chooses
+where a round rejects, at the first mismatch, at the first mismatch the
+head screens at p >= tau, or where the speculative-sampling draw rejects.
+The commit rule and the bookkeeping are shared, and the loop records
+integer ``Decisions`` columns per round. ``bill`` then picks each round's
+wire protocol and prices the whole episode at once with ``ledger`` from
+those columns and the trace's per-round CSI. Decisions never read the
+protocol, and only the head-verified modes read the channel: FH, SH and
+adaptive share one decision and differ only in the ``proto`` column.
+``run_episode`` is both steps for one mode; a sweep can decide once and
+bill many variants from the same oracle (``episode_oracle``).
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class EngineConfig:
     max_tokens: int = 256
     prefix_len: int = 64
     adaptive_rtt_cutoff_s: float = 0.010
-    # Ablation support: feed the head zeros in the CSI slot (for heads
-    # trained without link information).
-    zero_csi_features: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -275,10 +272,12 @@ class Decisions:
     The columns of ``EpisodeResult`` that do not depend on the wire
     protocol: ``m`` localized mismatches, ``reject_pos`` (window-relative,
     -1 on full accept), ``accepted`` draft tokens and accepted critical
-    mismatches. ``tokens`` is the committed token stream.
+    mismatches. ``start`` is the round's prefix length, so a rejection sits
+    at position ``start + reject_pos``. ``tokens`` is the committed stream.
     """
 
     tokens: np.ndarray
+    start: np.ndarray
     m: np.ndarray
     reject_pos: np.ndarray
     accepted: np.ndarray
@@ -307,32 +306,35 @@ def episode_oracle(
 
 
 def decide(
-    system: SystemModel,
     engine_cfg: EngineConfig,
     oracle: EpisodeOracle,
-    trace: ChannelTrace,
-    head_params: HeadParams | None = None,
     seed: int | list[int] = 0,
+    *,
+    head_params: HeadParams | None = None,
+    trace: ChannelTrace | None = None,
+    bounds: NormalizationBounds | None = None,
 ) -> Decisions:
     """Verify one episode to its token budget.
 
     Each round commits the accepted draft tokens plus one target-side
     token: the target argmax at the rejected position (or the bonus token
     after a full accept), or the speculative-sampling draw. Only the
-    head-verified modes read the trace: round r's head features use state
-    r, wrapping if the episode outlives the trace. ``sd_reject`` draws from
-    a generator keyed to (oracle seed, ``seed``), so a rerun decides alike.
+    head-verified modes need ``head_params``, ``trace`` and ``bounds``:
+    round r's head features are the normalized CSI of the trace's state r,
+    wrapping if the episode outlives the trace. ``sd_reject`` draws from a
+    generator keyed to (oracle seed, ``seed``), so a rerun decides alike.
     """
     mode = engine_cfg.mode
     screen = mode.startswith("wisv")
-    if screen and head_params is None:
-        raise ValueError(f"mode {mode} requires trained head parameters")
+    if screen and (head_params is None or trace is None or bounds is None):
+        raise ValueError(f"mode {mode} requires trained head parameters, a channel trace "
+                         "and normalization bounds")
     k = engine_cfg.window
     if mode == "sd_reject":
         extra = [seed] if isinstance(seed, int) else list(seed)
         rng = np.random.default_rng([oracle.config.seed, *extra, 0x5A])
 
-    rows: list[tuple[int, int, int, int]] = []
+    rows: list[tuple[int, int, int, int, int]] = []
     tokens: list[int] = []
     prefix = engine_cfg.prefix_len
     end = prefix + engine_cfg.max_tokens
@@ -347,14 +349,11 @@ def decide(
             mismatches = localize(block.tokens, view.argmax)
             reject_pos = mismatches[0] if mismatches else None
             if screen and mismatches:
-                csi_feats = features(trace.at_round(len(rows)), system.bounds)
-                if engine_cfg.zero_csi_features:
-                    csi_feats = np.zeros_like(csi_feats)
                 z = np.concatenate(
                     [
                         block.hiddens_draft[mismatches],
                         view.hiddens_target[mismatches],
-                        np.tile(csi_feats, (len(mismatches), 1)),
+                        np.tile(features(trace.at_round(len(rows)), bounds), (len(mismatches), 1)),
                     ],
                     axis=1,
                 )
@@ -366,12 +365,14 @@ def decide(
         tokens.extend(drafted[:accepted])
         tokens.append(fix)
         n_crit = sum(bool(oracle.crit[prefix + i]) for i in mismatches if i < accepted)
-        rows.append((len(mismatches), -1 if reject_pos is None else reject_pos, accepted, n_crit))
+        rejected = -1 if reject_pos is None else reject_pos
+        rows.append((prefix, len(mismatches), rejected, accepted, n_crit))
         prefix += accepted + 1
 
-    m, reject_col, accepted_col, crit_col = np.array(rows, dtype=np.int64).T
+    start, m, reject_col, accepted_col, crit_col = np.array(rows, dtype=np.int64).T
     return Decisions(
         tokens=np.array(tokens, dtype=np.int64),
+        start=start,
         m=m,
         reject_pos=reject_col,
         accepted=accepted_col,
@@ -394,17 +395,15 @@ def bill(
         proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
     else:
         proto = np.full(n_rounds, code, dtype=np.int64)
-    committed = decisions.accepted + 1
-    start = engine_cfg.prefix_len + np.cumsum(committed) - committed
     comm, draft_s, verify_s, head_s = ledger(
-        system, engine_cfg.window, start, decisions.m, proto, csi
+        system, engine_cfg.window, decisions.start, decisions.m, proto, csi
     )
     return EpisodeResult(
         tokens=decisions.tokens,
         m=decisions.m,
         reject_pos=decisions.reject_pos,
         accepted=decisions.accepted,
-        committed=committed,
+        committed=decisions.accepted + 1,
         accepted_critical=decisions.accepted_critical,
         proto=proto,
         comm=comm,
@@ -425,5 +424,7 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one generation episode of one mode: build its oracle, decide, bill."""
     oracle = episode_oracle(oracle_cfg, engine_cfg, seed, engine_cfg.mode == "sd_reject")
-    decisions = decide(system, engine_cfg, oracle, trace, head_params, seed)
+    decisions = decide(
+        engine_cfg, oracle, seed, head_params=head_params, trace=trace, bounds=system.bounds
+    )
     return bill(system, engine_cfg, decisions, trace)

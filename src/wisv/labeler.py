@@ -1,8 +1,9 @@
 """Training-set construction: trace collection and cost-aware relabeling.
 
-Stage 1 replays greedy-verification decoding against the synthetic oracle
-and records every materialized mismatch (position, both hidden states,
-token IDs, and the oracle's criticality latent as the base label).
+Stage 1 decodes episodes with the engine's own loop under greedy
+verification and keeps every materialized mismatch as a column entry
+(position, token IDs, both hidden states, and the oracle's criticality
+latent as the base label).
 
 Stage 2 relaxes those base labels per sampled link condition: a smoothed
 importance score spreads criticality to nearby mismatches, a link-dependent
@@ -17,39 +18,38 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ChannelConfig, CsiState, NormalizationBounds, features, quality, sample_state
+from .engine import EngineConfig, decide, episode_oracle
 from .head import sigmoid
-from .oracle import EpisodeOracle, OracleConfig
+from .oracle import OracleConfig
 
 
-@dataclass
-class MismatchRecord:
-    position: int
-    draft_token: int
-    target_token: int
-    h_draft: np.ndarray
-    h_target: np.ndarray
-    base_label: int
-
-
-@dataclass
+@dataclass(frozen=True)
 class Episode:
-    """Ordered mismatch records of one greedy decoding episode."""
+    """The mismatches of one greedy decoding episode, as columns in position order.
+
+    Entry t of every column belongs to the episode's t-th mismatch: its
+    absolute position, the draft and target tokens there, its base label
+    (the oracle's 0/1 criticality latent) and its hidden rows. ``h_draft``
+    and ``h_target`` are (n, d) arrays, also when n is 0.
+    """
 
     episode_id: int
-    records: list[MismatchRecord] = field(default_factory=list)
-
-    @property
-    def base_labels(self) -> np.ndarray:
-        return np.array([r.base_label for r in self.records], dtype=np.int64)
+    positions: np.ndarray
+    draft_tokens: np.ndarray
+    target_tokens: np.ndarray
+    base_labels: np.ndarray
+    h_draft: np.ndarray
+    h_target: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -79,44 +79,29 @@ def collect_traces(
     max_tokens: int = 256,
     prefix_len: int = 64,
 ) -> list[Episode]:
-    """Replay greedy verification and record each materialized mismatch.
+    """Decode episodes under greedy verification and keep each materialized mismatch.
 
-    Under greedy verification every mismatch position eventually becomes the
-    first rejection of some round, so recording the per-round rejection
-    point captures every mismatch exactly once, in increasing position
-    order.
+    Episode ``ep`` runs the engine's ``decide`` in ``sd_greedy`` mode on
+    the oracle seeded ``[seed, ep]``. A greedy round rejects at its first
+    mismatch, so the rounds that reject name every mismatch the decoding
+    meets exactly once, in increasing position order; the columns are read
+    from the oracle at those positions.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
+    engine_cfg = EngineConfig(
+        mode="sd_greedy", window=window, max_tokens=max_tokens, prefix_len=prefix_len
+    )
     episodes = []
-    n_positions = prefix_len + max_tokens + 2 * window + 2
     for ep in range(n_episodes):
-        oracle = EpisodeOracle(oracle_cfg, seed=[seed, ep], n_positions=n_positions)
-        episode = Episode(episode_id=ep)
-        pos = prefix_len
-        committed = 0
-        while committed < max_tokens:
-            block = oracle.draft(pos, window)
-            view = oracle.verify_view(block)
-            hits = np.nonzero(block.tokens != view.argmax[:window])[0]
-            if hits.size == 0:
-                pos += window + 1
-                committed += window + 1
-                continue
-            j = int(hits[0])
-            episode.records.append(
-                MismatchRecord(
-                    position=pos + j,
-                    draft_token=int(block.tokens[j]),
-                    target_token=int(view.argmax[j]),
-                    h_draft=block.hiddens_draft[j].copy(),
-                    h_target=view.hiddens_target[j].copy(),
-                    base_label=int(block.crit[j]),
-                )
-            )
-            pos += j + 1
-            committed += j + 1
-        episodes.append(episode)
+        oracle = episode_oracle(oracle_cfg, engine_cfg, [seed, ep], False)
+        decisions = decide(engine_cfg, oracle)
+        rejects = decisions.reject_pos >= 0
+        pos = decisions.start[rejects] + decisions.reject_pos[rejects]
+        episodes.append(Episode(
+            ep, pos, oracle.draft_tokens[pos], oracle.target_tokens[pos],
+            oracle.crit[pos].astype(np.int64), oracle.h_draft[pos], oracle.h_target[pos],
+        ))
     return episodes
 
 
@@ -194,7 +179,7 @@ def relabel(
         return np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     b = episode.base_labels
     b_smooth = smooth(b, cfg.alpha)
-    hiddens = np.array([np.concatenate([r.h_draft, r.h_target]) for r in episode.records])
+    hiddens = np.hstack([episode.h_draft, episode.h_target])
     feats, labels = [], []
     for csi in csi_samples:
         q = quality(csi, bounds)
@@ -224,48 +209,56 @@ def sample_csi_states(
 
 _DATA_MAGIC = b"WSVD"
 
+# Trace-file key of each ``Episode`` column, in line order.
+_TRACE_KEYS = {
+    "position": "positions",
+    "draft_token": "draft_tokens",
+    "target_token": "target_tokens",
+    "base_label": "base_labels",
+    "h_draft": "h_draft",
+    "h_target": "h_target",
+}
+
 
 def write_traces(path: str | Path, episodes: list[Episode]) -> None:
     """One JSON record per mismatch; episodes with no mismatch leave no lines."""
     with open(path, "w") as fh:
         for ep in episodes:
-            for t, rec in enumerate(ep.records):
-                line = {
-                    "episode": ep.episode_id,
-                    "index": t,
-                    "position": rec.position,
-                    "draft_token": rec.draft_token,
-                    "target_token": rec.target_token,
-                    "base_label": rec.base_label,
-                    "h_draft": [float(v) for v in rec.h_draft],
-                    "h_target": [float(v) for v in rec.h_target],
-                }
+            columns = [getattr(ep, name).tolist() for name in _TRACE_KEYS.values()]
+            for t, values in enumerate(zip(*columns)):
+                line = {"episode": ep.episode_id, "index": t, **dict(zip(_TRACE_KEYS, values))}
                 fh.write(json.dumps(line, separators=(",", ":")) + "\n")
 
 
 def read_traces(path: str | Path, n_episodes: int | None = None) -> list[Episode]:
-    """Rebuild episodes from a mismatch-per-line trace file."""
-    by_id: dict[int, Episode] = {}
+    """Rebuild episodes from a mismatch-per-line trace file.
+
+    With ``n_episodes``, episodes 0 .. n_episodes-1 are returned; one
+    without lines has no mismatches, and its hidden arrays take the widths
+    of the file's records (0 when the file has none).
+    """
+    by_id: dict[int, list[dict]] = defaultdict(list)
     with open(path) as fh:
         for raw in fh:
             rec = json.loads(raw)
-            ep = by_id.setdefault(rec["episode"], Episode(episode_id=rec["episode"]))
-            ep.records.append(
-                MismatchRecord(
-                    position=rec["position"],
-                    draft_token=rec["draft_token"],
-                    target_token=rec["target_token"],
-                    h_draft=np.array(rec["h_draft"], dtype=np.float64),
-                    h_target=np.array(rec["h_target"], dtype=np.float64),
-                    base_label=rec["base_label"],
-                )
-            )
-    episodes = [by_id[k] for k in sorted(by_id)]
+            # Arrays hold a line's hidden values in a fraction of a float list's memory.
+            rec["h_draft"], rec["h_target"] = np.array(rec["h_draft"]), np.array(rec["h_target"])
+            by_id[rec["episode"]].append(rec)
+    ids = sorted(by_id)
     if n_episodes is not None:
-        known = set(by_id)
-        episodes = [by_id.get(i, Episode(episode_id=i)) for i in range(n_episodes)]
-        if known - set(range(n_episodes)):
+        if set(ids) - set(range(n_episodes)):
             raise ValueError("trace file contains more episodes than declared")
+        ids = range(n_episodes)
+    first = next(iter(by_id.values()), [{"h_draft": [], "h_target": []}])[0]
+    episodes = []
+    for i in ids:
+        records, columns = by_id.get(i, []), {}
+        for key, name in _TRACE_KEYS.items():
+            hidden = key.startswith("h_")
+            shape = (len(records), len(first[key])) if hidden else len(records)
+            values = [rec[key] for rec in records]
+            columns[name] = np.array(values, dtype=np.float64 if hidden else np.int64).reshape(shape)
+        episodes.append(Episode(i, **columns))
     return episodes
 
 

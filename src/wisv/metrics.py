@@ -185,9 +185,9 @@ def csv_row(
     }
 
 
-def write_csv(path: str | Path, rows: list[dict]) -> None:
+def write_csv(path: str | Path, rows: list[dict], columns: list[str] = CSV_COLUMNS) -> None:
     with open(path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = _csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -155,6 +155,11 @@ class TestConfig:
             ({"sweep": {"scenarios": [{"name": "a", "regime": "two_state"}]}},
              "'sweep.scenarios[0].regime' must be one of"),
             ({"labeler": {"channel": {"regime": "fading"}}}, "'labeler.channel.regime'"),
+            ({"train": {"holdout_fraction": -0.2}}, "'train.holdout_fraction' must lie in (0, 1)"),
+            ({"train": {"holdout_fraction": 0.0}}, "'train.holdout_fraction' must lie in (0, 1)"),
+            ({"train": {"holdout_fraction": 1.0}}, "'train.holdout_fraction' must lie in (0, 1)"),
+            ({"train": {"holdout_fraction": "0.2"}}, "'train.holdout_fraction' must lie in (0, 1)"),
+            ({"ablate": {"episodes": 1}}, "'ablate.episodes' must be at least 2"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -447,6 +452,28 @@ class TestAblateCommand:
         assert [r["variant"] for r in rows] == ["csi", "no_csi"]
         meta = json.loads((out / ABLATE_META).read_text())
         assert meta["config_hash"] == cfg.hash
+
+    def test_one_oracle_and_trace_per_episode(self, small_run, tmp_path, monkeypatch):
+        """Both variants share each (scenario, episode)'s oracle and channel trace."""
+        cfg, out = small_run
+        raw = copy.deepcopy(cfg.raw)
+        raw["ablate"].update(episodes=3, scenarios=["500mbps_50ms", "20mbps_5ms"])
+        small = ExperimentConfig(raw=raw)
+        small.validate()
+        calls = {"oracle": 0, "trace": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "EpisodeOracle", counting("oracle", engine.EpisodeOracle))
+        monkeypatch.setattr(cli, "generate_trace", counting("trace", cli.generate_trace))
+        copy_artifacts(out, tmp_path, names=(TRACES,))
+        paired = cli.cmd_ablate(small, tmp_path)
+        assert calls == {"oracle": 2 * 3, "trace": 2 * 3}  # scenarios x episodes
+        assert set(paired["scenarios"]) == {"500mbps_50ms", "20mbps_5ms"}
 
     def test_rerun_reproducible(self, small_run, tmp_path):
         cfg, out = small_run

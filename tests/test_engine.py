@@ -5,6 +5,7 @@ import pytest
 
 from wisv import engine
 from wisv.channel import (
+    N_CSI_FEATURES,
     ChannelConfig,
     ChannelTrace,
     CsiState,
@@ -26,8 +27,11 @@ from wisv.engine import (
     PROTO_FH,
     PROTO_SH,
     PROTO_TOKENS,
+    Decisions,
     EngineConfig,
     SystemModel,
+    decide,
+    episode_oracle,
     localize,
     run_episode,
     sd_reject_round,
@@ -120,10 +124,9 @@ def crafted_oracle(tokens, argmax, crit=None, h_draft=None, h_target=None):
     return oracle
 
 
-def run_one_round(oracle, mode, k, params=None, tau=0.5, csi=CSI, zero_csi=False):
+def run_one_round(oracle, mode, k, params=None, tau=0.5, csi=CSI):
     """``run_episode`` for exactly one round, reading the hand-built oracle."""
-    eng = EngineConfig(mode=mode, window=k, tau=tau, max_tokens=1, prefix_len=0,
-                       zero_csi_features=zero_csi)
+    eng = EngineConfig(mode=mode, window=k, tau=tau, max_tokens=1, prefix_len=0)
     trace = ChannelTrace(states=[csi], seed=(0,), regime="static")
     with mock.patch.object(engine, "EpisodeOracle", lambda *args, **kwargs: oracle):
         res = run_episode(SYSTEM, eng, oracle_config(), trace, params)
@@ -144,6 +147,22 @@ def handcrafted_oracle():
     w1[0, 0] = 1.0
     params = HeadParams(w1=w1, b1=np.zeros(1), w2=np.array([1.0]), b2=0.0, dropout_rate=0.0)
     return crafted_oracle(tokens, argmax, crit, h_draft), params
+
+
+def link_blind(params):
+    """``params`` with its CSI input weights zeroed, as the ablation deploys its link-blind head."""
+    w1 = params.w1.copy()
+    w1[:, -N_CSI_FEATURES:] = 0.0
+    return HeadParams(w1=w1, b1=params.b1, w2=params.w2, b2=params.b2,
+                      dropout_rate=params.dropout_rate)
+
+
+def rtt_reading_head(d_h):
+    """logit = relu(drafter hidden along the critical direction) - 4 relu(rtt feature) - 1."""
+    w1 = np.zeros((2, 2 * d_h + N_CSI_FEATURES))
+    w1[0, :d_h] = 1.0 / np.sqrt(d_h)
+    w1[1, -1] = 1.0
+    return HeadParams(w1=w1, b1=np.zeros(2), w2=np.array([1.0, -4.0]), b2=-1.0, dropout_rate=0.0)
 
 
 class TestWisvRound:
@@ -187,11 +206,28 @@ class TestWisvRound:
         assert sh.comm.uplink_bits[0] == u1 + u2
         assert sh.comm.rtt_s[0] == pytest.approx(2 * CSI.rtt)
 
-    def test_zeroed_csi_features_change_nothing_for_csi_blind_head(self):
+    def test_zeroed_csi_weights_change_nothing_for_csi_blind_head(self):
         oracle, params = handcrafted_oracle()  # head reads only h_draft[0]
         a = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
-        b = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9, zero_csi=True)
+        b = run_one_round(oracle, "wisv_fh", 6, link_blind(params), tau=0.9)
         np.testing.assert_array_equal(a.tokens, b.tokens)
+        assert (a.reject_pos[0], a.accepted[0]) == (b.reject_pos[0], b.accepted[0])
+
+    def test_link_blind_head_decides_alike_on_any_link(self):
+        eng = EngineConfig(mode="wisv_fh", window=10, tau=0.5, max_tokens=200)
+        links = [static_trace(500e6, 0.05), static_trace(20e6, 0.005)]
+
+        def decisions(params, trace):
+            oracle = episode_oracle(oracle_config(), eng, 3, False)
+            return decide(eng, oracle, 3, head_params=params, trace=trace, bounds=SYSTEM.bounds)
+
+        head = rtt_reading_head(4)
+        aware = [decisions(head, trace) for trace in links]
+        assert aware[0].reject_pos.tolist() != aware[1].reject_pos.tolist()  # reads the link
+        fast, slow = (decisions(link_blind(head), trace) for trace in links)
+        assert fast.m.sum() > 0
+        for name in Decisions.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name), err_msg=name)
 
     def test_unknown_protocol_rejected(self):
         # The protocol follows from the mode; an unknown one never reaches a round.
@@ -346,6 +382,31 @@ class TestLedger:
         assert res.total_latency_s == total
         if mode == "wisv_adaptive":
             assert set(res.proto.tolist()) == {PROTO_FH, PROTO_SH}
+
+
+class TestDecide:
+    def test_greedy_needs_no_channel(self):
+        eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=150, prefix_len=32)
+        oracle = episode_oracle(oracle_config(), eng, 5, False)
+        got = decide(eng, oracle)
+        ref = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=5)
+        for name in ("tokens", "m", "reject_pos", "accepted", "accepted_critical"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+
+    def test_start_is_each_rounds_prefix(self):
+        eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=150, prefix_len=32)
+        got = decide(eng, episode_oracle(oracle_config(), eng, 5, False))
+        committed = got.accepted + 1
+        np.testing.assert_array_equal(got.start, 32 + np.cumsum(committed) - committed)
+
+    @pytest.mark.parametrize("missing", ["trace", "bounds"])
+    def test_screening_needs_trace_and_bounds(self, missing):
+        eng = EngineConfig(mode="wisv_sh", window=10)
+        link = {"trace": static_trace(), "bounds": SYSTEM.bounds}
+        del link[missing]
+        oracle = episode_oracle(oracle_config(), eng, 0, False)
+        with pytest.raises(ValueError, match="channel trace and normalization bounds"):
+            decide(eng, oracle, head_params=init_params(4 + 4 + 5, 8, seed=0), **link)
 
 
 class TestRunEpisode:

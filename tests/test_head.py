@@ -15,7 +15,7 @@ from wisv.head import (
     sigmoid,
     train,
 )
-from wisv.labeler import Episode, MismatchRecord, RelabelConfig, relabel
+from wisv.labeler import Episode, RelabelConfig, relabel
 from tests.test_engine import CSI, crafted_oracle, run_one_round
 
 
@@ -49,10 +49,10 @@ def logit(p):
 
 def relabeled_row(h_d, h_t, csi):
     """The head-input row the labeler builds for one mismatch."""
-    rec = MismatchRecord(position=0, draft_token=0, target_token=1, h_draft=h_d,
-                         h_target=h_t, base_label=1)
-    x, _, _ = relabel(Episode(0, [rec]), [csi], RelabelConfig(), NormalizationBounds(),
-                      np.random.default_rng(0))
+    ep = Episode(0, positions=np.array([0]), draft_tokens=np.array([0]),
+                 target_tokens=np.array([1]), base_labels=np.array([1]),
+                 h_draft=h_d[None, :], h_target=h_t[None, :])
+    x, _, _ = relabel(ep, [csi], RelabelConfig(), NormalizationBounds(), np.random.default_rng(0))
     return x[0]
 
 

@@ -6,7 +6,6 @@ from wisv.channel import CsiState, NormalizationBounds
 from wisv.head import sigmoid
 from wisv.labeler import (
     Episode,
-    MismatchRecord,
     RelabelConfig,
     collect_traces,
     lambda_of_csi,
@@ -19,7 +18,7 @@ from wisv.labeler import (
     write_dataset,
     write_traces,
 )
-from wisv.oracle import OracleConfig
+from wisv.oracle import EpisodeOracle, OracleConfig
 
 BOUNDS = NormalizationBounds()
 
@@ -36,58 +35,86 @@ def brute_force_budget(b, b_smooth, budget):
 
 
 def toy_episode(base_labels, seed=0):
+    """Mismatch columns with the given base labels and random 4-wide hiddens."""
     rng = np.random.default_rng(seed)
-    ep = Episode(episode_id=0)
-    for t, b in enumerate(base_labels):
-        ep.records.append(
-            MismatchRecord(
-                position=3 * t + 1,
-                draft_token=t,
-                target_token=t + 1,
-                h_draft=rng.normal(0, 1, 4),
-                h_target=rng.normal(0, 1, 4),
-                base_label=int(b),
-            )
-        )
-    return ep
+    n = len(base_labels)
+    t = np.arange(n)
+    hiddens = rng.normal(0, 1, (n, 2, 4))  # per mismatch: drafter row, then target row
+    return Episode(
+        episode_id=0,
+        positions=3 * t + 1,
+        draft_tokens=t,
+        target_tokens=t + 1,
+        base_labels=np.asarray(base_labels, dtype=np.int64),
+        h_draft=hiddens[:, 0],
+        h_target=hiddens[:, 1],
+    )
 
 
 def make_csi(rate=500e6, rtt=0.05):
     return CsiState(rate, rate, 0.0, 0.0, rtt)
 
 
+def greedy_replay(oracle_cfg, seed, window=10, max_tokens=256, prefix_len=64):
+    """Independent greedy-verification replay: (position, draft, target, label) per mismatch."""
+    oracle = EpisodeOracle(oracle_cfg, seed=seed, n_positions=prefix_len + max_tokens + 2 * window + 2)
+    rows, pos = [], prefix_len
+    while pos < prefix_len + max_tokens:
+        draft = oracle.draft_tokens[pos : pos + window]
+        hits = np.nonzero(draft != oracle.target_tokens[pos : pos + window])[0]
+        if hits.size == 0:
+            pos += window + 1
+            continue
+        at = pos + int(hits[0])
+        rows.append((at, oracle.draft_tokens[at], oracle.target_tokens[at], int(oracle.crit[at])))
+        pos = at + 1
+    return oracle, rows
+
+
 class TestCollectTraces:
     def test_perfect_drafter_leaves_empty_episodes(self):
-        eps = collect_traces(5, OracleConfig(p_match=1.0, d_h_draft=2, d_h_target=2), seed=0)
+        eps = collect_traces(5, OracleConfig(p_match=1.0, d_h_draft=2, d_h_target=3), seed=0)
         assert all(len(ep) == 0 for ep in eps)
+        assert all(ep.h_draft.shape == (0, 2) and ep.h_target.shape == (0, 3) for ep in eps)
+
+    def test_matches_reference_greedy_replay(self):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=2, d_h_target=3)
+        eps = collect_traces(6, cfg, seed=4, window=7, max_tokens=90, prefix_len=5)
+        for ep in eps:
+            oracle, rows = greedy_replay(cfg, [4, ep.episode_id], window=7, max_tokens=90,
+                                         prefix_len=5)
+            assert len(rows) > 0
+            columns = (ep.positions, ep.draft_tokens, ep.target_tokens, ep.base_labels)
+            assert list(zip(*(c.tolist() for c in columns))) == rows
+            at = [row[0] for row in rows]
+            np.testing.assert_array_equal(ep.h_draft, oracle.h_draft[at])
+            np.testing.assert_array_equal(ep.h_target, oracle.h_target[at])
 
     def test_seed_reproducible(self):
         cfg = OracleConfig(d_h_draft=2, d_h_target=2)
         a = collect_traces(3, cfg, seed=9)
         b = collect_traces(3, cfg, seed=9)
         for ea, eb in zip(a, b):
-            assert [r.position for r in ea.records] == [r.position for r in eb.records]
-            for ra, rb in zip(ea.records, eb.records):
-                np.testing.assert_array_equal(ra.h_draft, rb.h_draft)
+            np.testing.assert_array_equal(ea.positions, eb.positions)
+            np.testing.assert_array_equal(ea.h_draft, eb.h_draft)
 
     def test_positions_strictly_increasing(self):
         eps = collect_traces(10, OracleConfig(p_match=0.8, d_h_draft=2, d_h_target=2), seed=1)
         for ep in eps:
-            pos = [r.position for r in ep.records]
-            assert all(a < b for a, b in zip(pos, pos[1:]))
+            assert np.all(np.diff(ep.positions) > 0)
 
     def test_base_label_rate_matches_criticality(self):
         cfg = OracleConfig(p_match=0.85, p_crit=0.3, d_h_draft=1, d_h_target=1)
         eps = collect_traces(400, cfg, seed=2)
-        labels = np.concatenate([ep.base_labels for ep in eps if len(ep)])
+        labels = np.concatenate([ep.base_labels for ep in eps])
         assert len(labels) >= 10_000
         assert labels.mean() == pytest.approx(0.30, abs=0.01)
 
     def test_records_carry_disagreeing_tokens(self):
         eps = collect_traces(3, OracleConfig(p_match=0.7, d_h_draft=2, d_h_target=2), seed=3)
         for ep in eps:
-            for rec in ep.records:
-                assert rec.draft_token != rec.target_token
+            assert len(ep) > 0
+            assert np.all(ep.draft_tokens != ep.target_tokens)
 
 
 class TestSmooth:
@@ -237,8 +264,8 @@ class TestRelabel:
 
     def test_empty_episode_yields_nothing(self):
         rng = np.random.default_rng(0)
-        x, labels, sample_ids = relabel(Episode(episode_id=0), [make_csi()], RelabelConfig(),
-                                        BOUNDS, rng)
+        x, labels, sample_ids = relabel(toy_episode([]), [make_csi()], RelabelConfig(), BOUNDS,
+                                        rng)
         assert len(x) == len(labels) == len(sample_ids) == 0
         assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
@@ -246,7 +273,8 @@ class TestRelabel:
         ep = toy_episode([1])
         x, _, _ = relabel(ep, [make_csi()], RelabelConfig(), BOUNDS, np.random.default_rng(0))
         assert x[0].shape == (4 + 4 + 5,)
-        np.testing.assert_array_equal(x[0][:4], ep.records[0].h_draft)
+        np.testing.assert_array_equal(x[0][:4], ep.h_draft[0])
+        np.testing.assert_array_equal(x[0][4:8], ep.h_target[0])
 
 
 class TestFileFormats:
@@ -258,11 +286,21 @@ class TestFileFormats:
         back = read_traces(path, n_episodes=4)
         assert len(back) == 4
         for ea, eb in zip(eps, back):
-            assert len(ea) == len(eb)
-            for ra, rb in zip(ea.records, eb.records):
-                assert ra.position == rb.position
-                assert ra.base_label == rb.base_label
-                np.testing.assert_allclose(ra.h_draft, rb.h_draft)
+            assert ea.episode_id == eb.episode_id and len(ea) == len(eb) > 0
+            for name in ("positions", "draft_tokens", "target_tokens", "base_labels"):
+                np.testing.assert_array_equal(getattr(ea, name), getattr(eb, name))
+            np.testing.assert_allclose(ea.h_draft, eb.h_draft)
+            np.testing.assert_allclose(ea.h_target, eb.h_target)
+
+    def test_episode_without_lines_keeps_hidden_widths(self, tmp_path):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
+        path = tmp_path / "traces.jsonl"
+        write_traces(path, collect_traces(1, cfg, seed=5))
+        back = read_traces(path, n_episodes=3)
+        assert [len(ep) for ep in back][1:] == [0, 0]
+        assert back[2].h_draft.shape == (0, 3) and back[2].h_target.shape == (0, 2)
+        with pytest.raises(ValueError, match="more episodes"):
+            read_traces(path, n_episodes=0)
 
     def test_trace_write_deterministic(self, tmp_path):
         cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
