@@ -10,7 +10,6 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 
 from .channel import (
     ChannelConfig,
-    ChannelTrace,
     CsiState,
     NormalizationBounds,
     effective_rate,

@@ -3,14 +3,17 @@
 The link at each interaction round is described by uplink/downlink rates,
 packet error rates, and a round-trip overhead. Packet errors scale the
 usable rate as R(1-PER) (expected goodput), so effective rates stay strictly
-positive as long as PER < 1. Channel traces are generated from a seeded
-generator and are fully reproducible.
+positive as long as PER < 1. One type, ``CsiState``, holds the link of one
+round (scalar fields) or of many rounds (one array entry per round): a
+channel trace is a ``CsiState`` of arrays. Traces are generated from a
+seeded generator and are fully reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,40 +22,40 @@ REGIMES = ("static", "two-state", "sampled")
 
 @dataclass(frozen=True)
 class CsiState:
-    """Link condition for one interaction round.
+    """Link condition of one interaction round, or of consecutive rounds.
 
     Rates are in bits/second, PERs are probabilities in [0, 1), rtt is the
-    per-exchange round-trip overhead in seconds.
+    per-exchange round-trip overhead in seconds. Fields are scalars for one
+    round, or arrays with one entry per round (a channel trace); every
+    entry is validated.
     """
 
-    r_up: float
-    r_down: float
-    per_up: float
-    per_down: float
-    rtt: float
+    r_up: float | np.ndarray
+    r_down: float | np.ndarray
+    per_up: float | np.ndarray
+    per_down: float | np.ndarray
+    rtt: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.r_up <= 0 or self.r_down <= 0:
+        if np.any(self.r_up <= 0) or np.any(self.r_down <= 0):
             raise ValueError("link rates must be strictly positive")
-        if not (0.0 <= self.per_up < 1.0 and 0.0 <= self.per_down < 1.0):
-            raise ValueError("packet error rates must lie in [0, 1)")
-        if self.rtt < 0:
+        for per in (self.per_up, self.per_down):
+            if not np.all((0.0 <= per) & (per < 1.0)):
+                raise ValueError("packet error rates must lie in [0, 1)")
+        if np.any(self.rtt < 0):
             raise ValueError("rtt must be nonnegative")
 
+    def take(self, rounds: np.ndarray) -> CsiState:
+        """The states of ``rounds`` as columns, wrapping around a shorter trace.
 
-@dataclass(frozen=True)
-class CsiColumns:
-    """Link conditions of consecutive rounds, one array entry per round.
-
-    Same fields as ``CsiState``, so ``effective_rate`` and the wire latency
-    functions accept either; the states were validated when created.
-    """
-
-    r_up: np.ndarray
-    r_down: np.ndarray
-    per_up: np.ndarray
-    per_down: np.ndarray
-    rtt: np.ndarray
+        A scalar state is the same link in every round. The entries come
+        from this validated state, so they are not checked again.
+        """
+        taken = object.__new__(CsiState)
+        for name in ("r_up", "r_down", "per_up", "per_down", "rtt"):
+            column = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(taken, name, np.take(column, rounds, mode="wrap"))
+        return taken
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class NormalizationBounds:
             raise ValueError("rtt_max must be positive")
 
 
-def effective_rate(state: CsiState | CsiColumns, direction: str) -> float | np.ndarray:
+def effective_rate(state: CsiState, direction: str) -> float | np.ndarray:
     """Expected goodput R*(1-PER) for ``direction`` in {"up", "down"}."""
     if direction == "up":
         return state.r_up * (1.0 - state.per_up)
@@ -82,15 +85,15 @@ def effective_rate(state: CsiState | CsiColumns, direction: str) -> float | np.n
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _log_unit(rate: float, bounds: NormalizationBounds) -> float:
-    x = (math.log(rate) - math.log(bounds.r_min)) / (
+def _log_unit(rate: float | np.ndarray, bounds: NormalizationBounds) -> float | np.ndarray:
+    x = (np.log(rate) - math.log(bounds.r_min)) / (
         math.log(bounds.r_max) - math.log(bounds.r_min)
     )
-    return min(1.0, max(0.0, x))
+    return np.clip(x, 0.0, 1.0)
 
 
-def quality(state: CsiState, bounds: NormalizationBounds) -> float:
-    """Scalar channel quality q in [0, 1].
+def quality(state: CsiState, bounds: NormalizationBounds) -> float | np.ndarray:
+    """Channel quality q in [0, 1], one value per round of an array state.
 
     Log interpolation of the effective uplink goodput between r_min and
     r_max, clamped. Monotone nondecreasing in r_up and nonincreasing in
@@ -100,24 +103,29 @@ def quality(state: CsiState, bounds: NormalizationBounds) -> float:
 
 
 def features(state: CsiState, bounds: NormalizationBounds) -> np.ndarray:
-    """5-entry CSI feature vector, every entry in [0, 1].
+    """5-entry CSI feature vector, every entry in [0, 1]; (n, 5) for an array state.
 
     Layout: [log-unit r_up, log-unit r_down, per_up, per_down,
     rtt / rtt_max clamped]. PERs pass through raw (already unit scale).
     """
-    return np.array(
+    return np.stack(
         [
             _log_unit(state.r_up, bounds),
             _log_unit(state.r_down, bounds),
             state.per_up,
             state.per_down,
-            min(1.0, state.rtt / bounds.rtt_max),
+            np.minimum(1.0, state.rtt / bounds.rtt_max),
         ],
-        dtype=np.float64,
+        axis=-1,
     )
 
 
 N_CSI_FEATURES = 5
+
+# The sampled regime's range of each CsiState field, in field order.
+RANGE_FIELDS = (
+    "rate_up_range_bps", "rate_down_range_bps", "per_up_range", "per_down_range", "rtt_range_s"
+)
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,8 @@ class ChannelConfig:
         with per-round switch probability ``switch_prob``.
     sampled: every field drawn per round from a uniform range
         ``(lo, hi)``; ranges default to the degenerate base value.
+
+    Every state the regime can produce is checked when the config is built.
     """
 
     rate_up_bps: float = 500e6
@@ -151,88 +161,71 @@ class ChannelConfig:
     per_down_range: tuple[float, float] | None = None
     rtt_range_s: tuple[float, float] | None = None
 
-    def base_state(self) -> CsiState:
+    def __post_init__(self) -> None:
+        if self.regime not in REGIMES:
+            raise ValueError(f"unknown channel regime {self.regime!r}")
+        if not 0.0 <= self.switch_prob <= 1.0:
+            raise ValueError(f"switch_prob must lie in [0, 1], got {self.switch_prob!r}")
+        self.states  # builds, and so validates, the base and alternate state
+        spans = self._ranges()
+        ends = [(base, base) if span is None else span for base, span in zip(self._base(), spans)]
+        for name, (lo, hi) in zip(RANGE_FIELDS, ends):
+            if not lo <= hi:
+                raise ValueError(f"{name} must have lo <= hi, got {(lo, hi)!r}")
+        if any(span is not None for span in spans):
+            try:
+                CsiState(*np.array(ends, dtype=np.float64))
+            except ValueError as exc:
+                raise ValueError(f"a sampled range leaves the link's domain: {exc}") from None
+
+    def _base(self) -> tuple:
+        return self.rate_up_bps, self.rate_down_bps, self.per_up, self.per_down, self.rtt_s
+
+    def _ranges(self) -> tuple:
+        return tuple(getattr(self, name) for name in RANGE_FIELDS)
+
+    @cached_property
+    def states(self) -> CsiState:
+        """The base state (entry 0) and the alternate state (entry 1) as columns.
+
+        Alternate fields left unset repeat the base value.
+        """
+        alt = (
+            self.alt_rate_up_bps, self.alt_rate_down_bps, self.alt_per_up, self.alt_per_down,
+            self.alt_rtt_s,
+        )
         return CsiState(
-            self.rate_up_bps, self.rate_down_bps, self.per_up, self.per_down, self.rtt_s
+            *(np.array([b, b if a is None else a], dtype=np.float64)
+              for b, a in zip(self._base(), alt))
         )
 
-    def alt_state(self) -> CsiState:
-        def pick(alt, base):
-            return base if alt is None else alt
 
-        return CsiState(
-            pick(self.alt_rate_up_bps, self.rate_up_bps),
-            pick(self.alt_rate_down_bps, self.rate_down_bps),
-            pick(self.alt_per_up, self.per_up),
-            pick(self.alt_per_down, self.per_down),
-            pick(self.alt_rtt_s, self.rtt_s),
-        )
+def sampled_states(config: ChannelConfig, rng: np.random.Generator, n: int) -> CsiState:
+    """``n`` states of the sampled regime as columns.
 
-
-@dataclass
-class ChannelTrace:
-    """Per-round CSI sequence; same seed and config always reproduce it."""
-
-    states: list[CsiState]
-    seed: tuple[int, ...]
-    regime: str
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def at_round(self, r: int) -> CsiState:
-        """State for round ``r``; traces shorter than a run wrap around."""
-        return self.states[r % len(self.states)]
-
-    def columns(self, n_rounds: int) -> CsiColumns:
-        """States of rounds 0 .. n_rounds-1 as arrays, wrapping like ``at_round``."""
-        rows = [
-            (s.r_up, s.r_down, s.per_up, s.per_down, s.rtt)
-            for s in map(self.at_round, range(n_rounds))
-        ]
-        return CsiColumns(*np.array(rows, dtype=np.float64).T)
+    One uniform draw per ranged field and state, state by state and then
+    field by field; fields without a range keep their base value.
+    """
+    spans = config._ranges()
+    ranged = [i for i, span in enumerate(spans) if span is not None]
+    lo, hi = np.array([spans[i] for i in ranged], dtype=np.float64).reshape(-1, 2).T
+    draws = rng.uniform(lo, hi, size=(n, len(ranged)))
+    columns = [np.full(n, base, dtype=np.float64) for base in config._base()]
+    for j, i in enumerate(ranged):
+        columns[i] = draws[:, j]
+    return CsiState(*columns)
 
 
-def generate_trace(
-    config: ChannelConfig, seed: int | list[int], rounds: int
-) -> ChannelTrace:
-    """Generate a reproducible ``rounds``-long CSI trace."""
+def generate_trace(config: ChannelConfig, seed: int | list[int], rounds: int) -> CsiState:
+    """Generate a reproducible CSI trace: a state of ``rounds``-long columns."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if config.regime not in REGIMES:
-        raise ValueError(f"unknown channel regime {config.regime!r}")
-    entropy = (seed,) if isinstance(seed, int) else tuple(seed)
-
     if config.regime == "static":
-        states = [config.base_state()] * rounds
-    elif config.regime == "two-state":
-        rng = np.random.default_rng([*entropy, 0x5C1])
-        pair = (config.base_state(), config.alt_state())
-        cur = 0
-        states = []
-        for _ in range(rounds):
-            states.append(pair[cur])
-            if rng.random() < config.switch_prob:
-                cur = 1 - cur
-    else:
-        rng = np.random.default_rng([*entropy, 0x5C1])
-        states = [sample_state(config, rng) for _ in range(rounds)]
-    return ChannelTrace(states=states, seed=entropy, regime=config.regime)
-
-
-def sample_state(config: ChannelConfig, rng: np.random.Generator) -> CsiState:
-    """One uniform draw per field for the sampled regime."""
-
-    def draw(rng_range, base):
-        if rng_range is None:
-            return base
-        lo, hi = rng_range
-        return float(rng.uniform(lo, hi))
-
-    return CsiState(
-        draw(config.rate_up_range_bps, config.rate_up_bps),
-        draw(config.rate_down_range_bps, config.rate_down_bps),
-        draw(config.per_up_range, config.per_up),
-        draw(config.per_down_range, config.per_down),
-        draw(config.rtt_range_s, config.rtt_s),
-    )
+        return config.states.take(np.zeros(rounds, dtype=np.int64))
+    entropy = (seed,) if isinstance(seed, int) else tuple(seed)
+    rng = np.random.default_rng([*entropy, 0x5C1])
+    if config.regime == "two-state":
+        # Round r is in the alternate state after an odd number of switches before it.
+        switches = (rng.random(rounds) < config.switch_prob).astype(np.int64)
+        return config.states.take((np.cumsum(switches) - switches) % 2)
+    return sampled_states(config, rng, rounds)

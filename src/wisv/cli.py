@@ -134,7 +134,7 @@ def _relabeled_dataset(cfg: ExperimentConfig, out: Path):
         if len(y):
             feats.append(x)
             labels.append(y)
-            qualities.append(np.array([quality(s, bounds) for s in samples])[sample_ids])
+            qualities.append(quality(samples, bounds)[sample_ids])
     y = np.concatenate(labels).astype(np.float64)
     return episodes, np.vstack(feats), y, np.concatenate(qualities)
 
@@ -203,8 +203,17 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 
     rng = np.random.default_rng([cfg.seed, SEED_TRAIN])
     order = rng.permutation(len(y))
-    n_hold = int(round(cfg.raw["train"]["holdout_fraction"] * len(y)))
+    fraction = cfg.raw["train"]["holdout_fraction"]
+    n_hold = int(round(fraction * len(y)))
     hold, keep = order[:n_hold], order[n_hold:]
+    n_pos = int(y[hold].sum())
+    if n_pos in (0, n_hold):
+        # The holdout AUC needs both classes; refuse before training, not after.
+        raise ValueError(
+            f"the holdout set of {n_hold} of {len(y)} instances has {n_pos} positive and "
+            f"{n_hold - n_pos} negative instances, but its AUC needs both classes; "
+            f"raise train.holdout_fraction (now {fraction})"
+        )
     params, report = train(x[keep], y[keep], tcfg)
 
     s_hold, p_hold = forward_batch(params, x[hold], training=False)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .channel import N_CSI_FEATURES, REGIMES, ChannelConfig, NormalizationBounds
+from .channel import N_CSI_FEATURES, RANGE_FIELDS, REGIMES, ChannelConfig, NormalizationBounds
 from .compute import MODEL_PRESETS, FlopsConstants, HardwareProfile, ModelDims
 from .engine import EngineConfig, SystemModel
 from .head import TrainConfig
@@ -36,14 +36,6 @@ SEED_CHANNEL = 5
 DEFAULT_CONFIG: dict = {
     "seed": 20240101,
     "output_dir": "out",
-    "channel": {
-        "rate_up_bps": 500e6,
-        "rate_down_bps": 500e6,
-        "per_up": 0.0,
-        "per_down": 0.0,
-        "rtt_s": 0.05,
-        "regime": "static",
-    },
     "normalization": {"r_min_bps": 10e6, "r_max_bps": 1e9, "rtt_max_s": 0.1},
     "wire": {
         "vocab_size": 128256,
@@ -109,7 +101,6 @@ DEFAULT_CONFIG: dict = {
     },
     "engine": {
         "window": 10,
-        "tau": 0.9,
         "max_tokens": 256,
         "prefix_len": 64,
         "adaptive_rtt_cutoff_s": 0.010,
@@ -148,7 +139,7 @@ def _merge(base: dict, override: dict) -> dict:
 _CHANNEL_KEYS = frozenset(f.name for f in fields(ChannelConfig))
 # Sections that configure a channel take ChannelConfig's fields, not the
 # (partial) keys their defaults happen to spell out.
-_CHANNEL_SECTIONS = ("channel", "labeler.channel")
+_CHANNEL_SECTIONS = ("labeler.channel",)
 
 
 def _check_keys(section: dict, allowed, path: str) -> None:
@@ -241,12 +232,16 @@ class ExperimentConfig:
         for grid in ("k_values", "tau_values", "modes", "scenarios"):
             if not isinstance(sweep[grid], list) or not sweep[grid]:
                 raise ValueError(f"sweep grid {grid!r} must be a nonempty list")
-        channels = {"channel": self.raw["channel"], "labeler.channel": self.raw["labeler"]["channel"]}
+        channels = {"labeler.channel": self.raw["labeler"]["channel"]}
         channels.update((f"sweep.scenarios[{i}]", sc) for i, sc in enumerate(sweep["scenarios"]))
         for where, section in channels.items():
-            regime = self.channel(section).regime
+            regime = section.get("regime", ChannelConfig.regime)
             if regime not in REGIMES:
                 raise ValueError(f"config key '{where}.regime' must be one of {REGIMES}, got {regime!r}")
+            try:
+                self.channel(section)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config section {where!r}: {exc}") from exc
         abl = self.raw["ablate"]
         # Instantiating the typed views runs their own invariant checks; every
         # engine variant the sweep and the ablation will run is built here.
@@ -280,10 +275,11 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.raw)
 
-    def channel(self, section: dict | None = None) -> ChannelConfig:
-        sec = dict(section if section is not None else self.raw["channel"])
+    def channel(self, section: dict) -> ChannelConfig:
+        """The channel of a ``labeler.channel`` or ``sweep.scenarios`` section."""
+        sec = dict(section)
         sec.pop("name", None)
-        for key in ("rate_up_range_bps", "rate_down_range_bps", "per_up_range", "per_down_range", "rtt_range_s"):
+        for key in RANGE_FIELDS:
             if key in sec and sec[key] is not None:
                 sec[key] = tuple(sec[key])
         return ChannelConfig(**sec)

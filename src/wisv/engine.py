@@ -19,7 +19,7 @@ head screens at p >= tau, or where the speculative-sampling draw rejects.
 The commit rule and the bookkeeping are shared, and the loop records
 integer ``Decisions`` columns per round. ``bill`` then picks each round's
 wire protocol and prices the whole episode at once with ``ledger`` from
-those columns and the trace's per-round CSI. Decisions never read the
+those columns and the trace's per-round CSI columns. Decisions never read the
 protocol, and only the head-verified modes read the channel: FH, SH and
 adaptive share one decision and differ only in the ``proto`` column.
 ``run_episode`` is both steps for one mode; a sweep can decide once and
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import ChannelTrace, CsiColumns, NormalizationBounds, features
+from .channel import CsiState, NormalizationBounds, features
 from .compute import (
     FlopsConstants,
     HardwareProfile,
@@ -219,7 +219,7 @@ def sd_reject_round(
 
 
 def _exchange(
-    code: int, wire: WireConfig, k: int, m: np.ndarray, csi: CsiColumns
+    code: int, wire: WireConfig, k: int, m: np.ndarray, csi: CsiState
 ) -> LatencyBreakdown:
     """Communication of every round as if it used protocol ``code``."""
     if code == PROTO_FH:
@@ -236,14 +236,14 @@ def ledger(
     start: np.ndarray,
     m: np.ndarray,
     proto: np.ndarray,
-    csi: CsiColumns,
+    csi: CsiState,
 ) -> tuple[LatencyBreakdown, np.ndarray, np.ndarray, np.ndarray]:
     """Bill every round of an episode: (communication, draft, verify, head seconds).
 
     ``start`` is each round's prefix length, ``m`` its localized mismatch
-    count, ``proto`` its protocol code, and ``csi`` its link state. Only
-    rounds verified by the head (FH or SH) pay for screening their m
-    mismatches.
+    count, ``proto`` its protocol code, and ``csi`` its link state, one
+    array entry per round. Only rounds verified by the head (FH or SH) pay
+    for screening their m mismatches.
     """
     draft_s = exec_time(
         draft_round_flops(system.draft_dims, system.consts, start, k), system.hw_draft
@@ -311,7 +311,7 @@ def decide(
     seed: int | list[int] = 0,
     *,
     head_params: HeadParams | None = None,
-    trace: ChannelTrace | None = None,
+    trace: CsiState | None = None,
     bounds: NormalizationBounds | None = None,
 ) -> Decisions:
     """Verify one episode to its token budget.
@@ -319,10 +319,11 @@ def decide(
     Each round commits the accepted draft tokens plus one target-side
     token: the target argmax at the rejected position (or the bonus token
     after a full accept), or the speculative-sampling draw. Only the
-    head-verified modes need ``head_params``, ``trace`` and ``bounds``:
-    round r's head features are the normalized CSI of the trace's state r,
-    wrapping if the episode outlives the trace. ``sd_reject`` draws from a
-    generator keyed to (oracle seed, ``seed``), so a rerun decides alike.
+    head-verified modes need ``head_params``, ``trace`` (per-round CSI
+    columns) and ``bounds``: round r's head features are row r of the
+    trace's feature matrix, wrapping if the episode outlives the trace.
+    ``sd_reject`` draws from a generator keyed to (oracle seed, ``seed``),
+    so a rerun decides alike.
     """
     mode = engine_cfg.mode
     screen = mode.startswith("wisv")
@@ -330,6 +331,8 @@ def decide(
         raise ValueError(f"mode {mode} requires trained head parameters, a channel trace "
                          "and normalization bounds")
     k = engine_cfg.window
+    if screen:
+        csi_features = features(trace, bounds)
     if mode == "sd_reject":
         extra = [seed] if isinstance(seed, int) else list(seed)
         rng = np.random.default_rng([oracle.config.seed, *extra, 0x5A])
@@ -353,7 +356,7 @@ def decide(
                     [
                         block.hiddens_draft[mismatches],
                         view.hiddens_target[mismatches],
-                        np.tile(features(trace.at_round(len(rows)), bounds), (len(mismatches), 1)),
+                        np.tile(csi_features[len(rows) % len(csi_features)], (len(mismatches), 1)),
                     ],
                     axis=1,
                 )
@@ -381,7 +384,7 @@ def decide(
 
 
 def bill(
-    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions, trace: ChannelTrace
+    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions, trace: CsiState
 ) -> EpisodeResult:
     """Price one episode's decisions under ``engine_cfg``'s protocol and the trace's CSI.
 
@@ -389,7 +392,7 @@ def bill(
     trace. Adaptive picks FH or SH per round from that state's RTT.
     """
     n_rounds = len(decisions.m)
-    csi = trace.columns(n_rounds)
+    csi = trace.take(np.arange(n_rounds))
     code = _MODE_PROTO.get(engine_cfg.mode)
     if code is None:
         proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
@@ -418,7 +421,7 @@ def run_episode(
     system: SystemModel,
     engine_cfg: EngineConfig,
     oracle_cfg: OracleConfig,
-    trace: ChannelTrace,
+    trace: CsiState,
     head_params: HeadParams | None = None,
     seed: int | list[int] = 0,
 ) -> EpisodeResult:

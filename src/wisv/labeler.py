@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelConfig, CsiState, NormalizationBounds, features, quality, sample_state
+from .channel import ChannelConfig, CsiState, NormalizationBounds, features, quality, sampled_states
 from .engine import EngineConfig, decide, episode_oracle
 from .head import sigmoid
 from .oracle import OracleConfig
@@ -160,47 +160,51 @@ def lambda_of_csi(q: float, lambda_hi: float, lambda_lo: float) -> float:
 
 def relabel(
     episode: Episode,
-    csi_samples: list[CsiState],
+    csi_samples: CsiState,
     cfg: RelabelConfig,
     bounds: NormalizationBounds,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample repair actions per CSI draw and emit supervised instances.
 
-    Returns (features, labels, CSI sample ids) with one row per (CSI sample,
-    mismatch) pair, ordered by sample and then by mismatch. A feature row
-    is [h_draft; h_target; CSI features]. Every label is <= its base label
-    (the b_t gate inside the soft policy never repairs a non-critical
-    mismatch). An episode without mismatches yields empty arrays and draws
-    nothing from ``rng``.
+    ``csi_samples`` holds one array entry per CSI draw. Returns (features,
+    labels, CSI sample ids) with one row per (CSI sample, mismatch) pair,
+    ordered by sample and then by mismatch, and draws one uniform per row
+    in that order. A feature row is [h_draft; h_target; CSI features].
+    Every label is <= its base label (the b_t gate inside the soft policy
+    never repairs a non-critical mismatch). An episode without mismatches
+    yields empty arrays and draws nothing from ``rng``.
     """
     n = len(episode)
     if n == 0:
         return np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     b = episode.base_labels
     b_smooth = smooth(b, cfg.alpha)
-    hiddens = np.hstack([episode.h_draft, episode.h_target])
-    feats, labels = [], []
-    for csi in csi_samples:
-        q = quality(csi, bounds)
-        lam = lambda_of_csi(q, cfg.lambda_hi, cfg.lambda_lo)
-        pi = soft_policy(b, b_smooth, lam, cfg.rho)
-        labels.append((rng.random(n) < pi).astype(np.int64))
-        feats.append(np.hstack([hiddens, np.tile(features(csi, bounds), (n, 1))]))
-    sample_ids = np.repeat(np.arange(len(csi_samples)), n)
-    return np.vstack(feats), np.concatenate(labels), sample_ids
+    lam = lambda_of_csi(quality(csi_samples, bounds), cfg.lambda_hi, cfg.lambda_lo)
+    pi = soft_policy(b, b_smooth, lam[:, None], cfg.rho)
+    labels = (rng.random(pi.shape) < pi).astype(np.int64).ravel()
+    csi = features(csi_samples, bounds)
+    h_d, h_t = episode.h_draft, episode.h_target
+    # Filled in place: copies of the hidden rows per sample would be freed
+    # temporaries, and they fragment the heap across episodes.
+    feats = np.empty((len(csi), n, h_d.shape[1] + h_t.shape[1] + csi.shape[1]))
+    feats[:, :, : h_d.shape[1]] = h_d
+    feats[:, :, h_d.shape[1] : -csi.shape[1]] = h_t
+    feats[:, :, -csi.shape[1] :] = csi[:, None, :]
+    return feats.reshape(len(csi) * n, -1), labels, np.repeat(np.arange(len(csi)), n)
 
 
-def sample_csi_states(
-    channel_cfg: ChannelConfig, n: int, rng: np.random.Generator
-) -> list[CsiState]:
-    """Draw relabeling CSI states from the configured channel regime."""
+def sample_csi_states(channel_cfg: ChannelConfig, n: int, rng: np.random.Generator) -> CsiState:
+    """Draw ``n`` relabeling CSI states, as columns, from the configured channel regime.
+
+    The sampled regime draws like ``generate_trace``; two-state picks the
+    base or the alternate state with equal odds, one uniform per draw.
+    """
     if channel_cfg.regime == "sampled":
-        return [sample_state(channel_cfg, rng) for _ in range(n)]
+        return sampled_states(channel_cfg, rng, n)
     if channel_cfg.regime == "two-state":
-        pair = (channel_cfg.base_state(), channel_cfg.alt_state())
-        return [pair[int(rng.random() < 0.5)] for _ in range(n)]
-    return [channel_cfg.base_state()] * n
+        return channel_cfg.states.take((rng.random(n) < 0.5).astype(np.int64))
+    return channel_cfg.states.take(np.zeros(n, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

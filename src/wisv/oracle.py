@@ -62,17 +62,11 @@ class OracleConfig:
 
 @dataclass
 class DraftBlock:
-    """Drafter output for one round, sliced from the episode arrays.
-
-    ``mismatch`` and ``crit`` are oracle ground truth: the engine must not
-    read them (the target view and the trace collector do).
-    """
+    """Drafter output for one round, sliced from the episode arrays."""
 
     start: int
     tokens: np.ndarray
     hiddens_draft: np.ndarray
-    mismatch: np.ndarray
-    crit: np.ndarray
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -80,15 +74,10 @@ class DraftBlock:
 
 @dataclass
 class TargetView:
-    """Verifier-side view of a block: k+1 argmax tokens, k hiddens, flags.
-
-    ``crit`` is defined only where draft differs from target argmax; it is
-    visible to the labeler and the accuracy scorer, never to the device.
-    """
+    """Verifier-side view of a block: k+1 argmax tokens and k hiddens."""
 
     argmax: np.ndarray
     hiddens_target: np.ndarray
-    crit: np.ndarray
 
 
 def unit_direction(dim: int) -> np.ndarray:
@@ -151,8 +140,6 @@ class EpisodeOracle:
             start=prefix_len,
             tokens=self.draft_tokens[s],
             hiddens_draft=self.h_draft[s],
-            mismatch=self.mismatch[s],
-            crit=self.crit[s],
         )
 
     def verify_view(self, block: DraftBlock) -> TargetView:
@@ -164,7 +151,6 @@ class EpisodeOracle:
         return TargetView(
             argmax=self.target_tokens[lo : lo + k + 1],
             hiddens_target=self.h_target[lo : lo + k],
-            crit=self.crit[lo : lo + k],
         )
 
     def distributions(self, position: int) -> tuple[np.ndarray, np.ndarray]:

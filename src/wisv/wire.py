@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CsiColumns, CsiState, effective_rate
+from .channel import CsiState, effective_rate
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class LatencyBreakdown:
     """Latency split of one exchange; total_s is the exact component sum.
 
     Fields are scalars for one exchange, or arrays with one entry per round
-    when the CSI is given as ``CsiColumns``.
+    when the ``CsiState`` holds per-round arrays.
     """
 
     uplink_s: float | np.ndarray
@@ -116,7 +116,7 @@ def reject_uplink_bits(cfg: WireConfig, k: int) -> int:
 
 
 def single_exchange_latency(
-    uplink_bits: int, downlink_bits: int, csi: CsiState | CsiColumns
+    uplink_bits: int, downlink_bits: int, csi: CsiState
 ) -> LatencyBreakdown:
     """Latency of one uplink + one downlink + one round trip."""
     return LatencyBreakdown(
@@ -128,13 +128,13 @@ def single_exchange_latency(
     )
 
 
-def comm_latency_fh(cfg: WireConfig, k: int, csi: CsiState | CsiColumns) -> LatencyBreakdown:
+def comm_latency_fh(cfg: WireConfig, k: int, csi: CsiState) -> LatencyBreakdown:
     """Full-hidden round: uplink serialization + feedback + one RTT."""
     return single_exchange_latency(fh_uplink_bits(cfg, k), feedback_bits(cfg), csi)
 
 
 def comm_latency_sh(
-    cfg: WireConfig, k: int, m: int | np.ndarray, csi: CsiState | CsiColumns
+    cfg: WireConfig, k: int, m: int | np.ndarray, csi: CsiState
 ) -> LatencyBreakdown:
     """Selective-hidden round: four serialization terms + two RTTs."""
     u1, req, u2 = sh_bits(cfg, k, m)

@@ -120,11 +120,12 @@ class TestConfig:
             ({"sweep": {"episods": 5}}, "sweep.episods"),
             ({"enigne": {"window": 8}}, "enigne"),
             ({"compute": {"device": {"peak_flop": 1e12}}}, "compute.device.peak_flop"),
-            ({"channel": {"rate_bps": 1e6}}, "channel.rate_bps"),
+            ({"channel": {"rate_bps": 1e6}}, "channel"),
             ({"labeler": {"b_min": 0}}, "labeler.b_min"),
             ({"labeler": {"channel": {"regim": "static"}}}, "labeler.channel.regim"),
             ({"sweep": {"scenarios": [{"name": "a", "rtt_s": 0.01},
                                       {"name": "b", "rtt": 0.01}]}}, "sweep.scenarios[1].rtt"),
+            ({"engine": {"tau": 0.9}}, "engine.tau"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, overrides, path):
@@ -160,6 +161,19 @@ class TestConfig:
             ({"train": {"holdout_fraction": 1.0}}, "'train.holdout_fraction' must lie in (0, 1)"),
             ({"train": {"holdout_fraction": "0.2"}}, "'train.holdout_fraction' must lie in (0, 1)"),
             ({"ablate": {"episodes": 1}}, "'ablate.episodes' must be at least 2"),
+            ({"sweep": {"scenarios": [{"name": "a", "regime": "sampled",
+                                       "rtt_range_s": [-0.01, 0.0]}]}},
+             "section 'sweep.scenarios[0]': a sampled range leaves the link's domain: "
+             "rtt must be nonnegative"),
+            ({"sweep": {"scenarios": [{"name": "a"}, {"name": "b", "rate_up_bps": -5e8}]}},
+             "section 'sweep.scenarios[1]': link rates must be strictly positive"),
+            ({"sweep": {"scenarios": [{"name": "a", "regime": "sampled",
+                                       "per_up_range": [0.2, 0.1]}]}},
+             "section 'sweep.scenarios[0]': per_up_range must have lo <= hi"),
+            ({"labeler": {"channel": {"switch_prob": 1.5}}},
+             "section 'labeler.channel': switch_prob must lie in [0, 1]"),
+            ({"labeler": {"channel": {"per_up": 1.2}}},
+             "section 'labeler.channel': packet error rates must lie in [0, 1)"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -263,6 +277,18 @@ class TestTrainCommand:
             (tmp_path / name).write_bytes((out / name).read_bytes())
         cmd_train(cfg, tmp_path)
         assert (tmp_path / HEAD).read_bytes() == (out / HEAD).read_bytes()
+
+    def test_one_class_holdout_refused_before_training(self, small_run, tmp_path, monkeypatch):
+        cfg, out = small_run
+        (tmp_path / DATASET).write_bytes((out / DATASET).read_bytes())
+        n = json.loads((out / DATASET_MANIFEST).read_text())["instances"]
+        raw = copy.deepcopy(cfg.raw)
+        raw["train"]["holdout_fraction"] = 1.0 / n  # one held-out row: a single class
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained before the check"))
+        with pytest.raises(ValueError, match=r"holdout set of 1 of \d+ instances has [01] positive "
+                           r"and [01] negative .* raise train\.holdout_fraction"):
+            cmd_train(ExperimentConfig(raw=raw), tmp_path)
+        assert not (tmp_path / HEAD).exists()
 
     def test_zero_lr_warns(self, small_run, tmp_path, capsys):
         cfg, out = small_run

@@ -7,9 +7,9 @@ from wisv import engine
 from wisv.channel import (
     N_CSI_FEATURES,
     ChannelConfig,
-    ChannelTrace,
     CsiState,
     NormalizationBounds,
+    features,
     generate_trace,
 )
 from wisv.compute import (
@@ -37,7 +37,7 @@ from wisv.engine import (
     sd_reject_round,
     select_protocol,
 )
-from wisv.head import HeadParams, init_params
+from wisv.head import HeadParams, forward_batch, init_params
 from wisv.oracle import EpisodeOracle, OracleConfig, geometric_accepted_length
 from wisv.wire import (
     WireConfig,
@@ -127,7 +127,7 @@ def crafted_oracle(tokens, argmax, crit=None, h_draft=None, h_target=None):
 def run_one_round(oracle, mode, k, params=None, tau=0.5, csi=CSI):
     """``run_episode`` for exactly one round, reading the hand-built oracle."""
     eng = EngineConfig(mode=mode, window=k, tau=tau, max_tokens=1, prefix_len=0)
-    trace = ChannelTrace(states=[csi], seed=(0,), regime="static")
+    trace = csi.take(np.zeros(1, dtype=np.int64))  # a one-round trace
     with mock.patch.object(engine, "EpisodeOracle", lambda *args, **kwargs: oracle):
         res = run_episode(SYSTEM, eng, oracle_config(), trace, params)
     assert res.n_rounds == 1
@@ -354,10 +354,14 @@ class TestLedger:
         params = init_params(4 + 4 + 5, 8, seed=1)
         eng = EngineConfig(mode=mode, window=10, tau=0.6, max_tokens=150, prefix_len=32)
         res = run_episode(SYSTEM, eng, oracle_config(), trace, params, seed=2)
-        assert res.n_rounds > len(trace)
+        n_trace = len(trace.rtt)
+        assert res.n_rounds > n_trace
         wire, prefix, total = SYSTEM.wire, eng.prefix_len, 0
         for r in range(res.n_rounds):
-            csi, m, proto = trace.at_round(r), int(res.m[r]), int(res.proto[r])
+            i = r % n_trace  # round r's scalar state, read from the columns
+            csi = CsiState(trace.r_up[i], trace.r_down[i], trace.per_up[i], trace.per_down[i],
+                           trace.rtt[i])
+            m, proto = int(res.m[r]), int(res.proto[r])
             if proto == PROTO_FH:
                 comm = comm_latency_fh(wire, 10, csi)
             elif proto == PROTO_SH:
@@ -398,6 +402,27 @@ class TestDecide:
         got = decide(eng, episode_oracle(oracle_config(), eng, 5, False))
         committed = got.accepted + 1
         np.testing.assert_array_equal(got.start, 32 + np.cumsum(committed) - committed)
+
+    def test_head_reads_each_rounds_csi_wrapping_around(self, monkeypatch):
+        channel = ChannelConfig(regime="sampled", rate_up_range_bps=(20e6, 500e6),
+                                rtt_range_s=(0.002, 0.06))
+        trace = generate_trace(channel, seed=4, rounds=7)  # every round differs; wraps
+        seen = []
+
+        def recording_forward(params, z, training):
+            seen.append(z[:, -N_CSI_FEATURES:].copy())
+            return forward_batch(params, z, training=training)
+
+        monkeypatch.setattr(engine, "forward_batch", recording_forward)
+        eng = EngineConfig(mode="wisv_sh", window=10, tau=0.6, max_tokens=200)
+        oracle = episode_oracle(oracle_config(), eng, 2, False)
+        got = decide(eng, oracle, 2, head_params=init_params(4 + 4 + 5, 8, seed=1), trace=trace,
+                     bounds=SYSTEM.bounds)
+        screened = np.flatnonzero(got.m > 0)
+        assert len(screened) == len(seen) and screened.max() >= 7
+        rows = features(trace, SYSTEM.bounds)
+        for r, z_csi in zip(screened, seen):
+            np.testing.assert_array_equal(z_csi, np.tile(rows[r % 7], (got.m[r], 1)))
 
     @pytest.mark.parametrize("missing", ["trace", "bounds"])
     def test_screening_needs_trace_and_bounds(self, missing):

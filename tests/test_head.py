@@ -52,7 +52,9 @@ def relabeled_row(h_d, h_t, csi):
     ep = Episode(0, positions=np.array([0]), draft_tokens=np.array([0]),
                  target_tokens=np.array([1]), base_labels=np.array([1]),
                  h_draft=h_d[None, :], h_target=h_t[None, :])
-    x, _, _ = relabel(ep, [csi], RelabelConfig(), NormalizationBounds(), np.random.default_rng(0))
+    one_sample = csi.take(np.zeros(1, dtype=np.int64))
+    x, _, _ = relabel(ep, one_sample, RelabelConfig(), NormalizationBounds(),
+                      np.random.default_rng(0))
     return x[0]
 
 

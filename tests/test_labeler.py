@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wisv.channel import CsiState, NormalizationBounds
+from wisv.channel import ChannelConfig, CsiState, NormalizationBounds, features, generate_trace, quality
 from wisv.head import sigmoid
 from wisv.labeler import (
     Episode,
@@ -12,6 +12,7 @@ from wisv.labeler import (
     read_dataset,
     read_traces,
     relabel,
+    sample_csi_states,
     smooth,
     soft_policy,
     solve_budget_exact,
@@ -51,8 +52,10 @@ def toy_episode(base_labels, seed=0):
     )
 
 
-def make_csi(rate=500e6, rtt=0.05):
-    return CsiState(rate, rate, 0.0, 0.0, rtt)
+def make_csi(*rates, rtt=0.05):
+    """CSI samples at the given rates (500 Mbps if none), one array entry per sample."""
+    r = np.array(rates or (500e6,), dtype=np.float64)
+    return CsiState(r, r, np.zeros(len(r)), np.zeros(len(r)), np.full(len(r), rtt))
 
 
 def greedy_replay(oracle_cfg, seed, window=10, max_tokens=256, prefix_len=64):
@@ -211,7 +214,7 @@ class TestRelabel:
     def test_one_way_relaxation(self):
         ep = toy_episode([1, 0, 1, 1, 0, 0, 1])
         rng = np.random.default_rng(0)
-        csi = [make_csi(rate=r) for r in (20e6, 100e6, 900e6)]
+        csi = make_csi(20e6, 100e6, 900e6)
         x, labels, sample_ids = relabel(ep, csi, RelabelConfig(), BOUNDS, rng)
         assert len(x) == len(labels) == 3 * 7
         np.testing.assert_array_equal(sample_ids, np.repeat([0, 1, 2], 7))
@@ -220,12 +223,10 @@ class TestRelabel:
     def test_sharp_policy_matches_hard_threshold(self):
         ep = toy_episode([1, 0, 0, 1, 0, 1, 1, 0])
         cfg = RelabelConfig(rho=1e-4)
-        csi = [make_csi(rate=100e6)]
+        csi = make_csi(100e6)
         rng = np.random.default_rng(1)
         _, got, _ = relabel(ep, csi, cfg, BOUNDS, rng)
-        from wisv.channel import quality
-
-        q = quality(csi[0], BOUNDS)
+        q = quality(csi, BOUNDS)[0]
         lam = lambda_of_csi(q, cfg.lambda_hi, cfg.lambda_lo)
         b = ep.base_labels
         hard = b * (smooth(b, cfg.alpha) > lam)
@@ -234,14 +235,14 @@ class TestRelabel:
     def test_perfect_channel_preserves_labels(self):
         ep = toy_episode([1] * 20)
         cfg = RelabelConfig(lambda_lo=0.0, lambda_hi=0.8)
-        csi = [make_csi(rate=1e9)] * 50
+        csi = make_csi(*[1e9] * 50)
         rng = np.random.default_rng(2)
         _, labels, _ = relabel(ep, csi, cfg, BOUNDS, rng)
         assert labels.mean() > sigmoid(1.0 / cfg.rho) - 0.01  # ~ sigmoid(10)
 
     def test_seeded_determinism(self):
         ep = toy_episode([1, 0, 1])
-        csi = [make_csi(rate=50e6)]
+        csi = make_csi(50e6)
         a = relabel(ep, csi, RelabelConfig(), BOUNDS, np.random.default_rng(7))
         b = relabel(ep, csi, RelabelConfig(), BOUNDS, np.random.default_rng(7))
         for col_a, col_b in zip(a, b):
@@ -250,31 +251,83 @@ class TestRelabel:
     def test_stochastic_dominance_in_quality(self):
         ep = toy_episode([1] * 30)
         cfg = RelabelConfig()
-        good, poor = make_csi(rate=500e6), make_csi(rate=20e6)
+        good, poor = make_csi(500e6), make_csi(20e6)
         rng = np.random.default_rng(3)
         n = 2000
         good_counts = np.array(
-            [relabel(ep, [good], cfg, BOUNDS, rng)[1].sum() for _ in range(n // 30)]
+            [relabel(ep, good, cfg, BOUNDS, rng)[1].sum() for _ in range(n // 30)]
         )
         poor_counts = np.array(
-            [relabel(ep, [poor], cfg, BOUNDS, rng)[1].sum() for _ in range(n // 30)]
+            [relabel(ep, poor, cfg, BOUNDS, rng)[1].sum() for _ in range(n // 30)]
         )
         sem = np.sqrt(good_counts.var(ddof=1) / len(good_counts) + poor_counts.var(ddof=1) / len(poor_counts))
         assert good_counts.mean() - poor_counts.mean() > 3 * sem
 
     def test_empty_episode_yields_nothing(self):
         rng = np.random.default_rng(0)
-        x, labels, sample_ids = relabel(toy_episode([]), [make_csi()], RelabelConfig(), BOUNDS,
+        x, labels, sample_ids = relabel(toy_episode([]), make_csi(), RelabelConfig(), BOUNDS,
                                         rng)
         assert len(x) == len(labels) == len(sample_ids) == 0
         assert rng.random() == np.random.default_rng(0).random()  # no draw consumed
 
     def test_feature_layout(self):
         ep = toy_episode([1])
-        x, _, _ = relabel(ep, [make_csi()], RelabelConfig(), BOUNDS, np.random.default_rng(0))
+        x, _, _ = relabel(ep, make_csi(), RelabelConfig(), BOUNDS, np.random.default_rng(0))
         assert x[0].shape == (4 + 4 + 5,)
         np.testing.assert_array_equal(x[0][:4], ep.h_draft[0])
         np.testing.assert_array_equal(x[0][4:8], ep.h_target[0])
+
+
+    def test_matches_per_sample_reference(self):
+        # Reference: one sample at a time, one rng.random(n) per sample. A
+        # soft policy (rho = 1) keeps every repair probability near 1/2, so
+        # labels follow the order of the draws.
+        ep = toy_episode([1] * 10 + [0, 1, 1, 0, 1, 1], seed=4)
+        n = len(ep)
+        csi = CsiState(np.array([20e6, 80e6, 500e6]), np.array([30e6, 1e9, 40e6]),
+                       np.array([0.0, 0.3, 0.1]), np.array([0.2, 0.0, 0.05]),
+                       np.array([0.005, 0.05, 0.2]))
+        cfg = RelabelConfig(rho=1.0)
+        x, labels, sample_ids = relabel(ep, csi, cfg, BOUNDS, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        b_smooth = smooth(ep.base_labels, cfg.alpha)
+        for s in range(3):
+            state = CsiState(csi.r_up[s], csi.r_down[s], csi.per_up[s], csi.per_down[s],
+                             csi.rtt[s])
+            lam = lambda_of_csi(quality(state, BOUNDS), cfg.lambda_hi, cfg.lambda_lo)
+            pi = soft_policy(ep.base_labels, b_smooth, lam, cfg.rho)
+            rows = slice(n * s, n * (s + 1))
+            np.testing.assert_array_equal(labels[rows], (rng.random(n) < pi).astype(np.int64))
+            np.testing.assert_array_equal(x[rows, :8], np.hstack([ep.h_draft, ep.h_target]))
+            np.testing.assert_array_equal(x[rows, 8:], np.tile(features(state, BOUNDS), (n, 1)))
+            assert np.all(sample_ids[rows] == s)
+        assert 0 < labels.sum() < ep.base_labels.sum() * 3
+
+
+class TestSampleCsiStates:
+    def test_sampled_regime_draws_like_generate_trace(self):
+        cfg = ChannelConfig(regime="sampled", rate_up_range_bps=(20e6, 500e6),
+                            rtt_range_s=(0.002, 0.06))
+        got = sample_csi_states(cfg, 40, np.random.default_rng([3, 0x5C1]))
+        ref = generate_trace(cfg, seed=3, rounds=40)
+        for name in ("r_up", "r_down", "per_up", "per_down", "rtt"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+
+    def test_two_state_picks_with_one_uniform_per_draw(self):
+        cfg = ChannelConfig(regime="two-state", alt_rate_up_bps=20e6, alt_rtt_s=0.005,
+                            switch_prob=0.01)  # relabeling ignores the switch probability
+        got = sample_csi_states(cfg, 50, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        alternate = [rng.random() < 0.5 for _ in range(50)]
+        np.testing.assert_array_equal(got.r_up, [20e6 if a else 500e6 for a in alternate])
+        np.testing.assert_array_equal(got.rtt, [0.005 if a else 0.05 for a in alternate])
+        assert 0 < sum(alternate) < 50
+
+    def test_static_regime_repeats_base_without_drawing(self):
+        rng = np.random.default_rng(0)
+        got = sample_csi_states(ChannelConfig(rate_up_bps=20e6), 4, rng)
+        np.testing.assert_array_equal(got.r_up, [20e6] * 4)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestFileFormats:

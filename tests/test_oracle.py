@@ -67,7 +67,7 @@ class TestVerifyView:
         block = oracle.draft(0, 4000)
         view = oracle.verify_view(block)
         diff = block.tokens != view.argmax[:4000]
-        np.testing.assert_array_equal(diff, block.mismatch)
+        np.testing.assert_array_equal(diff, oracle.mismatch[:4000])
 
     def test_extra_bonus_token_present(self):
         oracle = EpisodeOracle(slim_config(), seed=2, n_positions=100)
