@@ -36,9 +36,7 @@ from .engine import (
     bill,
     decide,
     episode_oracle,
-    localize,
     run_episode,
-    sd_reject_round,
     select_protocol,
 )
 from .head import HeadParams, TrainConfig, bce_from_logit, forward_batch, train
@@ -53,7 +51,7 @@ from .labeler import (
     solve_budget_exact,
 )
 from .metrics import MetricsSummary, aal, accuracy_proxy, e2e_latency, round_count, throughput
-from .oracle import DraftBlock, EpisodeOracle, OracleConfig, TargetView, calibrate_p_match
+from .oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from .wire import (
     LatencyBreakdown,
     WireConfig,

@@ -28,11 +28,13 @@ import numpy as np
 
 from .channel import N_CSI_FEATURES, generate_trace, quality
 from .config import (
+    HEAD_SECTIONS,
     SEED_CHANNEL,
     SEED_EVAL,
     SEED_RELABEL,
     SEED_TRACE,
     SEED_TRAIN,
+    TRACE_SECTIONS,
     ExperimentConfig,
 )
 from .engine import PROTO_NAMES, EpisodeResult, bill, decide, episode_oracle
@@ -73,6 +75,15 @@ def _dump_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
+def _check_lineage(cfg: ExperimentConfig, record: Path, sections, stage: str) -> None:
+    """Refuse an artifact unless ``record`` holds ``cfg``'s hash of every section it consumed."""
+    lineage = json.loads(record.read_text()).get("lineage", {}) if record.exists() else {}
+    for section, expected in cfg.lineage(sections).items():
+        if lineage.get(section) != expected:
+            raise ValueError(f"no record in {record} matches this run's config section "
+                             f"{section!r}; rerun {stage!r}")
+
+
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
@@ -98,6 +109,7 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         "critical_fraction": n_critical / n_mismatch if n_mismatch else 0.0,
         "mean_mismatches_per_episode": n_mismatch / len(episodes),
         "config_hash": cfg.hash,
+        "lineage": cfg.lineage(TRACE_SECTIONS),
     }
     _dump_json(out / TRACES_META, stats)
     print(
@@ -117,6 +129,7 @@ def _relabeled_dataset(cfg: ExperimentConfig, out: Path):
     traces_path = out / TRACES
     if not traces_path.exists():
         raise FileNotFoundError(f"missing trace file {traces_path}; run 'trace' first")
+    _check_lineage(cfg, out / TRACES_META, TRACE_SECTIONS, "trace")
     episodes = read_traces(traces_path, n_episodes=cfg.raw["trace"]["episodes"])
     if sum(len(ep) for ep in episodes) == 0:
         raise ValueError("trace set contains no mismatches; nothing to relabel")
@@ -228,6 +241,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         "final_train_accuracy": report.final_train_accuracy,
         "holdout_accuracy": hold_acc,
         "holdout_auc": hold_auc,
+        "lineage": cfg.lineage(HEAD_SECTIONS),
     }
     save_params(out / HEAD, params, metadata=meta)
     _dump_json(out / TRAIN_REPORT, {**meta, "epoch_losses": report.epoch_losses})
@@ -243,8 +257,18 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# JSON text of each protocol code in a round line.
+_PROTO_JSON = tuple(json.dumps(name) for name in PROTO_NAMES)
+
+
 def _episode_lines(base: dict, ep: int, res: EpisodeResult) -> tuple[str, str]:
-    """One episode's ``episodes.jsonl`` line and its ``rounds.jsonl`` lines."""
+    """One episode's ``episodes.jsonl`` line and its ``rounds.jsonl`` lines.
+
+    Round lines are the compact ``json.dumps`` of ``{**base, "episode": ep,
+    "round": r, **columns}``, written with one ``%`` template: integers as
+    ``%d``, floats as ``%r`` (JSON's ``repr``), ``reject_pos`` and ``proto``
+    as JSON text. A non-finite float, which JSON writes as ``NaN``, raises.
+    """
     comm = res.comm
     episode_line = _json_line(
         {
@@ -262,68 +286,78 @@ def _episode_lines(base: dict, ep: int, res: EpisodeResult) -> tuple[str, str]:
         }
     )
     columns = {
-        "m": res.m.tolist(),
-        "reject_pos": [None if j < 0 else j for j in res.reject_pos.tolist()],
-        "accepted": res.accepted.tolist(),
-        "committed": res.committed.tolist(),
-        "proto": [PROTO_NAMES[code] for code in res.proto.tolist()],
-        "uplink_bits": comm.uplink_bits.tolist(),
-        "downlink_bits": comm.downlink_bits.tolist(),
-        "draft_s": res.draft_s.tolist(),
-        "verify_s": res.verify_s.tolist(),
-        "head_s": res.head_s.tolist(),
-        "comm_s": comm.total_s.tolist(),
-        "total_s": res.total_s.tolist(),
-        "accepted_critical": res.accepted_critical.tolist(),
+        "round": np.arange(res.n_rounds),
+        "m": res.m,
+        "reject_pos": ["null" if j < 0 else str(j) for j in res.reject_pos.tolist()],
+        "accepted": res.accepted,
+        "committed": res.committed,
+        "proto": [_PROTO_JSON[code] for code in res.proto.tolist()],
+        "uplink_bits": comm.uplink_bits,
+        "downlink_bits": comm.downlink_bits,
+        "draft_s": res.draft_s,
+        "verify_s": res.verify_s,
+        "head_s": res.head_s,
+        "comm_s": comm.total_s,
+        "total_s": res.total_s,
+        "accepted_critical": res.accepted_critical,
     }
-    round_lines = "".join(
-        _json_line({**base, "episode": ep, "round": r, **dict(zip(columns, values))})
-        for r, values in enumerate(zip(*columns.values()))
-    )
-    return episode_line, round_lines
+    specs, values = [], []
+    for name, column in columns.items():
+        if isinstance(column, list):
+            spec = "%s"
+        elif column.dtype.kind == "f":
+            if not np.isfinite(column).all():
+                raise ValueError(f"round column {name!r} of episode {ep} holds a non-finite "
+                                 "value, which JSON cannot encode")
+            spec, column = "%r", column.tolist()
+        else:
+            spec, column = "%d", column.tolist()
+        specs.append(f'"{name}":{spec}')
+        values.append(column)
+    prefix = json.dumps({**base, "episode": ep}, separators=(",", ":"))[:-1]
+    template = prefix.replace("%", "%%") + "," + ",".join(specs) + "}\n"
+    return episode_line, "".join(template % row for row in zip(*values))
 
 
 def _eval_point(payload: dict) -> list[tuple]:
-    """Run every sweep point of one (k, episode) group. Must stay picklable.
+    """Run every sweep point of one episode. Must stay picklable.
 
-    The group builds the episode's oracle once and each scenario's channel
-    trace once. ``sd_greedy`` and ``sd_reject`` read neither the channel
-    nor tau, so each decides once for the whole group; the head-verified
-    modes decide once per (scenario, tau), shared by FH, SH and adaptive.
-    Every (scenario, mode, tau) point is then billed on its own. Returns
-    ``(point, episode totals, episode line, round lines)`` per point in grid
-    order, where ``point`` is ``(scenario index, mode, k, tau)``.
+    The episode builds one oracle, for the sweep's largest window, and one
+    channel trace per scenario. Per window, ``sd_greedy`` and ``sd_reject``
+    read neither the channel nor tau, so each decides once; the
+    head-verified modes decide once per (scenario, tau), shared by FH, SH
+    and adaptive. Every point is then billed on its own. Returns ``(point,
+    episode totals, episode line, round lines)`` per point, where ``point``
+    is ``(scenario index, mode, k, tau)``.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     sweep = cfg.raw["sweep"]
-    k, ep, head = payload["k"], payload["episode"], payload["head"]
+    ep, head = payload["episode"], payload["head"]
     system = cfg.system()
-    seed = [SEED_EVAL, ep]
     oracle = episode_oracle(
-        cfg.oracle(), cfg.engine(window=k), seed,
+        cfg.oracle(), cfg.engine(window=max(sweep["k_values"])), [SEED_EVAL, ep],
         with_distributions="sd_reject" in sweep["modes"],
     )
-    decisions: dict = {}
+    traces = [
+        generate_trace(cfg.channel(scenario), [cfg.seed, SEED_CHANNEL, s_idx, ep],
+                       rounds=cfg.raw["engine"]["max_tokens"])
+        for s_idx, scenario in enumerate(sweep["scenarios"])
+    ]
     out = []
-    for s_idx, scenario in enumerate(sweep["scenarios"]):
-        trace = generate_trace(
-            cfg.channel(scenario),
-            [cfg.seed, SEED_CHANNEL, s_idx, ep],
-            rounds=cfg.raw["engine"]["max_tokens"],
-        )
-        for mode in sweep["modes"]:
-            for tau in sweep["tau_values"]:
-                engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
-                key = (s_idx, tau) if mode.startswith("wisv") else mode
-                if key not in decisions:
-                    decisions[key] = decide(
-                        engine_cfg, oracle, seed, head_params=head, trace=trace,
-                        bounds=system.bounds,
-                    )
-                res = bill(system, engine_cfg, decisions[key], trace)
-                base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
-                lines = _episode_lines(base, ep, res)
-                out.append(((s_idx, mode, k, tau), EpisodeTotals.of(res), *lines))
+    for k in sweep["k_values"]:
+        decisions: dict = {}
+        for s_idx, (scenario, trace) in enumerate(zip(sweep["scenarios"], traces)):
+            for mode in sweep["modes"]:
+                for tau in sweep["tau_values"]:
+                    engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
+                    key = (s_idx, tau) if mode.startswith("wisv") else mode
+                    if key not in decisions:
+                        decisions[key] = decide(engine_cfg, oracle, head_params=head,
+                                                trace=trace, bounds=system.bounds)
+                    res = bill(system, engine_cfg, decisions[key], trace)
+                    base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
+                    lines = _episode_lines(base, ep, res)
+                    out.append(((s_idx, mode, k, tau), EpisodeTotals.of(res), *lines))
     return out
 
 
@@ -338,6 +372,7 @@ def _load_head(cfg: ExperimentConfig, head_path: Path) -> HeadParams:
             f"gives {cfg.feature_dim()} (oracle.d_h_draft + oracle.d_h_target + "
             f"{N_CSI_FEATURES} CSI features); rerun 'train'"
         )
+    _check_lineage(cfg, head_path.with_name(head_path.name + ".json"), HEAD_SECTIONS, "train")
     return head
 
 
@@ -353,36 +388,27 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
         for k in sweep["k_values"]
         for tau in sweep["tau_values"]
     ]
-    payloads = [
-        {"raw": cfg.raw, "k": k, "episode": ep, "head": head}
-        for k in sweep["k_values"]
-        for ep in range(sweep["episodes"])
-    ]
-    # Groups arrive k by k, so the episodes of a point complete together: it
-    # is summarized then, and its episode totals are dropped.
-    pending: dict = {point: [] for point in points}
-    summaries, episode_lines, round_lines = {}, defaultdict(list), defaultdict(list)
+    payloads = [{"raw": cfg.raw, "episode": ep, "head": head} for ep in range(sweep["episodes"])]
+    # Episodes arrive in order, so each point's lines and totals stay in episode order.
+    totals, episode_lines, round_lines = defaultdict(list), defaultdict(list), defaultdict(list)
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            groups = pool.map(_eval_point, payloads)
+            episodes = pool.map(_eval_point, payloads)
         else:
-            groups = map(_eval_point, payloads)
-        for group in groups:
-            for point, totals, episode_line, rounds in group:
+            episodes = map(_eval_point, payloads)
+        for episode in episodes:
+            for point, episode_totals, episode_line, rounds in episode:
+                totals[point].append(episode_totals)
                 episode_lines[point].append(episode_line)
                 round_lines[point].append(rounds)
-                results = pending[point]
-                results.append(totals)
-                if len(results) == sweep["episodes"]:
-                    summaries[point] = summarize(pending.pop(point))
 
     rows = []
     first_tau = sweep["tau_values"][0]
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
     for point in points:
         s_idx, mode, k, tau = point
-        scenario, summary = sweep["scenarios"][s_idx], summaries[point]
+        scenario, summary = sweep["scenarios"][s_idx], summarize(totals[point])
         rows.append(csv_row(mode, k, tau, scenario["rate_up_bps"], scenario["rtt_s"], summary))
         if tau == first_tau:
             panel = plot["panels"].setdefault(scenario["name"], {})
@@ -445,7 +471,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
             )
             for variant, params in variants.items():
                 decisions = decide(
-                    engine_cfg, oracle, seed, head_params=params, trace=trace, bounds=system.bounds
+                    engine_cfg, oracle, head_params=params, trace=trace, bounds=system.bounds
                 )
                 totals[variant].append(EpisodeTotals.of(bill(system, engine_cfg, decisions, trace)))
         per_variant: dict = {}

@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from functools import reduce
 from pathlib import Path
 
 import yaml
@@ -32,6 +33,12 @@ SEED_RELABEL = 2
 SEED_TRAIN = 3
 SEED_EVAL = 4
 SEED_CHANNEL = 5
+
+# Config sections (or dotted paths) each stage's artifact is a function of:
+# traces_meta.json and head.bin.json record their hashes, and the stages that
+# read those artifacts refuse a mismatch. Keys only eval reads are left out.
+TRACE_SECTIONS = ("seed", "oracle", "engine.window", "engine.max_tokens", "engine.prefix_len", "trace")
+HEAD_SECTIONS = (*TRACE_SECTIONS, "normalization", "labeler", "train")
 
 DEFAULT_CONFIG: dict = {
     "seed": 20240101,
@@ -86,7 +93,6 @@ DEFAULT_CONFIG: dict = {
             "alt_rate_up_bps": 20e6,
             "alt_rate_down_bps": 20e6,
             "alt_rtt_s": 0.05,
-            "switch_prob": 0.5,
         },
     },
     "train": {
@@ -212,6 +218,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_keys(self.raw, DEFAULT_CONFIG, "")
+        if "switch_prob" in self.raw["labeler"]["channel"]:
+            raise ValueError(
+                "config section 'labeler.channel': switch_prob ('labeler.channel.switch_prob') "
+                "does nothing for relabeling, which draws the base or the alternate state with "
+                "the symmetric two-state chain's stationary odds, 1/2 for any switch "
+                "probability; remove it"
+            )
         if self.raw["compute"]["preset"] not in MODEL_PRESETS:
             raise ValueError(
                 f"unknown compute preset {self.raw['compute']['preset']!r}; "
@@ -274,6 +287,10 @@ class ExperimentConfig:
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
+
+    def lineage(self, sections) -> dict[str, str]:
+        """The hash of each config section (or dotted path) an artifact consumed."""
+        return {sec: config_hash(reduce(dict.__getitem__, sec.split("."), self.raw)) for sec in sections}
 
     def channel(self, section: dict) -> ChannelConfig:
         """The channel of a ``labeler.channel`` or ``sweep.scenarios`` section."""

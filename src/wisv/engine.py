@@ -13,17 +13,18 @@ Modes:
 * ``wisv_adaptive``: per-round protocol choice from the measured RTT.
 
 An episode runs in two steps. ``decide`` is the only loop that decodes an
-episode, for eval, the ablation and trace collection: a mode only chooses
-where a round rejects, at the first mismatch, at the first mismatch the
-head screens at p >= tau, or where the speculative-sampling draw rejects.
-The commit rule and the bookkeeping are shared, and the loop records
-integer ``Decisions`` columns per round. ``bill`` then picks each round's
-wire protocol and prices the whole episode at once with ``ledger`` from
-those columns and the trace's per-round CSI columns. Decisions never read the
-protocol, and only the head-verified modes read the channel: FH, SH and
-adaptive share one decision and differ only in the ``proto`` column.
-``run_episode`` is both steps for one mode; a sweep can decide once and
-bill many variants from the same oracle (``episode_oracle``).
+episode, for eval, the ablation and trace collection. It reads the
+oracle's position columns and scans the rounds over a stop column: the
+first mismatch (``sd_greedy``), the first draft the per-position
+speculative-sampling draw rejects (``sd_reject``), or the first mismatch
+the head screens at p >= tau. The loop records integer ``Decisions``
+columns per round. ``bill`` then picks each round's wire protocol and
+prices the whole episode at once with ``ledger`` from those columns and
+the trace's per-round CSI columns. Decisions never read the protocol, and
+only the head-verified modes read the channel: FH, SH and adaptive share
+one decision and differ only in the ``proto`` column. ``run_episode`` is
+both steps for one mode; a sweep can decide once and bill many variants
+from one oracle per episode (``episode_oracle``).
 """
 
 from __future__ import annotations
@@ -173,49 +174,9 @@ def round_order_sum(column: np.ndarray) -> float:
     return sum(column.tolist())
 
 
-def localize(draft_tokens: np.ndarray, target_argmax: np.ndarray) -> list[int]:
-    """Ascending window-relative indices where draft differs from argmax."""
-    k = len(draft_tokens)
-    return np.nonzero(np.asarray(draft_tokens) != np.asarray(target_argmax)[:k])[0].tolist()
-
-
 def select_protocol(rtt: np.ndarray, cutoff: float = 0.010) -> np.ndarray:
     """Protocol code per round: FH where the RTT strictly exceeds the cutoff, SH otherwise."""
     return np.where(rtt > cutoff, PROTO_FH, PROTO_SH)
-
-
-def _sample(p: np.ndarray, rng) -> int:
-    """Inverse-CDF draw from a categorical distribution."""
-    idx = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-    return min(idx, len(p) - 1)
-
-
-def sd_reject_round(
-    oracle: EpisodeOracle, prefix: int, k: int, rng: np.random.Generator
-) -> tuple[list[int], int | None, int]:
-    """Speculative-sampling draw over one window of per-position distributions.
-
-    Each draft token y ~ p_draft is accepted with min(1, p_target(y) /
-    p_draft(y)); a rejection emits a token from the normalized residual
-    max(p_target - p_draft, 0), falling back to p_target when the residual
-    is all zero. After a full accept the bonus token is drawn from
-    p_target. The emitted stream is distributed per the target model.
-    Returns (accepted draft tokens, reject position or None, emitted token).
-    """
-    drafted: list[int] = []
-    for i in range(k):
-        p_d, p_t = oracle.distributions(prefix + i)
-        y = _sample(p_d, rng)
-        ratio = p_t[y] / p_d[y]
-        if rng.random() < min(1.0, ratio):
-            drafted.append(y)
-            continue
-        residual = np.maximum(p_t - p_d, 0.0)
-        total = residual.sum()
-        residual = p_t if total <= 0.0 else residual / total
-        return drafted, i, _sample(residual, rng)
-    _, p_t = oracle.distributions(prefix + k)
-    return drafted, None, _sample(p_t, rng)
 
 
 def _exchange(
@@ -290,13 +251,12 @@ def episode_oracle(
     seed: int | list[int],
     with_distributions: bool,
 ) -> EpisodeOracle:
-    """The oracle of one episode at window ``engine_cfg.window``.
+    """The oracle of one episode, for windows up to ``engine_cfg.window``.
 
-    Its positions cover the token budget plus an overshooting window, so
-    they depend on k but not on mode, tau or the channel: every variant of
-    one (k, episode) can share it. Only ``sd_reject`` reads distributions;
-    they are drawn after every other field, so building them leaves the
-    other fields unchanged.
+    Its positions cover the token budget plus an overshooting window. Its
+    data is keyed to positions, so one oracle sized for a sweep's largest
+    window serves every window, mode, tau and channel of the episode. Only
+    ``sd_reject`` reads distributions; building them changes no other field.
     """
     k = engine_cfg.window
     n_positions = engine_cfg.prefix_len + engine_cfg.max_tokens + 2 * k + 2
@@ -308,7 +268,6 @@ def episode_oracle(
 def decide(
     engine_cfg: EngineConfig,
     oracle: EpisodeOracle,
-    seed: int | list[int] = 0,
     *,
     head_params: HeadParams | None = None,
     trace: CsiState | None = None,
@@ -318,69 +277,68 @@ def decide(
 
     Each round commits the accepted draft tokens plus one target-side
     token: the target argmax at the rejected position (or the bonus token
-    after a full accept), or the speculative-sampling draw. Only the
-    head-verified modes need ``head_params``, ``trace`` (per-round CSI
-    columns) and ``bounds``: round r's head features are row r of the
-    trace's feature matrix, wrapping if the episode outlives the trace.
-    ``sd_reject`` draws from a generator keyed to (oracle seed, ``seed``),
-    so a rerun decides alike.
+    after a full accept), or the speculative-sampling draw. The rounds are
+    one scan over a stop column, the mismatches for ``sd_greedy`` and the
+    drafts the oracle's speculative-sampling columns reject for
+    ``sd_reject``. The head-verified modes screen every mismatch of a window
+    that has one and stop at the first at p >= tau; they need
+    ``head_params``, ``trace`` (per-round CSI columns) and ``bounds``: round
+    r's head features are row r of the trace's feature matrix, wrapping if
+    the episode outlives the trace. A round past the oracle raises
+    ``IndexError``.
     """
-    mode = engine_cfg.mode
+    mode, k = engine_cfg.mode, engine_cfg.window
     screen = mode.startswith("wisv")
     if screen and (head_params is None or trace is None or bounds is None):
         raise ValueError(f"mode {mode} requires trained head parameters, a channel trace "
                          "and normalization bounds")
-    k = engine_cfg.window
+    sampling = mode == "sd_reject"
+    if sampling and oracle.spec_accept is None:
+        raise RuntimeError("sd_reject needs an oracle built with distributions")
+    stop = ~oracle.spec_accept if sampling else oracle.mismatch
+    n = len(stop)
+    # Entry i: the first stop position at or after i, or n.
+    next_stop = np.minimum.accumulate(np.where(stop, np.arange(n), n)[::-1])[::-1].tolist()
+    # Entry i: the number of mismatches before position i.
+    before = np.concatenate([[0], np.cumsum(oracle.mismatch)])
     if screen:
         csi_features = features(trace, bounds)
-    if mode == "sd_reject":
-        extra = [seed] if isinstance(seed, int) else list(seed)
-        rng = np.random.default_rng([oracle.config.seed, *extra, 0x5A])
+        mismatches, count = np.flatnonzero(oracle.mismatch), before.tolist()
 
-    rows: list[tuple[int, int, int, int, int]] = []
-    tokens: list[int] = []
-    prefix = engine_cfg.prefix_len
-    end = prefix + engine_cfg.max_tokens
-    while prefix < end:
-        if mode == "sd_reject":
-            drafted, reject_pos, fix = sd_reject_round(oracle, prefix, k, rng)
-            mismatches = [] if reject_pos is None else [reject_pos]
-        else:
-            block = oracle.draft(prefix, k)
-            view = oracle.verify_view(block)
-            drafted = block.tokens.tolist()
-            mismatches = localize(block.tokens, view.argmax)
-            reject_pos = mismatches[0] if mismatches else None
-            if screen and mismatches:
-                z = np.concatenate(
-                    [
-                        block.hiddens_draft[mismatches],
-                        view.hiddens_target[mismatches],
-                        np.tile(csi_features[len(rows) % len(csi_features)], (len(mismatches), 1)),
-                    ],
-                    axis=1,
-                )
-                _, p = forward_batch(head_params, z, training=False)
-                hits = np.flatnonzero(p >= engine_cfg.tau)
-                reject_pos = mismatches[hits[0]] if hits.size else None
-            fix = int(view.argmax[k if reject_pos is None else reject_pos])
-        accepted = k if reject_pos is None else reject_pos
-        tokens.extend(drafted[:accepted])
-        tokens.append(fix)
-        n_crit = sum(bool(oracle.crit[prefix + i]) for i in mismatches if i < accepted)
-        rejected = -1 if reject_pos is None else reject_pos
-        rows.append((prefix, len(mismatches), rejected, accepted, n_crit))
-        prefix += accepted + 1
+    starts: list[int] = []
+    rejects: list[int] = []
+    lo = prefix = engine_cfg.prefix_len
+    while prefix < lo + engine_cfg.max_tokens:
+        if prefix + k + 1 > n:
+            raise IndexError("episode oracle ran out of pregenerated positions")
+        reject = next_stop[prefix] - prefix
+        if screen and reject < k:
+            at = mismatches[count[prefix] : count[prefix + k]]
+            csi = np.tile(csi_features[len(starts) % len(csi_features)], (len(at), 1))
+            z = np.concatenate([oracle.h_draft[at], oracle.h_target[at], csi], axis=1)
+            _, p = forward_batch(head_params, z, training=False)
+            hits = np.flatnonzero(p >= engine_cfg.tau)
+            reject = int(at[hits[0]]) - prefix if hits.size else k
+        starts.append(prefix)
+        rejects.append(reject if reject < k else -1)
+        prefix += min(reject, k) + 1
 
-    start, m, reject_col, accepted_col, crit_col = np.array(rows, dtype=np.int64).T
-    return Decisions(
-        tokens=np.array(tokens, dtype=np.int64),
-        start=start,
-        m=m,
-        reject_pos=reject_col,
-        accepted=accepted_col,
-        accepted_critical=crit_col,
-    )
+    start, reject_pos = np.array(starts, dtype=np.int64), np.array(rejects, dtype=np.int64)
+    rejected = reject_pos >= 0
+    accepted = np.where(rejected, reject_pos, k)
+    fix = start + accepted
+    if sampling:
+        m, accepted_critical = rejected.astype(np.int64), np.zeros_like(start)
+        tokens = oracle.spec_draft[lo:prefix].copy()
+        tokens[fix - lo] = np.where(rejected, oracle.spec_residual[fix], oracle.spec_bonus[fix])
+    else:
+        crit_before = np.concatenate([[0], np.cumsum(oracle.crit)])
+        m = before[start + k] - before[start]
+        accepted_critical = crit_before[fix] - crit_before[start]
+        # Accepted drafts keep the draft token; elsewhere the target agrees with it.
+        tokens = oracle.draft_tokens[lo:prefix].copy()
+        tokens[fix - lo] = oracle.target_tokens[fix]
+    return Decisions(tokens, start, m, reject_pos, accepted, accepted_critical)
 
 
 def bill(
@@ -427,7 +385,6 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one generation episode of one mode: build its oracle, decide, bill."""
     oracle = episode_oracle(oracle_cfg, engine_cfg, seed, engine_cfg.mode == "sd_reject")
-    decisions = decide(
-        engine_cfg, oracle, seed, head_params=head_params, trace=trace, bounds=system.bounds
-    )
+    decisions = decide(engine_cfg, oracle, head_params=head_params, trace=trace,
+                       bounds=system.bounds)
     return bill(system, engine_cfg, decisions, trace)

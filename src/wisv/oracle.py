@@ -1,14 +1,16 @@
 """Synthetic drafter/target token source with controllable agreement.
 
 Stands in for the real model pair. Every per-position quantity (mismatch
-flag, criticality latent, token IDs, hidden vectors, and the per-position
-token distributions used by the dense-probability baseline) is pregenerated
-for a whole episode from one seeded generator, indexed by absolute token
-position. Because the draws are keyed to positions rather than to rounds,
-two engine runs over the same episode that make different acceptance
-decisions still see identical data at every position; this is what makes
-the threshold-monotonicity and protocol-equivalence properties exact
-rather than statistical.
+flag, criticality latent, token IDs, hidden vectors, and, for the
+dense-probability baseline, the per-position token distributions and
+speculative-sampling draws) is pregenerated for a whole episode, indexed by
+absolute token position, in fixed blocks of positions with one seeded
+generator per block. Because the draws are keyed to positions rather than
+to rounds or to the oracle's length, every engine run over the same episode
+sees identical data at every position, whatever its mode, window, threshold
+or protocol; this is what makes the threshold-monotonicity and
+protocol-equivalence properties exact rather than statistical, and what
+pairs the sweep's window sizes.
 
 Hidden vectors follow a linear-Gaussian family: h = sep * u * v + noise,
 with u the 0/1 criticality latent and v a fixed unit direction per side.
@@ -60,38 +62,60 @@ class OracleConfig:
             raise ValueError("mixing must lie in [0, 1]")
 
 
-@dataclass
-class DraftBlock:
-    """Drafter output for one round, sliced from the episode arrays."""
-
-    start: int
-    tokens: np.ndarray
-    hiddens_draft: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass
-class TargetView:
-    """Verifier-side view of a block: k+1 argmax tokens and k hiddens."""
-
-    argmax: np.ndarray
-    hiddens_target: np.ndarray
-
-
 def unit_direction(dim: int) -> np.ndarray:
     """Fixed class-mean direction used for both hidden-vector sides."""
     return np.full(dim, 1.0 / np.sqrt(dim))
 
 
-class EpisodeOracle:
-    """All token-level ground truth for one generation episode.
+# Positions per block: each block is drawn from its own generator.
+BLOCK = 128
 
-    ``n_positions`` must cover every position any engine variant can touch
-    (prefix + token budget + one overshooting window). Distribution pairs
-    for the dense-probability baseline are only materialized when
-    ``with_distributions`` is set, since they dominate generation cost.
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row i's categorical draw at uniform ``u[i]``, from row i's cumulative sums."""
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def speculative_columns(
+    p_draft: np.ndarray, p_target: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Speculative sampling at every position: (draft, accept, residual, bonus).
+
+    Row i of the (n, vocab) distributions and the (n, 4) uniforms gives
+    position i's draft token y ~ p_draft (at u[i, 0]), whether it is
+    accepted, u[i, 1] < min(1, p_target(y) / p_draft(y)), the token a
+    rejection emits from the normalized residual max(p_target - p_draft, 0),
+    or from p_target where that is all zero (at u[i, 2]), and the bonus
+    token a full accept emits from p_target (at u[i, 3]). A decode drafts
+    a position at most once and never drafts a bonus position, so one draw
+    per position is exact speculative sampling.
+    """
+    rows = np.arange(len(u))
+    draft = _inverse_cdf(np.cumsum(p_draft, axis=1), u[:, 0])
+    accept = u[:, 1] < np.minimum(1.0, p_target[rows, draft] / p_draft[rows, draft])
+    target_cdf = np.cumsum(p_target, axis=1)
+    residual_cdf = np.cumsum(np.maximum(p_target - p_draft, 0.0), axis=1)
+    total = residual_cdf[:, -1]
+    degenerate = total <= 0.0
+    residual_cdf[degenerate] = target_cdf[degenerate]
+    # The residual is drawn unnormalized: its cumulative sums against u * total.
+    residual = _inverse_cdf(residual_cdf, u[:, 2] * np.where(degenerate, 1.0, total))
+    return draft, accept, residual, _inverse_cdf(target_cdf, u[:, 3])
+
+
+class EpisodeOracle:
+    """All token-level ground truth for one generation episode, as position columns.
+
+    Entry i of every column belongs to absolute position i. ``n_positions``
+    must cover every position an engine variant can touch (prefix + token
+    budget + one overshooting window). Block b of ``BLOCK`` positions is
+    drawn from the generator seeded ``[config.seed, *seed, b]``: the
+    mismatch and criticality uniforms, the draft tokens and target offsets,
+    the hidden noise, and only then, ``with_distributions``, the
+    distribution pair and the speculative-sampling uniforms. So a
+    position's data depends neither on ``n_positions`` nor on
+    ``with_distributions``. Without them, ``p_draft``, ``p_target`` and
+    ``sd_reject``'s ``speculative_columns`` (``spec_*``) are None.
     """
 
     def __init__(
@@ -101,63 +125,35 @@ class EpisodeOracle:
         n_positions: int,
         with_distributions: bool = False,
     ):
-        self.config = config
-        self.n_positions = n_positions
+        self.n_positions = n = n_positions
         extra = [seed] if isinstance(seed, int) else list(seed)
-        rng = np.random.default_rng([config.seed, *extra])
-        n = n_positions
-        self.mismatch = rng.random(n) >= config.p_match
-        self.crit = self.mismatch & (rng.random(n) < config.p_crit)
-        self.draft_tokens = rng.integers(0, config.vocab_syn, size=n)
+        v, d_d = config.vocab_syn, config.d_h_draft
+        draws = []
+        for block in range(-(-n // BLOCK)):
+            rng = np.random.default_rng([config.seed, *extra, block])
+            fields = [rng.random((BLOCK, 2)), rng.integers([0, 1], v, size=(BLOCK, 2)),
+                      rng.standard_normal((BLOCK, d_d + config.d_h_target))]
+            if with_distributions:
+                fields += [rng.dirichlet(np.ones(v), size=(2, BLOCK)).transpose(1, 0, 2),
+                           rng.random((BLOCK, 4))]
+            draws.append(fields)
+        uniforms, tokens, noise, *sampling = (np.concatenate(f)[:n] for f in zip(*draws))
+        self.mismatch = uniforms[:, 0] >= config.p_match
+        self.crit = self.mismatch & (uniforms[:, 1] < config.p_crit)
+        self.draft_tokens = tokens[:, 0]
         # A nonzero modular offset guarantees target != draft at mismatches.
-        offsets = rng.integers(1, config.vocab_syn, size=n)
-        self.target_tokens = np.where(
-            self.mismatch,
-            (self.draft_tokens + offsets) % config.vocab_syn,
-            self.draft_tokens,
-        )
-        u = self.crit.astype(np.float64)[:, None]
-        self.h_draft = config.sep * u * unit_direction(config.d_h_draft)[None, :]
-        self.h_draft += config.noise * rng.standard_normal((n, config.d_h_draft))
-        self.h_target = config.sep * u * unit_direction(config.d_h_target)[None, :]
-        self.h_target += config.noise * rng.standard_normal((n, config.d_h_target))
-        self.p_draft: np.ndarray | None = None
-        self.p_target: np.ndarray | None = None
+        self.target_tokens = np.where(self.mismatch, tokens.sum(axis=1) % v, self.draft_tokens)
+        u = config.sep * self.crit[:, None]
+        self.h_draft = u * unit_direction(d_d) + config.noise * noise[:, :d_d]
+        self.h_target = u * unit_direction(config.d_h_target) + config.noise * noise[:, d_d:]
+        self.p_draft = self.p_target = None
+        self.spec_draft = self.spec_accept = self.spec_residual = self.spec_bonus = None
         if with_distributions:
-            v = config.vocab_syn
-            self.p_target = rng.dirichlet(np.ones(v), size=n)
-            other = rng.dirichlet(np.ones(v), size=n)
-            self.p_draft = (1.0 - config.mixing) * self.p_target + config.mixing * other
-
-    def draft(self, prefix_len: int, k: int) -> DraftBlock:
-        """Drafter block of k tokens starting at position ``prefix_len``."""
-        if k < 1:
-            raise ValueError("block length must be >= 1")
-        if prefix_len + k + 1 > self.n_positions:
-            raise IndexError("episode oracle ran out of pregenerated positions")
-        s = slice(prefix_len, prefix_len + k)
-        return DraftBlock(
-            start=prefix_len,
-            tokens=self.draft_tokens[s],
-            hiddens_draft=self.h_draft[s],
-        )
-
-    def verify_view(self, block: DraftBlock) -> TargetView:
-        """Target-side verification of ``block``: k+1 argmax tokens and hiddens.
-
-        The extra argmax token supports the bonus commit on full acceptance.
-        """
-        lo, k = block.start, len(block)
-        return TargetView(
-            argmax=self.target_tokens[lo : lo + k + 1],
-            hiddens_target=self.h_target[lo : lo + k],
-        )
-
-    def distributions(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-position (drafter, target) distributions over the small vocab."""
-        if self.p_draft is None or self.p_target is None:
-            raise RuntimeError("oracle was built without distributions")
-        return self.p_draft[position], self.p_target[position]
+            pair, spec_u = sampling
+            self.p_target = pair[:, 0]
+            self.p_draft = (1.0 - config.mixing) * self.p_target + config.mixing * pair[:, 1]
+            (self.spec_draft, self.spec_accept, self.spec_residual,
+             self.spec_bonus) = speculative_columns(self.p_draft, self.p_target, spec_u)
 
 
 def geometric_accepted_length(p_match: float, k: int) -> float:

@@ -27,11 +27,11 @@ from wisv.compute import (
     verify_round_flops,
 )
 from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
-from wisv.engine import run_episode, sd_reject_round
+from wisv.engine import run_episode
 from wisv.head import HeadParams, init_params, load_params, loss_and_grads
 from wisv.labeler import solve_budget_exact
 from wisv.metrics import aal, accuracy_proxy, e2e_latency, round_count, summarize
-from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match
+from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from wisv.wire import (
     WireConfig,
     comm_latency_fh,
@@ -142,15 +142,19 @@ def test_criterion_2_budget_solver_oracle():
 
 
 def test_criterion_3_speculative_sampling_exactness():
+    # The token one position emits (its draft if accepted, else its residual
+    # draw) must follow p_target; 1e5 independent trials in chunks of 1e4.
     t0 = time.monotonic()
     cfg = OracleConfig(p_match=0.9, d_h_draft=1, d_h_target=1, mixing=0.7, vocab_syn=64, seed=3)
     oracle = EpisodeOracle(cfg, seed=0, n_positions=3, with_distributions=True)
     rng = np.random.default_rng(1)
-    trials = 100_000
+    trials, chunk = 100_000, 10_000
+    p_draft = np.tile(oracle.p_draft[0], (chunk, 1))
+    p_target = np.tile(oracle.p_target[0], (chunk, 1))
     counts = np.zeros(cfg.vocab_syn)
-    for _ in range(trials):
-        drafted, _, emitted = sd_reject_round(oracle, 0, 1, rng)
-        counts[drafted[0] if drafted else emitted] += 1
+    for _ in range(trials // chunk):
+        draft, accept, residual, _ = speculative_columns(p_draft, p_target, rng.random((chunk, 4)))
+        counts += np.bincount(np.where(accept, draft, residual), minlength=cfg.vocab_syn)
     tv = 0.5 * np.abs(counts / trials - oracle.p_target[0]).sum()
     dt = time.monotonic() - t0
     report(3, tv < 0.01 and dt < 10.0, f"TV(emitted, target) = {tv:.5f} over 1e5 trials in {dt:.2f}s")
@@ -300,11 +304,30 @@ def test_criterion_8_trend_reproduction(pipeline):
     ok_a = aal_ratio >= 1.15 and rounds_ratio <= 0.9
 
     # (b) greedy latency is U-shaped in the window size
+    ks = [10, 16, 24, 32, 64]
     lats = []
-    for k in [10, 16, 24, 32, 64]:
+    for k in ks:
         lats.append(e2e_latency(eval_episodes(cfg, "sd_greedy", k, 0.5, "500mbps_50ms", 60)))
     kmin = int(np.argmin(lats))
     ok_b = 0 < kmin < 4 and lats[0] > min(lats) and lats[-1] > min(lats)
+
+    # Pairing across k: every k decodes the same position-keyed episodes, so
+    # the per-episode difference between adjacent k has a smaller SEM than
+    # two independent samples would. Shown as the mean over adjacent pairs.
+    def adjacent_sems(per_k):
+        paired, unpaired = [], []
+        for a, b in zip(per_k, per_k[1:]):
+            paired.append(np.std(b - a, ddof=1) / np.sqrt(len(a)))
+            unpaired.append(np.sqrt((np.var(a, ddof=1) + np.var(b, ddof=1)) / len(a)))
+        return f"{np.mean(paired):.3g} paired vs {np.mean(unpaired):.3g} unpaired"
+
+    fh_aal = [np.array([ep.aal for ep in eval_episodes(cfg, "wisv_fh", k, 0.9, "500mbps_50ms",
+                                                        60, head=head)]) for k in ks]
+    rej_lat = [np.array([ep.total_latency_s for ep in eval_episodes(cfg, "sd_reject", k, 0.5,
+                                                                     "500mbps_50ms", 60)])
+               for k in ks]
+    pairing = (f"adjacent-k diff SEM: wisv_fh AAL {adjacent_sems(fh_aal)}, "
+               f"sd_reject latency {adjacent_sems(rej_lat)}")
 
     # (c) protocol crossover: FH wins at 50 ms RTT, SH at 20 Mbps / 5 ms
     fh_hi = e2e_latency(eval_episodes(cfg, "wisv_fh", 10, 0.9, "500mbps_50ms", 50, head=head))
@@ -323,9 +346,9 @@ def test_criterion_8_trend_reproduction(pipeline):
         8,
         ok_a and ok_b and ok_c and ok_d and dt < 300.0,
         f"(a) aal x{aal_ratio:.2f}, rounds x{rounds_ratio:.2f} "
-        f"(b) latency-vs-k min at interior k={[10, 16, 24, 32, 64][kmin]} "
+        f"(b) latency-vs-k min at interior k={ks[kmin]} "
         f"(c) fh {fh_hi:.2f}<sh {sh_hi:.2f} @50ms, sh {sh_lo:.2f}<=fh {fh_lo:.2f} @20M/5ms "
-        f"(d) reject/greedy x{rej / grd:.1f} | {dt:.0f}s",
+        f"(d) reject/greedy x{rej / grd:.1f} | {pairing} | {dt:.0f}s",
     )
 
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -170,10 +171,14 @@ class TestConfig:
             ({"sweep": {"scenarios": [{"name": "a", "regime": "sampled",
                                        "per_up_range": [0.2, 0.1]}]}},
              "section 'sweep.scenarios[0]': per_up_range must have lo <= hi"),
-            ({"labeler": {"channel": {"switch_prob": 1.5}}},
-             "section 'labeler.channel': switch_prob must lie in [0, 1]"),
+            ({"labeler": {"channel": {"switch_prob": 0.5}}},
+             "section 'labeler.channel': switch_prob ('labeler.channel.switch_prob') does nothing "
+             "for relabeling"),
             ({"labeler": {"channel": {"per_up": 1.2}}},
              "section 'labeler.channel': packet error rates must lie in [0, 1)"),
+            ({"sweep": {"scenarios": [{"name": "a", "regime": "two-state",
+                                       "alt_rate_up_bps": 2e7, "switch_prob": 1.5}]}},
+             "section 'sweep.scenarios[0]': switch_prob must lie in [0, 1]"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -221,6 +226,27 @@ class TestRelabelCommand:
     def test_missing_traces_error(self, tmp_path):
         cfg = ExperimentConfig.load(write_config(tmp_path))
         with pytest.raises(FileNotFoundError, match="trace"):
+            cmd_relabel(cfg, tmp_path)
+
+    def test_trace_lineage_checked(self, small_run, tmp_path):
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=(TRACES,))
+        with pytest.raises(ValueError, match=r"no record in .*traces_meta\.json matches this run's "
+                           r"config section 'seed'; rerun 'trace'"):
+            cmd_relabel(cfg, tmp_path)
+        copy_artifacts(out, tmp_path, names=(TRACES_META,))
+        raw = copy.deepcopy(cfg.raw)
+        raw["oracle"]["p_crit"] = 0.5
+        with pytest.raises(ValueError, match="this run's config section 'oracle'"):
+            cmd_relabel(ExperimentConfig(raw=raw), tmp_path)
+        meta = json.loads((tmp_path / TRACES_META).read_text())
+        raw = copy.deepcopy(cfg.raw)
+        raw["engine"]["window"] += 1
+        with pytest.raises(ValueError, match="this run's config section 'engine.window'"):
+            cmd_relabel(ExperimentConfig(raw=raw), tmp_path)
+        del meta["lineage"]["engine.max_tokens"]
+        (tmp_path / TRACES_META).write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="this run's config section 'engine.max_tokens'"):
             cmd_relabel(cfg, tmp_path)
 
     def test_empty_trace_set_error(self, tmp_path):
@@ -342,7 +368,7 @@ class TestEvalCommand:
             assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_grouped_eval_matches_per_point_episodes(self, small_run, tmp_path, monkeypatch):
-        """One oracle per (k, episode), and shared decisions bill exactly like run_episode."""
+        """One oracle per episode, and shared decisions bill exactly like run_episode."""
         cfg, out = small_run
         scenarios = [
             {"name": "20mbps_5ms", "rate_up_bps": 20e6, "rate_down_bps": 20e6, "rtt_s": 0.005},
@@ -370,13 +396,11 @@ class TestEvalCommand:
         monkeypatch.setattr(engine, "EpisodeOracle", counting_oracle)
         copy_artifacts(out, tmp_path)
         cmd_eval(cfg, tmp_path)
-        assert len(builds) == 2 * 3  # len(k_values) x episodes
+        assert len(builds) == 3  # one oracle per episode, for every k
         builds.clear()
-        groups = [
-            (ep, cli._eval_point({"raw": cfg.raw, "k": k, "episode": ep, "head": head}))
-            for k in (4, 10) for ep in range(3)
-        ]
-        assert len(builds) == 2 * 3
+        groups = [(ep, cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head}))
+                  for ep in range(3)]
+        assert len(builds) == 3
         monkeypatch.undo()
 
         # Each point's totals and written lines, whose round records carry
@@ -385,7 +409,7 @@ class TestEvalCommand:
         system, oracle_cfg = cfg.system(), cfg.oracle()
         checked, protos, by_tau, by_scenario = 0, set(), {}, {}
         for ep, group in groups:
-            assert len(group) == 2 * 5 * 2  # scenarios x modes x taus
+            assert len(group) == 2 * 2 * 5 * 2  # k values x scenarios x modes x taus
             for (s_idx, mode, k, tau), totals, episode_line, round_lines in group:
                 trace = generate_trace(cfg.channel(scenarios[s_idx]),
                                        [cfg.seed, SEED_CHANNEL, s_idx, ep],
@@ -409,6 +433,70 @@ class TestEvalCommand:
         assert protos == {"FH", "SH"}
         assert by_tau[0.5] != by_tau[0.9]
         assert by_scenario[0] != by_scenario[1]
+
+    def test_round_lines_match_json_reference(self, small_run):
+        cfg, out = small_run
+        head = cli.load_params(out / HEAD)
+        two_state = cfg.channel({"regime": "two-state", "rate_up_bps": 500e6, "rtt_s": 0.05,
+                                 "alt_rate_up_bps": 20e6, "alt_rtt_s": 0.005,
+                                 "switch_prob": 0.3})
+        trace = generate_trace(two_state, [cfg.seed, 1], rounds=30)
+        names = ["m", "reject_pos", "accepted", "committed", "proto", "uplink_bits",
+                 "downlink_bits", "draft_s", "verify_s", "head_s", "comm_s", "total_s",
+                 "accepted_critical"]
+        seen = {"reject_pos": set(), "proto": set()}
+        for mode in MODES:
+            res = run_episode(cfg.system(), cfg.engine(mode=mode, window=10, tau=0.9),
+                              cfg.oracle(), trace, head, seed=[SEED_EVAL, 2])
+            base = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
+            comm = res.comm
+            columns = [res.m, res.reject_pos, res.accepted, res.committed, res.proto,
+                       comm.uplink_bits, comm.downlink_bits, res.draft_s, res.verify_s,
+                       res.head_s, comm.total_s, res.total_s, res.accepted_critical]
+            reference = ""
+            for r, values in enumerate(zip(*(c.tolist() for c in columns))):
+                record = dict(zip(names, values))
+                record["reject_pos"] = None if record["reject_pos"] < 0 else record["reject_pos"]
+                record["proto"] = engine.PROTO_NAMES[record["proto"]]
+                seen["reject_pos"].add(record["reject_pos"] is None)
+                seen["proto"].add(record["proto"])
+                reference += json.dumps({**base, "episode": 7, "round": r, **record},
+                                        separators=(",", ":")) + "\n"
+            assert cli._episode_lines(base, 7, res)[1] == reference, mode
+        assert seen == {"reject_pos": {True, False}, "proto": {None, "FH", "SH"}}
+
+    def test_non_finite_round_column_raises(self, small_run):
+        cfg, _ = small_run
+        res = run_episode(cfg.system(), cfg.engine(), cfg.oracle(),
+                          generate_trace(cfg.channel({}), 0, rounds=4), seed=0)
+        head_s = res.head_s.copy()
+        head_s[1] = np.nan
+        with pytest.raises(ValueError, match="round column 'head_s' of episode 3"):
+            cli._episode_lines({}, 3, dataclasses.replace(res, head_s=head_s))
+
+    def test_head_lineage_checked(self, small_run, tmp_path):
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path)
+        sidecar = tmp_path / (HEAD + ".json")
+        raw = copy.deepcopy(cfg.raw)
+        raw["labeler"]["rho"] = 0.3
+        with pytest.raises(ValueError, match=r"this run's config section 'labeler'; rerun 'train'"):
+            cmd_eval(ExperimentConfig(raw=raw), tmp_path)
+        record = json.loads(sidecar.read_text())
+        del record["lineage"]
+        sidecar.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="this run's config section 'seed'"):
+            cmd_eval(cfg, tmp_path)
+
+    def test_eval_only_keys_keep_head(self, small_run, tmp_path):
+        # The adaptive cutoff is read only when billing, so a head trained
+        # under one cutoff evaluates under another.
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path)
+        cut = derived_config(cfg, modes=["wisv_adaptive"], k_values=[10])
+        cut.raw["engine"]["adaptive_rtt_cutoff_s"] *= 2
+        rows = cmd_eval(cut, tmp_path)
+        assert rows and {r["mode"] for r in rows} == {"wisv_adaptive"}
 
     def test_stale_head_rejected(self, small_run, tmp_path):
         cfg, out = small_run
@@ -496,7 +584,7 @@ class TestAblateCommand:
 
         monkeypatch.setattr(engine, "EpisodeOracle", counting("oracle", engine.EpisodeOracle))
         monkeypatch.setattr(cli, "generate_trace", counting("trace", cli.generate_trace))
-        copy_artifacts(out, tmp_path, names=(TRACES,))
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
         paired = cli.cmd_ablate(small, tmp_path)
         assert calls == {"oracle": 2 * 3, "trace": 2 * 3}  # scenarios x episodes
         assert set(paired["scenarios"]) == {"500mbps_50ms", "20mbps_5ms"}
@@ -505,8 +593,7 @@ class TestAblateCommand:
         cfg, out = small_run
         from wisv.cli import cmd_ablate
 
-        for name in (TRACES,):
-            (tmp_path / name).write_bytes((out / name).read_bytes())
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
         cmd_ablate(cfg, tmp_path)
         assert (tmp_path / ABLATE_CSV).read_bytes() == (out / ABLATE_CSV).read_bytes()
 

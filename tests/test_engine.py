@@ -23,6 +23,7 @@ from wisv.compute import (
     verify_round_flops,
 )
 from wisv.engine import (
+    MODES,
     PROTO_DENSE,
     PROTO_FH,
     PROTO_SH,
@@ -32,13 +33,16 @@ from wisv.engine import (
     SystemModel,
     decide,
     episode_oracle,
-    localize,
     run_episode,
-    sd_reject_round,
     select_protocol,
 )
 from wisv.head import HeadParams, forward_batch, init_params
-from wisv.oracle import EpisodeOracle, OracleConfig, geometric_accepted_length
+from wisv.oracle import (
+    EpisodeOracle,
+    OracleConfig,
+    geometric_accepted_length,
+    speculative_columns,
+)
 from wisv.wire import (
     WireConfig,
     comm_latency_fh,
@@ -82,14 +86,21 @@ def static_trace(rate=500e6, rtt=0.05, rounds=300):
 
 
 class TestLocalize:
+    """A greedy round localizes every mismatch of its window and rejects at the first."""
+
+    @staticmethod
+    def greedy_round(tokens, argmax):
+        res = run_one_round(crafted_oracle(tokens, argmax), "sd_greedy", len(tokens))
+        return int(res.m[0]), int(res.reject_pos[0])
+
     def test_identical_sequences(self):
-        assert localize(np.array([1, 2, 3]), np.array([1, 2, 3, 9])) == []
+        assert self.greedy_round([1, 2, 3], [1, 2, 3, 9]) == (0, -1)
 
     def test_last_index_only(self):
-        assert localize(np.array([1, 2, 3]), np.array([1, 2, 9, 9])) == [2]
+        assert self.greedy_round([1, 2, 3], [1, 2, 9, 9]) == (1, 2)
 
     def test_reference_case(self):
-        assert localize(np.array([5, 7, 9]), np.array([5, 8, 9, 1])) == [1]
+        assert self.greedy_round([5, 7, 9], [5, 8, 9, 1]) == (1, 1)
 
 
 class TestSelectProtocol:
@@ -177,14 +188,18 @@ class TestWisvRound:
 
     def test_tiny_tau_reduces_to_greedy(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
-        runs = []
-        for mode, tau in (("wisv_fh", 1e-12), ("sd_greedy", 0.5)):
-            eng = EngineConfig(mode=mode, window=20, tau=tau, max_tokens=1, prefix_len=0)
-            runs.append(run_episode(SYSTEM, eng, oracle_config(), static_trace(), params, seed=1))
-        wisv, greedy = runs
-        assert greedy.m[0] > 0
-        np.testing.assert_array_equal(wisv.tokens, greedy.tokens)
-        assert wisv.accepted[0] == greedy.accepted[0]
+        screened = 0
+        for seed in range(5):
+            runs = []
+            for mode, tau in (("wisv_fh", 1e-12), ("sd_greedy", 0.5)):
+                eng = EngineConfig(mode=mode, window=20, tau=tau, max_tokens=1, prefix_len=0)
+                runs.append(run_episode(SYSTEM, eng, oracle_config(), static_trace(), params,
+                                        seed=seed))
+            wisv, greedy = runs
+            screened += int(greedy.m[0] > 0)
+            np.testing.assert_array_equal(wisv.tokens, greedy.tokens)
+            assert wisv.accepted[0] == greedy.accepted[0]
+        assert screened > 0  # not vacuous: some window has a mismatch to screen
 
     def test_selective_acceptance_midblock(self):
         oracle, params = handcrafted_oracle()
@@ -219,7 +234,7 @@ class TestWisvRound:
 
         def decisions(params, trace):
             oracle = episode_oracle(oracle_config(), eng, 3, False)
-            return decide(eng, oracle, 3, head_params=params, trace=trace, bounds=SYSTEM.bounds)
+            return decide(eng, oracle, head_params=params, trace=trace, bounds=SYSTEM.bounds)
 
         head = rtt_reading_head(4)
         aware = [decisions(head, trace) for trace in links]
@@ -274,47 +289,55 @@ class TestGreedyRound:
         assert res.aal == pytest.approx(geometric_accepted_length(0.9, k), rel=0.01)
 
 
-class _ScriptedRng:
-    """Deterministic stand-in for a Generator: returns scripted uniforms."""
+def reference_window(p_draft, p_target, k, rng):
+    """Speculative sampling over one window, token by token, as a per-window sampler draws it.
 
-    def __init__(self, values):
-        self._values = list(values)
+    Returns (accepted draft tokens, reject position or None, emitted token).
+    """
 
-    def random(self):
-        return self._values.pop(0)
+    def sample(p):
+        return min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")), len(p) - 1)
+
+    drafted = []
+    for i in range(k):
+        y = sample(p_draft[i])
+        if rng.random() < min(1.0, p_target[i][y] / p_draft[i][y]):
+            drafted.append(y)
+            continue
+        residual = np.maximum(p_target[i] - p_draft[i], 0.0)
+        total = residual.sum()
+        return drafted, i, sample(p_target[i] if total <= 0.0 else residual / total)
+    return drafted, None, sample(p_target[k])
 
 
 class TestRejectRound:
+    """``speculative_columns`` and the ``sd_reject`` scan over its columns."""
+
     def test_identical_distributions_always_accept(self):
         cfg = oracle_config(mixing=0.0, d_h_draft=1, d_h_target=1)
         oracle = EpisodeOracle(cfg, seed=5, n_positions=40, with_distributions=True)
-        drafted, reject_pos, _ = sd_reject_round(oracle, 0, 10, np.random.default_rng(0))
-        assert len(drafted) == 10
-        assert reject_pos is None
+        assert oracle.spec_accept.all()
+        eng = EngineConfig(mode="sd_reject", window=10, max_tokens=1, prefix_len=0)
+        got = decide(eng, oracle)
+        assert got.accepted.tolist() == [10] and got.reject_pos.tolist() == [-1]
 
     def test_zero_target_mass_always_rejected(self):
-        cfg = oracle_config(mixing=0.5, d_h_draft=1, d_h_target=1, vocab_syn=4)
-        oracle = EpisodeOracle(cfg, seed=5, n_positions=10, with_distributions=True)
-        oracle.p_draft[0] = np.array([1.0, 0.0, 0.0, 0.0])
-        oracle.p_target[0] = np.array([0.0, 1.0, 0.0, 0.0])
-        for trial in range(20):
-            rng = np.random.default_rng(trial)
-            drafted, reject_pos, emitted = sd_reject_round(oracle, 0, 1, rng)
-            assert drafted == [] and reject_pos == 0
-            assert emitted == 1  # residual mass sits entirely on token 1
+        p_draft = np.tile([1.0, 0.0, 0.0, 0.0], (20, 1))
+        p_target = np.tile([0.0, 1.0, 0.0, 0.0], (20, 1))
+        u = np.random.default_rng(0).random((20, 4))
+        draft, accept, residual, _ = speculative_columns(p_draft, p_target, u)
+        assert (draft == 0).all() and not accept.any()
+        assert (residual == 1).all()  # residual mass sits entirely on token 1
 
     def test_degenerate_residual_falls_back_to_target(self):
-        cfg = oracle_config(d_h_draft=1, d_h_target=1, vocab_syn=2)
-        oracle = EpisodeOracle(cfg, seed=5, n_positions=10, with_distributions=True)
-        bumped = 0.5 + 1e-15
-        oracle.p_draft[0] = np.array([bumped, bumped])
-        oracle.p_target[0] = np.array([0.5, 0.5])
-        # Sample y=0, force a reject, then draw 0.7: p_target puts it on
-        # token 1, while a 0/0 residual would land on token 0.
-        rng = _ScriptedRng([0.3, 1.0 - 1e-16, 0.7])
-        drafted, reject_pos, emitted = sd_reject_round(oracle, 0, 1, rng)
-        assert reject_pos == 0
-        assert emitted == 1
+        p_target = np.array([[0.25, 0.5, 0.25]])
+        p_draft = p_target + 1e-15  # the residual max(p_target - p_draft, 0) is all zero
+        # Draft y=1, force a reject, then draw 0.5: p_target puts it on
+        # token 1, while a 0/0 residual would land on token 0 and an
+        # unnormalized zero residual on the last token.
+        u = np.array([[0.3, 1.0 - 1e-16, 0.5, 0.5]])
+        draft, accept, residual, _ = speculative_columns(p_draft, p_target, u)
+        assert (draft[0], accept[0], residual[0]) == (1, False, 1)
 
     def test_dense_probability_payload(self):
         cfg = oracle_config(mixing=0.0, d_h_draft=1, d_h_target=1)
@@ -327,18 +350,49 @@ class TestRejectRound:
         )
 
     def test_emitted_token_matches_target_distribution(self):
-        # Exactness of the accept/residual rule: the emitted token at one
-        # position is distributed per p_target (TV oracle at 20k trials).
+        # Exactness of the accept/residual rule: the token one position emits,
+        # the draft if accepted and the residual draw if not, is distributed
+        # per p_target (TV oracle at 20k trials).
         cfg = oracle_config(mixing=0.7, d_h_draft=1, d_h_target=1)
         oracle = EpisodeOracle(cfg, seed=6, n_positions=3, with_distributions=True)
-        rng = np.random.default_rng(1)
-        counts = np.zeros(cfg.vocab_syn)
         trials = 20_000
-        for _ in range(trials):
-            drafted, _, emitted = sd_reject_round(oracle, 0, 1, rng)
-            counts[drafted[0] if drafted else emitted] += 1
+        p_draft = np.tile(oracle.p_draft[0], (trials, 1))
+        p_target = np.tile(oracle.p_target[0], (trials, 1))
+        u = np.random.default_rng(1).random((trials, 4))
+        draft, accept, residual, _ = speculative_columns(p_draft, p_target, u)
+        counts = np.bincount(np.where(accept, draft, residual), minlength=cfg.vocab_syn)
         tv = 0.5 * np.abs(counts / trials - oracle.p_target[0]).sum()
         assert tv < 0.02
+
+    def test_windows_match_per_window_sampler_in_distribution(self):
+        # Every sd_reject round is one window of the position-keyed columns. Its
+        # accepted length must follow the same law as the per-window sampler
+        # run on the same window's distributions: with acceptance rates a_j =
+        # sum_y min(p_draft, p_target) at the window's positions, P(i accepted)
+        # = a_0 ... a_{i-1} (1 - a_i), and P(k) = a_0 ... a_{k-1}. Both
+        # histograms over ~6000 rounds must lie within TV 0.03 of that law.
+        k = 4
+        cfg = oracle_config(mixing=0.7, vocab_syn=8, d_h_draft=1, d_h_target=1)
+        eng = EngineConfig(mode="sd_reject", window=k, max_tokens=15_000, prefix_len=0)
+        oracle = episode_oracle(cfg, eng, 8, True)
+        got = decide(eng, oracle)
+        alpha = np.minimum(oracle.p_draft, oracle.p_target).sum(axis=1)
+        rng = np.random.default_rng(2)
+        expected = np.zeros(k + 1)
+        reference = np.zeros(k + 1)
+        for start in got.start.tolist():
+            a = alpha[start : start + k]
+            survive = np.concatenate([[1.0], np.cumprod(a)])
+            expected += survive * np.append(1.0 - a, 1.0)
+            window = slice(start, start + k + 1)
+            drafted, _, _ = reference_window(oracle.p_draft[window], oracle.p_target[window], k,
+                                             rng)
+            reference[len(drafted)] += 1
+        n_rounds = len(got.start)
+        assert n_rounds > 5000
+        law = expected / n_rounds
+        for counts in (np.bincount(got.accepted, minlength=k + 1), reference):
+            assert 0.5 * np.abs(counts / n_rounds - law).sum() < 0.03
 
 
 class TestLedger:
@@ -388,6 +442,57 @@ class TestLedger:
             assert set(res.proto.tolist()) == {PROTO_FH, PROTO_SH}
 
 
+def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=None):
+    """The per-window decision loop: slice each window, localize its mismatches, screen them.
+
+    ``sd_reject`` walks the window's speculative-sampling columns token by
+    token. Returns the ``Decisions`` columns as lists.
+    """
+    mode, k = engine_cfg.mode, engine_cfg.window
+    if mode.startswith("wisv"):
+        csi_features = features(trace, bounds)
+    rows, tokens = [], []
+    prefix = engine_cfg.prefix_len
+    while prefix < engine_cfg.prefix_len + engine_cfg.max_tokens:
+        window = slice(prefix, prefix + k)
+        if mode == "sd_reject":
+            drafted = oracle.spec_draft[window].tolist()
+            accepts = oracle.spec_accept[window].tolist()
+            reject_pos = accepts.index(False) if False in accepts else None
+            mismatches = [] if reject_pos is None else [reject_pos]
+            fix = (oracle.spec_bonus[prefix + k] if reject_pos is None
+                   else oracle.spec_residual[prefix + reject_pos])
+        else:
+            drafted = oracle.draft_tokens[window].tolist()
+            argmax = oracle.target_tokens[prefix : prefix + k + 1]
+            mismatches = np.nonzero(oracle.draft_tokens[window] != argmax[:k])[0].tolist()
+            reject_pos = mismatches[0] if mismatches else None
+            if mode.startswith("wisv") and mismatches:
+                z = np.concatenate(
+                    [
+                        oracle.h_draft[window][mismatches],
+                        oracle.h_target[window][mismatches],
+                        np.tile(csi_features[len(rows) % len(csi_features)],
+                                (len(mismatches), 1)),
+                    ],
+                    axis=1,
+                )
+                _, p = forward_batch(head_params, z, training=False)
+                hits = np.flatnonzero(p >= engine_cfg.tau)
+                reject_pos = mismatches[hits[0]] if hits.size else None
+            fix = argmax[k if reject_pos is None else reject_pos]
+        accepted = k if reject_pos is None else reject_pos
+        tokens.extend(drafted[:accepted])
+        tokens.append(int(fix))
+        n_crit = sum(bool(oracle.crit[prefix + i]) for i in mismatches if i < accepted)
+        rejected = -1 if reject_pos is None else reject_pos
+        rows.append((prefix, len(mismatches), rejected, accepted, n_crit))
+        prefix += accepted + 1
+    start, m, reject_col, accepted_col, crit_col = (list(c) for c in zip(*rows))
+    return {"tokens": tokens, "start": start, "m": m, "reject_pos": reject_col,
+            "accepted": accepted_col, "accepted_critical": crit_col}
+
+
 class TestDecide:
     def test_greedy_needs_no_channel(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=150, prefix_len=32)
@@ -416,13 +521,32 @@ class TestDecide:
         monkeypatch.setattr(engine, "forward_batch", recording_forward)
         eng = EngineConfig(mode="wisv_sh", window=10, tau=0.6, max_tokens=200)
         oracle = episode_oracle(oracle_config(), eng, 2, False)
-        got = decide(eng, oracle, 2, head_params=init_params(4 + 4 + 5, 8, seed=1), trace=trace,
+        got = decide(eng, oracle, head_params=init_params(4 + 4 + 5, 8, seed=1), trace=trace,
                      bounds=SYSTEM.bounds)
         screened = np.flatnonzero(got.m > 0)
         assert len(screened) == len(seen) and screened.max() >= 7
         rows = features(trace, SYSTEM.bounds)
         for r, z_csi in zip(screened, seen):
             np.testing.assert_array_equal(z_csi, np.tile(rows[r % 7], (got.m[r], 1)))
+
+    @pytest.mark.parametrize("regime", ["static", "sampled"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_per_window_reference_loop(self, mode, regime):
+        channel = ChannelConfig(regime=regime, rate_up_range_bps=(20e6, 500e6),
+                                rtt_range_s=(0.002, 0.06))
+        head = rtt_reading_head(4)
+        screened = 0
+        for k, ep in ((4, 0), (10, 1), (10, 2), (24, 3)):
+            trace = generate_trace(channel, seed=ep, rounds=40)
+            eng = EngineConfig(mode=mode, window=k, tau=0.3, max_tokens=200, prefix_len=16)
+            oracle = episode_oracle(oracle_config(), eng, ep, mode == "sd_reject")
+            link = {"head_params": head, "trace": trace, "bounds": SYSTEM.bounds}
+            got = decide(eng, oracle, **link)
+            ref = reference_decide(eng, oracle, **link)
+            for name in Decisions.__dataclass_fields__:
+                assert getattr(got, name).tolist() == ref[name], (k, ep, name)
+            screened += int((got.m > 0).sum())
+        assert screened > 0
 
     @pytest.mark.parametrize("missing", ["trace", "bounds"])
     def test_screening_needs_trace_and_bounds(self, missing):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from wisv.engine import EngineConfig, decide, episode_oracle
 from wisv.oracle import (
+    BLOCK,
     EpisodeOracle,
     OracleConfig,
     calibrate_p_match,
@@ -21,15 +23,14 @@ class TestDraft:
     def test_perfect_match_has_no_mismatches(self):
         oracle = EpisodeOracle(slim_config(p_match=1.0), seed=0, n_positions=5000)
         assert not oracle.mismatch.any()
-        block = oracle.draft(0, 64)
-        np.testing.assert_array_equal(block.tokens, oracle.verify_view(block).argmax[:64])
+        np.testing.assert_array_equal(oracle.draft_tokens, oracle.target_tokens)
 
     def test_same_seed_identical_block(self):
         cfg = slim_config()
-        a = EpisodeOracle(cfg, seed=3, n_positions=100).draft(10, 10)
-        b = EpisodeOracle(cfg, seed=3, n_positions=100).draft(10, 10)
-        np.testing.assert_array_equal(a.tokens, b.tokens)
-        np.testing.assert_array_equal(a.hiddens_draft, b.hiddens_draft)
+        a = EpisodeOracle(cfg, seed=3, n_positions=100)
+        b = EpisodeOracle(cfg, seed=3, n_positions=100)
+        np.testing.assert_array_equal(a.draft_tokens, b.draft_tokens)
+        np.testing.assert_array_equal(a.h_draft, b.h_draft)
 
     def test_different_seed_differs(self):
         cfg = slim_config(p_match=0.5)
@@ -54,25 +55,63 @@ class TestDraft:
         assert oracle.mismatch.mean() == pytest.approx(0.2, abs=0.005)
 
     def test_block_bounds_checked(self):
-        oracle = EpisodeOracle(slim_config(), seed=0, n_positions=20)
+        # A round needs its window and the bonus position after it.
+        oracle = EpisodeOracle(slim_config(p_match=1.0), seed=0, n_positions=20)
+        fits = EngineConfig(window=9, max_tokens=1, prefix_len=10)
+        assert decide(fits, oracle).accepted.tolist() == [9]
         with pytest.raises(IndexError):
-            oracle.draft(15, 10)
+            decide(EngineConfig(window=10, max_tokens=1, prefix_len=10), oracle)
         with pytest.raises(ValueError):
-            oracle.draft(0, 0)
+            EngineConfig(window=0)
+
+
+class TestPositionKeying:
+    """A position's data depends only on the seeds and the position."""
+
+    FIELDS = ("mismatch", "crit", "draft_tokens", "target_tokens", "h_draft", "h_target")
+    SAMPLING = ("p_draft", "p_target", "spec_draft", "spec_accept", "spec_residual", "spec_bonus")
+
+    def test_fields_equal_across_lengths_and_distributions(self):
+        cfg = slim_config(p_match=0.6)
+        short = EpisodeOracle(cfg, seed=[4, 2], n_positions=3 * BLOCK - 5)
+        long = EpisodeOracle(cfg, seed=[4, 2], n_positions=5 * BLOCK + 7, with_distributions=True)
+        longer = EpisodeOracle(cfg, seed=[4, 2], n_positions=7 * BLOCK, with_distributions=True)
+        n = short.n_positions
+        assert len(short.mismatch) == n and len(long.mismatch) == long.n_positions
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(short, name), getattr(long, name)[:n], name)
+        for name in self.SAMPLING:
+            assert getattr(short, name) is None
+            np.testing.assert_array_equal(getattr(long, name),
+                                          getattr(longer, name)[: long.n_positions], name)
+
+    def test_one_oracle_serves_every_window(self):
+        cfg = slim_config(p_match=0.7)
+        oracles = {k: episode_oracle(cfg, EngineConfig(window=k), [4, 0], True) for k in (4, 64)}
+        n = oracles[4].n_positions
+        assert oracles[64].n_positions > n
+        for name in self.FIELDS + self.SAMPLING:
+            np.testing.assert_array_equal(getattr(oracles[4], name),
+                                          getattr(oracles[64], name)[:n], name)
+        # So a k=4 decode on the k=64 oracle decides exactly as on its own.
+        for mode in ("sd_greedy", "sd_reject"):
+            eng = EngineConfig(mode=mode, window=4)
+            a, b = (decide(eng, oracle) for oracle in oracles.values())
+            np.testing.assert_array_equal(a.tokens, b.tokens)
+            np.testing.assert_array_equal(a.reject_pos, b.reject_pos)
 
 
 class TestVerifyView:
     def test_target_differs_exactly_at_mismatches(self):
         oracle = EpisodeOracle(slim_config(p_match=0.7), seed=2, n_positions=5000)
-        block = oracle.draft(0, 4000)
-        view = oracle.verify_view(block)
-        diff = block.tokens != view.argmax[:4000]
-        np.testing.assert_array_equal(diff, oracle.mismatch[:4000])
+        np.testing.assert_array_equal(oracle.draft_tokens != oracle.target_tokens,
+                                      oracle.mismatch)
 
     def test_extra_bonus_token_present(self):
-        oracle = EpisodeOracle(slim_config(), seed=2, n_positions=100)
-        block = oracle.draft(0, 10)
-        assert len(oracle.verify_view(block).argmax) == 11
+        # A full accept commits the window plus the target token after it.
+        oracle = EpisodeOracle(slim_config(p_match=1.0), seed=2, n_positions=100)
+        got = decide(EngineConfig(window=10, max_tokens=1, prefix_len=0), oracle)
+        np.testing.assert_array_equal(got.tokens, oracle.target_tokens[:11])
 
     def test_no_critical_when_p_crit_zero(self):
         oracle = EpisodeOracle(slim_config(p_crit=0.0, p_match=0.5), seed=0, n_positions=10_000)
@@ -132,8 +171,7 @@ class TestDistributions:
     def test_zero_mixing_identical(self):
         cfg = slim_config(mixing=0.0)
         oracle = EpisodeOracle(cfg, seed=0, n_positions=50, with_distributions=True)
-        p_d, p_t = oracle.distributions(7)
-        np.testing.assert_array_equal(p_d, p_t)
+        np.testing.assert_array_equal(oracle.p_draft, oracle.p_target)
 
     def test_normalization(self):
         cfg = slim_config(mixing=0.6)
@@ -150,9 +188,10 @@ class TestDistributions:
         assert rates.mean() < 0.9
 
     def test_missing_distributions_guarded(self):
-        oracle = EpisodeOracle(slim_config(), seed=0, n_positions=10)
-        with pytest.raises(RuntimeError):
-            oracle.distributions(0)
+        oracle = EpisodeOracle(slim_config(), seed=0, n_positions=20)
+        assert oracle.p_draft is None and oracle.spec_accept is None
+        with pytest.raises(RuntimeError, match="distributions"):
+            decide(EngineConfig(mode="sd_reject", window=4, max_tokens=4, prefix_len=0), oracle)
 
 
 class TestConfigValidation:
