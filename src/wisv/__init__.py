@@ -4,7 +4,7 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 (payloads and serialization latency), ``compute`` (FLOPs timing),
 ``oracle`` (synthetic drafter/target pair), ``head`` (rejection MLP),
 ``labeler`` (trace collection and link-aware relabeling), ``engine``
-(the episode decision loop, ``decide``, and its latency ledger, ``bill``), ``metrics``
+(the episode decision loop, ``decide``, and its pricing step, ``bill``), ``metrics``
 (aggregation), and ``cli`` (experiment pipeline).
 """
 
@@ -21,12 +21,11 @@ from .compute import (
     FlopsConstants,
     HardwareProfile,
     ModelDims,
-    draft_round_flops,
     exec_time,
     head_flops,
     per_token_flops,
     round_latency,
-    verify_round_flops,
+    window_flops,
 )
 from .engine import (
     Decisions,
@@ -55,12 +54,11 @@ from .oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_
 from .wire import (
     LatencyBreakdown,
     WireConfig,
-    comm_latency_fh,
-    comm_latency_sh,
     feedback_bits,
     fh_uplink_bits,
     hidden_bits,
     reject_uplink_bits,
+    round_comm,
     sh_bits,
 )
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .channel import N_CSI_FEATURES, generate_trace, quality
 from .config import (
+    DATASET_SECTIONS,
     HEAD_SECTIONS,
     SEED_CHANNEL,
     SEED_EVAL,
@@ -37,7 +38,7 @@ from .config import (
     TRACE_SECTIONS,
     ExperimentConfig,
 )
-from .engine import PROTO_NAMES, EpisodeResult, bill, decide, episode_oracle
+from .engine import EpisodeResult, bill, decide, episode_oracle
 from .head import HeadParams, forward_batch, load_params, save_params, train
 from .labeler import (
     collect_traces,
@@ -49,6 +50,7 @@ from .labeler import (
     write_traces,
 )
 from .metrics import CSV_COLUMNS, EpisodeTotals, csv_row, summarize, write_csv
+from .wire import PROTO_NAMES
 
 TRACES = "traces.jsonl"
 TRACES_META = "traces_meta.json"
@@ -172,6 +174,7 @@ def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         "positive_rate": float(y.mean()),
         "per_quality_bucket": buckets,
         "config_hash": cfg.hash,
+        "lineage": cfg.lineage(DATASET_SECTIONS),
     }
     _dump_json(out / DATASET_MANIFEST, manifest)
     print(
@@ -209,6 +212,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     dataset_path = out / DATASET
     if not dataset_path.exists():
         raise FileNotFoundError(f"missing dataset {dataset_path}; run 'relabel' first")
+    _check_lineage(cfg, out / DATASET_MANIFEST, DATASET_SECTIONS, "relabel")
     x, y = read_dataset(dataset_path)
     tcfg = cfg.train()
     if tcfg.learning_rate == 0.0:
@@ -229,7 +233,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         )
     params, report = train(x[keep], y[keep], tcfg)
 
-    s_hold, p_hold = forward_batch(params, x[hold], training=False)
+    s_hold, p_hold = forward_batch(params, x[hold])
     hold_acc = float(np.mean((s_hold >= 0.0) == (y[hold] == 1.0)))
     hold_auc = _auc(p_hold, y[hold])
     meta = {

@@ -5,8 +5,10 @@ Per-token cost of a decoder-only transformer at context length l:
     N * (c1*d^2 + c2*d*d_ff + c3*l*d) + c4*d*V
 
 c1 covers the attention projections, c2 the gated MLP, c3 the two
-attention matmuls against the cached context, c4 the LM head. Execution
-time is flops / (utilization * peak_flops); no roofline beyond the scalar
+attention matmuls against the cached context, c4 the LM head. A round's
+draft and verify costs are one closed form, ``window_flops``, under the
+drafter's and the target's dimensions. Execution time is
+flops / (utilization * peak_flops); no roofline beyond the scalar
 utilization factor.
 """
 
@@ -81,11 +83,17 @@ def per_token_flops(dims: ModelDims, consts: FlopsConstants, ctx_len: int) -> fl
     )
 
 
-def _window_flops(
+def window_flops(
     dims: ModelDims, consts: FlopsConstants, prefix: int | np.ndarray, k: int
 ) -> float | np.ndarray:
-    # Closed form of sum over l = prefix .. prefix+k-1 of per_token_flops(l);
-    # the context term contributes N*c3*d * (k*prefix + k*(k-1)/2).
+    """FLOPs to run a k-token window on a ``prefix``-token context.
+
+    The drafter extending the context by k tokens and the target verifying
+    the k-token block follow the same causal chain: the closed form of the
+    sum over l = prefix .. prefix+k-1 of ``per_token_flops(l)``, whose
+    context term contributes N*c3*d * (k*prefix + k*(k-1)/2). ``prefix`` may
+    be an array of per-round prefix lengths.
+    """
     if k < 1:
         raise ValueError("block length must be >= 1")
     if np.any(prefix < 0):
@@ -93,23 +101,6 @@ def _window_flops(
     fixed = per_token_flops(dims, consts, 0)
     ctx_sum = k * prefix + k * (k - 1) // 2
     return k * fixed + dims.layers * consts.c3 * dims.hidden * ctx_sum
-
-
-def draft_round_flops(
-    dims: ModelDims, consts: FlopsConstants, prefix: int | np.ndarray, k: int
-) -> float | np.ndarray:
-    """Drafter FLOPs to autoregressively extend a ``prefix``-token context by k.
-
-    ``prefix`` may be an array of per-round prefix lengths.
-    """
-    return _window_flops(dims, consts, prefix, k)
-
-
-def verify_round_flops(
-    dims_target: ModelDims, consts: FlopsConstants, prefix: int | np.ndarray, k: int
-) -> float | np.ndarray:
-    """Target FLOPs to verify a k-token block; same causal-chain summation."""
-    return _window_flops(dims_target, consts, prefix, k)
 
 
 def head_flops(d_in: int, d_j: int, m: int | np.ndarray) -> float | np.ndarray:

@@ -35,10 +35,12 @@ SEED_EVAL = 4
 SEED_CHANNEL = 5
 
 # Config sections (or dotted paths) each stage's artifact is a function of:
-# traces_meta.json and head.bin.json record their hashes, and the stages that
-# read those artifacts refuse a mismatch. Keys only eval reads are left out.
+# traces_meta.json, dataset_manifest.json and head.bin.json record their
+# hashes, and the stages that read those artifacts refuse a mismatch. Keys
+# only eval reads are left out.
 TRACE_SECTIONS = ("seed", "oracle", "engine.window", "engine.max_tokens", "engine.prefix_len", "trace")
-HEAD_SECTIONS = (*TRACE_SECTIONS, "normalization", "labeler", "train")
+DATASET_SECTIONS = (*TRACE_SECTIONS, "normalization", "labeler")
+HEAD_SECTIONS = (*DATASET_SECTIONS, "train")
 
 DEFAULT_CONFIG: dict = {
     "seed": 20240101,
@@ -188,6 +190,20 @@ _POSITIVE_COUNTS = (
 )
 
 
+# Integer keys (a list holds one per entry) and what each one sizes: a
+# fraction fails late with a raw TypeError, and a bool passes as 0 or 1.
+_INTEGERS = {
+    "engine.window": "window",
+    "engine.max_tokens": "token budget",
+    "engine.prefix_len": "prefix length",
+    "sweep.k_values": "window",
+    "ablate.k": "window",
+    "oracle.d_h_draft": "hidden size",
+    "oracle.d_h_target": "hidden size",
+    "oracle.vocab_syn": "vocabulary size",
+}
+
+
 def config_hash(raw: dict) -> str:
     """Stable hash of the fully merged configuration."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -245,6 +261,13 @@ class ExperimentConfig:
         for grid in ("k_values", "tau_values", "modes", "scenarios"):
             if not isinstance(sweep[grid], list) or not sweep[grid]:
                 raise ValueError(f"sweep grid {grid!r} must be a nonempty list")
+        for dotted, what in _INTEGERS.items():
+            section, key = dotted.split(".")
+            value = self.raw[section][key]
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"config key {dotted!r}: a {what} must be an integer, "
+                                     f"got {v!r}")
         channels = {"labeler.channel": self.raw["labeler"]["channel"]}
         channels.update((f"sweep.scenarios[{i}]", sc) for i, sc in enumerate(sweep["scenarios"]))
         for where, section in channels.items():

@@ -1,4 +1,4 @@
-"""Device-edge decoding episodes: one decision loop and one latency ledger.
+"""Device-edge decoding episodes: one decision loop and one latency bill.
 
 Modes:
 
@@ -18,18 +18,20 @@ oracle's position columns and scans the rounds over a stop column: the
 first mismatch (``sd_greedy``), the first draft the per-position
 speculative-sampling draw rejects (``sd_reject``), or the first mismatch
 the head screens at p >= tau. The loop records integer ``Decisions``
-columns per round. ``bill`` then picks each round's wire protocol and
-prices the whole episode at once with ``ledger`` from those columns and
-the trace's per-round CSI columns. Decisions never read the protocol, and
-only the head-verified modes read the channel: FH, SH and adaptive share
-one decision and differ only in the ``proto`` column. ``run_episode`` is
+columns per round. ``bill`` is the one pricing step of an episode: it picks
+each round's wire protocol code (``wire.PROTO_*``) and prices every round
+at once from those columns and the trace's per-round CSI columns, the
+communication with ``wire.round_comm`` and the draft and verify compute
+with ``compute.window_flops``. Decisions never read the protocol, and only
+the head-verified modes read the channel: FH, SH and adaptive share one
+decision and differ only in the ``proto`` column. ``run_episode`` is
 both steps for one mode; a sweep can decide once and bill many variants
 from one oracle per episode (``episode_oracle``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,33 +40,25 @@ from .compute import (
     FlopsConstants,
     HardwareProfile,
     ModelDims,
-    draft_round_flops,
     exec_time,
     head_flops,
     round_latency,
-    verify_round_flops,
+    window_flops,
 )
 from .head import HeadParams, forward_batch
 from .oracle import EpisodeOracle, OracleConfig
 from .wire import (
+    PROTO_DENSE,
+    PROTO_FH,
+    PROTO_SH,
+    PROTO_TOKENS,
     LatencyBreakdown,
     WireConfig,
-    comm_latency_fh,
-    comm_latency_sh,
-    feedback_bits,
-    reject_uplink_bits,
-    single_exchange_latency,
-    token_uplink_bits,
+    round_comm,
 )
 
 MODES = ("sd_greedy", "sd_reject", "wisv_fh", "wisv_sh", "wisv_adaptive")
 
-# Wire protocol of a round, as stored in EpisodeResult.proto: token IDs only
-# (greedy), dense probabilities (rejection sampling), full or selective
-# hidden upload. The head-verified protocols FH and SH have the highest
-# codes. PROTO_NAMES is what the per-round records report.
-PROTO_TOKENS, PROTO_DENSE, PROTO_FH, PROTO_SH = range(4)
-PROTO_NAMES = (None, None, "FH", "SH")
 _MODE_PROTO = {
     "sd_greedy": PROTO_TOKENS,
     "sd_reject": PROTO_DENSE,
@@ -97,7 +91,7 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Everything the latency ledger needs: wire, compute, and CSI scaling.
+    """Everything ``bill`` needs: wire, compute, and CSI scaling.
 
     ``head_d_in``/``head_d_j`` are the accounting dimensions used to bill
     decision-head FLOPs; they describe the deployed head, not the small
@@ -122,7 +116,7 @@ class EpisodeResult:
     ``tokens``, ``m``, ``reject_pos``, ``accepted`` and
     ``accepted_critical`` are the episode's ``Decisions``; ``committed`` is
     accepted + 1 and ``proto`` the protocol code the bill chose per round.
-    The rest is the ledger's bill.
+    The rest is the bill.
     """
 
     tokens: np.ndarray
@@ -177,53 +171,6 @@ def round_order_sum(column: np.ndarray) -> float:
 def select_protocol(rtt: np.ndarray, cutoff: float = 0.010) -> np.ndarray:
     """Protocol code per round: FH where the RTT strictly exceeds the cutoff, SH otherwise."""
     return np.where(rtt > cutoff, PROTO_FH, PROTO_SH)
-
-
-def _exchange(
-    code: int, wire: WireConfig, k: int, m: np.ndarray, csi: CsiState
-) -> LatencyBreakdown:
-    """Communication of every round as if it used protocol ``code``."""
-    if code == PROTO_FH:
-        return comm_latency_fh(wire, k, csi)
-    if code == PROTO_SH:
-        return comm_latency_sh(wire, k, m, csi)
-    uplink = token_uplink_bits if code == PROTO_TOKENS else reject_uplink_bits
-    return single_exchange_latency(uplink(wire, k), feedback_bits(wire), csi)
-
-
-def ledger(
-    system: SystemModel,
-    k: int,
-    start: np.ndarray,
-    m: np.ndarray,
-    proto: np.ndarray,
-    csi: CsiState,
-) -> tuple[LatencyBreakdown, np.ndarray, np.ndarray, np.ndarray]:
-    """Bill every round of an episode: (communication, draft, verify, head seconds).
-
-    ``start`` is each round's prefix length, ``m`` its localized mismatch
-    count, ``proto`` its protocol code, and ``csi`` its link state, one
-    array entry per round. Only rounds verified by the head (FH or SH) pay
-    for screening their m mismatches.
-    """
-    draft_s = exec_time(
-        draft_round_flops(system.draft_dims, system.consts, start, k), system.hw_draft
-    )
-    verify_s = exec_time(
-        verify_round_flops(system.target_dims, system.consts, start, k), system.hw_target
-    )
-    screened = np.where(proto >= PROTO_FH, m, 0)
-    head_s = exec_time(head_flops(system.head_d_in, system.head_d_j, screened), system.hw_target)
-    columns: dict[str, np.ndarray] = {}
-    for code in sorted(set(proto.tolist())):
-        part = _exchange(code, system.wire, k, m, csi)
-        selected = proto == code
-        for f in fields(LatencyBreakdown):
-            value = np.broadcast_to(getattr(part, f.name), proto.shape)
-            old = columns.get(f.name)
-            columns[f.name] = value if old is None else np.where(selected, value, old)
-    comm = LatencyBreakdown(**columns)
-    return comm, draft_s, verify_s, head_s
 
 
 @dataclass(frozen=True)
@@ -316,7 +263,7 @@ def decide(
             at = mismatches[count[prefix] : count[prefix + k]]
             csi = np.tile(csi_features[len(starts) % len(csi_features)], (len(at), 1))
             z = np.concatenate([oracle.h_draft[at], oracle.h_target[at], csi], axis=1)
-            _, p = forward_batch(head_params, z, training=False)
+            _, p = forward_batch(head_params, z)
             hits = np.flatnonzero(p >= engine_cfg.tau)
             reject = int(at[hits[0]]) - prefix if hits.size else k
         starts.append(prefix)
@@ -347,21 +294,27 @@ def bill(
     """Price one episode's decisions under ``engine_cfg``'s protocol and the trace's CSI.
 
     Round r uses the trace's state r, wrapping if the episode outlives the
-    trace. Adaptive picks FH or SH per round from that state's RTT.
+    trace. Adaptive picks FH or SH per round from that state's RTT. Every
+    round pays its communication, drafting and verifying its window from its
+    prefix length, and, on head-verified (FH or SH) rounds only, screening
+    its m localized mismatches.
     """
-    n_rounds = len(decisions.m)
-    csi = trace.take(np.arange(n_rounds))
+    k, start, m = engine_cfg.window, decisions.start, decisions.m
+    csi = trace.take(np.arange(len(m)))
     code = _MODE_PROTO.get(engine_cfg.mode)
     if code is None:
         proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
     else:
-        proto = np.full(n_rounds, code, dtype=np.int64)
-    comm, draft_s, verify_s, head_s = ledger(
-        system, engine_cfg.window, decisions.start, decisions.m, proto, csi
-    )
+        proto = np.full(len(m), code, dtype=np.int64)
+    comm = round_comm(system.wire, k, proto, m, csi)
+    draft_s = exec_time(window_flops(system.draft_dims, system.consts, start, k), system.hw_draft)
+    verify_s = exec_time(window_flops(system.target_dims, system.consts, start, k),
+                         system.hw_target)
+    screened = np.where(proto >= PROTO_FH, m, 0)
+    head_s = exec_time(head_flops(system.head_d_in, system.head_d_j, screened), system.hw_target)
     return EpisodeResult(
         tokens=decisions.tokens,
-        m=decisions.m,
+        m=m,
         reject_pos=decisions.reject_pos,
         accepted=decisions.accepted,
         committed=decisions.accepted + 1,

@@ -5,7 +5,8 @@ output is a rejection probability. Forward pass:
 
     s = w2 . Dropout(ReLU(W1 z + b1)) + b2,   p = sigmoid(s)
 
-Dropout uses inverted scaling so inference needs no rescale. Training is
+Training draws dropout masks with inverted scaling, so inference
+(``forward_batch``) needs no rescale. Training is
 plain mini-batch SGD with momentum, weight decay on the weight matrices,
 and a positive-class weight for imbalance; gradients are exact
 backpropagation, and the BCE loss is always evaluated from the logit.
@@ -92,22 +93,11 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def forward_batch(
-    params: HeadParams,
-    z: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and rejection probabilities for a (n, d_in) feature batch."""
+def forward_batch(params: HeadParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inference logits and rejection probabilities for a (n, d_in) feature batch."""
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite feature input")
-    pre = z @ params.w1.T + params.b1
-    act = np.maximum(pre, 0.0)
-    if training and params.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode forward with dropout needs an rng")
-        keep = 1.0 - params.dropout_rate
-        act = act * (rng.random(act.shape) < keep) / keep
+    act = np.maximum(z @ params.w1.T + params.b1, 0.0)
     s = act @ params.w2 + params.b2
     return s, sigmoid(s)
 
@@ -221,7 +211,7 @@ def train(
             n_batches += 1
         report.epoch_losses.append(epoch_loss / n_batches)
 
-    s, _ = forward_batch(params, x, training=False)
+    s, _ = forward_batch(params, x)
     report.final_train_accuracy = float(np.mean((s >= 0.0) == (y == 1.0)))
     return params, report
 

@@ -1,16 +1,24 @@
-"""Payload sizes (bits) and serialization latency (seconds) per exchange.
+"""Payload sizes (bits) and serialization latency (seconds) per round.
 
-Three message patterns are modeled:
+Every round of an episode uses one of four wire protocols, coded as in
+``EpisodeResult.proto``:
 
-* full-hidden: one uplink carrying token IDs plus every drafter hidden
-  state, one downlink feedback, one round-trip overhead.
-* selective-hidden: token-ID uplink, position-request downlink, on-demand
-  hidden uplink, feedback downlink, two round-trip overheads.
-* dense-probability baseline: one uplink carrying token IDs plus a full
-  vocabulary of probabilities per position.
+* token IDs only (greedy baseline): one uplink carrying the window's token
+  IDs, one downlink feedback, one exchange.
+* dense probability (rejection-sampling baseline): one uplink carrying token
+  IDs plus a full vocabulary of probabilities per position, feedback, one
+  exchange.
+* full-hidden (FH): one uplink carrying token IDs plus every drafter hidden
+  state, feedback, one exchange.
+* selective-hidden (SH): the token-ID uplink, then a position-request
+  downlink and an on-demand hidden uplink for the m localized mismatches,
+  then feedback: two exchanges.
 
-Serialization time for a payload of B bits is B / (R * (1 - PER)); packet
-errors are folded into expected goodput, there is no retransmission state.
+A round is therefore a row of (uplink bits, downlink bits, exchanges), and
+``round_comm`` prices every row with one formula: serialization time for a
+payload of B bits is B / (R * (1 - PER)), and each exchange costs one RTT.
+Packet errors are folded into expected goodput; there is no retransmission
+state.
 """
 
 from __future__ import annotations
@@ -21,6 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CsiState, effective_rate
+
+# Wire protocol of a round, as stored in EpisodeResult.proto: token IDs only
+# (greedy), dense probabilities (rejection sampling), full or selective
+# hidden upload. The head-verified protocols FH and SH have the highest
+# codes. PROTO_NAMES is what the per-round records report.
+PROTO_TOKENS, PROTO_DENSE, PROTO_FH, PROTO_SH = range(4)
+PROTO_NAMES = (None, None, "FH", "SH")
 
 
 @dataclass(frozen=True)
@@ -53,10 +68,9 @@ class WireConfig:
 
 @dataclass(frozen=True)
 class LatencyBreakdown:
-    """Latency split of one exchange; total_s is the exact component sum.
+    """Communication latency split of one round; total_s is the exact component sum.
 
-    Fields are scalars for one exchange, or arrays with one entry per round
-    when the ``CsiState`` holds per-round arrays.
+    Fields are scalars for one round, or arrays with one entry per round.
     """
 
     uplink_s: float | np.ndarray
@@ -115,34 +129,31 @@ def reject_uplink_bits(cfg: WireConfig, k: int) -> int:
     return cfg.hdr_up + k * cfg.b_id + k * cfg.vocab_size * cfg.b_prob
 
 
-def single_exchange_latency(
-    uplink_bits: int, downlink_bits: int, csi: CsiState
+# First uplink of each protocol, indexed by its code; SH's sends token IDs only.
+_FIRST_UPLINK = (token_uplink_bits, reject_uplink_bits, fh_uplink_bits, token_uplink_bits)
+
+
+def round_comm(
+    cfg: WireConfig, k: int, proto: int | np.ndarray, m: int | np.ndarray, csi: CsiState
 ) -> LatencyBreakdown:
-    """Latency of one uplink + one downlink + one round trip."""
+    """Communication of every round under its protocol code ``proto``.
+
+    ``proto``, ``m`` (localized mismatches, 0 <= m <= k) and ``csi`` hold one
+    entry per round, or scalars for one round. The uplink is the protocol's
+    first uplink plus, on SH rounds, the on-demand hidden uplink; the
+    downlink is the feedback plus, on SH rounds, the position request. SH
+    rounds pay two exchanges, all others one.
+    """
+    _, request, hidden_uplink = sh_bits(cfg, k, m)
+    first_uplink = np.array([uplink(cfg, k) for uplink in _FIRST_UPLINK])
+    sh = proto == PROTO_SH
+    uplink_bits = first_uplink[proto] + np.where(sh, hidden_uplink, 0)
+    downlink_bits = feedback_bits(cfg) + np.where(sh, request, 0)
+    exchanges = np.where(sh, 2, 1)
     return LatencyBreakdown(
         uplink_s=uplink_bits / effective_rate(csi, "up"),
         downlink_s=downlink_bits / effective_rate(csi, "down"),
-        rtt_s=csi.rtt,
+        rtt_s=exchanges * csi.rtt,
         uplink_bits=uplink_bits,
         downlink_bits=downlink_bits,
-    )
-
-
-def comm_latency_fh(cfg: WireConfig, k: int, csi: CsiState) -> LatencyBreakdown:
-    """Full-hidden round: uplink serialization + feedback + one RTT."""
-    return single_exchange_latency(fh_uplink_bits(cfg, k), feedback_bits(cfg), csi)
-
-
-def comm_latency_sh(
-    cfg: WireConfig, k: int, m: int | np.ndarray, csi: CsiState
-) -> LatencyBreakdown:
-    """Selective-hidden round: four serialization terms + two RTTs."""
-    u1, req, u2 = sh_bits(cfg, k, m)
-    fb = feedback_bits(cfg)
-    return LatencyBreakdown(
-        uplink_s=(u1 + u2) / effective_rate(csi, "up"),
-        downlink_s=(req + fb) / effective_rate(csi, "down"),
-        rtt_s=2.0 * csi.rtt,
-        uplink_bits=u1 + u2,
-        downlink_bits=req + fb,
     )

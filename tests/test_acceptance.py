@@ -19,12 +19,11 @@ from wisv.compute import (
     FlopsConstants,
     HardwareProfile,
     ModelDims,
-    draft_round_flops,
     exec_time,
     head_flops,
     per_token_flops,
     round_latency,
-    verify_round_flops,
+    window_flops,
 )
 from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
 from wisv.engine import run_episode
@@ -33,13 +32,14 @@ from wisv.labeler import solve_budget_exact
 from wisv.metrics import aal, accuracy_proxy, e2e_latency, round_count, summarize
 from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from wisv.wire import (
+    PROTO_FH,
+    PROTO_SH,
     WireConfig,
-    comm_latency_fh,
-    comm_latency_sh,
     feedback_bits,
     fh_uplink_bits,
     hidden_bits,
     reject_uplink_bits,
+    round_comm,
     sh_bits,
 )
 
@@ -90,12 +90,12 @@ def test_criterion_1_formula_exactness():
     assert reject_uplink_bits(wire, 10) == 20521450
 
     csi = CsiState(500e6, 500e6, 0.0, 0.0, 0.05)
-    lat = comm_latency_fh(wire, 10, csi)
+    lat = round_comm(wire, 10, PROTO_FH, 0, csi)
     assert lat.uplink_s == pytest.approx(6.5634e-4, rel=rel)
     assert lat.downlink_s == pytest.approx(7.06e-7, rel=rel)
     assert lat.total_s == pytest.approx(0.050657046, rel=rel)
-    sh = comm_latency_sh(wire, 10, 0, CsiState(500e6, 500e6, 0, 0, 0.0))
-    fh0 = comm_latency_fh(wire, 10, CsiState(500e6, 500e6, 0, 0, 0.0))
+    sh = round_comm(wire, 10, PROTO_SH, 0, CsiState(500e6, 500e6, 0, 0, 0.0))
+    fh0 = round_comm(wire, 10, PROTO_FH, 0, CsiState(500e6, 500e6, 0, 0, 0.0))
     assert sh.total_s == pytest.approx(
         fh0.total_s - 10 * 32768 / 500e6 + 320 / 500e6 + 320 / 500e6, rel=rel
     )
@@ -105,12 +105,12 @@ def test_criterion_1_formula_exactness():
     consts = FlopsConstants(8, 6, 4, 2)
     assert per_token_flops(draft, consts, 512) == 2739929088
     loop_d = sum(per_token_flops(draft, consts, 100 + i) for i in range(10))
-    assert draft_round_flops(draft, consts, 100, 10) == pytest.approx(loop_d, rel=rel)
+    assert window_flops(draft, consts, 100, 10) == pytest.approx(loop_d, rel=rel)
     loop_t = sum(per_token_flops(target, consts, 100 + i) for i in range(10))
-    assert verify_round_flops(target, consts, 100, 10) == pytest.approx(loop_t, rel=rel)
+    assert window_flops(target, consts, 100, 10) == pytest.approx(loop_t, rel=rel)
     assert head_flops(4101, 256, 1) == 2100481
     assert exec_time(2.73e9, HardwareProfile(10e12, 0.3)) == pytest.approx(9.1e-4, rel=rel)
-    comm = comm_latency_fh(wire, 10, csi)
+    comm = round_comm(wire, 10, PROTO_FH, 0, csi)
     assert round_latency(1e-3, comm, 2e-3, 3e-5) == pytest.approx(
         1e-3 + comm.uplink_s + comm.downlink_s + comm.rtt_s + 2e-3 + 3e-5, rel=rel
     )
@@ -143,12 +143,14 @@ def test_criterion_2_budget_solver_oracle():
 
 def test_criterion_3_speculative_sampling_exactness():
     # The token one position emits (its draft if accepted, else its residual
-    # draw) must follow p_target; 1e5 independent trials in chunks of 1e4.
+    # draw) must follow p_target; 4e5 independent trials in chunks of 1e4.
+    # At 4e5 an exact sampler's TV sits near 0.005, so 0.01 fails only a
+    # biased one (at 1e5 it would fail about one seed in ten).
     t0 = time.monotonic()
     cfg = OracleConfig(p_match=0.9, d_h_draft=1, d_h_target=1, mixing=0.7, vocab_syn=64, seed=3)
     oracle = EpisodeOracle(cfg, seed=0, n_positions=3, with_distributions=True)
     rng = np.random.default_rng(1)
-    trials, chunk = 100_000, 10_000
+    trials, chunk = 400_000, 10_000
     p_draft = np.tile(oracle.p_draft[0], (chunk, 1))
     p_target = np.tile(oracle.p_target[0], (chunk, 1))
     counts = np.zeros(cfg.vocab_syn)
@@ -157,7 +159,7 @@ def test_criterion_3_speculative_sampling_exactness():
         counts += np.bincount(np.where(accept, draft, residual), minlength=cfg.vocab_syn)
     tv = 0.5 * np.abs(counts / trials - oracle.p_target[0]).sum()
     dt = time.monotonic() - t0
-    report(3, tv < 0.01 and dt < 10.0, f"TV(emitted, target) = {tv:.5f} over 1e5 trials in {dt:.2f}s")
+    report(3, tv < 0.01 and dt < 10.0, f"TV(emitted, target) = {tv:.5f} over 4e5 trials in {dt:.2f}s")
 
 
 def test_criterion_4_gradient_check():

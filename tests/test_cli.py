@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wisv import cli, engine
+from wisv import cli, engine, wire
 from wisv.channel import generate_trace
 from wisv.cli import (
     ABLATE_CSV,
@@ -185,6 +185,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.load(write_config(tmp_path, overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"engine": {"window": 10.5}}, "engine.window"),
+            ({"engine": {"window": True}}, "engine.window"),
+            ({"engine": {"max_tokens": 100.5}}, "engine.max_tokens"),
+            ({"engine": {"max_tokens": True}}, "engine.max_tokens"),
+            ({"engine": {"prefix_len": 8.5}}, "engine.prefix_len"),
+            ({"engine": {"prefix_len": False}}, "engine.prefix_len"),
+            ({"sweep": {"k_values": [True, 10]}}, "sweep.k_values"),
+            ({"sweep": {"k_values": [10, 16.0]}}, "sweep.k_values"),
+            ({"ablate": {"k": 10.0}}, "ablate.k"),
+            ({"ablate": {"k": True}}, "ablate.k"),
+            ({"oracle": {"d_h_draft": 8.5}}, "oracle.d_h_draft"),
+            ({"oracle": {"d_h_target": True}}, "oracle.d_h_target"),
+            ({"oracle": {"vocab_syn": 64.5}}, "oracle.vocab_syn"),
+        ],
+    )
+    def test_integer_key_rejected(self, tmp_path, overrides, key):
+        with pytest.raises(ValueError, match=re.escape(f"config key {key!r}: a ")
+                           + r"\w+( \w+)? must be an integer, got"):
+            ExperimentConfig.load(write_config(tmp_path, overrides))
+
     def test_shipped_configs_load(self):
         root = Path(__file__).resolve().parents[1]
         workloads = sorted((root / "perfbench" / "workloads").glob("*.yaml"))
@@ -299,14 +322,13 @@ class TestTrainCommand:
 
     def test_params_file_hash_deterministic(self, small_run, tmp_path):
         cfg, out = small_run
-        for name in (TRACES, DATASET):
-            (tmp_path / name).write_bytes((out / name).read_bytes())
+        copy_artifacts(out, tmp_path, names=(DATASET, DATASET_MANIFEST))
         cmd_train(cfg, tmp_path)
         assert (tmp_path / HEAD).read_bytes() == (out / HEAD).read_bytes()
 
     def test_one_class_holdout_refused_before_training(self, small_run, tmp_path, monkeypatch):
         cfg, out = small_run
-        (tmp_path / DATASET).write_bytes((out / DATASET).read_bytes())
+        copy_artifacts(out, tmp_path, names=(DATASET, DATASET_MANIFEST))
         n = json.loads((out / DATASET_MANIFEST).read_text())["instances"]
         raw = copy.deepcopy(cfg.raw)
         raw["train"]["holdout_fraction"] = 1.0 / n  # one held-out row: a single class
@@ -316,13 +338,27 @@ class TestTrainCommand:
             cmd_train(ExperimentConfig(raw=raw), tmp_path)
         assert not (tmp_path / HEAD).exists()
 
+    def test_dataset_lineage_checked(self, small_run, tmp_path, monkeypatch):
+        # A dataset relabeled under one labeler config trains no head for another.
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=(DATASET,))
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained before the check"))
+        with pytest.raises(ValueError, match=r"no record in .*dataset_manifest\.json matches this "
+                           r"run's config section 'seed'; rerun 'relabel'"):
+            cmd_train(cfg, tmp_path)
+        copy_artifacts(out, tmp_path, names=(DATASET_MANIFEST,))
+        raw = copy.deepcopy(cfg.raw)
+        raw["labeler"]["rho"] = 0.5
+        with pytest.raises(ValueError, match="this run's config section 'labeler'; rerun 'relabel'"):
+            cmd_train(ExperimentConfig(raw=raw), tmp_path)
+        assert not (tmp_path / HEAD).exists()
+
     def test_zero_lr_warns(self, small_run, tmp_path, capsys):
         cfg, out = small_run
         raw = json.loads(json.dumps(cfg.raw))
         raw["train"]["learning_rate"] = 0.0
         cfg0 = ExperimentConfig(raw=raw)
-        for name in (TRACES, DATASET):
-            (tmp_path / name).write_bytes((out / name).read_bytes())
+        copy_artifacts(out, tmp_path, names=(DATASET, DATASET_MANIFEST))
         cmd_train(cfg0, tmp_path)
         assert "learning rate is 0" in capsys.readouterr().err
 
@@ -457,7 +493,7 @@ class TestEvalCommand:
             for r, values in enumerate(zip(*(c.tolist() for c in columns))):
                 record = dict(zip(names, values))
                 record["reject_pos"] = None if record["reject_pos"] < 0 else record["reject_pos"]
-                record["proto"] = engine.PROTO_NAMES[record["proto"]]
+                record["proto"] = wire.PROTO_NAMES[record["proto"]]
                 seen["reject_pos"].add(record["reject_pos"] is None)
                 seen["proto"].add(record["proto"])
                 reference += json.dumps({**base, "episode": 7, "round": r, **record},

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,14 +8,13 @@ from wisv.compute import (
     FlopsConstants,
     HardwareProfile,
     ModelDims,
-    draft_round_flops,
     exec_time,
     head_flops,
     per_token_flops,
     round_latency,
-    verify_round_flops,
+    window_flops,
 )
-from wisv.wire import WireConfig, comm_latency_fh
+from wisv.wire import PROTO_FH, WireConfig, round_comm
 
 LLAMA_1B = ModelDims(layers=16, hidden=2048, ffn=8192, vocab=128256)
 LLAMA_8B = ModelDims(layers=32, hidden=4096, ffn=14336, vocab=128256)
@@ -46,34 +46,38 @@ class TestPerTokenFlops:
 
 class TestRoundFlops:
     def test_single_token(self):
-        assert draft_round_flops(LLAMA_1B, CONSTS, 100, 1) == per_token_flops(LLAMA_1B, CONSTS, 100)
+        assert window_flops(LLAMA_1B, CONSTS, 100, 1) == per_token_flops(LLAMA_1B, CONSTS, 100)
 
     def test_context_free_constants(self):
         flat = FlopsConstants(8, 6, 1e-30, 2)  # c3 ~ 0 within positivity constraint
-        got = draft_round_flops(LLAMA_1B, flat, 50, 3)
+        got = window_flops(LLAMA_1B, flat, 50, 3)
         assert got == pytest.approx(3 * per_token_flops(LLAMA_1B, flat, 50), rel=1e-12)
 
     def test_matches_summation_oracle(self):
-        got = draft_round_flops(LLAMA_1B, CONSTS, 100, 10)
+        got = window_flops(LLAMA_1B, CONSTS, 100, 10)
         assert got == pytest.approx(summation_oracle(LLAMA_1B, CONSTS, 100, 10), rel=1e-12)
 
     def test_verify_matches_summation_oracle_target_dims(self):
-        got = verify_round_flops(LLAMA_8B, CONSTS, 100, 10)
+        got = window_flops(LLAMA_8B, CONSTS, 100, 10)
         assert got == pytest.approx(summation_oracle(LLAMA_8B, CONSTS, 100, 10), rel=1e-12)
 
     def test_verify_single_token(self):
-        assert verify_round_flops(LLAMA_8B, CONSTS, 7, 1) == per_token_flops(LLAMA_8B, CONSTS, 7)
+        assert window_flops(LLAMA_8B, CONSTS, 7, 1) == per_token_flops(LLAMA_8B, CONSTS, 7)
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
-            draft_round_flops(LLAMA_1B, CONSTS, 0, 0)
+            window_flops(LLAMA_1B, CONSTS, 0, 0)
         with pytest.raises(ValueError):
-            verify_round_flops(LLAMA_8B, CONSTS, 0, 0)
+            window_flops(LLAMA_8B, CONSTS, 0, 0)
+
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ValueError, match="prefix length"):
+            window_flops(LLAMA_1B, CONSTS, np.array([3, -1]), 4)
 
     @given(prefix=st.integers(0, 4096), k1=st.integers(1, 64), k2=st.integers(1, 64))
     def test_prefix_additivity(self, prefix, k1, k2):
-        whole = draft_round_flops(LLAMA_1B, CONSTS, prefix, k1 + k2)
-        split = draft_round_flops(LLAMA_1B, CONSTS, prefix, k1) + draft_round_flops(
+        whole = window_flops(LLAMA_1B, CONSTS, prefix, k1 + k2)
+        split = window_flops(LLAMA_1B, CONSTS, prefix, k1) + window_flops(
             LLAMA_1B, CONSTS, prefix + k1, k2
         )
         assert whole == pytest.approx(split, rel=1e-12)
@@ -105,21 +109,21 @@ class TestExecTime:
 
 class TestRoundLatency:
     def test_comm_only(self):
-        comm = comm_latency_fh(WireConfig(), 10, CsiState(500e6, 500e6, 0, 0, 0.05))
+        comm = round_comm(WireConfig(), 10, PROTO_FH, 0, CsiState(500e6, 500e6, 0, 0, 0.05))
         assert round_latency(0.0, comm, 0.0, 0.0) == comm.total_s
 
     def test_additivity(self):
-        comm = comm_latency_fh(WireConfig(), 10, CsiState(500e6, 500e6, 0, 0, 0.05))
+        comm = round_comm(WireConfig(), 10, PROTO_FH, 0, CsiState(500e6, 500e6, 0, 0, 0.05))
         base = round_latency(0.01, comm, 0.02, 0.003)
         assert round_latency(0.02, comm, 0.02, 0.003) == pytest.approx(base + 0.01, rel=1e-12)
 
     def test_composed_round_component_sum(self):
         csi = CsiState(500e6, 500e6, 0.0, 0.0, 0.05)
-        comm = comm_latency_fh(WireConfig(), 10, csi)
+        comm = round_comm(WireConfig(), 10, PROTO_FH, 0, csi)
         hw_d = HardwareProfile(10e12, 0.30)
         hw_t = HardwareProfile(150e12, 0.40)
-        t_d = exec_time(draft_round_flops(LLAMA_1B, CONSTS, 64, 10), hw_d)
-        t_t = exec_time(verify_round_flops(LLAMA_8B, CONSTS, 64, 10), hw_t)
+        t_d = exec_time(window_flops(LLAMA_1B, CONSTS, 64, 10), hw_d)
+        t_t = exec_time(window_flops(LLAMA_8B, CONSTS, 64, 10), hw_t)
         t_j = exec_time(head_flops(6149, 256, 2), hw_t)
         total = round_latency(t_d, comm, t_t, t_j)
         parts = (
@@ -128,7 +132,7 @@ class TestRoundLatency:
         assert total == pytest.approx(parts, rel=1e-12)
 
     def test_monotone_in_components(self):
-        comm = comm_latency_fh(WireConfig(), 10, CsiState(500e6, 500e6, 0, 0, 0.05))
+        comm = round_comm(WireConfig(), 10, PROTO_FH, 0, CsiState(500e6, 500e6, 0, 0, 0.05))
         assert round_latency(0.02, comm, 0.01, 0.0) > round_latency(0.01, comm, 0.01, 0.0)
 
 

@@ -9,6 +9,7 @@ from wisv.channel import (
     ChannelConfig,
     CsiState,
     NormalizationBounds,
+    effective_rate,
     features,
     generate_trace,
 )
@@ -16,18 +17,12 @@ from wisv.compute import (
     FlopsConstants,
     HardwareProfile,
     ModelDims,
-    draft_round_flops,
     exec_time,
     head_flops,
-    round_latency,
-    verify_round_flops,
+    window_flops,
 )
 from wisv.engine import (
     MODES,
-    PROTO_DENSE,
-    PROTO_FH,
-    PROTO_SH,
-    PROTO_TOKENS,
     Decisions,
     EngineConfig,
     SystemModel,
@@ -44,14 +39,15 @@ from wisv.oracle import (
     speculative_columns,
 )
 from wisv.wire import (
+    PROTO_DENSE,
+    PROTO_FH,
+    PROTO_SH,
+    PROTO_TOKENS,
     WireConfig,
-    comm_latency_fh,
-    comm_latency_sh,
     feedback_bits,
     fh_uplink_bits,
     reject_uplink_bits,
     sh_bits,
-    single_exchange_latency,
     token_uplink_bits,
 )
 
@@ -395,8 +391,33 @@ class TestRejectRound:
             assert 0.5 * np.abs(counts / n_rounds - law).sum() < 0.03
 
 
+def reference_round(system, k, prefix, m, proto, csi):
+    """One round's bill from scalars: (uplink_s, downlink_s, rtt_s, uplink bits,
+    downlink bits, draft_s, verify_s, head_s, total_s).
+
+    The protocol fixes the round's bits each way and its exchanges.
+    """
+    wire = system.wire
+    uplink = {PROTO_TOKENS: token_uplink_bits, PROTO_DENSE: reject_uplink_bits,
+              PROTO_FH: fh_uplink_bits, PROTO_SH: token_uplink_bits}[proto](wire, k)
+    downlink, exchanges = feedback_bits(wire), 1
+    if proto == PROTO_SH:
+        _, request, hidden = sh_bits(wire, k, m)
+        uplink, downlink, exchanges = uplink + hidden, downlink + request, 2
+    up_s, down_s = uplink / effective_rate(csi, "up"), downlink / effective_rate(csi, "down")
+    rtt_s = exchanges * csi.rtt
+    draft_s = exec_time(window_flops(system.draft_dims, system.consts, prefix, k),
+                        system.hw_draft)
+    verify_s = exec_time(window_flops(system.target_dims, system.consts, prefix, k),
+                         system.hw_target)
+    screened = m if proto in (PROTO_FH, PROTO_SH) else 0
+    head_s = exec_time(head_flops(system.head_d_in, system.head_d_j, screened), system.hw_target)
+    total_s = draft_s + (up_s + down_s + rtt_s) + verify_s + head_s
+    return up_s, down_s, rtt_s, uplink, downlink, draft_s, verify_s, head_s, total_s
+
+
 class TestLedger:
-    """The vectorized ledger against the scalar wire/compute functions, round by round."""
+    """``bill`` against the scalar formula of one round, round by round."""
 
     @pytest.mark.parametrize("mode", ["sd_greedy", "sd_reject", "wisv_fh", "wisv_sh",
                                       "wisv_adaptive"])
@@ -410,31 +431,16 @@ class TestLedger:
         res = run_episode(SYSTEM, eng, oracle_config(), trace, params, seed=2)
         n_trace = len(trace.rtt)
         assert res.n_rounds > n_trace
-        wire, prefix, total = SYSTEM.wire, eng.prefix_len, 0
+        prefix, total = eng.prefix_len, 0
+        names = ("uplink_s", "downlink_s", "rtt_s", "uplink_bits", "downlink_bits")
         for r in range(res.n_rounds):
             i = r % n_trace  # round r's scalar state, read from the columns
             csi = CsiState(trace.r_up[i], trace.r_down[i], trace.per_up[i], trace.per_down[i],
                            trace.rtt[i])
-            m, proto = int(res.m[r]), int(res.proto[r])
-            if proto == PROTO_FH:
-                comm = comm_latency_fh(wire, 10, csi)
-            elif proto == PROTO_SH:
-                comm = comm_latency_sh(wire, 10, m, csi)
-            else:
-                bits = token_uplink_bits if proto == PROTO_TOKENS else reject_uplink_bits
-                comm = single_exchange_latency(bits(wire, 10), feedback_bits(wire), csi)
-            draft_s = exec_time(draft_round_flops(SYSTEM.draft_dims, SYSTEM.consts, prefix, 10),
-                                SYSTEM.hw_draft)
-            verify_s = exec_time(
-                verify_round_flops(SYSTEM.target_dims, SYSTEM.consts, prefix, 10), SYSTEM.hw_target
-            )
-            screened = m if proto in (PROTO_FH, PROTO_SH) else 0
-            head_s = exec_time(head_flops(SYSTEM.head_d_in, SYSTEM.head_d_j, screened),
-                               SYSTEM.hw_target)
-            for name in ("uplink_s", "downlink_s", "rtt_s", "uplink_bits", "downlink_bits"):
-                assert getattr(res.comm, name)[r] == getattr(comm, name), (r, name)
-            assert (res.draft_s[r], res.verify_s[r], res.head_s[r]) == (draft_s, verify_s, head_s)
-            assert res.total_s[r] == round_latency(draft_s, comm, verify_s, head_s)
+            ref = reference_round(SYSTEM, 10, prefix, int(res.m[r]), int(res.proto[r]), csi)
+            got = (*(getattr(res.comm, name)[r] for name in names), res.draft_s[r],
+                   res.verify_s[r], res.head_s[r], res.total_s[r])
+            assert got == ref, r
             total += res.total_s[r]
             prefix += int(res.committed[r])
         assert res.total_latency_s == total
@@ -477,7 +483,7 @@ def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=No
                     ],
                     axis=1,
                 )
-                _, p = forward_batch(head_params, z, training=False)
+                _, p = forward_batch(head_params, z)
                 hits = np.flatnonzero(p >= engine_cfg.tau)
                 reject_pos = mismatches[hits[0]] if hits.size else None
             fix = argmax[k if reject_pos is None else reject_pos]
@@ -514,9 +520,9 @@ class TestDecide:
         trace = generate_trace(channel, seed=4, rounds=7)  # every round differs; wraps
         seen = []
 
-        def recording_forward(params, z, training):
+        def recording_forward(params, z):
             seen.append(z[:, -N_CSI_FEATURES:].copy())
-            return forward_batch(params, z, training=training)
+            return forward_batch(params, z)
 
         monkeypatch.setattr(engine, "forward_batch", recording_forward)
         eng = EngineConfig(mode="wisv_sh", window=10, tau=0.6, max_tokens=200)

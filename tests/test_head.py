@@ -37,9 +37,9 @@ def separable_dataset(n=200, margin=1.0, seed=0):
     return x, y
 
 
-def one(params, z, **kw):
+def one(params, z):
     """(logit, probability) of a single feature vector through the batch pass."""
-    s, p = forward_batch(params, z[None, :], **kw)
+    s, p = forward_batch(params, z[None, :])
     return float(s[0]), float(p[0])
 
 
@@ -100,19 +100,6 @@ class TestForward:
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError):
             one(zero_params(), np.array([1.0, np.nan, 0.0, 0.0]))
-
-    def test_training_forward_needs_rng_with_dropout(self):
-        params = init_params(4, 3, seed=0, dropout_rate=0.5)
-        with pytest.raises(ValueError):
-            one(params, np.ones(4), training=True)
-
-    def test_inverted_dropout_preserves_expectation(self):
-        params = init_params(16, 32, seed=3, dropout_rate=0.4)
-        z = np.linspace(-1, 1, 16)
-        rng = np.random.default_rng(0)
-        s_ref, _ = one(params, z, training=False)
-        draws = [one(params, z, training=True, rng=rng)[0] for _ in range(4000)]
-        assert np.mean(draws) == pytest.approx(s_ref, abs=0.05)
 
     def test_sigmoid_open_interval(self):
         s = sigmoid(np.linspace(-30, 30, 1001))

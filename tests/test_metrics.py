@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wisv.compute import round_latency
-from wisv.engine import PROTO_TOKENS, EpisodeResult
+from wisv.engine import EpisodeResult
 from wisv.metrics import (
     CSV_COLUMNS,
     EpisodeTotals,
@@ -17,7 +17,7 @@ from wisv.metrics import (
     throughput,
     write_csv,
 )
-from wisv.wire import LatencyBreakdown
+from wisv.wire import PROTO_TOKENS, LatencyBreakdown
 
 
 def fake_episode(accepted_lengths, latency_per_round=0.1, critical=0):

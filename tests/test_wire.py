@@ -1,17 +1,19 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wisv.channel import CsiState
 from wisv.wire import (
+    PROTO_FH,
+    PROTO_SH,
+    PROTO_TOKENS,
     WireConfig,
-    comm_latency_fh,
-    comm_latency_sh,
     feedback_bits,
     fh_uplink_bits,
     hidden_bits,
     reject_uplink_bits,
+    round_comm,
     sh_bits,
-    single_exchange_latency,
     token_uplink_bits,
 )
 
@@ -20,6 +22,16 @@ DEFAULT = WireConfig()
 
 def make_csi(rate=500e6, per=0.0, rtt=0.05):
     return CsiState(rate, rate, per, per, rtt)
+
+
+def fh(cfg, k, csi):
+    """One full-hidden round."""
+    return round_comm(cfg, k, PROTO_FH, 0, csi)
+
+
+def sh(cfg, k, m, csi):
+    """One selective-hidden round requesting m hidden states."""
+    return round_comm(cfg, k, PROTO_SH, m, csi)
 
 
 class TestBitFormulas:
@@ -110,7 +122,7 @@ class TestBitFormulas:
 
 class TestCommLatency:
     def test_fh_reference_values(self):
-        lat = comm_latency_fh(DEFAULT, 10, make_csi(rate=500e6, rtt=0.05))
+        lat = fh(DEFAULT, 10, make_csi(rate=500e6, rtt=0.05))
         assert lat.uplink_bits == 328170
         assert lat.downlink_bits == 353
         assert lat.uplink_s == pytest.approx(6.5634e-4, rel=1e-9)
@@ -119,36 +131,36 @@ class TestCommLatency:
         assert lat.total_s == pytest.approx(0.050657046, rel=1e-9)
 
     def test_total_is_exact_component_sum(self):
-        lat = comm_latency_fh(DEFAULT, 10, make_csi())
+        lat = fh(DEFAULT, 10, make_csi())
         assert lat.total_s == lat.uplink_s + lat.downlink_s + lat.rtt_s
 
     def test_infinite_rate_limit(self):
-        lat = comm_latency_fh(DEFAULT, 10, make_csi(rate=1e18, rtt=0.0))
+        lat = fh(DEFAULT, 10, make_csi(rate=1e18, rtt=0.0))
         assert lat.total_s == pytest.approx(0.0, abs=1e-10)
 
     def test_per_scaling_doubles_uplink(self):
-        clean = comm_latency_fh(DEFAULT, 10, make_csi(per=0.0))
-        lossy = comm_latency_fh(DEFAULT, 10, make_csi(per=0.5))
+        clean = fh(DEFAULT, 10, make_csi(per=0.0))
+        lossy = fh(DEFAULT, 10, make_csi(per=0.5))
         assert lossy.uplink_s == pytest.approx(2.0 * clean.uplink_s, rel=1e-12)
 
     def test_sh_rtt_counted_twice(self):
-        lat = comm_latency_sh(DEFAULT, 10, 2, make_csi(rtt=0.05))
+        lat = sh(DEFAULT, 10, 2, make_csi(rtt=0.05))
         assert lat.rtt_s == pytest.approx(0.1)
 
     def test_sh_vs_fh_zero_request_algebra(self):
         # With m=0 and rtt=0, SH differs from FH by dropping the hidden
         # payload and adding one extra header per direction.
         csi = make_csi(rtt=0.0)
-        sh = comm_latency_sh(DEFAULT, 10, 0, csi)
-        fh = comm_latency_fh(DEFAULT, 10, csi)
+        lat_sh = sh(DEFAULT, 10, 0, csi)
+        lat_fh = fh(DEFAULT, 10, csi)
         rate = 500e6
         expected = (
-            fh.total_s
+            lat_fh.total_s
             - 10 * hidden_bits(DEFAULT) / rate
             + DEFAULT.hdr_up / rate
             + DEFAULT.hdr_down / rate
         )
-        assert sh.total_s == pytest.approx(expected, rel=1e-12)
+        assert lat_sh.total_s == pytest.approx(expected, rel=1e-12)
 
     def test_sh_second_uplink_term_at_low_rate(self):
         _, _, u2 = sh_bits(DEFAULT, 10, 1)
@@ -156,24 +168,27 @@ class TestCommLatency:
 
     def test_latency_linear_in_bits(self):
         csi = make_csi(rtt=0.0)
-        one = single_exchange_latency(1000, 0, csi)
-        three = single_exchange_latency(3000, 0, csi)
+        token_ids = 10 * DEFAULT.b_id
+        one = round_comm(WireConfig(hdr_up=1000 - token_ids), 10, PROTO_TOKENS, 0, csi)
+        three = round_comm(WireConfig(hdr_up=3000 - token_ids), 10, PROTO_TOKENS, 0, csi)
+        assert (one.uplink_bits, three.uplink_bits) == (1000, 3000)
         assert three.uplink_s == pytest.approx(3.0 * one.uplink_s, rel=1e-12)
 
     def test_positive_when_any_payload(self):
-        lat = comm_latency_sh(DEFAULT, 4, 1, make_csi(rate=1e6, rtt=0.0))
+        lat = sh(DEFAULT, 4, 1, make_csi(rate=1e6, rtt=0.0))
         assert lat.total_s > 0.0
+
+    def test_request_beyond_window_rejected_on_any_protocol(self):
+        with pytest.raises(ValueError, match="0 <= m <= k"):
+            round_comm(DEFAULT, 4, np.array([PROTO_FH, PROTO_TOKENS]), np.array([0, -1]),
+                       make_csi())
 
 
 class TestCrossoverProperty:
     def test_sh_wins_low_rate_low_rtt(self):
         csi = make_csi(rate=20e6, rtt=0.005)
-        sh = comm_latency_sh(DEFAULT, 10, 1, csi)
-        fh = comm_latency_fh(DEFAULT, 10, csi)
-        assert sh.total_s < fh.total_s
+        assert sh(DEFAULT, 10, 1, csi).total_s < fh(DEFAULT, 10, csi).total_s
 
     def test_fh_wins_high_rtt(self):
         csi = make_csi(rate=500e6, rtt=0.05)
-        sh = comm_latency_sh(DEFAULT, 10, 1, csi)
-        fh = comm_latency_fh(DEFAULT, 10, csi)
-        assert fh.total_s < sh.total_s
+        assert fh(DEFAULT, 10, csi).total_s < sh(DEFAULT, 10, 1, csi).total_s
