@@ -4,7 +4,8 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 (payloads and serialization latency), ``compute`` (FLOPs timing),
 ``oracle`` (synthetic drafter/target pair), ``head`` (rejection MLP),
 ``labeler`` (trace collection and link-aware relabeling), ``engine``
-(the episode decision loop, ``decide``, and its pricing step, ``bill``), ``metrics``
+(the head's screen of an episode, ``head_screens``, the episode decision
+loop, ``decide``, and its pricing step, ``bill``), ``metrics``
 (aggregation), and ``cli`` (experiment pipeline).
 """
 
@@ -31,10 +32,12 @@ from .engine import (
     Decisions,
     EngineConfig,
     EpisodeResult,
+    HeadScreen,
     SystemModel,
     bill,
     decide,
     episode_oracle,
+    head_screens,
     run_episode,
     select_protocol,
 )

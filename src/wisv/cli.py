@@ -38,7 +38,7 @@ from .config import (
     TRACE_SECTIONS,
     ExperimentConfig,
 )
-from .engine import EpisodeResult, bill, decide, episode_oracle
+from .engine import EpisodeResult, bill, decide, episode_oracle, head_screens
 from .head import HeadParams, forward_batch, load_params, save_params, train
 from .labeler import (
     collect_traces,
@@ -326,13 +326,14 @@ def _episode_lines(base: dict, ep: int, res: EpisodeResult) -> tuple[str, str]:
 def _eval_point(payload: dict) -> list[tuple]:
     """Run every sweep point of one episode. Must stay picklable.
 
-    The episode builds one oracle, for the sweep's largest window, and one
-    channel trace per scenario. Per window, ``sd_greedy`` and ``sd_reject``
-    read neither the channel nor tau, so each decides once; the
-    head-verified modes decide once per (scenario, tau), shared by FH, SH
-    and adaptive. Every point is then billed on its own. Returns ``(point,
-    episode totals, episode line, round lines)`` per point, where ``point``
-    is ``(scenario index, mode, k, tau)``.
+    The episode builds one oracle, for the sweep's largest window, one
+    channel trace per scenario and, for the head-verified modes, the head's
+    screen on each trace. Per window, ``sd_greedy`` and ``sd_reject`` read
+    neither the channel nor tau, so each decides once; the head-verified
+    modes decide once per (scenario, tau), shared by FH, SH and adaptive.
+    Every point is then billed on its own. Returns ``(point, episode
+    totals, episode line, round lines)`` per point, where ``point`` is
+    ``(scenario index, mode, k, tau)``.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     sweep = cfg.raw["sweep"]
@@ -347,6 +348,7 @@ def _eval_point(payload: dict) -> list[tuple]:
                        rounds=cfg.raw["engine"]["max_tokens"])
         for s_idx, scenario in enumerate(sweep["scenarios"])
     ]
+    screens = head_screens(head, oracle, traces, system.bounds) if head is not None else None
     out = []
     for k in sweep["k_values"]:
         decisions: dict = {}
@@ -354,10 +356,11 @@ def _eval_point(payload: dict) -> list[tuple]:
             for mode in sweep["modes"]:
                 for tau in sweep["tau_values"]:
                     engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
-                    key = (s_idx, tau) if mode.startswith("wisv") else mode
+                    screening = mode.startswith("wisv")
+                    key = (s_idx, tau) if screening else mode
                     if key not in decisions:
-                        decisions[key] = decide(engine_cfg, oracle, head_params=head,
-                                                trace=trace, bounds=system.bounds)
+                        decisions[key] = decide(engine_cfg, oracle,
+                                                screens[s_idx] if screening else None)
                     res = bill(system, engine_cfg, decisions[key], trace)
                     base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
                     lines = _episode_lines(base, ep, res)
@@ -459,28 +462,33 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     oracle_cfg = cfg.oracle()
     system = cfg.system()
     engine_cfg = cfg.engine(mode="wisv_fh", window=abl["k"], tau=abl["tau"])
+    names = [s["name"] for s in cfg.raw["sweep"]["scenarios"]]
+    channels = [cfg.channel(cfg.scenario(s_name)) for s_name in abl["scenarios"]]
+    # Every scenario and both variants decide on each episode's one oracle;
+    # a scenario's variants share its channel trace.
+    totals: dict = {(s_name, variant): [] for s_name in abl["scenarios"] for variant in variants}
+    for ep in range(abl["episodes"]):
+        oracle = episode_oracle(oracle_cfg, engine_cfg, [SEED_EVAL, ep], False)
+        traces = [
+            generate_trace(channel_cfg, [cfg.seed, SEED_CHANNEL, names.index(s_name), ep],
+                           rounds=engine_cfg.max_tokens)
+            for s_name, channel_cfg in zip(abl["scenarios"], channels)
+        ]
+        for variant, params in variants.items():
+            screens = head_screens(params, oracle, traces, system.bounds)
+            for s_name, trace, screen in zip(abl["scenarios"], traces, screens):
+                decisions = decide(engine_cfg, oracle, screen)
+                totals[s_name, variant].append(
+                    EpisodeTotals.of(bill(system, engine_cfg, decisions, trace)))
+
     rows = []
     paired: dict = {"config_hash": cfg.hash, "scenarios": {}}
     for s_name in abl["scenarios"]:
         scenario = cfg.scenario(s_name)
-        s_idx = [s["name"] for s in cfg.raw["sweep"]["scenarios"]].index(s_name)
-        channel_cfg = cfg.channel(scenario)
-        # Both variants decide on each episode's one oracle and channel trace.
-        totals: dict = {variant: [] for variant in variants}
-        for ep in range(abl["episodes"]):
-            seed = [SEED_EVAL, ep]
-            oracle = episode_oracle(oracle_cfg, engine_cfg, seed, False)
-            trace = generate_trace(
-                channel_cfg, [cfg.seed, SEED_CHANNEL, s_idx, ep], rounds=engine_cfg.max_tokens
-            )
-            for variant, params in variants.items():
-                decisions = decide(
-                    engine_cfg, oracle, head_params=params, trace=trace, bounds=system.bounds
-                )
-                totals[variant].append(EpisodeTotals.of(bill(system, engine_cfg, decisions, trace)))
         per_variant: dict = {}
         aals: dict = {}
-        for variant, results in totals.items():
+        for variant in variants:
+            results = totals[s_name, variant]
             summary = summarize(results)
             row = csv_row(
                 "wisv_fh", abl["k"], abl["tau"], scenario["rate_up_bps"], scenario["rtt_s"], summary

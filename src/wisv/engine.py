@@ -27,15 +27,24 @@ the head-verified modes read the channel: FH, SH and adaptive share one
 decision and differ only in the ``proto`` column. ``run_episode`` is
 both steps for one mode; a sweep can decide once and bill many variants
 from one oracle per episode (``episode_oracle``).
+
+The head-verified modes decide from a ``HeadScreen``, built once per
+(head, episode, trace) by ``head_screens``. The head's first layer is
+linear, so it splits into a hidden-state term per mismatch and a link term
+per trace row, each one matmul per episode. On a link whose term is the
+same in every round, the screen is one p column over the mismatches, and
+every window and tau of the episode scans a stop column cut from it, as
+``sd_greedy`` does; otherwise a screened round adds its link row to its
+window's hidden rows. ``head.forward_batch`` serves training and the holdout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import CsiState, NormalizationBounds, features
+from .channel import N_CSI_FEATURES, CsiState, NormalizationBounds, features
 from .compute import (
     FlopsConstants,
     HardwareProfile,
@@ -45,7 +54,7 @@ from .compute import (
     round_latency,
     window_flops,
 )
-from .head import HeadParams, forward_batch
+from .head import HeadParams, sigmoid
 from .oracle import EpisodeOracle, OracleConfig
 from .wire import (
     PROTO_DENSE,
@@ -79,7 +88,12 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.window, (int, np.integer)) or self.window < 1:
+        for name in ("window", "max_tokens", "prefix_len"):
+            # The config layer's rule: a fraction fails late, and a bool passes as 0 or 1.
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.window < 1:
             raise ValueError("window must be an integer >= 1")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
@@ -212,44 +226,103 @@ def episode_oracle(
     )
 
 
-def decide(
-    engine_cfg: EngineConfig,
+@dataclass(frozen=True)
+class HeadScreen:
+    """One head's screen of one episode's mismatches on one link.
+
+    The head's first layer splits as ``w1 · [h_d; h_t; csi] + b1 = w1_h · h
+    + (w1_c · csi + b1)``. ``hidden`` holds the first term for every mismatch
+    of the episode, in position order, and ``link`` the second for every
+    trace row, or its one row when all rows are equal. Then ``p`` is every
+    mismatch's rejection probability; otherwise it is None, and round r
+    screens its window's mismatches on link row ``r % len(link)``
+    (``round_p``).
+    """
+
+    hidden: np.ndarray
+    link: np.ndarray
+    w2: np.ndarray
+    b2: float
+    p: np.ndarray | None = None
+
+    def round_p(self, rows: slice, r: int) -> np.ndarray:
+        """Rejection probabilities of the mismatches ``rows`` under link row ``r``, wrapping."""
+        act = np.maximum(self.hidden[rows] + self.link[r % len(self.link)], 0.0)
+        return sigmoid(act @ self.w2 + self.b2)
+
+
+def head_screens(
+    head_params: HeadParams,
     oracle: EpisodeOracle,
-    *,
-    head_params: HeadParams | None = None,
-    trace: CsiState | None = None,
-    bounds: NormalizationBounds | None = None,
+    traces: list[CsiState],
+    bounds: NormalizationBounds,
+) -> list[HeadScreen]:
+    """The head's screen of the oracle's mismatches on each trace.
+
+    The hidden-state term is one matmul over the episode's mismatches,
+    shared by every trace; the link term is one matmul over each trace's
+    CSI feature rows (a scalar state is one row).
+    """
+    if traces is None or bounds is None:
+        raise ValueError("head screening requires a channel trace and normalization bounds")
+    d_h = head_params.d_in - N_CSI_FEATURES
+    at = np.flatnonzero(oracle.mismatch)
+    h = np.concatenate([oracle.h_draft[at], oracle.h_target[at]], axis=1)
+    hidden = h @ head_params.w1[:, :d_h].T
+    screens = []
+    for trace in traces:
+        csi = np.atleast_2d(features(trace, bounds))
+        if not np.all(np.isfinite(csi)):
+            raise ValueError("non-finite feature input")
+        link = csi @ head_params.w1[:, d_h:].T + head_params.b1
+        if not (link == link[0]).all():
+            screens.append(HeadScreen(hidden, link, head_params.w2, head_params.b2))
+            continue
+        # Every round reads the same row: screen each mismatch once.
+        screen = HeadScreen(hidden, link[:1].copy(), head_params.w2, head_params.b2)
+        screens.append(replace(screen, p=screen.round_p(slice(None), 0)))
+    return screens
+
+
+def decide(
+    engine_cfg: EngineConfig, oracle: EpisodeOracle, screen: HeadScreen | None = None
 ) -> Decisions:
     """Verify one episode to its token budget.
 
     Each round commits the accepted draft tokens plus one target-side
     token: the target argmax at the rejected position (or the bonus token
     after a full accept), or the speculative-sampling draw. The rounds are
-    one scan over a stop column, the mismatches for ``sd_greedy`` and the
+    one scan over a stop column: the mismatches for ``sd_greedy``, the
     drafts the oracle's speculative-sampling columns reject for
-    ``sd_reject``. The head-verified modes screen every mismatch of a window
-    that has one and stop at the first at p >= tau; they need
-    ``head_params``, ``trace`` (per-round CSI columns) and ``bounds``: round
-    r's head features are row r of the trace's feature matrix, wrapping if
-    the episode outlives the trace. A round past the oracle raises
+    ``sd_reject``, and, for the head-verified modes on a constant link, the
+    mismatches whose p in ``screen`` is >= tau. On any other link a
+    head-verified round that holds a mismatch screens all of its window's
+    mismatches on its own link row (``HeadScreen.round_p``) and stops at the
+    first at p >= tau. The head-verified modes need ``screen``, built by
+    ``head_screens`` from the same oracle. A round past the oracle raises
     ``IndexError``.
     """
     mode, k = engine_cfg.mode, engine_cfg.window
-    screen = mode.startswith("wisv")
-    if screen and (head_params is None or trace is None or bounds is None):
-        raise ValueError(f"mode {mode} requires trained head parameters, a channel trace "
-                         "and normalization bounds")
+    screening = mode.startswith("wisv")
+    if screening and screen is None:
+        raise ValueError(f"mode {mode} requires a head screen of the episode (head_screens)")
     sampling = mode == "sd_reject"
     if sampling and oracle.spec_accept is None:
         raise RuntimeError("sd_reject needs an oracle built with distributions")
-    stop = ~oracle.spec_accept if sampling else oracle.mismatch
+    per_round = screening and screen.p is None
+    if sampling:
+        stop = ~oracle.spec_accept
+    elif screening and not per_round:
+        stop = np.zeros_like(oracle.mismatch)
+        stop[oracle.mismatch] = screen.p >= engine_cfg.tau
+    else:
+        stop = oracle.mismatch
     n = len(stop)
     # Entry i: the first stop position at or after i, or n.
     next_stop = np.minimum.accumulate(np.where(stop, np.arange(n), n)[::-1])[::-1].tolist()
     # Entry i: the number of mismatches before position i.
     before = np.concatenate([[0], np.cumsum(oracle.mismatch)])
-    if screen:
-        csi_features = features(trace, bounds)
+    if per_round:
         mismatches, count = np.flatnonzero(oracle.mismatch), before.tolist()
 
     starts: list[int] = []
@@ -259,13 +332,11 @@ def decide(
         if prefix + k + 1 > n:
             raise IndexError("episode oracle ran out of pregenerated positions")
         reject = next_stop[prefix] - prefix
-        if screen and reject < k:
-            at = mismatches[count[prefix] : count[prefix + k]]
-            csi = np.tile(csi_features[len(starts) % len(csi_features)], (len(at), 1))
-            z = np.concatenate([oracle.h_draft[at], oracle.h_target[at], csi], axis=1)
-            _, p = forward_batch(head_params, z)
+        if per_round and reject < k:
+            first = count[prefix]
+            p = screen.round_p(slice(first, count[prefix + k]), len(starts))
             hits = np.flatnonzero(p >= engine_cfg.tau)
-            reject = int(at[hits[0]]) - prefix if hits.size else k
+            reject = int(mismatches[first + hits[0]]) - prefix if hits.size else k
         starts.append(prefix)
         rejects.append(reject if reject < k else -1)
         prefix += min(reject, k) + 1
@@ -338,6 +409,7 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one generation episode of one mode: build its oracle, decide, bill."""
     oracle = episode_oracle(oracle_cfg, engine_cfg, seed, engine_cfg.mode == "sd_reject")
-    decisions = decide(engine_cfg, oracle, head_params=head_params, trace=trace,
-                       bounds=system.bounds)
-    return bill(system, engine_cfg, decisions, trace)
+    screen = None
+    if engine_cfg.mode.startswith("wisv") and head_params is not None:
+        (screen,) = head_screens(head_params, oracle, [trace], system.bounds)
+    return bill(system, engine_cfg, decide(engine_cfg, oracle, screen), trace)

@@ -604,7 +604,7 @@ class TestAblateCommand:
         assert meta["config_hash"] == cfg.hash
 
     def test_one_oracle_and_trace_per_episode(self, small_run, tmp_path, monkeypatch):
-        """Both variants share each (scenario, episode)'s oracle and channel trace."""
+        """Every scenario and variant shares each episode's oracle; variants share its traces."""
         cfg, out = small_run
         raw = copy.deepcopy(cfg.raw)
         raw["ablate"].update(episodes=3, scenarios=["500mbps_50ms", "20mbps_5ms"])
@@ -622,7 +622,7 @@ class TestAblateCommand:
         monkeypatch.setattr(cli, "generate_trace", counting("trace", cli.generate_trace))
         copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
         paired = cli.cmd_ablate(small, tmp_path)
-        assert calls == {"oracle": 2 * 3, "trace": 2 * 3}  # scenarios x episodes
+        assert calls == {"oracle": 3, "trace": 2 * 3}  # episodes; scenarios x episodes
         assert set(paired["scenarios"]) == {"500mbps_50ms", "20mbps_5ms"}
 
     def test_rerun_reproducible(self, small_run, tmp_path):

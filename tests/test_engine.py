@@ -28,6 +28,7 @@ from wisv.engine import (
     SystemModel,
     decide,
     episode_oracle,
+    head_screens,
     run_episode,
     select_protocol,
 )
@@ -164,6 +165,12 @@ def link_blind(params):
                       dropout_rate=params.dropout_rate)
 
 
+def screen_on(head, oracle, trace):
+    """The head's screen of the oracle's mismatches on one trace."""
+    (screen,) = head_screens(head, oracle, [trace], SYSTEM.bounds)
+    return screen
+
+
 def rtt_reading_head(d_h):
     """logit = relu(drafter hidden along the critical direction) - 4 relu(rtt feature) - 1."""
     w1 = np.zeros((2, 2 * d_h + N_CSI_FEATURES))
@@ -230,7 +237,7 @@ class TestWisvRound:
 
         def decisions(params, trace):
             oracle = episode_oracle(oracle_config(), eng, 3, False)
-            return decide(eng, oracle, head_params=params, trace=trace, bounds=SYSTEM.bounds)
+            return decide(eng, oracle, screen_on(params, oracle, trace))
 
         head = rtt_reading_head(4)
         aware = [decisions(head, trace) for trace in links]
@@ -514,26 +521,24 @@ class TestDecide:
         committed = got.accepted + 1
         np.testing.assert_array_equal(got.start, 32 + np.cumsum(committed) - committed)
 
-    def test_head_reads_each_rounds_csi_wrapping_around(self, monkeypatch):
+    def test_head_reads_each_rounds_csi_wrapping_around(self):
         channel = ChannelConfig(regime="sampled", rate_up_range_bps=(20e6, 500e6),
                                 rtt_range_s=(0.002, 0.06))
         trace = generate_trace(channel, seed=4, rounds=7)  # every round differs; wraps
-        seen = []
-
-        def recording_forward(params, z):
-            seen.append(z[:, -N_CSI_FEATURES:].copy())
-            return forward_batch(params, z)
-
-        monkeypatch.setattr(engine, "forward_batch", recording_forward)
-        eng = EngineConfig(mode="wisv_sh", window=10, tau=0.6, max_tokens=200)
+        eng = EngineConfig(mode="wisv_sh", window=10, tau=0.3, max_tokens=200)
         oracle = episode_oracle(oracle_config(), eng, 2, False)
-        got = decide(eng, oracle, head_params=init_params(4 + 4 + 5, 8, seed=1), trace=trace,
-                     bounds=SYSTEM.bounds)
-        screened = np.flatnonzero(got.m > 0)
-        assert len(screened) == len(seen) and screened.max() >= 7
-        rows = features(trace, SYSTEM.bounds)
-        for r, z_csi in zip(screened, seen):
-            np.testing.assert_array_equal(z_csi, np.tile(rows[r % 7], (got.m[r], 1)))
+        head = rtt_reading_head(4)
+        got = decide(eng, oracle, screen_on(head, oracle, trace))
+        ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
+        for name in Decisions.__dataclass_fields__:
+            assert getattr(got, name).tolist() == ref[name], name
+        assert np.flatnonzero(got.m > 0).max() >= 7  # screened rounds wrap around the trace
+        # Not vacuous: the same trace one round later gives other decisions.
+        later = trace.take(np.arange(1, 8))
+        moved = decide(eng, oracle, screen_on(head, oracle, later))
+        assert moved.reject_pos.tolist() != got.reject_pos.tolist()
+        assert moved.reject_pos.tolist() == reference_decide(eng, oracle, head, later,
+                                                             SYSTEM.bounds)["reject_pos"]
 
     @pytest.mark.parametrize("regime", ["static", "sampled"])
     @pytest.mark.parametrize("mode", MODES)
@@ -546,22 +551,95 @@ class TestDecide:
             trace = generate_trace(channel, seed=ep, rounds=40)
             eng = EngineConfig(mode=mode, window=k, tau=0.3, max_tokens=200, prefix_len=16)
             oracle = episode_oracle(oracle_config(), eng, ep, mode == "sd_reject")
-            link = {"head_params": head, "trace": trace, "bounds": SYSTEM.bounds}
-            got = decide(eng, oracle, **link)
-            ref = reference_decide(eng, oracle, **link)
+            screen = screen_on(head, oracle, trace) if mode.startswith("wisv") else None
+            got = decide(eng, oracle, screen)
+            ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
             for name in Decisions.__dataclass_fields__:
                 assert getattr(got, name).tolist() == ref[name], (k, ep, name)
             screened += int((got.m > 0).sum())
         assert screened > 0
 
+    def test_screening_needs_a_head_screen(self):
+        eng = EngineConfig(mode="wisv_sh", window=10)
+        oracle = episode_oracle(oracle_config(), eng, 0, False)
+        with pytest.raises(ValueError, match="requires a head screen"):
+            decide(eng, oracle)
+
     @pytest.mark.parametrize("missing", ["trace", "bounds"])
     def test_screening_needs_trace_and_bounds(self, missing):
         eng = EngineConfig(mode="wisv_sh", window=10)
-        link = {"trace": static_trace(), "bounds": SYSTEM.bounds}
-        del link[missing]
+        link = {"traces": [static_trace()], "bounds": SYSTEM.bounds}
+        link["traces" if missing == "trace" else "bounds"] = None
         oracle = episode_oracle(oracle_config(), eng, 0, False)
         with pytest.raises(ValueError, match="channel trace and normalization bounds"):
-            decide(eng, oracle, head_params=init_params(4 + 4 + 5, 8, seed=0), **link)
+            head_screens(init_params(4 + 4 + 5, 8, seed=0), oracle, **link)
+
+
+class TestHeadScreen:
+    @pytest.mark.parametrize("regime", ["static", "sampled"])
+    def test_p_matches_forward_batch_on_concatenated_rows(self, regime):
+        channel = ChannelConfig(regime=regime, rate_up_range_bps=(20e6, 500e6),
+                                rtt_range_s=(0.002, 0.06))
+        trace = generate_trace(channel, seed=3, rounds=20)
+        eng = EngineConfig(mode="wisv_fh", window=24, max_tokens=200)
+        oracle = episode_oracle(oracle_config(), eng, 1, False)
+        head = init_params(4 + 4 + 5, 8, seed=1)
+        head.b1 = np.linspace(-0.5, 0.5, 8)  # the bias joins the link term
+        screen = screen_on(head, oracle, trace)
+        assert (screen.p is None) == (regime == "sampled")
+        at = np.flatnonzero(oracle.mismatch)
+        rows = features(trace, SYSTEM.bounds)
+        for r in range(len(rows)):
+            z = np.concatenate([oracle.h_draft[at], oracle.h_target[at],
+                                np.tile(rows[r], (len(at), 1))], axis=1)
+            _, want = forward_batch(head, z)
+            got = screen.p if screen.p is not None else screen.round_p(slice(None), r)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_constant_link_verdicts_are_shared_across_windows(self):
+        head = init_params(4 + 4 + 5, 8, seed=1)
+        trace = static_trace(rounds=40)
+        widest = EngineConfig(mode="wisv_fh", window=64, max_tokens=200)
+        oracle = episode_oracle(oracle_config(), widest, 6, False)
+        screen = screen_on(head, oracle, trace)
+        assert screen.p is not None
+        verdicts: dict = {}  # position -> rejected, per window
+        for k in (4, 10, 24, 64):
+            eng = EngineConfig(mode="wisv_fh", window=k, tau=0.5, max_tokens=200)
+            got = decide(eng, oracle, screen)
+            ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
+            for name in Decisions.__dataclass_fields__:
+                assert getattr(got, name).tolist() == ref[name], (k, name)
+            for start, reject, accepted in zip(got.start, got.reject_pos, got.accepted):
+                for pos in np.flatnonzero(oracle.mismatch[start : start + accepted]) + start:
+                    verdicts.setdefault(int(pos), {})[k] = False
+                if reject >= 0:
+                    verdicts.setdefault(int(start + reject), {})[k] = True
+        shared = [v for v in verdicts.values() if len(v) > 1]
+        assert {True, False} <= {verdict for v in shared for verdict in v.values()}
+        for per_k in shared:
+            assert len(set(per_k.values())) == 1, per_k
+
+    def test_link_blind_head_screens_any_link_as_one_column(self):
+        channel = ChannelConfig(regime="sampled", rate_up_range_bps=(20e6, 500e6),
+                                rtt_range_s=(0.002, 0.06))
+        trace = generate_trace(channel, seed=3, rounds=20)
+        oracle = episode_oracle(oracle_config(), EngineConfig(window=10), 1, False)
+        head = rtt_reading_head(4)
+        assert screen_on(head, oracle, trace).p is None
+        assert screen_on(link_blind(head), oracle, trace).p is not None
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize("field", ["window", "max_tokens", "prefix_len"])
+    @pytest.mark.parametrize("value", [True, 20.5])
+    def test_integer_fields_reject_bools_and_fractions(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EngineConfig(**{field: value})
+
+    def test_numpy_integers_pass(self):
+        eng = EngineConfig(window=np.int64(4), max_tokens=np.int64(20), prefix_len=np.int64(0))
+        assert eng.window == 4
 
 
 class TestRunEpisode:
