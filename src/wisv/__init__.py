@@ -52,7 +52,7 @@ from .labeler import (
     soft_policy,
     solve_budget_exact,
 )
-from .metrics import MetricsSummary, aal, accuracy_proxy, e2e_latency, round_count, throughput
+from .metrics import EpisodeTotals, aal, accuracy_proxy, e2e_latency, round_count, throughput
 from .oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from .wire import (
     LatencyBreakdown,

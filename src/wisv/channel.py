@@ -24,10 +24,10 @@ REGIMES = ("static", "two-state", "sampled")
 class CsiState:
     """Link condition of one interaction round, or of consecutive rounds.
 
-    Rates are in bits/second, PERs are probabilities in [0, 1), rtt is the
-    per-exchange round-trip overhead in seconds. Fields are scalars for one
-    round, or arrays with one entry per round (a channel trace); every
-    entry is validated.
+    Rates are finite, in bits/second, PERs are probabilities in [0, 1), rtt
+    is the finite per-exchange round-trip overhead in seconds. Fields are
+    scalars for one round, or arrays with one entry per round (a channel
+    trace); every entry is validated.
     """
 
     r_up: float | np.ndarray
@@ -37,6 +37,11 @@ class CsiState:
     rtt: float | np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("r_up", "r_down", "rtt"):
+            # A NaN fails none of the checks below; an infinite rate or RTT
+            # makes a round's serialization time 0 or its latency infinite.
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.r_up <= 0) or np.any(self.r_down <= 0):
             raise ValueError("link rates must be strictly positive")
         for per in (self.per_up, self.per_down):

@@ -49,7 +49,7 @@ from .labeler import (
     read_dataset,
     write_traces,
 )
-from .metrics import CSV_COLUMNS, EpisodeTotals, csv_row, summarize, write_csv
+from .metrics import CSV_COLUMNS, EpisodeTotals, summarize, write_csv
 from .wire import PROTO_NAMES
 
 TRACES = "traces.jsonl"
@@ -265,30 +265,16 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 _PROTO_JSON = tuple(json.dumps(name) for name in PROTO_NAMES)
 
 
-def _episode_lines(base: dict, ep: int, res: EpisodeResult) -> tuple[str, str]:
-    """One episode's ``episodes.jsonl`` line and its ``rounds.jsonl`` lines.
+def _round_lines(key: dict, res: EpisodeResult) -> str:
+    """One episode's ``rounds.jsonl`` lines.
 
-    Round lines are the compact ``json.dumps`` of ``{**base, "episode": ep,
-    "round": r, **columns}``, written with one ``%`` template: integers as
-    ``%d``, floats as ``%r`` (JSON's ``repr``), ``reject_pos`` and ``proto``
-    as JSON text. A non-finite float, which JSON writes as ``NaN``, raises.
+    ``key`` is the episode's key, ending in ``"episode"``. Each line is the
+    compact ``json.dumps`` of ``{**key, "round": r, **columns}``, written
+    with one ``%`` template: integers as ``%d``, floats as ``%r`` (JSON's
+    ``repr``), ``reject_pos`` and ``proto`` as JSON text. A non-finite float,
+    which JSON writes as ``NaN``, raises.
     """
     comm = res.comm
-    episode_line = _json_line(
-        {
-            **base,
-            "episode": ep,
-            "rounds": res.n_rounds,
-            "aal": res.aal,
-            "accepted": res.accepted_total,
-            "tokens": res.total_tokens,
-            "latency_s": res.total_latency_s,
-            "uplink_bits": int(comm.uplink_bits.sum()),
-            "downlink_bits": int(comm.downlink_bits.sum()),
-            "accepted_critical": int(res.accepted_critical.sum()),
-            "correct": res.synthetic_correct,
-        }
-    )
     columns = {
         "round": np.arange(res.n_rounds),
         "m": res.m,
@@ -311,16 +297,16 @@ def _episode_lines(base: dict, ep: int, res: EpisodeResult) -> tuple[str, str]:
             spec = "%s"
         elif column.dtype.kind == "f":
             if not np.isfinite(column).all():
-                raise ValueError(f"round column {name!r} of episode {ep} holds a non-finite "
-                                 "value, which JSON cannot encode")
+                raise ValueError(f"round column {name!r} of episode {key['episode']} holds a "
+                                 "non-finite value, which JSON cannot encode")
             spec, column = "%r", column.tolist()
         else:
             spec, column = "%d", column.tolist()
         specs.append(f'"{name}":{spec}')
         values.append(column)
-    prefix = json.dumps({**base, "episode": ep}, separators=(",", ":"))[:-1]
+    prefix = json.dumps(key, separators=(",", ":"))[:-1]
     template = prefix.replace("%", "%%") + "," + ",".join(specs) + "}\n"
-    return episode_line, "".join(template % row for row in zip(*values))
+    return "".join(template % row for row in zip(*values))
 
 
 def _eval_point(payload: dict) -> list[tuple]:
@@ -362,9 +348,12 @@ def _eval_point(payload: dict) -> list[tuple]:
                         decisions[key] = decide(engine_cfg, oracle,
                                                 screens[s_idx] if screening else None)
                     res = bill(system, engine_cfg, decisions[key], trace)
-                    base = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
-                    lines = _episode_lines(base, ep, res)
-                    out.append(((s_idx, mode, k, tau), EpisodeTotals.of(res), *lines))
+                    totals = EpisodeTotals.of(res)
+                    line_key = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau,
+                                "episode": ep}
+                    out.append(((s_idx, mode, k, tau), totals,
+                                _json_line({**line_key, **vars(totals)}),
+                                _round_lines(line_key, res)))
     return out
 
 
@@ -415,13 +404,15 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
     for point in points:
         s_idx, mode, k, tau = point
-        scenario, summary = sweep["scenarios"][s_idx], summarize(totals[point])
-        rows.append(csv_row(mode, k, tau, scenario["rate_up_bps"], scenario["rtt_s"], summary))
+        scenario = sweep["scenarios"][s_idx]
+        row = {"mode": mode, "k": k, "tau": tau, "rate_bps": scenario["rate_up_bps"],
+               "rtt_s": scenario["rtt_s"], **summarize(totals[point])}
+        rows.append(row)
         if tau == first_tau:
             panel = plot["panels"].setdefault(scenario["name"], {})
             series = panel.setdefault(mode, {"k": [], "latency_s": []})
             series["k"].append(k)
-            series["latency_s"].append(summary.latency_mean_s)
+            series["latency_s"].append(row["latency_s"])
     write_csv(out / RESULTS, rows)
     with open(out / EPISODES_JSONL, "w") as ef, open(out / ROUNDS_JSONL, "w") as rf:
         for point in points:
@@ -488,19 +479,18 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         per_variant: dict = {}
         aals: dict = {}
         for variant in variants:
-            results = totals[s_name, variant]
-            summary = summarize(results)
-            row = csv_row(
-                "wisv_fh", abl["k"], abl["tau"], scenario["rate_up_bps"], scenario["rtt_s"], summary
-            )
-            rows.append({"variant": variant, **row})
-            aals[variant] = a = np.array([r.aal for r in results])
+            point_totals = totals[s_name, variant]
+            row = {"variant": variant, "mode": "wisv_fh", "k": abl["k"], "tau": abl["tau"],
+                   "rate_bps": scenario["rate_up_bps"], "rtt_s": scenario["rtt_s"],
+                   **summarize(point_totals)}
+            rows.append(row)
+            aals[variant] = a = np.array([ep.aal for ep in point_totals])
             per_variant[variant] = {
                 "aal_mean": float(a.mean()),
                 "aal_std": float(a.std(ddof=1)),
                 "aal_sem": float(a.std(ddof=1) / np.sqrt(len(a))),
-                "latency_mean_s": summary.latency_mean_s,
-                "accuracy_proxy": summary.accuracy_proxy,
+                "latency_mean_s": row["latency_s"],
+                "accuracy_proxy": row["accuracy_proxy"],
             }
         # Both variants run the same episodes: the per-episode difference
         # cancels the episode-to-episode spread the unpaired SEMs carry.
@@ -549,6 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=None, help="output directory override")
     parser.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
 
     try:
         cfg = ExperimentConfig.load(args.config, seed=args.seed)

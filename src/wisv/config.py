@@ -227,13 +227,17 @@ class ExperimentConfig:
                 raise ValueError(f"config root in {path} must be a mapping")
             raw = _merge(raw, user)
         if seed is not None:
-            raw["seed"] = int(seed)
+            raw["seed"] = seed
         cfg = cls(raw=raw)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
         _check_keys(self.raw, DEFAULT_CONFIG, "")
+        seed = self.raw["seed"]
+        # Every output and lineage record hashes the raw value, so none may stand for another.
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"config key 'seed' must be a nonnegative integer, got {seed!r}")
         if "switch_prob" in self.raw["labeler"]["channel"]:
             raise ValueError(
                 "config section 'labeler.channel': switch_prob ('labeler.channel.switch_prob') "
@@ -305,7 +309,7 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
 
     @property
     def hash(self) -> str:

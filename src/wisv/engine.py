@@ -24,8 +24,10 @@ at once from those columns and the trace's per-round CSI columns, the
 communication with ``wire.round_comm`` and the draft and verify compute
 with ``compute.window_flops``. Decisions never read the protocol, and only
 the head-verified modes read the channel: FH, SH and adaptive share one
-decision and differ only in the ``proto`` column. ``run_episode`` is
-both steps for one mode; a sweep can decide once and bill many variants
+decision and differ only in the ``proto`` column. ``bill`` returns the
+episode's ``EpisodeResult`` columns and computes no per-episode metric:
+``metrics.EpisodeTotals`` is the one reduction of an episode. ``run_episode``
+is both steps for one mode; a sweep can decide once and bill many variants
 from one oracle per episode (``episode_oracle``).
 
 The head-verified modes decide from a ``HeadScreen``, built once per
@@ -105,7 +107,10 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Everything ``bill`` needs: wire, compute, and CSI scaling.
+    """What ``bill`` prices an episode with: the wire and compute models.
+
+    ``bill`` reads no CSI scaling; ``bounds`` rides along for
+    ``head_screens``, which normalizes the link features with it.
 
     ``head_d_in``/``head_d_j`` are the accounting dimensions used to bill
     decision-head FLOPs; they describe the deployed head, not the small
@@ -130,7 +135,8 @@ class EpisodeResult:
     ``tokens``, ``m``, ``reject_pos``, ``accepted`` and
     ``accepted_critical`` are the episode's ``Decisions``; ``committed`` is
     accepted + 1 and ``proto`` the protocol code the bill chose per round.
-    The rest is the bill.
+    The rest is the bill. ``metrics.EpisodeTotals.of`` reduces it to the
+    episode's metrics.
     """
 
     tokens: np.ndarray
@@ -150,39 +156,8 @@ class EpisodeResult:
     def n_rounds(self) -> int:
         return len(self.m)
 
-    @property
-    def total_tokens(self) -> int:
-        return int(self.committed.sum())
 
-    @property
-    def accepted_total(self) -> int:
-        return int(self.accepted.sum())
-
-    @property
-    def total_latency_s(self) -> float:
-        return round_order_sum(self.total_s)
-
-    @property
-    def synthetic_correct(self) -> bool:
-        return not self.accepted_critical.any()
-
-    @property
-    def aal(self) -> float:
-        if not self.n_rounds:
-            raise ValueError("episode has no rounds")
-        return self.accepted_total / self.n_rounds
-
-
-def round_order_sum(column: np.ndarray) -> float:
-    """Sum of a float column in round order, as Python's ``sum`` adds it.
-
-    ``np.sum`` adds pairwise and can move the last digit, which would
-    change the written results.
-    """
-    return sum(column.tolist())
-
-
-def select_protocol(rtt: np.ndarray, cutoff: float = 0.010) -> np.ndarray:
+def select_protocol(rtt: np.ndarray, cutoff: float) -> np.ndarray:
     """Protocol code per round: FH where the RTT strictly exceeds the cutoff, SH otherwise."""
     return np.where(rtt > cutoff, PROTO_FH, PROTO_SH)
 

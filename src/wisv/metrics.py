@@ -1,9 +1,12 @@
 """Aggregation of episode results into system-level metrics.
 
-Every metric reduces the per-round columns of each ``EpisodeResult`` to one
-number per episode (``EpisodeTotals``), then combines the episodes in
-order. Float columns are added in round order (``round_order_sum``), so the
-written numbers do not depend on numpy's summation order.
+An episode is reduced once, to its ``EpisodeTotals``: the metric keys of
+its ``episodes.jsonl`` line, in line order. Float columns are added in
+round order (``round_order_sum``), so the written numbers do not depend on
+numpy's summation order. A sweep point is its episodes' totals in episode
+order; every metric below takes them, and ``summarize`` gives the metric
+columns of the point's ``results.csv`` row. A metric is defined once, by
+one ``EpisodeTotals`` field and one ``summarize`` entry.
 
 AAL and end-to-end latency use two-level averaging (per episode, then over
 episodes). Throughput is the pooled ratio of total accepted tokens to total
@@ -21,7 +24,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import EpisodeResult, round_order_sum
+import numpy as np
+
+from .engine import EpisodeResult
 
 CSV_COLUMNS = [
     "mode",
@@ -39,153 +44,111 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
-    aal: float
-    rounds_mean: float
-    latency_mean_s: float
-    throughput_tokens_per_s: float
-    accuracy_proxy: float
-    uplink_bits_total: int
-    downlink_bits_total: int
-    draft_s_mean: float
-    verify_s_mean: float
-    head_s_mean: float
-    uplink_s_mean: float
-    downlink_s_mean: float
-    rtt_s_mean: float
+def round_order_sum(column: np.ndarray) -> float:
+    """Sum of a float column in round order, as Python's ``sum`` adds it.
+
+    ``np.sum`` adds pairwise and can move the last digit, which would
+    change the written results.
+    """
+    return sum(column.tolist())
 
 
 @dataclass(frozen=True)
 class EpisodeTotals:
-    """One episode reduced to what ``summarize`` reads; float sums in round order.
+    """One episode's metrics: the keys of its ``episodes.jsonl`` line, in line order.
 
     A sweep keeps these instead of whole ``EpisodeResult``s until all of a
-    point's episodes are in. The first five fields share their names with
-    ``EpisodeResult``'s properties, so every metric below takes either.
+    point's episodes are in. ``correct`` is the synthetic accuracy signal:
+    the episode accepted no critical mismatch.
     """
 
-    n_rounds: int
-    accepted_total: int
+    rounds: int
     aal: float
-    total_latency_s: float
-    synthetic_correct: bool
-    uplink_bits_total: int
-    downlink_bits_total: int
-    draft_s_total: float
-    verify_s_total: float
-    head_s_total: float
-    uplink_s_total: float
-    downlink_s_total: float
-    rtt_s_total: float
+    accepted: int
+    tokens: int
+    latency_s: float
+    uplink_bits: int
+    downlink_bits: int
+    accepted_critical: int
+    correct: bool
 
     @classmethod
-    def of(cls, ep: EpisodeResult) -> EpisodeTotals:
+    def of(cls, res: EpisodeResult) -> EpisodeTotals:
+        if not res.n_rounds:
+            raise ValueError("episode has no rounds")
+        accepted = int(res.accepted.sum())
+        accepted_critical = int(res.accepted_critical.sum())
         return cls(
-            n_rounds=ep.n_rounds,
-            accepted_total=ep.accepted_total,
-            aal=ep.aal,
-            total_latency_s=ep.total_latency_s,
-            synthetic_correct=ep.synthetic_correct,
-            uplink_bits_total=int(ep.comm.uplink_bits.sum()),
-            downlink_bits_total=int(ep.comm.downlink_bits.sum()),
-            draft_s_total=round_order_sum(ep.draft_s),
-            verify_s_total=round_order_sum(ep.verify_s),
-            head_s_total=round_order_sum(ep.head_s),
-            uplink_s_total=round_order_sum(ep.comm.uplink_s),
-            downlink_s_total=round_order_sum(ep.comm.downlink_s),
-            rtt_s_total=round_order_sum(ep.comm.rtt_s),
+            rounds=res.n_rounds,
+            aal=accepted / res.n_rounds,
+            accepted=accepted,
+            tokens=int(res.committed.sum()),
+            latency_s=round_order_sum(res.total_s),
+            uplink_bits=int(res.comm.uplink_bits.sum()),
+            downlink_bits=int(res.comm.downlink_bits.sum()),
+            accepted_critical=accepted_critical,
+            correct=accepted_critical == 0,
         )
 
 
-Episodes = Sequence[EpisodeResult | EpisodeTotals]
+Episodes = Sequence[EpisodeTotals]
 
 
-def _require(results: Episodes) -> None:
-    if not results:
+def _require(totals: Episodes) -> None:
+    if not totals:
         raise ValueError("no episode results")
-    if any(ep.n_rounds == 0 for ep in results):
+    if any(ep.rounds == 0 for ep in totals):
         raise ValueError("episode with zero rounds")
 
 
-def aal(results: Episodes) -> float:
+def aal(totals: Episodes) -> float:
     """Mean accepted length per round, averaged per episode first."""
-    _require(results)
-    return sum(ep.aal for ep in results) / len(results)
+    _require(totals)
+    return sum(ep.aal for ep in totals) / len(totals)
 
 
-def round_count(results: Episodes) -> float:
+def round_count(totals: Episodes) -> float:
     """Mean interaction rounds per episode."""
-    _require(results)
-    return sum(ep.n_rounds for ep in results) / len(results)
+    _require(totals)
+    return sum(ep.rounds for ep in totals) / len(totals)
 
 
-def e2e_latency(results: Episodes) -> float:
+def e2e_latency(totals: Episodes) -> float:
     """Mean per-episode wall-clock latency in seconds."""
-    _require(results)
-    return sum(ep.total_latency_s for ep in results) / len(results)
+    _require(totals)
+    return sum(ep.latency_s for ep in totals) / len(totals)
 
 
-def throughput(results: Episodes) -> float:
+def throughput(totals: Episodes) -> float:
     """Pooled accepted tokens per second across all episodes."""
-    _require(results)
-    total_latency = sum(ep.total_latency_s for ep in results)
+    _require(totals)
+    total_latency = sum(ep.latency_s for ep in totals)
     if total_latency <= 0.0:
         raise ValueError("zero total latency")
-    return sum(ep.accepted_total for ep in results) / total_latency
+    return sum(ep.accepted for ep in totals) / total_latency
 
 
-def accuracy_proxy(results: Episodes) -> float:
+def accuracy_proxy(totals: Episodes) -> float:
     """Fraction of episodes that accepted no critical mismatch."""
-    _require(results)
-    return sum(ep.synthetic_correct for ep in results) / len(results)
+    _require(totals)
+    return sum(ep.correct for ep in totals) / len(totals)
 
 
-def summarize(results: Episodes) -> MetricsSummary:
-    """Metrics of one sweep point from its episodes' results or ``EpisodeTotals``."""
-    _require(results)
-    eps = [ep if isinstance(ep, EpisodeTotals) else EpisodeTotals.of(ep) for ep in results]
-
-    def mean(field: str) -> float:
-        return sum(getattr(ep, field) for ep in eps) / len(eps)
-
-    return MetricsSummary(
-        aal=aal(eps),
-        rounds_mean=round_count(eps),
-        latency_mean_s=e2e_latency(eps),
-        throughput_tokens_per_s=throughput(eps),
-        accuracy_proxy=accuracy_proxy(eps),
-        uplink_bits_total=sum(ep.uplink_bits_total for ep in eps),
-        downlink_bits_total=sum(ep.downlink_bits_total for ep in eps),
-        draft_s_mean=mean("draft_s_total"),
-        verify_s_mean=mean("verify_s_total"),
-        head_s_mean=mean("head_s_total"),
-        uplink_s_mean=mean("uplink_s_total"),
-        downlink_s_mean=mean("downlink_s_total"),
-        rtt_s_mean=mean("rtt_s_total"),
-    )
-
-
-def csv_row(
-    mode: str, k: int, tau: float, rate_bps: float, rtt_s: float, summary: MetricsSummary
-) -> dict:
+def summarize(totals: Episodes) -> dict:
+    """The metric columns of one sweep point's ``results.csv`` row, in column order."""
     return {
-        "mode": mode,
-        "k": k,
-        "tau": repr(tau),
-        "rate_bps": repr(rate_bps),
-        "rtt_s": repr(rtt_s),
-        "aal": repr(summary.aal),
-        "rounds": repr(summary.rounds_mean),
-        "latency_s": repr(summary.latency_mean_s),
-        "throughput": repr(summary.throughput_tokens_per_s),
-        "accuracy_proxy": repr(summary.accuracy_proxy),
-        "uplink_bits": summary.uplink_bits_total,
-        "downlink_bits": summary.downlink_bits_total,
+        "aal": aal(totals),
+        "rounds": round_count(totals),
+        "latency_s": e2e_latency(totals),
+        "throughput": throughput(totals),
+        "accuracy_proxy": accuracy_proxy(totals),
+        "uplink_bits": sum(ep.uplink_bits for ep in totals),
+        "downlink_bits": sum(ep.downlink_bits for ep in totals),
     }
 
 
 def write_csv(path: str | Path, rows: list[dict], columns: list[str] = CSV_COLUMNS) -> None:
+    """Write ``rows`` under ``columns``; floats as ``str``, which is their ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = _csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()

@@ -29,7 +29,7 @@ from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
 from wisv.engine import run_episode
 from wisv.head import HeadParams, init_params, load_params, loss_and_grads
 from wisv.labeler import solve_budget_exact
-from wisv.metrics import aal, accuracy_proxy, e2e_latency, round_count, summarize
+from wisv.metrics import EpisodeTotals, aal, accuracy_proxy, e2e_latency, round_count, summarize
 from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from wisv.wire import (
     PROTO_FH,
@@ -68,7 +68,8 @@ def eval_episodes(cfg, mode, k, tau, scenario_name, episodes, head=None, s_idx=0
     out = []
     for ep in range(episodes):
         trace = generate_trace(channel, [cfg.seed, SEED_CHANNEL, s_idx, ep], rounds=eng.max_tokens)
-        out.append(run_episode(system, eng, oracle_cfg, trace, head, seed=[SEED_EVAL, ep]))
+        res = run_episode(system, eng, oracle_cfg, trace, head, seed=[SEED_EVAL, ep])
+        out.append(EpisodeTotals.of(res))
     return out
 
 
@@ -214,7 +215,8 @@ def test_criterion_5_reduction_equivalence():
             seed=[SEED_EVAL, ep],
         )
         same = np.array_equal(g.tokens, w.tokens)
-        if not (same and g.n_rounds == w.n_rounds and g.aal == w.aal):
+        if not (same and g.n_rounds == w.n_rounds
+                and EpisodeTotals.of(g).aal == EpisodeTotals.of(w).aal):
             mismatching += 1
     dt = time.monotonic() - t0
     report(5, mismatching == 0 and dt < 30.0,
@@ -234,7 +236,8 @@ def test_criterion_6_fh_sh_invariance(pipeline):
         sh = run_episode(system, cfg.engine(mode="wisv_sh", tau=0.9), oracle_cfg, trace, head,
                          seed=[SEED_EVAL, ep])
         same = np.array_equal(fh.tokens, sh.tokens)
-        if fh.aal != sh.aal or fh.n_rounds != sh.n_rounds or not same:
+        if (EpisodeTotals.of(fh).aal != EpisodeTotals.of(sh).aal or fh.n_rounds != sh.n_rounds
+                or not same):
             violations += 1
             continue
         fh_up, sh_up = fh.comm.uplink_bits, sh.comm.uplink_bits
@@ -265,7 +268,7 @@ def test_criterion_7_reference_throughput_identity():
     # rounds). The reported AAL averages per episode, so across episodes it
     # departs from the identity by the printed gap.
     def rel_error(aal_v, s):
-        return abs(aal_v * s.rounds_mean / s.latency_mean_s / s.throughput_tokens_per_s - 1)
+        return abs(aal_v * s["rounds"] / s["latency_s"] / s["throughput"] - 1)
 
     cfg = ExperimentConfig.load()
     head = init_params(cfg.feature_dim(), 16, seed=0)
@@ -275,13 +278,11 @@ def test_criterion_7_reference_throughput_identity():
             episodes = eval_episodes(cfg, mode, 16, 0.5, scenario, 4, head=head, s_idx=s_idx)
             for ep in episodes:
                 single = summarize([ep])
-                worst_real = max(worst_real, rel_error(single.aal, single))
+                worst_real = max(worst_real, rel_error(single["aal"], single))
             pooled = summarize(episodes)
-            pooled_aal = sum(ep.accepted_total for ep in episodes) / sum(
-                ep.n_rounds for ep in episodes
-            )
+            pooled_aal = sum(ep.accepted for ep in episodes) / sum(ep.rounds for ep in episodes)
             worst_real = max(worst_real, rel_error(pooled_aal, pooled))
-            gap = max(gap, rel_error(pooled.aal, pooled))
+            gap = max(gap, rel_error(pooled["aal"], pooled))
             points += 1
     report(7, worst < 0.005 and worst_real < 1e-9,
            f"throughput identity holds on {len(rows)} reference rows, worst error {worst:.2e}; "
@@ -325,8 +326,8 @@ def test_criterion_8_trend_reproduction(pipeline):
 
     fh_aal = [np.array([ep.aal for ep in eval_episodes(cfg, "wisv_fh", k, 0.9, "500mbps_50ms",
                                                         60, head=head)]) for k in ks]
-    rej_lat = [np.array([ep.total_latency_s for ep in eval_episodes(cfg, "sd_reject", k, 0.5,
-                                                                     "500mbps_50ms", 60)])
+    rej_lat = [np.array([ep.latency_s for ep in eval_episodes(cfg, "sd_reject", k, 0.5,
+                                                               "500mbps_50ms", 60)])
                for k in ks]
     pairing = (f"adjacent-k diff SEM: wisv_fh AAL {adjacent_sems(fh_aal)}, "
                f"sd_reject latency {adjacent_sems(rej_lat)}")

@@ -54,6 +54,10 @@ class TestCsiStateInvariants:
             ("per_up", 1.0, r"\[0, 1\)"),
             ("per_down", -0.1, r"\[0, 1\)"),
             ("rtt", -1e-3, "nonnegative"),
+            ("r_up", np.nan, "r_up must be finite"),
+            ("r_down", np.inf, "r_down must be finite"),
+            ("rtt", np.nan, "rtt must be finite"),
+            ("rtt", np.inf, "rtt must be finite"),
         ],
     )
     def test_rejects_bad_entry_of_array_state(self, field, bad, message):
@@ -63,6 +67,14 @@ class TestCsiStateInvariants:
         columns[field][1] = bad
         with pytest.raises(ValueError, match=message):
             CsiState(**{name: np.array(values) for name, values in columns.items()})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["r_up", "r_down", "rtt"])
+    def test_rejects_non_finite_rate_or_rtt(self, field, bad):
+        # NaN fails no comparison, so only a finiteness check refuses it.
+        values = {"r_up": 1e6, "r_down": 1e6, "per_up": 0.0, "per_down": 0.0, "rtt": 0.01}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CsiState(**{**values, field: bad})
 
     def test_take_wraps_and_broadcasts(self):
         trace = CsiState(np.array([1e6, 2e6, 3e6]), np.full(3, 5e6), np.array([0.0, 0.1, 0.2]),

@@ -33,7 +33,7 @@ from wisv.cli import (
 from wisv.config import SEED_CHANNEL, SEED_EVAL, DEFAULT_CONFIG, ExperimentConfig, config_hash
 from wisv.engine import MODES, run_episode
 from wisv.head import HeadParams
-from wisv.metrics import CSV_COLUMNS, EpisodeTotals
+from wisv.metrics import CSV_COLUMNS, EpisodeTotals, summarize
 
 SMALL_OVERRIDES = {
     "trace": {"episodes": 50},
@@ -179,6 +179,10 @@ class TestConfig:
             ({"sweep": {"scenarios": [{"name": "a", "regime": "two-state",
                                        "alt_rate_up_bps": 2e7, "switch_prob": 1.5}]}},
              "section 'sweep.scenarios[0]': switch_prob must lie in [0, 1]"),
+            ({"sweep": {"scenarios": [{"name": "a", "rtt_s": float("inf")}]}},
+             "section 'sweep.scenarios[0]': rtt must be finite"),
+            ({"sweep": {"scenarios": [{"name": "a", "rate_up_bps": float("nan")}]}},
+             "section 'sweep.scenarios[0]': r_up must be finite"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -207,6 +211,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r}: a ")
                            + r"\w+( \w+)? must be an integer, got"):
             ExperimentConfig.load(write_config(tmp_path, overrides))
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1", -1])
+    def test_bad_seed_rejected(self, tmp_path, seed):
+        # Every lineage record hashes the raw seed, so it must be the seed that runs.
+        message = re.escape(f"config key 'seed' must be a nonnegative integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.load(write_config(tmp_path, {"seed": seed}))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.load(seed=seed)
 
     def test_shipped_configs_load(self):
         root = Path(__file__).resolve().parents[1]
@@ -453,9 +466,13 @@ class TestEvalCommand:
                 ref = run_episode(system, cfg.engine(mode=mode, window=k, tau=tau), oracle_cfg,
                                   trace, head if mode.startswith("wisv") else None,
                                   seed=[SEED_EVAL, ep])
-                assert totals == EpisodeTotals.of(ref)
-                base = {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau}
-                assert (episode_line, round_lines) == cli._episode_lines(base, ep, ref)
+                ref_totals = EpisodeTotals.of(ref)
+                assert totals == ref_totals
+                key = {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau,
+                       "episode": ep}
+                assert episode_line == json.dumps({**key, **vars(ref_totals)},
+                                                  separators=(",", ":")) + "\n"
+                assert round_lines == cli._round_lines(key, ref)
                 rounds = [json.loads(line) for line in round_lines.splitlines()]
                 assert len(rounds) == ref.n_rounds
                 if mode == "wisv_adaptive":
@@ -498,7 +515,7 @@ class TestEvalCommand:
                 seen["proto"].add(record["proto"])
                 reference += json.dumps({**base, "episode": 7, "round": r, **record},
                                         separators=(",", ":")) + "\n"
-            assert cli._episode_lines(base, 7, res)[1] == reference, mode
+            assert cli._round_lines({**base, "episode": 7}, res) == reference, mode
         assert seen == {"reject_pos": {True, False}, "proto": {None, "FH", "SH"}}
 
     def test_non_finite_round_column_raises(self, small_run):
@@ -508,7 +525,30 @@ class TestEvalCommand:
         head_s = res.head_s.copy()
         head_s[1] = np.nan
         with pytest.raises(ValueError, match="round column 'head_s' of episode 3"):
-            cli._episode_lines({}, 3, dataclasses.replace(res, head_s=head_s))
+            cli._round_lines({"episode": 3}, dataclasses.replace(res, head_s=head_s))
+
+    def test_episode_line_and_row_are_the_records(self, small_run, tmp_path):
+        # An episode line's metrics are EpisodeTotals' fields in order, and
+        # summarize of a point's lines gives its results.csv row.
+        cfg, _ = small_run
+        cmd_eval(derived_config(cfg, modes=["sd_greedy"], k_values=[10], episodes=2), tmp_path)
+        fields = [field.name for field in dataclasses.fields(EpisodeTotals)]
+        points = {}
+        with open(tmp_path / EPISODES_JSONL) as fh:
+            for line in fh:
+                rec = json.loads(line)
+                keys = list(rec)
+                assert keys[keys.index("episode") + 1:] == fields
+                point = (rec["mode"], rec["k"], rec["tau"], rec["scenario"])
+                points.setdefault(point, []).append(EpisodeTotals(**{f: rec[f] for f in fields}))
+        metric_columns = CSV_COLUMNS[CSV_COLUMNS.index("aal"):]
+        with open(tmp_path / RESULTS) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(points) == 2
+        for row, totals in zip(rows, points.values()):
+            summary = summarize(totals)
+            assert list(summary) == metric_columns
+            assert {c: str(v) for c, v in summary.items()} == {c: row[c] for c in metric_columns}
 
     def test_head_lineage_checked(self, small_run, tmp_path):
         cfg, out = small_run
@@ -651,6 +691,14 @@ class TestMainEntry:
         cfg_path = write_config(tmp_path)
         assert main(["all", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / RESULTS).exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_flag_propagates(self, tmp_path):
         cfg_path = write_config(tmp_path)

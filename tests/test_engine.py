@@ -33,6 +33,7 @@ from wisv.engine import (
     select_protocol,
 )
 from wisv.head import HeadParams, forward_batch, init_params
+from wisv.metrics import EpisodeTotals
 from wisv.oracle import (
     EpisodeOracle,
     OracleConfig,
@@ -289,7 +290,8 @@ class TestGreedyRound:
         res = run_episode(SYSTEM, eng, oracle_config(p_match=0.9, d_h_draft=1, d_h_target=1),
                           static_trace(), seed=4)
         assert res.n_rounds >= 45_000
-        assert res.aal == pytest.approx(geometric_accepted_length(0.9, k), rel=0.01)
+        assert EpisodeTotals.of(res).aal == pytest.approx(geometric_accepted_length(0.9, k),
+                                                          rel=0.01)
 
 
 def reference_window(p_draft, p_target, k, rng):
@@ -450,7 +452,7 @@ class TestLedger:
             assert got == ref, r
             total += res.total_s[r]
             prefix += int(res.committed[r])
-        assert res.total_latency_s == total
+        assert EpisodeTotals.of(res).latency_s == total
         if mode == "wisv_adaptive":
             assert set(res.proto.tolist()) == {PROTO_FH, PROTO_SH}
 
@@ -648,14 +650,15 @@ class TestRunEpisode:
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=10, prefix_len=0)
         res = run_episode(SYSTEM, eng, cfg, static_trace(), seed=0)
         assert res.n_rounds == 1
-        assert res.total_tokens == 11
+        assert EpisodeTotals.of(res).tokens == 11
 
     def test_token_conservation(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=200, prefix_len=32)
         res = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=1)
         per_round = np.where(res.reject_pos >= 0, res.accepted + 1, 10 + 1)
-        assert res.total_tokens == per_round.sum() == len(res.tokens)
-        assert res.total_tokens >= 200
+        tokens = EpisodeTotals.of(res).tokens
+        assert tokens == per_round.sum() == len(res.tokens)
+        assert tokens >= 200
 
     def test_greedy_vs_tiny_tau_wisv_identical(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
@@ -666,7 +669,7 @@ class TestRunEpisode:
             w = run_episode(SYSTEM, eng_w, oracle_config(), static_trace(), params, seed=ep)
             np.testing.assert_array_equal(g.tokens, w.tokens)
             assert g.n_rounds == w.n_rounds
-            assert g.aal == w.aal
+            assert EpisodeTotals.of(g).aal == EpisodeTotals.of(w).aal
 
     def test_fh_sh_verification_invariance(self):
         params = init_params(4 + 4 + 5, 8, seed=2)
@@ -689,7 +692,7 @@ class TestRunEpisode:
         rounds = [r.n_rounds for r in runs]
         assert rounds == sorted(rounds, reverse=True)
         # higher AAL must come with fewer rounds at a fixed token budget
-        aals = [r.aal for r in runs]
+        aals = [EpisodeTotals.of(r).aal for r in runs]
         assert aals == sorted(aals)
         for lo, hi in zip(runs, runs[1:]):
             cum_lo = np.cumsum(lo.committed)
@@ -728,7 +731,7 @@ class TestRunEpisode:
         a = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=9)
         b = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=9)
         np.testing.assert_array_equal(a.tokens, b.tokens)
-        assert a.total_latency_s == b.total_latency_s
+        assert EpisodeTotals.of(a).latency_s == EpisodeTotals.of(b).latency_s
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -745,4 +748,4 @@ class TestRunEpisode:
                 run_episode(SYSTEM, eng, oracle_config(p_crit=0.0), static_trace(),
                             params, seed=ep)
             )
-        assert accuracy_proxy(results) == 1.0
+        assert accuracy_proxy([EpisodeTotals.of(res) for res in results]) == 1.0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from wisv.metrics import (
     EpisodeTotals,
     aal,
     accuracy_proxy,
-    csv_row,
     e2e_latency,
     round_count,
     summarize,
@@ -20,7 +20,7 @@ from wisv.metrics import (
 from wisv.wire import PROTO_TOKENS, LatencyBreakdown
 
 
-def fake_episode(accepted_lengths, latency_per_round=0.1, critical=0):
+def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
     """Full-accept rounds, latency split between uplink and RTT; the first
     round accepts ``critical`` critical mismatches."""
     n = len(accepted_lengths)
@@ -49,6 +49,10 @@ def fake_episode(accepted_lengths, latency_per_round=0.1, critical=0):
     )
 
 
+def fake_episode(accepted_lengths, latency_per_round=0.1, critical=0):
+    return EpisodeTotals.of(fake_result(accepted_lengths, latency_per_round, critical))
+
+
 class TestAal:
     def test_single_episode_mean(self):
         assert aal([fake_episode([3, 5, 4])]) == 4.0
@@ -63,8 +67,10 @@ class TestAal:
         assert aal([fake_episode([10] * 7)]) == 10.0
 
     def test_zero_rounds_rejected(self):
-        with pytest.raises(ValueError):
-            aal([fake_episode([])])
+        with pytest.raises(ValueError, match="no rounds"):
+            EpisodeTotals.of(fake_result([]))
+        with pytest.raises(ValueError, match="zero rounds"):
+            aal([dataclasses.replace(fake_episode([1]), rounds=0)])
 
 
 class TestRoundCount:
@@ -84,8 +90,9 @@ class TestLatency:
         assert e2e_latency([fake_episode([1, 1, 1], latency_per_round=0.1)]) == pytest.approx(0.3)
 
     def test_matches_component_recomputation(self):
-        eps = [fake_episode([2, 3], 0.05), fake_episode([4], 0.2)]
-        recomputed = np.mean([sum(ep.comm.total_s) for ep in eps])
+        results = [fake_result([2, 3], 0.05), fake_result([4], 0.2)]
+        recomputed = np.mean([sum(res.comm.total_s) for res in results])
+        eps = [EpisodeTotals.of(res) for res in results]
         assert e2e_latency(eps) == pytest.approx(recomputed, rel=1e-12)
 
 
@@ -96,8 +103,8 @@ class TestThroughput:
 
     def test_pooled_identity(self):
         eps = [fake_episode([5] * 4, 0.1), fake_episode([8] * 2, 0.3)]
-        total_tokens = sum(ep.accepted_total for ep in eps)
-        total_latency = sum(ep.total_latency_s for ep in eps)
+        total_tokens = sum(ep.accepted for ep in eps)
+        total_latency = sum(ep.latency_s for ep in eps)
         got = throughput(eps)
         assert got == pytest.approx(total_tokens / total_latency, rel=1e-12)
         # throughput * mean latency * n episodes recovers the token total
@@ -130,20 +137,16 @@ class TestSummaryAndCsv:
     def test_summary_totals(self):
         eps = [fake_episode([2, 4], 0.1), fake_episode([6], 0.2)]
         s = summarize(eps)
-        assert s.aal == pytest.approx((3 + 6) / 2)
-        assert s.rounds_mean == 1.5
-        assert s.uplink_bits_total == 3000
-        assert s.downlink_bits_total == 300
-        assert s.rtt_s_mean == pytest.approx((0.1 + 0.1) / 2)
-
-    def test_episode_totals_summarize_like_results(self):
-        eps = [fake_episode([2, 4], 0.1), fake_episode([6], 0.3, critical=1),
-               fake_episode([1, 1, 7], 0.7)]
-        assert summarize([EpisodeTotals.of(ep) for ep in eps]) == summarize(eps)
+        assert s["aal"] == pytest.approx((3 + 6) / 2)
+        assert s["rounds"] == 1.5
+        assert s["uplink_bits"] == 3000
+        assert s["downlink_bits"] == 300
+        assert s["latency_s"] == pytest.approx((0.2 + 0.2) / 2)
 
     def test_csv_columns_exact(self, tmp_path):
         eps = [fake_episode([2, 4], 0.1)]
-        row = csv_row("sd_greedy", 10, 0.5, 500e6, 0.05, summarize(eps))
+        row = {"mode": "sd_greedy", "k": 10, "tau": 0.5, "rate_bps": 500e6, "rtt_s": 0.05,
+               **summarize(eps)}
         path = tmp_path / "results.csv"
         write_csv(path, [row])
         with open(path) as fh:
@@ -152,11 +155,13 @@ class TestSummaryAndCsv:
             back = next(reader)
         assert back["mode"] == "sd_greedy"
         assert int(back["k"]) == 10
+        assert back["rate_bps"] == repr(500e6)  # str of a float is its repr
         assert float(back["aal"]) == pytest.approx(3.0)
 
     def test_csv_bytes_deterministic(self, tmp_path):
         eps = [fake_episode([2, 4], 0.1)]
-        row = csv_row("wisv_fh", 16, 0.9, 20e6, 0.005, summarize(eps))
+        row = {"mode": "wisv_fh", "k": 16, "tau": 0.9, "rate_bps": 20e6, "rtt_s": 0.005,
+               **summarize(eps)}
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(a, [row])
         write_csv(b, [row])
