@@ -5,7 +5,8 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 ``oracle`` (synthetic drafter/target pair), ``head`` (rejection MLP),
 ``labeler`` (trace collection and link-aware relabeling), ``engine``
 (the head's screen of an episode, ``head_screens``, the episode decision
-loop, ``decide``, and its pricing step, ``bill``), ``metrics``
+loop, ``decide``, and its pricing step, ``bill``: ``price_decisions``
+once per decision, then ``price_link`` per link), ``metrics``
 (aggregation), and ``cli`` (experiment pipeline).
 """
 
@@ -33,11 +34,14 @@ from .engine import (
     EngineConfig,
     EpisodeResult,
     HeadScreen,
+    PricedDecisions,
     SystemModel,
     bill,
     decide,
     episode_oracle,
     head_screens,
+    price_decisions,
+    price_link,
     run_episode,
     select_protocol,
 )

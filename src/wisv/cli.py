@@ -19,9 +19,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import json
+import math
 import sys
 from collections import defaultdict
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,16 @@ from .config import (
     TRACE_SECTIONS,
     ExperimentConfig,
 )
-from .engine import EpisodeResult, bill, decide, episode_oracle, head_screens
+from .engine import (
+    EpisodeResult,
+    PricedDecisions,
+    bill,
+    decide,
+    episode_oracle,
+    head_screens,
+    price_decisions,
+    price_link,
+)
 from .head import HeadParams, forward_batch, load_params, save_params, train
 from .labeler import (
     collect_traces,
@@ -65,10 +77,6 @@ ROUNDS_JSONL = "rounds.jsonl"
 PLOT_DATA = "plot_latency_vs_k.json"
 ABLATE_CSV = "ablate.csv"
 ABLATE_META = "ablate_meta.json"
-
-
-def _json_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -190,21 +198,22 @@ def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 
 
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC with average ranks for ties."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    """Rank-based AUC with average ranks for ties.
+
+    The sorted scores at positions i..j (0-based) of one tie group all rank
+    0.5 * (i + j) + 1.
+    """
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    opens_group = np.concatenate([[True], sorted_scores[1:] != sorted_scores[:-1]])
+    first = np.flatnonzero(opens_group)
+    last = np.append(first[1:], len(scores)) - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(opens_group) - 1]
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
@@ -264,49 +273,98 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 # JSON text of each protocol code in a round line.
 _PROTO_JSON = tuple(json.dumps(name) for name in PROTO_NAMES)
 
+# An episode line after its key prefix: one ``%s`` per EpisodeTotals field.
+_EPISODE_TEMPLATE = "%s" + ",".join(
+    f'"{field.name}":%s' for field in dataclasses.fields(EpisodeTotals)) + "}\n"
 
-def _round_lines(key: dict, res: EpisodeResult) -> str:
-    """One episode's ``rounds.jsonl`` lines.
 
-    ``key`` is the episode's key, ending in ``"episode"``. Each line is the
-    compact ``json.dumps`` of ``{**key, "round": r, **columns}``, written
-    with one ``%`` template: integers as ``%d``, floats as ``%r`` (JSON's
-    ``repr``), ``reject_pos`` and ``proto`` as JSON text. A non-finite float,
-    which JSON writes as ``NaN``, raises.
+def _line_prefix(key: dict) -> str:
+    """The JSON text a line of ``key`` starts with: its members and a comma."""
+    return json.dumps(key, separators=(",", ":"))[:-1] + ","
+
+
+def _episode_line(key: dict, totals: EpisodeTotals) -> str:
+    """The ``episodes.jsonl`` line of ``key``: compact ``json.dumps({**key, **vars(totals)})``.
+
+    Written with ``_EPISODE_TEMPLATE``: ``%s`` of an int or a float is its
+    JSON text (a float's ``str`` is its ``repr``), and a bool becomes
+    ``true`` or ``false``. A non-finite float, which JSON writes as ``NaN``,
+    raises.
+    """
+    values = [_line_prefix(key)]
+    for name, value in vars(totals).items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"episode column {name!r} of episode {key['episode']} holds a "
+                             "non-finite value, which JSON cannot encode")
+        values.append(value)
+    return _EPISODE_TEMPLATE % tuple(values)
+
+
+def _round_values(columns: dict, episode: int) -> list[list]:
+    """Round columns as lists whose entries' ``%s`` is their JSON text.
+
+    Arrays become lists of Python ints and floats; a list already holds
+    JSON text. A non-finite float, which JSON writes as ``NaN``, raises.
+    """
+    values = []
+    for name, column in columns.items():
+        if not isinstance(column, list):
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                raise ValueError(f"round column {name!r} of episode {episode} holds a "
+                                 "non-finite value, which JSON cannot encode")
+            column = column.tolist()
+        values.append(column)
+    return values
+
+
+def _round_template(episode: int, priced: PricedDecisions) -> str:
+    """The ``rounds.jsonl`` lines of one episode's priced decisions, as one ``%`` template.
+
+    Rendered once per decision: each round's line holds the decisions' own
+    members, and a ``%s`` slot for the point's key prefix and for each
+    member the link sets, which ``_round_lines`` fills per point.
+    """
+    # The members after the key, in line order; None marks one the link sets.
+    members = {
+        "round": np.arange(priced.n_rounds),
+        "m": priced.m,
+        "reject_pos": ["null" if j < 0 else str(j) for j in priced.reject_pos.tolist()],
+        "accepted": priced.accepted,
+        "committed": priced.committed,
+        "proto": None,
+        "uplink_bits": None,
+        "downlink_bits": None,
+        "draft_s": priced.draft_s,
+        "verify_s": priced.verify_s,
+        "head_s": priced.head_s,
+        "comm_s": None,
+        "total_s": None,
+        "accepted_critical": priced.accepted_critical,
+    }
+    own = {name: column for name, column in members.items() if column is not None}
+    template = "%%s" + ",".join(f'"{name}":{"%%s" if column is None else "%s"}'
+                                for name, column in members.items()) + "}\n"
+    return "".join(template % row for row in zip(*_round_values(own, episode)))
+
+
+def _round_lines(key: dict, template: str, res: EpisodeResult) -> str:
+    """One point's ``rounds.jsonl`` lines: compact ``json.dumps({**key, "round": r, **columns})``.
+
+    ``key`` ends in ``"episode"``, and ``template`` is the
+    ``_round_template`` of the priced decisions ``res`` was billed from.
     """
     comm = res.comm
-    columns = {
-        "round": np.arange(res.n_rounds),
-        "m": res.m,
-        "reject_pos": ["null" if j < 0 else str(j) for j in res.reject_pos.tolist()],
-        "accepted": res.accepted,
-        "committed": res.committed,
+    # The link's members, in line order.
+    link = _round_values({
         "proto": [_PROTO_JSON[code] for code in res.proto.tolist()],
         "uplink_bits": comm.uplink_bits,
         "downlink_bits": comm.downlink_bits,
-        "draft_s": res.draft_s,
-        "verify_s": res.verify_s,
-        "head_s": res.head_s,
         "comm_s": comm.total_s,
         "total_s": res.total_s,
-        "accepted_critical": res.accepted_critical,
-    }
-    specs, values = [], []
-    for name, column in columns.items():
-        if isinstance(column, list):
-            spec = "%s"
-        elif column.dtype.kind == "f":
-            if not np.isfinite(column).all():
-                raise ValueError(f"round column {name!r} of episode {key['episode']} holds a "
-                                 "non-finite value, which JSON cannot encode")
-            spec, column = "%r", column.tolist()
-        else:
-            spec, column = "%d", column.tolist()
-        specs.append(f'"{name}":{spec}')
-        values.append(column)
-    prefix = json.dumps(key, separators=(",", ":"))[:-1]
-    template = prefix.replace("%", "%%") + "," + ",".join(specs) + "}\n"
-    return "".join(template % row for row in zip(*values))
+    }, key["episode"])
+    return template % tuple(chain.from_iterable(zip(repeat(_line_prefix(key)), *link)))
 
 
 def _eval_point(payload: dict) -> list[tuple]:
@@ -317,9 +375,11 @@ def _eval_point(payload: dict) -> list[tuple]:
     screen on each trace. Per window, ``sd_greedy`` and ``sd_reject`` read
     neither the channel nor tau, so each decides once; the head-verified
     modes decide once per (scenario, tau), shared by FH, SH and adaptive.
-    Every point is then billed on its own. Returns ``(point, episode
-    totals, episode line, round lines)`` per point, where ``point`` is
-    ``(scenario index, mode, k, tau)``.
+    Each decision is priced (``price_decisions``) and its round lines
+    rendered (``_round_template``) once; each point then prices only its
+    link (``price_link``) and fills in its own columns. Returns ``(point,
+    episode totals, episode line, round lines)`` per point, where ``point``
+    is ``(scenario index, mode, k, tau)``.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     sweep = cfg.raw["sweep"]
@@ -337,23 +397,25 @@ def _eval_point(payload: dict) -> list[tuple]:
     screens = head_screens(head, oracle, traces, system.bounds) if head is not None else None
     out = []
     for k in sweep["k_values"]:
-        decisions: dict = {}
+        decided: dict = {}
         for s_idx, (scenario, trace) in enumerate(zip(sweep["scenarios"], traces)):
             for mode in sweep["modes"]:
                 for tau in sweep["tau_values"]:
                     engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
                     screening = mode.startswith("wisv")
                     key = (s_idx, tau) if screening else mode
-                    if key not in decisions:
-                        decisions[key] = decide(engine_cfg, oracle,
-                                                screens[s_idx] if screening else None)
-                    res = bill(system, engine_cfg, decisions[key], trace)
+                    if key not in decided:
+                        decisions = decide(engine_cfg, oracle,
+                                           screens[s_idx] if screening else None)
+                        priced = price_decisions(system, engine_cfg, decisions)
+                        decided[key] = priced, _round_template(ep, priced)
+                    priced, template = decided[key]
+                    res = price_link(system, engine_cfg, priced, trace)
                     totals = EpisodeTotals.of(res)
                     line_key = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau,
                                 "episode": ep}
-                    out.append(((s_idx, mode, k, tau), totals,
-                                _json_line({**line_key, **vars(totals)}),
-                                _round_lines(line_key, res)))
+                    out.append(((s_idx, mode, k, tau), totals, _episode_line(line_key, totals),
+                                _round_lines(line_key, template, res)))
     return out
 
 

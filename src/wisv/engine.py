@@ -18,17 +18,21 @@ oracle's position columns and scans the rounds over a stop column: the
 first mismatch (``sd_greedy``), the first draft the per-position
 speculative-sampling draw rejects (``sd_reject``), or the first mismatch
 the head screens at p >= tau. The loop records integer ``Decisions``
-columns per round. ``bill`` is the one pricing step of an episode: it picks
-each round's wire protocol code (``wire.PROTO_*``) and prices every round
-at once from those columns and the trace's per-round CSI columns, the
-communication with ``wire.round_comm`` and the draft and verify compute
-with ``compute.window_flops``. Decisions never read the protocol, and only
-the head-verified modes read the channel: FH, SH and adaptive share one
-decision and differ only in the ``proto`` column. ``bill`` returns the
-episode's ``EpisodeResult`` columns and computes no per-episode metric:
-``metrics.EpisodeTotals`` is the one reduction of an episode. ``run_episode``
-is both steps for one mode; a sweep can decide once and bill many variants
-from one oracle per episode (``episode_oracle``).
+columns per round. ``bill`` is the one pricing step of an episode, in two
+halves. ``price_decisions`` prices what no link reads, once per
+``Decisions``: each round's draft and verify compute from its prefix length
+(``compute.window_flops``), the head's screening of its m mismatches on the
+head-verified modes, and the episode's sums. ``price_link`` prices one link:
+it picks each round's wire protocol code (``wire.PROTO_*``), prices the
+communication from the trace's per-round CSI columns with
+``wire.round_comm``, and adds up each round's latency. Decisions never read
+the protocol, and only the head-verified modes read the channel: FH, SH and
+adaptive share one decision and one priced decision, and differ only in
+the ``proto`` column. The bill is the episode's ``EpisodeResult`` columns;
+``metrics.EpisodeTotals`` is the one reduction of an episode.
+``run_episode`` is deciding and billing for one mode; a sweep decides and
+prices each decision once and prices every point's link from it, with one
+oracle per episode (``episode_oracle``).
 
 The head-verified modes decide from a ``HeadScreen``, built once per
 (head, episode, trace) by ``head_screens``. The head's first layer is
@@ -128,35 +132,6 @@ class SystemModel:
     head_d_j: int = 256
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
-    """One episode as columns; entry r of every array belongs to round r.
-
-    ``tokens``, ``m``, ``reject_pos``, ``accepted`` and
-    ``accepted_critical`` are the episode's ``Decisions``; ``committed`` is
-    accepted + 1 and ``proto`` the protocol code the bill chose per round.
-    The rest is the bill. ``metrics.EpisodeTotals.of`` reduces it to the
-    episode's metrics.
-    """
-
-    tokens: np.ndarray
-    m: np.ndarray
-    reject_pos: np.ndarray
-    accepted: np.ndarray
-    committed: np.ndarray
-    accepted_critical: np.ndarray
-    proto: np.ndarray
-    comm: LatencyBreakdown
-    draft_s: np.ndarray
-    verify_s: np.ndarray
-    head_s: np.ndarray
-    total_s: np.ndarray
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.m)
-
-
 def select_protocol(rtt: np.ndarray, cutoff: float) -> np.ndarray:
     """Protocol code per round: FH where the RTT strictly exceeds the cutoff, SH otherwise."""
     return np.where(rtt > cutoff, PROTO_FH, PROTO_SH)
@@ -179,6 +154,49 @@ class Decisions:
     reject_pos: np.ndarray
     accepted: np.ndarray
     accepted_critical: np.ndarray
+
+    @property
+    def n_rounds(self) -> int:
+        return len(self.m)
+
+
+@dataclass(frozen=True)
+class PricedDecisions(Decisions):
+    """An episode's ``Decisions`` with the half of its bill that no link reads.
+
+    ``price_decisions`` prices it once per ``Decisions`` for a ``window`` and
+    for head-verified modes or not; every point billed from it shares both.
+    ``committed`` is accepted + 1 per round; ``draft_s`` and ``verify_s``
+    draft and verify each round's window, and ``head_s`` screens its m
+    localized mismatches on the head-verified modes (0 otherwise).
+    ``n_accepted``, ``n_tokens`` and ``n_accepted_critical`` are the sums of
+    ``accepted``, ``committed`` and ``accepted_critical``.
+    """
+
+    window: int
+    head_verified: bool
+    committed: np.ndarray
+    draft_s: np.ndarray
+    verify_s: np.ndarray
+    head_s: np.ndarray
+    n_accepted: int
+    n_tokens: int
+    n_accepted_critical: int
+
+
+@dataclass(frozen=True)
+class EpisodeResult(PricedDecisions):
+    """One billed episode: its priced decisions and the columns its link adds.
+
+    Entry r of every array belongs to round r: ``proto`` is the protocol
+    code the bill chose, ``comm`` the communication and ``total_s`` the
+    round's latency. ``metrics.EpisodeTotals.of`` reduces it to the
+    episode's metrics.
+    """
+
+    proto: np.ndarray
+    comm: LatencyBreakdown
+    total_s: np.ndarray
 
 
 def episode_oracle(
@@ -334,44 +352,74 @@ def decide(
     return Decisions(tokens, start, m, reject_pos, accepted, accepted_critical)
 
 
-def bill(
-    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions, trace: CsiState
+def price_decisions(
+    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions
+) -> PricedDecisions:
+    """The half of an episode's bill that no link reads, for ``engine_cfg``'s window and mode.
+
+    Every round drafts and verifies its window from its prefix length;
+    under a head-verified mode (FH, SH or adaptive) it also screens its m
+    localized mismatches. Refuses a round whose m is not in [0, k].
+    """
+    k, start, m = engine_cfg.window, decisions.start, decisions.m
+    if np.any((m < 0) | (m > k)):
+        raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
+    head_verified = engine_cfg.mode.startswith("wisv")
+    screened = m if head_verified else np.zeros_like(m)
+    committed = decisions.accepted + 1
+    return PricedDecisions(
+        **vars(decisions),
+        window=k,
+        head_verified=head_verified,
+        committed=committed,
+        draft_s=exec_time(window_flops(system.draft_dims, system.consts, start, k),
+                          system.hw_draft),
+        verify_s=exec_time(window_flops(system.target_dims, system.consts, start, k),
+                           system.hw_target),
+        head_s=exec_time(head_flops(system.head_d_in, system.head_d_j, screened),
+                         system.hw_target),
+        n_accepted=int(decisions.accepted.sum()),
+        n_tokens=int(committed.sum()),
+        n_accepted_critical=int(decisions.accepted_critical.sum()),
+    )
+
+
+def price_link(
+    system: SystemModel, engine_cfg: EngineConfig, priced: PricedDecisions, trace: CsiState
 ) -> EpisodeResult:
-    """Price one episode's decisions under ``engine_cfg``'s protocol and the trace's CSI.
+    """Bill priced decisions under ``engine_cfg``'s protocol and the trace's CSI.
 
     Round r uses the trace's state r, wrapping if the episode outlives the
     trace. Adaptive picks FH or SH per round from that state's RTT. Every
-    round pays its communication, drafting and verifying its window from its
-    prefix length, and, on head-verified (FH or SH) rounds only, screening
-    its m localized mismatches.
+    round's latency is its communication plus its priced compute.
     """
-    k, start, m = engine_cfg.window, decisions.start, decisions.m
-    csi = trace.take(np.arange(len(m)))
+    if (engine_cfg.window, engine_cfg.mode.startswith("wisv")) != (
+        priced.window, priced.head_verified
+    ):
+        raise ValueError(f"decisions priced for window {priced.window} and head_verified="
+                         f"{priced.head_verified} cannot be billed as {engine_cfg.mode} "
+                         f"with window {engine_cfg.window}")
+    n = priced.n_rounds
+    csi = trace.take(np.arange(n))
     code = _MODE_PROTO.get(engine_cfg.mode)
     if code is None:
         proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
     else:
-        proto = np.full(len(m), code, dtype=np.int64)
-    comm = round_comm(system.wire, k, proto, m, csi)
-    draft_s = exec_time(window_flops(system.draft_dims, system.consts, start, k), system.hw_draft)
-    verify_s = exec_time(window_flops(system.target_dims, system.consts, start, k),
-                         system.hw_target)
-    screened = np.where(proto >= PROTO_FH, m, 0)
-    head_s = exec_time(head_flops(system.head_d_in, system.head_d_j, screened), system.hw_target)
+        proto = np.full(n, code, dtype=np.int64)
+    comm = round_comm(system.wire, priced.window, proto, priced.m, csi)
     return EpisodeResult(
-        tokens=decisions.tokens,
-        m=m,
-        reject_pos=decisions.reject_pos,
-        accepted=decisions.accepted,
-        committed=decisions.accepted + 1,
-        accepted_critical=decisions.accepted_critical,
+        **vars(priced),
         proto=proto,
         comm=comm,
-        draft_s=draft_s,
-        verify_s=verify_s,
-        head_s=head_s,
-        total_s=round_latency(draft_s, comm, verify_s, head_s),
+        total_s=round_latency(priced.draft_s, comm, priced.verify_s, priced.head_s),
     )
+
+
+def bill(
+    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions, trace: CsiState
+) -> EpisodeResult:
+    """Price one episode's decisions (``price_decisions``), then its link (``price_link``)."""
+    return price_link(system, engine_cfg, price_decisions(system, engine_cfg, decisions), trace)
 
 
 def run_episode(

@@ -225,13 +225,31 @@ _TRACE_KEYS = {
 
 
 def write_traces(path: str | Path, episodes: list[Episode]) -> None:
-    """One JSON record per mismatch; episodes with no mismatch leave no lines."""
+    """One JSON record per mismatch; episodes with no mismatch leave no lines.
+
+    A line is the compact ``json.dumps`` of ``{"episode", "index",
+    **columns}``, written with one ``%`` template: the integer columns as
+    ``%d``, and each hidden row as the ``str`` of its float list, spaces
+    removed (a float's ``str`` is its ``repr``, as in JSON). A non-finite
+    hidden value, which JSON writes as ``NaN``, raises.
+    """
+    keys = ("episode", "index", *_TRACE_KEYS)
+    template = "{" + ",".join(f'"{key}":%{"s" if key.startswith("h_") else "d"}'
+                              for key in keys) + "}\n"
     with open(path, "w") as fh:
         for ep in episodes:
-            columns = [getattr(ep, name).tolist() for name in _TRACE_KEYS.values()]
-            for t, values in enumerate(zip(*columns)):
-                line = {"episode": ep.episode_id, "index": t, **dict(zip(_TRACE_KEYS, values))}
-                fh.write(json.dumps(line, separators=(",", ":")) + "\n")
+            columns = []
+            for key, name in _TRACE_KEYS.items():
+                column = getattr(ep, name)
+                if key.startswith("h_"):
+                    if not np.isfinite(column).all():
+                        raise ValueError(f"trace column {key!r} of episode {ep.episode_id} "
+                                         "holds a non-finite value, which JSON cannot encode")
+                    columns.append([str(row).replace(" ", "") for row in column.tolist()])
+                else:
+                    columns.append(column.tolist())
+            fh.writelines(template % (ep.episode_id, t, *values)
+                          for t, values in enumerate(zip(*columns)))
 
 
 def read_traces(path: str | Path, n_episodes: int | None = None) -> list[Episode]:

@@ -76,18 +76,16 @@ class EpisodeTotals:
     def of(cls, res: EpisodeResult) -> EpisodeTotals:
         if not res.n_rounds:
             raise ValueError("episode has no rounds")
-        accepted = int(res.accepted.sum())
-        accepted_critical = int(res.accepted_critical.sum())
         return cls(
             rounds=res.n_rounds,
-            aal=accepted / res.n_rounds,
-            accepted=accepted,
-            tokens=int(res.committed.sum()),
+            aal=res.n_accepted / res.n_rounds,
+            accepted=res.n_accepted,
+            tokens=res.n_tokens,
             latency_s=round_order_sum(res.total_s),
             uplink_bits=int(res.comm.uplink_bits.sum()),
             downlink_bits=int(res.comm.downlink_bits.sum()),
-            accepted_critical=accepted_critical,
-            correct=accepted_critical == 0,
+            accepted_critical=res.n_accepted_critical,
+            correct=res.n_accepted_critical == 0,
         )
 
 

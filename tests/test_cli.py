@@ -71,6 +71,26 @@ def copy_artifacts(src, dst, names=(HEAD, HEAD + ".json")):
         (dst / name).write_bytes((src / name).read_bytes())
 
 
+ROUND_COLUMNS = ["m", "reject_pos", "accepted", "committed", "proto", "uplink_bits",
+                 "downlink_bits", "draft_s", "verify_s", "head_s", "comm_s", "total_s",
+                 "accepted_critical"]
+
+
+def reference_round_lines(key, res):
+    """``res``'s round lines, one ``json.dumps`` per round of every decision and bill column."""
+    comm = res.comm
+    columns = [res.m, res.reject_pos, res.accepted, res.committed, res.proto,
+               comm.uplink_bits, comm.downlink_bits, res.draft_s, res.verify_s,
+               res.head_s, comm.total_s, res.total_s, res.accepted_critical]
+    lines = ""
+    for r, values in enumerate(zip(*(c.tolist() for c in columns))):
+        record = dict(zip(ROUND_COLUMNS, values))
+        record["reject_pos"] = None if record["reject_pos"] < 0 else record["reject_pos"]
+        record["proto"] = wire.PROTO_NAMES[record["proto"]]
+        lines += json.dumps({**key, "round": r, **record}, separators=(",", ":")) + "\n"
+    return lines
+
+
 def write_config(tmp_path, overrides=None):
     path = tmp_path / "config.yaml"
     with open(path, "w") as fh:
@@ -328,6 +348,36 @@ class TestTrainCommand:
         assert len(report["epoch_losses"]) == 5
         assert (out / HEAD).exists()
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_auc_matches_tie_loop(self, ties):
+        def loop_auc(scores, labels):
+            # Average ranks found by walking each run of equal sorted scores.
+            order = np.argsort(scores, kind="mergesort")
+            ranks, ordered = np.empty(len(scores)), scores[order]
+            i = 0
+            while i < len(scores):
+                j = i
+                while j + 1 < len(scores) and ordered[j + 1] == ordered[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            n_pos = int(labels.sum())
+            n_neg = len(labels) - n_pos
+            return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+        rng = np.random.default_rng(7)
+        for trial in range(100):
+            n = int(rng.integers(2, 300))
+            scores = rng.random(n)
+            if ties:
+                # Few distinct values: long runs of equal scores, and some at both ends.
+                scores = np.round(scores * rng.integers(1, 6)) / 5
+            labels = (rng.random(n) < 0.4).astype(np.float64)
+            labels[:2] = [0.0, 1.0]
+            assert cli._auc(scores, labels) == loop_auc(scores, labels), trial
+        with pytest.raises(ValueError, match="both classes"):
+            cli._auc(np.array([0.2, 0.2]), np.array([1.0, 1.0]))
+
     def test_missing_dataset_error(self, tmp_path):
         cfg = ExperimentConfig.load(write_config(tmp_path))
         with pytest.raises(FileNotFoundError, match="dataset"):
@@ -472,7 +522,7 @@ class TestEvalCommand:
                        "episode": ep}
                 assert episode_line == json.dumps({**key, **vars(ref_totals)},
                                                   separators=(",", ":")) + "\n"
-                assert round_lines == cli._round_lines(key, ref)
+                assert round_lines == reference_round_lines(key, ref)
                 rounds = [json.loads(line) for line in round_lines.splitlines()]
                 assert len(rounds) == ref.n_rounds
                 if mode == "wisv_adaptive":
@@ -487,6 +537,31 @@ class TestEvalCommand:
         assert by_tau[0.5] != by_tau[0.9]
         assert by_scenario[0] != by_scenario[1]
 
+    def test_each_decision_priced_once(self, small_run, monkeypatch):
+        """A sweep_static-shaped grid prices its 30 decisions per episode once, not its 80 points."""
+        cfg, out = small_run
+        cfg = derived_config(cfg, modes=["sd_greedy", "sd_reject", "wisv_fh", "wisv_sh"],
+                             k_values=[10, 16, 24, 32, 64], tau_values=[0.5],
+                             scenarios=DEFAULT_CONFIG["sweep"]["scenarios"])
+        assert len(cfg.raw["sweep"]["scenarios"]) == 4
+        calls = []
+        real = engine.window_flops
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "window_flops", counting)
+        head = cli.load_params(out / HEAD)
+        for ep in range(2):
+            calls.clear()
+            points = cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head})
+            assert len(points) == 4 * 5 * 4
+            # Per k: sd_greedy, sd_reject and one head-verified decision per
+            # scenario; each is drafted and verified once.
+            assert len(calls) == 2 * 5 * (2 + 4)
+            assert sorted(set(calls)) == [10, 16, 24, 32, 64]
+
     def test_round_lines_match_json_reference(self, small_run):
         cfg, out = small_run
         head = cli.load_params(out / HEAD)
@@ -494,38 +569,67 @@ class TestEvalCommand:
                                  "alt_rate_up_bps": 20e6, "alt_rtt_s": 0.005,
                                  "switch_prob": 0.3})
         trace = generate_trace(two_state, [cfg.seed, 1], rounds=30)
-        names = ["m", "reject_pos", "accepted", "committed", "proto", "uplink_bits",
-                 "downlink_bits", "draft_s", "verify_s", "head_s", "comm_s", "total_s",
-                 "accepted_critical"]
         seen = {"reject_pos": set(), "proto": set()}
         for mode in MODES:
             res = run_episode(cfg.system(), cfg.engine(mode=mode, window=10, tau=0.9),
                               cfg.oracle(), trace, head, seed=[SEED_EVAL, 2])
-            base = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
-            comm = res.comm
-            columns = [res.m, res.reject_pos, res.accepted, res.committed, res.proto,
-                       comm.uplink_bits, comm.downlink_bits, res.draft_s, res.verify_s,
-                       res.head_s, comm.total_s, res.total_s, res.accepted_critical]
-            reference = ""
-            for r, values in enumerate(zip(*(c.tolist() for c in columns))):
-                record = dict(zip(names, values))
-                record["reject_pos"] = None if record["reject_pos"] < 0 else record["reject_pos"]
-                record["proto"] = wire.PROTO_NAMES[record["proto"]]
+            key = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9,
+                   "episode": 7}
+            reference = reference_round_lines(key, res)
+            assert cli._round_lines(key, cli._round_template(7, res), res) == reference, mode
+            for line in reference.splitlines():
+                record = json.loads(line)
                 seen["reject_pos"].add(record["reject_pos"] is None)
                 seen["proto"].add(record["proto"])
-                reference += json.dumps({**base, "episode": 7, "round": r, **record},
-                                        separators=(",", ":")) + "\n"
-            assert cli._round_lines({**base, "episode": 7}, res) == reference, mode
         assert seen == {"reject_pos": {True, False}, "proto": {None, "FH", "SH"}}
+
+    def test_one_template_serves_every_link(self, small_run):
+        # FH, SH and adaptive on two links share one priced decision and its
+        # one template; each point fills in only its link's columns.
+        cfg, out = small_run
+        head = cli.load_params(out / HEAD)
+        system, oracle_cfg = cfg.system(), cfg.oracle()
+        links = [generate_trace(cfg.channel({"rtt_s": rtt}), 0, rounds=40)
+                 for rtt in (0.05, 0.005)]
+        eng = cfg.engine(mode="wisv_fh", window=10, tau=0.9)
+        oracle = engine.episode_oracle(oracle_cfg, eng, [SEED_EVAL, 4], False)
+        screen, = engine.head_screens(head, oracle, links[:1], system.bounds)
+        priced = engine.price_decisions(system, eng, engine.decide(eng, oracle, screen))
+        template = cli._round_template(4, priced)
+        for mode in ("wisv_fh", "wisv_sh", "wisv_adaptive"):
+            for trace in links:
+                res = engine.price_link(system, cfg.engine(mode=mode, window=10, tau=0.9),
+                                        priced, trace)
+                key = {"scenario": "s", "mode": mode, "k": 10, "tau": 0.9, "episode": 4}
+                assert cli._round_lines(key, template, res) == reference_round_lines(key, res)
 
     def test_non_finite_round_column_raises(self, small_run):
         cfg, _ = small_run
         res = run_episode(cfg.system(), cfg.engine(), cfg.oracle(),
                           generate_trace(cfg.channel({}), 0, rounds=4), seed=0)
+        # A decision column fails once per decision, a link column per point.
         head_s = res.head_s.copy()
         head_s[1] = np.nan
         with pytest.raises(ValueError, match="round column 'head_s' of episode 3"):
-            cli._round_lines({"episode": 3}, dataclasses.replace(res, head_s=head_s))
+            cli._round_template(3, dataclasses.replace(res, head_s=head_s))
+        total_s = res.total_s.copy()
+        total_s[0] = np.inf
+        with pytest.raises(ValueError, match="round column 'total_s' of episode 3"):
+            cli._round_lines({"episode": 3}, cli._round_template(3, res),
+                             dataclasses.replace(res, total_s=total_s))
+
+    @pytest.mark.parametrize("correct", [True, False])
+    def test_episode_line_matches_json_reference(self, correct):
+        totals = EpisodeTotals(rounds=7, aal=10 / 7, accepted=10, tokens=17, latency_s=0.1 + 0.2,
+                               uplink_bits=123456, downlink_bits=789,
+                               accepted_critical=0 if correct else 2, correct=correct)
+        key = {"scenario": "50% \"cr\u00e8me\" link", "mode": "wisv_sh", "k": 10, "tau": 0.9,
+               "episode": 5}
+        assert cli._episode_line(key, totals) == json.dumps(
+            {**key, **vars(totals)}, separators=(",", ":")) + "\n"
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="episode column 'latency_s' of episode 5"):
+                cli._episode_line(key, dataclasses.replace(totals, latency_s=bad))
 
     def test_episode_line_and_row_are_the_records(self, small_run, tmp_path):
         # An episode line's metrics are EpisodeTotals' fields in order, and

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,8 @@ from wisv.engine import (
     decide,
     episode_oracle,
     head_screens,
+    price_decisions,
+    price_link,
     run_episode,
     select_protocol,
 )
@@ -455,6 +458,19 @@ class TestLedger:
         assert EpisodeTotals.of(res).latency_s == total
         if mode == "wisv_adaptive":
             assert set(res.proto.tolist()) == {PROTO_FH, PROTO_SH}
+
+
+    def test_priced_decisions_bill_only_their_window_and_verifier(self):
+        trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
+        eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
+        decisions = decide(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))
+        priced = price_decisions(SYSTEM, eng, decisions)
+        for other in (replace(eng, window=16), replace(eng, mode="wisv_sh")):
+            with pytest.raises(ValueError, match="cannot be billed"):
+                price_link(SYSTEM, other, priced, trace)
+        bad = replace(decisions, m=np.where(decisions.m == 0, 11, decisions.m))
+        with pytest.raises(ValueError, match="0 <= m <= k"):
+            price_decisions(SYSTEM, eng, bad)
 
 
 def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=None):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +346,34 @@ class TestFileFormats:
                 np.testing.assert_array_equal(getattr(ea, name), getattr(eb, name))
             np.testing.assert_allclose(ea.h_draft, eb.h_draft)
             np.testing.assert_allclose(ea.h_target, eb.h_target)
+
+    def test_trace_lines_match_json_reference(self, tmp_path):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
+        eps = collect_traces(4, cfg, seed=5)
+        # Hidden values whose repr takes an exponent, and a negative zero.
+        eps[0].h_draft[0] = [1e-7, -0.0, 1.5e300]
+        path = tmp_path / "traces.jsonl"
+        write_traces(path, eps)
+        reference = ""
+        for ep in eps:
+            for t in range(len(ep)):
+                record = {"episode": ep.episode_id, "index": t,
+                          "position": int(ep.positions[t]),
+                          "draft_token": int(ep.draft_tokens[t]),
+                          "target_token": int(ep.target_tokens[t]),
+                          "base_label": int(ep.base_labels[t]),
+                          "h_draft": ep.h_draft[t].tolist(), "h_target": ep.h_target[t].tolist()}
+                reference += json.dumps(record, separators=(",", ":")) + "\n"
+        assert path.read_text() == reference
+
+    @pytest.mark.parametrize("column", ["h_draft", "h_target"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_hidden_value_refused(self, tmp_path, column, bad):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
+        eps = collect_traces(3, cfg, seed=5)
+        getattr(eps[2], column)[-1, 0] = bad
+        with pytest.raises(ValueError, match=f"trace column '{column}' of episode 2"):
+            write_traces(tmp_path / "traces.jsonl", eps)
 
     def test_episode_without_lines_keeps_hidden_widths(self, tmp_path):
         cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)

@@ -35,16 +35,22 @@ def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
     crit[:1] = critical
     return EpisodeResult(
         tokens=np.zeros(int((accepted + 1).sum()), dtype=np.int64),
+        start=np.zeros(n, dtype=np.int64),
         m=np.zeros(n, dtype=np.int64),
         reject_pos=np.full(n, -1),
         accepted=accepted,
-        committed=accepted + 1,
         accepted_critical=crit,
-        proto=np.full(n, PROTO_TOKENS),
-        comm=comm,
+        window=max(accepted_lengths, default=1),
+        head_verified=False,
+        committed=accepted + 1,
         draft_s=zeros,
         verify_s=zeros,
         head_s=zeros,
+        n_accepted=int(accepted.sum()),
+        n_tokens=int((accepted + 1).sum()),
+        n_accepted_critical=int(crit.sum()),
+        proto=np.full(n, PROTO_TOKENS),
+        comm=comm,
         total_s=round_latency(zeros, comm, zeros, zeros),
     )
 
