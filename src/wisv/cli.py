@@ -6,7 +6,8 @@ Subcommands mirror the pipeline stages:
     relabel  turn traces into a link-aware training set
     train    fit the rejection head and report held-out quality
     eval     sweep modes x window sizes x channel scenarios
-    ablate   compare link-aware and link-blind heads
+    ablate   compare the trained (link-aware) head with a link-blind one
+             trained on the traces' base labels
     all      trace -> relabel -> train -> eval
 
 Every command is a pure function of (config, seed): reruns produce
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import N_CSI_FEATURES, generate_trace, quality
+from .channel import N_CSI_FEATURES, CsiState, generate_trace, quality
 from .config import (
     DATASET_SECTIONS,
     HEAD_SECTIONS,
@@ -134,16 +135,20 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _relabeled_dataset(cfg: ExperimentConfig, out: Path):
-    """Relabel the trace file: (episodes, features, labels, CSI quality per row)."""
+def _load_traces(cfg: ExperimentConfig, out: Path) -> list:
+    """The trace file's episodes, refused unless 'trace' wrote them under this config."""
     traces_path = out / TRACES
     if not traces_path.exists():
         raise FileNotFoundError(f"missing trace file {traces_path}; run 'trace' first")
     _check_lineage(cfg, out / TRACES_META, TRACE_SECTIONS, "trace")
     episodes = read_traces(traces_path, n_episodes=cfg.raw["trace"]["episodes"])
     if sum(len(ep) for ep in episodes) == 0:
-        raise ValueError("trace set contains no mismatches; nothing to relabel")
+        raise ValueError("trace set contains no mismatches; no head can learn from it")
+    return episodes
 
+
+def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
+    episodes = _load_traces(cfg, out)
     rcfg = cfg.relabel()
     bounds = cfg.bounds()
     relabel_channel = cfg.channel(cfg.raw["labeler"]["channel"])
@@ -159,11 +164,7 @@ def _relabeled_dataset(cfg: ExperimentConfig, out: Path):
             labels.append(y)
             qualities.append(quality(samples, bounds)[sample_ids])
     y = np.concatenate(labels).astype(np.float64)
-    return episodes, np.vstack(feats), y, np.concatenate(qualities)
-
-
-def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
-    _, x, y, q = _relabeled_dataset(cfg, out)
+    x, q = np.vstack(feats), np.concatenate(qualities)
     write_dataset(out / DATASET, x, y)
 
     edges = np.linspace(0.0, 1.0, 6)
@@ -367,6 +368,13 @@ def _round_lines(key: dict, template: str, res: EpisodeResult) -> str:
     return template % tuple(chain.from_iterable(zip(repeat(_line_prefix(key)), *link)))
 
 
+def _scenario_trace(cfg: ExperimentConfig, s_idx: int, ep: int) -> CsiState:
+    """Episode ``ep``'s channel trace on sweep scenario ``s_idx``, as eval and ablate see it."""
+    return generate_trace(cfg.channel(cfg.raw["sweep"]["scenarios"][s_idx]),
+                          [cfg.seed, SEED_CHANNEL, s_idx, ep],
+                          rounds=cfg.raw["engine"]["max_tokens"])
+
+
 def _eval_point(payload: dict) -> list[tuple]:
     """Run every sweep point of one episode. Must stay picklable.
 
@@ -389,11 +397,7 @@ def _eval_point(payload: dict) -> list[tuple]:
         cfg.oracle(), cfg.engine(window=max(sweep["k_values"])), [SEED_EVAL, ep],
         with_distributions="sd_reject" in sweep["modes"],
     )
-    traces = [
-        generate_trace(cfg.channel(scenario), [cfg.seed, SEED_CHANNEL, s_idx, ep],
-                       rounds=cfg.raw["engine"]["max_tokens"])
-        for s_idx, scenario in enumerate(sweep["scenarios"])
-    ]
+    traces = [_scenario_trace(cfg, s_idx, ep) for s_idx in range(len(sweep["scenarios"]))]
     screens = head_screens(head, oracle, traces, system.bounds) if head is not None else None
     out = []
     for k in sweep["k_values"]:
@@ -495,8 +499,9 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
 
 
 def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
-    episodes, x_csi, y_csi, _ = _relabeled_dataset(cfg, out)
-
+    episodes = _load_traces(cfg, out)
+    # Link-aware variant: the head 'train' wrote, which eval deploys.
+    params_csi = _load_head(cfg, out / HEAD)
     # Link-blind variant: trained on base labels with the CSI slot zeroed,
     # then deployed with its CSI weights zeroed, so it reads no link state.
     x_base = np.vstack(
@@ -504,10 +509,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
          for ep in episodes]
     )
     y_base = np.concatenate([ep.base_labels for ep in episodes]).astype(np.float64)
-
-    tcfg = cfg.train()
-    params_csi, _ = train(x_csi, y_csi, tcfg)
-    params_base, _ = train(x_base, y_base, tcfg)
+    params_base, _ = train(x_base, y_base, cfg.train())
     params_base.w1[:, -N_CSI_FEATURES:] = 0.0
     variants = {"csi": params_csi, "no_csi": params_base}
 
@@ -515,18 +517,13 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     oracle_cfg = cfg.oracle()
     system = cfg.system()
     engine_cfg = cfg.engine(mode="wisv_fh", window=abl["k"], tau=abl["tau"])
-    names = [s["name"] for s in cfg.raw["sweep"]["scenarios"]]
-    channels = [cfg.channel(cfg.scenario(s_name)) for s_name in abl["scenarios"]]
+    s_indices = {s["name"]: s_idx for s_idx, s in enumerate(cfg.raw["sweep"]["scenarios"])}
     # Every scenario and both variants decide on each episode's one oracle;
     # a scenario's variants share its channel trace.
     totals: dict = {(s_name, variant): [] for s_name in abl["scenarios"] for variant in variants}
     for ep in range(abl["episodes"]):
         oracle = episode_oracle(oracle_cfg, engine_cfg, [SEED_EVAL, ep], False)
-        traces = [
-            generate_trace(channel_cfg, [cfg.seed, SEED_CHANNEL, names.index(s_name), ep],
-                           rounds=engine_cfg.max_tokens)
-            for s_name, channel_cfg in zip(abl["scenarios"], channels)
-        ]
+        traces = [_scenario_trace(cfg, s_indices[s_name], ep) for s_name in abl["scenarios"]]
         for variant, params in variants.items():
             screens = head_screens(params, oracle, traces, system.bounds)
             for s_name, trace, screen in zip(abl["scenarios"], traces, screens):

@@ -298,9 +298,15 @@ class ExperimentConfig:
         for grid, values in {**grids, "scenarios": names}.items():
             if len(set(values)) != len(values):
                 raise ValueError(f"sweep grid {grid!r} repeats a value: {values}")
-        for name in abl["scenarios"]:
+        ablated = abl["scenarios"]
+        if not isinstance(ablated, list) or not ablated:
+            raise ValueError(f"config key 'ablate.scenarios' must be a nonempty list, got {ablated!r}")
+        for name in ablated:
             if name not in names:
                 raise ValueError(f"ablate scenario {name!r} not defined in sweep.scenarios")
+        # A repeated scenario would pool each of its episodes twice.
+        if len(set(ablated)) != len(ablated):
+            raise ValueError(f"config key 'ablate.scenarios' repeats a value: {ablated}")
         self.oracle()
         self.engine()
         self.system()

@@ -31,14 +31,11 @@ class HeadParams:
     b1: np.ndarray  # (d_j,)
     w2: np.ndarray  # (d_j,)
     b2: float
-    dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
         d_j, d_in = self.w1.shape
         if self.b1.shape != (d_j,) or self.w2.shape != (d_j,):
             raise ValueError("inconsistent head parameter shapes")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
         for arr in (self.w1, self.b1, self.w2):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("head parameters must be finite")
@@ -70,9 +67,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout!r}")
 
 
-def init_params(d_in: int, d_j: int, seed: int, dropout_rate: float = 0.1) -> HeadParams:
+def init_params(d_in: int, d_j: int, seed: int) -> HeadParams:
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng([seed, 0x4EAD])
     lim1 = 1.0 / np.sqrt(d_in)
@@ -82,7 +81,6 @@ def init_params(d_in: int, d_j: int, seed: int, dropout_rate: float = 0.1) -> He
         b1=np.zeros(d_j),
         w2=rng.uniform(-lim2, lim2, size=d_j),
         b2=0.0,
-        dropout_rate=dropout_rate,
     )
 
 
@@ -177,7 +175,7 @@ def train(
     pos_weight = n_neg / n_pos
 
     n, d_in = x.shape
-    params = init_params(d_in, cfg.hidden_dim, cfg.seed, dropout_rate=cfg.dropout)
+    params = init_params(d_in, cfg.hidden_dim, cfg.seed)
     rng = np.random.default_rng([cfg.seed, 0x7EA1])
     vel = {
         "w1": np.zeros_like(params.w1),
@@ -226,11 +224,7 @@ def save_params(path: str | Path, params: HeadParams, metadata: dict | None = No
         fh.write(params.b1.astype("<f4").tobytes())
         fh.write(params.w2.astype("<f4").tobytes())
         fh.write(np.float32(params.b2).astype("<f4").tobytes())
-    sidecar = {
-        "d_in": params.d_in,
-        "d_j": params.d_j,
-        "dropout_rate": params.dropout_rate,
-    }
+    sidecar = {"d_in": params.d_in, "d_j": params.d_j}
     sidecar.update(metadata or {})
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -253,8 +247,4 @@ def load_params(path: str | Path) -> HeadParams:
     b1 = flat[d_j * d_in : d_j * d_in + d_j]
     w2 = flat[d_j * d_in + d_j : d_j * d_in + 2 * d_j]
     b2 = float(flat[-1])
-    dropout = 0.1
-    sidecar = path.with_suffix(path.suffix + ".json")
-    if sidecar.exists():
-        dropout = json.loads(sidecar.read_text()).get("dropout_rate", 0.1)
-    return HeadParams(w1=w1, b1=b1, w2=w2, b2=b2, dropout_rate=dropout)
+    return HeadParams(w1=w1, b1=b1, w2=w2, b2=b2)

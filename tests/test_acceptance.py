@@ -166,7 +166,7 @@ def test_criterion_3_speculative_sampling_exactness():
 def test_criterion_4_gradient_check():
     t0 = time.monotonic()
     rng = np.random.default_rng(12)
-    params = init_params(9, 5, seed=12, dropout_rate=0.0)
+    params = init_params(9, 5, seed=12)
     x = rng.normal(0.0, 1.0, (7, 9))
     y = (rng.random(7) < 0.5).astype(float)
     assert np.abs(x @ params.w1.T + params.b1).min() > 1e-3
@@ -179,9 +179,9 @@ def test_criterion_4_gradient_check():
         name = picks.choice(["w1", "b1", "w2", "b2"])
         if name == "b2":
             analytic = float(grads["b2"])
-            up = loss_and_grads(HeadParams(params.w1, params.b1, params.w2, params.b2 + h, 0.0),
+            up = loss_and_grads(HeadParams(params.w1, params.b1, params.w2, params.b2 + h),
                                 x, y, 1.7, 1e-3)[0]
-            dn = loss_and_grads(HeadParams(params.w1, params.b1, params.w2, params.b2 - h, 0.0),
+            dn = loss_and_grads(HeadParams(params.w1, params.b1, params.w2, params.b2 - h),
                                 x, y, 1.7, 1e-3)[0]
         else:
             arr = getattr(params, name)
@@ -189,10 +189,10 @@ def test_criterion_4_gradient_check():
             analytic = grads[name][idx]
             mats = {k: getattr(params, k).copy() for k in ("w1", "b1", "w2")}
             mats[name][idx] += h
-            up = loss_and_grads(HeadParams(mats["w1"], mats["b1"], mats["w2"], params.b2, 0.0),
+            up = loss_and_grads(HeadParams(mats["w1"], mats["b1"], mats["w2"], params.b2),
                                 x, y, 1.7, 1e-3)[0]
             mats[name][idx] -= 2 * h
-            dn = loss_and_grads(HeadParams(mats["w1"], mats["b1"], mats["w2"], params.b2, 0.0),
+            dn = loss_and_grads(HeadParams(mats["w1"], mats["b1"], mats["w2"], params.b2),
                                 x, y, 1.7, 1e-3)[0]
         numeric = (up - dn) / (2 * h)
         worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))

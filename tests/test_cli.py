@@ -203,6 +203,13 @@ class TestConfig:
              "section 'sweep.scenarios[0]': rtt must be finite"),
             ({"sweep": {"scenarios": [{"name": "a", "rate_up_bps": float("nan")}]}},
              "section 'sweep.scenarios[0]': r_up must be finite"),
+            ({"ablate": {"scenarios": []}}, "'ablate.scenarios' must be a nonempty list"),
+            ({"ablate": {"scenarios": "20mbps_50ms"}}, "'ablate.scenarios' must be a nonempty list"),
+            ({"ablate": {"scenarios": ["20mbps_50ms", "20mbps_50ms"]}},
+             "'ablate.scenarios' repeats a value"),
+            ({"train": {"dropout": 1.0}}, "dropout must lie in [0, 1), got 1.0"),
+            ({"train": {"dropout": -0.1}}, "dropout must lie in [0, 1), got -0.1"),
+            ({"train": {"dropout": 1.5}}, "dropout must lie in [0, 1), got 1.5"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -483,8 +490,7 @@ class TestEvalCommand:
         d_h = cfg.raw["oracle"]["d_h_draft"]
         w1[0, :d_h] = 1.0 / np.sqrt(d_h)
         w1[1, -1] = 1.0
-        head = HeadParams(w1=w1, b1=np.zeros(2), w2=np.array([1.0, -4.0]), b2=-1.0,
-                          dropout_rate=0.0)
+        head = HeadParams(w1=w1, b1=np.zeros(2), w2=np.array([1.0, -4.0]), b2=-1.0)
         builds = []
         real_oracle = engine.EpisodeOracle
 
@@ -735,6 +741,8 @@ class TestEvalCommand:
 
 
 class TestAblateCommand:
+    ABLATE_INPUTS = (TRACES, TRACES_META, HEAD, HEAD + ".json")
+
     def test_outputs(self, small_run, capsys):
         cfg, out = small_run
         from wisv.cli import cmd_ablate
@@ -764,16 +772,70 @@ class TestAblateCommand:
 
         monkeypatch.setattr(engine, "EpisodeOracle", counting("oracle", engine.EpisodeOracle))
         monkeypatch.setattr(cli, "generate_trace", counting("trace", cli.generate_trace))
-        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
         paired = cli.cmd_ablate(small, tmp_path)
         assert calls == {"oracle": 3, "trace": 2 * 3}  # episodes; scenarios x episodes
         assert set(paired["scenarios"]) == {"500mbps_50ms", "20mbps_5ms"}
+
+    def test_csi_row_is_eval_row(self, small_run, tmp_path):
+        """The link-aware variant is the head eval deploys, on eval's episodes and links."""
+        cfg, out = small_run
+        raw = copy.deepcopy(cfg.raw)
+        # Against the sweep's order, so each scenario must find its own index.
+        raw["ablate"].update(episodes=4, tau=0.5, scenarios=["20mbps_5ms", "500mbps_50ms"])
+        abl = raw["ablate"]
+        raw["sweep"].update(modes=["wisv_fh"], k_values=[abl["k"]], tau_values=[abl["tau"]],
+                            episodes=abl["episodes"])
+        both = ExperimentConfig(raw=raw)
+        both.validate()
+        copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
+        cmd_eval(both, tmp_path)
+        cli.cmd_ablate(both, tmp_path)
+        with open(tmp_path / RESULTS) as fh:
+            eval_rows = {(r["rate_bps"], r["rtt_s"]): r for r in csv.DictReader(fh)}
+        variants = {"csi": [], "no_csi": []}
+        with open(tmp_path / ABLATE_CSV) as fh:
+            for row in csv.DictReader(fh):
+                variants[row.pop("variant")].append(row)
+        assert len(variants["csi"]) == len(eval_rows) == 2
+        for row in variants["csi"]:
+            assert row == eval_rows[row["rate_bps"], row["rtt_s"]]
+        # Not vacuous: at this tau the rows depend on which head screens.
+        assert [r["aal"] for r in variants["csi"]] != [r["aal"] for r in variants["no_csi"]]
+
+    def test_missing_head_error(self, small_run, tmp_path):
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        with pytest.raises(FileNotFoundError, match="run 'train' first"):
+            cli.cmd_ablate(cfg, tmp_path)
+
+    def test_head_lineage_checked(self, small_run, tmp_path):
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
+        raw = copy.deepcopy(cfg.raw)
+        raw["labeler"]["rho"] = 0.3
+        with pytest.raises(ValueError, match=r"this run's config section 'labeler'; rerun 'train'"):
+            cli.cmd_ablate(ExperimentConfig(raw=raw), tmp_path)
+
+    def test_trains_only_the_link_blind_head(self, small_run, tmp_path, monkeypatch):
+        cfg, out = small_run
+        trained = []
+
+        def counting_train(x, y, tcfg):
+            trained.append(x.shape)
+            return real_train(x, y, tcfg)
+
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", counting_train)
+        copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
+        cli.cmd_ablate(cfg, tmp_path)
+        assert len(trained) == 1
 
     def test_rerun_reproducible(self, small_run, tmp_path):
         cfg, out = small_run
         from wisv.cli import cmd_ablate
 
-        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
         cmd_ablate(cfg, tmp_path)
         assert (tmp_path / ABLATE_CSV).read_bytes() == (out / ABLATE_CSV).read_bytes()
 

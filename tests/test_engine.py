@@ -157,7 +157,7 @@ def handcrafted_oracle():
     d_in = 1 + 1 + 5
     w1 = np.zeros((1, d_in))
     w1[0, 0] = 1.0
-    params = HeadParams(w1=w1, b1=np.zeros(1), w2=np.array([1.0]), b2=0.0, dropout_rate=0.0)
+    params = HeadParams(w1=w1, b1=np.zeros(1), w2=np.array([1.0]), b2=0.0)
     return crafted_oracle(tokens, argmax, crit, h_draft), params
 
 
@@ -165,8 +165,7 @@ def link_blind(params):
     """``params`` with its CSI input weights zeroed, as the ablation deploys its link-blind head."""
     w1 = params.w1.copy()
     w1[:, -N_CSI_FEATURES:] = 0.0
-    return HeadParams(w1=w1, b1=params.b1, w2=params.w2, b2=params.b2,
-                      dropout_rate=params.dropout_rate)
+    return HeadParams(w1=w1, b1=params.b1, w2=params.w2, b2=params.b2)
 
 
 def screen_on(head, oracle, trace):
@@ -180,7 +179,7 @@ def rtt_reading_head(d_h):
     w1 = np.zeros((2, 2 * d_h + N_CSI_FEATURES))
     w1[0, :d_h] = 1.0 / np.sqrt(d_h)
     w1[1, -1] = 1.0
-    return HeadParams(w1=w1, b1=np.zeros(2), w2=np.array([1.0, -4.0]), b2=-1.0, dropout_rate=0.0)
+    return HeadParams(w1=w1, b1=np.zeros(2), w2=np.array([1.0, -4.0]), b2=-1.0)
 
 
 class TestWisvRound:

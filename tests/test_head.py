@@ -19,11 +19,8 @@ from wisv.labeler import Episode, RelabelConfig, relabel
 from tests.test_engine import CSI, crafted_oracle, run_one_round
 
 
-def zero_params(d_in=4, d_j=3, dropout=0.0):
-    return HeadParams(
-        w1=np.zeros((d_j, d_in)), b1=np.zeros(d_j), w2=np.zeros(d_j), b2=0.0,
-        dropout_rate=dropout,
-    )
+def zero_params(d_in=4, d_j=3):
+    return HeadParams(w1=np.zeros((d_j, d_in)), b1=np.zeros(d_j), w2=np.zeros(d_j), b2=0.0)
 
 
 def separable_dataset(n=200, margin=1.0, seed=0):
@@ -84,15 +81,12 @@ class TestForward:
         assert s == 0.0 and p == 0.5
 
     def test_inference_deterministic(self):
-        params = init_params(6, 4, seed=1, dropout_rate=0.5)
+        params = init_params(6, 4, seed=1)
         z = np.arange(6.0)
         assert one(params, z) == one(params, z)
 
     def test_one_dim_toy(self):
-        params = HeadParams(
-            w1=np.array([[1.0]]), b1=np.array([0.0]), w2=np.array([2.0]), b2=0.0,
-            dropout_rate=0.0,
-        )
+        params = HeadParams(w1=np.array([[1.0]]), b1=np.array([0.0]), w2=np.array([2.0]), b2=0.0)
         s, p = one(params, np.array([3.0]))
         assert s == 6.0
         assert p == pytest.approx(0.9975273768433653, rel=1e-12)
@@ -126,7 +120,7 @@ class TestBceLoss:
 class TestGradients:
     def _setup(self, seed):
         rng = np.random.default_rng(seed)
-        params = init_params(9, 5, seed=seed, dropout_rate=0.0)
+        params = init_params(9, 5, seed=seed)
         x = rng.normal(0, 1, (7, 9))
         y = (rng.random(7) < 0.5).astype(float)
         return params, x, y
@@ -146,7 +140,7 @@ class TestGradients:
                 analytic = float(grads["b2"])
 
                 def loss_at(v):
-                    shifted = HeadParams(params.w1, params.b1, params.w2, v, 0.0)
+                    shifted = HeadParams(params.w1, params.b1, params.w2, v)
                     return loss_and_grads(shifted, x, y, 1.7, 1e-3)[0]
 
                 numeric = (loss_at(params.b2 + h) - loss_at(params.b2 - h)) / (2 * h)
@@ -157,12 +151,12 @@ class TestGradients:
                 bumped = {k: getattr(params, k).copy() for k in ("w1", "b1", "w2")}
                 bumped[name][idx] += h
                 up = loss_and_grads(
-                    HeadParams(bumped["w1"], bumped["b1"], bumped["w2"], params.b2, 0.0),
+                    HeadParams(bumped["w1"], bumped["b1"], bumped["w2"], params.b2),
                     x, y, 1.7, 1e-3,
                 )[0]
                 bumped[name][idx] -= 2 * h
                 down = loss_and_grads(
-                    HeadParams(bumped["w1"], bumped["b1"], bumped["w2"], params.b2, 0.0),
+                    HeadParams(bumped["w1"], bumped["b1"], bumped["w2"], params.b2),
                     x, y, 1.7, 1e-3,
                 )[0]
                 numeric = (up - down) / (2 * h)
@@ -185,7 +179,7 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=0.05, epochs=1, batch_size=32, dropout=0.0,
                           hidden_dim=16, seed=1)
         params, report = train(x, y, cfg)
-        init = init_params(2, 16, seed=1, dropout_rate=0.0)
+        init = init_params(2, 16, seed=1)
         loss0, _ = loss_and_grads(init, x, y, pos_weight=1.0)
         assert report.epoch_losses[-1] < loss0
 
@@ -229,22 +223,22 @@ class TestDecide:
     """Reject iff p >= tau, checked through the engine's per-round decision."""
 
     def test_threshold_floor_always_rejects(self):
-        params = init_params(1 + 1 + 5, 3, seed=0, dropout_rate=0.0)
+        params = init_params(1 + 1 + 5, 3, seed=0)
         assert engine_rejects(params, [1.0], [1.0], tau=1e-12)
 
     def test_threshold_ceiling_always_accepts(self):
-        params = init_params(1 + 1 + 5, 3, seed=0, dropout_rate=0.0)
+        params = init_params(1 + 1 + 5, 3, seed=0)
         assert not engine_rejects(params, [1.0], [1.0], tau=1.0 - 1e-12)
 
     def test_boundary_inclusive(self):
-        params = init_params(2 + 2 + 5, 3, seed=5, dropout_rate=0.0)
+        params = init_params(2 + 2 + 5, 3, seed=5)
         h_d, h_t = np.array([0.3, -0.2]), np.array([0.9, 0.1])
         _, p = one(params, head_input(h_d, h_t))
         assert engine_rejects(params, h_d, h_t, tau=p)
         assert not engine_rejects(params, h_d, h_t, tau=min(p + 1e-9, 1 - 1e-12))
 
     def test_monotone_in_tau(self):
-        params = init_params(1 + 1 + 5, 4, seed=2, dropout_rate=0.0)
+        params = init_params(1 + 1 + 5, 4, seed=2)
         rng = np.random.default_rng(0)
         for _ in range(50):
             h_d, h_t = rng.normal(0, 1, 1), rng.normal(0, 1, 1)
@@ -260,12 +254,11 @@ class TestDecide:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        params = init_params(12, 6, seed=8, dropout_rate=0.2)
+        params = init_params(12, 6, seed=8)
         path = tmp_path / "head.bin"
         save_params(path, params, metadata={"note": "roundtrip"})
         loaded = load_params(path)
         assert loaded.d_in == 12 and loaded.d_j == 6
-        assert loaded.dropout_rate == 0.2
         np.testing.assert_allclose(loaded.w1, params.w1, rtol=1e-6)
         np.testing.assert_allclose(loaded.w2, params.w2, rtol=1e-6)
 
