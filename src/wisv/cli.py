@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import dataclasses
 import json
 import math
 import sys
@@ -274,10 +273,6 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 # JSON text of each protocol code in a round line.
 _PROTO_JSON = tuple(json.dumps(name) for name in PROTO_NAMES)
 
-# An episode line after its key prefix: one ``%s`` per EpisodeTotals field.
-_EPISODE_TEMPLATE = "%s" + ",".join(
-    f'"{field.name}":%s' for field in dataclasses.fields(EpisodeTotals)) + "}\n"
-
 
 def _line_prefix(key: dict) -> str:
     """The JSON text a line of ``key`` starts with: its members and a comma."""
@@ -287,20 +282,14 @@ def _line_prefix(key: dict) -> str:
 def _episode_line(key: dict, totals: EpisodeTotals) -> str:
     """The ``episodes.jsonl`` line of ``key``: compact ``json.dumps({**key, **vars(totals)})``.
 
-    Written with ``_EPISODE_TEMPLATE``: ``%s`` of an int or a float is its
-    JSON text (a float's ``str`` is its ``repr``), and a bool becomes
-    ``true`` or ``false``. A non-finite float, which JSON writes as ``NaN``,
-    raises.
+    A non-finite float, which JSON writes as ``NaN``, raises.
     """
-    values = [_line_prefix(key)]
-    for name, value in vars(totals).items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"episode column {name!r} of episode {key['episode']} holds a "
-                             "non-finite value, which JSON cannot encode")
-        values.append(value)
-    return _EPISODE_TEMPLATE % tuple(values)
+    try:
+        return json.dumps({**key, **vars(totals)}, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:
+        name = next(name for name, value in vars(totals).items() if not math.isfinite(value))
+        raise ValueError(f"episode column {name!r} of episode {key['episode']} holds a "
+                         "non-finite value, which JSON cannot encode") from None
 
 
 def _round_values(columns: dict, episode: int) -> list[list]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from .channel import N_CSI_FEATURES, RANGE_FIELDS, REGIMES, ChannelConfig, NormalizationBounds
-from .compute import MODEL_PRESETS, FlopsConstants, HardwareProfile, ModelDims
+from .compute import MODEL_PRESETS, FlopsConstants, HardwareProfile
 from .engine import EngineConfig, SystemModel
 from .head import TrainConfig
 from .labeler import RelabelConfig
@@ -47,8 +48,6 @@ DEFAULT_CONFIG: dict = {
     "output_dir": "out",
     "normalization": {"r_min_bps": 10e6, "r_max_bps": 1e9, "rtt_max_s": 0.1},
     "wire": {
-        "vocab_size": 128256,
-        "d_h": 2048,
         "b_h": 16,
         "b_pos": 16,
         "b_prob": 16,
@@ -60,7 +59,7 @@ DEFAULT_CONFIG: dict = {
         "device": {"peak_flops": 10e12, "utilization": 0.30},
         "edge": {"peak_flops": 150e12, "utilization": 0.40},
         "constants": {"c1": 8.0, "c2": 6.0, "c3": 4.0, "c4": 2.0},
-        "head": {"d_in": None, "d_j": 256},
+        "head": {"d_j": 256},
     },
     "oracle": {
         "p_match": None,
@@ -179,6 +178,21 @@ def _check_keys(section: dict, allowed, path: str) -> None:
                 _check_keys(scenario, _CHANNEL_KEYS | {"name"}, where)
         elif isinstance(expected, dict):
             _check_keys(value, expected, dotted)
+
+
+def _check_finite(value, path: str) -> None:
+    """Reject a NaN or infinite number anywhere under ``value``, naming its dotted path.
+
+    A NaN compares false with every bound, so range checks pass it.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {path!r} must be finite, got {value!r}")
 
 
 # Counts that size a stage's work; zero or fractional values fail only later.
@@ -312,6 +326,7 @@ class ExperimentConfig:
         self.system()
         self.relabel()
         self.train()
+        _check_finite(self.raw, "")
 
     @property
     def seed(self) -> int:
@@ -345,21 +360,6 @@ class ExperimentConfig:
         return NormalizationBounds(
             r_min=sec["r_min_bps"], r_max=sec["r_max_bps"], rtt_max=sec["rtt_max_s"]
         )
-
-    def wire(self) -> WireConfig:
-        sec = self.raw["wire"]
-        return WireConfig(
-            vocab_size=sec["vocab_size"],
-            d_h=sec["d_h"],
-            b_h=sec["b_h"],
-            b_pos=sec["b_pos"],
-            b_prob=sec["b_prob"],
-            hdr_up=sec["hdr_up_bits"],
-            hdr_down=sec["hdr_down_bits"],
-        )
-
-    def model_dims(self) -> tuple[ModelDims, ModelDims]:
-        return MODEL_PRESETS[self.raw["compute"]["preset"]]
 
     def oracle(self) -> OracleConfig:
         sec = self.raw["oracle"]
@@ -408,21 +408,25 @@ class ExperimentConfig:
         )
 
     def system(self) -> SystemModel:
-        comp = self.raw["compute"]
-        draft_dims, target_dims = self.model_dims()
-        wire = self.wire()
-        d_in = comp["head"]["d_in"]
-        if d_in is None:
-            d_in = wire.d_h + target_dims.hidden + N_CSI_FEATURES
+        """The deployed system: ``compute.preset`` sets every model width it bills."""
+        comp, sec = self.raw["compute"], self.raw["wire"]
+        draft_dims, target_dims = MODEL_PRESETS[comp["preset"]]
         return SystemModel(
-            wire=wire,
+            wire=WireConfig(
+                vocab_size=draft_dims.vocab,
+                d_h=draft_dims.hidden,
+                b_h=sec["b_h"],
+                b_pos=sec["b_pos"],
+                b_prob=sec["b_prob"],
+                hdr_up=sec["hdr_up_bits"],
+                hdr_down=sec["hdr_down_bits"],
+            ),
             draft_dims=draft_dims,
             target_dims=target_dims,
             consts=FlopsConstants(**comp["constants"]),
             hw_draft=HardwareProfile(**comp["device"]),
             hw_target=HardwareProfile(**comp["edge"]),
             bounds=self.bounds(),
-            head_d_in=d_in,
             head_d_j=comp["head"]["d_j"],
         )
 

@@ -118,7 +118,8 @@ class SystemModel:
 
     ``head_d_in``/``head_d_j`` are the accounting dimensions used to bill
     decision-head FLOPs; they describe the deployed head, not the small
-    synthetic one trained against the oracle.
+    synthetic one trained against the oracle. ``head_d_in`` is derived:
+    the uploaded drafter hidden, the target hidden and the CSI features.
     """
 
     wire: WireConfig
@@ -128,8 +129,11 @@ class SystemModel:
     hw_draft: HardwareProfile
     hw_target: HardwareProfile
     bounds: NormalizationBounds
-    head_d_in: int = 2048 + 4096 + 5
-    head_d_j: int = 256
+    head_d_j: int
+
+    @property
+    def head_d_in(self) -> int:
+        return self.wire.d_h + self.target_dims.hidden + N_CSI_FEATURES
 
 
 def select_protocol(rtt: np.ndarray, cutoff: float) -> np.ndarray:

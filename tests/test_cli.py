@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from wisv import cli, engine, wire
-from wisv.channel import generate_trace
+from wisv.channel import CsiState, generate_trace
 from wisv.cli import (
     ABLATE_CSV,
     ABLATE_META,
@@ -49,7 +49,8 @@ SMALL_OVERRIDES = {
             {"name": "20mbps_5ms", "rate_up_bps": 20e6, "rate_down_bps": 20e6, "rtt_s": 0.005},
         ],
     },
-    "ablate": {"episodes": 20, "k": 10, "tau": 0.95, "scenarios": ["20mbps_5ms"]},
+    # At this tau the heads reject some mismatches, so the two variants differ.
+    "ablate": {"episodes": 20, "k": 10, "tau": 0.5, "scenarios": ["20mbps_5ms"]},
 }
 
 
@@ -130,6 +131,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="preset"):
             ExperimentConfig.load(path)
 
+    @pytest.mark.parametrize(
+        "preset, widths, uplink_bits",
+        [
+            ("llama-1b-8b", (2048, 128256, 17, 6149), (490, 20521450, 328170)),
+            ("qwen-0.5b-7b", (896, 151936, 18, 4485), (500, 24310260, 143860)),
+        ],
+    )
+    def test_preset_sets_billed_widths(self, tmp_path, preset, widths, uplink_bits):
+        # The uplink carries the preset drafter's hidden states and token IDs,
+        # and the head is billed at the preset's widths.
+        path = write_config(tmp_path, {"compute": {"preset": preset}})
+        system = ExperimentConfig.load(path).system()
+        w = system.wire
+        assert (w.d_h, w.vocab_size, w.b_id, system.head_d_in) == widths
+        protos = np.array([wire.PROTO_TOKENS, wire.PROTO_DENSE, wire.PROTO_FH])
+        comm = wire.round_comm(w, 10, protos, np.zeros(3, dtype=int),
+                               CsiState(500e6, 500e6, 0.0, 0.0, 0.05))
+        assert tuple(comm.uplink_bits.tolist()) == uplink_bits
+
     def test_empty_grid_rejected(self, tmp_path):
         path = write_config(tmp_path, {"sweep": {"k_values": []}})
         with pytest.raises(ValueError, match="k_values"):
@@ -147,6 +167,9 @@ class TestConfig:
             ({"sweep": {"scenarios": [{"name": "a", "rtt_s": 0.01},
                                       {"name": "b", "rtt": 0.01}]}}, "sweep.scenarios[1].rtt"),
             ({"engine": {"tau": 0.9}}, "engine.tau"),
+            ({"wire": {"d_h": 896}}, "wire.d_h"),
+            ({"wire": {"vocab_size": 151936}}, "wire.vocab_size"),
+            ({"compute": {"head": {"d_in": 4485}}}, "compute.head.d_in"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, overrides, path):
@@ -210,6 +233,17 @@ class TestConfig:
             ({"train": {"dropout": 1.0}}, "dropout must lie in [0, 1), got 1.0"),
             ({"train": {"dropout": -0.1}}, "dropout must lie in [0, 1), got -0.1"),
             ({"train": {"dropout": 1.5}}, "dropout must lie in [0, 1), got 1.5"),
+            ({"engine": {"adaptive_rtt_cutoff_s": float("nan")}},
+             "'engine.adaptive_rtt_cutoff_s' must be finite, got nan"),
+            ({"train": {"learning_rate": float("nan")}},
+             "'train.learning_rate' must be finite, got nan"),
+            ({"wire": {"b_h": float("inf")}}, "'wire.b_h' must be finite, got inf"),
+            ({"compute": {"device": {"peak_flops": float("nan")}}},
+             "'compute.device.peak_flops' must be finite, got nan"),
+            ({"compute": {"constants": {"c1": float("nan")}}},
+             "'compute.constants.c1' must be finite, got nan"),
+            ({"oracle": {"sep": float("nan")}}, "'oracle.sep' must be finite, got nan"),
+            ({"labeler": {"rho": float("inf")}}, "'labeler.rho' must be finite, got inf"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -752,6 +786,7 @@ class TestAblateCommand:
         with open(out / ABLATE_CSV) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["variant"] for r in rows] == ["csi", "no_csi"]
+        assert rows[0]["aal"] != rows[1]["aal"]
         meta = json.loads((out / ABLATE_META).read_text())
         assert meta["config_hash"] == cfg.hash
 

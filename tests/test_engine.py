@@ -58,7 +58,7 @@ from wisv.wire import (
 
 
 def small_system():
-    return SystemModel(
+    system = SystemModel(
         wire=WireConfig(),
         draft_dims=ModelDims(16, 2048, 8192, 128256),
         target_dims=ModelDims(32, 4096, 14336, 128256),
@@ -66,9 +66,11 @@ def small_system():
         hw_draft=HardwareProfile(10e12, 0.30),
         hw_target=HardwareProfile(150e12, 0.40),
         bounds=NormalizationBounds(),
-        head_d_in=6149,
         head_d_j=256,
     )
+    # The deployed head reads the drafter hidden, the target hidden and the CSI.
+    assert system.head_d_in == 2048 + 4096 + N_CSI_FEATURES == 6149
+    return system
 
 
 SYSTEM = small_system()
