@@ -58,15 +58,6 @@ from .labeler import (
 )
 from .metrics import EpisodeTotals, aal, accuracy_proxy, e2e_latency, round_count, throughput
 from .oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
-from .wire import (
-    LatencyBreakdown,
-    WireConfig,
-    feedback_bits,
-    fh_uplink_bits,
-    hidden_bits,
-    reject_uplink_bits,
-    round_comm,
-    sh_bits,
-)
+from .wire import LatencyBreakdown, WireConfig, round_comm
 
 __version__ = "0.1.0"

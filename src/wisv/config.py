@@ -195,17 +195,23 @@ def _check_finite(value, path: str) -> None:
         raise ValueError(f"config key {path!r} must be finite, got {value!r}")
 
 
-# Counts that size a stage's work; zero or fractional values fail only later.
+# Counts and widths that size a stage's work or a billed cost; zero,
+# negative or fractional values fail only later, or bill a negative time.
 _POSITIVE_COUNTS = (
     "trace.episodes",
     "labeler.csi_samples_per_episode",
     "sweep.episodes",
     "ablate.episodes",
+    "compute.head.d_j",
+    "train.epochs",
+    "train.batch_size",
+    "train.hidden_dim",
 )
 
 
 # Integer keys (a list holds one per entry) and what each one sizes: a
-# fraction fails late with a raw TypeError, and a bool passes as 0 or 1.
+# fraction fails late with a raw TypeError or bills fractional bits, and a
+# bool passes as 0 or 1.
 _INTEGERS = {
     "engine.window": "window",
     "engine.max_tokens": "token budget",
@@ -215,7 +221,27 @@ _INTEGERS = {
     "oracle.d_h_draft": "hidden size",
     "oracle.d_h_target": "hidden size",
     "oracle.vocab_syn": "vocabulary size",
+    "wire.b_h": "bit width",
+    "wire.b_pos": "bit width",
+    "wire.b_prob": "bit width",
+    "wire.hdr_up_bits": "header size",
+    "wire.hdr_down_bits": "header size",
 }
+
+# The channel fields each regime reads beyond the base link. A sweep
+# scenario that sets another regime's field (to anything but null) would
+# run as a plain link of its own regime, so it is refused.
+_REGIME_FIELDS = {
+    "static": frozenset(),
+    "two-state": frozenset(k for k in _CHANNEL_KEYS if k.startswith("alt_")) | {"switch_prob"},
+    "sampled": frozenset(RANGE_FIELDS),
+}
+_REGIME_ONLY_FIELDS = frozenset().union(*_REGIME_FIELDS.values())
+
+
+def _at(raw: dict, dotted: str):
+    """The value of a dotted config key."""
+    return reduce(dict.__getitem__, dotted.split("."), raw)
 
 
 def config_hash(raw: dict) -> str:
@@ -265,8 +291,7 @@ class ExperimentConfig:
                 f"choose from {sorted(MODEL_PRESETS)}"
             )
         for dotted in _POSITIVE_COUNTS:
-            section, key = dotted.split(".")
-            value = self.raw[section][key]
+            value = _at(self.raw, dotted)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"config key {dotted!r} must be a positive integer, got {value!r}")
         if self.raw["ablate"]["episodes"] < 2:
@@ -280,8 +305,8 @@ class ExperimentConfig:
             if not isinstance(sweep[grid], list) or not sweep[grid]:
                 raise ValueError(f"sweep grid {grid!r} must be a nonempty list")
         for dotted, what in _INTEGERS.items():
-            section, key = dotted.split(".")
-            value = self.raw[section][key]
+            value = _at(self.raw, dotted)
+            _check_finite(value, dotted)  # an infinity is reported as such, not as a fraction
             for v in value if isinstance(value, list) else [value]:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ValueError(f"config key {dotted!r}: a {what} must be an integer, "
@@ -292,6 +317,11 @@ class ExperimentConfig:
             regime = section.get("regime", ChannelConfig.regime)
             if regime not in REGIMES:
                 raise ValueError(f"config key '{where}.regime' must be one of {REGIMES}, got {regime!r}")
+            if where.startswith("sweep."):
+                for key in sorted(_REGIME_ONLY_FIELDS - _REGIME_FIELDS[regime]):
+                    if section.get(key) is not None:
+                        raise ValueError(f"config key '{where}.{key}' is never read by the "
+                                         f"{regime!r} regime; remove it or set its regime")
             try:
                 self.channel(section)
             except (TypeError, ValueError) as exc:
@@ -338,7 +368,7 @@ class ExperimentConfig:
 
     def lineage(self, sections) -> dict[str, str]:
         """The hash of each config section (or dotted path) an artifact consumed."""
-        return {sec: config_hash(reduce(dict.__getitem__, sec.split("."), self.raw)) for sec in sections}
+        return {sec: config_hash(_at(self.raw, sec)) for sec in sections}
 
     def channel(self, section: dict) -> ChannelConfig:
         """The channel of a ``labeler.channel`` or ``sweep.scenarios`` section."""

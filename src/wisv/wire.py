@@ -14,8 +14,20 @@ Every round of an episode uses one of four wire protocols, coded as in
   downlink and an on-demand hidden uplink for the m localized mismatches,
   then feedback: two exchanges.
 
-A round is therefore a row of (uplink bits, downlink bits, exchanges), and
-``round_comm`` prices every row with one formula: serialization time for a
+Each protocol is one row of a payload table for the window k, with five
+entries: uplink bits, uplink bits per requested hidden state, downlink
+bits, downlink bits per request, and exchanges. With the token-ID uplink
+``tokens = hdr_up + k*b_id`` and the feedback ``feedback = hdr_down + b_pos
++ b_id`` (header, rejected position, corrected token ID):
+
+    code          uplink                   + per m   downlink             + per m   exchanges
+    PROTO_TOKENS  tokens                   0         feedback             0         1
+    PROTO_DENSE   tokens + k*vocab*b_prob  0         feedback             0         1
+    PROTO_FH      tokens + k*d_h*b_h       0         feedback             0         1
+    PROTO_SH      tokens + hdr_up          d_h*b_h   feedback + hdr_down  b_pos     2
+
+A round with m requests is its row plus m times the per-request entries,
+and ``round_comm`` prices it with one formula: serialization time for a
 payload of B bits is B / (R * (1 - PER)), and each exchange costs one RTT.
 Packet errors are folded into expected goodput; there is no retransmission
 state.
@@ -84,53 +96,16 @@ class LatencyBreakdown:
         return self.uplink_s + self.downlink_s + self.rtt_s
 
 
-def hidden_bits(cfg: WireConfig) -> int:
-    """Bits for one drafter hidden vector: d_h * b_h."""
-    return cfg.d_h * cfg.b_h
-
-
-def feedback_bits(cfg: WireConfig) -> int:
-    """Downlink feedback: header + rejected-position index + corrected token ID."""
-    return cfg.hdr_down + cfg.b_pos + cfg.b_id
-
-
-def token_uplink_bits(cfg: WireConfig, k: int) -> int:
-    """Token-IDs-only uplink (greedy baseline; also the first SH uplink)."""
-    if k < 1:
-        raise ValueError("speculation window must be >= 1")
-    return cfg.hdr_up + k * cfg.b_id
-
-
-def fh_uplink_bits(cfg: WireConfig, k: int) -> int:
-    """Full-hidden uplink: token IDs plus all k hidden vectors."""
-    if k < 1:
-        raise ValueError("speculation window must be >= 1")
-    return cfg.hdr_up + k * cfg.b_id + k * hidden_bits(cfg)
-
-
-def sh_bits(cfg: WireConfig, k: int, m: int | np.ndarray) -> tuple[int, int, int]:
-    """Selective-hidden payload triple (first uplink, request, second uplink).
-
-    ``m`` is the number of positions whose hidden states the edge requests;
-    0 <= m <= k. It may be an array of per-round counts.
-    """
-    if np.any((m < 0) | (m > k)):
-        raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
-    u1 = token_uplink_bits(cfg, k)
-    req = cfg.hdr_down + m * cfg.b_pos
-    u2 = cfg.hdr_up + m * hidden_bits(cfg)
-    return u1, req, u2
-
-
-def reject_uplink_bits(cfg: WireConfig, k: int) -> int:
-    """Dense-probability uplink: token IDs plus k full-vocab rows of b_prob bits."""
-    if k < 1:
-        raise ValueError("speculation window must be >= 1")
-    return cfg.hdr_up + k * cfg.b_id + k * cfg.vocab_size * cfg.b_prob
-
-
-# First uplink of each protocol, indexed by its code; SH's sends token IDs only.
-_FIRST_UPLINK = (token_uplink_bits, reject_uplink_bits, fh_uplink_bits, token_uplink_bits)
+def _payload_table(cfg: WireConfig, k: int) -> np.ndarray:
+    """The (4, 5) payload table of window ``k``, one row per protocol code."""
+    tokens = cfg.hdr_up + k * cfg.b_id
+    feedback = cfg.hdr_down + cfg.b_pos + cfg.b_id
+    return np.array([
+        [tokens, 0, feedback, 0, 1],
+        [tokens + k * cfg.vocab_size * cfg.b_prob, 0, feedback, 0, 1],
+        [tokens + k * cfg.d_h * cfg.b_h, 0, feedback, 0, 1],
+        [tokens + cfg.hdr_up, cfg.d_h * cfg.b_h, feedback + cfg.hdr_down, cfg.b_pos, 2],
+    ])
 
 
 def round_comm(
@@ -139,17 +114,16 @@ def round_comm(
     """Communication of every round under its protocol code ``proto``.
 
     ``proto``, ``m`` (localized mismatches, 0 <= m <= k) and ``csi`` hold one
-    entry per round, or scalars for one round. The uplink is the protocol's
-    first uplink plus, on SH rounds, the on-demand hidden uplink; the
-    downlink is the feedback plus, on SH rounds, the position request. SH
-    rounds pay two exchanges, all others one.
+    entry per round, or scalars for one round. Each round's bits and
+    exchanges are its protocol's row of the payload table, with m requests.
     """
-    _, request, hidden_uplink = sh_bits(cfg, k, m)
-    first_uplink = np.array([uplink(cfg, k) for uplink in _FIRST_UPLINK])
-    sh = proto == PROTO_SH
-    uplink_bits = first_uplink[proto] + np.where(sh, hidden_uplink, 0)
-    downlink_bits = feedback_bits(cfg) + np.where(sh, request, 0)
-    exchanges = np.where(sh, 2, 1)
+    if k < 1:
+        raise ValueError("speculation window must be >= 1")
+    if np.any((m < 0) | (m > k)):
+        raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
+    uplink, uplink_per_m, downlink, downlink_per_m, exchanges = _payload_table(cfg, k)[proto].T
+    uplink_bits = uplink + m * uplink_per_m
+    downlink_bits = downlink + m * downlink_per_m
     return LatencyBreakdown(
         uplink_s=uplink_bits / effective_rate(csi, "up"),
         downlink_s=downlink_bits / effective_rate(csi, "down"),

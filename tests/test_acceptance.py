@@ -32,15 +32,12 @@ from wisv.labeler import solve_budget_exact
 from wisv.metrics import EpisodeTotals, aal, accuracy_proxy, e2e_latency, round_count, summarize
 from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from wisv.wire import (
+    PROTO_DENSE,
     PROTO_FH,
     PROTO_SH,
+    PROTO_TOKENS,
     WireConfig,
-    feedback_bits,
-    fh_uplink_bits,
-    hidden_bits,
-    reject_uplink_bits,
     round_comm,
-    sh_bits,
 )
 
 
@@ -78,17 +75,25 @@ def test_criterion_1_formula_exactness():
     wire = WireConfig()
     rel = 1e-9
 
-    assert hidden_bits(wire) == 32768
-    assert hidden_bits(WireConfig(d_h=896)) == 14336
-    assert feedback_bits(WireConfig(hdr_down=0)) == 33
-    assert feedback_bits(wire) == 353
-    assert fh_uplink_bits(wire, 10) == 328170
-    _, _, u2 = sh_bits(wire, 10, 2)
-    assert u2 == 65856
-    assert sh_bits(wire, 10, 1)[2] / 20e6 == pytest.approx(1.6544e-3, rel=rel)
+    def comm(cfg, k, proto, m=0):
+        return round_comm(cfg, k, proto, m, CsiState(20e6, 20e6, 0.0, 0.0, 0.0))
+
+    def second_uplink(cfg, k, m):  # SH's on-demand hidden uplink
+        return comm(cfg, k, PROTO_SH, m).uplink_bits - comm(cfg, k, PROTO_TOKENS).uplink_bits
+
+    def hidden(cfg):  # bits per requested hidden state
+        return second_uplink(cfg, 10, 1) - second_uplink(cfg, 10, 0)
+
+    assert hidden(wire) == 32768
+    assert hidden(WireConfig(d_h=896)) == 14336
+    assert comm(WireConfig(hdr_down=0), 10, PROTO_TOKENS).downlink_bits == 33
+    assert comm(wire, 10, PROTO_FH).downlink_bits == 353
+    assert comm(wire, 10, PROTO_FH).uplink_bits == 328170
+    assert second_uplink(wire, 10, 2) == 65856
+    assert second_uplink(wire, 10, 1) / 20e6 == pytest.approx(1.6544e-3, rel=rel)
     small = WireConfig(vocab_size=64)
-    assert reject_uplink_bits(small, 1) == small.hdr_up + 6 + 1024
-    assert reject_uplink_bits(wire, 10) == 20521450
+    assert comm(small, 1, PROTO_DENSE).uplink_bits == small.hdr_up + 6 + 1024
+    assert comm(wire, 10, PROTO_DENSE).uplink_bits == 20521450
 
     csi = CsiState(500e6, 500e6, 0.0, 0.0, 0.05)
     lat = round_comm(wire, 10, PROTO_FH, 0, csi)

@@ -244,6 +244,33 @@ class TestConfig:
              "'compute.constants.c1' must be finite, got nan"),
             ({"oracle": {"sep": float("nan")}}, "'oracle.sep' must be finite, got nan"),
             ({"labeler": {"rho": float("inf")}}, "'labeler.rho' must be finite, got inf"),
+            ({"compute": {"head": {"d_j": -5}}}, "'compute.head.d_j' must be a positive integer"),
+            ({"compute": {"head": {"d_j": 0}}}, "'compute.head.d_j' must be a positive integer"),
+            ({"compute": {"head": {"d_j": 2.5}}}, "'compute.head.d_j' must be a positive integer"),
+            ({"compute": {"head": {"d_j": True}}}, "'compute.head.d_j' must be a positive integer"),
+            ({"wire": {"b_h": 16.5}}, "'wire.b_h': a bit width must be an integer, got 16.5"),
+            ({"wire": {"b_pos": True}}, "'wire.b_pos': a bit width must be an integer, got True"),
+            ({"wire": {"hdr_up_bits": 0.5}},
+             "'wire.hdr_up_bits': a header size must be an integer, got 0.5"),
+            ({"train": {"epochs": 2.5}}, "'train.epochs' must be a positive integer, got 2.5"),
+            ({"train": {"epochs": True}}, "'train.epochs' must be a positive integer, got True"),
+            ({"train": {"hidden_dim": 64.5}},
+             "'train.hidden_dim' must be a positive integer, got 64.5"),
+            ({"train": {"hidden_dim": 0}}, "'train.hidden_dim' must be a positive integer, got 0"),
+            ({"train": {"hidden_dim": -1}}, "'train.hidden_dim' must be a positive integer, got -1"),
+            ({"train": {"batch_size": True}},
+             "'train.batch_size' must be a positive integer, got True"),
+            ({"sweep": {"scenarios": [{"name": "a", "rtt_range_s": [0.002, 0.06]}]},
+              "ablate": {"scenarios": ["a"]}},
+             "'sweep.scenarios[0].rtt_range_s' is never read by the 'static' regime"),
+            ({"sweep": {"scenarios": [{"name": "a", "regime": "static", "switch_prob": 0.1,
+                                       "alt_rtt_s": 0.005}]},
+              "ablate": {"scenarios": ["a"]}},
+             "'sweep.scenarios[0].alt_rtt_s' is never read by the 'static' regime"),
+            ({"sweep": {"scenarios": [{"name": "a", "regime": "sampled", "alt_rtt_s": 0.005,
+                                       "rtt_range_s": [0.002, 0.06]}]},
+              "ablate": {"scenarios": ["a"]}},
+             "'sweep.scenarios[0].alt_rtt_s' is never read by the 'sampled' regime"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):

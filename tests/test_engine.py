@@ -49,11 +49,6 @@ from wisv.wire import (
     PROTO_SH,
     PROTO_TOKENS,
     WireConfig,
-    feedback_bits,
-    fh_uplink_bits,
-    reject_uplink_bits,
-    sh_bits,
-    token_uplink_bits,
 )
 
 
@@ -224,9 +219,14 @@ class TestWisvRound:
         sh = run_one_round(oracle, "wisv_sh", 6, params, tau=0.9)
         np.testing.assert_array_equal(fh.tokens, sh.tokens)
         assert fh.proto[0] == PROTO_FH and sh.proto[0] == PROTO_SH
-        assert fh.comm.uplink_bits[0] == fh_uplink_bits(SYSTEM.wire, 6)
-        u1, req, u2 = sh_bits(SYSTEM.wire, 6, 2)
-        assert sh.comm.uplink_bits[0] == u1 + u2
+        wire = SYSTEM.wire
+        tokens = wire.hdr_up + 6 * wire.b_id
+        assert fh.comm.uplink_bits[0] == tokens + 6 * wire.d_h * wire.b_h
+        # The token-ID uplink, then a hidden uplink for the two requested positions.
+        assert sh.comm.uplink_bits[0] == tokens + wire.hdr_up + 2 * wire.d_h * wire.b_h
+        feedback = wire.hdr_down + wire.b_pos + wire.b_id
+        assert fh.comm.downlink_bits[0] == feedback
+        assert sh.comm.downlink_bits[0] == feedback + wire.hdr_down + 2 * wire.b_pos
         assert sh.comm.rtt_s[0] == pytest.approx(2 * CSI.rtt)
 
     def test_zeroed_csi_weights_change_nothing_for_csi_blind_head(self):
@@ -408,15 +408,20 @@ def reference_round(system, k, prefix, m, proto, csi):
     """One round's bill from scalars: (uplink_s, downlink_s, rtt_s, uplink bits,
     downlink bits, draft_s, verify_s, head_s, total_s).
 
-    The protocol fixes the round's bits each way and its exchanges.
+    The protocol fixes the round's bits each way and its exchanges, written
+    out here from the wire fields.
     """
     wire = system.wire
-    uplink = {PROTO_TOKENS: token_uplink_bits, PROTO_DENSE: reject_uplink_bits,
-              PROTO_FH: fh_uplink_bits, PROTO_SH: token_uplink_bits}[proto](wire, k)
-    downlink, exchanges = feedback_bits(wire), 1
-    if proto == PROTO_SH:
-        _, request, hidden = sh_bits(wire, k, m)
-        uplink, downlink, exchanges = uplink + hidden, downlink + request, 2
+    hidden = wire.d_h * wire.b_h
+    uplink = wire.hdr_up + k * wire.b_id  # token IDs
+    if proto == PROTO_DENSE:
+        uplink += k * wire.vocab_size * wire.b_prob
+    elif proto == PROTO_FH:
+        uplink += k * hidden
+    downlink, exchanges = wire.hdr_down + wire.b_pos + wire.b_id, 1  # feedback
+    if proto == PROTO_SH:  # position request and on-demand hidden uplink
+        uplink, downlink, exchanges = (uplink + wire.hdr_up + m * hidden,
+                                       downlink + wire.hdr_down + m * wire.b_pos, 2)
     up_s, down_s = uplink / effective_rate(csi, "up"), downlink / effective_rate(csi, "down")
     rtt_s = exchanges * csi.rtt
     draft_s = exec_time(window_flops(system.draft_dims, system.consts, prefix, k),

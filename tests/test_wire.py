@@ -4,20 +4,16 @@ from hypothesis import given, strategies as st
 
 from wisv.channel import CsiState
 from wisv.wire import (
+    PROTO_DENSE,
     PROTO_FH,
     PROTO_SH,
     PROTO_TOKENS,
     WireConfig,
-    feedback_bits,
-    fh_uplink_bits,
-    hidden_bits,
-    reject_uplink_bits,
     round_comm,
-    sh_bits,
-    token_uplink_bits,
 )
 
 DEFAULT = WireConfig()
+CODES = (PROTO_TOKENS, PROTO_DENSE, PROTO_FH, PROTO_SH)
 
 
 def make_csi(rate=500e6, per=0.0, rtt=0.05):
@@ -34,6 +30,24 @@ def sh(cfg, k, m, csi):
     return round_comm(cfg, k, PROTO_SH, m, csi)
 
 
+def uplink(cfg, k, proto, m=0):
+    return round_comm(cfg, k, proto, m, make_csi()).uplink_bits
+
+
+def downlink(cfg, k, proto, m=0):
+    return round_comm(cfg, k, proto, m, make_csi()).downlink_bits
+
+
+def per_hidden(cfg):
+    """Uplink bits of one requested hidden state: SH at m = 1 minus m = 0."""
+    return uplink(cfg, 1, PROTO_SH, 1) - uplink(cfg, 1, PROTO_SH, 0)
+
+
+def second_uplink(cfg, k, m):
+    """SH's on-demand hidden uplink: its uplink beyond the token-ID uplink."""
+    return uplink(cfg, k, PROTO_SH, m) - uplink(cfg, k, PROTO_TOKENS)
+
+
 class TestBitFormulas:
     def test_b_id_derived(self):
         assert DEFAULT.b_id == 17
@@ -41,83 +55,85 @@ class TestBitFormulas:
         assert WireConfig(vocab_size=2).b_id == 1
 
     def test_hidden_bits_default(self):
-        assert hidden_bits(DEFAULT) == 32768
+        assert per_hidden(DEFAULT) == 32768
 
     def test_hidden_bits_unit(self):
-        assert hidden_bits(WireConfig(d_h=1, b_h=1)) == 1
+        assert per_hidden(WireConfig(d_h=1, b_h=1)) == 1
 
     def test_hidden_bits_small_drafter(self):
-        assert hidden_bits(WireConfig(d_h=896, b_h=16)) == 14336
+        assert per_hidden(WireConfig(d_h=896, b_h=16)) == 14336
 
     def test_feedback_bits_no_header(self):
-        assert feedback_bits(WireConfig(hdr_down=0, b_pos=16)) == 33
+        for proto in (PROTO_TOKENS, PROTO_DENSE, PROTO_FH):
+            assert downlink(WireConfig(hdr_down=0, b_pos=16), 10, proto) == 33
 
     def test_feedback_bits_minimal(self):
         cfg = WireConfig(vocab_size=2, d_h=1, b_h=0, b_pos=0, b_prob=0, hdr_up=0, hdr_down=0)
-        assert feedback_bits(cfg) == 1
+        assert downlink(cfg, 1, PROTO_TOKENS) == 1
 
     def test_feedback_bits_default_header(self):
-        assert feedback_bits(DEFAULT) == 353
+        for proto in (PROTO_TOKENS, PROTO_DENSE, PROTO_FH):
+            assert downlink(DEFAULT, 10, proto) == 353
 
     def test_fh_uplink_default_window(self):
-        assert fh_uplink_bits(DEFAULT, 10) == 328170
+        assert uplink(DEFAULT, 10, PROTO_FH) == 328170
 
     def test_fh_uplink_single_token(self):
-        assert fh_uplink_bits(DEFAULT, 1) == DEFAULT.hdr_up + DEFAULT.b_id + DEFAULT.d_h * DEFAULT.b_h
+        expected = DEFAULT.hdr_up + DEFAULT.b_id + DEFAULT.d_h * DEFAULT.b_h
+        assert uplink(DEFAULT, 1, PROTO_FH) == expected
 
     def test_fh_uplink_linear_in_window(self):
-        delta = fh_uplink_bits(DEFAULT, 64) - fh_uplink_bits(DEFAULT, 32)
-        assert delta == 32 * (DEFAULT.b_id + hidden_bits(DEFAULT))
+        delta = uplink(DEFAULT, 64, PROTO_FH) - uplink(DEFAULT, 32, PROTO_FH)
+        assert delta == 32 * (DEFAULT.b_id + DEFAULT.d_h * DEFAULT.b_h)
 
     def test_window_zero_rejected(self):
-        with pytest.raises(ValueError):
-            fh_uplink_bits(DEFAULT, 0)
-        with pytest.raises(ValueError):
-            token_uplink_bits(DEFAULT, 0)
-        with pytest.raises(ValueError):
-            reject_uplink_bits(DEFAULT, 0)
+        for proto in CODES:
+            with pytest.raises(ValueError, match="window must be >= 1"):
+                round_comm(DEFAULT, 0, proto, 0, make_csi())
 
     def test_sh_bits_no_request(self):
-        u1, req, u2 = sh_bits(DEFAULT, 10, 0)
-        assert u1 == DEFAULT.hdr_up + 10 * DEFAULT.b_id
-        assert req == DEFAULT.hdr_down
-        assert u2 == DEFAULT.hdr_up
+        # The token-ID uplink plus an empty hidden uplink's header; the
+        # feedback plus an empty position request's header.
+        assert uplink(DEFAULT, 10, PROTO_SH, 0) == 2 * DEFAULT.hdr_up + 10 * DEFAULT.b_id == 810
+        assert downlink(DEFAULT, 10, PROTO_SH, 0) == 353 + DEFAULT.hdr_down == 673
 
     def test_sh_bits_two_requests(self):
-        _, _, u2 = sh_bits(DEFAULT, 10, 2)
-        assert u2 == 320 + 2 * 32768 == 65856
+        assert second_uplink(DEFAULT, 10, 2) == 320 + 2 * 32768 == 65856
+        assert downlink(DEFAULT, 10, PROTO_SH, 2) == 673 + 2 * DEFAULT.b_pos
 
     def test_sh_full_request_equals_fh_plus_header(self):
-        u1, _, u2 = sh_bits(DEFAULT, 10, 10)
-        assert u1 + u2 == fh_uplink_bits(DEFAULT, 10) + DEFAULT.hdr_up
+        assert uplink(DEFAULT, 10, PROTO_SH, 10) == uplink(DEFAULT, 10, PROTO_FH) + DEFAULT.hdr_up
 
     def test_sh_request_exceeding_window_rejected(self):
-        with pytest.raises(ValueError):
-            sh_bits(DEFAULT, 10, 11)
+        for proto in CODES:
+            for m in (-1, 11):
+                with pytest.raises(ValueError, match="0 <= m <= k"):
+                    round_comm(DEFAULT, 10, proto, m, make_csi())
 
     def test_reject_uplink_small_vocab(self):
         cfg = WireConfig(vocab_size=64, b_prob=16)
-        assert reject_uplink_bits(cfg, 1) == cfg.hdr_up + 6 + 1024
+        assert uplink(cfg, 1, PROTO_DENSE) == cfg.hdr_up + 6 + 1024
 
     def test_reject_uplink_dominates_fh(self):
-        bits = reject_uplink_bits(DEFAULT, 10)
+        bits = uplink(DEFAULT, 10, PROTO_DENSE)
         assert bits == 320 + 170 + 10 * 128256 * 16 == 20521450
-        assert bits > 60 * fh_uplink_bits(DEFAULT, 10)
+        assert bits > 60 * uplink(DEFAULT, 10, PROTO_FH)
 
     def test_reject_uplink_without_probs_is_token_payload(self):
         cfg = WireConfig(b_prob=0)
-        assert reject_uplink_bits(cfg, 7) == token_uplink_bits(cfg, 7)
+        assert uplink(cfg, 7, PROTO_DENSE) == uplink(cfg, 7, PROTO_TOKENS)
 
     @given(k=st.integers(1, 128), m=st.integers(0, 128))
     def test_sh_uplink_never_exceeds_fh_plus_header(self, k, m):
         if m > k:
             return
-        u1, _, u2 = sh_bits(DEFAULT, k, m)
-        assert u1 + u2 <= fh_uplink_bits(DEFAULT, k) + DEFAULT.hdr_up
+        sh_up = uplink(DEFAULT, k, PROTO_SH, m)
+        fh_up = uplink(DEFAULT, k, PROTO_FH) + DEFAULT.hdr_up
+        assert sh_up <= fh_up
         if m < k:
-            assert u1 + u2 < fh_uplink_bits(DEFAULT, k) + DEFAULT.hdr_up
+            assert sh_up < fh_up
         else:
-            assert u1 + u2 == fh_uplink_bits(DEFAULT, k) + DEFAULT.hdr_up
+            assert sh_up == fh_up
 
 
 class TestCommLatency:
@@ -156,15 +172,14 @@ class TestCommLatency:
         rate = 500e6
         expected = (
             lat_fh.total_s
-            - 10 * hidden_bits(DEFAULT) / rate
+            - 10 * DEFAULT.d_h * DEFAULT.b_h / rate
             + DEFAULT.hdr_up / rate
             + DEFAULT.hdr_down / rate
         )
         assert lat_sh.total_s == pytest.approx(expected, rel=1e-12)
 
     def test_sh_second_uplink_term_at_low_rate(self):
-        _, _, u2 = sh_bits(DEFAULT, 10, 1)
-        assert u2 / 20e6 == pytest.approx(1.6544e-3, rel=1e-9)
+        assert second_uplink(DEFAULT, 10, 1) / 20e6 == pytest.approx(1.6544e-3, rel=1e-9)
 
     def test_latency_linear_in_bits(self):
         csi = make_csi(rtt=0.0)
