@@ -6,7 +6,8 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 ``labeler`` (trace collection and link-aware relabeling), ``engine``
 (the head's screen of an episode, ``head_screens``, the episode decision
 loop, ``decide``, and its pricing step, ``bill``: ``price_decisions``
-once per decision, then ``price_link`` per link), ``metrics``
+once per decision, then ``price_link`` per link over a batch of
+episodes), ``metrics``
 (aggregation), and ``cli`` (experiment pipeline).
 """
 
@@ -34,6 +35,7 @@ from .engine import (
     EngineConfig,
     EpisodeResult,
     HeadScreen,
+    LinkBill,
     PricedDecisions,
     SystemModel,
     bill,
@@ -56,7 +58,15 @@ from .labeler import (
     soft_policy,
     solve_budget_exact,
 )
-from .metrics import EpisodeTotals, aal, accuracy_proxy, e2e_latency, round_count, throughput
+from .metrics import (
+    EpisodeTotals,
+    aal,
+    accuracy_proxy,
+    e2e_latency,
+    episode_totals,
+    round_count,
+    throughput,
+)
 from .oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from .wire import LatencyBreakdown, WireConfig, round_comm
 

@@ -12,6 +12,7 @@ seeded generator and are fully reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,11 +57,33 @@ class CsiState:
         A scalar state is the same link in every round. The entries come
         from this validated state, so they are not checked again.
         """
-        taken = object.__new__(CsiState)
-        for name in ("r_up", "r_down", "per_up", "per_down", "rtt"):
-            column = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(taken, name, np.take(column, rounds, mode="wrap"))
-        return taken
+        return _prevalidated(
+            np.asarray(getattr(self, name), dtype=np.float64).take(rounds, mode="wrap")
+            for name in _CSI_FIELDS
+        )
+
+    @staticmethod
+    def concat(states: Sequence[CsiState]) -> CsiState:
+        """The rounds of ``states``, one state after another, as one state of columns.
+
+        A scalar state is one round. The entries come from validated states,
+        so they are not checked again.
+        """
+        return _prevalidated(
+            np.concatenate([np.atleast_1d(getattr(state, name)) for state in states])
+            for name in _CSI_FIELDS
+        )
+
+
+_CSI_FIELDS = ("r_up", "r_down", "per_up", "per_down", "rtt")
+
+
+def _prevalidated(columns: Iterable[np.ndarray]) -> CsiState:
+    """A ``CsiState`` of ``columns`` in field order, whose entries were validated already."""
+    state = object.__new__(CsiState)
+    for name, column in zip(_CSI_FIELDS, columns):
+        object.__setattr__(state, name, column)
+    return state
 
 
 @dataclass(frozen=True)

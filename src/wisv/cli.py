@@ -18,14 +18,17 @@ inline (JSON) or via a sibling ``*_meta.json`` (CSV, JSON-lines).
 from __future__ import annotations
 
 import argparse
+import bisect
 import concurrent.futures
 import contextlib
 import json
 import math
+import os
 import sys
-from collections import defaultdict
+from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -42,9 +45,8 @@ from .config import (
     ExperimentConfig,
 )
 from .engine import (
-    EpisodeResult,
+    LinkBill,
     PricedDecisions,
-    bill,
     decide,
     episode_oracle,
     head_screens,
@@ -61,7 +63,7 @@ from .labeler import (
     read_dataset,
     write_traces,
 )
-from .metrics import CSV_COLUMNS, EpisodeTotals, summarize, write_csv
+from .metrics import CSV_COLUMNS, EpisodeTotals, episode_totals, summarize, write_csv
 from .wire import PROTO_NAMES
 
 TRACES = "traces.jsonl"
@@ -292,16 +294,21 @@ def _episode_line(key: dict, totals: EpisodeTotals) -> str:
                          "non-finite value, which JSON cannot encode") from None
 
 
-def _round_values(columns: dict, episode: int) -> list[list]:
+def _round_values(columns: dict, bounds: Sequence[int], episodes: Sequence[int]) -> list[list]:
     """Round columns as lists whose entries' ``%s`` is their JSON text.
 
-    Arrays become lists of Python ints and floats; a list already holds
-    JSON text. A non-finite float, which JSON writes as ``NaN``, raises.
+    The columns hold a batch of episodes back to back: episode
+    ``episodes[e]`` holds entries ``bounds[e]:bounds[e + 1]``. Arrays become
+    lists of Python ints and floats; a list already holds JSON text. A
+    non-finite float, which JSON writes as ``NaN``, raises, naming the
+    episode that holds it.
     """
     values = []
     for name, column in columns.items():
         if not isinstance(column, list):
             if column.dtype.kind == "f" and not np.isfinite(column).all():
+                at = int(np.flatnonzero(~np.isfinite(column))[0])
+                episode = episodes[bisect.bisect_right(bounds, at) - 1]
                 raise ValueError(f"round column {name!r} of episode {episode} holds a "
                                  "non-finite value, which JSON cannot encode")
             column = column.tolist()
@@ -336,25 +343,35 @@ def _round_template(episode: int, priced: PricedDecisions) -> str:
     own = {name: column for name, column in members.items() if column is not None}
     template = "%%s" + ",".join(f'"{name}":{"%%s" if column is None else "%s"}'
                                 for name, column in members.items()) + "}\n"
-    return "".join(template % row for row in zip(*_round_values(own, episode)))
+    values = _round_values(own, [0, priced.n_rounds], [episode])
+    return "".join(template % row for row in zip(*values))
 
 
-def _round_lines(key: dict, template: str, res: EpisodeResult) -> str:
-    """One point's ``rounds.jsonl`` lines: compact ``json.dumps({**key, "round": r, **columns})``.
+def _round_lines(point: dict, templates: Sequence[str], link: LinkBill) -> Iterator[str]:
+    """One point's ``rounds.jsonl`` lines, one string per episode of its batch.
 
-    ``key`` ends in ``"episode"``, and ``template`` is the
-    ``_round_template`` of the priced decisions ``res`` was billed from.
+    Episode e's lines are compact ``json.dumps({**point, "episode": e,
+    "round": r, **columns})``: ``templates[e]`` is the ``_round_template``
+    of the priced decisions the batch's episode e was billed from, and
+    ``link`` the batch's bill. Each link column becomes one list, checked
+    before any line is made.
     """
-    comm = res.comm
+    comm, bounds = link.comm, link.bounds.tolist()
+    episodes = range(len(templates))
+    point_prefix = _line_prefix(point)
     # The link's members, in line order.
-    link = _round_values({
-        "proto": [_PROTO_JSON[code] for code in res.proto.tolist()],
+    columns = _round_values({
+        "proto": [_PROTO_JSON[code] for code in link.proto.tolist()],
         "uplink_bits": comm.uplink_bits,
         "downlink_bits": comm.downlink_bits,
         "comm_s": comm.total_s,
-        "total_s": res.total_s,
-    }, key["episode"])
-    return template % tuple(chain.from_iterable(zip(repeat(_line_prefix(key)), *link)))
+        "total_s": link.total_s,
+    }, bounds, episodes)
+    for episode, template, lo, hi in zip(episodes, templates, bounds, bounds[1:]):
+        # The prefix of {**point, "episode": episode}: an int's JSON text is its str.
+        prefix = f'{point_prefix}"episode":{episode},'
+        yield template % tuple(chain.from_iterable(
+            zip(repeat(prefix), *(column[lo:hi] for column in columns))))
 
 
 def _scenario_trace(cfg: ExperimentConfig, s_idx: int, ep: int) -> CsiState:
@@ -364,19 +381,38 @@ def _scenario_trace(cfg: ExperimentConfig, s_idx: int, ep: int) -> CsiState:
                           rounds=cfg.raw["engine"]["max_tokens"])
 
 
-def _eval_point(payload: dict) -> list[tuple]:
-    """Run every sweep point of one episode. Must stay picklable.
+def _sweep_points(sweep: dict) -> list[tuple]:
+    """Every sweep point ``(scenario index, mode, k, tau)``, in output order."""
+    return [
+        (s_idx, mode, k, tau)
+        for s_idx in range(len(sweep["scenarios"]))
+        for mode in sweep["modes"]
+        for k in sweep["k_values"]
+        for tau in sweep["tau_values"]
+    ]
+
+
+def _decision_key(s_idx: int, mode: str, k: int, tau: float) -> tuple:
+    """The key of the decision a sweep point is billed from.
+
+    Per window, ``sd_greedy`` and ``sd_reject`` read neither the channel nor
+    tau, so each decides once; the head-verified modes decide once per
+    (scenario, tau), shared by FH, SH and adaptive.
+    """
+    return (k, s_idx, tau) if mode.startswith("wisv") else (k, mode)
+
+
+def _eval_point(payload: dict) -> tuple[list[CsiState], dict]:
+    """Decide every sweep point of one episode. Must stay picklable.
 
     The episode builds one oracle, for the sweep's largest window, one
     channel trace per scenario and, for the head-verified modes, the head's
-    screen on each trace. Per window, ``sd_greedy`` and ``sd_reject`` read
-    neither the channel nor tau, so each decides once; the head-verified
-    modes decide once per (scenario, tau), shared by FH, SH and adaptive.
-    Each decision is priced (``price_decisions``) and its round lines
-    rendered (``_round_template``) once; each point then prices only its
-    link (``price_link``) and fills in its own columns. Returns ``(point,
-    episode totals, episode line, round lines)`` per point, where ``point``
-    is ``(scenario index, mode, k, tau)``.
+    screen on each trace. Each distinct decision (``_decision_key``) is
+    decided, priced (``price_decisions``) and its round lines rendered
+    (``_round_template``) once. No link is priced here: ``cmd_eval`` prices
+    each point's link once over all its episodes. Returns the episode's
+    traces, in scenario order, and ``(priced decisions, template)`` per
+    decision key.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     sweep = cfg.raw["sweep"]
@@ -388,28 +424,32 @@ def _eval_point(payload: dict) -> list[tuple]:
     )
     traces = [_scenario_trace(cfg, s_idx, ep) for s_idx in range(len(sweep["scenarios"]))]
     screens = head_screens(head, oracle, traces, system.bounds) if head is not None else None
-    out = []
-    for k in sweep["k_values"]:
-        decided: dict = {}
-        for s_idx, (scenario, trace) in enumerate(zip(sweep["scenarios"], traces)):
-            for mode in sweep["modes"]:
-                for tau in sweep["tau_values"]:
-                    engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
-                    screening = mode.startswith("wisv")
-                    key = (s_idx, tau) if screening else mode
-                    if key not in decided:
-                        decisions = decide(engine_cfg, oracle,
-                                           screens[s_idx] if screening else None)
-                        priced = price_decisions(system, engine_cfg, decisions)
-                        decided[key] = priced, _round_template(ep, priced)
-                    priced, template = decided[key]
-                    res = price_link(system, engine_cfg, priced, trace)
-                    totals = EpisodeTotals.of(res)
-                    line_key = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau,
-                                "episode": ep}
-                    out.append(((s_idx, mode, k, tau), totals, _episode_line(line_key, totals),
-                                _round_lines(line_key, template, res)))
-    return out
+    decided: dict = {}
+    for s_idx, mode, k, tau in _sweep_points(sweep):
+        key = _decision_key(s_idx, mode, k, tau)
+        if key not in decided:
+            engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
+            screen = screens[s_idx] if mode.startswith("wisv") else None
+            priced = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
+            decided[key] = priced, _round_template(ep, priced)
+    return traces, decided
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: Path) -> Iterator[TextIO]:
+    """A file that replaces ``path`` when the block ends, or is removed if the block raises.
+
+    It is written under a temporary name beside ``path``, so a failed run
+    leaves no half-written file under ``path``'s name.
+    """
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w") as fh:
+            yield fh
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
 
 
 def _load_head(cfg: ExperimentConfig, head_path: Path) -> HeadParams:
@@ -431,48 +471,49 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
     sweep = cfg.raw["sweep"]
     needs_head = any(m.startswith("wisv") for m in sweep["modes"])
     head = _load_head(cfg, out / HEAD) if needs_head else None
-
-    points = [
-        (s_idx, mode, k, tau)
-        for s_idx in range(len(sweep["scenarios"]))
-        for mode in sweep["modes"]
-        for k in sweep["k_values"]
-        for tau in sweep["tau_values"]
-    ]
     payloads = [{"raw": cfg.raw, "episode": ep, "head": head} for ep in range(sweep["episodes"])]
-    # Episodes arrive in order, so each point's lines and totals stay in episode order.
-    totals, episode_lines, round_lines = defaultdict(list), defaultdict(list), defaultdict(list)
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            episodes = pool.map(_eval_point, payloads)
+            episodes = list(pool.map(_eval_point, payloads))
         else:
-            episodes = map(_eval_point, payloads)
-        for episode in episodes:
-            for point, episode_totals, episode_line, rounds in episode:
-                totals[point].append(episode_totals)
-                episode_lines[point].append(episode_line)
-                round_lines[point].append(rounds)
+            episodes = list(map(_eval_point, payloads))
+    # Episodes arrive in order, so each point's batch is in episode order.
+    traces = [episode_traces for episode_traces, _ in episodes]
+    decided = [episode_decided for _, episode_decided in episodes]
 
+    points = _sweep_points(sweep)
+    # A decision key's batch is freed after its last point.
+    last_point = {_decision_key(*point): i for i, point in enumerate(points)}
+    system = cfg.system()
     rows = []
     first_tau = sweep["tau_values"][0]
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
-    for point in points:
-        s_idx, mode, k, tau = point
-        scenario = sweep["scenarios"][s_idx]
-        row = {"mode": mode, "k": k, "tau": tau, "rate_bps": scenario["rate_up_bps"],
-               "rtt_s": scenario["rtt_s"], **summarize(totals[point])}
-        rows.append(row)
-        if tau == first_tau:
-            panel = plot["panels"].setdefault(scenario["name"], {})
-            series = panel.setdefault(mode, {"k": [], "latency_s": []})
-            series["k"].append(k)
-            series["latency_s"].append(row["latency_s"])
+    with (_replaced_on_success(out / EPISODES_JSONL) as ef,
+          _replaced_on_success(out / ROUNDS_JSONL) as rf):
+        for i, (s_idx, mode, k, tau) in enumerate(points):
+            key = _decision_key(s_idx, mode, k, tau)
+            batch, templates = zip(*(episode_decided[key] for episode_decided in decided))
+            link = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
+                              [episode_traces[s_idx] for episode_traces in traces])
+            totals = episode_totals(batch, link)
+            scenario = sweep["scenarios"][s_idx]
+            point = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
+            rf.writelines(_round_lines(point, templates, link))
+            ef.writelines(_episode_line({**point, "episode": ep}, ep_totals)
+                          for ep, ep_totals in enumerate(totals))
+            if last_point[key] == i:
+                for episode_decided in decided:
+                    del episode_decided[key]
+            row = {"mode": mode, "k": k, "tau": tau, "rate_bps": scenario["rate_up_bps"],
+                   "rtt_s": scenario["rtt_s"], **summarize(totals)}
+            rows.append(row)
+            if tau == first_tau:
+                panel = plot["panels"].setdefault(scenario["name"], {})
+                series = panel.setdefault(mode, {"k": [], "latency_s": []})
+                series["k"].append(k)
+                series["latency_s"].append(row["latency_s"])
     write_csv(out / RESULTS, rows)
-    with open(out / EPISODES_JSONL, "w") as ef, open(out / ROUNDS_JSONL, "w") as rf:
-        for point in points:
-            ef.writelines(episode_lines[point])
-            rf.writelines(round_lines[point])
     _dump_json(out / PLOT_DATA, plot)
     _dump_json(
         out / RESULTS_META,
@@ -508,17 +549,25 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     engine_cfg = cfg.engine(mode="wisv_fh", window=abl["k"], tau=abl["tau"])
     s_indices = {s["name"]: s_idx for s_idx, s in enumerate(cfg.raw["sweep"]["scenarios"])}
     # Every scenario and both variants decide on each episode's one oracle;
-    # a scenario's variants share its channel trace.
-    totals: dict = {(s_name, variant): [] for s_name in abl["scenarios"] for variant in variants}
+    # a scenario's variants share its channel trace. Each (scenario,
+    # variant) point then prices its link once over its episodes.
+    traces: dict = {s_name: [] for s_name in abl["scenarios"]}
+    batches: dict = {(s_name, variant): [] for s_name in abl["scenarios"] for variant in variants}
     for ep in range(abl["episodes"]):
         oracle = episode_oracle(oracle_cfg, engine_cfg, [SEED_EVAL, ep], False)
-        traces = [_scenario_trace(cfg, s_indices[s_name], ep) for s_name in abl["scenarios"]]
+        episode_traces = [_scenario_trace(cfg, s_indices[s_name], ep)
+                          for s_name in abl["scenarios"]]
+        for s_name, trace in zip(abl["scenarios"], episode_traces):
+            traces[s_name].append(trace)
         for variant, params in variants.items():
-            screens = head_screens(params, oracle, traces, system.bounds)
-            for s_name, trace, screen in zip(abl["scenarios"], traces, screens):
-                decisions = decide(engine_cfg, oracle, screen)
-                totals[s_name, variant].append(
-                    EpisodeTotals.of(bill(system, engine_cfg, decisions, trace)))
+            screens = head_screens(params, oracle, episode_traces, system.bounds)
+            for s_name, screen in zip(abl["scenarios"], screens):
+                batches[s_name, variant].append(
+                    price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen)))
+    totals = {}
+    for (s_name, variant), batch in batches.items():
+        link = price_link(system, engine_cfg, batch, traces[s_name])
+        totals[s_name, variant] = episode_totals(batch, link)
 
     rows = []
     paired: dict = {"config_hash": cfg.hash, "scenarios": {}}

@@ -22,17 +22,21 @@ columns per round. ``bill`` is the one pricing step of an episode, in two
 halves. ``price_decisions`` prices what no link reads, once per
 ``Decisions``: each round's draft and verify compute from its prefix length
 (``compute.window_flops``), the head's screening of its m mismatches on the
-head-verified modes, and the episode's sums. ``price_link`` prices one link:
-it picks each round's wire protocol code (``wire.PROTO_*``), prices the
-communication from the trace's per-round CSI columns with
-``wire.round_comm``, and adds up each round's latency. Decisions never read
-the protocol, and only the head-verified modes read the channel: FH, SH and
-adaptive share one decision and one priced decision, and differ only in
-the ``proto`` column. The bill is the episode's ``EpisodeResult`` columns;
-``metrics.EpisodeTotals`` is the one reduction of an episode.
-``run_episode`` is deciding and billing for one mode; a sweep decides and
-prices each decision once and prices every point's link from it, with one
-oracle per episode (``episode_oracle``).
+head-verified modes, and the episode's sums. ``price_link`` prices one link
+over a batch of episodes' priced decisions, placed back to back, each
+episode on its own trace: it picks each round's wire protocol code
+(``wire.PROTO_*``), prices the communication from the per-round CSI columns
+with ``wire.round_comm``, and adds up each round's latency, in one pass
+over the batch. Decisions never read the protocol, and only the
+head-verified modes read the channel: FH, SH and adaptive share one
+decision and one priced decision, and differ only in the ``proto`` column.
+A batch's bill is its ``LinkBill`` columns; ``metrics.episode_totals`` is
+the one reduction, to each episode's totals. ``bill`` prices one episode,
+a batch of one, into its ``EpisodeResult`` columns, and ``run_episode`` is
+deciding and billing one episode of one mode. A sweep decides and prices
+each decision once per episode, with one oracle per episode
+(``episode_oracle``), and prices each point's link once over all its
+episodes.
 
 The head-verified modes decide from a ``HeadScreen``, built once per
 (head, episode, trace) by ``head_screens``. The head's first layer is
@@ -46,6 +50,7 @@ window's hidden rows. ``head.forward_batch`` serves training and the holdout.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -198,6 +203,22 @@ class EpisodeResult(PricedDecisions):
     episode's metrics.
     """
 
+    proto: np.ndarray
+    comm: LatencyBreakdown
+    total_s: np.ndarray
+
+
+@dataclass(frozen=True)
+class LinkBill:
+    """The link's columns of a batch of billed episodes, placed back to back.
+
+    Episode e of the batch holds entries ``bounds[e]:bounds[e + 1]`` of
+    ``proto``, ``comm`` and ``total_s``, which are ``EpisodeResult``'s
+    columns of the same names. ``metrics.episode_totals`` reduces it to
+    each episode's metrics.
+    """
+
+    bounds: np.ndarray
     proto: np.ndarray
     comm: LatencyBreakdown
     total_s: np.ndarray
@@ -389,41 +410,67 @@ def price_decisions(
 
 
 def price_link(
-    system: SystemModel, engine_cfg: EngineConfig, priced: PricedDecisions, trace: CsiState
-) -> EpisodeResult:
-    """Bill priced decisions under ``engine_cfg``'s protocol and the trace's CSI.
+    system: SystemModel,
+    engine_cfg: EngineConfig,
+    batch: Sequence[PricedDecisions],
+    traces: Sequence[CsiState],
+) -> LinkBill:
+    """Bill a batch of episodes' priced decisions under ``engine_cfg``'s protocol and CSI.
 
-    Round r uses the trace's state r, wrapping if the episode outlives the
-    trace. Adaptive picks FH or SH per round from that state's RTT. Every
+    Episode e is billed on ``traces[e]``: its round r uses the trace's state
+    r, wrapping if the episode outlives the trace, so no wrap crosses an
+    episode. The episodes' rounds are placed back to back and priced in one
+    pass. Adaptive picks FH or SH per round from that state's RTT. Every
     round's latency is its communication plus its priced compute.
     """
-    if (engine_cfg.window, engine_cfg.mode.startswith("wisv")) != (
-        priced.window, priced.head_verified
-    ):
-        raise ValueError(f"decisions priced for window {priced.window} and head_verified="
-                         f"{priced.head_verified} cannot be billed as {engine_cfg.mode} "
-                         f"with window {engine_cfg.window}")
-    n = priced.n_rounds
-    csi = trace.take(np.arange(n))
+    for priced in batch:
+        if (engine_cfg.window, engine_cfg.mode.startswith("wisv")) != (
+            priced.window, priced.head_verified
+        ):
+            raise ValueError(f"decisions priced for window {priced.window} and head_verified="
+                             f"{priced.head_verified} cannot be billed as {engine_cfg.mode} "
+                             f"with window {engine_cfg.window}")
+    if len(batch) != len(traces):
+        raise ValueError(f"a batch of {len(batch)} episodes needs as many traces, "
+                         f"got {len(traces)}")
+    n_rounds = [priced.n_rounds for priced in batch]
+    bounds = np.cumsum([0, *n_rounds])
+    # Batch round i is round r = i - bounds[e] of its episode e, so it reads
+    # state r (wrapping) of traces[e], found at traces[e]'s offset in the
+    # traces placed back to back.
+    lengths = np.array([np.size(trace.rtt) for trace in traces])
+    round_in_episode = np.arange(bounds[-1]) - np.repeat(bounds[:-1], n_rounds)
+    rows = (np.repeat(np.cumsum(lengths) - lengths, n_rounds)
+            + round_in_episode % np.repeat(lengths, n_rounds))
+    csi = CsiState.concat(traces).take(rows)
     code = _MODE_PROTO.get(engine_cfg.mode)
     if code is None:
         proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
     else:
-        proto = np.full(n, code, dtype=np.int64)
-    comm = round_comm(system.wire, priced.window, proto, priced.m, csi)
-    return EpisodeResult(
-        **vars(priced),
+        proto = np.full(bounds[-1], code, dtype=np.int64)
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(priced, name) for priced in batch])
+
+    comm = round_comm(system.wire, engine_cfg.window, proto, column("m"), csi)
+    return LinkBill(
+        bounds=bounds,
         proto=proto,
         comm=comm,
-        total_s=round_latency(priced.draft_s, comm, priced.verify_s, priced.head_s),
+        total_s=round_latency(column("draft_s"), comm, column("verify_s"), column("head_s")),
     )
 
 
 def bill(
     system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions, trace: CsiState
 ) -> EpisodeResult:
-    """Price one episode's decisions (``price_decisions``), then its link (``price_link``)."""
-    return price_link(system, engine_cfg, price_decisions(system, engine_cfg, decisions), trace)
+    """Price one episode's decisions (``price_decisions``), then its link (``price_link``).
+
+    The episode is a batch of one.
+    """
+    priced = price_decisions(system, engine_cfg, decisions)
+    link = price_link(system, engine_cfg, [priced], [trace])
+    return EpisodeResult(**vars(priced), proto=link.proto, comm=link.comm, total_s=link.total_s)
 
 
 def run_episode(

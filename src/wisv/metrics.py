@@ -1,9 +1,12 @@
 """Aggregation of episode results into system-level metrics.
 
 An episode is reduced once, to its ``EpisodeTotals``: the metric keys of
-its ``episodes.jsonl`` line, in line order. Float columns are added in
-round order (``round_order_sum``), so the written numbers do not depend on
-numpy's summation order. A sweep point is its episodes' totals in episode
+its ``episodes.jsonl`` line, in line order. ``episode_totals`` reduces a
+batch of episodes billed in one ``engine.price_link`` call, and a single
+episode is a batch of one (``EpisodeTotals.of``). Float columns are added
+in round order, as Python's ``sum`` adds a list: ``np.sum`` adds pairwise
+and ``np.add.reduceat`` in its own order, and either can move the last
+digit of a written number. A sweep point is its episodes' totals in episode
 order; every metric below takes them, and ``summarize`` gives the metric
 columns of the point's ``results.csv`` row. A metric is defined once, by
 one ``EpisodeTotals`` field and one ``summarize`` entry.
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EpisodeResult
+from .engine import EpisodeResult, LinkBill, PricedDecisions
 
 CSV_COLUMNS = [
     "mode",
@@ -44,22 +47,13 @@ CSV_COLUMNS = [
 ]
 
 
-def round_order_sum(column: np.ndarray) -> float:
-    """Sum of a float column in round order, as Python's ``sum`` adds it.
-
-    ``np.sum`` adds pairwise and can move the last digit, which would
-    change the written results.
-    """
-    return sum(column.tolist())
-
-
 @dataclass(frozen=True)
 class EpisodeTotals:
     """One episode's metrics: the keys of its ``episodes.jsonl`` line, in line order.
 
-    A sweep keeps these instead of whole ``EpisodeResult``s until all of a
-    point's episodes are in. ``correct`` is the synthetic accuracy signal:
-    the episode accepted no critical mismatch.
+    A sweep reduces each point's billed batch to these once, and writes
+    and summarizes the point from them. ``correct`` is the synthetic
+    accuracy signal: the episode accepted no critical mismatch.
     """
 
     rounds: int
@@ -74,19 +68,39 @@ class EpisodeTotals:
 
     @classmethod
     def of(cls, res: EpisodeResult) -> EpisodeTotals:
-        if not res.n_rounds:
-            raise ValueError("episode has no rounds")
-        return cls(
-            rounds=res.n_rounds,
-            aal=res.n_accepted / res.n_rounds,
-            accepted=res.n_accepted,
-            tokens=res.n_tokens,
-            latency_s=round_order_sum(res.total_s),
-            uplink_bits=int(res.comm.uplink_bits.sum()),
-            downlink_bits=int(res.comm.downlink_bits.sum()),
-            accepted_critical=res.n_accepted_critical,
-            correct=res.n_accepted_critical == 0,
+        """One episode's metrics: the one-episode batch of ``episode_totals``."""
+        link = LinkBill(np.array([0, res.n_rounds]), res.proto, res.comm, res.total_s)
+        (totals,) = episode_totals([res], link)
+        return totals
+
+
+def episode_totals(batch: Sequence[PricedDecisions], link: LinkBill) -> list[EpisodeTotals]:
+    """Each episode's metrics, from a batch's priced decisions and its ``price_link`` bill.
+
+    An episode's latency is the round-order sum of its slice of one
+    ``total_s`` list; its bit counts are integer sums, which are exact in
+    any order.
+    """
+    if any(priced.n_rounds == 0 for priced in batch):
+        # reduceat would give an empty slice the next episode's first entry.
+        raise ValueError("episode has no rounds")
+    bounds, total_s = link.bounds.tolist(), link.total_s.tolist()
+    uplink_bits = np.add.reduceat(link.comm.uplink_bits, link.bounds[:-1]).tolist()
+    downlink_bits = np.add.reduceat(link.comm.downlink_bits, link.bounds[:-1]).tolist()
+    return [
+        EpisodeTotals(
+            rounds=priced.n_rounds,
+            aal=priced.n_accepted / priced.n_rounds,
+            accepted=priced.n_accepted,
+            tokens=priced.n_tokens,
+            latency_s=sum(total_s[lo:hi]),
+            uplink_bits=up,
+            downlink_bits=down,
+            accepted_critical=priced.n_accepted_critical,
+            correct=priced.n_accepted_critical == 0,
         )
+        for priced, lo, hi, up, down in zip(batch, bounds, bounds[1:], uplink_bits, downlink_bits)
+    ]
 
 
 Episodes = Sequence[EpisodeTotals]

@@ -33,7 +33,7 @@ from wisv.cli import (
 from wisv.config import SEED_CHANNEL, SEED_EVAL, DEFAULT_CONFIG, ExperimentConfig, config_hash
 from wisv.engine import MODES, run_episode
 from wisv.head import HeadParams
-from wisv.metrics import CSV_COLUMNS, EpisodeTotals, summarize
+from wisv.metrics import CSV_COLUMNS, EpisodeTotals, episode_totals, summarize
 
 SMALL_OVERRIDES = {
     "trace": {"episodes": 50},
@@ -524,15 +524,16 @@ class TestEvalCommand:
         assert aal[500e6] == aal[20e6]  # same verification decisions
 
     def test_parallel_matches_serial(self, small_run, tmp_path):
-        # 3 k values x 3 episodes = 9 groups: two workers finish unevenly.
+        # 3 episodes: two workers finish unevenly, and four outnumber the episodes.
         cfg, out = small_run
         cfg = derived_config(cfg, k_values=[10, 16, 24], episodes=3)
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        for run_dir, jobs in ((serial, 1), (parallel, 2)):
+        serial = tmp_path / "serial"
+        for run_dir, jobs in ((serial, 1), (tmp_path / "jobs2", 2), (tmp_path / "jobs4", 4)):
             copy_artifacts(out, run_dir)
             cmd_eval(cfg, run_dir, jobs=jobs)
-        for name in EVAL_FILES:
-            assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
+        for run_dir in (tmp_path / "jobs2", tmp_path / "jobs4"):
+            for name in EVAL_FILES:
+                assert (run_dir / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_grouped_eval_matches_per_point_episodes(self, small_run, tmp_path, monkeypatch):
         """One oracle per episode, and shared decisions bill exactly like run_episode."""
@@ -564,33 +565,41 @@ class TestEvalCommand:
         cmd_eval(cfg, tmp_path)
         assert len(builds) == 3  # one oracle per episode, for every k
         builds.clear()
-        groups = [(ep, cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head}))
-                  for ep in range(3)]
+        episodes = [cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head})
+                    for ep in range(3)]
         assert len(builds) == 3
         monkeypatch.undo()
 
-        # Each point's totals and written lines, whose round records carry
-        # every decision and bill column with floats in repr form, must equal
-        # those of its own run_episode.
+        # The parent's step per point: one bill over the point's episodes,
+        # reduced to each episode's totals and rendered into its lines. Each
+        # (point, episode)'s totals and lines, whose round records carry every
+        # decision and bill column with floats in repr form, must equal those
+        # of its own run_episode.
         system, oracle_cfg = cfg.system(), cfg.oracle()
         checked, protos, by_tau, by_scenario = 0, set(), {}, {}
-        for ep, group in groups:
-            assert len(group) == 2 * 2 * 5 * 2  # k values x scenarios x modes x taus
-            for (s_idx, mode, k, tau), totals, episode_line, round_lines in group:
+        for traces, decided in episodes:
+            assert len(traces) == 2
+            assert len(decided) == 2 * (2 + 2 * 2)  # k values x (sd_* + scenarios x taus)
+        for s_idx, mode, k, tau in cli._sweep_points(cfg.raw["sweep"]):
+            key = cli._decision_key(s_idx, mode, k, tau)
+            batch, templates = zip(*(decided[key] for _, decided in episodes))
+            eng = cfg.engine(mode=mode, window=k, tau=tau)
+            link = engine.price_link(system, eng, batch, [traces[s_idx] for traces, _ in episodes])
+            point = {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau}
+            round_lines = list(cli._round_lines(point, templates, link))
+            for ep, totals in enumerate(episode_totals(batch, link)):
                 trace = generate_trace(cfg.channel(scenarios[s_idx]),
                                        [cfg.seed, SEED_CHANNEL, s_idx, ep],
                                        rounds=cfg.raw["engine"]["max_tokens"])
-                ref = run_episode(system, cfg.engine(mode=mode, window=k, tau=tau), oracle_cfg,
-                                  trace, head if mode.startswith("wisv") else None,
-                                  seed=[SEED_EVAL, ep])
+                ref = run_episode(system, eng, oracle_cfg, trace,
+                                  head if mode.startswith("wisv") else None, seed=[SEED_EVAL, ep])
                 ref_totals = EpisodeTotals.of(ref)
                 assert totals == ref_totals
-                key = {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau,
-                       "episode": ep}
-                assert episode_line == json.dumps({**key, **vars(ref_totals)},
-                                                  separators=(",", ":")) + "\n"
-                assert round_lines == reference_round_lines(key, ref)
-                rounds = [json.loads(line) for line in round_lines.splitlines()]
+                key = {**point, "episode": ep}
+                assert cli._episode_line(key, totals) == json.dumps(
+                    {**key, **vars(ref_totals)}, separators=(",", ":")) + "\n"
+                assert round_lines[ep] == reference_round_lines(key, ref)
+                rounds = [json.loads(line) for line in round_lines[ep].splitlines()]
                 assert len(rounds) == ref.n_rounds
                 if mode == "wisv_adaptive":
                     protos.update(r["proto"] for r in rounds)
@@ -604,12 +613,13 @@ class TestEvalCommand:
         assert by_tau[0.5] != by_tau[0.9]
         assert by_scenario[0] != by_scenario[1]
 
-    def test_each_decision_priced_once(self, small_run, monkeypatch):
-        """A sweep_static-shaped grid prices its 30 decisions per episode once, not its 80 points."""
+    def test_each_decision_priced_once(self, small_run, tmp_path, monkeypatch):
+        """A sweep_static-shaped grid prices its 30 decisions per episode once, not its 80
+        points, and each point's link once over its episodes."""
         cfg, out = small_run
         cfg = derived_config(cfg, modes=["sd_greedy", "sd_reject", "wisv_fh", "wisv_sh"],
                              k_values=[10, 16, 24, 32, 64], tau_values=[0.5],
-                             scenarios=DEFAULT_CONFIG["sweep"]["scenarios"])
+                             scenarios=DEFAULT_CONFIG["sweep"]["scenarios"], episodes=2)
         assert len(cfg.raw["sweep"]["scenarios"]) == 4
         calls = []
         real = engine.window_flops
@@ -622,32 +632,56 @@ class TestEvalCommand:
         head = cli.load_params(out / HEAD)
         for ep in range(2):
             calls.clear()
-            points = cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head})
-            assert len(points) == 4 * 5 * 4
+            _, decided = cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head})
+            assert len(decided) == 5 * (2 + 4)
             # Per k: sd_greedy, sd_reject and one head-verified decision per
             # scenario; each is drafted and verified once.
             assert len(calls) == 2 * 5 * (2 + 4)
             assert sorted(set(calls)) == [10, 16, 24, 32, 64]
 
+        comm_calls = []
+        real_comm = engine.round_comm
+
+        def counting_comm(*args, **kwargs):
+            comm_calls.append(len(args[3]))
+            return real_comm(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "round_comm", counting_comm)
+        copy_artifacts(out, tmp_path)
+        cmd_eval(cfg, tmp_path)
+        # One call per point, each over both episodes' rounds; billing per
+        # (point, episode) would make 4 x 5 x 4 x 2 = 160.
+        assert len(comm_calls) == 4 * 5 * 4
+        with open(tmp_path / ROUNDS_JSONL) as fh:
+            assert sum(comm_calls) == sum(1 for _ in fh)
+
     def test_round_lines_match_json_reference(self, small_run):
+        # A batch of two episodes per mode: each episode's lines come from its
+        # own slice of the batch's link columns.
         cfg, out = small_run
         head = cli.load_params(out / HEAD)
+        system = cfg.system()
         two_state = cfg.channel({"regime": "two-state", "rate_up_bps": 500e6, "rtt_s": 0.05,
                                  "alt_rate_up_bps": 20e6, "alt_rtt_s": 0.005,
                                  "switch_prob": 0.3})
-        trace = generate_trace(two_state, [cfg.seed, 1], rounds=30)
+        traces = [generate_trace(two_state, [cfg.seed, ep], rounds=30) for ep in range(2)]
         seen = {"reject_pos": set(), "proto": set()}
         for mode in MODES:
-            res = run_episode(cfg.system(), cfg.engine(mode=mode, window=10, tau=0.9),
-                              cfg.oracle(), trace, head, seed=[SEED_EVAL, 2])
-            key = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9,
-                   "episode": 7}
-            reference = reference_round_lines(key, res)
-            assert cli._round_lines(key, cli._round_template(7, res), res) == reference, mode
-            for line in reference.splitlines():
-                record = json.loads(line)
-                seen["reject_pos"].add(record["reject_pos"] is None)
-                seen["proto"].add(record["proto"])
+            eng = cfg.engine(mode=mode, window=10, tau=0.9)
+            results = [run_episode(system, eng, cfg.oracle(), trace, head, seed=[SEED_EVAL, ep])
+                       for ep, trace in enumerate(traces)]
+            link = engine.price_link(system, eng, results, traces)
+            point = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
+            lines = list(cli._round_lines(
+                point, [cli._round_template(ep, res) for ep, res in enumerate(results)], link))
+            assert len(lines) == 2
+            for ep, res in enumerate(results):
+                reference = reference_round_lines({**point, "episode": ep}, res)
+                assert lines[ep] == reference, (mode, ep)
+                for line in reference.splitlines():
+                    record = json.loads(line)
+                    seen["reject_pos"].add(record["reject_pos"] is None)
+                    seen["proto"].add(record["proto"])
         assert seen == {"reject_pos": {True, False}, "proto": {None, "FH", "SH"}}
 
     def test_one_template_serves_every_link(self, small_run):
@@ -662,28 +696,69 @@ class TestEvalCommand:
         oracle = engine.episode_oracle(oracle_cfg, eng, [SEED_EVAL, 4], False)
         screen, = engine.head_screens(head, oracle, links[:1], system.bounds)
         priced = engine.price_decisions(system, eng, engine.decide(eng, oracle, screen))
-        template = cli._round_template(4, priced)
+        template = cli._round_template(0, priced)
         for mode in ("wisv_fh", "wisv_sh", "wisv_adaptive"):
+            eng = cfg.engine(mode=mode, window=10, tau=0.9)
             for trace in links:
-                res = engine.price_link(system, cfg.engine(mode=mode, window=10, tau=0.9),
-                                        priced, trace)
-                key = {"scenario": "s", "mode": mode, "k": 10, "tau": 0.9, "episode": 4}
-                assert cli._round_lines(key, template, res) == reference_round_lines(key, res)
+                link = engine.price_link(system, eng, [priced], [trace])
+                res = engine.EpisodeResult(**vars(priced), proto=link.proto, comm=link.comm,
+                                           total_s=link.total_s)
+                point = {"scenario": "s", "mode": mode, "k": 10, "tau": 0.9}
+                assert list(cli._round_lines(point, [template], link)) == [
+                    reference_round_lines({**point, "episode": 0}, res)]
 
     def test_non_finite_round_column_raises(self, small_run):
         cfg, _ = small_run
-        res = run_episode(cfg.system(), cfg.engine(), cfg.oracle(),
-                          generate_trace(cfg.channel({}), 0, rounds=4), seed=0)
+        system, eng = cfg.system(), cfg.engine()
+        trace = generate_trace(cfg.channel({}), 0, rounds=4)
+        res = run_episode(system, eng, cfg.oracle(), trace, seed=0)
         # A decision column fails once per decision, a link column per point.
         head_s = res.head_s.copy()
         head_s[1] = np.nan
         with pytest.raises(ValueError, match="round column 'head_s' of episode 3"):
             cli._round_template(3, dataclasses.replace(res, head_s=head_s))
-        total_s = res.total_s.copy()
-        total_s[0] = np.inf
-        with pytest.raises(ValueError, match="round column 'total_s' of episode 3"):
-            cli._round_lines({"episode": 3}, cli._round_template(3, res),
-                             dataclasses.replace(res, total_s=total_s))
+        # A link column fails naming the episode whose slice holds the value:
+        # the last of four, then the second of three.
+        for n_episodes, bad_episode in ((4, 3), (3, 1)):
+            link = engine.price_link(system, eng, [res] * n_episodes, [trace] * n_episodes)
+            link.total_s[link.bounds[bad_episode]] = np.inf
+            with pytest.raises(ValueError,
+                               match=f"round column 'total_s' of episode {bad_episode}"):
+                next(cli._round_lines({}, [cli._round_template(0, res)] * n_episodes, link))
+
+    def test_failed_eval_leaves_no_stream(self, small_run, tmp_path, monkeypatch):
+        # A late point carries a non-finite round latency in its second
+        # episode: eval refuses, and neither stream is left half-written,
+        # in a fresh directory or over a previous run's complete streams.
+        cfg, out = small_run
+        cfg = derived_config(cfg, episodes=3)
+        calls = []
+        real = cli.price_link
+
+        def poisoned(*args):
+            link = real(*args)
+            calls.append(None)
+            if len(calls) == 12:
+                link.total_s[link.bounds[1] + 2] = np.nan
+            return link
+
+        copy_artifacts(out, tmp_path)
+        monkeypatch.setattr(cli, "price_link", poisoned)
+        with pytest.raises(ValueError, match="round column 'total_s' of episode 1"):
+            cmd_eval(cfg, tmp_path)
+        assert len(calls) == 12  # of the grid's 16 points
+        assert sorted(path.name for path in tmp_path.iterdir()) == [HEAD, HEAD + ".json"]
+
+        monkeypatch.undo()
+        cmd_eval(cfg, tmp_path)
+        complete = {name: (tmp_path / name).read_bytes() for name in EVAL_FILES}
+        monkeypatch.setattr(cli, "price_link", poisoned)
+        calls.clear()
+        with pytest.raises(ValueError, match="round column 'total_s' of episode 1"):
+            cmd_eval(cfg, tmp_path)
+        assert {name: (tmp_path / name).read_bytes() for name in EVAL_FILES} == complete
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [HEAD, HEAD + ".json", *EVAL_FILES])
 
     @pytest.mark.parametrize("correct", [True, False])
     def test_episode_line_matches_json_reference(self, correct):
@@ -818,13 +893,15 @@ class TestAblateCommand:
         assert meta["config_hash"] == cfg.hash
 
     def test_one_oracle_and_trace_per_episode(self, small_run, tmp_path, monkeypatch):
-        """Every scenario and variant shares each episode's oracle; variants share its traces."""
+        """Every scenario and variant shares each episode's oracle; variants share its traces.
+
+        Each (scenario, variant) point prices its link once, over its episodes."""
         cfg, out = small_run
         raw = copy.deepcopy(cfg.raw)
         raw["ablate"].update(episodes=3, scenarios=["500mbps_50ms", "20mbps_5ms"])
         small = ExperimentConfig(raw=raw)
         small.validate()
-        calls = {"oracle": 0, "trace": 0}
+        calls = {"oracle": 0, "trace": 0, "link": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -834,9 +911,11 @@ class TestAblateCommand:
 
         monkeypatch.setattr(engine, "EpisodeOracle", counting("oracle", engine.EpisodeOracle))
         monkeypatch.setattr(cli, "generate_trace", counting("trace", cli.generate_trace))
+        monkeypatch.setattr(cli, "price_link", counting("link", cli.price_link))
         copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
         paired = cli.cmd_ablate(small, tmp_path)
-        assert calls == {"oracle": 3, "trace": 2 * 3}  # episodes; scenarios x episodes
+        # episodes; scenarios x episodes; scenarios x variants
+        assert calls == {"oracle": 3, "trace": 2 * 3, "link": 2 * 2}
         assert set(paired["scenarios"]) == {"500mbps_50ms", "20mbps_5ms"}
 
     def test_csi_row_is_eval_row(self, small_run, tmp_path):

@@ -466,6 +466,51 @@ class TestLedger:
             assert set(res.proto.tolist()) == {PROTO_FH, PROTO_SH}
 
 
+    @pytest.mark.parametrize("mode", ["sd_greedy", "wisv_sh", "wisv_adaptive"])
+    def test_batch_bills_each_episode_on_its_own_trace(self, mode):
+        # Three episodes of different lengths on two-state traces of 7
+        # rounds, each shorter than its episode: every episode wraps its own
+        # trace from its own round 0, and the batch's columns are the
+        # episodes' single bills back to back.
+        channel = ChannelConfig(rate_up_bps=500e6, rate_down_bps=500e6, rtt_s=0.05,
+                                regime="two-state", alt_rate_up_bps=20e6,
+                                alt_rate_down_bps=20e6, alt_rtt_s=0.005, switch_prob=0.3)
+        params = init_params(4 + 4 + 5, 8, seed=1)
+        batch, traces, singles = [], [], []
+        for ep, max_tokens in enumerate((150, 90, 120)):
+            eng = EngineConfig(mode=mode, window=10, tau=0.6, max_tokens=max_tokens,
+                               prefix_len=32)
+            trace = generate_trace(channel, seed=ep, rounds=7)
+            oracle = episode_oracle(oracle_config(), eng, ep, False)
+            screen = None
+            if mode.startswith("wisv"):
+                (screen,) = head_screens(params, oracle, [trace], SYSTEM.bounds)
+            decisions = decide(eng, oracle, screen)
+            assert decisions.n_rounds > 7
+            batch.append(price_decisions(SYSTEM, eng, decisions))
+            traces.append(trace)
+            singles.append(engine.bill(SYSTEM, eng, decisions, trace))
+        link = price_link(SYSTEM, eng, batch, traces)
+        assert link.bounds.tolist() == np.cumsum([0] + [p.n_rounds for p in batch]).tolist()
+        assert len({p.n_rounds for p in batch}) == 3
+        for name in ("proto", "total_s"):
+            np.testing.assert_array_equal(
+                getattr(link, name), np.concatenate([getattr(r, name) for r in singles]))
+        for name in ("uplink_s", "downlink_s", "rtt_s", "uplink_bits", "downlink_bits"):
+            np.testing.assert_array_equal(
+                getattr(link.comm, name),
+                np.concatenate([getattr(r.comm, name) for r in singles]))
+        if mode == "wisv_adaptive":
+            assert set(link.proto.tolist()) == {PROTO_FH, PROTO_SH}
+
+    def test_batch_needs_one_trace_per_episode(self):
+        trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
+        eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
+        decisions = decide(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))
+        priced = price_decisions(SYSTEM, eng, decisions)
+        with pytest.raises(ValueError, match="a batch of 2 episodes needs as many traces"):
+            price_link(SYSTEM, eng, [priced, priced], [trace])
+
     def test_priced_decisions_bill_only_their_window_and_verifier(self):
         trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
@@ -473,7 +518,7 @@ class TestLedger:
         priced = price_decisions(SYSTEM, eng, decisions)
         for other in (replace(eng, window=16), replace(eng, mode="wisv_sh")):
             with pytest.raises(ValueError, match="cannot be billed"):
-                price_link(SYSTEM, other, priced, trace)
+                price_link(SYSTEM, other, [priced], [trace])
         bad = replace(decisions, m=np.where(decisions.m == 0, 11, decisions.m))
         with pytest.raises(ValueError, match="0 <= m <= k"):
             price_decisions(SYSTEM, eng, bad)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from wisv.compute import round_latency
-from wisv.engine import EpisodeResult
+from wisv.engine import EpisodeResult, LinkBill
 from wisv.metrics import (
     CSV_COLUMNS,
     EpisodeTotals,
     aal,
     accuracy_proxy,
     e2e_latency,
+    episode_totals,
     round_count,
     summarize,
     throughput,
@@ -77,6 +78,37 @@ class TestAal:
             EpisodeTotals.of(fake_result([]))
         with pytest.raises(ValueError, match="zero rounds"):
             aal([dataclasses.replace(fake_episode([1]), rounds=0)])
+
+
+class TestEpisodeTotals:
+    def test_batch_reduces_to_each_episodes_totals(self):
+        # Three episodes of different lengths and latencies, billed back to
+        # back: each reduces exactly as on its own.
+        results = [fake_result([2, 3, 1], 0.1, critical=1), fake_result([4], 0.3),
+                   fake_result([1, 1, 5, 2], 0.07)]
+        link = LinkBill(
+            bounds=np.array([0, 3, 4, 8]),
+            proto=np.concatenate([res.proto for res in results]),
+            comm=LatencyBreakdown(*(np.concatenate([getattr(res.comm, name) for res in results])
+                                    for name in ("uplink_s", "downlink_s", "rtt_s",
+                                                 "uplink_bits", "downlink_bits"))),
+            total_s=np.concatenate([res.total_s for res in results]),
+        )
+        totals = episode_totals(results, link)
+        assert totals == [EpisodeTotals.of(res) for res in results]
+        # Each latency is its own slice's sum in round order, not a running total.
+        assert [t.latency_s for t in totals] == [sum(res.total_s.tolist()) for res in results]
+        assert [t.uplink_bits for t in totals] == [3000, 1000, 4000]
+
+    def test_zero_round_episode_in_batch_rejected(self):
+        # reduceat would hand the empty middle episode its successor's first round.
+        results = [fake_result([2]), fake_result([]), fake_result([3])]
+        link = LinkBill(np.array([0, 1, 1, 2]), np.zeros(2, dtype=np.int64),
+                        LatencyBreakdown(*([np.zeros(2)] * 3), np.ones(2, dtype=np.int64),
+                                         np.ones(2, dtype=np.int64)),
+                        np.zeros(2))
+        with pytest.raises(ValueError, match="no rounds"):
+            episode_totals(results, link)
 
 
 class TestRoundCount:
