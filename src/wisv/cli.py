@@ -10,6 +10,10 @@ Subcommands mirror the pipeline stages:
              trained on the traces' base labels
     all      trace -> relabel -> train -> eval
 
+Eval and the ablation are one sweep (``_sweep``) of (scenario, mode, k,
+tau, head) points: eval's grid with the trained head, and the ablation's
+scenarios at ``wisv_fh`` with two named heads, trained and link-blind.
+
 Every command is a pure function of (config, seed): reruns produce
 byte-identical output files. Outputs carry the configuration hash either
 inline (JSON) or via a sibling ``*_meta.json`` (CSV, JSON-lines).
@@ -26,13 +30,13 @@ import math
 import os
 import sys
 from collections.abc import Iterator, Sequence
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
-from .channel import N_CSI_FEATURES, CsiState, generate_trace, quality
+from .channel import N_CSI_FEATURES, generate_trace, quality
 from .config import (
     DATASET_SECTIONS,
     HEAD_SECTIONS,
@@ -79,6 +83,10 @@ ROUNDS_JSONL = "rounds.jsonl"
 PLOT_DATA = "plot_latency_vs_k.json"
 ABLATE_CSV = "ablate.csv"
 ABLATE_META = "ablate_meta.json"
+
+# The ablation's two heads; eval deploys the link-aware one.
+LINK_AWARE = "csi"
+LINK_BLIND = "no_csi"
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -374,65 +382,94 @@ def _round_lines(point: dict, templates: Sequence[str], link: LinkBill) -> Itera
             zip(repeat(prefix), *(column[lo:hi] for column in columns))))
 
 
-def _scenario_trace(cfg: ExperimentConfig, s_idx: int, ep: int) -> CsiState:
-    """Episode ``ep``'s channel trace on sweep scenario ``s_idx``, as eval and ablate see it."""
-    return generate_trace(cfg.channel(cfg.raw["sweep"]["scenarios"][s_idx]),
-                          [cfg.seed, SEED_CHANNEL, s_idx, ep],
-                          rounds=cfg.raw["engine"]["max_tokens"])
-
-
 def _sweep_points(sweep: dict) -> list[tuple]:
-    """Every sweep point ``(scenario index, mode, k, tau)``, in output order."""
-    return [
-        (s_idx, mode, k, tau)
-        for s_idx in range(len(sweep["scenarios"]))
-        for mode in sweep["modes"]
-        for k in sweep["k_values"]
-        for tau in sweep["tau_values"]
-    ]
+    """Eval's sweep points ``(scenario index, mode, k, tau, head)``, in output order.
+
+    Every point names the deployed head, which only the head-verified modes read.
+    """
+    return list(product(range(len(sweep["scenarios"])), sweep["modes"], sweep["k_values"],
+                        sweep["tau_values"], [LINK_AWARE]))
 
 
-def _decision_key(s_idx: int, mode: str, k: int, tau: float) -> tuple:
+def _decision_key(s_idx: int, mode: str, k: int, tau: float, head: str) -> tuple:
     """The key of the decision a sweep point is billed from.
 
-    Per window, ``sd_greedy`` and ``sd_reject`` read neither the channel nor
-    tau, so each decides once; the head-verified modes decide once per
-    (scenario, tau), shared by FH, SH and adaptive.
+    Per window, ``sd_greedy`` and ``sd_reject`` read neither the channel,
+    tau nor a head, so each decides once; the head-verified modes decide
+    once per (scenario, tau, head), shared by FH, SH and adaptive.
     """
-    return (k, s_idx, tau) if mode.startswith("wisv") else (k, mode)
+    return (k, s_idx, tau, head) if mode.startswith("wisv") else (k, mode)
 
 
-def _eval_point(payload: dict) -> tuple[list[CsiState], dict]:
-    """Decide every sweep point of one episode. Must stay picklable.
+def _eval_point(payload: dict) -> tuple[dict, dict]:
+    """Decide the sweep points of one episode. Must stay picklable.
 
-    The episode builds one oracle, for the sweep's largest window, one
-    channel trace per scenario and, for the head-verified modes, the head's
-    screen on each trace. Each distinct decision (``_decision_key``) is
-    decided, priced (``price_decisions``) and its round lines rendered
-    (``_round_template``) once. No link is priced here: ``cmd_eval`` prices
-    each point's link once over all its episodes. Returns the episode's
-    traces, in scenario order, and ``(priced decisions, template)`` per
-    decision key.
+    The episode builds one oracle, for the points' largest window, one
+    channel trace per scenario the points use, and each of the payload's
+    heads screens each trace. Each distinct decision (``_decision_key``) is
+    decided and priced (``price_decisions``) once, and its round lines are
+    rendered (``_round_template``) if the payload asks. Returns the traces
+    by scenario index, and ``(priced, template or None)`` per decision key.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
-    sweep = cfg.raw["sweep"]
-    ep, head = payload["episode"], payload["head"]
+    ep, points = payload["episode"], payload["points"]
     system = cfg.system()
     oracle = episode_oracle(
-        cfg.oracle(), cfg.engine(window=max(sweep["k_values"])), [SEED_EVAL, ep],
-        with_distributions="sd_reject" in sweep["modes"],
+        cfg.oracle(), cfg.engine(window=max(k for _, _, k, _, _ in points)), [SEED_EVAL, ep],
+        with_distributions=any(mode == "sd_reject" for _, mode, *_ in points),
     )
-    traces = [_scenario_trace(cfg, s_idx, ep) for s_idx in range(len(sweep["scenarios"]))]
-    screens = head_screens(head, oracle, traces, system.bounds) if head is not None else None
+    # Deduplicated first: one trace per scenario, not one per point.
+    scenarios, rounds = cfg.raw["sweep"]["scenarios"], cfg.raw["engine"]["max_tokens"]
+    traces = {s_idx: generate_trace(cfg.channel(scenarios[s_idx]),
+                                    [cfg.seed, SEED_CHANNEL, s_idx, ep], rounds=rounds)
+              for s_idx in dict.fromkeys(s_idx for s_idx, *_ in points)}
+    screens = {(name, s_idx): screen for name, head in payload["heads"].items()
+               for s_idx, screen in zip(traces, head_screens(
+                   head, oracle, list(traces.values()), system.bounds))}
     decided: dict = {}
-    for s_idx, mode, k, tau in _sweep_points(sweep):
-        key = _decision_key(s_idx, mode, k, tau)
+    for point in points:
+        s_idx, mode, k, tau, head = point
+        key = _decision_key(*point)
         if key not in decided:
             engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
-            screen = screens[s_idx] if mode.startswith("wisv") else None
+            screen = screens[head, s_idx] if mode.startswith("wisv") else None
             priced = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
-            decided[key] = priced, _round_template(ep, priced)
+            decided[key] = priced, (_round_template(ep, priced) if payload["render"] else None)
     return traces, decided
+
+
+def _sweep(cfg: ExperimentConfig, points: Sequence[tuple], heads: dict[str, HeadParams],
+           episodes: int, jobs: int, render: bool) -> Iterator[tuple]:
+    """Run ``points`` over ``episodes`` episodes: ``(point, templates, link, totals)`` per point.
+
+    ``_eval_point`` decides the episodes on ``jobs`` processes, screening
+    with ``heads``. Then each point, in order, prices its link once over
+    its episodes and reduces that ``LinkBill`` once to their ``EpisodeTotals``.
+    """
+    payloads = [{"raw": cfg.raw, "episode": ep, "points": points, "heads": heads,
+                 "render": render} for ep in range(episodes)]
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            results = list(pool.map(_eval_point, payloads))
+        else:
+            results = list(map(_eval_point, payloads))
+    # Episodes arrive in order, so each point's batch is in episode order.
+    traces = [episode_traces for episode_traces, _ in results]
+    decided = [episode_decided for _, episode_decided in results]
+    # A decision key's batch is freed after its last point.
+    last_point = {_decision_key(*point): i for i, point in enumerate(points)}
+    system = cfg.system()
+    for i, point in enumerate(points):
+        s_idx, mode, k, tau, _ = point
+        key = _decision_key(*point)
+        batch, templates = zip(*(episode_decided[key] for episode_decided in decided))
+        link = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
+                          [episode_traces[s_idx] for episode_traces in traces])
+        yield point, templates, link, episode_totals(batch, link)
+        if last_point[key] == i:
+            for episode_decided in decided:
+                del episode_decided[key]
 
 
 @contextlib.contextmanager
@@ -470,41 +507,19 @@ def _load_head(cfg: ExperimentConfig, head_path: Path) -> HeadParams:
 def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
     sweep = cfg.raw["sweep"]
     needs_head = any(m.startswith("wisv") for m in sweep["modes"])
-    head = _load_head(cfg, out / HEAD) if needs_head else None
-    payloads = [{"raw": cfg.raw, "episode": ep, "head": head} for ep in range(sweep["episodes"])]
-    with contextlib.ExitStack() as stack:
-        if jobs > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            episodes = list(pool.map(_eval_point, payloads))
-        else:
-            episodes = list(map(_eval_point, payloads))
-    # Episodes arrive in order, so each point's batch is in episode order.
-    traces = [episode_traces for episode_traces, _ in episodes]
-    decided = [episode_decided for _, episode_decided in episodes]
-
-    points = _sweep_points(sweep)
-    # A decision key's batch is freed after its last point.
-    last_point = {_decision_key(*point): i for i, point in enumerate(points)}
-    system = cfg.system()
+    heads = {LINK_AWARE: _load_head(cfg, out / HEAD)} if needs_head else {}
     rows = []
     first_tau = sweep["tau_values"][0]
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
     with (_replaced_on_success(out / EPISODES_JSONL) as ef,
           _replaced_on_success(out / ROUNDS_JSONL) as rf):
-        for i, (s_idx, mode, k, tau) in enumerate(points):
-            key = _decision_key(s_idx, mode, k, tau)
-            batch, templates = zip(*(episode_decided[key] for episode_decided in decided))
-            link = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
-                              [episode_traces[s_idx] for episode_traces in traces])
-            totals = episode_totals(batch, link)
+        for (s_idx, mode, k, tau, _), templates, link, totals in _sweep(
+                cfg, _sweep_points(sweep), heads, sweep["episodes"], jobs, render=True):
             scenario = sweep["scenarios"][s_idx]
             point = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
             rf.writelines(_round_lines(point, templates, link))
             ef.writelines(_episode_line({**point, "episode": ep}, ep_totals)
                           for ep, ep_totals in enumerate(totals))
-            if last_point[key] == i:
-                for episode_decided in decided:
-                    del episode_decided[key]
             row = {"mode": mode, "k": k, "tau": tau, "rate_bps": scenario["rate_up_bps"],
                    "rtt_s": scenario["rtt_s"], **summarize(totals)}
             rows.append(row)
@@ -528,72 +543,56 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
+def _link_blind_head(cfg: ExperimentConfig, out: Path) -> HeadParams:
+    """The ablation's link-blind head, trained on the traces' base labels.
+
+    It is trained with the CSI slot zeroed, then deployed with its CSI
+    weights zeroed, so it reads no link state. The traces are freed when it
+    returns, before any sweep runs.
+    """
     episodes = _load_traces(cfg, out)
-    # Link-aware variant: the head 'train' wrote, which eval deploys.
-    params_csi = _load_head(cfg, out / HEAD)
-    # Link-blind variant: trained on base labels with the CSI slot zeroed,
-    # then deployed with its CSI weights zeroed, so it reads no link state.
     x_base = np.vstack(
         [np.hstack([ep.h_draft, ep.h_target, np.zeros((len(ep), N_CSI_FEATURES))])
          for ep in episodes]
     )
     y_base = np.concatenate([ep.base_labels for ep in episodes]).astype(np.float64)
-    params_base, _ = train(x_base, y_base, cfg.train())
-    params_base.w1[:, -N_CSI_FEATURES:] = 0.0
-    variants = {"csi": params_csi, "no_csi": params_base}
+    params, _ = train(x_base, y_base, cfg.train())
+    params.w1[:, -N_CSI_FEATURES:] = 0.0
+    return params
 
+
+def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
+    # The link-aware variant is the head 'train' wrote, which eval deploys.
+    heads = {LINK_AWARE: _load_head(cfg, out / HEAD), LINK_BLIND: _link_blind_head(cfg, out)}
     abl = cfg.raw["ablate"]
-    oracle_cfg = cfg.oracle()
-    system = cfg.system()
-    engine_cfg = cfg.engine(mode="wisv_fh", window=abl["k"], tau=abl["tau"])
-    s_indices = {s["name"]: s_idx for s_idx, s in enumerate(cfg.raw["sweep"]["scenarios"])}
-    # Every scenario and both variants decide on each episode's one oracle;
-    # a scenario's variants share its channel trace. Each (scenario,
-    # variant) point then prices its link once over its episodes.
-    traces: dict = {s_name: [] for s_name in abl["scenarios"]}
-    batches: dict = {(s_name, variant): [] for s_name in abl["scenarios"] for variant in variants}
-    for ep in range(abl["episodes"]):
-        oracle = episode_oracle(oracle_cfg, engine_cfg, [SEED_EVAL, ep], False)
-        episode_traces = [_scenario_trace(cfg, s_indices[s_name], ep)
-                          for s_name in abl["scenarios"]]
-        for s_name, trace in zip(abl["scenarios"], episode_traces):
-            traces[s_name].append(trace)
-        for variant, params in variants.items():
-            screens = head_screens(params, oracle, episode_traces, system.bounds)
-            for s_name, screen in zip(abl["scenarios"], screens):
-                batches[s_name, variant].append(
-                    price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen)))
-    totals = {}
-    for (s_name, variant), batch in batches.items():
-        link = price_link(system, engine_cfg, batch, traces[s_name])
-        totals[s_name, variant] = episode_totals(batch, link)
-
+    scenarios = cfg.raw["sweep"]["scenarios"]
+    s_indices = {s["name"]: s_idx for s_idx, s in enumerate(scenarios)}
+    # Eval's sweep over both heads: per scenario, one point per variant.
+    points = list(product([s_indices[s_name] for s_name in abl["scenarios"]], ["wisv_fh"],
+                          [abl["k"]], [abl["tau"]], heads))
     rows = []
+    aals: dict = {}
     paired: dict = {"config_hash": cfg.hash, "scenarios": {}}
-    for s_name in abl["scenarios"]:
-        scenario = cfg.scenario(s_name)
-        per_variant: dict = {}
-        aals: dict = {}
-        for variant in variants:
-            point_totals = totals[s_name, variant]
-            row = {"variant": variant, "mode": "wisv_fh", "k": abl["k"], "tau": abl["tau"],
-                   "rate_bps": scenario["rate_up_bps"], "rtt_s": scenario["rtt_s"],
-                   **summarize(point_totals)}
-            rows.append(row)
-            aals[variant] = a = np.array([ep.aal for ep in point_totals])
-            per_variant[variant] = {
-                "aal_mean": float(a.mean()),
-                "aal_std": float(a.std(ddof=1)),
-                "aal_sem": float(a.std(ddof=1) / np.sqrt(len(a))),
-                "latency_mean_s": row["latency_s"],
-                "accuracy_proxy": row["accuracy_proxy"],
-            }
+    for (s_idx, mode, k, tau, variant), _, _, totals in _sweep(
+            cfg, points, heads, abl["episodes"], jobs, render=False):
+        scenario = scenarios[s_idx]
+        row = {"variant": variant, "mode": mode, "k": k, "tau": tau,
+               "rate_bps": scenario["rate_up_bps"], "rtt_s": scenario["rtt_s"],
+               **summarize(totals)}
+        rows.append(row)
+        aals[scenario["name"], variant] = a = np.array([ep.aal for ep in totals])
+        paired["scenarios"].setdefault(scenario["name"], {})[variant] = {
+            "aal_mean": float(a.mean()),
+            "aal_std": float(a.std(ddof=1)),
+            "aal_sem": float(a.std(ddof=1) / np.sqrt(len(a))),
+            "latency_mean_s": row["latency_s"],
+            "accuracy_proxy": row["accuracy_proxy"],
+        }
+    for s_name, per_variant in paired["scenarios"].items():
         # Both variants run the same episodes: the per-episode difference
         # cancels the episode-to-episode spread the unpaired SEMs carry.
-        diff = aals["csi"] - aals["no_csi"]
+        diff = aals[s_name, LINK_AWARE] - aals[s_name, LINK_BLIND]
         per_variant["aal_diff_sem"] = float(diff.std(ddof=1) / np.sqrt(len(diff)))
-        paired["scenarios"][s_name] = per_variant
 
     write_csv(out / ABLATE_CSV, rows, ["variant", *CSV_COLUMNS])
     _dump_json(out / ABLATE_META, paired)

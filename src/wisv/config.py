@@ -379,12 +379,6 @@ class ExperimentConfig:
                 sec[key] = tuple(sec[key])
         return ChannelConfig(**sec)
 
-    def scenario(self, name: str) -> dict:
-        for sec in self.raw["sweep"]["scenarios"]:
-            if sec["name"] == name:
-                return sec
-        raise KeyError(f"no scenario named {name!r}")
-
     def bounds(self) -> NormalizationBounds:
         sec = self.raw["normalization"]
         return NormalizationBounds(

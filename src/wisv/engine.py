@@ -39,13 +39,16 @@ each decision once per episode, with one oracle per episode
 episodes.
 
 The head-verified modes decide from a ``HeadScreen``, built once per
-(head, episode, trace) by ``head_screens``. The head's first layer is
-linear, so it splits into a hidden-state term per mismatch and a link term
-per trace row, each one matmul per episode. On a link whose term is the
-same in every round, the screen is one p column over the mismatches, and
-every window and tau of the episode scans a stop column cut from it, as
-``sd_greedy`` does; otherwise a screened round adds its link row to its
-window's hidden rows. ``head.forward_batch`` serves training and the holdout.
+(head, episode, trace) by ``head_screens``. A sweep may name several
+heads: the ablation is eval's sweep over a link-aware and a link-blind
+head, which share each episode's oracle and traces. The head's first
+layer is linear, so it splits into a hidden-state term per mismatch and a
+link term per trace row, each one matmul per episode. On a link whose term
+is the same in every round, the screen is one p column over the
+mismatches, and every window and tau of the episode scans a stop column
+cut from it, as ``sd_greedy`` does; otherwise a screened round adds its
+link row to its window's hidden rows. ``head.forward_batch`` serves
+training and the holdout.
 """
 
 from __future__ import annotations

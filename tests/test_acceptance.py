@@ -46,6 +46,11 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def scenario_channel(cfg, name):
+    """The channel of the sweep scenario called ``name``."""
+    return cfg.channel(next(s for s in cfg.raw["sweep"]["scenarios"] if s["name"] == name))
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Default-scale trace -> relabel -> train, shared by criteria 8-10."""
@@ -60,7 +65,7 @@ def pipeline(tmp_path_factory):
 def eval_episodes(cfg, mode, k, tau, scenario_name, episodes, head=None, s_idx=0):
     system = cfg.system()
     oracle_cfg = cfg.oracle()
-    channel = cfg.channel(cfg.scenario(scenario_name))
+    channel = scenario_channel(cfg, scenario_name)
     eng = cfg.engine(mode=mode, window=k, tau=tau)
     out = []
     for ep in range(episodes):
@@ -210,7 +215,7 @@ def test_criterion_5_reduction_equivalence():
     cfg = ExperimentConfig.load()
     head = init_params(cfg.feature_dim(), 16, seed=0)
     system, oracle_cfg = cfg.system(), cfg.oracle()
-    channel = cfg.channel(cfg.scenario("500mbps_50ms"))
+    channel = scenario_channel(cfg, "500mbps_50ms")
     mismatching = 0
     for ep in range(100):
         trace = generate_trace(channel, [cfg.seed, SEED_CHANNEL, 0, ep], rounds=256)
@@ -231,7 +236,7 @@ def test_criterion_5_reduction_equivalence():
 def test_criterion_6_fh_sh_invariance(pipeline):
     cfg, _, head = pipeline
     system, oracle_cfg = cfg.system(), cfg.oracle()
-    channel = cfg.channel(cfg.scenario("500mbps_50ms"))
+    channel = scenario_channel(cfg, "500mbps_50ms")
     wire = system.wire
     violations = 0
     for ep in range(50):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -565,7 +566,9 @@ class TestEvalCommand:
         cmd_eval(cfg, tmp_path)
         assert len(builds) == 3  # one oracle per episode, for every k
         builds.clear()
-        episodes = [cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head})
+        points = cli._sweep_points(cfg.raw["sweep"])
+        episodes = [cli._eval_point({"raw": cfg.raw, "episode": ep, "points": points,
+                                     "heads": {cli.LINK_AWARE: head}, "render": True})
                     for ep in range(3)]
         assert len(builds) == 3
         monkeypatch.undo()
@@ -580,8 +583,9 @@ class TestEvalCommand:
         for traces, decided in episodes:
             assert len(traces) == 2
             assert len(decided) == 2 * (2 + 2 * 2)  # k values x (sd_* + scenarios x taus)
-        for s_idx, mode, k, tau in cli._sweep_points(cfg.raw["sweep"]):
-            key = cli._decision_key(s_idx, mode, k, tau)
+        for point in points:
+            s_idx, mode, k, tau, _ = point
+            key = cli._decision_key(*point)
             batch, templates = zip(*(decided[key] for _, decided in episodes))
             eng = cfg.engine(mode=mode, window=k, tau=tau)
             link = engine.price_link(system, eng, batch, [traces[s_idx] for traces, _ in episodes])
@@ -632,7 +636,9 @@ class TestEvalCommand:
         head = cli.load_params(out / HEAD)
         for ep in range(2):
             calls.clear()
-            _, decided = cli._eval_point({"raw": cfg.raw, "episode": ep, "head": head})
+            _, decided = cli._eval_point({"raw": cfg.raw, "episode": ep,
+                                          "points": cli._sweep_points(cfg.raw["sweep"]),
+                                          "heads": {cli.LINK_AWARE: head}, "render": True})
             assert len(decided) == 5 * (2 + 4)
             # Per k: sd_greedy, sd_reject and one head-verified decision per
             # scenario; each is drafted and verified once.
@@ -895,13 +901,14 @@ class TestAblateCommand:
     def test_one_oracle_and_trace_per_episode(self, small_run, tmp_path, monkeypatch):
         """Every scenario and variant shares each episode's oracle; variants share its traces.
 
-        Each (scenario, variant) point prices its link once, over its episodes."""
+        Each (scenario, variant) point decides once per episode and prices its
+        link once, over its episodes."""
         cfg, out = small_run
         raw = copy.deepcopy(cfg.raw)
         raw["ablate"].update(episodes=3, scenarios=["500mbps_50ms", "20mbps_5ms"])
         small = ExperimentConfig(raw=raw)
         small.validate()
-        calls = {"oracle": 0, "trace": 0, "link": 0}
+        calls = {"oracle": 0, "trace": 0, "decide": 0, "link": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -911,12 +918,37 @@ class TestAblateCommand:
 
         monkeypatch.setattr(engine, "EpisodeOracle", counting("oracle", engine.EpisodeOracle))
         monkeypatch.setattr(cli, "generate_trace", counting("trace", cli.generate_trace))
+        monkeypatch.setattr(cli, "decide", counting("decide", cli.decide))
         monkeypatch.setattr(cli, "price_link", counting("link", cli.price_link))
         copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
         paired = cli.cmd_ablate(small, tmp_path)
-        # episodes; scenarios x episodes; scenarios x variants
-        assert calls == {"oracle": 3, "trace": 2 * 3, "link": 2 * 2}
+        # episodes; scenarios x episodes; episodes x scenarios x variants;
+        # scenarios x variants
+        assert calls == {"oracle": 3, "trace": 2 * 3, "decide": 3 * 2 * 2, "link": 2 * 2}
         assert set(paired["scenarios"]) == {"500mbps_50ms", "20mbps_5ms"}
+
+    def test_parallel_matches_serial(self, small_run, tmp_path, monkeypatch):
+        """``--jobs 2`` runs the ablation on a pool and writes the serial run's files."""
+        cfg, out = small_run
+        raw = copy.deepcopy(cfg.raw)
+        raw["ablate"].update(episodes=3, scenarios=["500mbps_50ms", "20mbps_5ms"])
+        small = ExperimentConfig(raw=raw)
+        small.validate()
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        for jobs in (1, 2):
+            copy_artifacts(out, tmp_path / f"jobs{jobs}", names=self.ABLATE_INPUTS)
+            cli.cmd_ablate(small, tmp_path / f"jobs{jobs}", jobs=jobs)
+        assert pools == [2]
+        serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+        for name in (ABLATE_CSV, ABLATE_META):
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_csi_row_is_eval_row(self, small_run, tmp_path):
         """The link-aware variant is the head eval deploys, on eval's episodes and links."""
