@@ -32,7 +32,7 @@ import sys
 from collections.abc import Iterator, Sequence
 from itertools import chain, product, repeat
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 
@@ -355,17 +355,19 @@ def _round_template(episode: int, priced: PricedDecisions) -> str:
     return "".join(template % row for row in zip(*values))
 
 
-def _round_lines(point: dict, templates: Sequence[str], link: LinkBill) -> Iterator[str]:
+def _round_lines(point: dict, templates: Sequence[str], link: LinkBill,
+                 first_episode: int = 0) -> Iterator[str]:
     """One point's ``rounds.jsonl`` lines, one string per episode of its batch.
 
+    The batch holds the sweep's episodes ``first_episode`` on, in order.
     Episode e's lines are compact ``json.dumps({**point, "episode": e,
-    "round": r, **columns})``: ``templates[e]`` is the ``_round_template``
-    of the priced decisions the batch's episode e was billed from, and
+    "round": r, **columns})``: ``templates[i]`` is the ``_round_template``
+    of the priced decisions the batch's i-th episode was billed from, and
     ``link`` the batch's bill. Each link column becomes one list, checked
     before any line is made.
     """
     comm, bounds = link.comm, link.bounds.tolist()
-    episodes = range(len(templates))
+    episodes = range(first_episode, first_episode + len(templates))
     point_prefix = _line_prefix(point)
     # The link's members, in line order.
     columns = _round_values({
@@ -438,50 +440,115 @@ def _eval_point(payload: dict) -> tuple[dict, dict]:
     return traces, decided
 
 
-def _sweep(cfg: ExperimentConfig, points: Sequence[tuple], heads: dict[str, HeadParams],
-           episodes: int, jobs: int, render: bool) -> Iterator[tuple]:
-    """Run ``points`` over ``episodes`` episodes: ``(point, templates, link, totals)`` per point.
+def _point_key(scenarios: Sequence[dict], point: tuple) -> dict:
+    """The members every output line of a sweep point starts with."""
+    s_idx, mode, k, tau, _ = point
+    return {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau}
 
-    ``_eval_point`` decides the episodes on ``jobs`` processes, screening
-    with ``heads``. Then each point, in order, prices its link once over
-    its episodes and reduces that ``LinkBill`` once to their ``EpisodeTotals``.
+
+def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[EpisodeTotals]]:
+    """Run the sweep's points over one block of episodes: each point's totals, in point order.
+
+    ``_eval_point`` decides each episode of the block (``payload["episodes"]``,
+    a range), screening with ``payload["heads"]``. Then each point prices
+    its link once over the block's episodes and reduces that ``LinkBill``
+    once to their ``EpisodeTotals``. If ``rounds`` is given, the point's
+    round lines are written to it before its totals are yielded.
     """
-    payloads = [{"raw": cfg.raw, "episode": ep, "points": points, "heads": heads,
-                 "render": render} for ep in range(episodes)]
-    with contextlib.ExitStack() as stack:
-        if jobs > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
-            results = list(pool.map(_eval_point, payloads))
-        else:
-            results = list(map(_eval_point, payloads))
-    # Episodes arrive in order, so each point's batch is in episode order.
+    cfg = ExperimentConfig(raw=payload["raw"])
+    block, points = payload["episodes"], payload["points"]
+    results = [_eval_point({"raw": payload["raw"], "episode": ep, "points": points,
+                            "heads": payload["heads"], "render": rounds is not None})
+               for ep in block]
     traces = [episode_traces for episode_traces, _ in results]
     decided = [episode_decided for _, episode_decided in results]
     # A decision key's batch is freed after its last point.
     last_point = {_decision_key(*point): i for i, point in enumerate(points)}
-    system = cfg.system()
+    system, scenarios = cfg.system(), cfg.raw["sweep"]["scenarios"]
     for i, point in enumerate(points):
         s_idx, mode, k, tau, _ = point
         key = _decision_key(*point)
         batch, templates = zip(*(episode_decided[key] for episode_decided in decided))
         link = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
                           [episode_traces[s_idx] for episode_traces in traces])
-        yield point, templates, link, episode_totals(batch, link)
+        if rounds is not None:
+            rounds.writelines(lines.encode() for lines in _round_lines(
+                _point_key(scenarios, point), templates, link, first_episode=block.start))
+        yield episode_totals(batch, link)
         if last_point[key] == i:
             for episode_decided in decided:
                 del episode_decided[key]
 
 
+def _sweep_worker(payload: dict, scratch: Path | None) -> list[tuple[int, list[EpisodeTotals]]]:
+    """Run one block in a worker process. Must stay picklable.
+
+    The block's round lines go to the file ``scratch``, if one is named.
+    Returns, per point, the byte offset at which its lines end in that file
+    (0 without one) and its totals.
+    """
+    if scratch is None:
+        return [(0, totals) for totals in _sweep_block(payload, None)]
+    with open(scratch, "wb") as rounds:
+        return [(rounds.tell(), totals) for totals in _sweep_block(payload, rounds)]
+
+
+def _blocks(episodes: int, jobs: int) -> list[range]:
+    """``range(episodes)`` split into ``min(jobs, episodes)`` contiguous blocks.
+
+    Block sizes differ by at most one, the larger blocks first.
+    """
+    n_blocks = min(jobs, episodes)
+    size, larger = divmod(episodes, n_blocks)
+    starts = [b * size + min(b, larger) for b in range(n_blocks + 1)]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
+def _sweep(cfg: ExperimentConfig, points: Sequence[tuple], heads: dict[str, HeadParams],
+           episodes: int, jobs: int, rounds: BinaryIO | None = None) -> Iterator[tuple]:
+    """Run ``points`` over ``episodes`` episodes: ``(point, totals)`` per point, in order.
+
+    The episodes are split into ``min(jobs, episodes)`` blocks, each run by
+    ``_sweep_block``. One block runs in this process and writes each point's
+    round lines straight to ``rounds``. Otherwise each block runs in its
+    own worker process and writes its lines to a scratch file named after
+    ``rounds``; per point, the blocks' segments are then copied to
+    ``rounds`` in block order and their totals joined in episode order. The
+    scratch files are removed however the sweep ends. Without ``rounds`` no
+    lines are rendered, and the blocks return totals only.
+    """
+    blocks = _blocks(episodes, jobs)
+    payloads = [{"raw": cfg.raw, "episodes": block, "points": points, "heads": heads}
+                for block in blocks]
+    if len(blocks) == 1:
+        yield from zip(points, _sweep_block(payloads[0], rounds))
+        return
+    scratch = [None if rounds is None else Path(f"{rounds.name}.{b}") for b in range(len(blocks))]
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            results = list(pool.map(_sweep_worker, payloads, scratch))
+        with contextlib.ExitStack() as stack:
+            segments = [stack.enter_context(open(path, "rb")) for path in scratch if path]
+            for point, per_block in zip(points, zip(*results)):
+                for segment, (end, _) in zip(segments, per_block):
+                    rounds.write(segment.read(end - segment.tell()))
+                yield point, list(chain.from_iterable(totals for _, totals in per_block))
+    finally:
+        for path in scratch:
+            if path:
+                path.unlink(missing_ok=True)
+
+
 @contextlib.contextmanager
-def _replaced_on_success(path: Path) -> Iterator[TextIO]:
-    """A file that replaces ``path`` when the block ends, or is removed if the block raises.
+def _replaced_on_success(path: Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` when the block ends, or is removed if the block raises.
 
     It is written under a temporary name beside ``path``, so a failed run
     leaves no half-written file under ``path``'s name.
     """
     partial = path.with_name(path.name + ".partial")
     try:
-        with open(partial, "w") as fh:
+        with open(partial, "wb") as fh:
             yield fh
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -513,12 +580,11 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
     with (_replaced_on_success(out / EPISODES_JSONL) as ef,
           _replaced_on_success(out / ROUNDS_JSONL) as rf):
-        for (s_idx, mode, k, tau, _), templates, link, totals in _sweep(
-                cfg, _sweep_points(sweep), heads, sweep["episodes"], jobs, render=True):
+        for point, totals in _sweep(cfg, _sweep_points(sweep), heads, sweep["episodes"], jobs, rf):
+            s_idx, mode, k, tau, _ = point
             scenario = sweep["scenarios"][s_idx]
-            point = {"scenario": scenario["name"], "mode": mode, "k": k, "tau": tau}
-            rf.writelines(_round_lines(point, templates, link))
-            ef.writelines(_episode_line({**point, "episode": ep}, ep_totals)
+            key = _point_key(sweep["scenarios"], point)
+            ef.writelines(_episode_line({**key, "episode": ep}, ep_totals).encode()
                           for ep, ep_totals in enumerate(totals))
             row = {"mode": mode, "k": k, "tau": tau, "rate_bps": scenario["rate_up_bps"],
                    "rtt_s": scenario["rtt_s"], **summarize(totals)}
@@ -573,8 +639,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     rows = []
     aals: dict = {}
     paired: dict = {"config_hash": cfg.hash, "scenarios": {}}
-    for (s_idx, mode, k, tau, variant), _, _, totals in _sweep(
-            cfg, points, heads, abl["episodes"], jobs, render=False):
+    for (s_idx, mode, k, tau, variant), totals in _sweep(cfg, points, heads, abl["episodes"], jobs):
         scenario = scenarios[s_idx]
         row = {"variant": variant, "mode": mode, "k": k, "tau": tau,
                "rate_bps": scenario["rate_up_bps"], "rtt_s": scenario["rtt_s"],

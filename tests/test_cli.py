@@ -2,7 +2,9 @@ import concurrent.futures
 import copy
 import csv
 import dataclasses
+import io
 import json
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from wisv.cli import (
 from wisv.config import SEED_CHANNEL, SEED_EVAL, DEFAULT_CONFIG, ExperimentConfig, config_hash
 from wisv.engine import MODES, run_episode
 from wisv.head import HeadParams
-from wisv.metrics import CSV_COLUMNS, EpisodeTotals, episode_totals, summarize
+from wisv.metrics import CSV_COLUMNS, EpisodeTotals, summarize
 
 SMALL_OVERRIDES = {
     "trace": {"episodes": 50},
@@ -525,16 +527,56 @@ class TestEvalCommand:
         assert aal[500e6] == aal[20e6]  # same verification decisions
 
     def test_parallel_matches_serial(self, small_run, tmp_path):
-        # 3 episodes: two workers finish unevenly, and four outnumber the episodes.
+        # 3 episodes: two blocks are uneven, and four jobs outnumber the
+        # episodes. 5 episodes: blocks of 3 and 2, then of 2, 2 and 1.
         cfg, out = small_run
-        cfg = derived_config(cfg, k_values=[10, 16, 24], episodes=3)
+        for episodes, parallel_jobs in ((3, (2, 4)), (5, (2, 3))):
+            derived = derived_config(cfg, k_values=[10, 16, 24], episodes=episodes)
+            serial = tmp_path / f"{episodes}_serial"
+            run_dirs = [tmp_path / f"{episodes}_jobs{jobs}" for jobs in parallel_jobs]
+            for run_dir, jobs in zip([serial, *run_dirs], (1, *parallel_jobs)):
+                copy_artifacts(out, run_dir)
+                cmd_eval(derived, run_dir, jobs=jobs)
+            for run_dir in run_dirs:
+                for name in EVAL_FILES:
+                    assert (run_dir / name).read_bytes() == (serial / name).read_bytes(), name
+                assert sorted(path.name for path in run_dir.iterdir()) == sorted(
+                    [HEAD, HEAD + ".json", *EVAL_FILES])
+
+    def test_pool_capped_at_blocks(self, small_run, tmp_path, monkeypatch):
+        """The pool gets one worker per block, never more than there are episodes.
+
+        A recording executor runs the blocks in this process and starts none."""
+        cfg, out = small_run
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.blocks = []
+                pools.append((max_workers, self.blocks))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, *args):
+                self.blocks.extend(payload["episodes"] for payload in payloads)
+                return map(fn, payloads, *args)
+
         serial = tmp_path / "serial"
-        for run_dir, jobs in ((serial, 1), (tmp_path / "jobs2", 2), (tmp_path / "jobs4", 4)):
+        copy_artifacts(out, serial)
+        cmd_eval(derived_config(cfg, episodes=3), serial)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for episodes, jobs in ((3, 64), (5, 2)):
+            run_dir = tmp_path / f"{episodes}_{jobs}"
             copy_artifacts(out, run_dir)
-            cmd_eval(cfg, run_dir, jobs=jobs)
-        for run_dir in (tmp_path / "jobs2", tmp_path / "jobs4"):
-            for name in EVAL_FILES:
-                assert (run_dir / name).read_bytes() == (serial / name).read_bytes(), name
+            cmd_eval(derived_config(cfg, episodes=episodes), run_dir, jobs=jobs)
+        assert pools == [(3, [range(0, 1), range(1, 2), range(2, 3)]),
+                         (2, [range(0, 3), range(3, 5)])]
+        for name in EVAL_FILES:
+            assert (tmp_path / "3_64" / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_grouped_eval_matches_per_point_episodes(self, small_run, tmp_path, monkeypatch):
         """One oracle per episode, and shared decisions bill exactly like run_episode."""
@@ -561,56 +603,72 @@ class TestEvalCommand:
             builds.append(kwargs["n_positions"])
             return real_oracle(*args, **kwargs)
 
+        decided_sizes = []
+        real_point = cli._eval_point
+
+        def recording_point(payload):
+            traces, decided = real_point(payload)
+            decided_sizes.append((len(traces), len(decided)))
+            return traces, decided
+
         monkeypatch.setattr(engine, "EpisodeOracle", counting_oracle)
         copy_artifacts(out, tmp_path)
         cmd_eval(cfg, tmp_path)
         assert len(builds) == 3  # one oracle per episode, for every k
         builds.clear()
+        # The sweep's episodes in two blocks, [0, 2) and [2, 3), as under
+        # --jobs 2. Per point, each block makes one bill over its episodes,
+        # reduces it to each episode's totals and writes their round lines.
+        monkeypatch.setattr(cli, "_eval_point", recording_point)
         points = cli._sweep_points(cfg.raw["sweep"])
-        episodes = [cli._eval_point({"raw": cfg.raw, "episode": ep, "points": points,
-                                     "heads": {cli.LINK_AWARE: head}, "render": True})
-                    for ep in range(3)]
+        blocks = []
+        for block in cli._blocks(3, 2):
+            sink = io.BytesIO()
+            ends = [(sink.tell(), totals) for totals in cli._sweep_block(
+                {"raw": cfg.raw, "episodes": block, "points": points,
+                 "heads": {cli.LINK_AWARE: head}}, sink)]
+            blocks.append((block, sink.getvalue(), ends))
+        assert [block for block, _, _ in blocks] == [range(0, 2), range(2, 3)]
         assert len(builds) == 3
+        # Per episode: 2 traces, and k values x (sd_* + scenarios x taus) decisions.
+        assert decided_sizes == [(2, 2 * (2 + 2 * 2))] * 3
         monkeypatch.undo()
 
-        # The parent's step per point: one bill over the point's episodes,
-        # reduced to each episode's totals and rendered into its lines. Each
-        # (point, episode)'s totals and lines, whose round records carry every
-        # decision and bill column with floats in repr form, must equal those
-        # of its own run_episode.
+        # Each (point, episode)'s totals and lines, whose round records carry
+        # every decision and bill column with floats in repr form and name
+        # the sweep's episode, must equal those of its own run_episode.
         system, oracle_cfg = cfg.system(), cfg.oracle()
         checked, protos, by_tau, by_scenario = 0, set(), {}, {}
-        for traces, decided in episodes:
-            assert len(traces) == 2
-            assert len(decided) == 2 * (2 + 2 * 2)  # k values x (sd_* + scenarios x taus)
-        for point in points:
-            s_idx, mode, k, tau, _ = point
-            key = cli._decision_key(*point)
-            batch, templates = zip(*(decided[key] for _, decided in episodes))
+        for i, (s_idx, mode, k, tau, _) in enumerate(points):
             eng = cfg.engine(mode=mode, window=k, tau=tau)
-            link = engine.price_link(system, eng, batch, [traces[s_idx] for traces, _ in episodes])
             point = {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau}
-            round_lines = list(cli._round_lines(point, templates, link))
-            for ep, totals in enumerate(episode_totals(batch, link)):
-                trace = generate_trace(cfg.channel(scenarios[s_idx]),
-                                       [cfg.seed, SEED_CHANNEL, s_idx, ep],
-                                       rounds=cfg.raw["engine"]["max_tokens"])
-                ref = run_episode(system, eng, oracle_cfg, trace,
-                                  head if mode.startswith("wisv") else None, seed=[SEED_EVAL, ep])
-                ref_totals = EpisodeTotals.of(ref)
-                assert totals == ref_totals
-                key = {**point, "episode": ep}
-                assert cli._episode_line(key, totals) == json.dumps(
-                    {**key, **vars(ref_totals)}, separators=(",", ":")) + "\n"
-                assert round_lines[ep] == reference_round_lines(key, ref)
-                rounds = [json.loads(line) for line in round_lines[ep].splitlines()]
-                assert len(rounds) == ref.n_rounds
-                if mode == "wisv_adaptive":
-                    protos.update(r["proto"] for r in rounds)
-                if mode == "wisv_fh":
-                    by_tau.setdefault(tau, []).extend(ref.accepted.tolist())
-                    by_scenario.setdefault(s_idx, []).extend(ref.accepted.tolist())
-                checked += 1
+            for block, text, ends in blocks:
+                end, block_totals = ends[i]
+                lines = text[ends[i - 1][0] if i else 0:end].decode().splitlines(keepends=True)
+                assert len(block_totals) == len(block)
+                for ep, totals in zip(block, block_totals):
+                    trace = generate_trace(cfg.channel(scenarios[s_idx]),
+                                           [cfg.seed, SEED_CHANNEL, s_idx, ep],
+                                           rounds=cfg.raw["engine"]["max_tokens"])
+                    ref = run_episode(system, eng, oracle_cfg, trace,
+                                      head if mode.startswith("wisv") else None,
+                                      seed=[SEED_EVAL, ep])
+                    ref_totals = EpisodeTotals.of(ref)
+                    assert totals == ref_totals
+                    key = {**point, "episode": ep}
+                    assert cli._episode_line(key, totals) == json.dumps(
+                        {**key, **vars(ref_totals)}, separators=(",", ":")) + "\n"
+                    episode_lines, lines = lines[:ref.n_rounds], lines[ref.n_rounds:]
+                    assert "".join(episode_lines) == reference_round_lines(key, ref)
+                    rounds = [json.loads(line) for line in episode_lines]
+                    assert len(rounds) == ref.n_rounds
+                    if mode == "wisv_adaptive":
+                        protos.update(r["proto"] for r in rounds)
+                    if mode == "wisv_fh":
+                        by_tau.setdefault(tau, []).extend(ref.accepted.tolist())
+                        by_scenario.setdefault(s_idx, []).extend(ref.accepted.tolist())
+                    checked += 1
+                assert lines == []
         assert checked == 2 * 3 * 2 * 5 * 2
         # Not vacuous: adaptive switches protocol, and tau and the link change decisions.
         assert protos == {"FH", "SH"}
@@ -619,40 +677,50 @@ class TestEvalCommand:
 
     def test_each_decision_priced_once(self, small_run, tmp_path, monkeypatch):
         """A sweep_static-shaped grid prices its 30 decisions per episode once, not its 80
-        points, and each point's link once over its episodes."""
+        points, and each point's link once over a block's episodes.
+
+        Serially the sweep is one block, so there are 80 ``round_comm`` calls;
+        under ``--jobs N`` there are 80 per block."""
         cfg, out = small_run
         cfg = derived_config(cfg, modes=["sd_greedy", "sd_reject", "wisv_fh", "wisv_sh"],
                              k_values=[10, 16, 24, 32, 64], tau_values=[0.5],
                              scenarios=DEFAULT_CONFIG["sweep"]["scenarios"], episodes=2)
         assert len(cfg.raw["sweep"]["scenarios"]) == 4
-        calls = []
-        real = engine.window_flops
+        calls, comm_calls, decided_sizes = [], [], []
+        real, real_comm, real_point = engine.window_flops, engine.round_comm, cli._eval_point
 
         def counting(*args, **kwargs):
             calls.append(args[-1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "window_flops", counting)
-        head = cli.load_params(out / HEAD)
-        for ep in range(2):
-            calls.clear()
-            _, decided = cli._eval_point({"raw": cfg.raw, "episode": ep,
-                                          "points": cli._sweep_points(cfg.raw["sweep"]),
-                                          "heads": {cli.LINK_AWARE: head}, "render": True})
-            assert len(decided) == 5 * (2 + 4)
-            # Per k: sd_greedy, sd_reject and one head-verified decision per
-            # scenario; each is drafted and verified once.
-            assert len(calls) == 2 * 5 * (2 + 4)
-            assert sorted(set(calls)) == [10, 16, 24, 32, 64]
-
-        comm_calls = []
-        real_comm = engine.round_comm
-
         def counting_comm(*args, **kwargs):
             comm_calls.append(len(args[3]))
             return real_comm(*args, **kwargs)
 
+        def recording_point(payload):
+            traces, decided = real_point(payload)
+            decided_sizes.append(len(decided))
+            return traces, decided
+
+        monkeypatch.setattr(engine, "window_flops", counting)
         monkeypatch.setattr(engine, "round_comm", counting_comm)
+        monkeypatch.setattr(cli, "_eval_point", recording_point)
+        head = cli.load_params(out / HEAD)
+        # --jobs 2's blocks: one episode each.
+        for block in cli._blocks(2, 2):
+            calls.clear()
+            comm_calls.clear()
+            list(cli._sweep_block({"raw": cfg.raw, "episodes": block,
+                                   "points": cli._sweep_points(cfg.raw["sweep"]),
+                                   "heads": {cli.LINK_AWARE: head}}, io.BytesIO()))
+            assert decided_sizes.pop() == 5 * (2 + 4)
+            # Per k: sd_greedy, sd_reject and one head-verified decision per
+            # scenario; each is drafted and verified once.
+            assert len(calls) == 2 * 5 * (2 + 4)
+            assert sorted(set(calls)) == [10, 16, 24, 32, 64]
+            assert len(comm_calls) == 4 * 5 * 4
+
+        comm_calls.clear()
         copy_artifacts(out, tmp_path)
         cmd_eval(cfg, tmp_path)
         # One call per point, each over both episodes' rounds; billing per
@@ -733,38 +801,61 @@ class TestEvalCommand:
                 next(cli._round_lines({}, [cli._round_template(0, res)] * n_episodes, link))
 
     def test_failed_eval_leaves_no_stream(self, small_run, tmp_path, monkeypatch):
-        # A late point carries a non-finite round latency in its second
-        # episode: eval refuses, and neither stream is left half-written,
-        # in a fresh directory or over a previous run's complete streams.
+        # A late point carries a non-finite round latency in the sweep's
+        # third episode, which is the second block's under --jobs 2: eval
+        # refuses naming that episode, and neither stream nor any block's
+        # scratch file is left behind, in a fresh directory or over a
+        # previous run's complete streams.
         cfg, out = small_run
         cfg = derived_config(cfg, episodes=3)
+        # The decision of the grid's 13th point (of 16), first billed there.
+        late_key = cli._decision_key(1, "wisv_fh", 10, 0.9, cli.LINK_AWARE)
+        real_point, real_link = cli._eval_point, cli.price_link
         calls = []
-        real = cli.price_link
 
-        def poisoned(*args):
-            link = real(*args)
+        def poisoned(payload):
+            traces, decided = real_point(payload)
+            if payload["episode"] == 2:
+                # After its template is rendered, so only the billed total fails.
+                decided[late_key][0].draft_s[2] = np.nan
+            return traces, decided
+
+        def counting(*args):
             calls.append(None)
-            if len(calls) == 12:
-                link.total_s[link.bounds[1] + 2] = np.nan
-            return link
+            return real_link(*args)
 
-        copy_artifacts(out, tmp_path)
-        monkeypatch.setattr(cli, "price_link", poisoned)
-        with pytest.raises(ValueError, match="round column 'total_s' of episode 1"):
-            cmd_eval(cfg, tmp_path)
-        assert len(calls) == 12  # of the grid's 16 points
-        assert sorted(path.name for path in tmp_path.iterdir()) == [HEAD, HEAD + ".json"]
+        class ForkPool(concurrent.futures.ProcessPoolExecutor):
+            # The poison reaches the workers only if they are forked from this process.
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers,
+                                 mp_context=multiprocessing.get_context("fork"))
 
-        monkeypatch.undo()
-        cmd_eval(cfg, tmp_path)
-        complete = {name: (tmp_path / name).read_bytes() for name in EVAL_FILES}
-        monkeypatch.setattr(cli, "price_link", poisoned)
-        calls.clear()
-        with pytest.raises(ValueError, match="round column 'total_s' of episode 1"):
-            cmd_eval(cfg, tmp_path)
-        assert {name: (tmp_path / name).read_bytes() for name in EVAL_FILES} == complete
-        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-            [HEAD, HEAD + ".json", *EVAL_FILES])
+        def poison():
+            monkeypatch.setattr(cli, "_eval_point", poisoned)
+            monkeypatch.setattr(cli, "price_link", counting)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
+            calls.clear()
+
+        for jobs in (1, 2):
+            run_dir = tmp_path / f"jobs{jobs}"
+            copy_artifacts(out, run_dir)
+            poison()
+            with pytest.raises(ValueError, match="round column 'total_s' of episode 2"):
+                cmd_eval(cfg, run_dir, jobs=jobs)
+            # Serially the first 12 points were streamed; the blocks bill in workers.
+            assert len(calls) == (13 if jobs == 1 else 0)
+            assert sorted(path.name for path in run_dir.iterdir()) == [HEAD, HEAD + ".json"]
+
+            monkeypatch.undo()
+            cmd_eval(cfg, run_dir, jobs=jobs)
+            complete = {name: (run_dir / name).read_bytes() for name in EVAL_FILES}
+            poison()
+            with pytest.raises(ValueError, match="round column 'total_s' of episode 2"):
+                cmd_eval(cfg, run_dir, jobs=jobs)
+            monkeypatch.undo()
+            assert {name: (run_dir / name).read_bytes() for name in EVAL_FILES} == complete
+            assert sorted(path.name for path in run_dir.iterdir()) == sorted(
+                [HEAD, HEAD + ".json", *EVAL_FILES])
 
     @pytest.mark.parametrize("correct", [True, False])
     def test_episode_line_matches_json_reference(self, correct):
