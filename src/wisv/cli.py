@@ -25,12 +25,14 @@ import argparse
 import bisect
 import concurrent.futures
 import contextlib
+import dataclasses
 import json
 import math
 import os
+import struct
 import sys
 from collections.abc import Iterator, Sequence
-from itertools import chain, product, repeat
+from itertools import chain, product
 from pathlib import Path
 from typing import BinaryIO
 
@@ -282,6 +284,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 
 # JSON text of each protocol code in a round line.
 _PROTO_JSON = tuple(json.dumps(name) for name in PROTO_NAMES)
+_DOUBLE, _INT64 = struct.Struct("d"), struct.Struct("q")
 
 
 def _line_prefix(key: dict) -> str:
@@ -289,27 +292,90 @@ def _line_prefix(key: dict) -> str:
     return json.dumps(key, separators=(",", ":"))[:-1] + ","
 
 
-def _episode_line(key: dict, totals: EpisodeTotals) -> str:
-    """The ``episodes.jsonl`` line of ``key``: compact ``json.dumps({**key, **vars(totals)})``.
+def _float_json(bits: int) -> str:
+    """The JSON text of the float whose IEEE 754 bits, read as an int64, are ``bits``."""
+    return repr(_DOUBLE.unpack(_INT64.pack(bits))[0])
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``render(key)``, rendered the first time ``key`` is asked for."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
+class _Texts:
+    """JSON texts of numbers, each distinct number rendered once.
+
+    Ints and floats have memos of their own, because ``1 == 1.0`` although
+    their texts differ. A float is keyed by its bits, so ``-0.0`` never gets
+    the text of ``0.0``; a bool is written as ``true`` or ``false`` and never
+    reaches the int memo (``True == 1``). ``chunks[chunk]`` fills one of
+    ``_ROUND_CHUNKS`` once per distinct tuple of member texts. Each scope
+    makes its own: one per sweep block, one for an eval's episode lines.
+    None outlives its scope.
+    """
+
+    def __init__(self) -> None:
+        self.ints = _Memo(int.__repr__)
+        self.floats = _Memo(_float_json)
+        self.chunks = {chunk: _Memo(chunk.__mod__) for chunk in _ROUND_CHUNKS}
+
+    def column(self, column: np.ndarray) -> list[str]:
+        """The text of each entry of an integer or float64 column, in order."""
+        if column.dtype == np.float64:
+            return list(map(self.floats.__getitem__, column.view(np.int64).tolist()))
+        if column.dtype.kind in "iu":
+            return list(map(self.ints.__getitem__, column.tolist()))
+        raise TypeError(f"no JSON number text for a column of dtype {column.dtype}")
+
+    def scalar(self, value: bool | int | float) -> str:
+        """The text of one bool, int or finite float; a non-finite float raises."""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return self.ints[value]
+        if not math.isfinite(value):
+            raise ValueError(f"JSON cannot encode {value}")
+        return self.floats[_INT64.unpack(_DOUBLE.pack(value))[0]]
+
+
+# An episodes.jsonl line after its point's members: the episode, then
+# EpisodeTotals' fields in order.
+_EPISODE_TEMPLATE = "%s\"episode\":%d," + ",".join(
+    f'"{field.name}":%s' for field in dataclasses.fields(EpisodeTotals)) + "}\n"
+
+
+def _episode_line(point_prefix: str, episode: int, totals: EpisodeTotals, texts: _Texts) -> str:
+    """The ``episodes.jsonl`` line of one episode of a point whose ``_line_prefix`` is
+    ``point_prefix``: compact ``json.dumps({**key, "episode": episode, **vars(totals)})``.
 
     A non-finite float, which JSON writes as ``NaN``, raises.
     """
+    values = vars(totals)
     try:
-        return json.dumps({**key, **vars(totals)}, separators=(",", ":"), allow_nan=False) + "\n"
+        return _EPISODE_TEMPLATE % (point_prefix, episode, *map(texts.scalar, values.values()))
     except ValueError:
-        name = next(name for name, value in vars(totals).items() if not math.isfinite(value))
-        raise ValueError(f"episode column {name!r} of episode {key['episode']} holds a "
+        name = next(name for name, value in values.items() if not math.isfinite(value))
+        raise ValueError(f"episode column {name!r} of episode {episode} holds a "
                          "non-finite value, which JSON cannot encode") from None
 
 
-def _round_values(columns: dict, bounds: Sequence[int], episodes: Sequence[int]) -> list[list]:
-    """Round columns as lists whose entries' ``%s`` is their JSON text.
+def _column_texts(texts: _Texts, columns: dict, bounds: Sequence[int],
+                  episodes: Sequence[int]) -> list[list[str]]:
+    """The JSON texts of round columns, one list per column; a list already holds texts.
 
     The columns hold a batch of episodes back to back: episode
-    ``episodes[e]`` holds entries ``bounds[e]:bounds[e + 1]``. Arrays become
-    lists of Python ints and floats; a list already holds JSON text. A
-    non-finite float, which JSON writes as ``NaN``, raises, naming the
-    episode that holds it.
+    ``episodes[e]`` holds entries ``bounds[e]:bounds[e + 1]``. A non-finite
+    float, which JSON writes as ``NaN``, raises, naming the episode that
+    holds it.
     """
     values = []
     for name, column in columns.items():
@@ -319,43 +385,59 @@ def _round_values(columns: dict, bounds: Sequence[int], episodes: Sequence[int])
                 episode = episodes[bisect.bisect_right(bounds, at) - 1]
                 raise ValueError(f"round column {name!r} of episode {episode} holds a "
                                  "non-finite value, which JSON cannot encode")
-            column = column.tolist()
+            column = texts.column(column)
         values.append(column)
     return values
 
 
-def _round_template(episode: int, priced: PricedDecisions) -> str:
-    """The ``rounds.jsonl`` lines of one episode's priced decisions, as one ``%`` template.
+# A round line after the point's members, split at the five slots its link
+# fills: each chunk is a ``%`` format of the decision's members it holds.
+_ROUND_CHUNKS = (
+    '"round":%s,"m":%s,"reject_pos":%s,"accepted":%s,"committed":%s,"proto":',
+    ',"uplink_bits":',
+    ',"downlink_bits":',
+    ',"draft_s":%s,"verify_s":%s,"head_s":%s,"comm_s":',
+    ',"total_s":',
+    ',"accepted_critical":%s}\n',
+)
+# An episode's lines as one list: per round, the point's prefix slot, then
+# each chunk followed by the slot after it; slots sit at the even entries.
+_ROUND_STRIDE = 2 * len(_ROUND_CHUNKS)
 
-    Rendered once per decision: each round's line holds the decisions' own
-    members, and a ``%s`` slot for the point's key prefix and for each
-    member the link sets, which ``_round_lines`` fills per point.
+
+def _round_template(episode: int, priced: PricedDecisions, texts: _Texts) -> list:
+    """The ``rounds.jsonl`` lines of one episode's priced decisions, pre-split into chunks.
+
+    Rendered once per decision, with ``texts``: the list holds
+    ``_ROUND_CHUNKS`` filled with each round's decision members, and
+    leaves each slot a point fills (its key prefix and its link's members)
+    None, for ``_round_lines`` to fill per point.
     """
-    # The members after the key, in line order; None marks one the link sets.
-    members = {
-        "round": np.arange(priced.n_rounds),
+    n = priced.n_rounds
+    # The decision's members, in line order.
+    columns = iter(_column_texts(texts, {
+        "round": np.arange(n),
         "m": priced.m,
-        "reject_pos": ["null" if j < 0 else str(j) for j in priced.reject_pos.tolist()],
+        "reject_pos": ["null" if j < 0 else texts.ints[j] for j in priced.reject_pos.tolist()],
         "accepted": priced.accepted,
         "committed": priced.committed,
-        "proto": None,
-        "uplink_bits": None,
-        "downlink_bits": None,
         "draft_s": priced.draft_s,
         "verify_s": priced.verify_s,
         "head_s": priced.head_s,
-        "comm_s": None,
-        "total_s": None,
         "accepted_critical": priced.accepted_critical,
-    }
-    own = {name: column for name, column in members.items() if column is not None}
-    template = "%%s" + ",".join(f'"{name}":{"%%s" if column is None else "%s"}'
-                                for name, column in members.items()) + "}\n"
-    values = _round_values(own, [0, priced.n_rounds], [episode])
-    return "".join(template % row for row in zip(*values))
+    }, [0, n], [episode]))
+    chunks: list = [None] * (_ROUND_STRIDE * n)
+    for i, chunk in enumerate(_ROUND_CHUNKS):
+        own = [next(columns) for _ in range(chunk.count("%s"))]
+        # Each distinct chunk is made once: rounds repeat chunks across the
+        # block's episodes and decisions, and the block holds every template
+        # until its last point.
+        chunks[2 * i + 1::_ROUND_STRIDE] = (
+            list(map(texts.chunks[chunk].__getitem__, zip(*own))) if own else [chunk] * n)
+    return chunks
 
 
-def _round_lines(point: dict, templates: Sequence[str], link: LinkBill,
+def _round_lines(point: dict, templates: Sequence[list], link: LinkBill, texts: _Texts,
                  first_episode: int = 0) -> Iterator[str]:
     """One point's ``rounds.jsonl`` lines, one string per episode of its batch.
 
@@ -363,25 +445,28 @@ def _round_lines(point: dict, templates: Sequence[str], link: LinkBill,
     Episode e's lines are compact ``json.dumps({**point, "episode": e,
     "round": r, **columns})``: ``templates[i]`` is the ``_round_template``
     of the priced decisions the batch's i-th episode was billed from, and
-    ``link`` the batch's bill. Each link column becomes one list, checked
-    before any line is made.
+    ``link`` the batch's bill. Each link column is rendered with ``texts``
+    into one list, checked before any line is made, and each episode's
+    lines are its template's chunks joined with its slice of them.
     """
     comm, bounds = link.comm, link.bounds.tolist()
     episodes = range(first_episode, first_episode + len(templates))
     point_prefix = _line_prefix(point)
     # The link's members, in line order.
-    columns = _round_values({
-        "proto": [_PROTO_JSON[code] for code in link.proto.tolist()],
+    columns = _column_texts(texts, {
+        "proto": list(map(_PROTO_JSON.__getitem__, link.proto.tolist())),
         "uplink_bits": comm.uplink_bits,
         "downlink_bits": comm.downlink_bits,
         "comm_s": comm.total_s,
         "total_s": link.total_s,
     }, bounds, episodes)
     for episode, template, lo, hi in zip(episodes, templates, bounds, bounds[1:]):
+        parts = template.copy()
         # The prefix of {**point, "episode": episode}: an int's JSON text is its str.
-        prefix = f'{point_prefix}"episode":{episode},'
-        yield template % tuple(chain.from_iterable(
-            zip(repeat(prefix), *(column[lo:hi] for column in columns))))
+        parts[::_ROUND_STRIDE] = [f'{point_prefix}"episode":{episode},'] * (hi - lo)
+        for slot, column in enumerate(columns, 1):
+            parts[2 * slot::_ROUND_STRIDE] = column[lo:hi]
+        yield "".join(parts)
 
 
 def _sweep_points(sweep: dict) -> list[tuple]:
@@ -410,8 +495,9 @@ def _eval_point(payload: dict) -> tuple[dict, dict]:
     channel trace per scenario the points use, and each of the payload's
     heads screens each trace. Each distinct decision (``_decision_key``) is
     decided and priced (``price_decisions``) once, and its round lines are
-    rendered (``_round_template``) if the payload asks. Returns the traces
-    by scenario index, and ``(priced, template or None)`` per decision key.
+    rendered (``_round_template``) with the block's ``payload["texts"]``
+    unless that is None. Returns the traces by scenario index, and
+    ``(priced, template or None)`` per decision key.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     ep, points = payload["episode"], payload["points"]
@@ -436,7 +522,8 @@ def _eval_point(payload: dict) -> tuple[dict, dict]:
             engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
             screen = screens[head, s_idx] if mode.startswith("wisv") else None
             priced = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
-            decided[key] = priced, (_round_template(ep, priced) if payload["render"] else None)
+            texts = payload["texts"]
+            decided[key] = priced, (None if texts is None else _round_template(ep, priced, texts))
     return traces, decided
 
 
@@ -453,12 +540,14 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
     a range), screening with ``payload["heads"]``. Then each point prices
     its link once over the block's episodes and reduces that ``LinkBill``
     once to their ``EpisodeTotals``. If ``rounds`` is given, the point's
-    round lines are written to it before its totals are yielded.
+    round lines are written to it before its totals are yielded; the block
+    renders each distinct number of its lines once, with its own ``_Texts``.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     block, points = payload["episodes"], payload["points"]
+    texts = None if rounds is None else _Texts()
     results = [_eval_point({"raw": payload["raw"], "episode": ep, "points": points,
-                            "heads": payload["heads"], "render": rounds is not None})
+                            "heads": payload["heads"], "texts": texts})
                for ep in block]
     traces = [episode_traces for episode_traces, _ in results]
     decided = [episode_decided for _, episode_decided in results]
@@ -473,7 +562,7 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
                           [episode_traces[s_idx] for episode_traces in traces])
         if rounds is not None:
             rounds.writelines(lines.encode() for lines in _round_lines(
-                _point_key(scenarios, point), templates, link, first_episode=block.start))
+                _point_key(scenarios, point), templates, link, texts, first_episode=block.start))
         yield episode_totals(batch, link)
         if last_point[key] == i:
             for episode_decided in decided:
@@ -578,13 +667,15 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
     rows = []
     first_tau = sweep["tau_values"][0]
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
+    # The episode lines' own memo: each distinct number is rendered once per eval.
+    texts = _Texts()
     with (_replaced_on_success(out / EPISODES_JSONL) as ef,
           _replaced_on_success(out / ROUNDS_JSONL) as rf):
         for point, totals in _sweep(cfg, _sweep_points(sweep), heads, sweep["episodes"], jobs, rf):
             s_idx, mode, k, tau, _ = point
             scenario = sweep["scenarios"][s_idx]
-            key = _point_key(sweep["scenarios"], point)
-            ef.writelines(_episode_line({**key, "episode": ep}, ep_totals).encode()
+            prefix = _line_prefix(_point_key(sweep["scenarios"], point))
+            ef.writelines(_episode_line(prefix, ep, ep_totals, texts).encode()
                           for ep, ep_totals in enumerate(totals))
             row = {"mode": mode, "k": k, "tau": tau, "rate_bps": scenario["rate_up_bps"],
                    "rtt_s": scenario["rtt_s"], **summarize(totals)}

@@ -69,6 +69,10 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay!r}")
 
 
 def init_params(d_in: int, d_j: int, seed: int) -> HeadParams:

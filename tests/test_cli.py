@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,12 @@ class TestConfig:
                                        "rtt_range_s": [0.002, 0.06]}]},
               "ablate": {"scenarios": ["a"]}},
              "'sweep.scenarios[0].alt_rtt_s' is never read by the 'sampled' regime"),
+            ({"train": {"momentum": 1.5}}, "momentum must lie in [0, 1), got 1.5"),
+            ({"train": {"momentum": 1.0}}, "momentum must lie in [0, 1), got 1.0"),
+            ({"train": {"momentum": -0.1}}, "momentum must lie in [0, 1), got -0.1"),
+            ({"train": {"weight_decay": -5}}, "weight_decay must be nonnegative, got -5"),
+            ({"train": {"weight_decay": -1e-4}},
+             "weight_decay must be nonnegative, got -0.0001"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -656,7 +663,8 @@ class TestEvalCommand:
                     ref_totals = EpisodeTotals.of(ref)
                     assert totals == ref_totals
                     key = {**point, "episode": ep}
-                    assert cli._episode_line(key, totals) == json.dumps(
+                    assert cli._episode_line(cli._line_prefix(point), ep, totals,
+                                             cli._Texts()) == json.dumps(
                         {**key, **vars(ref_totals)}, separators=(",", ":")) + "\n"
                     episode_lines, lines = lines[:ref.n_rounds], lines[ref.n_rounds:]
                     assert "".join(episode_lines) == reference_round_lines(key, ref)
@@ -746,8 +754,9 @@ class TestEvalCommand:
                        for ep, trace in enumerate(traces)]
             link = engine.price_link(system, eng, results, traces)
             point = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
-            lines = list(cli._round_lines(
-                point, [cli._round_template(ep, res) for ep, res in enumerate(results)], link))
+            texts = cli._Texts()  # one block's memos, shared by its templates and lines
+            templates = [cli._round_template(ep, res, texts) for ep, res in enumerate(results)]
+            lines = list(cli._round_lines(point, templates, link, texts))
             assert len(lines) == 2
             for ep, res in enumerate(results):
                 reference = reference_round_lines({**point, "episode": ep}, res)
@@ -770,7 +779,8 @@ class TestEvalCommand:
         oracle = engine.episode_oracle(oracle_cfg, eng, [SEED_EVAL, 4], False)
         screen, = engine.head_screens(head, oracle, links[:1], system.bounds)
         priced = engine.price_decisions(system, eng, engine.decide(eng, oracle, screen))
-        template = cli._round_template(0, priced)
+        texts = cli._Texts()
+        template = cli._round_template(0, priced, texts)
         for mode in ("wisv_fh", "wisv_sh", "wisv_adaptive"):
             eng = cfg.engine(mode=mode, window=10, tau=0.9)
             for trace in links:
@@ -778,7 +788,7 @@ class TestEvalCommand:
                 res = engine.EpisodeResult(**vars(priced), proto=link.proto, comm=link.comm,
                                            total_s=link.total_s)
                 point = {"scenario": "s", "mode": mode, "k": 10, "tau": 0.9}
-                assert list(cli._round_lines(point, [template], link)) == [
+                assert list(cli._round_lines(point, [template], link, texts)) == [
                     reference_round_lines({**point, "episode": 0}, res)]
 
     def test_non_finite_round_column_raises(self, small_run):
@@ -790,7 +800,7 @@ class TestEvalCommand:
         head_s = res.head_s.copy()
         head_s[1] = np.nan
         with pytest.raises(ValueError, match="round column 'head_s' of episode 3"):
-            cli._round_template(3, dataclasses.replace(res, head_s=head_s))
+            cli._round_template(3, dataclasses.replace(res, head_s=head_s), cli._Texts())
         # A link column fails naming the episode whose slice holds the value:
         # the last of four, then the second of three.
         for n_episodes, bad_episode in ((4, 3), (3, 1)):
@@ -798,7 +808,86 @@ class TestEvalCommand:
             link.total_s[link.bounds[bad_episode]] = np.inf
             with pytest.raises(ValueError,
                                match=f"round column 'total_s' of episode {bad_episode}"):
-                next(cli._round_lines({}, [cli._round_template(0, res)] * n_episodes, link))
+                texts = cli._Texts()
+                next(cli._round_lines({}, [cli._round_template(0, res, texts)] * n_episodes,
+                                      link, texts))
+
+    def test_block_memos_keep_number_kinds_apart(self, small_run):
+        # One block of two episodes renders through one pair of memos. Its
+        # head_s column holds 0.0 and -0.0 (episode 0 writes -0.0 first),
+        # and a draft_s of 1.0 follows the int 1 of round 1: a memo keyed by
+        # value alone would write "-0.0" for 0.0, or "1" for 1.0.
+        cfg, _ = small_run
+        system, eng = cfg.system(), cfg.engine(mode="sd_greedy", window=10)
+        traces = [generate_trace(cfg.channel({}), ep, rounds=40) for ep in range(2)]
+        batch = []
+        for ep, trace in enumerate(traces):
+            res = run_episode(system, eng, cfg.oracle(), trace, seed=[SEED_EVAL, ep])
+            priced = engine.PricedDecisions(**{field.name: getattr(res, field.name) for field
+                                               in dataclasses.fields(engine.PricedDecisions)})
+            head_s, draft_s = priced.head_s.copy(), priced.draft_s.copy()
+            assert res.n_rounds > 3 and not head_s.any()
+            head_s[0 if ep == 0 else -1] = -0.0
+            draft_s[2 + ep] = 1.0
+            batch.append(dataclasses.replace(priced, head_s=head_s, draft_s=draft_s))
+        link = engine.price_link(system, eng, batch, traces)
+        point = {"scenario": "s", "mode": "sd_greedy", "k": 10, "tau": 0.9}
+        texts = cli._Texts()
+        templates = [cli._round_template(ep, priced, texts) for ep, priced in enumerate(batch)]
+        lines = list(cli._round_lines(point, templates, link, texts))
+        assert len(lines) == 2
+        for ep, (priced, trace) in enumerate(zip(batch, traces)):
+            own = engine.price_link(system, eng, [priced], [trace])
+            res = engine.EpisodeResult(**vars(priced), proto=own.proto, comm=own.comm,
+                                       total_s=own.total_s)
+            assert lines[ep] == reference_round_lines({**point, "episode": ep}, res)
+            assert '"head_s":-0.0,' in lines[ep] and '"head_s":0.0,' in lines[ep]
+            assert '"round":1,' in lines[ep] and '"draft_s":1.0,' in lines[ep]
+
+    def test_each_float_rendered_once_per_memo_scope(self, small_run, tmp_path, monkeypatch):
+        # A block renders each distinct float of its round lines once, and
+        # an eval each distinct float of its episode lines once. A second
+        # eval in the same process, and each block of a split sweep,
+        # renders all of its own again: no memo outlives its block or eval.
+        # Points that differ only in tau bill equal comm_s values, so a memo
+        # per point would render some of them twice.
+        cfg, out = small_run
+        cfg = derived_config(cfg, episodes=3, tau_values=[0.5, 0.9])
+        copy_artifacts(out, tmp_path)
+        rendered = []
+        real = cli._float_json
+
+        def counting(bits):
+            rendered.append(bits)
+            return real(bits)
+
+        def distinct_floats(text):
+            # The members after the point's key: tau is written with the key.
+            return {struct.unpack("q", struct.pack("d", value))[0]
+                    for line in text.splitlines()
+                    for name, value in json.loads(line).items()
+                    if type(value) is float and name != "tau"}
+
+        monkeypatch.setattr(cli, "_float_json", counting)
+        for _ in range(2):
+            rendered.clear()
+            cmd_eval(cfg, tmp_path)
+            round_floats = distinct_floats((tmp_path / ROUNDS_JSONL).read_text())
+            episode_floats = distinct_floats((tmp_path / EPISODES_JSONL).read_text())
+            assert len(round_floats) > 100
+            assert sorted(rendered) == sorted([*round_floats, *episode_floats])
+
+        head = cli.load_params(out / HEAD)
+        per_block = []
+        for block in cli._blocks(3, 2):
+            rendered.clear()
+            sink = io.BytesIO()
+            list(cli._sweep_block({"raw": cfg.raw, "episodes": block,
+                                   "points": cli._sweep_points(cfg.raw["sweep"]),
+                                   "heads": {cli.LINK_AWARE: head}}, sink))
+            per_block.append(distinct_floats(sink.getvalue().decode()))
+            assert sorted(rendered) == sorted(per_block[-1])
+        assert per_block[0] & per_block[1]
 
     def test_failed_eval_leaves_no_stream(self, small_run, tmp_path, monkeypatch):
         # A late point carries a non-finite round latency in the sweep's
@@ -859,16 +948,31 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("correct", [True, False])
     def test_episode_line_matches_json_reference(self, correct):
-        totals = EpisodeTotals(rounds=7, aal=10 / 7, accepted=10, tokens=17, latency_s=0.1 + 0.2,
-                               uplink_bits=123456, downlink_bits=789,
-                               accepted_critical=0 if correct else 2, correct=correct)
-        key = {"scenario": "50% \"cr\u00e8me\" link", "mode": "wisv_sh", "k": 10, "tau": 0.9,
-               "episode": 5}
-        assert cli._episode_line(key, totals) == json.dumps(
-            {**key, **vars(totals)}, separators=(",", ":")) + "\n"
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="episode column 'latency_s' of episode 5"):
-                cli._episode_line(key, dataclasses.replace(totals, latency_s=bad))
+        # One eval's memo serves every line: the bool written after int
+        # fields holding 0 and 1 keeps its own text, and so does an aal of
+        # 0.0 written after an int 0.
+        critical = 0 if correct else 1
+        lines = [
+            EpisodeTotals(rounds=7, aal=10 / 7, accepted=10, tokens=17, latency_s=0.1 + 0.2,
+                          uplink_bits=123456, downlink_bits=789,
+                          accepted_critical=0 if correct else 2, correct=correct),
+            EpisodeTotals(rounds=1, aal=1.0, accepted=1, tokens=2, latency_s=1.0,
+                          uplink_bits=0, downlink_bits=1, accepted_critical=critical,
+                          correct=correct),
+            EpisodeTotals(rounds=3, aal=0.0, accepted=0, tokens=3, latency_s=0.25,
+                          uplink_bits=1, downlink_bits=0, accepted_critical=critical,
+                          correct=correct),
+        ]
+        key = {"scenario": "50% \"cr\u00e8me\" link", "mode": "wisv_sh", "k": 10, "tau": 0.9}
+        prefix, texts = cli._line_prefix(key), cli._Texts()
+        for episode, totals in enumerate(lines + lines[::-1]):
+            assert cli._episode_line(prefix, episode, totals, texts) == json.dumps(
+                {**key, "episode": episode, **vars(totals)}, separators=(",", ":")) + "\n"
+        for name in ("aal", "latency_s"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=f"episode column '{name}' of episode 5"):
+                    cli._episode_line(prefix, 5, dataclasses.replace(lines[0], **{name: bad}),
+                                      texts)
 
     def test_episode_line_and_row_are_the_records(self, small_run, tmp_path):
         # An episode line's metrics are EpisodeTotals' fields in order, and
