@@ -164,19 +164,22 @@ def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     bounds = cfg.bounds()
     relabel_channel = cfg.channel(cfg.raw["labeler"]["channel"])
     rng = np.random.default_rng([cfg.seed, SEED_RELABEL])
-    feats, labels, qualities = [], [], []
-    for ep in episodes:
-        # Drawn even for an episode without mismatches: the rng stream, and
-        # so the dataset, must not depend on which episodes are empty.
-        samples = sample_csi_states(relabel_channel, rcfg.csi_samples_per_episode, rng)
-        x, y, sample_ids = relabel(ep, samples, rcfg, bounds, rng)
-        if len(y):
-            feats.append(x)
-            labels.append(y)
-            qualities.append(quality(samples, bounds)[sample_ids])
-    y = np.concatenate(labels).astype(np.float64)
-    x, q = np.vstack(feats), np.concatenate(qualities)
-    write_dataset(out / DATASET, x, y)
+    qualities = []
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # One episode's rows at a time: write_dataset writes each block as it
+        # is made, so the feature matrix is never held whole.
+        for ep in episodes:
+            # Drawn even for an episode without mismatches: the rng stream, and
+            # so the dataset, must not depend on which episodes are empty.
+            samples = sample_csi_states(relabel_channel, rcfg.csi_samples_per_episode, rng)
+            x, y, sample_ids = relabel(ep, samples, rcfg, bounds, rng)
+            if len(y):
+                qualities.append(quality(samples, bounds)[sample_ids])
+                yield x, y
+
+    feature_dim, y = write_dataset(out / DATASET, blocks())
+    q = np.concatenate(qualities)
 
     edges = np.linspace(0.0, 1.0, 6)
     buckets = {}
@@ -189,7 +192,7 @@ def cmd_relabel(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         }
     manifest = {
         "instances": int(len(y)),
-        "feature_dim": int(x.shape[1]),
+        "feature_dim": feature_dim,
         "positives": int(y.sum()),
         "positive_rate": float(y.mean()),
         "per_quality_bucket": buckets,

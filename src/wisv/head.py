@@ -23,6 +23,7 @@ import numpy as np
 
 _MAGIC = b"WSVH"
 _VERSION = 1
+_HEADER = struct.Struct("<III")
 
 
 @dataclass
@@ -115,6 +116,69 @@ def bce_from_logit(s, y, pos_weight: float = 1.0):
     return pos_weight * y * loss_pos + (1.0 - y) * loss_neg
 
 
+class _Step:
+    """Buffers for an SGD step on up to ``rows`` rows, allocated once per ``train`` call.
+
+    Fresh batch-size temporaries on every step are given back to the OS and
+    page-faulted in again once the heap holds nothing larger; reused
+    buffers are not. ``gather`` takes the batch in the features' dtype and
+    ``x`` holds it widened to float64; they are one array for float64 input.
+    """
+
+    def __init__(self, rows: int, d_in: int, d_j: int, dtype: np.dtype) -> None:
+        self.x = np.empty((rows, d_in))
+        self.gather = self.x if dtype == np.float64 else np.empty((rows, d_in), dtype=dtype)
+        self.pre = np.empty((rows, d_j))
+        self.act = np.empty((rows, d_j))
+        self.grad = np.empty((rows, d_j))
+        self.uniform = np.empty((rows, d_j))
+        self.mask = np.empty((rows, d_j))
+        self.flags = np.empty((rows, d_j), dtype=bool)
+        self.gw1 = np.empty((d_j, d_in))
+        self.w1_scratch = np.empty((d_j, d_in))
+
+    def loss_and_grads(
+        self,
+        params: HeadParams,
+        m: int,
+        y: np.ndarray,
+        pos_weight: float,
+        weight_decay: float,
+        dropout: bool,
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """``loss_and_grads`` on the batch in ``x[:m]``, with ``mask[:m]`` if ``dropout``.
+
+        Every array op is the one a fresh-array evaluation would make, in its
+        order, so the results are bit for bit the same; the returned w1
+        gradient is ``gw1``, overwritten by the next step.
+        """
+        x, pre, act, gpre = self.x[:m], self.pre[:m], self.act[:m], self.grad[:m]
+        np.matmul(x, params.w1.T, out=pre)
+        pre += params.b1
+        np.maximum(pre, 0.0, out=act)
+        if dropout:
+            act *= self.mask[:m]
+        s = act @ params.w2 + params.b2
+        p = sigmoid(s)
+
+        loss = float(np.mean(bce_from_logit(s, y, pos_weight)))
+        w1_sq = float(np.sum(np.square(params.w1, out=self.w1_scratch)))
+        loss += 0.5 * weight_decay * (w1_sq + float(np.sum(params.w2**2)))
+
+        # d loss / d s, mean reduction
+        gs = ((1.0 - y) * p + pos_weight * y * (p - 1.0)) / m
+        gw2 = act.T @ gs + weight_decay * params.w2
+        gb2 = float(np.sum(gs))
+        np.outer(gs, params.w2, out=gpre)
+        if dropout:
+            gpre *= self.mask[:m]
+        gpre *= np.greater(pre, 0.0, out=self.flags[:m])
+        gw1 = np.matmul(gpre.T, x, out=self.gw1)
+        gw1 += np.multiply(weight_decay, params.w1, out=self.w1_scratch)
+        gb1 = gpre.sum(axis=0)
+        return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": np.float64(gb2)}
+
+
 def loss_and_grads(
     params: HeadParams,
     x: np.ndarray,
@@ -127,30 +191,17 @@ def loss_and_grads(
 
     ``dropout_mask``, when given, is the already-scaled multiplicative mask
     applied to the hidden activations; passing None disables dropout, which
-    keeps the function deterministic for finite-difference checks.
+    keeps the function deterministic for finite-difference checks. It runs
+    the step code ``train`` runs, on buffers of its own.
     """
-    n = x.shape[0]
-    pre = x @ params.w1.T + params.b1
-    act = np.maximum(pre, 0.0)
+    step = _Step(x.shape[0], params.d_in, params.d_j, np.dtype(np.float64))
+    step.x[:] = x
     if dropout_mask is not None:
-        act = act * dropout_mask
-    s = act @ params.w2 + params.b2
-    p = sigmoid(s)
-
-    loss = float(np.mean(bce_from_logit(s, y, pos_weight)))
-    loss += 0.5 * weight_decay * (float(np.sum(params.w1**2)) + float(np.sum(params.w2**2)))
-
-    # d loss / d s, mean reduction
-    gs = ((1.0 - y) * p + pos_weight * y * (p - 1.0)) / n
-    gw2 = act.T @ gs + weight_decay * params.w2
-    gb2 = float(np.sum(gs))
-    gact = np.outer(gs, params.w2)
-    if dropout_mask is not None:
-        gact = gact * dropout_mask
-    gpre = gact * (pre > 0.0)
-    gw1 = gpre.T @ x + weight_decay * params.w1
-    gb1 = gpre.sum(axis=0)
-    return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": np.float64(gb2)}
+        step.mask[:] = dropout_mask
+    return step.loss_and_grads(
+        params, x.shape[0], np.asarray(y, dtype=np.float64), pos_weight, weight_decay,
+        dropout_mask is not None,
+    )
 
 
 @dataclass
@@ -165,10 +216,15 @@ def train(
 ) -> tuple[HeadParams, TrainReport]:
     """Train a head on (n, d_in) features and 0/1 labels.
 
-    The positive-class weight is #neg/#pos, recomputed from the dataset;
-    a single-class dataset is rejected because that weight is undefined.
+    Features may be float32 or float64: each batch is gathered and widened
+    into one float64 buffer, so float32 features train exactly as their
+    float64 copy does. The positive-class weight is #neg/#pos, recomputed
+    from the dataset; a single-class dataset is rejected because that
+    weight is undefined.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, d_in) matrix with n labels")
@@ -189,6 +245,8 @@ def train(
     }
     report = TrainReport(pos_weight=pos_weight)
     keep = 1.0 - cfg.dropout
+    dropout = cfg.dropout > 0.0
+    step = _Step(min(cfg.batch_size, n), d_in, cfg.hidden_dim, x.dtype)
 
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -196,16 +254,22 @@ def train(
         n_batches = 0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            xb, yb = x[idx], y[idx]
-            mask = None
-            if cfg.dropout > 0.0:
-                mask = (rng.random((len(idx), cfg.hidden_dim)) < keep) / keep
-            loss, grads = loss_and_grads(
-                params, xb, yb, pos_weight, cfg.weight_decay, dropout_mask=mask
+            m = len(idx)
+            np.take(x, idx, axis=0, out=step.gather[:m])
+            if step.gather is not step.x:
+                step.x[:m] = step.gather[:m]
+            if dropout:
+                # The mask is (uniform < keep) / keep, one uniform per hidden unit and row.
+                np.less(rng.random(out=step.uniform[:m]), keep, out=step.flags[:m])
+                np.divide(step.flags[:m], keep, out=step.mask[:m])
+            loss, grads = step.loss_and_grads(
+                params, m, y[idx], pos_weight, cfg.weight_decay, dropout
             )
-            for key in vel:
-                vel[key] = cfg.momentum * vel[key] + grads[key]
-            params.w1 -= cfg.learning_rate * vel["w1"]
+            for key in ("w1", "b1", "w2"):
+                vel[key] *= cfg.momentum
+                vel[key] += grads[key]
+            vel["b2"] = cfg.momentum * vel["b2"] + grads["b2"]
+            params.w1 -= np.multiply(cfg.learning_rate, vel["w1"], out=step.w1_scratch)
             params.b1 -= cfg.learning_rate * vel["b1"]
             params.w2 -= cfg.learning_rate * vel["w2"]
             params.b2 -= cfg.learning_rate * float(vel["b2"])
@@ -213,7 +277,10 @@ def train(
             n_batches += 1
         report.epoch_losses.append(epoch_loss / n_batches)
 
-    s, _ = forward_batch(params, x)
+    # In row chunks: a full-size forward would widen every row and hold all activations.
+    s = np.empty(n)
+    for lo in range(0, n, cfg.batch_size):
+        s[lo : lo + cfg.batch_size] = forward_batch(params, x[lo : lo + cfg.batch_size])[0]
     report.final_train_accuracy = float(np.mean((s >= 0.0) == (y == 1.0)))
     return params, report
 
@@ -223,7 +290,7 @@ def save_params(path: str | Path, params: HeadParams, metadata: dict | None = No
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, params.d_in, params.d_j))
+        fh.write(_HEADER.pack(_VERSION, params.d_in, params.d_j))
         fh.write(params.w1.astype("<f4").tobytes())
         fh.write(params.b1.astype("<f4").tobytes())
         fh.write(params.w2.astype("<f4").tobytes())
@@ -240,13 +307,16 @@ def load_params(path: str | Path) -> HeadParams:
     raw = path.read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path} is not a head parameter file")
-    version, d_in, d_j = struct.unpack("<III", raw[4:16])
+    start = len(_MAGIC) + _HEADER.size
+    if len(raw) < start:
+        raise ValueError(f"truncated head file {path}: {len(raw)} bytes, shorter than its header")
+    version, d_in, d_j = _HEADER.unpack_from(raw, len(_MAGIC))
     if version != _VERSION:
         raise ValueError(f"unsupported head file version {version}")
-    need = 16 + 4 * (d_j * d_in + d_j + d_j + 1)
+    need = start + 4 * (d_j * d_in + d_j + d_j + 1)
     if len(raw) != need:
-        raise ValueError(f"truncated head file: {len(raw)} bytes, expected {need}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=16).astype(np.float64)
+        raise ValueError(f"truncated head file {path}: {len(raw)} bytes, expected {need}")
+    flat = np.frombuffer(raw, dtype="<f4", offset=start).astype(np.float64)
     w1 = flat[: d_j * d_in].reshape(d_j, d_in)
     b1 = flat[d_j * d_in : d_j * d_in + d_j]
     w2 = flat[d_j * d_in + d_j : d_j * d_in + 2 * d_j]

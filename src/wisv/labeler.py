@@ -19,7 +19,10 @@ from __future__ import annotations
 import json
 import struct
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +215,7 @@ def sample_csi_states(channel_cfg: ChannelConfig, n: int, rng: np.random.Generat
 # ---------------------------------------------------------------------------
 
 _DATA_MAGIC = b"WSVD"
+_DATA_HEADER = struct.Struct("<II")
 
 # Trace-file key of each ``Episode`` column, in line order.
 _TRACE_KEYS = {
@@ -222,6 +226,10 @@ _TRACE_KEYS = {
     "h_draft": "h_draft",
     "h_target": "h_target",
 }
+
+# The columns of a trace file without records.
+_NO_RUN = {name: np.empty((0, 0)) if name.startswith("h_") else np.empty(0, dtype=np.int64)
+           for name in _TRACE_KEYS.values()}
 
 
 def write_traces(path: str | Path, episodes: list[Episode]) -> None:
@@ -255,55 +263,77 @@ def write_traces(path: str | Path, episodes: list[Episode]) -> None:
 def read_traces(path: str | Path, n_episodes: int | None = None) -> list[Episode]:
     """Rebuild episodes from a mismatch-per-line trace file.
 
+    Each run of consecutive lines of one episode becomes columns as soon as
+    it ends, so only that run's records are held as Python objects; an
+    episode whose lines come in several runs joins them in file order.
     With ``n_episodes``, episodes 0 .. n_episodes-1 are returned; one
     without lines has no mismatches, and its hidden arrays take the widths
     of the file's records (0 when the file has none).
     """
-    by_id: dict[int, list[dict]] = defaultdict(list)
+    runs: dict[int, list[dict[str, np.ndarray]]] = defaultdict(list)
     with open(path) as fh:
-        for raw in fh:
-            rec = json.loads(raw)
-            # Arrays hold a line's hidden values in a fraction of a float list's memory.
-            rec["h_draft"], rec["h_target"] = np.array(rec["h_draft"]), np.array(rec["h_target"])
-            by_id[rec["episode"]].append(rec)
-    ids = sorted(by_id)
+        for episode_id, lines in groupby(map(json.loads, fh), key=itemgetter("episode")):
+            records = list(lines)
+            runs[episode_id].append({
+                name: np.array([rec[key] for rec in records],
+                               dtype=np.float64 if key.startswith("h_") else np.int64)
+                for key, name in _TRACE_KEYS.items()
+            })
+    ids = sorted(runs)
     if n_episodes is not None:
         if set(ids) - set(range(n_episodes)):
             raise ValueError("trace file contains more episodes than declared")
         ids = range(n_episodes)
-    first = next(iter(by_id.values()), [{"h_draft": [], "h_target": []}])[0]
+    first = next(iter(runs.values()), [_NO_RUN])[0]
     episodes = []
     for i in ids:
-        records, columns = by_id.get(i, []), {}
-        for key, name in _TRACE_KEYS.items():
-            hidden = key.startswith("h_")
-            shape = (len(records), len(first[key])) if hidden else len(records)
-            values = [rec[key] for rec in records]
-            columns[name] = np.array(values, dtype=np.float64 if hidden else np.int64).reshape(shape)
-        episodes.append(Episode(i, **columns))
+        parts = runs.pop(i, None) or [{name: column[:0] for name, column in first.items()}]
+        episodes.append(Episode(i, **{name: np.concatenate([part[name] for part in parts])
+                                      for name in _TRACE_KEYS.values()}))
     return episodes
 
 
-def write_dataset(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
-    """Packed little-endian FP32 feature matrix and label vector."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features must be (n, d) with n labels")
+def write_dataset(
+    path: str | Path, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> tuple[int, np.ndarray]:
+    """Pack (features, labels) blocks into one little-endian FP32 dataset file.
+
+    The file is the magic ``WSVD``, the ``<II`` row count n and feature
+    width d, the n x d feature rows, then the n labels. Each block's rows
+    are written as soon as it arrives, so only the labels are held; the
+    header is patched once n is known. Returns d and the labels as float64.
+    """
+    labels, width = [], None
     with open(path, "wb") as fh:
-        fh.write(_DATA_MAGIC)
-        fh.write(struct.pack("<II", x.shape[0], x.shape[1]))
-        fh.write(x.astype("<f4").tobytes())
-        fh.write(y.astype("<f4").tobytes())
+        fh.write(_DATA_MAGIC + _DATA_HEADER.pack(0, 0))
+        for x, y in blocks:
+            x = np.asarray(x, dtype=np.float64)
+            y = np.asarray(y, dtype=np.float64)
+            if x.ndim != 2 or x.shape[0] != y.shape[0] or width not in (None, x.shape[1]):
+                raise ValueError("every block must be an (n, d) feature matrix with n labels "
+                                 "and the width of the first block")
+            width = x.shape[1]
+            fh.write(x.astype("<f4"))
+            labels.append(y)
+        y = np.concatenate(labels) if labels else np.empty(0)
+        fh.write(y.astype("<f4"))
+        fh.seek(len(_DATA_MAGIC))
+        fh.write(_DATA_HEADER.pack(len(y), width or 0))
+    return width or 0, y
 
 
 def read_dataset(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The features as a read-only FP32 (n, d) view of the file's bytes, and the labels as float64."""
     raw = Path(path).read_bytes()
     if raw[:4] != _DATA_MAGIC:
         raise ValueError(f"{path} is not a dataset file")
-    n, d = struct.unpack("<II", raw[4:12])
-    need = 12 + 4 * (n * d + n)
+    start = len(_DATA_MAGIC) + _DATA_HEADER.size
+    if len(raw) < start:
+        raise ValueError(f"truncated dataset {path}: {len(raw)} bytes, shorter than its header")
+    n, d = _DATA_HEADER.unpack_from(raw, len(_DATA_MAGIC))
+    need = start + 4 * (n * d + n)
     if len(raw) != need:
-        raise ValueError(f"truncated dataset: {len(raw)} bytes, expected {need}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64)
-    return flat[: n * d].reshape(n, d), flat[n * d :]
+        raise ValueError(f"truncated dataset {path}: {len(raw)} bytes, expected {need}")
+    x = np.frombuffer(raw, dtype="<f4", count=n * d, offset=start).reshape(n, d)
+    y = np.frombuffer(raw, dtype="<f4", count=n, offset=start + 4 * n * d).astype(np.float64)
+    return x, y

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,49 @@ class TestTrainCommand:
         copy_artifacts(out, tmp_path, names=(DATASET, DATASET_MANIFEST))
         cmd_train(cfg0, tmp_path)
         assert "learning rate is 0" in capsys.readouterr().err
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes held through tracemalloc while ``fn(*args)`` runs, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCalibrationMemory:
+    """Relabel and train hold one episode's or one batch's rows, not copies of the feature matrix."""
+
+    def test_relabel_peak_below_one_float64_matrix(self, small_run, tmp_path):
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        peak = traced_peak(cmd_relabel, cfg, tmp_path)
+        manifest = json.loads((tmp_path / DATASET_MANIFEST).read_text())
+        # Rows are written as each episode makes them.
+        assert peak < 8 * manifest["instances"] * manifest["feature_dim"]
+
+    def test_train_peak_bounded_by_the_arrays_held(self, small_run, tmp_path):
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=(DATASET, DATASET_MANIFEST))
+        manifest = json.loads((out / DATASET_MANIFEST).read_text())
+        n, d = manifest["instances"], manifest["feature_dim"]
+        peak = traced_peak(cmd_train, cfg, tmp_path)
+        tcfg = cfg.train()
+        b, d_j = tcfg.batch_size, tcfg.hidden_dim
+        n_hold = round(cfg.raw["train"]["holdout_fraction"] * n)
+        held = (
+            4 * n * d  # the file's bytes, whose FP32 features are viewed in place
+            + 4 * (n - n_hold) * d  # the training rows, gathered in FP32
+            + 12 * n_hold * d  # the holdout rows, gathered in FP32 and widened by forward_batch
+            + 16 * n_hold * d_j  # the holdout forward pass's pre-activations and activations
+            + 12 * b * d + 41 * b * d_j + 16 * d_j * d  # the step buffers of train
+            # Eight 8-byte vectors of at most n entries: labels, the holdout split, the
+            # label subsets, an epoch's old and new permutation, logits, masks, ranks.
+            + 8 * 8 * n
+        )
+        assert peak < held
 
 
 class TestEvalCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,55 @@ class TestTraining:
         _, report = train(x, y_skew, cfg)
         assert report.pos_weight == pytest.approx(150 / 50)
 
+    def test_float32_features_train_as_their_float64_copy(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(0, 1, (203, 6)).astype(np.float32)
+        y = (x[:, 0] + 0.5 * rng.normal(0, 1, 203) > 0).astype(np.float64)
+        # A last batch shorter than the others, and dropout drawing its uniforms.
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=32, dropout=0.2,
+                          hidden_dim=8, seed=4)
+        p32, r32 = train(x, y, cfg)
+        p64, r64 = train(x.astype(np.float64), y, cfg)
+        for name in ("w1", "b1", "w2"):
+            np.testing.assert_array_equal(getattr(p32, name).view(np.uint64),
+                                          getattr(p64, name).view(np.uint64))
+        assert np.float64(p32.b2).view(np.uint64) == np.float64(p64.b2).view(np.uint64)
+        assert r32.epoch_losses == r64.epoch_losses
+        assert r32.final_train_accuracy == r64.final_train_accuracy
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_loss_and_grads_match_allocating_reference(self, dropout):
+        # The step reuses its buffers; each array op must still be the reference's, bit for bit.
+        def reference(params, x, y, pos_weight, weight_decay, mask):
+            n = x.shape[0]
+            pre = x @ params.w1.T + params.b1
+            act = np.maximum(pre, 0.0)
+            if mask is not None:
+                act = act * mask
+            s = act @ params.w2 + params.b2
+            p = sigmoid(s)
+            loss = float(np.mean(bce_from_logit(s, y, pos_weight)))
+            loss += 0.5 * weight_decay * (float(np.sum(params.w1**2)) + float(np.sum(params.w2**2)))
+            gs = ((1.0 - y) * p + pos_weight * y * (p - 1.0)) / n
+            gact = np.outer(gs, params.w2)
+            if mask is not None:
+                gact = gact * mask
+            gpre = gact * (pre > 0.0)
+            return loss, {"w1": gpre.T @ x + weight_decay * params.w1, "b1": gpre.sum(axis=0),
+                          "w2": act.T @ gs + weight_decay * params.w2, "b2": np.float64(np.sum(gs))}
+
+        rng = np.random.default_rng(5)
+        params = init_params(9, 12, seed=3)
+        params.b1[:] = rng.normal(0, 0.3, 12)
+        x, y = rng.normal(0, 1, (37, 9)), (rng.random(37) < 0.4).astype(np.float64)
+        mask = (rng.random((37, 12)) < 0.8) / 0.8 if dropout else None
+        loss, grads = loss_and_grads(params, x, y, 2.5, 1e-3, dropout_mask=mask)
+        ref_loss, ref_grads = reference(params, x, y, 2.5, 1e-3, mask)
+        assert loss == ref_loss
+        for key, value in ref_grads.items():
+            np.testing.assert_array_equal(np.asarray(grads[key]).view(np.uint64),
+                                          np.asarray(value).view(np.uint64))
+
 
 def engine_rejects(params, h_d, h_t, tau):
     """The engine's verdict on one mismatch whose head input is [h_d; h_t; CSI]."""
@@ -281,4 +332,11 @@ class TestSerialization:
         save_params(path, params)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_params(path)
+
+    def test_cut_inside_header_rejected(self, tmp_path):
+        path = tmp_path / "h.bin"
+        save_params(path, init_params(5, 3, seed=1))
+        path.write_bytes(path.read_bytes()[:9])
+        with pytest.raises(ValueError, match=rf"truncated head file {re.escape(str(path))}"):
             load_params(path)

@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -398,11 +400,38 @@ class TestFileFormats:
         x = rng.normal(0, 1, (17, 9))
         y = (rng.random(17) < 0.5).astype(float)
         path = tmp_path / "data.bin"
-        write_dataset(path, x, y)
+        width, labels = write_dataset(path, [(x[:5], y[:5]), (x[5:], y[5:])])
+        assert width == 9
+        np.testing.assert_array_equal(labels, y)
         x2, y2 = read_dataset(path)
+        # The features are the file's FP32 bytes, viewed in place.
+        assert x2.dtype == np.float32 and not x2.flags.writeable
         np.testing.assert_allclose(x2, x, atol=1e-6)
         np.testing.assert_array_equal(y2, y)
 
     def test_dataset_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_dataset(tmp_path / "x.bin", np.zeros((3, 2)), np.zeros(4))
+            write_dataset(tmp_path / "x.bin", [(np.zeros((3, 2)), np.zeros(4))])
+        with pytest.raises(ValueError, match="width of the first block"):
+            write_dataset(tmp_path / "x.bin", [(np.zeros((3, 2)), np.zeros(3)),
+                                               (np.zeros((1, 3)), np.zeros(1))])
+
+    def test_streamed_blocks_match_one_shot_layout(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.normal(0, 10, (40, 7))
+        y = rng.integers(0, 2, 40)
+        path = tmp_path / "data.bin"
+        write_dataset(path, ((x[lo:hi], y[lo:hi]) for lo, hi in [(0, 1), (1, 13), (13, 13), (13, 40)]))
+        packed = (b"WSVD" + struct.pack("<II", 40, 7)
+                  + x.astype(np.float64).astype("<f4").tobytes()
+                  + y.astype(np.float64).astype("<f4").tobytes())
+        assert path.read_bytes() == packed
+
+    def test_dataset_cut_inside_header_rejected(self, tmp_path):
+        path = tmp_path / "data.bin"
+        write_dataset(path, [(np.ones((2, 3)), np.ones(2))])
+        whole = path.read_bytes()
+        for cut in (5, 11, len(whole) - 4):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError, match=rf"truncated dataset {re.escape(str(path))}"):
+                read_dataset(path)
