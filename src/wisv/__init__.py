@@ -3,7 +3,8 @@
 Library layout mirrors the system: ``channel`` (link state), ``wire``
 (payloads and serialization latency), ``compute`` (FLOPs timing),
 ``oracle`` (synthetic drafter/target pair), ``head`` (rejection MLP),
-``labeler`` (trace collection and link-aware relabeling), ``engine``
+``labeler`` (trace collection and link-aware relabeling), ``columns``
+(the binary column file that holds the traces' hidden rows), ``engine``
 (the head's screen of an episode, ``head_screens``, the episode decision
 loop, ``decide``, and its pricing step, ``bill``: ``price_decisions``
 once per decision, then ``price_link`` per link over a batch of

@@ -73,6 +73,7 @@ from .metrics import CSV_COLUMNS, EpisodeTotals, episode_totals, summarize, writ
 from .wire import PROTO_NAMES
 
 TRACES = "traces.jsonl"
+TRACES_HIDDEN = "traces_hidden.bin"
 TRACES_META = "traces_meta.json"
 DATASET = "dataset.bin"
 DATASET_MANIFEST = "dataset_manifest.json"
@@ -121,7 +122,7 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         max_tokens=eng["max_tokens"],
         prefix_len=eng["prefix_len"],
     )
-    write_traces(out / TRACES, episodes)
+    write_traces(out / TRACES, out / TRACES_HIDDEN, episodes)
     n_mismatch = sum(len(ep) for ep in episodes)
     n_critical = sum(int(ep.base_labels.sum()) for ep in episodes if len(ep))
     stats = {
@@ -147,12 +148,19 @@ def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 
 
 def _load_traces(cfg: ExperimentConfig, out: Path) -> list:
-    """The trace file's episodes, refused unless 'trace' wrote them under this config."""
-    traces_path = out / TRACES
-    if not traces_path.exists():
-        raise FileNotFoundError(f"missing trace file {traces_path}; run 'trace' first")
+    """The trace files' episodes, refused unless 'trace' wrote them under this config."""
+    for path in (out / TRACES, out / TRACES_HIDDEN):
+        if not path.exists():
+            raise FileNotFoundError(f"missing trace file {path}; run 'trace' first")
     _check_lineage(cfg, out / TRACES_META, TRACE_SECTIONS, "trace")
-    episodes = read_traces(traces_path, n_episodes=cfg.raw["trace"]["episodes"])
+    episodes = read_traces(out / TRACES, out / TRACES_HIDDEN,
+                           n_episodes=cfg.raw["trace"]["episodes"])
+    oracle = cfg.raw["oracle"]
+    for name, key in (("h_draft", "d_h_draft"), ("h_target", "d_h_target")):
+        width = getattr(episodes[0], name).shape[1]
+        if width != oracle[key]:
+            raise ValueError(f"{out / TRACES_HIDDEN} holds {name!r} rows of width {width}, but "
+                             f"this config's oracle.{key} is {oracle[key]}; run 'trace' first")
     if sum(len(ep) for ep in episodes) == 0:
         raise ValueError("trace set contains no mismatches; no head can learn from it")
     return episodes
@@ -255,7 +263,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
             f"{n_hold - n_pos} negative instances, but its AUC needs both classes; "
             f"raise train.holdout_fraction (now {fraction})"
         )
-    params, report = train(x[keep], y[keep], tcfg)
+    params, report = train(x, y, tcfg, rows=keep)
 
     s_hold, p_hold = forward_batch(params, x[hold])
     hold_acc = float(np.mean((s_hold >= 0.0) == (y[hold] == 1.0)))

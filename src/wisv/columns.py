@@ -1,0 +1,72 @@
+"""A deterministic container of named numeric columns.
+
+The file is the magic ``WSVC``, the byte length of the header as a
+little-endian ``uint32``, the header, then each column's little-endian
+bytes in header order. The header is the compact JSON list of
+``{"name", "dtype", "shape"}`` per column (``dtype`` is numpy's dtype
+string, such as ``"<f8"``), padded with spaces so the columns start at a
+multiple of 8 bytes and a float64 column is read as an aligned view. Equal
+columns give equal bytes.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from collections.abc import Mapping
+from pathlib import Path
+
+import numpy as np
+
+_MAGIC = b"WSVC"
+_LENGTH = struct.Struct("<I")
+_START = len(_MAGIC) + _LENGTH.size
+
+
+def write_columns(path: str | Path, columns: Mapping[str, np.ndarray]) -> None:
+    """Write ``columns`` (boolean, integer or float arrays of any shape), in mapping order."""
+    arrays = {}
+    for name, column in columns.items():
+        column = np.asarray(column)
+        if column.dtype.kind not in "biuf":
+            raise ValueError(f"column {name!r} has dtype {column.dtype}, not a numeric dtype")
+        arrays[name] = column.astype(column.dtype.newbyteorder("<"), order="C", copy=False)
+    header = json.dumps([{"name": name, "dtype": column.dtype.str, "shape": list(column.shape)}
+                         for name, column in arrays.items()], separators=(",", ":")).encode()
+    header += b" " * (-(_START + len(header)) % 8)
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + _LENGTH.pack(len(header)) + header)
+        for column in arrays.values():
+            fh.write(column)
+
+
+def read_columns(path: str | Path) -> dict[str, np.ndarray]:
+    """The file's columns, by name in file order, as read-only views of its bytes."""
+    raw = Path(path).read_bytes()
+    # A file cut inside the magic is truncated, not foreign.
+    if not _MAGIC.startswith(raw[: len(_MAGIC)]):
+        raise ValueError(f"{path} is not a column file")
+    end = _START + _LENGTH.unpack_from(raw, len(_MAGIC))[0] if len(raw) >= _START else None
+    if end is None or len(raw) < end:
+        raise ValueError(f"truncated column file {path}: {len(raw)} bytes, shorter than its header")
+    try:
+        specs = [(spec["name"], np.dtype(spec["dtype"]), tuple(spec["shape"]))
+                 for spec in json.loads(raw[_START:end])]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"column file {path} has an unreadable header: {exc}") from None
+    columns, offset = {}, end
+    for name, dtype, shape in specs:
+        if dtype.kind not in "biuf" or dtype.str != dtype.newbyteorder("<").str:
+            raise ValueError(f"column {name!r} of {path} has dtype {dtype.str}, "
+                             "not a little-endian numeric dtype")
+        if not all(isinstance(size, int) and size >= 0 for size in shape):
+            raise ValueError(f"column {name!r} of {path} has shape {list(shape)}")
+        count = int(np.prod(shape, dtype=np.int64))
+        if offset + count * dtype.itemsize > len(raw):
+            raise ValueError(f"truncated column file {path}: {len(raw)} bytes, "
+                             f"its column {name!r} ends at byte {offset + count * dtype.itemsize}")
+        columns[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+        offset += count * dtype.itemsize
+    if offset != len(raw):
+        raise ValueError(f"column file {path} holds {len(raw)} bytes, but its columns end at {offset}")
+    return columns

@@ -212,29 +212,34 @@ class TrainReport:
 
 
 def train(
-    x: np.ndarray, y: np.ndarray, cfg: TrainConfig
+    x: np.ndarray, y: np.ndarray, cfg: TrainConfig, rows: np.ndarray | None = None
 ) -> tuple[HeadParams, TrainReport]:
-    """Train a head on (n, d_in) features and 0/1 labels.
+    """Train a head on (n, d_in) features and 0/1 labels, or on their ``rows`` only.
 
     Features may be float32 or float64: each batch is gathered and widened
     into one float64 buffer, so float32 features train exactly as their
-    float64 copy does. The positive-class weight is #neg/#pos, recomputed
-    from the dataset; a single-class dataset is rejected because that
-    weight is undefined.
+    float64 copy does. Training on ``rows`` trains exactly as on
+    ``x[rows], y[rows]``, without building that copy: each batch gathers
+    its rows from ``x``. The positive-class weight is #neg/#pos, recomputed
+    from the training rows; a single-class training set is rejected
+    because that weight is undefined.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
         x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise ValueError("dataset must be a nonempty (n, d_in) matrix with n labels")
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows)
+    if x.ndim != 2 or x.shape[0] != y.shape[0] or len(rows) == 0:
+        raise ValueError("dataset must be an (n, d_in) matrix with n labels, "
+                         "and the training rows nonempty")
+    y = y[rows]
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("training set must contain both classes")
     pos_weight = n_neg / n_pos
 
-    n, d_in = x.shape
+    n, d_in = len(rows), x.shape[1]
     params = init_params(d_in, cfg.hidden_dim, cfg.seed)
     rng = np.random.default_rng([cfg.seed, 0x7EA1])
     vel = {
@@ -255,7 +260,7 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             m = len(idx)
-            np.take(x, idx, axis=0, out=step.gather[:m])
+            np.take(x, rows[idx], axis=0, out=step.gather[:m])
             if step.gather is not step.x:
                 step.x[:m] = step.gather[:m]
             if dropout:
@@ -280,7 +285,7 @@ def train(
     # In row chunks: a full-size forward would widen every row and hold all activations.
     s = np.empty(n)
     for lo in range(0, n, cfg.batch_size):
-        s[lo : lo + cfg.batch_size] = forward_batch(params, x[lo : lo + cfg.batch_size])[0]
+        s[lo : lo + cfg.batch_size] = forward_batch(params, x[rows[lo : lo + cfg.batch_size]])[0]
     report.final_train_accuracy = float(np.mean((s >= 0.0) == (y == 1.0)))
     return params, report
 

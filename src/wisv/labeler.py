@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import json
 import struct
-from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ChannelConfig, CsiState, NormalizationBounds, features, quality, sampled_states
+from .columns import read_columns, write_columns
 from .engine import EngineConfig, decide, episode_oracle
 from .head import sigmoid
 from .oracle import OracleConfig
@@ -211,86 +211,91 @@ def sample_csi_states(channel_cfg: ChannelConfig, n: int, rng: np.random.Generat
 
 
 # ---------------------------------------------------------------------------
-# File formats: JSON-lines traces, packed FP32 datasets
+# File formats: traces as JSON lines plus hidden-row columns, packed FP32 datasets
 # ---------------------------------------------------------------------------
 
 _DATA_MAGIC = b"WSVD"
 _DATA_HEADER = struct.Struct("<II")
 
-# Trace-file key of each ``Episode`` column, in line order.
+# Trace-line member of each integer ``Episode`` column, in line order.
 _TRACE_KEYS = {
     "position": "positions",
     "draft_token": "draft_tokens",
     "target_token": "target_tokens",
     "base_label": "base_labels",
-    "h_draft": "h_draft",
-    "h_target": "h_target",
 }
-
-# The columns of a trace file without records.
-_NO_RUN = {name: np.empty((0, 0)) if name.startswith("h_") else np.empty(0, dtype=np.int64)
-           for name in _TRACE_KEYS.values()}
+_TRACE_LINE = "{" + ",".join(f'"{key}":%d' for key in ("episode", "index", *_TRACE_KEYS)) + "}\n"
+_HIDDEN = ("h_draft", "h_target")
 
 
-def write_traces(path: str | Path, episodes: list[Episode]) -> None:
-    """One JSON record per mismatch; episodes with no mismatch leave no lines.
+def write_traces(path: str | Path, hidden_path: str | Path, episodes: list[Episode]) -> None:
+    """Write the episodes' integer columns as JSON lines and their hidden rows as columns.
 
-    A line is the compact ``json.dumps`` of ``{"episode", "index",
-    **columns}``, written with one ``%`` template: the integer columns as
-    ``%d``, and each hidden row as the ``str`` of its float list, spaces
-    removed (a float's ``str`` is its ``repr``, as in JSON). A non-finite
-    hidden value, which JSON writes as ``NaN``, raises.
+    ``path`` gets one line per mismatch, the compact ``json.dumps`` of
+    ``{"episode", "index", "position", "draft_token", "target_token",
+    "base_label"}``; episodes with no mismatch leave no lines.
+    ``hidden_path`` is a column file (``columns.write_columns``) of
+    ``h_draft`` and ``h_target`` as ``<f8`` matrices whose row i belongs to
+    line i. A non-finite hidden value raises: no head can learn from it.
     """
-    keys = ("episode", "index", *_TRACE_KEYS)
-    template = "{" + ",".join(f'"{key}":%{"s" if key.startswith("h_") else "d"}'
-                              for key in keys) + "}\n"
+    for ep in episodes:
+        for name in _HIDDEN:
+            if not np.isfinite(getattr(ep, name)).all():
+                raise ValueError(f"trace column {name!r} of episode {ep.episode_id} "
+                                 "holds a non-finite value")
     with open(path, "w") as fh:
         for ep in episodes:
-            columns = []
-            for key, name in _TRACE_KEYS.items():
-                column = getattr(ep, name)
-                if key.startswith("h_"):
-                    if not np.isfinite(column).all():
-                        raise ValueError(f"trace column {key!r} of episode {ep.episode_id} "
-                                         "holds a non-finite value, which JSON cannot encode")
-                    columns.append([str(row).replace(" ", "") for row in column.tolist()])
-                else:
-                    columns.append(column.tolist())
-            fh.writelines(template % (ep.episode_id, t, *values)
+            columns = [getattr(ep, name).tolist() for name in _TRACE_KEYS.values()]
+            fh.writelines(_TRACE_LINE % (ep.episode_id, t, *values)
                           for t, values in enumerate(zip(*columns)))
+    write_columns(hidden_path, {
+        name: np.concatenate([getattr(ep, name) for ep in episodes], dtype=np.float64)
+        for name in _HIDDEN
+    })
 
 
-def read_traces(path: str | Path, n_episodes: int | None = None) -> list[Episode]:
-    """Rebuild episodes from a mismatch-per-line trace file.
+def read_traces(
+    path: str | Path, hidden_path: str | Path, n_episodes: int | None = None
+) -> list[Episode]:
+    """Rebuild episodes from a trace's lines and its hidden-row column file.
 
-    Each run of consecutive lines of one episode becomes columns as soon as
-    it ends, so only that run's records are held as Python objects; an
-    episode whose lines come in several runs joins them in file order.
-    With ``n_episodes``, episodes 0 .. n_episodes-1 are returned; one
-    without lines has no mismatches, and its hidden arrays take the widths
-    of the file's records (0 when the file has none).
+    The integer columns come from the lines, the hidden rows from the
+    column file, unparsed: an episode's hidden arrays are views of the
+    file's bytes, unless its lines come in several runs, which are joined
+    in file order. With ``n_episodes``, episodes 0 .. n_episodes-1 are
+    returned; one without lines has no mismatches, and its hidden arrays
+    keep the widths of the file's columns.
     """
-    runs: dict[int, list[dict[str, np.ndarray]]] = defaultdict(list)
+    keys = ("episode", *_TRACE_KEYS)
     with open(path) as fh:
-        for episode_id, lines in groupby(map(json.loads, fh), key=itemgetter("episode")):
-            records = list(lines)
-            runs[episode_id].append({
-                name: np.array([rec[key] for rec in records],
-                               dtype=np.float64 if key.startswith("h_") else np.int64)
-                for key, name in _TRACE_KEYS.items()
-            })
-    ids = sorted(runs)
+        try:
+            # Straight into one int64 array: no Python list per line is kept.
+            table = np.fromiter(chain.from_iterable(map(itemgetter(*keys), map(json.loads, fh))),
+                                dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"a line of {path} has no member {exc}; run 'trace' first") from None
+    table = table.reshape(-1, len(keys))
+    hidden = read_columns(hidden_path)
+    for name in _HIDDEN:
+        if hidden.get(name, np.empty(0)).ndim != 2:
+            raise ValueError(f"{hidden_path} holds no {name!r} matrix; run 'trace' first")
+        if len(hidden[name]) != len(table):
+            raise ValueError(f"{hidden_path} holds {len(hidden[name])} {name!r} rows, but "
+                             f"{path} has {len(table)} lines; run 'trace' first")
+    ids, *ints = np.ascontiguousarray(table.T)
+    columns = {**dict(zip(_TRACE_KEYS.values(), ints)), **{name: hidden[name] for name in _HIDDEN}}
+    if (np.diff(ids) < 0).any():
+        order = np.argsort(ids, kind="stable")
+        ids, columns = ids[order], {name: column[order] for name, column in columns.items()}
+    episode_ids = np.unique(ids).tolist()
     if n_episodes is not None:
-        if set(ids) - set(range(n_episodes)):
+        if set(episode_ids) - set(range(n_episodes)):
             raise ValueError("trace file contains more episodes than declared")
-        ids = range(n_episodes)
-    first = next(iter(runs.values()), [_NO_RUN])[0]
-    episodes = []
-    for i in ids:
-        parts = runs.pop(i, None) or [{name: column[:0] for name, column in first.items()}]
-        episodes.append(Episode(i, **{name: np.concatenate([part[name] for part in parts])
-                                      for name in _TRACE_KEYS.values()}))
-    return episodes
+        episode_ids = range(n_episodes)
+    starts = np.searchsorted(ids, episode_ids, side="left").tolist()
+    ends = np.searchsorted(ids, episode_ids, side="right").tolist()
+    return [Episode(i, **{name: column[lo:hi] for name, column in columns.items()})
+            for i, lo, hi in zip(episode_ids, starts, ends)]
 
 
 def write_dataset(

@@ -28,6 +28,7 @@ from wisv.cli import (
     RESULTS_META,
     ROUNDS_JSONL,
     TRACES,
+    TRACES_HIDDEN,
     TRACES_META,
     cmd_eval,
     cmd_relabel,
@@ -35,6 +36,7 @@ from wisv.cli import (
     cmd_train,
     main,
 )
+from wisv.columns import read_columns, write_columns
 from wisv.config import SEED_CHANNEL, SEED_EVAL, DEFAULT_CONFIG, ExperimentConfig, config_hash
 from wisv.engine import MODES, run_episode
 from wisv.head import HeadParams
@@ -346,7 +348,8 @@ class TestTraceCommand:
     def test_rerun_byte_identical(self, small_run, tmp_path):
         cfg, out = small_run
         cmd_trace(cfg, tmp_path)
-        assert (tmp_path / TRACES).read_bytes() == (out / TRACES).read_bytes()
+        for name in (TRACES, TRACES_HIDDEN, TRACES_META):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestRelabelCommand:
@@ -365,7 +368,7 @@ class TestRelabelCommand:
 
     def test_trace_lineage_checked(self, small_run, tmp_path):
         cfg, out = small_run
-        copy_artifacts(out, tmp_path, names=(TRACES,))
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_HIDDEN))
         with pytest.raises(ValueError, match=r"no record in .*traces_meta\.json matches this run's "
                            r"config section 'seed'; rerun 'trace'"):
             cmd_relabel(cfg, tmp_path)
@@ -382,6 +385,22 @@ class TestRelabelCommand:
         del meta["lineage"]["engine.max_tokens"]
         (tmp_path / TRACES_META).write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="this run's config section 'engine.max_tokens'"):
+            cmd_relabel(cfg, tmp_path)
+
+    def test_missing_hidden_rows_error(self, small_run, tmp_path):
+        # A trace directory without the hidden-row file, as older runs left, is refused.
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        with pytest.raises(FileNotFoundError, match=rf"{TRACES_HIDDEN}; run 'trace' first"):
+            cmd_relabel(cfg, tmp_path)
+
+    def test_hidden_widths_checked_against_config(self, small_run, tmp_path):
+        cfg, out = small_run
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        hidden = read_columns(out / TRACES_HIDDEN)
+        write_columns(tmp_path / TRACES_HIDDEN, {**hidden, "h_target": hidden["h_target"][:, :5]})
+        with pytest.raises(ValueError, match=r"holds 'h_target' rows of width 5, but this "
+                           r"config's oracle.d_h_target is 32; run 'trace' first"):
             cmd_relabel(cfg, tmp_path)
 
     def test_empty_trace_set_error(self, tmp_path):
@@ -520,7 +539,7 @@ class TestCalibrationMemory:
 
     def test_relabel_peak_below_one_float64_matrix(self, small_run, tmp_path):
         cfg, out = small_run
-        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_HIDDEN, TRACES_META))
         peak = traced_peak(cmd_relabel, cfg, tmp_path)
         manifest = json.loads((tmp_path / DATASET_MANIFEST).read_text())
         # Rows are written as each episode makes them.
@@ -537,7 +556,6 @@ class TestCalibrationMemory:
         n_hold = round(cfg.raw["train"]["holdout_fraction"] * n)
         held = (
             4 * n * d  # the file's bytes, whose FP32 features are viewed in place
-            + 4 * (n - n_hold) * d  # the training rows, gathered in FP32
             + 12 * n_hold * d  # the holdout rows, gathered in FP32 and widened by forward_batch
             + 16 * n_hold * d_j  # the holdout forward pass's pre-activations and activations
             + 12 * b * d + 41 * b * d_j + 16 * d_j * d  # the step buffers of train
@@ -1122,7 +1140,7 @@ class TestEvalCommand:
 
 
 class TestAblateCommand:
-    ABLATE_INPUTS = (TRACES, TRACES_META, HEAD, HEAD + ".json")
+    ABLATE_INPUTS = (TRACES, TRACES_HIDDEN, TRACES_META, HEAD, HEAD + ".json")
 
     def test_outputs(self, small_run, capsys):
         cfg, out = small_run
@@ -1217,7 +1235,7 @@ class TestAblateCommand:
 
     def test_missing_head_error(self, small_run, tmp_path):
         cfg, out = small_run
-        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_META))
+        copy_artifacts(out, tmp_path, names=(TRACES, TRACES_HIDDEN, TRACES_META))
         with pytest.raises(FileNotFoundError, match="run 'train' first"):
             cli.cmd_ablate(cfg, tmp_path)
 

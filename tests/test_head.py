@@ -226,6 +226,25 @@ class TestTraining:
         assert r32.epoch_losses == r64.epoch_losses
         assert r32.final_train_accuracy == r64.final_train_accuracy
 
+    def test_rows_train_as_their_gathered_copy(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(0, 1, (230, 6)).astype(np.float32)
+        y = (x[:, 0] + 0.5 * rng.normal(0, 1, 230) > 0).astype(np.float64)
+        rows = rng.permutation(230)[:203]
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=32, dropout=0.2,
+                          hidden_dim=8, seed=4)
+        p_rows, r_rows = train(x, y, cfg, rows=rows)
+        p_copy, r_copy = train(x[rows], y[rows], cfg)
+        for name in ("w1", "b1", "w2"):
+            np.testing.assert_array_equal(getattr(p_rows, name).view(np.uint64),
+                                          getattr(p_copy, name).view(np.uint64))
+        assert np.float64(p_rows.b2).view(np.uint64) == np.float64(p_copy.b2).view(np.uint64)
+        assert r_rows.epoch_losses == r_copy.epoch_losses
+        assert r_rows.final_train_accuracy == r_copy.final_train_accuracy
+        assert r_rows.pos_weight == r_copy.pos_weight
+        with pytest.raises(ValueError, match="training rows nonempty"):
+            train(x, y, cfg, rows=rows[:0])
+
     @pytest.mark.parametrize("dropout", [False, True])
     def test_loss_and_grads_match_allocating_reference(self, dropout):
         # The step reuses its buffers; each array op must still be the reference's, bit for bit.

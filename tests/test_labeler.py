@@ -1,12 +1,14 @@
 import json
 import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wisv.channel import ChannelConfig, CsiState, NormalizationBounds, features, generate_trace, quality
+from wisv.columns import read_columns, write_columns
 from wisv.head import sigmoid
 from wisv.labeler import (
     Episode,
@@ -334,28 +336,36 @@ class TestSampleCsiStates:
         assert rng.random() == np.random.default_rng(0).random()
 
 
+def write_trace_files(tmp_path, episodes, stem="traces"):
+    """Write ``episodes`` as a trace's lines and hidden columns; return both paths."""
+    path, hidden = tmp_path / f"{stem}.jsonl", tmp_path / f"{stem}_hidden.bin"
+    write_traces(path, hidden, episodes)
+    return path, hidden
+
+
 class TestFileFormats:
     def test_trace_roundtrip(self, tmp_path):
         cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
         eps = collect_traces(4, cfg, seed=5)
-        path = tmp_path / "traces.jsonl"
-        write_traces(path, eps)
-        back = read_traces(path, n_episodes=4)
+        # Hidden values whose decimal text takes an exponent, and a negative zero.
+        eps[0].h_draft[0] = [1e-7, -0.0, 1.5e300]
+        back = read_traces(*write_trace_files(tmp_path, eps), n_episodes=4)
         assert len(back) == 4
         for ea, eb in zip(eps, back):
             assert ea.episode_id == eb.episode_id and len(ea) == len(eb) > 0
             for name in ("positions", "draft_tokens", "target_tokens", "base_labels"):
                 np.testing.assert_array_equal(getattr(ea, name), getattr(eb, name))
-            np.testing.assert_allclose(ea.h_draft, eb.h_draft)
-            np.testing.assert_allclose(ea.h_target, eb.h_target)
+                assert getattr(eb, name).dtype == np.int64
+            for name in ("h_draft", "h_target"):
+                # Bit for bit: -0.0 keeps its sign bit.
+                np.testing.assert_array_equal(getattr(ea, name).view(np.uint64),
+                                              getattr(eb, name).view(np.uint64))
+        np.testing.assert_array_equal(back[0].h_draft[0], [1e-7, -0.0, 1.5e300])
 
     def test_trace_lines_match_json_reference(self, tmp_path):
         cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
         eps = collect_traces(4, cfg, seed=5)
-        # Hidden values whose repr takes an exponent, and a negative zero.
-        eps[0].h_draft[0] = [1e-7, -0.0, 1.5e300]
-        path = tmp_path / "traces.jsonl"
-        write_traces(path, eps)
+        path, hidden = write_trace_files(tmp_path, eps)
         reference = ""
         for ep in eps:
             for t in range(len(ep)):
@@ -363,10 +373,14 @@ class TestFileFormats:
                           "position": int(ep.positions[t]),
                           "draft_token": int(ep.draft_tokens[t]),
                           "target_token": int(ep.target_tokens[t]),
-                          "base_label": int(ep.base_labels[t]),
-                          "h_draft": ep.h_draft[t].tolist(), "h_target": ep.h_target[t].tolist()}
+                          "base_label": int(ep.base_labels[t])}
                 reference += json.dumps(record, separators=(",", ":")) + "\n"
         assert path.read_text() == reference
+        # The hidden rows are one column file, in line order.
+        assert read_columns(hidden).keys() == {"h_draft", "h_target"}
+        for name in ("h_draft", "h_target"):
+            np.testing.assert_array_equal(read_columns(hidden)[name],
+                                          np.vstack([getattr(ep, name) for ep in eps]))
 
     @pytest.mark.parametrize("column", ["h_draft", "h_target"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -375,25 +389,121 @@ class TestFileFormats:
         eps = collect_traces(3, cfg, seed=5)
         getattr(eps[2], column)[-1, 0] = bad
         with pytest.raises(ValueError, match=f"trace column '{column}' of episode 2"):
-            write_traces(tmp_path / "traces.jsonl", eps)
+            write_trace_files(tmp_path, eps)
 
     def test_episode_without_lines_keeps_hidden_widths(self, tmp_path):
         cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
-        path = tmp_path / "traces.jsonl"
-        write_traces(path, collect_traces(1, cfg, seed=5))
-        back = read_traces(path, n_episodes=3)
+        paths = write_trace_files(tmp_path, collect_traces(1, cfg, seed=5))
+        back = read_traces(*paths, n_episodes=3)
         assert [len(ep) for ep in back][1:] == [0, 0]
         assert back[2].h_draft.shape == (0, 3) and back[2].h_target.shape == (0, 2)
         with pytest.raises(ValueError, match="more episodes"):
-            read_traces(path, n_episodes=0)
+            read_traces(*paths, n_episodes=0)
+
+    def test_file_without_records_keeps_hidden_widths(self, tmp_path):
+        # With no line to read a row from, the widths come from the column header.
+        cfg = OracleConfig(p_match=1.0, d_h_draft=3, d_h_target=2)
+        path, hidden = write_trace_files(tmp_path, collect_traces(2, cfg, seed=5))
+        assert path.read_bytes() == b""
+        back = read_traces(path, hidden, n_episodes=2)
+        assert [len(ep) for ep in back] == [0, 0]
+        assert back[1].h_draft.shape == (0, 3) and back[1].h_target.shape == (0, 2)
+
+    def test_episode_split_over_runs_joined_in_file_order(self, tmp_path):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
+        eps = collect_traces(2, cfg, seed=5)
+        half = len(eps[0]) // 2
+        first, rest = (Episode(0, *(getattr(eps[0], f.name)[part] for f in fields(Episode)[1:]))
+                       for part in (slice(None, half), slice(half, None)))
+        back = read_traces(*write_trace_files(tmp_path, [first, eps[1], rest]))
+        for ea, eb in zip(eps, back):
+            for f in fields(Episode):
+                np.testing.assert_array_equal(getattr(ea, f.name), getattr(eb, f.name))
+
+    def test_rows_differing_from_lines_rejected(self, tmp_path):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
+        eps = collect_traces(3, cfg, seed=5)
+        path, hidden = write_trace_files(tmp_path, eps)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(hidden))} holds {len(lines)} "
+                           rf"'h_draft' rows, but .* has {len(lines) - 1} lines"):
+            read_traces(path, hidden)
+
+    def test_line_without_an_integer_member_rejected(self, tmp_path):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
+        path, hidden = write_trace_files(tmp_path, collect_traces(3, cfg, seed=5))
+        path.write_text(path.read_text().replace(',"base_label":0', "", 1))
+        with pytest.raises(ValueError, match=r"a line of .* has no member 'base_label'; "
+                           r"run 'trace' first"):
+            read_traces(path, hidden)
+
+    def test_cut_hidden_file_rejected(self, tmp_path):
+        cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
+        path, hidden = write_trace_files(tmp_path, collect_traces(3, cfg, seed=5))
+        whole = hidden.read_bytes()
+        for cut in (2, 6, 20, len(whole) - 8):  # magic, length, header, body
+            hidden.write_bytes(whole[:cut])
+            with pytest.raises(ValueError, match=rf"truncated column file {re.escape(str(hidden))}"):
+                read_traces(path, hidden)
 
     def test_trace_write_deterministic(self, tmp_path):
         cfg = OracleConfig(p_match=0.8, d_h_draft=3, d_h_target=2)
         eps = collect_traces(3, cfg, seed=5)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_traces(p1, eps)
-        write_traces(p2, eps)
-        assert p1.read_bytes() == p2.read_bytes()
+        a = write_trace_files(tmp_path, eps, stem="a")
+        b = write_trace_files(tmp_path, eps, stem="b")
+        for pa, pb in zip(a, b):
+            assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4", "<i8", "<i4", "|i1", "<u2", "|b1", ">f8", ">i8"])
+    def test_columns_roundtrip(self, tmp_path, dtype):
+        rng = np.random.default_rng(7)
+        values = rng.normal(0, 1e3, (5, 3))
+        values[0, :3] = [-0.0, 1e-7, np.inf]
+        column = values.astype(dtype) if np.dtype(dtype).kind == "f" else \
+            rng.integers(0, 2 if dtype == "|b1" else 100, (5, 3)).astype(dtype)
+        columns = {"a": column, "empty": np.empty((0, 4), dtype=dtype), "scalar": column[0, 0],
+                   "b": column[:, 1]}
+        path = tmp_path / "cols.bin"
+        write_columns(path, columns)
+        back = read_columns(path)
+        assert list(back) == list(columns)
+        for name, want in columns.items():
+            # Written little-endian whatever the input's byte order; the bits are kept.
+            assert back[name].dtype == np.dtype(dtype).newbyteorder("<")
+            assert back[name].shape == np.shape(want) and not back[name].flags.writeable
+            np.testing.assert_array_equal(back[name], want)
+            assert back[name].tobytes() == np.asarray(want).astype(back[name].dtype).tobytes()
+
+    def test_columns_layout(self, tmp_path):
+        path = tmp_path / "cols.bin"
+        x, n = np.array([[1.5, -0.0]]), np.array([3, -1], dtype=np.int64)
+        write_columns(path, {"x": x, "n": n})
+        header = b'[{"name":"x","dtype":"<f8","shape":[1,2]},{"name":"n","dtype":"<i8","shape":[2]}]'
+        header += b" " * (-(8 + len(header)) % 8)
+        assert path.read_bytes() == (b"WSVC" + struct.pack("<I", len(header)) + header
+                                     + x.astype("<f8").tobytes() + n.astype("<i8").tobytes())
+
+    def test_bad_column_files_rejected(self, tmp_path):
+        path = tmp_path / "cols.bin"
+        with pytest.raises(ValueError, match="not a numeric dtype"):
+            write_columns(path, {"s": np.array(["a"])})
+        write_columns(path, {"x": np.arange(4.0)})
+        whole = path.read_bytes()
+        path.write_bytes(b"WSVD" + whole[4:])
+        with pytest.raises(ValueError, match="not a column file"):
+            read_columns(path)
+        path.write_bytes(whole + b"\0")
+        with pytest.raises(ValueError, match=f"holds {len(whole) + 1} bytes, but its columns "
+                           f"end at {len(whole)}"):
+            read_columns(path)
+        header = b'[{"name":"x","dtype":"|O","shape":[1]}]'
+        path.write_bytes(b"WSVC" + struct.pack("<I", len(header)) + header + bytes(8))
+        with pytest.raises(ValueError, match="not a little-endian numeric dtype"):
+            read_columns(path)
+        path.write_bytes(b"WSVC" + struct.pack("<I", 3) + b"[{]")
+        with pytest.raises(ValueError, match="unreadable header"):
+            read_columns(path)
 
     def test_dataset_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
