@@ -59,7 +59,7 @@ from .engine import (
     price_decisions,
     price_link,
 )
-from .head import HeadParams, forward_batch, load_params, save_params, train
+from .head import HeadParams, chunked_logits, load_params, save_params, sigmoid, train
 from .labeler import (
     collect_traces,
     read_traces,
@@ -265,9 +265,9 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         )
     params, report = train(x, y, tcfg, rows=keep)
 
-    s_hold, p_hold = forward_batch(params, x[hold])
+    s_hold = chunked_logits(params, x, hold)
     hold_acc = float(np.mean((s_hold >= 0.0) == (y[hold] == 1.0)))
-    hold_auc = _auc(p_hold, y[hold])
+    hold_auc = _auc(sigmoid(s_hold), y[hold])
     meta = {
         "config_hash": cfg.hash,
         "train_instances": int(len(keep)),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -23,21 +23,39 @@ _LENGTH = struct.Struct("<I")
 _START = len(_MAGIC) + _LENGTH.size
 
 
-def write_columns(path: str | Path, columns: Mapping[str, np.ndarray]) -> None:
-    """Write ``columns`` (boolean, integer or float arrays of any shape), in mapping order."""
-    arrays = {}
+def write_columns(
+    path: str | Path, columns: Mapping[str, np.ndarray | Sequence[np.ndarray]]
+) -> None:
+    """Write ``columns`` (boolean, integer or float arrays of any shape), in mapping order.
+
+    A column given as a list or tuple is a sequence of row blocks, arrays of
+    one dtype and one row shape. They are written in turn, so the file is the
+    one their ``np.concatenate`` would give, and that copy is never built.
+    """
+    specs, blocks = [], []
     for name, column in columns.items():
-        column = np.asarray(column)
-        if column.dtype.kind not in "biuf":
-            raise ValueError(f"column {name!r} has dtype {column.dtype}, not a numeric dtype")
-        arrays[name] = column.astype(column.dtype.newbyteorder("<"), order="C", copy=False)
-    header = json.dumps([{"name": name, "dtype": column.dtype.str, "shape": list(column.shape)}
-                         for name, column in arrays.items()], separators=(",", ":")).encode()
+        stacked = isinstance(column, (list, tuple))
+        parts = [np.asarray(part) for part in column] if stacked else [np.asarray(column)]
+        if not parts:
+            raise ValueError(f"column {name!r} has no blocks")
+        dtype, shape = parts[0].dtype, parts[0].shape
+        if dtype.kind not in "biuf":
+            raise ValueError(f"column {name!r} has dtype {dtype}, not a numeric dtype")
+        if stacked:
+            if any(part.ndim == 0 or part.dtype != dtype or part.shape[1:] != shape[1:]
+                   for part in parts):
+                raise ValueError(f"the blocks of column {name!r} are not row blocks "
+                                 "of one dtype and one row shape")
+            shape = (sum(len(part) for part in parts), *shape[1:])
+        dtype = dtype.newbyteorder("<")
+        specs.append({"name": name, "dtype": dtype.str, "shape": list(shape)})
+        blocks.extend(part.astype(dtype, order="C", copy=False) for part in parts)
+    header = json.dumps(specs, separators=(",", ":")).encode()
     header += b" " * (-(_START + len(header)) % 8)
     with open(path, "wb") as fh:
         fh.write(_MAGIC + _LENGTH.pack(len(header)) + header)
-        for column in arrays.values():
-            fh.write(column)
+        for block in blocks:
+            fh.write(block)
 
 
 def read_columns(path: str | Path) -> dict[str, np.ndarray]:

@@ -105,6 +105,28 @@ def forward_batch(params: HeadParams, z: np.ndarray) -> tuple[np.ndarray, np.nda
     return s, sigmoid(s)
 
 
+# Rows per ``forward_batch`` call of a multi-row pass. Each call holds its
+# chunk's gather, the float64 cast of it and its activations; every chunk but
+# the last has this many rows, so BLAS sees the same large row count per call.
+INFERENCE_CHUNK = 256
+
+
+def chunked_logits(params: HeadParams, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Inference logits of ``x[rows]``, ``INFERENCE_CHUNK`` rows per ``forward_batch`` call.
+
+    Entry i is the logit of row ``rows[i]`` of ``x``, in any row order; only
+    one chunk's rows are ever gathered. A one-call ``forward_batch(params,
+    x[rows])`` agrees to rounding, but not always to the bit: BLAS may
+    split a product differently for a different row count.
+    """
+    rows = np.asarray(rows)
+    s = np.empty(len(rows))
+    for lo in range(0, len(rows), INFERENCE_CHUNK):
+        chunk = rows[lo : lo + INFERENCE_CHUNK]
+        s[lo : lo + len(chunk)] = forward_batch(params, x[chunk])[0]
+    return s
+
+
 def bce_from_logit(s, y, pos_weight: float = 1.0):
     """Elementwise BCE evaluated from the logit (log-sum-exp form)."""
     s = np.asarray(s, dtype=np.float64)
@@ -282,10 +304,7 @@ def train(
             n_batches += 1
         report.epoch_losses.append(epoch_loss / n_batches)
 
-    # In row chunks: a full-size forward would widen every row and hold all activations.
-    s = np.empty(n)
-    for lo in range(0, n, cfg.batch_size):
-        s[lo : lo + cfg.batch_size] = forward_batch(params, x[rows[lo : lo + cfg.batch_size]])[0]
+    s = chunked_logits(params, x, rows)
     report.final_train_accuracy = float(np.mean((s >= 0.0) == (y == 1.0)))
     return params, report
 

@@ -248,8 +248,9 @@ def write_traces(path: str | Path, hidden_path: str | Path, episodes: list[Episo
             columns = [getattr(ep, name).tolist() for name in _TRACE_KEYS.values()]
             fh.writelines(_TRACE_LINE % (ep.episode_id, t, *values)
                           for t, values in enumerate(zip(*columns)))
+    # Each episode's rows are a block of the column: the stacked matrix is never built.
     write_columns(hidden_path, {
-        name: np.concatenate([getattr(ep, name) for ep in episodes], dtype=np.float64)
+        name: [np.asarray(getattr(ep, name), dtype=np.float64) for ep in episodes]
         for name in _HIDDEN
     })
 

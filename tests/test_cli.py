@@ -37,9 +37,17 @@ from wisv.cli import (
     main,
 )
 from wisv.columns import read_columns, write_columns
-from wisv.config import SEED_CHANNEL, SEED_EVAL, DEFAULT_CONFIG, ExperimentConfig, config_hash
+from wisv.config import (
+    SEED_CHANNEL,
+    SEED_EVAL,
+    SEED_TRAIN,
+    DEFAULT_CONFIG,
+    ExperimentConfig,
+    config_hash,
+)
 from wisv.engine import MODES, run_episode
-from wisv.head import HeadParams
+from wisv.head import INFERENCE_CHUNK, HeadParams, forward_batch, train
+from wisv.labeler import read_dataset, read_traces, write_traces
 from wisv.metrics import CSV_COLUMNS, EpisodeTotals, summarize
 
 SMALL_OVERRIDES = {
@@ -476,6 +484,21 @@ class TestTrainCommand:
         with pytest.raises(ValueError, match="both classes"):
             cli._auc(np.array([0.2, 0.2]), np.array([1.0, 1.0]))
 
+    def test_holdout_quality_matches_one_call_pass(self, small_run):
+        # The holdout is scored in chunks; the report holds the numbers of one
+        # forward_batch call over all its rows.
+        cfg, out = small_run
+        x, y = read_dataset(out / DATASET)
+        order = np.random.default_rng([cfg.seed, SEED_TRAIN]).permutation(len(y))
+        n_hold = round(cfg.raw["train"]["holdout_fraction"] * len(y))
+        assert n_hold > INFERENCE_CHUNK
+        hold = order[:n_hold]
+        params, _ = train(x, y, cfg.train(), rows=order[n_hold:])
+        s, p = forward_batch(params, x[hold])
+        report = json.loads((out / "train_report.json").read_text())
+        assert report["holdout_accuracy"] == float(np.mean((s >= 0.0) == (y[hold] == 1.0)))
+        assert report["holdout_auc"] == cli._auc(p, y[hold])
+
     def test_missing_dataset_error(self, tmp_path):
         cfg = ExperimentConfig.load(write_config(tmp_path))
         with pytest.raises(FileNotFoundError, match="dataset"):
@@ -550,20 +573,36 @@ class TestCalibrationMemory:
         copy_artifacts(out, tmp_path, names=(DATASET, DATASET_MANIFEST))
         manifest = json.loads((out / DATASET_MANIFEST).read_text())
         n, d = manifest["instances"], manifest["feature_dim"]
-        peak = traced_peak(cmd_train, cfg, tmp_path)
         tcfg = cfg.train()
         b, d_j = tcfg.batch_size, tcfg.hidden_dim
-        n_hold = round(cfg.raw["train"]["holdout_fraction"] * n)
-        held = (
-            4 * n * d  # the file's bytes, whose FP32 features are viewed in place
-            + 12 * n_hold * d  # the holdout rows, gathered in FP32 and widened by forward_batch
-            + 16 * n_hold * d_j  # the holdout forward pass's pre-activations and activations
-            + 12 * b * d + 41 * b * d_j + 16 * d_j * d  # the step buffers of train
-            # Eight 8-byte vectors of at most n entries: labels, the holdout split, the
-            # label subsets, an epoch's old and new permutation, logits, masks, ranks.
-            + 8 * 8 * n
-        )
-        assert peak < held
+        # At 0.6 the holdout is several chunks long, so a pass over all of it
+        # at once would exceed the bound.
+        for fraction in (cfg.raw["train"]["holdout_fraction"], 0.6):
+            raw = copy.deepcopy(cfg.raw)
+            raw["train"]["holdout_fraction"] = fraction
+            run_cfg = ExperimentConfig(raw=raw)
+            run_cfg.validate()
+            peak = traced_peak(cmd_train, run_cfg, tmp_path)
+            c = min(INFERENCE_CHUNK, round(fraction * n))
+            held = (
+                4 * n * d  # the file's bytes, whose FP32 features are viewed in place
+                + 12 * c * d  # one chunk of inference rows, gathered in FP32 and widened
+                + 16 * c * d_j  # that chunk's pre-activations and activations
+                + 12 * b * d + 41 * b * d_j + 16 * d_j * d  # the step buffers of train
+                # Eight 8-byte vectors of at most n entries: labels, the holdout split, the
+                # label subsets, an epoch's old and new permutation, logits, masks, ranks.
+                + 8 * 8 * n
+            )
+            assert peak < held, fraction
+
+    def test_trace_write_peak_below_one_hidden_matrix(self, small_run, tmp_path):
+        cfg, out = small_run
+        episodes = read_traces(out / TRACES, out / TRACES_HIDDEN)
+        rows = sum(len(ep) for ep in episodes)
+        peak = traced_peak(write_traces, tmp_path / TRACES, tmp_path / TRACES_HIDDEN, episodes)
+        # Each episode's hidden rows are written as they are: no stacked copy.
+        assert peak < 8 * rows * cfg.raw["oracle"]["d_h_draft"]
+        assert (tmp_path / TRACES_HIDDEN).read_bytes() == (out / TRACES_HIDDEN).read_bytes()
 
 
 class TestEvalCommand:

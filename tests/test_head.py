@@ -3,12 +3,15 @@ import re
 import numpy as np
 import pytest
 
+from wisv import head
 from wisv.channel import CsiState, NormalizationBounds, features
 from wisv.engine import EngineConfig
 from wisv.head import (
+    INFERENCE_CHUNK,
     HeadParams,
     TrainConfig,
     bce_from_logit,
+    chunked_logits,
     forward_batch,
     init_params,
     load_params,
@@ -100,6 +103,47 @@ class TestForward:
     def test_sigmoid_open_interval(self):
         s = sigmoid(np.linspace(-30, 30, 1001))
         assert np.all(s > 0.0) and np.all(s < 1.0)
+
+
+CHUNK = INFERENCE_CHUNK
+
+
+class TestChunkedLogits:
+    """The one multi-row inference pass: ``forward_batch`` on bounded chunks of the rows."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_equals_its_chunks_and_one_call(self, n, dtype, monkeypatch):
+        rng = np.random.default_rng(n)
+        params = init_params(69, 64, seed=3)
+        params.b1[:] = rng.normal(0, 0.1, 64)
+        x = rng.normal(0, 1, (n + 5, 69)).astype(dtype)
+        rows = rng.integers(0, n + 5, n)  # arbitrary order, repeats and unused rows
+        calls = []
+
+        def recording(p, z):
+            calls.append(len(z))
+            return forward_batch(p, z)
+
+        monkeypatch.setattr(head, "forward_batch", recording)
+        s = chunked_logits(params, x, rows)
+        starts = range(0, n, CHUNK)
+        assert calls == [min(CHUNK, n - lo) for lo in starts]
+        assert s.dtype == np.float64 and s.shape == (n,)
+        chunks = [forward_batch(params, x[rows[lo : lo + CHUNK]])[0] for lo in starts]
+        np.testing.assert_array_equal(s, np.concatenate(chunks))
+        one_call = forward_batch(params, x[rows])[0]
+        np.testing.assert_allclose(s, one_call, rtol=1e-12, atol=1e-12 * np.abs(one_call).max())
+
+    def test_no_rows(self):
+        s = chunked_logits(init_params(3, 2, seed=0), np.ones((4, 3)), np.array([], dtype=np.int64))
+        assert s.shape == (0,) and s.dtype == np.float64
+
+    def test_nonfinite_row_in_a_later_chunk_rejected(self):
+        x = np.ones((CHUNK + 2, 3))
+        x[-1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            chunked_logits(init_params(3, 2, seed=0), x, np.arange(len(x)))
 
 
 class TestBceLoss:

@@ -484,6 +484,31 @@ class TestFileFormats:
         assert path.read_bytes() == (b"WSVC" + struct.pack("<I", len(header)) + header
                                      + x.astype("<f8").tobytes() + n.astype("<i8").tobytes())
 
+    @pytest.mark.parametrize("dtype", ["<f8", ">f8", "<i4", "|b1"])
+    def test_block_written_column_equals_concatenated(self, tmp_path, dtype):
+        rng = np.random.default_rng(3)
+        whole = (rng.normal(0, 100, (9, 3)) + 0.5).astype(dtype)
+        # Empty blocks, a one-row block, and a last block in C or Fortran order.
+        blocks = [whole[:0], whole[:1], whole[1:5], whole[5:5], whole[5:]]
+        fortran = np.asfortranarray(whole[5:])
+        write_columns(tmp_path / "whole.bin", {"n": np.arange(2), "x": whole})
+        for name, parts in (("list", blocks), ("tuple", (*blocks[:-1], fortran))):
+            write_columns(tmp_path / f"{name}.bin", {"n": np.arange(2), "x": parts})
+            assert (tmp_path / f"{name}.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+        write_columns(tmp_path / "empty.bin", {"x": [whole[:0], whole[:0]]})
+        assert read_columns(tmp_path / "empty.bin")["x"].shape == (0, 3)
+
+    def test_bad_column_blocks_rejected(self, tmp_path):
+        path = tmp_path / "cols.bin"
+        x = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="column 'x' has no blocks"):
+            write_columns(path, {"x": []})
+        for blocks in ([x, x.astype(np.float32)], [x, x[:, :2]], [x[0, 0], x[0, 0]]):
+            with pytest.raises(ValueError, match="not row blocks of one dtype and one row shape"):
+                write_columns(path, {"x": blocks})
+        with pytest.raises(ValueError, match="not a numeric dtype"):
+            write_columns(path, {"s": [np.array(["a"])]})
+
     def test_bad_column_files_rejected(self, tmp_path):
         path = tmp_path / "cols.bin"
         with pytest.raises(ValueError, match="not a numeric dtype"):
