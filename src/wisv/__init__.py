@@ -6,10 +6,9 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 ``labeler`` (trace collection and link-aware relabeling), ``columns``
 (the binary column file that holds the traces' hidden rows), ``engine``
 (the head's screen of an episode, ``head_screens``, the episode decision
-loop, ``decide``, and its pricing step, ``bill``: ``price_decisions``
-once per decision, then ``price_link`` per link over a batch of
-episodes), ``metrics``
-(aggregation), and ``cli`` (experiment pipeline).
+loop, ``decide``, and its pricing: ``price_decisions`` once per
+decision, then ``price_link`` per link over a batch of episodes),
+``metrics`` (aggregation), and ``cli`` (experiment pipeline).
 """
 
 from .channel import (
@@ -34,18 +33,15 @@ from .compute import (
 from .engine import (
     Decisions,
     EngineConfig,
-    EpisodeResult,
     HeadScreen,
     LinkBill,
     PricedDecisions,
     SystemModel,
-    bill,
     decide,
     episode_oracle,
     head_screens,
     price_decisions,
     price_link,
-    run_episode,
     select_protocol,
 )
 from .head import HeadParams, TrainConfig, bce_from_logit, forward_batch, train

@@ -53,6 +53,7 @@ from .config import (
 from .engine import (
     LinkBill,
     PricedDecisions,
+    SystemModel,
     decide,
     episode_oracle,
     head_screens,
@@ -499,20 +500,18 @@ def _decision_key(s_idx: int, mode: str, k: int, tau: float, head: str) -> tuple
     return (k, s_idx, tau, head) if mode.startswith("wisv") else (k, mode)
 
 
-def _eval_point(payload: dict) -> tuple[dict, dict]:
-    """Decide the sweep points of one episode. Must stay picklable.
+def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Sequence[tuple],
+                heads: dict[str, HeadParams], texts: _Texts | None) -> tuple[dict, dict]:
+    """Decide the sweep points of episode ``ep``.
 
     The episode builds one oracle, for the points' largest window, one
-    channel trace per scenario the points use, and each of the payload's
-    heads screens each trace. Each distinct decision (``_decision_key``) is
+    channel trace per scenario the points use, and each of ``heads``
+    screens each trace. Each distinct decision (``_decision_key``) is
     decided and priced (``price_decisions``) once, and its round lines are
-    rendered (``_round_template``) with the block's ``payload["texts"]``
-    unless that is None. Returns the traces by scenario index, and
-    ``(priced, template or None)`` per decision key.
+    rendered (``_round_template``) with the block's ``texts`` unless that
+    is None. Returns the traces by scenario index, and ``(priced, template
+    or None)`` per decision key.
     """
-    cfg = ExperimentConfig(raw=payload["raw"])
-    ep, points = payload["episode"], payload["points"]
-    system = cfg.system()
     oracle = episode_oracle(
         cfg.oracle(), cfg.engine(window=max(k for _, _, k, _, _ in points)), [SEED_EVAL, ep],
         with_distributions=any(mode == "sd_reject" for _, mode, *_ in points),
@@ -522,7 +521,7 @@ def _eval_point(payload: dict) -> tuple[dict, dict]:
     traces = {s_idx: generate_trace(cfg.channel(scenarios[s_idx]),
                                     [cfg.seed, SEED_CHANNEL, s_idx, ep], rounds=rounds)
               for s_idx in dict.fromkeys(s_idx for s_idx, *_ in points)}
-    screens = {(name, s_idx): screen for name, head in payload["heads"].items()
+    screens = {(name, s_idx): screen for name, head in heads.items()
                for s_idx, screen in zip(traces, head_screens(
                    head, oracle, list(traces.values()), system.bounds))}
     decided: dict = {}
@@ -533,7 +532,6 @@ def _eval_point(payload: dict) -> tuple[dict, dict]:
             engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
             screen = screens[head, s_idx] if mode.startswith("wisv") else None
             priced = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
-            texts = payload["texts"]
             decided[key] = priced, (None if texts is None else _round_template(ep, priced, texts))
     return traces, decided
 
@@ -555,16 +553,14 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
     renders each distinct number of its lines once, with its own ``_Texts``.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
+    system, scenarios = cfg.system(), cfg.raw["sweep"]["scenarios"]
     block, points = payload["episodes"], payload["points"]
     texts = None if rounds is None else _Texts()
-    results = [_eval_point({"raw": payload["raw"], "episode": ep, "points": points,
-                            "heads": payload["heads"], "texts": texts})
-               for ep in block]
+    results = [_eval_point(cfg, system, ep, points, payload["heads"], texts) for ep in block]
     traces = [episode_traces for episode_traces, _ in results]
     decided = [episode_decided for _, episode_decided in results]
     # A decision key's batch is freed after its last point.
     last_point = {_decision_key(*point): i for i, point in enumerate(points)}
-    system, scenarios = cfg.system(), cfg.raw["sweep"]["scenarios"]
     for i, point in enumerate(points):
         s_idx, mode, k, tau, _ = point
         key = _decision_key(*point)

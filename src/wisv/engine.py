@@ -18,9 +18,9 @@ oracle's position columns and scans the rounds over a stop column: the
 first mismatch (``sd_greedy``), the first draft the per-position
 speculative-sampling draw rejects (``sd_reject``), or the first mismatch
 the head screens at p >= tau. The loop records integer ``Decisions``
-columns per round. ``bill`` is the one pricing step of an episode, in two
-halves. ``price_decisions`` prices what no link reads, once per
-``Decisions``: each round's draft and verify compute from its prefix length
+columns per round. Pricing is the one latency ledger, in two halves.
+``price_decisions`` prices what no link reads, once per ``Decisions``:
+each round's draft and verify compute from its prefix length
 (``compute.window_flops``), the head's screening of its m mismatches on the
 head-verified modes, and the episode's sums. ``price_link`` prices one link
 over a batch of episodes' priced decisions, placed back to back, each
@@ -31,9 +31,7 @@ over the batch. Decisions never read the protocol, and only the
 head-verified modes read the channel: FH, SH and adaptive share one
 decision and one priced decision, and differ only in the ``proto`` column.
 A batch's bill is its ``LinkBill`` columns; ``metrics.episode_totals`` is
-the one reduction, to each episode's totals. ``bill`` prices one episode,
-a batch of one, into its ``EpisodeResult`` columns, and ``run_episode`` is
-deciding and billing one episode of one mode. A sweep decides and prices
+the one reduction, to each episode's totals. A sweep decides and prices
 each decision once per episode, with one oracle per episode
 (``episode_oracle``), and prices each point's link once over all its
 episodes.
@@ -119,9 +117,9 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """What ``bill`` prices an episode with: the wire and compute models.
+    """The wire and compute models that ``price_decisions`` and ``price_link`` price with.
 
-    ``bill`` reads no CSI scaling; ``bounds`` rides along for
+    Pricing reads no CSI scaling; ``bounds`` rides along for
     ``head_screens``, which normalizes the link features with it.
 
     ``head_d_in``/``head_d_j`` are the accounting dimensions used to bill
@@ -153,11 +151,11 @@ def select_protocol(rtt: np.ndarray, cutoff: float) -> np.ndarray:
 class Decisions:
     """One episode's verification decisions; entry r of every array is round r.
 
-    The columns of ``EpisodeResult`` that do not depend on the wire
-    protocol: ``m`` localized mismatches, ``reject_pos`` (window-relative,
-    -1 on full accept), ``accepted`` draft tokens and accepted critical
-    mismatches. ``start`` is the round's prefix length, so a rejection sits
-    at position ``start + reject_pos``. ``tokens`` is the committed stream.
+    The round columns that do not depend on the wire protocol: ``m``
+    localized mismatches, ``reject_pos`` (window-relative, -1 on full
+    accept), ``accepted`` draft tokens and accepted critical mismatches.
+    ``start`` is the round's prefix length, so a rejection sits at
+    position ``start + reject_pos``. ``tokens`` is the committed stream.
     """
 
     tokens: np.ndarray
@@ -197,28 +195,13 @@ class PricedDecisions(Decisions):
 
 
 @dataclass(frozen=True)
-class EpisodeResult(PricedDecisions):
-    """One billed episode: its priced decisions and the columns its link adds.
-
-    Entry r of every array belongs to round r: ``proto`` is the protocol
-    code the bill chose, ``comm`` the communication and ``total_s`` the
-    round's latency. ``metrics.EpisodeTotals.of`` reduces it to the
-    episode's metrics.
-    """
-
-    proto: np.ndarray
-    comm: LatencyBreakdown
-    total_s: np.ndarray
-
-
-@dataclass(frozen=True)
 class LinkBill:
     """The link's columns of a batch of billed episodes, placed back to back.
 
     Episode e of the batch holds entries ``bounds[e]:bounds[e + 1]`` of
-    ``proto``, ``comm`` and ``total_s``, which are ``EpisodeResult``'s
-    columns of the same names. ``metrics.episode_totals`` reduces it to
-    each episode's metrics.
+    each column: ``proto`` is the protocol code each round was billed
+    under, ``comm`` its communication and ``total_s`` its latency.
+    ``metrics.episode_totals`` reduces it to each episode's metrics.
     """
 
     bounds: np.ndarray
@@ -462,31 +445,3 @@ def price_link(
         comm=comm,
         total_s=round_latency(column("draft_s"), comm, column("verify_s"), column("head_s")),
     )
-
-
-def bill(
-    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions, trace: CsiState
-) -> EpisodeResult:
-    """Price one episode's decisions (``price_decisions``), then its link (``price_link``).
-
-    The episode is a batch of one.
-    """
-    priced = price_decisions(system, engine_cfg, decisions)
-    link = price_link(system, engine_cfg, [priced], [trace])
-    return EpisodeResult(**vars(priced), proto=link.proto, comm=link.comm, total_s=link.total_s)
-
-
-def run_episode(
-    system: SystemModel,
-    engine_cfg: EngineConfig,
-    oracle_cfg: OracleConfig,
-    trace: CsiState,
-    head_params: HeadParams | None = None,
-    seed: int | list[int] = 0,
-) -> EpisodeResult:
-    """Run one generation episode of one mode: build its oracle, decide, bill."""
-    oracle = episode_oracle(oracle_cfg, engine_cfg, seed, engine_cfg.mode == "sd_reject")
-    screen = None
-    if engine_cfg.mode.startswith("wisv") and head_params is not None:
-        (screen,) = head_screens(head_params, oracle, [trace], system.bounds)
-    return bill(system, engine_cfg, decide(engine_cfg, oracle, screen), trace)

@@ -2,14 +2,13 @@
 
 An episode is reduced once, to its ``EpisodeTotals``: the metric keys of
 its ``episodes.jsonl`` line, in line order. ``episode_totals`` reduces a
-batch of episodes billed in one ``engine.price_link`` call, and a single
-episode is a batch of one (``EpisodeTotals.of``). Float columns are added
-in round order, as Python's ``sum`` adds a list: ``np.sum`` adds pairwise
-and ``np.add.reduceat`` in its own order, and either can move the last
-digit of a written number. A sweep point is its episodes' totals in episode
-order; every metric below takes them, and ``summarize`` gives the metric
-columns of the point's ``results.csv`` row. A metric is defined once, by
-one ``EpisodeTotals`` field and one ``summarize`` entry.
+batch of episodes billed in one ``engine.price_link`` call. Float columns
+are added in round order, as Python's ``sum`` adds a list: ``np.sum`` adds
+pairwise and ``np.add.reduceat`` in its own order, and either can move the
+last digit of a written number. A sweep point is its episodes' totals in
+episode order; every metric below takes them, and ``summarize`` gives the
+metric columns of the point's ``results.csv`` row. A metric is defined
+once, by one ``EpisodeTotals`` field and one ``summarize`` entry.
 
 AAL and end-to-end latency use two-level averaging (per episode, then over
 episodes). Throughput is the pooled ratio of total accepted tokens to total
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EpisodeResult, LinkBill, PricedDecisions
+from .engine import LinkBill, PricedDecisions
 
 CSV_COLUMNS = [
     "mode",
@@ -65,13 +64,6 @@ class EpisodeTotals:
     downlink_bits: int
     accepted_critical: int
     correct: bool
-
-    @classmethod
-    def of(cls, res: EpisodeResult) -> EpisodeTotals:
-        """One episode's metrics: the one-episode batch of ``episode_totals``."""
-        link = LinkBill(np.array([0, res.n_rounds]), res.proto, res.comm, res.total_s)
-        (totals,) = episode_totals([res], link)
-        return totals
 
 
 def episode_totals(batch: Sequence[PricedDecisions], link: LinkBill) -> list[EpisodeTotals]:

@@ -1,7 +1,7 @@
 """Payload sizes (bits) and serialization latency (seconds) per round.
 
 Every round of an episode uses one of four wire protocols, coded as in
-``EpisodeResult.proto``:
+``LinkBill.proto``:
 
 * token IDs only (greedy baseline): one uplink carrying the window's token
   IDs, one downlink feedback, one exchange.
@@ -42,7 +42,7 @@ import numpy as np
 
 from .channel import CsiState, effective_rate
 
-# Wire protocol of a round, as stored in EpisodeResult.proto: token IDs only
+# Wire protocol of a round, as stored in LinkBill.proto: token IDs only
 # (greedy), dense probabilities (rejection sampling), full or selective
 # hidden upload. The head-verified protocols FH and SH have the highest
 # codes. PROTO_NAMES is what the per-round records report.

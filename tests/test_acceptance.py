@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from wisv.channel import CsiState, generate_trace
-from wisv.cli import HEAD, cmd_ablate, cmd_relabel, cmd_trace, cmd_train, main
+from wisv.cli import HEAD, LINK_AWARE, _sweep, cmd_ablate, cmd_relabel, cmd_trace, cmd_train, main
 from wisv.compute import (
     FlopsConstants,
     HardwareProfile,
@@ -26,10 +26,10 @@ from wisv.compute import (
     window_flops,
 )
 from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
-from wisv.engine import run_episode
+from wisv.engine import decide, episode_oracle, head_screens, price_decisions, price_link
 from wisv.head import HeadParams, init_params, load_params, loss_and_grads
 from wisv.labeler import solve_budget_exact
-from wisv.metrics import EpisodeTotals, aal, accuracy_proxy, e2e_latency, round_count, summarize
+from wisv.metrics import aal, accuracy_proxy, e2e_latency, episode_totals, round_count, summarize
 from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from wisv.wire import (
     PROTO_DENSE,
@@ -46,33 +46,61 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def scenario_channel(cfg, name):
-    """The channel of the sweep scenario called ``name``."""
-    return cfg.channel(next(s for s in cfg.raw["sweep"]["scenarios"] if s["name"] == name))
+# The default sweep's scenarios, by index: a point names its link as eval's sweep does.
+FAST_50MS, SLOW_50MS, FAST_5MS, SLOW_5MS = range(4)
+
+
+def default_config():
+    """The default config, whose sweep scenarios the constants above index."""
+    cfg = ExperimentConfig.load()
+    assert [s["name"] for s in cfg.raw["sweep"]["scenarios"]] == [
+        "500mbps_50ms", "20mbps_50ms", "500mbps_5ms", "20mbps_5ms"]
+    return cfg
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Default-scale trace -> relabel -> train, shared by criteria 8-10."""
+    """Default-scale trace -> relabel -> train, shared by criteria 6 and 8-10."""
     out = tmp_path_factory.mktemp("pipeline")
-    cfg = ExperimentConfig.load()
+    cfg = default_config()
     cmd_trace(cfg, out)
     cmd_relabel(cfg, out)
     cmd_train(cfg, out)
     return cfg, out, load_params(out / HEAD)
 
 
-def eval_episodes(cfg, mode, k, tau, scenario_name, episodes, head=None, s_idx=0):
+def eval_episodes(cfg, points, episodes, head=None):
+    """Each point's ``EpisodeTotals`` over ``episodes`` episodes, from eval's own sweep.
+
+    A point is ``(scenario index, mode, k, tau)``. The sweep runs serially
+    and builds one oracle per episode for all the points; the head-verified
+    modes screen with ``head``.
+    """
+    heads = {} if head is None else {LINK_AWARE: head}
+    points = [(*point, LINK_AWARE) for point in points]
+    return [totals for _, totals in _sweep(cfg, points, heads, episodes, 1)]
+
+
+def episode_inputs(cfg, ep, head):
+    """Episode ``ep``'s oracle, its trace on scenario ``FAST_50MS`` and ``head``'s screen of
+    them, as eval's sweep builds them."""
+    oracle = episode_oracle(cfg.oracle(), cfg.engine(), [SEED_EVAL, ep], False)
+    trace = generate_trace(cfg.channel(cfg.raw["sweep"]["scenarios"][FAST_50MS]),
+                           [cfg.seed, SEED_CHANNEL, FAST_50MS, ep],
+                           rounds=cfg.raw["engine"]["max_tokens"])
+    (screen,) = head_screens(head, oracle, [trace], cfg.system().bounds)
+    return oracle, trace, screen
+
+
+def bill_batch(cfg, eng, batch, traces):
+    """Price a batch of episodes' decisions and bill its link in one ``price_link`` call.
+
+    Returns the priced decisions, the ``LinkBill`` and each episode's totals.
+    """
     system = cfg.system()
-    oracle_cfg = cfg.oracle()
-    channel = scenario_channel(cfg, scenario_name)
-    eng = cfg.engine(mode=mode, window=k, tau=tau)
-    out = []
-    for ep in range(episodes):
-        trace = generate_trace(channel, [cfg.seed, SEED_CHANNEL, s_idx, ep], rounds=eng.max_tokens)
-        res = run_episode(system, eng, oracle_cfg, trace, head, seed=[SEED_EVAL, ep])
-        out.append(EpisodeTotals.of(res))
-    return out
+    priced = [price_decisions(system, eng, decisions) for decisions in batch]
+    link = price_link(system, eng, priced, traces)
+    return priced, link, episode_totals(priced, link)
 
 
 def test_criterion_1_formula_exactness():
@@ -212,21 +240,21 @@ def test_criterion_4_gradient_check():
 
 def test_criterion_5_reduction_equivalence():
     t0 = time.monotonic()
-    cfg = ExperimentConfig.load()
+    cfg = default_config()
     head = init_params(cfg.feature_dim(), 16, seed=0)
-    system, oracle_cfg = cfg.system(), cfg.oracle()
-    channel = scenario_channel(cfg, "500mbps_50ms")
-    mismatching = 0
+    greedy_eng, wisv_eng = cfg.engine(mode="sd_greedy"), cfg.engine(mode="wisv_fh", tau=1e-12)
+    greedy, wisv, traces = [], [], []
     for ep in range(100):
-        trace = generate_trace(channel, [cfg.seed, SEED_CHANNEL, 0, ep], rounds=256)
-        g = run_episode(system, cfg.engine(mode="sd_greedy"), oracle_cfg, trace, seed=[SEED_EVAL, ep])
-        w = run_episode(
-            system, cfg.engine(mode="wisv_fh", tau=1e-12), oracle_cfg, trace, head,
-            seed=[SEED_EVAL, ep],
-        )
+        oracle, trace, screen = episode_inputs(cfg, ep, head)
+        greedy.append(decide(greedy_eng, oracle))
+        wisv.append(decide(wisv_eng, oracle, screen))
+        traces.append(trace)
+    g_priced, _, g_totals = bill_batch(cfg, greedy_eng, greedy, traces)
+    w_priced, _, w_totals = bill_batch(cfg, wisv_eng, wisv, traces)
+    mismatching = 0
+    for g, w, g_ep, w_ep in zip(g_priced, w_priced, g_totals, w_totals):
         same = np.array_equal(g.tokens, w.tokens)
-        if not (same and g.n_rounds == w.n_rounds
-                and EpisodeTotals.of(g).aal == EpisodeTotals.of(w).aal):
+        if not (same and g.n_rounds == w.n_rounds and g_ep.aal == w_ep.aal):
             mismatching += 1
     dt = time.monotonic() - t0
     report(5, mismatching == 0 and dt < 30.0,
@@ -235,24 +263,26 @@ def test_criterion_5_reduction_equivalence():
 
 def test_criterion_6_fh_sh_invariance(pipeline):
     cfg, _, head = pipeline
-    system, oracle_cfg = cfg.system(), cfg.oracle()
-    channel = scenario_channel(cfg, "500mbps_50ms")
-    wire = system.wire
-    violations = 0
+    wire, k = cfg.system().wire, cfg.engine().window
+    fh_eng, sh_eng = cfg.engine(mode="wisv_fh", tau=0.9), cfg.engine(mode="wisv_sh", tau=0.9)
+    fh_decisions, sh_decisions, traces = [], [], []
     for ep in range(50):
-        trace = generate_trace(channel, [cfg.seed, SEED_CHANNEL, 0, ep], rounds=256)
-        fh = run_episode(system, cfg.engine(mode="wisv_fh", tau=0.9), oracle_cfg, trace, head,
-                         seed=[SEED_EVAL, ep])
-        sh = run_episode(system, cfg.engine(mode="wisv_sh", tau=0.9), oracle_cfg, trace, head,
-                         seed=[SEED_EVAL, ep])
+        oracle, trace, screen = episode_inputs(cfg, ep, head)
+        fh_decisions.append(decide(fh_eng, oracle, screen))
+        sh_decisions.append(decide(sh_eng, oracle, screen))
+        traces.append(trace)
+    fh_priced, fh_link, fh_totals = bill_batch(cfg, fh_eng, fh_decisions, traces)
+    sh_priced, sh_link, sh_totals = bill_batch(cfg, sh_eng, sh_decisions, traces)
+    violations = 0
+    for ep, (fh, sh) in enumerate(zip(fh_priced, sh_priced)):
         same = np.array_equal(fh.tokens, sh.tokens)
-        if (EpisodeTotals.of(fh).aal != EpisodeTotals.of(sh).aal or fh.n_rounds != sh.n_rounds
-                or not same):
+        if fh_totals[ep].aal != sh_totals[ep].aal or fh.n_rounds != sh.n_rounds or not same:
             violations += 1
             continue
-        fh_up, sh_up = fh.comm.uplink_bits, sh.comm.uplink_bits
+        # Each episode's rounds, at its offset in its own batch.
+        fh_up, sh_up = (link.comm.uplink_bits[link.bounds[ep]:link.bounds[ep + 1]]
+                        for link in (fh_link, sh_link))
         violations += np.count_nonzero(sh_up > fh_up + wire.hdr_up)
-        k = cfg.engine().window
         violations += np.count_nonzero((fh.m < k) & (sh_up >= fh_up + wire.hdr_up))
     report(6, violations == 0,
            "AAL/rounds/tokens identical across FH and SH; per-round SH uplink bound holds")
@@ -280,20 +310,21 @@ def test_criterion_7_reference_throughput_identity():
     def rel_error(aal_v, s):
         return abs(aal_v * s["rounds"] / s["latency_s"] / s["throughput"] - 1)
 
-    cfg = ExperimentConfig.load()
+    cfg = default_config()
     head = init_params(cfg.feature_dim(), 16, seed=0)
     worst_real, gap, points = 0.0, 0.0, 0
-    for mode in ("sd_greedy", "sd_reject", "wisv_fh", "wisv_sh", "wisv_adaptive"):
-        for s_idx, scenario in ((1, "20mbps_50ms"), (2, "500mbps_5ms")):
-            episodes = eval_episodes(cfg, mode, 16, 0.5, scenario, 4, head=head, s_idx=s_idx)
-            for ep in episodes:
-                single = summarize([ep])
-                worst_real = max(worst_real, rel_error(single["aal"], single))
-            pooled = summarize(episodes)
-            pooled_aal = sum(ep.accepted for ep in episodes) / sum(ep.rounds for ep in episodes)
-            worst_real = max(worst_real, rel_error(pooled_aal, pooled))
-            gap = max(gap, rel_error(pooled["aal"], pooled))
-            points += 1
+    grid = [(s_idx, mode, 16, 0.5)
+            for mode in ("sd_greedy", "sd_reject", "wisv_fh", "wisv_sh", "wisv_adaptive")
+            for s_idx in (SLOW_50MS, FAST_5MS)]
+    for episodes in eval_episodes(cfg, grid, 4, head):
+        for ep in episodes:
+            single = summarize([ep])
+            worst_real = max(worst_real, rel_error(single["aal"], single))
+        pooled = summarize(episodes)
+        pooled_aal = sum(ep.accepted for ep in episodes) / sum(ep.rounds for ep in episodes)
+        worst_real = max(worst_real, rel_error(pooled_aal, pooled))
+        gap = max(gap, rel_error(pooled["aal"], pooled))
+        points += 1
     report(7, worst < 0.005 and worst_real < 1e-9,
            f"throughput identity holds on {len(rows)} reference rows, worst error {worst:.2e}; "
            f"on summarize() output of {points} eval points, worst error {worst_real:.1e} "
@@ -310,17 +341,20 @@ def test_criterion_8_trend_reproduction(pipeline):
     assert cfg.oracle().p_match == pytest.approx(a, abs=1e-9)
 
     # (a) semantic verification lengthens accepted spans and cuts rounds
-    greedy = eval_episodes(cfg, "sd_greedy", 10, 0.5, "500mbps_50ms", 500)
-    semantic = eval_episodes(cfg, "wisv_fh", 10, 0.9, "500mbps_50ms", 500, head=head)
+    greedy, semantic = eval_episodes(
+        cfg, [(FAST_50MS, "sd_greedy", 10, 0.5), (FAST_50MS, "wisv_fh", 10, 0.9)], 500, head)
     aal_ratio = aal(semantic) / aal(greedy)
     rounds_ratio = round_count(semantic) / round_count(greedy)
     ok_a = aal_ratio >= 1.15 and rounds_ratio <= 0.9
 
-    # (b) greedy latency is U-shaped in the window size
+    # (b) greedy latency is U-shaped in the window size. The same 60 episodes
+    # also give the pairing series of wisv_fh and sd_reject below.
     ks = [10, 16, 24, 32, 64]
-    lats = []
-    for k in ks:
-        lats.append(e2e_latency(eval_episodes(cfg, "sd_greedy", k, 0.5, "500mbps_50ms", 60)))
+    series = [("sd_greedy", 0.5), ("wisv_fh", 0.9), ("sd_reject", 0.5)]
+    per_k = eval_episodes(cfg, [(FAST_50MS, mode, k, tau) for mode, tau in series for k in ks],
+                          60, head)
+    greedy_k, fh_k, rej_k = (per_k[i:i + len(ks)] for i in range(0, len(per_k), len(ks)))
+    lats = [e2e_latency(episodes) for episodes in greedy_k]
     kmin = int(np.argmin(lats))
     ok_b = 0 < kmin < 4 and lats[0] > min(lats) and lats[-1] > min(lats)
 
@@ -334,24 +368,20 @@ def test_criterion_8_trend_reproduction(pipeline):
             unpaired.append(np.sqrt((np.var(a, ddof=1) + np.var(b, ddof=1)) / len(a)))
         return f"{np.mean(paired):.3g} paired vs {np.mean(unpaired):.3g} unpaired"
 
-    fh_aal = [np.array([ep.aal for ep in eval_episodes(cfg, "wisv_fh", k, 0.9, "500mbps_50ms",
-                                                        60, head=head)]) for k in ks]
-    rej_lat = [np.array([ep.latency_s for ep in eval_episodes(cfg, "sd_reject", k, 0.5,
-                                                               "500mbps_50ms", 60)])
-               for k in ks]
+    fh_aal = [np.array([ep.aal for ep in episodes]) for episodes in fh_k]
+    rej_lat = [np.array([ep.latency_s for ep in episodes]) for episodes in rej_k]
     pairing = (f"adjacent-k diff SEM: wisv_fh AAL {adjacent_sems(fh_aal)}, "
                f"sd_reject latency {adjacent_sems(rej_lat)}")
 
     # (c) protocol crossover: FH wins at 50 ms RTT, SH at 20 Mbps / 5 ms
-    fh_hi = e2e_latency(eval_episodes(cfg, "wisv_fh", 10, 0.9, "500mbps_50ms", 50, head=head))
-    sh_hi = e2e_latency(eval_episodes(cfg, "wisv_sh", 10, 0.9, "500mbps_50ms", 50, head=head))
-    fh_lo = e2e_latency(eval_episodes(cfg, "wisv_fh", 10, 0.9, "20mbps_5ms", 50, head=head, s_idx=3))
-    sh_lo = e2e_latency(eval_episodes(cfg, "wisv_sh", 10, 0.9, "20mbps_5ms", 50, head=head, s_idx=3))
+    fh_hi, sh_hi, fh_lo, sh_lo = (e2e_latency(episodes) for episodes in eval_episodes(
+        cfg, [(s_idx, mode, 10, 0.9) for s_idx in (FAST_50MS, SLOW_5MS)
+              for mode in ("wisv_fh", "wisv_sh")], 50, head))
     ok_c = fh_hi < sh_hi and sh_lo <= fh_lo
 
     # (d) dense-probability uplink blows up at 20 Mbps
-    rej = e2e_latency(eval_episodes(cfg, "sd_reject", 10, 0.5, "20mbps_50ms", 30, s_idx=1))
-    grd = e2e_latency(eval_episodes(cfg, "sd_greedy", 10, 0.5, "20mbps_50ms", 30, s_idx=1))
+    rej, grd = (e2e_latency(episodes) for episodes in eval_episodes(
+        cfg, [(SLOW_50MS, "sd_reject", 10, 0.5), (SLOW_50MS, "sd_greedy", 10, 0.5)], 30))
     ok_d = rej >= 5.0 * grd
 
     dt = time.monotonic() - t0
@@ -388,10 +418,8 @@ def test_criterion_10_accuracy_monotonicity(pipeline):
     t0 = time.monotonic()
     cfg, _, head = pipeline
     taus = [0.001, 0.25, 0.5, 0.75, 0.95, 0.999]
-    accs = [
-        accuracy_proxy(eval_episodes(cfg, "wisv_fh", 10, tau, "500mbps_50ms", 150, head=head))
-        for tau in taus
-    ]
+    accs = [accuracy_proxy(episodes) for episodes in eval_episodes(
+        cfg, [(FAST_50MS, "wisv_fh", 10, tau) for tau in taus], 150, head)]
     monotone = all(a >= b for a, b in zip(accs, accs[1:]))
     dt = time.monotonic() - t0
     report(

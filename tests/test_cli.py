@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from single_episode import one_episode
 
 from wisv import cli, engine, wire
 from wisv.channel import CsiState, generate_trace
@@ -45,7 +46,7 @@ from wisv.config import (
     ExperimentConfig,
     config_hash,
 )
-from wisv.engine import MODES, run_episode
+from wisv.engine import MODES
 from wisv.head import INFERENCE_CHUNK, HeadParams, forward_batch, train
 from wisv.labeler import read_dataset, read_traces, write_traces
 from wisv.metrics import CSV_COLUMNS, EpisodeTotals, summarize
@@ -92,12 +93,15 @@ ROUND_COLUMNS = ["m", "reject_pos", "accepted", "committed", "proto", "uplink_bi
                  "accepted_critical"]
 
 
-def reference_round_lines(key, res):
-    """``res``'s round lines, one ``json.dumps`` per round of every decision and bill column."""
-    comm = res.comm
-    columns = [res.m, res.reject_pos, res.accepted, res.committed, res.proto,
-               comm.uplink_bits, comm.downlink_bits, res.draft_s, res.verify_s,
-               res.head_s, comm.total_s, res.total_s, res.accepted_critical]
+def reference_round_lines(key, priced, link):
+    """One episode's round lines, one ``json.dumps`` per round of every decision and bill column.
+
+    ``link`` is the episode's own bill, a batch of one.
+    """
+    comm = link.comm
+    columns = [priced.m, priced.reject_pos, priced.accepted, priced.committed, link.proto,
+               comm.uplink_bits, comm.downlink_bits, priced.draft_s, priced.verify_s,
+               priced.head_s, comm.total_s, link.total_s, priced.accepted_critical]
     lines = ""
     for r, values in enumerate(zip(*(c.tolist() for c in columns))):
         record = dict(zip(ROUND_COLUMNS, values))
@@ -687,7 +691,7 @@ class TestEvalCommand:
             assert (tmp_path / "3_64" / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_grouped_eval_matches_per_point_episodes(self, small_run, tmp_path, monkeypatch):
-        """One oracle per episode, and shared decisions bill exactly like run_episode."""
+        """One oracle per episode, and shared decisions bill exactly like each point's own."""
         cfg, out = small_run
         scenarios = [
             {"name": "20mbps_5ms", "rate_up_bps": 20e6, "rate_down_bps": 20e6, "rtt_s": 0.005},
@@ -714,8 +718,8 @@ class TestEvalCommand:
         decided_sizes = []
         real_point = cli._eval_point
 
-        def recording_point(payload):
-            traces, decided = real_point(payload)
+        def recording_point(*args):
+            traces, decided = real_point(*args)
             decided_sizes.append((len(traces), len(decided)))
             return traces, decided
 
@@ -744,7 +748,8 @@ class TestEvalCommand:
 
         # Each (point, episode)'s totals and lines, whose round records carry
         # every decision and bill column with floats in repr form and name
-        # the sweep's episode, must equal those of its own run_episode.
+        # the sweep's episode, must equal those of the episode decided on an
+        # oracle sized for the point's own k and billed as a batch of one.
         system, oracle_cfg = cfg.system(), cfg.oracle()
         checked, protos, by_tau, by_scenario = 0, set(), {}, {}
         for i, (s_idx, mode, k, tau, _) in enumerate(points):
@@ -758,17 +763,16 @@ class TestEvalCommand:
                     trace = generate_trace(cfg.channel(scenarios[s_idx]),
                                            [cfg.seed, SEED_CHANNEL, s_idx, ep],
                                            rounds=cfg.raw["engine"]["max_tokens"])
-                    ref = run_episode(system, eng, oracle_cfg, trace,
-                                      head if mode.startswith("wisv") else None,
-                                      seed=[SEED_EVAL, ep])
-                    ref_totals = EpisodeTotals.of(ref)
+                    oracle = engine.episode_oracle(oracle_cfg, eng, [SEED_EVAL, ep],
+                                                   mode == "sd_reject")
+                    ref, ref_link, ref_totals = one_episode(system, eng, oracle, trace, head)
                     assert totals == ref_totals
                     key = {**point, "episode": ep}
                     assert cli._episode_line(cli._line_prefix(point), ep, totals,
                                              cli._Texts()) == json.dumps(
                         {**key, **vars(ref_totals)}, separators=(",", ":")) + "\n"
                     episode_lines, lines = lines[:ref.n_rounds], lines[ref.n_rounds:]
-                    assert "".join(episode_lines) == reference_round_lines(key, ref)
+                    assert "".join(episode_lines) == reference_round_lines(key, ref, ref_link)
                     rounds = [json.loads(line) for line in episode_lines]
                     assert len(rounds) == ref.n_rounds
                     if mode == "wisv_adaptive":
@@ -806,8 +810,8 @@ class TestEvalCommand:
             comm_calls.append(len(args[3]))
             return real_comm(*args, **kwargs)
 
-        def recording_point(payload):
-            traces, decided = real_point(payload)
+        def recording_point(*args):
+            traces, decided = real_point(*args)
             decided_sizes.append(len(decided))
             return traces, decided
 
@@ -851,16 +855,18 @@ class TestEvalCommand:
         seen = {"reject_pos": set(), "proto": set()}
         for mode in MODES:
             eng = cfg.engine(mode=mode, window=10, tau=0.9)
-            results = [run_episode(system, eng, cfg.oracle(), trace, head, seed=[SEED_EVAL, ep])
+            results = [one_episode(system, eng, engine.episode_oracle(
+                           cfg.oracle(), eng, [SEED_EVAL, ep], mode == "sd_reject"), trace, head)
                        for ep, trace in enumerate(traces)]
-            link = engine.price_link(system, eng, results, traces)
+            batch = [priced for priced, _, _ in results]
+            link = engine.price_link(system, eng, batch, traces)
             point = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
             texts = cli._Texts()  # one block's memos, shared by its templates and lines
-            templates = [cli._round_template(ep, res, texts) for ep, res in enumerate(results)]
+            templates = [cli._round_template(ep, priced, texts) for ep, priced in enumerate(batch)]
             lines = list(cli._round_lines(point, templates, link, texts))
             assert len(lines) == 2
-            for ep, res in enumerate(results):
-                reference = reference_round_lines({**point, "episode": ep}, res)
+            for ep, (priced, own, _) in enumerate(results):
+                reference = reference_round_lines({**point, "episode": ep}, priced, own)
                 assert lines[ep] == reference, (mode, ep)
                 for line in reference.splitlines():
                     record = json.loads(line)
@@ -886,17 +892,16 @@ class TestEvalCommand:
             eng = cfg.engine(mode=mode, window=10, tau=0.9)
             for trace in links:
                 link = engine.price_link(system, eng, [priced], [trace])
-                res = engine.EpisodeResult(**vars(priced), proto=link.proto, comm=link.comm,
-                                           total_s=link.total_s)
                 point = {"scenario": "s", "mode": mode, "k": 10, "tau": 0.9}
                 assert list(cli._round_lines(point, [template], link, texts)) == [
-                    reference_round_lines({**point, "episode": 0}, res)]
+                    reference_round_lines({**point, "episode": 0}, priced, link)]
 
     def test_non_finite_round_column_raises(self, small_run):
         cfg, _ = small_run
         system, eng = cfg.system(), cfg.engine()
         trace = generate_trace(cfg.channel({}), 0, rounds=4)
-        res = run_episode(system, eng, cfg.oracle(), trace, seed=0)
+        res, _, _ = one_episode(system, eng, engine.episode_oracle(cfg.oracle(), eng, 0, False),
+                                trace)
         # A decision column fails once per decision, a link column per point.
         head_s = res.head_s.copy()
         head_s[1] = np.nan
@@ -923,11 +928,10 @@ class TestEvalCommand:
         traces = [generate_trace(cfg.channel({}), ep, rounds=40) for ep in range(2)]
         batch = []
         for ep, trace in enumerate(traces):
-            res = run_episode(system, eng, cfg.oracle(), trace, seed=[SEED_EVAL, ep])
-            priced = engine.PricedDecisions(**{field.name: getattr(res, field.name) for field
-                                               in dataclasses.fields(engine.PricedDecisions)})
+            oracle = engine.episode_oracle(cfg.oracle(), eng, [SEED_EVAL, ep], False)
+            priced, _, _ = one_episode(system, eng, oracle, trace)
             head_s, draft_s = priced.head_s.copy(), priced.draft_s.copy()
-            assert res.n_rounds > 3 and not head_s.any()
+            assert priced.n_rounds > 3 and not head_s.any()
             head_s[0 if ep == 0 else -1] = -0.0
             draft_s[2 + ep] = 1.0
             batch.append(dataclasses.replace(priced, head_s=head_s, draft_s=draft_s))
@@ -939,9 +943,7 @@ class TestEvalCommand:
         assert len(lines) == 2
         for ep, (priced, trace) in enumerate(zip(batch, traces)):
             own = engine.price_link(system, eng, [priced], [trace])
-            res = engine.EpisodeResult(**vars(priced), proto=own.proto, comm=own.comm,
-                                       total_s=own.total_s)
-            assert lines[ep] == reference_round_lines({**point, "episode": ep}, res)
+            assert lines[ep] == reference_round_lines({**point, "episode": ep}, priced, own)
             assert '"head_s":-0.0,' in lines[ep] and '"head_s":0.0,' in lines[ep]
             assert '"round":1,' in lines[ep] and '"draft_s":1.0,' in lines[ep]
 
@@ -1003,9 +1005,9 @@ class TestEvalCommand:
         real_point, real_link = cli._eval_point, cli.price_link
         calls = []
 
-        def poisoned(payload):
-            traces, decided = real_point(payload)
-            if payload["episode"] == 2:
+        def poisoned(cfg, system, ep, points, heads, texts):
+            traces, decided = real_point(cfg, system, ep, points, heads, texts)
+            if ep == 2:
                 # After its template is rendered, so only the billed total fails.
                 decided[late_key][0].draft_s[2] = np.nan
             return traces, decided

@@ -1,10 +1,9 @@
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
+from single_episode import one_episode
 
-from wisv import engine
 from wisv.channel import (
     N_CSI_FEATURES,
     ChannelConfig,
@@ -32,11 +31,9 @@ from wisv.engine import (
     head_screens,
     price_decisions,
     price_link,
-    run_episode,
     select_protocol,
 )
 from wisv.head import HeadParams, forward_batch, init_params
-from wisv.metrics import EpisodeTotals
 from wisv.oracle import (
     EpisodeOracle,
     OracleConfig,
@@ -83,13 +80,18 @@ def static_trace(rate=500e6, rtt=0.05, rounds=300):
     return generate_trace(cfg, seed=0, rounds=rounds)
 
 
+def oracle_for(eng, seed=0, **kw):
+    """Episode ``seed``'s oracle of ``oracle_config(**kw)``, sized for ``eng`` as eval sizes it."""
+    return episode_oracle(oracle_config(**kw), eng, seed, eng.mode == "sd_reject")
+
+
 class TestLocalize:
     """A greedy round localizes every mismatch of its window and rejects at the first."""
 
     @staticmethod
     def greedy_round(tokens, argmax):
-        res = run_one_round(crafted_oracle(tokens, argmax), "sd_greedy", len(tokens))
-        return int(res.m[0]), int(res.reject_pos[0])
+        priced, _ = run_one_round(crafted_oracle(tokens, argmax), "sd_greedy", len(tokens))
+        return int(priced.m[0]), int(priced.reject_pos[0])
 
     def test_identical_sequences(self):
         assert self.greedy_round([1, 2, 3], [1, 2, 3, 9]) == (0, -1)
@@ -134,13 +136,12 @@ def crafted_oracle(tokens, argmax, crit=None, h_draft=None, h_target=None):
 
 
 def run_one_round(oracle, mode, k, params=None, tau=0.5, csi=CSI):
-    """``run_episode`` for exactly one round, reading the hand-built oracle."""
+    """The priced decisions and link bill of exactly one round of the hand-built oracle."""
     eng = EngineConfig(mode=mode, window=k, tau=tau, max_tokens=1, prefix_len=0)
     trace = csi.take(np.zeros(1, dtype=np.int64))  # a one-round trace
-    with mock.patch.object(engine, "EpisodeOracle", lambda *args, **kwargs: oracle):
-        res = run_episode(SYSTEM, eng, oracle_config(), trace, params)
-    assert res.n_rounds == 1
-    return res
+    priced, link, _ = one_episode(SYSTEM, eng, oracle, trace, params)
+    assert priced.n_rounds == 1
+    return priced, link
 
 
 def handcrafted_oracle():
@@ -183,7 +184,7 @@ class TestWisvRound:
     def test_clean_block_full_accept_without_head_time(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
         eng = EngineConfig(mode="wisv_fh", window=10, tau=0.5, max_tokens=10, prefix_len=0)
-        res = run_episode(SYSTEM, eng, oracle_config(p_match=1.0), static_trace(), params)
+        res, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace(), params)
         assert res.n_rounds == 1
         assert res.accepted[0] == 10
         assert res.committed[0] == 11 and len(res.tokens) == 11
@@ -196,8 +197,8 @@ class TestWisvRound:
             runs = []
             for mode, tau in (("wisv_fh", 1e-12), ("sd_greedy", 0.5)):
                 eng = EngineConfig(mode=mode, window=20, tau=tau, max_tokens=1, prefix_len=0)
-                runs.append(run_episode(SYSTEM, eng, oracle_config(), static_trace(), params,
-                                        seed=seed))
+                runs.append(one_episode(SYSTEM, eng, oracle_for(eng, seed), static_trace(),
+                                        params)[0])
             wisv, greedy = runs
             screened += int(greedy.m[0] > 0)
             np.testing.assert_array_equal(wisv.tokens, greedy.tokens)
@@ -206,7 +207,7 @@ class TestWisvRound:
 
     def test_selective_acceptance_midblock(self):
         oracle, params = handcrafted_oracle()
-        res = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
+        res, _ = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
         assert res.m[0] == 2
         assert res.reject_pos[0] == 5
         assert res.accepted[0] == 5
@@ -215,9 +216,9 @@ class TestWisvRound:
 
     def test_fh_sh_payloads(self):
         oracle, params = handcrafted_oracle()
-        fh = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
-        sh = run_one_round(oracle, "wisv_sh", 6, params, tau=0.9)
-        np.testing.assert_array_equal(fh.tokens, sh.tokens)
+        fh_priced, fh = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
+        sh_priced, sh = run_one_round(oracle, "wisv_sh", 6, params, tau=0.9)
+        np.testing.assert_array_equal(fh_priced.tokens, sh_priced.tokens)
         assert fh.proto[0] == PROTO_FH and sh.proto[0] == PROTO_SH
         wire = SYSTEM.wire
         tokens = wire.hdr_up + 6 * wire.b_id
@@ -231,8 +232,8 @@ class TestWisvRound:
 
     def test_zeroed_csi_weights_change_nothing_for_csi_blind_head(self):
         oracle, params = handcrafted_oracle()  # head reads only h_draft[0]
-        a = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
-        b = run_one_round(oracle, "wisv_fh", 6, link_blind(params), tau=0.9)
+        a, _ = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
+        b, _ = run_one_round(oracle, "wisv_fh", 6, link_blind(params), tau=0.9)
         np.testing.assert_array_equal(a.tokens, b.tokens)
         assert (a.reject_pos[0], a.accepted[0]) == (b.reject_pos[0], b.accepted[0])
 
@@ -261,29 +262,29 @@ class TestWisvRound:
 class TestGreedyRound:
     def test_clean_block(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=10, prefix_len=0)
-        res = run_episode(SYSTEM, eng, oracle_config(p_match=1.0), static_trace())
+        res, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace())
         assert res.n_rounds == 1
         assert res.accepted[0] == 10 and res.committed[0] == 11
 
     def test_immediate_rejection(self):
         oracle = crafted_oracle([0, 1, 2, 3, 4, 5], [9, 1, 2, 3, 4, 5, 6])
-        res = run_one_round(oracle, "sd_greedy", 6)
+        res, _ = run_one_round(oracle, "sd_greedy", 6)
         assert res.accepted[0] == 0
         assert res.tokens.tolist() == [9]
 
     def test_never_accepts_critical(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=500, prefix_len=0)
-        res = run_episode(SYSTEM, eng, oracle_config(p_match=0.6, p_crit=1.0), static_trace(),
-                          seed=3)
+        res, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, 3, p_match=0.6, p_crit=1.0),
+                                static_trace())
         assert res.m.sum() > 0
         assert not res.accepted_critical.any()
 
     def test_token_only_payload(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=200, prefix_len=0)
-        res = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=0)
+        res, link, _ = one_episode(SYSTEM, eng, oracle_for(eng), static_trace())
         assert res.m.sum() > 0  # mismatches are localized but never screened
-        assert np.all(res.proto == PROTO_TOKENS)
-        assert np.all(res.comm.uplink_bits == SYSTEM.wire.hdr_up + 10 * SYSTEM.wire.b_id)
+        assert np.all(link.proto == PROTO_TOKENS)
+        assert np.all(link.comm.uplink_bits == SYSTEM.wire.hdr_up + 10 * SYSTEM.wire.b_id)
         assert np.all(res.head_s == 0.0)
 
     def test_mean_accepted_length_matches_closed_form(self):
@@ -291,11 +292,11 @@ class TestGreedyRound:
         # so the mean accepted length is sum of 0.9^i, i=1..10.
         k = 10
         eng = EngineConfig(mode="sd_greedy", window=k, max_tokens=380_000, prefix_len=0)
-        res = run_episode(SYSTEM, eng, oracle_config(p_match=0.9, d_h_draft=1, d_h_target=1),
-                          static_trace(), seed=4)
+        res, _, totals = one_episode(
+            SYSTEM, eng, oracle_for(eng, 4, p_match=0.9, d_h_draft=1, d_h_target=1),
+            static_trace())
         assert res.n_rounds >= 45_000
-        assert EpisodeTotals.of(res).aal == pytest.approx(geometric_accepted_length(0.9, k),
-                                                          rel=0.01)
+        assert totals.aal == pytest.approx(geometric_accepted_length(0.9, k), rel=0.01)
 
 
 def reference_window(p_draft, p_target, k, rng):
@@ -351,10 +352,10 @@ class TestRejectRound:
     def test_dense_probability_payload(self):
         cfg = oracle_config(mixing=0.0, d_h_draft=1, d_h_target=1)
         eng = EngineConfig(mode="sd_reject", window=10, max_tokens=1, prefix_len=0)
-        res = run_episode(SYSTEM, eng, cfg, static_trace())
+        _, link, _ = one_episode(SYSTEM, eng, episode_oracle(cfg, eng, 0, True), static_trace())
         wire = SYSTEM.wire
-        assert res.proto[0] == PROTO_DENSE
-        assert res.comm.uplink_bits[0] == (
+        assert link.proto[0] == PROTO_DENSE
+        assert link.comm.uplink_bits[0] == (
             wire.hdr_up + 10 * wire.b_id + 10 * wire.vocab_size * wire.b_prob
         )
 
@@ -435,7 +436,8 @@ def reference_round(system, k, prefix, m, proto, csi):
 
 
 class TestLedger:
-    """``bill`` against the scalar formula of one round, round by round."""
+    """``price_decisions`` and ``price_link`` against the scalar formula of one round, round
+    by round."""
 
     @pytest.mark.parametrize("mode", ["sd_greedy", "sd_reject", "wisv_fh", "wisv_sh",
                                       "wisv_adaptive"])
@@ -446,7 +448,7 @@ class TestLedger:
         trace = generate_trace(channel, seed=3, rounds=7)  # shorter than the episode: wraps
         params = init_params(4 + 4 + 5, 8, seed=1)
         eng = EngineConfig(mode=mode, window=10, tau=0.6, max_tokens=150, prefix_len=32)
-        res = run_episode(SYSTEM, eng, oracle_config(), trace, params, seed=2)
+        res, link, totals = one_episode(SYSTEM, eng, oracle_for(eng, 2), trace, params)
         n_trace = len(trace.rtt)
         assert res.n_rounds > n_trace
         prefix, total = eng.prefix_len, 0
@@ -455,15 +457,15 @@ class TestLedger:
             i = r % n_trace  # round r's scalar state, read from the columns
             csi = CsiState(trace.r_up[i], trace.r_down[i], trace.per_up[i], trace.per_down[i],
                            trace.rtt[i])
-            ref = reference_round(SYSTEM, 10, prefix, int(res.m[r]), int(res.proto[r]), csi)
-            got = (*(getattr(res.comm, name)[r] for name in names), res.draft_s[r],
-                   res.verify_s[r], res.head_s[r], res.total_s[r])
+            ref = reference_round(SYSTEM, 10, prefix, int(res.m[r]), int(link.proto[r]), csi)
+            got = (*(getattr(link.comm, name)[r] for name in names), res.draft_s[r],
+                   res.verify_s[r], res.head_s[r], link.total_s[r])
             assert got == ref, r
-            total += res.total_s[r]
+            total += link.total_s[r]
             prefix += int(res.committed[r])
-        assert EpisodeTotals.of(res).latency_s == total
+        assert totals.latency_s == total
         if mode == "wisv_adaptive":
-            assert set(res.proto.tolist()) == {PROTO_FH, PROTO_SH}
+            assert set(link.proto.tolist()) == {PROTO_FH, PROTO_SH}
 
 
     @pytest.mark.parametrize("mode", ["sd_greedy", "wisv_sh", "wisv_adaptive"])
@@ -471,7 +473,7 @@ class TestLedger:
         # Three episodes of different lengths on two-state traces of 7
         # rounds, each shorter than its episode: every episode wraps its own
         # trace from its own round 0, and the batch's columns are the
-        # episodes' single bills back to back.
+        # episodes' bills as batches of one, back to back.
         channel = ChannelConfig(rate_up_bps=500e6, rate_down_bps=500e6, rtt_s=0.05,
                                 regime="two-state", alt_rate_up_bps=20e6,
                                 alt_rate_down_bps=20e6, alt_rtt_s=0.005, switch_prob=0.3)
@@ -489,7 +491,7 @@ class TestLedger:
             assert decisions.n_rounds > 7
             batch.append(price_decisions(SYSTEM, eng, decisions))
             traces.append(trace)
-            singles.append(engine.bill(SYSTEM, eng, decisions, trace))
+            singles.append(price_link(SYSTEM, eng, batch[-1:], [trace]))
         link = price_link(SYSTEM, eng, batch, traces)
         assert link.bounds.tolist() == np.cumsum([0] + [p.n_rounds for p in batch]).tolist()
         assert len({p.n_rounds for p in batch}) == 3
@@ -580,7 +582,7 @@ class TestDecide:
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=150, prefix_len=32)
         oracle = episode_oracle(oracle_config(), eng, 5, False)
         got = decide(eng, oracle)
-        ref = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=5)
+        ref, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, 5), static_trace())
         for name in ("tokens", "m", "reject_pos", "accepted", "accepted_critical"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
 
@@ -712,18 +714,19 @@ class TestEngineConfig:
 
 
 class TestRunEpisode:
+    """Whole episodes, each decided, priced and billed as eval's sweep does it."""
+
     def test_single_round_when_budget_fits_window(self):
-        cfg = oracle_config(p_match=1.0)
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=10, prefix_len=0)
-        res = run_episode(SYSTEM, eng, cfg, static_trace(), seed=0)
+        res, _, totals = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace())
         assert res.n_rounds == 1
-        assert EpisodeTotals.of(res).tokens == 11
+        assert totals.tokens == 11
 
     def test_token_conservation(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=200, prefix_len=32)
-        res = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=1)
+        res, _, totals = one_episode(SYSTEM, eng, oracle_for(eng, 1), static_trace())
         per_round = np.where(res.reject_pos >= 0, res.accepted + 1, 10 + 1)
-        tokens = EpisodeTotals.of(res).tokens
+        tokens = totals.tokens
         assert tokens == per_round.sum() == len(res.tokens)
         assert tokens >= 200
 
@@ -732,22 +735,26 @@ class TestRunEpisode:
         for ep in range(5):
             eng_g = EngineConfig(mode="sd_greedy", window=10, max_tokens=150)
             eng_w = EngineConfig(mode="wisv_fh", window=10, tau=1e-12, max_tokens=150)
-            g = run_episode(SYSTEM, eng_g, oracle_config(), static_trace(), seed=ep)
-            w = run_episode(SYSTEM, eng_w, oracle_config(), static_trace(), params, seed=ep)
+            g, _, g_totals = one_episode(SYSTEM, eng_g, oracle_for(eng_g, ep), static_trace())
+            w, _, w_totals = one_episode(SYSTEM, eng_w, oracle_for(eng_w, ep), static_trace(),
+                                         params)
             np.testing.assert_array_equal(g.tokens, w.tokens)
             assert g.n_rounds == w.n_rounds
-            assert EpisodeTotals.of(g).aal == EpisodeTotals.of(w).aal
+            assert g_totals.aal == w_totals.aal
 
     def test_fh_sh_verification_invariance(self):
         params = init_params(4 + 4 + 5, 8, seed=2)
         for ep in range(5):
             fh_cfg = EngineConfig(mode="wisv_fh", window=10, tau=0.6, max_tokens=150)
             sh_cfg = EngineConfig(mode="wisv_sh", window=10, tau=0.6, max_tokens=150)
-            fh = run_episode(SYSTEM, fh_cfg, oracle_config(), static_trace(), params, seed=ep)
-            sh = run_episode(SYSTEM, sh_cfg, oracle_config(), static_trace(), params, seed=ep)
+            fh, fh_link, _ = one_episode(SYSTEM, fh_cfg, oracle_for(fh_cfg, ep), static_trace(),
+                                         params)
+            sh, sh_link, _ = one_episode(SYSTEM, sh_cfg, oracle_for(sh_cfg, ep), static_trace(),
+                                         params)
             np.testing.assert_array_equal(fh.tokens, sh.tokens)
             assert fh.n_rounds == sh.n_rounds
-            assert np.all(sh.comm.uplink_bits <= fh.comm.uplink_bits + SYSTEM.wire.hdr_up)
+            assert np.all(sh_link.comm.uplink_bits
+                          <= fh_link.comm.uplink_bits + SYSTEM.wire.hdr_up)
 
     def test_prefix_dominance_and_round_count_monotone_in_tau(self):
         params = init_params(4 + 4 + 5, 8, seed=3)
@@ -755,13 +762,14 @@ class TestRunEpisode:
         runs = []
         for tau in taus:
             eng = EngineConfig(mode="wisv_fh", window=10, tau=tau, max_tokens=200)
-            runs.append(run_episode(SYSTEM, eng, oracle_config(), static_trace(), params, seed=11))
-        rounds = [r.n_rounds for r in runs]
+            runs.append(one_episode(SYSTEM, eng, oracle_for(eng, 11), static_trace(), params))
+        priced = [r for r, _, _ in runs]
+        rounds = [r.n_rounds for r in priced]
         assert rounds == sorted(rounds, reverse=True)
         # higher AAL must come with fewer rounds at a fixed token budget
-        aals = [EpisodeTotals.of(r).aal for r in runs]
+        aals = [totals.aal for _, _, totals in runs]
         assert aals == sorted(aals)
-        for lo, hi in zip(runs, runs[1:]):
+        for lo, hi in zip(priced, priced[1:]):
             cum_lo = np.cumsum(lo.committed)
             cum_hi = np.cumsum(hi.committed)
             n = min(len(cum_lo), len(cum_hi))
@@ -772,33 +780,33 @@ class TestRunEpisode:
         crits = []
         for tau in [0.1, 0.5, 0.9, 0.99]:
             eng = EngineConfig(mode="wisv_fh", window=10, tau=tau, max_tokens=200)
-            res = run_episode(SYSTEM, eng, oracle_config(), static_trace(), params, seed=11)
+            res, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, 11), static_trace(), params)
             crits.append(int(res.accepted_critical.sum()))
         assert crits == sorted(crits)
 
     def test_adaptive_selects_fh_on_slow_link(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
         eng = EngineConfig(mode="wisv_adaptive", window=10, tau=0.5, max_tokens=100)
-        res = run_episode(SYSTEM, eng, oracle_config(), static_trace(rtt=0.05), params, seed=0)
-        assert np.all(res.proto == PROTO_FH)
+        _, link, _ = one_episode(SYSTEM, eng, oracle_for(eng), static_trace(rtt=0.05), params)
+        assert np.all(link.proto == PROTO_FH)
 
     def test_adaptive_selects_sh_on_fast_link(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
         eng = EngineConfig(mode="wisv_adaptive", window=10, tau=0.5, max_tokens=100)
-        res = run_episode(SYSTEM, eng, oracle_config(), static_trace(rtt=0.005), params, seed=0)
-        assert np.all(res.proto == PROTO_SH)
+        _, link, _ = one_episode(SYSTEM, eng, oracle_for(eng), static_trace(rtt=0.005), params)
+        assert np.all(link.proto == PROTO_SH)
 
     def test_wisv_requires_head(self):
         eng = EngineConfig(mode="wisv_fh", window=10)
         with pytest.raises(ValueError, match="head"):
-            run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=0)
+            one_episode(SYSTEM, eng, oracle_for(eng), static_trace())
 
     def test_seed_determinism(self):
         eng = EngineConfig(mode="sd_reject", window=8, max_tokens=80)
-        a = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=9)
-        b = run_episode(SYSTEM, eng, oracle_config(), static_trace(), seed=9)
+        a, _, a_totals = one_episode(SYSTEM, eng, oracle_for(eng, 9), static_trace())
+        b, _, b_totals = one_episode(SYSTEM, eng, oracle_for(eng, 9), static_trace())
         np.testing.assert_array_equal(a.tokens, b.tokens)
-        assert EpisodeTotals.of(a).latency_s == EpisodeTotals.of(b).latency_s
+        assert a_totals.latency_s == b_totals.latency_s
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -811,8 +819,7 @@ class TestRunEpisode:
         results = []
         for ep in range(10):
             eng = EngineConfig(mode="wisv_fh", window=10, tau=0.99, max_tokens=120)
-            results.append(
-                run_episode(SYSTEM, eng, oracle_config(p_crit=0.0), static_trace(),
-                            params, seed=ep)
-            )
-        assert accuracy_proxy([EpisodeTotals.of(res) for res in results]) == 1.0
+            _, _, totals = one_episode(SYSTEM, eng, oracle_for(eng, ep, p_crit=0.0),
+                                       static_trace(), params)
+            results.append(totals)
+        assert accuracy_proxy(results) == 1.0

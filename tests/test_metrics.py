@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from wisv.compute import round_latency
-from wisv.engine import EpisodeResult, LinkBill
+from wisv.engine import LinkBill, PricedDecisions
 from wisv.metrics import (
     CSV_COLUMNS,
-    EpisodeTotals,
     aal,
     accuracy_proxy,
     e2e_latency,
@@ -22,7 +21,9 @@ from wisv.wire import PROTO_TOKENS, LatencyBreakdown
 
 
 def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
-    """Full-accept rounds, latency split between uplink and RTT; the first
+    """One episode's ``(PricedDecisions, LinkBill)``, a batch of one.
+
+    Full-accept rounds, latency split between uplink and RTT; the first
     round accepts ``critical`` critical mismatches."""
     n = len(accepted_lengths)
     accepted = np.array(accepted_lengths, dtype=np.int64)
@@ -34,7 +35,7 @@ def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
     )
     crit = np.zeros(n, dtype=np.int64)
     crit[:1] = critical
-    return EpisodeResult(
+    priced = PricedDecisions(
         tokens=np.zeros(int((accepted + 1).sum()), dtype=np.int64),
         start=np.zeros(n, dtype=np.int64),
         m=np.zeros(n, dtype=np.int64),
@@ -50,14 +51,25 @@ def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
         n_accepted=int(accepted.sum()),
         n_tokens=int((accepted + 1).sum()),
         n_accepted_critical=int(crit.sum()),
+    )
+    link = LinkBill(
+        bounds=np.array([0, n]),
         proto=np.full(n, PROTO_TOKENS),
         comm=comm,
         total_s=round_latency(zeros, comm, zeros, zeros),
     )
+    return priced, link
+
+
+def totals_of(result):
+    """The ``EpisodeTotals`` of ``fake_result``'s episode."""
+    priced, link = result
+    (totals,) = episode_totals([priced], link)
+    return totals
 
 
 def fake_episode(accepted_lengths, latency_per_round=0.1, critical=0):
-    return EpisodeTotals.of(fake_result(accepted_lengths, latency_per_round, critical))
+    return totals_of(fake_result(accepted_lengths, latency_per_round, critical))
 
 
 class TestAal:
@@ -75,7 +87,7 @@ class TestAal:
 
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError, match="no rounds"):
-            EpisodeTotals.of(fake_result([]))
+            totals_of(fake_result([]))
         with pytest.raises(ValueError, match="zero rounds"):
             aal([dataclasses.replace(fake_episode([1]), rounds=0)])
 
@@ -86,23 +98,24 @@ class TestEpisodeTotals:
         # back: each reduces exactly as on its own.
         results = [fake_result([2, 3, 1], 0.1, critical=1), fake_result([4], 0.3),
                    fake_result([1, 1, 5, 2], 0.07)]
+        links = [own for _, own in results]
         link = LinkBill(
             bounds=np.array([0, 3, 4, 8]),
-            proto=np.concatenate([res.proto for res in results]),
-            comm=LatencyBreakdown(*(np.concatenate([getattr(res.comm, name) for res in results])
+            proto=np.concatenate([own.proto for own in links]),
+            comm=LatencyBreakdown(*(np.concatenate([getattr(own.comm, name) for own in links])
                                     for name in ("uplink_s", "downlink_s", "rtt_s",
                                                  "uplink_bits", "downlink_bits"))),
-            total_s=np.concatenate([res.total_s for res in results]),
+            total_s=np.concatenate([own.total_s for own in links]),
         )
-        totals = episode_totals(results, link)
-        assert totals == [EpisodeTotals.of(res) for res in results]
+        totals = episode_totals([priced for priced, _ in results], link)
+        assert totals == [totals_of(res) for res in results]
         # Each latency is its own slice's sum in round order, not a running total.
-        assert [t.latency_s for t in totals] == [sum(res.total_s.tolist()) for res in results]
+        assert [t.latency_s for t in totals] == [sum(own.total_s.tolist()) for own in links]
         assert [t.uplink_bits for t in totals] == [3000, 1000, 4000]
 
     def test_zero_round_episode_in_batch_rejected(self):
         # reduceat would hand the empty middle episode its successor's first round.
-        results = [fake_result([2]), fake_result([]), fake_result([3])]
+        results = [fake_result([2])[0], fake_result([])[0], fake_result([3])[0]]
         link = LinkBill(np.array([0, 1, 1, 2]), np.zeros(2, dtype=np.int64),
                         LatencyBreakdown(*([np.zeros(2)] * 3), np.ones(2, dtype=np.int64),
                                          np.ones(2, dtype=np.int64)),
@@ -129,8 +142,8 @@ class TestLatency:
 
     def test_matches_component_recomputation(self):
         results = [fake_result([2, 3], 0.05), fake_result([4], 0.2)]
-        recomputed = np.mean([sum(res.comm.total_s) for res in results])
-        eps = [EpisodeTotals.of(res) for res in results]
+        recomputed = np.mean([sum(link.comm.total_s) for _, link in results])
+        eps = [totals_of(res) for res in results]
         assert e2e_latency(eps) == pytest.approx(recomputed, rel=1e-12)
 
 
