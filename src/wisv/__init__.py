@@ -55,15 +55,7 @@ from .labeler import (
     soft_policy,
     solve_budget_exact,
 )
-from .metrics import (
-    EpisodeTotals,
-    aal,
-    accuracy_proxy,
-    e2e_latency,
-    episode_totals,
-    round_count,
-    throughput,
-)
+from .metrics import EpisodeTotals, episode_totals
 from .oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from .wire import LatencyBreakdown, WireConfig, round_comm
 

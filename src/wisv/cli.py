@@ -25,7 +25,6 @@ import argparse
 import bisect
 import concurrent.futures
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -70,7 +69,7 @@ from .labeler import (
     read_dataset,
     write_traces,
 )
-from .metrics import CSV_COLUMNS, EpisodeTotals, episode_totals, summarize, write_csv
+from .metrics import EpisodeTotals, episode_totals, summarize, write_csv
 from .wire import PROTO_NAMES
 
 TRACES = "traces.jsonl"
@@ -328,11 +327,9 @@ class _Texts:
 
     Ints and floats have memos of their own, because ``1 == 1.0`` although
     their texts differ. A float is keyed by its bits, so ``-0.0`` never gets
-    the text of ``0.0``; a bool is written as ``true`` or ``false`` and never
-    reaches the int memo (``True == 1``). ``chunks[chunk]`` fills one of
-    ``_ROUND_CHUNKS`` once per distinct tuple of member texts. Each scope
-    makes its own: one per sweep block, one for an eval's episode lines.
-    None outlives its scope.
+    the text of ``0.0``. ``chunks[chunk]`` fills one of ``_ROUND_CHUNKS``
+    once per distinct tuple of member texts. Each sweep block makes its
+    own, and none outlives its block.
     """
 
     def __init__(self) -> None:
@@ -348,34 +345,17 @@ class _Texts:
             return list(map(self.ints.__getitem__, column.tolist()))
         raise TypeError(f"no JSON number text for a column of dtype {column.dtype}")
 
-    def scalar(self, value: bool | int | float) -> str:
-        """The text of one bool, int or finite float; a non-finite float raises."""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, int):
-            return self.ints[value]
-        if not math.isfinite(value):
-            raise ValueError(f"JSON cannot encode {value}")
-        return self.floats[_INT64.unpack(_DOUBLE.pack(value))[0]]
 
-
-# An episodes.jsonl line after its point's members: the episode, then
-# EpisodeTotals' fields in order.
-_EPISODE_TEMPLATE = "%s\"episode\":%d," + ",".join(
-    f'"{field.name}":%s' for field in dataclasses.fields(EpisodeTotals)) + "}\n"
-
-
-def _episode_line(point_prefix: str, episode: int, totals: EpisodeTotals, texts: _Texts) -> str:
-    """The ``episodes.jsonl`` line of one episode of a point whose ``_line_prefix`` is
-    ``point_prefix``: compact ``json.dumps({**key, "episode": episode, **vars(totals)})``.
+def _episode_line(point: dict, episode: int, totals: EpisodeTotals) -> str:
+    """The ``episodes.jsonl`` line of episode ``episode`` of the point whose key is ``point``.
 
     A non-finite float, which JSON writes as ``NaN``, raises.
     """
-    values = vars(totals)
     try:
-        return _EPISODE_TEMPLATE % (point_prefix, episode, *map(texts.scalar, values.values()))
+        return json.dumps({**point, "episode": episode, **vars(totals)},
+                          separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError:
-        name = next(name for name, value in values.items() if not math.isfinite(value))
+        name = next(name for name, value in vars(totals).items() if not math.isfinite(value))
         raise ValueError(f"episode column {name!r} of episode {episode} holds a "
                          "non-finite value, which JSON cannot encode") from None
 
@@ -674,15 +654,13 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> list[dict]:
     rows = []
     first_tau = sweep["tau_values"][0]
     plot: dict = {"config_hash": cfg.hash, "tau": first_tau, "panels": {}}
-    # The episode lines' own memo: each distinct number is rendered once per eval.
-    texts = _Texts()
     with (_replaced_on_success(out / EPISODES_JSONL) as ef,
           _replaced_on_success(out / ROUNDS_JSONL) as rf):
         for point, totals in _sweep(cfg, _sweep_points(sweep), heads, sweep["episodes"], jobs, rf):
             s_idx, mode, k, tau, _ = point
             scenario = sweep["scenarios"][s_idx]
-            prefix = _line_prefix(_point_key(sweep["scenarios"], point))
-            ef.writelines(_episode_line(prefix, ep, ep_totals, texts).encode()
+            key = _point_key(sweep["scenarios"], point)
+            ef.writelines(_episode_line(key, ep, ep_totals).encode()
                           for ep, ep_totals in enumerate(totals))
             row = {"mode": mode, "k": k, "tau": tau, "rate_bps": scenario["rate_up_bps"],
                    "rtt_s": scenario["rtt_s"], **summarize(totals)}
@@ -745,7 +723,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         rows.append(row)
         aals[scenario["name"], variant] = a = np.array([ep.aal for ep in totals])
         paired["scenarios"].setdefault(scenario["name"], {})[variant] = {
-            "aal_mean": float(a.mean()),
+            "aal_mean": row["aal"],
             "aal_std": float(a.std(ddof=1)),
             "aal_sem": float(a.std(ddof=1) / np.sqrt(len(a))),
             "latency_mean_s": row["latency_s"],
@@ -757,7 +735,7 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         diff = aals[s_name, LINK_AWARE] - aals[s_name, LINK_BLIND]
         per_variant["aal_diff_sem"] = float(diff.std(ddof=1) / np.sqrt(len(diff)))
 
-    write_csv(out / ABLATE_CSV, rows, ["variant", *CSV_COLUMNS])
+    write_csv(out / ABLATE_CSV, rows)
     _dump_json(out / ABLATE_META, paired)
     for s_name, pv in paired["scenarios"].items():
         print(

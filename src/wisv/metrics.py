@@ -6,9 +6,11 @@ batch of episodes billed in one ``engine.price_link`` call. Float columns
 are added in round order, as Python's ``sum`` adds a list: ``np.sum`` adds
 pairwise and ``np.add.reduceat`` in its own order, and either can move the
 last digit of a written number. A sweep point is its episodes' totals in
-episode order; every metric below takes them, and ``summarize`` gives the
-metric columns of the point's ``results.csv`` row. A metric is defined
-once, by one ``EpisodeTotals`` field and one ``summarize`` entry.
+episode order, and ``summarize`` of them is the metric columns of the
+point's ``results.csv`` row. A metric is defined once, by one
+``EpisodeTotals`` field or one ``summarize`` entry; ``write_csv`` takes its
+header from the row's keys, and an ``episodes.jsonl`` line is the totals'
+fields, so neither restates the list.
 
 AAL and end-to-end latency use two-level averaging (per episode, then over
 episodes). Throughput is the pooled ratio of total accepted tokens to total
@@ -29,21 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .engine import LinkBill, PricedDecisions
-
-CSV_COLUMNS = [
-    "mode",
-    "k",
-    "tau",
-    "rate_bps",
-    "rtt_s",
-    "aal",
-    "rounds",
-    "latency_s",
-    "throughput",
-    "accuracy_proxy",
-    "uplink_bits",
-    "downlink_bits",
-]
 
 
 @dataclass(frozen=True)
@@ -95,66 +82,36 @@ def episode_totals(batch: Sequence[PricedDecisions], link: LinkBill) -> list[Epi
     ]
 
 
-Episodes = Sequence[EpisodeTotals]
+def summarize(totals: Sequence[EpisodeTotals]) -> dict:
+    """The metric columns of one sweep point's ``results.csv`` row, in column order.
 
-
-def _require(totals: Episodes) -> None:
+    ``aal`` is the mean of the episodes' accepted lengths per round,
+    ``rounds`` and ``latency_s`` are means per episode, ``throughput`` is
+    the pooled accepted tokens per second, ``accuracy_proxy`` is the
+    fraction of episodes that accepted no critical mismatch, and the bit
+    columns are totals over the point's episodes.
+    """
     if not totals:
         raise ValueError("no episode results")
     if any(ep.rounds == 0 for ep in totals):
         raise ValueError("episode with zero rounds")
-
-
-def aal(totals: Episodes) -> float:
-    """Mean accepted length per round, averaged per episode first."""
-    _require(totals)
-    return sum(ep.aal for ep in totals) / len(totals)
-
-
-def round_count(totals: Episodes) -> float:
-    """Mean interaction rounds per episode."""
-    _require(totals)
-    return sum(ep.rounds for ep in totals) / len(totals)
-
-
-def e2e_latency(totals: Episodes) -> float:
-    """Mean per-episode wall-clock latency in seconds."""
-    _require(totals)
-    return sum(ep.latency_s for ep in totals) / len(totals)
-
-
-def throughput(totals: Episodes) -> float:
-    """Pooled accepted tokens per second across all episodes."""
-    _require(totals)
-    total_latency = sum(ep.latency_s for ep in totals)
-    if total_latency <= 0.0:
+    n, latency_s = len(totals), sum(ep.latency_s for ep in totals)
+    if latency_s <= 0.0:
         raise ValueError("zero total latency")
-    return sum(ep.accepted for ep in totals) / total_latency
-
-
-def accuracy_proxy(totals: Episodes) -> float:
-    """Fraction of episodes that accepted no critical mismatch."""
-    _require(totals)
-    return sum(ep.correct for ep in totals) / len(totals)
-
-
-def summarize(totals: Episodes) -> dict:
-    """The metric columns of one sweep point's ``results.csv`` row, in column order."""
     return {
-        "aal": aal(totals),
-        "rounds": round_count(totals),
-        "latency_s": e2e_latency(totals),
-        "throughput": throughput(totals),
-        "accuracy_proxy": accuracy_proxy(totals),
+        "aal": sum(ep.aal for ep in totals) / n,
+        "rounds": sum(ep.rounds for ep in totals) / n,
+        "latency_s": latency_s / n,
+        "throughput": sum(ep.accepted for ep in totals) / latency_s,
+        "accuracy_proxy": sum(ep.correct for ep in totals) / n,
         "uplink_bits": sum(ep.uplink_bits for ep in totals),
         "downlink_bits": sum(ep.downlink_bits for ep in totals),
     }
 
 
-def write_csv(path: str | Path, rows: list[dict], columns: list[str] = CSV_COLUMNS) -> None:
-    """Write ``rows`` under ``columns``; floats as ``str``, which is their ``repr``."""
+def write_csv(path: str | Path, rows: list[dict]) -> None:
+    """Write ``rows`` under the first row's keys; floats as ``str``, which is their ``repr``."""
     with open(path, "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=columns)
+        writer = _csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

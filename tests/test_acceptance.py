@@ -29,7 +29,7 @@ from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
 from wisv.engine import decide, episode_oracle, head_screens, price_decisions, price_link
 from wisv.head import HeadParams, init_params, load_params, loss_and_grads
 from wisv.labeler import solve_budget_exact
-from wisv.metrics import aal, accuracy_proxy, e2e_latency, episode_totals, round_count, summarize
+from wisv.metrics import episode_totals, summarize
 from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
 from wisv.wire import (
     PROTO_DENSE,
@@ -341,10 +341,10 @@ def test_criterion_8_trend_reproduction(pipeline):
     assert cfg.oracle().p_match == pytest.approx(a, abs=1e-9)
 
     # (a) semantic verification lengthens accepted spans and cuts rounds
-    greedy, semantic = eval_episodes(
-        cfg, [(FAST_50MS, "sd_greedy", 10, 0.5), (FAST_50MS, "wisv_fh", 10, 0.9)], 500, head)
-    aal_ratio = aal(semantic) / aal(greedy)
-    rounds_ratio = round_count(semantic) / round_count(greedy)
+    greedy, semantic = (summarize(episodes) for episodes in eval_episodes(
+        cfg, [(FAST_50MS, "sd_greedy", 10, 0.5), (FAST_50MS, "wisv_fh", 10, 0.9)], 500, head))
+    aal_ratio = semantic["aal"] / greedy["aal"]
+    rounds_ratio = semantic["rounds"] / greedy["rounds"]
     ok_a = aal_ratio >= 1.15 and rounds_ratio <= 0.9
 
     # (b) greedy latency is U-shaped in the window size. The same 60 episodes
@@ -354,7 +354,7 @@ def test_criterion_8_trend_reproduction(pipeline):
     per_k = eval_episodes(cfg, [(FAST_50MS, mode, k, tau) for mode, tau in series for k in ks],
                           60, head)
     greedy_k, fh_k, rej_k = (per_k[i:i + len(ks)] for i in range(0, len(per_k), len(ks)))
-    lats = [e2e_latency(episodes) for episodes in greedy_k]
+    lats = [summarize(episodes)["latency_s"] for episodes in greedy_k]
     kmin = int(np.argmin(lats))
     ok_b = 0 < kmin < 4 and lats[0] > min(lats) and lats[-1] > min(lats)
 
@@ -374,13 +374,14 @@ def test_criterion_8_trend_reproduction(pipeline):
                f"sd_reject latency {adjacent_sems(rej_lat)}")
 
     # (c) protocol crossover: FH wins at 50 ms RTT, SH at 20 Mbps / 5 ms
-    fh_hi, sh_hi, fh_lo, sh_lo = (e2e_latency(episodes) for episodes in eval_episodes(
-        cfg, [(s_idx, mode, 10, 0.9) for s_idx in (FAST_50MS, SLOW_5MS)
-              for mode in ("wisv_fh", "wisv_sh")], 50, head))
+    fh_hi, sh_hi, fh_lo, sh_lo = (
+        summarize(episodes)["latency_s"] for episodes in eval_episodes(
+            cfg, [(s_idx, mode, 10, 0.9) for s_idx in (FAST_50MS, SLOW_5MS)
+                  for mode in ("wisv_fh", "wisv_sh")], 50, head))
     ok_c = fh_hi < sh_hi and sh_lo <= fh_lo
 
     # (d) dense-probability uplink blows up at 20 Mbps
-    rej, grd = (e2e_latency(episodes) for episodes in eval_episodes(
+    rej, grd = (summarize(episodes)["latency_s"] for episodes in eval_episodes(
         cfg, [(SLOW_50MS, "sd_reject", 10, 0.5), (SLOW_50MS, "sd_greedy", 10, 0.5)], 30))
     ok_d = rej >= 5.0 * grd
 
@@ -418,7 +419,7 @@ def test_criterion_10_accuracy_monotonicity(pipeline):
     t0 = time.monotonic()
     cfg, _, head = pipeline
     taus = [0.001, 0.25, 0.5, 0.75, 0.95, 0.999]
-    accs = [accuracy_proxy(episodes) for episodes in eval_episodes(
+    accs = [summarize(episodes)["accuracy_proxy"] for episodes in eval_episodes(
         cfg, [(FAST_50MS, "wisv_fh", 10, tau) for tau in taus], 150, head)]
     monotone = all(a >= b for a, b in zip(accs, accs[1:]))
     dt = time.monotonic() - t0

@@ -49,7 +49,7 @@ from wisv.config import (
 from wisv.engine import MODES
 from wisv.head import INFERENCE_CHUNK, HeadParams, forward_batch, train
 from wisv.labeler import read_dataset, read_traces, write_traces
-from wisv.metrics import CSV_COLUMNS, EpisodeTotals, summarize
+from wisv.metrics import EpisodeTotals, summarize
 
 SMALL_OVERRIDES = {
     "trace": {"episodes": 50},
@@ -71,6 +71,9 @@ SMALL_OVERRIDES = {
 
 
 EVAL_FILES = (RESULTS, RESULTS_META, EPISODES_JSONL, ROUNDS_JSONL, PLOT_DATA)
+# The results.csv header, as README gives it; ablate.csv puts "variant" first.
+RESULTS_COLUMNS = ("mode,k,tau,rate_bps,rtt_s,aal,rounds,latency_s,throughput,accuracy_proxy,"
+                   "uplink_bits,downlink_bits").split(",")
 
 
 def derived_config(cfg, **sweep):
@@ -617,7 +620,7 @@ class TestEvalCommand:
         assert len(rows) == 16
         with open(out / RESULTS) as fh:
             reader = csv.DictReader(fh)
-            assert reader.fieldnames == CSV_COLUMNS
+            assert reader.fieldnames == RESULTS_COLUMNS
             assert len(list(reader)) == 16
         assert (out / EPISODES_JSONL).exists()
         assert (out / ROUNDS_JSONL).exists()
@@ -768,8 +771,7 @@ class TestEvalCommand:
                     ref, ref_link, ref_totals = one_episode(system, eng, oracle, trace, head)
                     assert totals == ref_totals
                     key = {**point, "episode": ep}
-                    assert cli._episode_line(cli._line_prefix(point), ep, totals,
-                                             cli._Texts()) == json.dumps(
+                    assert cli._episode_line(point, ep, totals) == json.dumps(
                         {**key, **vars(ref_totals)}, separators=(",", ":")) + "\n"
                     episode_lines, lines = lines[:ref.n_rounds], lines[ref.n_rounds:]
                     assert "".join(episode_lines) == reference_round_lines(key, ref, ref_link)
@@ -948,10 +950,9 @@ class TestEvalCommand:
             assert '"round":1,' in lines[ep] and '"draft_s":1.0,' in lines[ep]
 
     def test_each_float_rendered_once_per_memo_scope(self, small_run, tmp_path, monkeypatch):
-        # A block renders each distinct float of its round lines once, and
-        # an eval each distinct float of its episode lines once. A second
-        # eval in the same process, and each block of a split sweep,
-        # renders all of its own again: no memo outlives its block or eval.
+        # A block renders each distinct float of its round lines once. A
+        # second eval in the same process, and each block of a split sweep,
+        # renders all of its own again: no memo outlives its block.
         # Points that differ only in tau bill equal comm_s values, so a memo
         # per point would render some of them twice.
         cfg, out = small_run
@@ -976,9 +977,8 @@ class TestEvalCommand:
             rendered.clear()
             cmd_eval(cfg, tmp_path)
             round_floats = distinct_floats((tmp_path / ROUNDS_JSONL).read_text())
-            episode_floats = distinct_floats((tmp_path / EPISODES_JSONL).read_text())
             assert len(round_floats) > 100
-            assert sorted(rendered) == sorted([*round_floats, *episode_floats])
+            assert sorted(rendered) == sorted(round_floats)
 
         head = cli.load_params(out / HEAD)
         per_block = []
@@ -1051,9 +1051,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("correct", [True, False])
     def test_episode_line_matches_json_reference(self, correct):
-        # One eval's memo serves every line: the bool written after int
-        # fields holding 0 and 1 keeps its own text, and so does an aal of
-        # 0.0 written after an int 0.
+        # The bool written after int fields holding 0 and 1 keeps its own
+        # text, and so does an aal of 0.0 written after an int 0.
         critical = 0 if correct else 1
         lines = [
             EpisodeTotals(rounds=7, aal=10 / 7, accepted=10, tokens=17, latency_s=0.1 + 0.2,
@@ -1067,15 +1066,13 @@ class TestEvalCommand:
                           correct=correct),
         ]
         key = {"scenario": "50% \"cr\u00e8me\" link", "mode": "wisv_sh", "k": 10, "tau": 0.9}
-        prefix, texts = cli._line_prefix(key), cli._Texts()
         for episode, totals in enumerate(lines + lines[::-1]):
-            assert cli._episode_line(prefix, episode, totals, texts) == json.dumps(
+            assert cli._episode_line(key, episode, totals) == json.dumps(
                 {**key, "episode": episode, **vars(totals)}, separators=(",", ":")) + "\n"
         for name in ("aal", "latency_s"):
             for bad in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ValueError, match=f"episode column '{name}' of episode 5"):
-                    cli._episode_line(prefix, 5, dataclasses.replace(lines[0], **{name: bad}),
-                                      texts)
+                    cli._episode_line(key, 5, dataclasses.replace(lines[0], **{name: bad}))
 
     def test_episode_line_and_row_are_the_records(self, small_run, tmp_path):
         # An episode line's metrics are EpisodeTotals' fields in order, and
@@ -1091,7 +1088,7 @@ class TestEvalCommand:
                 assert keys[keys.index("episode") + 1:] == fields
                 point = (rec["mode"], rec["k"], rec["tau"], rec["scenario"])
                 points.setdefault(point, []).append(EpisodeTotals(**{f: rec[f] for f in fields}))
-        metric_columns = CSV_COLUMNS[CSV_COLUMNS.index("aal"):]
+        metric_columns = RESULTS_COLUMNS[RESULTS_COLUMNS.index("aal"):]
         with open(tmp_path / RESULTS) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(points) == 2
@@ -1190,11 +1187,37 @@ class TestAblateCommand:
         paired = cmd_ablate(cfg, out)
         assert set(paired["scenarios"]) == {"20mbps_5ms"}
         with open(out / ABLATE_CSV) as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["variant", *RESULTS_COLUMNS]
+            rows = list(reader)
         assert [r["variant"] for r in rows] == ["csi", "no_csi"]
         assert rows[0]["aal"] != rows[1]["aal"]
         meta = json.loads((out / ABLATE_META).read_text())
         assert meta["config_hash"] == cfg.hash
+
+    def test_meta_aal_is_csv_aal(self, small_run, tmp_path, capsys):
+        """Each variant's ``aal_mean`` in ablate_meta.json is its ablate.csv ``aal``, as text."""
+        cfg, out = small_run
+        raw = copy.deepcopy(cfg.raw)
+        # At 24 episodes numpy's pairwise mean of the episode AALs differs
+        # from their sum in order, in the last digit, on every row.
+        raw["ablate"].update(episodes=24, scenarios=["500mbps_50ms", "20mbps_5ms"])
+        both = ExperimentConfig(raw=raw)
+        both.validate()
+        copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
+        cli.cmd_ablate(both, tmp_path)
+        printed = capsys.readouterr().out
+        with open(tmp_path / ABLATE_CSV) as fh:
+            rows = list(csv.DictReader(fh))
+        meta = json.loads((tmp_path / ABLATE_META).read_text())["scenarios"]
+        # One row per (scenario, variant), scenario-major.
+        assert len(rows) == 2 * len(meta)
+        for s_name, (csi, no_csi) in zip(raw["ablate"]["scenarios"], zip(rows[::2], rows[1::2])):
+            for row, variant in ((csi, "csi"), (no_csi, "no_csi")):
+                assert row["variant"] == variant
+                assert json.dumps(meta[s_name][variant]["aal_mean"]) == row["aal"]
+            assert (f"ablate[{s_name}]: csi aal {float(csi['aal']):.3f} "
+                    f"vs no-csi {float(no_csi['aal']):.3f}") in printed
 
     def test_one_oracle_and_trace_per_episode(self, small_run, tmp_path, monkeypatch):
         """Every scenario and variant shares each episode's oracle; variants share its traces.

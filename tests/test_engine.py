@@ -2,30 +2,28 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from single_episode import one_episode
+from single_episode import (
+    CSI,
+    SYSTEM,
+    crafted_oracle,
+    one_episode,
+    oracle_config,
+    run_one_round,
+)
 
 from wisv.channel import (
     N_CSI_FEATURES,
     ChannelConfig,
     CsiState,
-    NormalizationBounds,
     effective_rate,
     features,
     generate_trace,
 )
-from wisv.compute import (
-    FlopsConstants,
-    HardwareProfile,
-    ModelDims,
-    exec_time,
-    head_flops,
-    window_flops,
-)
+from wisv.compute import exec_time, head_flops, window_flops
 from wisv.engine import (
     MODES,
     Decisions,
     EngineConfig,
-    SystemModel,
     decide,
     episode_oracle,
     head_screens,
@@ -34,45 +32,8 @@ from wisv.engine import (
     select_protocol,
 )
 from wisv.head import HeadParams, forward_batch, init_params
-from wisv.oracle import (
-    EpisodeOracle,
-    OracleConfig,
-    geometric_accepted_length,
-    speculative_columns,
-)
-from wisv.wire import (
-    PROTO_DENSE,
-    PROTO_FH,
-    PROTO_SH,
-    PROTO_TOKENS,
-    WireConfig,
-)
-
-
-def small_system():
-    system = SystemModel(
-        wire=WireConfig(),
-        draft_dims=ModelDims(16, 2048, 8192, 128256),
-        target_dims=ModelDims(32, 4096, 14336, 128256),
-        consts=FlopsConstants(),
-        hw_draft=HardwareProfile(10e12, 0.30),
-        hw_target=HardwareProfile(150e12, 0.40),
-        bounds=NormalizationBounds(),
-        head_d_j=256,
-    )
-    # The deployed head reads the drafter hidden, the target hidden and the CSI.
-    assert system.head_d_in == 2048 + 4096 + N_CSI_FEATURES == 6149
-    return system
-
-
-SYSTEM = small_system()
-CSI = CsiState(500e6, 500e6, 0.0, 0.0, 0.05)
-
-
-def oracle_config(**kw):
-    base = dict(p_match=0.9, p_crit=0.3, d_h_draft=4, d_h_target=4, seed=17)
-    base.update(kw)
-    return OracleConfig(**base)
+from wisv.oracle import EpisodeOracle, geometric_accepted_length, speculative_columns
+from wisv.wire import PROTO_DENSE, PROTO_FH, PROTO_SH, PROTO_TOKENS
 
 
 def static_trace(rate=500e6, rtt=0.05, rounds=300):
@@ -112,36 +73,6 @@ class TestSelectProtocol:
 
     def test_boundary_is_selective(self):
         assert select_protocol(np.array([0.010]), 0.010).tolist() == [PROTO_SH]
-
-
-def crafted_oracle(tokens, argmax, crit=None, h_draft=None, h_target=None):
-    """Oracle whose window at position 0 holds exactly the given block.
-
-    ``argmax`` has k+1 entries (the last is the bonus token); hiddens are
-    (k, d) arrays, zeros when omitted.
-    """
-    tokens, argmax = np.asarray(tokens), np.asarray(argmax)
-    k = len(tokens)
-    h_draft = np.zeros((k, 1)) if h_draft is None else np.asarray(h_draft, dtype=float)
-    h_target = np.zeros((k, 1)) if h_target is None else np.asarray(h_target, dtype=float)
-    cfg = oracle_config(p_match=1.0, d_h_draft=h_draft.shape[1], d_h_target=h_target.shape[1])
-    oracle = EpisodeOracle(cfg, seed=0, n_positions=2 * k + 3)
-    oracle.draft_tokens[:k] = tokens
-    oracle.target_tokens[: k + 1] = argmax
-    oracle.mismatch[:k] = tokens != argmax[:k]
-    oracle.crit[:k] = np.zeros(k, dtype=bool) if crit is None else crit
-    oracle.h_draft[:k] = h_draft
-    oracle.h_target[:k] = h_target
-    return oracle
-
-
-def run_one_round(oracle, mode, k, params=None, tau=0.5, csi=CSI):
-    """The priced decisions and link bill of exactly one round of the hand-built oracle."""
-    eng = EngineConfig(mode=mode, window=k, tau=tau, max_tokens=1, prefix_len=0)
-    trace = csi.take(np.zeros(1, dtype=np.int64))  # a one-round trace
-    priced, link, _ = one_episode(SYSTEM, eng, oracle, trace, params)
-    assert priced.n_rounds == 1
-    return priced, link
 
 
 def handcrafted_oracle():
@@ -813,7 +744,7 @@ class TestRunEpisode:
             EngineConfig(mode="beam_search")
 
     def test_no_critical_latents_keep_every_episode_correct(self):
-        from wisv.metrics import accuracy_proxy
+        from wisv.metrics import summarize
 
         params = init_params(4 + 4 + 5, 8, seed=0)
         results = []
@@ -822,4 +753,4 @@ class TestRunEpisode:
             _, _, totals = one_episode(SYSTEM, eng, oracle_for(eng, ep, p_crit=0.0),
                                        static_trace(), params)
             results.append(totals)
-        assert accuracy_proxy(results) == 1.0
+        assert summarize(results)["accuracy_proxy"] == 1.0

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from single_episode import CSI, crafted_oracle, run_one_round
 
 from wisv import head
 from wisv.channel import CsiState, NormalizationBounds, features
@@ -21,7 +22,6 @@ from wisv.head import (
     train,
 )
 from wisv.labeler import Episode, RelabelConfig, relabel
-from tests.test_engine import CSI, crafted_oracle, run_one_round
 
 
 def zero_params(d_in=4, d_j=3):

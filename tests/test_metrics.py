@@ -6,18 +6,12 @@ import pytest
 
 from wisv.compute import round_latency
 from wisv.engine import LinkBill, PricedDecisions
-from wisv.metrics import (
-    CSV_COLUMNS,
-    aal,
-    accuracy_proxy,
-    e2e_latency,
-    episode_totals,
-    round_count,
-    summarize,
-    throughput,
-    write_csv,
-)
+from wisv.metrics import episode_totals, summarize, write_csv
 from wisv.wire import PROTO_TOKENS, LatencyBreakdown
+
+# The results.csv header, as README gives it.
+RESULTS_COLUMNS = ("mode,k,tau,rate_bps,rtt_s,aal,rounds,latency_s,throughput,accuracy_proxy,"
+                   "uplink_bits,downlink_bits").split(",")
 
 
 def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
@@ -74,22 +68,22 @@ def fake_episode(accepted_lengths, latency_per_round=0.1, critical=0):
 
 class TestAal:
     def test_single_episode_mean(self):
-        assert aal([fake_episode([3, 5, 4])]) == 4.0
+        assert summarize([fake_episode([3, 5, 4])])["aal"] == 4.0
 
     def test_episode_level_averaging(self):
         # Episode AALs 4 and 6 average to 5 regardless of round counts.
         short = fake_episode([4])
         long = fake_episode([6] * 9)
-        assert aal([short, long]) == 5.0
+        assert summarize([short, long])["aal"] == 5.0
 
     def test_all_full_accepts(self):
-        assert aal([fake_episode([10] * 7)]) == 10.0
+        assert summarize([fake_episode([10] * 7)])["aal"] == 10.0
 
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError, match="no rounds"):
             totals_of(fake_result([]))
         with pytest.raises(ValueError, match="zero rounds"):
-            aal([dataclasses.replace(fake_episode([1]), rounds=0)])
+            summarize([dataclasses.replace(fake_episode([1]), rounds=0)])
 
 
 class TestEpisodeTotals:
@@ -126,44 +120,48 @@ class TestEpisodeTotals:
 
 class TestRoundCount:
     def test_single(self):
-        assert round_count([fake_episode([1] * 7)]) == 7
+        assert summarize([fake_episode([1] * 7)])["rounds"] == 7
 
     def test_mean(self):
         eps = [fake_episode([1] * 10), fake_episode([1] * 20)]
-        assert round_count(eps) == 15
+        assert summarize(eps)["rounds"] == 15
 
 
 class TestLatency:
     def test_zero_components(self):
-        assert e2e_latency([fake_episode([1, 1], latency_per_round=0.0)]) == 0.0
+        # summarize refuses a point of zero total latency (TestThroughput), so
+        # the zero is read from the episode's own record.
+        assert fake_episode([1, 1], latency_per_round=0.0).latency_s == 0.0
 
     def test_three_rounds(self):
-        assert e2e_latency([fake_episode([1, 1, 1], latency_per_round=0.1)]) == pytest.approx(0.3)
+        eps = [fake_episode([1, 1, 1], latency_per_round=0.1)]
+        assert summarize(eps)["latency_s"] == pytest.approx(0.3)
 
     def test_matches_component_recomputation(self):
         results = [fake_result([2, 3], 0.05), fake_result([4], 0.2)]
         recomputed = np.mean([sum(link.comm.total_s) for _, link in results])
         eps = [totals_of(res) for res in results]
-        assert e2e_latency(eps) == pytest.approx(recomputed, rel=1e-12)
+        assert summarize(eps)["latency_s"] == pytest.approx(recomputed, rel=1e-12)
 
 
 class TestThroughput:
     def test_simple_ratio(self):
         ep = fake_episode([50, 50], latency_per_round=5.0)
-        assert throughput([ep]) == pytest.approx(10.0)
+        assert summarize([ep])["throughput"] == pytest.approx(10.0)
 
     def test_pooled_identity(self):
         eps = [fake_episode([5] * 4, 0.1), fake_episode([8] * 2, 0.3)]
         total_tokens = sum(ep.accepted for ep in eps)
         total_latency = sum(ep.latency_s for ep in eps)
-        got = throughput(eps)
+        point = summarize(eps)
+        got = point["throughput"]
         assert got == pytest.approx(total_tokens / total_latency, rel=1e-12)
         # throughput * mean latency * n episodes recovers the token total
-        assert got * e2e_latency(eps) * len(eps) == pytest.approx(total_tokens, rel=1e-9)
+        assert got * point["latency_s"] * len(eps) == pytest.approx(total_tokens, rel=1e-9)
 
     def test_zero_latency_rejected(self):
         with pytest.raises(ValueError):
-            throughput([fake_episode([1], latency_per_round=0.0)])
+            summarize([fake_episode([1], latency_per_round=0.0)])
 
     def test_reference_identity_rows(self):
         # Aggregate consistency of the definition: accepted tokens per
@@ -177,11 +175,11 @@ class TestThroughput:
 
 class TestAccuracyProxy:
     def test_all_clean(self):
-        assert accuracy_proxy([fake_episode([1]), fake_episode([2])]) == 1.0
+        assert summarize([fake_episode([1]), fake_episode([2])])["accuracy_proxy"] == 1.0
 
     def test_counts_critical_acceptances(self):
         eps = [fake_episode([1]), fake_episode([1], critical=2), fake_episode([1])]
-        assert accuracy_proxy(eps) == pytest.approx(2 / 3)
+        assert summarize(eps)["accuracy_proxy"] == pytest.approx(2 / 3)
 
 
 class TestSummaryAndCsv:
@@ -202,7 +200,7 @@ class TestSummaryAndCsv:
         write_csv(path, [row])
         with open(path) as fh:
             reader = csv.DictReader(fh)
-            assert reader.fieldnames == CSV_COLUMNS
+            assert reader.fieldnames == RESULTS_COLUMNS
             back = next(reader)
         assert back["mode"] == "sd_greedy"
         assert int(back["k"]) == 10
