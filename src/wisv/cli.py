@@ -22,13 +22,11 @@ inline (JSON) or via a sibling ``*_meta.json`` (CSV, JSON-lines).
 from __future__ import annotations
 
 import argparse
-import bisect
 import concurrent.futures
 import contextlib
 import json
 import math
 import os
-import struct
 import sys
 from collections.abc import Iterator, Sequence
 from itertools import chain, product
@@ -295,55 +293,11 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 
 # JSON text of each protocol code in a round line.
 _PROTO_JSON = tuple(json.dumps(name) for name in PROTO_NAMES)
-_DOUBLE, _INT64 = struct.Struct("d"), struct.Struct("q")
-
-
-def _line_prefix(key: dict) -> str:
-    """The JSON text a line of ``key`` starts with: its members and a comma."""
-    return json.dumps(key, separators=(",", ":"))[:-1] + ","
-
-
-def _float_json(bits: int) -> str:
-    """The JSON text of the float whose IEEE 754 bits, read as an int64, are ``bits``."""
-    return repr(_DOUBLE.unpack(_INT64.pack(bits))[0])
-
-
-class _Memo(dict):
-    """``memo[key]`` is ``render(key)``, rendered the first time ``key`` is asked for."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render) -> None:
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self.render(key)
-        return text
-
-
-class _Texts:
-    """JSON texts of numbers, each distinct number rendered once.
-
-    Ints and floats have memos of their own, because ``1 == 1.0`` although
-    their texts differ. A float is keyed by its bits, so ``-0.0`` never gets
-    the text of ``0.0``. ``chunks[chunk]`` fills one of ``_ROUND_CHUNKS``
-    once per distinct tuple of member texts. Each sweep block makes its
-    own, and none outlives its block.
-    """
-
-    def __init__(self) -> None:
-        self.ints = _Memo(int.__repr__)
-        self.floats = _Memo(_float_json)
-        self.chunks = {chunk: _Memo(chunk.__mod__) for chunk in _ROUND_CHUNKS}
-
-    def column(self, column: np.ndarray) -> list[str]:
-        """The text of each entry of an integer or float64 column, in order."""
-        if column.dtype == np.float64:
-            return list(map(self.floats.__getitem__, column.view(np.int64).tolist()))
-        if column.dtype.kind in "iu":
-            return list(map(self.ints.__getitem__, column.tolist()))
-        raise TypeError(f"no JSON number text for a column of dtype {column.dtype}")
+# The members of a round line after its point's key and episode, in line order.
+_ROUND_MEMBERS = ("round", "m", "reject_pos", "accepted", "committed", "proto", "uplink_bits",
+                  "downlink_bits", "draft_s", "verify_s", "head_s", "comm_s", "total_s",
+                  "accepted_critical")
+_ROUND_LINE = ",".join(f'"{name}":%s' for name in ("episode", *_ROUND_MEMBERS)) + "}\n"
 
 
 def _episode_line(point: dict, episode: int, totals: EpisodeTotals) -> str:
@@ -360,105 +314,53 @@ def _episode_line(point: dict, episode: int, totals: EpisodeTotals) -> str:
                          "non-finite value, which JSON cannot encode") from None
 
 
-def _column_texts(texts: _Texts, columns: dict, bounds: Sequence[int],
-                  episodes: Sequence[int]) -> list[list[str]]:
-    """The JSON texts of round columns, one list per column; a list already holds texts.
+def _float_texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each entry of a finite float64 column.
 
-    The columns hold a batch of episodes back to back: episode
-    ``episodes[e]`` holds entries ``bounds[e]:bounds[e + 1]``. A non-finite
-    float, which JSON writes as ``NaN``, raises, naming the episode that
-    holds it.
+    Each distinct value is rendered once; values are told apart by their
+    bits, so ``-0.0`` keeps its sign.
     """
-    values = []
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _round_lines(point: dict, batch: Sequence[PricedDecisions], link: LinkBill,
+                 first_episode: int = 0) -> str:
+    """One point's ``rounds.jsonl`` lines over a batch of episodes.
+
+    The batch holds the sweep's episodes ``first_episode`` on, in order, and
+    ``link`` is its bill. Episode e's round r is compact ``json.dumps({**point,
+    "episode": e, "round": r, **columns})`` of the round's decision and bill
+    columns: the ``str`` of a Python int, like the ``repr`` of a float, is
+    already its JSON text. A non-finite float, which JSON writes as
+    ``NaN``, raises, naming the episode that holds it.
+    """
+    bounds, comm = link.bounds, link.comm
+    counts = np.diff(bounds)
+    episodes = np.repeat(np.arange(first_episode, first_episode + len(batch)), counts)
+    columns = {"round": np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts),
+               "proto": link.proto, "uplink_bits": comm.uplink_bits,
+               "downlink_bits": comm.downlink_bits, "comm_s": comm.total_s,
+               "total_s": link.total_s}
+    columns = {name: columns[name] if name in columns
+               else np.concatenate([getattr(priced, name) for priced in batch])
+               for name in _ROUND_MEMBERS}
+    texts = {}
     for name, column in columns.items():
-        if not isinstance(column, list):
-            if column.dtype.kind == "f" and not np.isfinite(column).all():
-                at = int(np.flatnonzero(~np.isfinite(column))[0])
-                episode = episodes[bisect.bisect_right(bounds, at) - 1]
-                raise ValueError(f"round column {name!r} of episode {episode} holds a "
-                                 "non-finite value, which JSON cannot encode")
-            column = texts.column(column)
-        values.append(column)
-    return values
-
-
-# A round line after the point's members, split at the five slots its link
-# fills: each chunk is a ``%`` format of the decision's members it holds.
-_ROUND_CHUNKS = (
-    '"round":%s,"m":%s,"reject_pos":%s,"accepted":%s,"committed":%s,"proto":',
-    ',"uplink_bits":',
-    ',"downlink_bits":',
-    ',"draft_s":%s,"verify_s":%s,"head_s":%s,"comm_s":',
-    ',"total_s":',
-    ',"accepted_critical":%s}\n',
-)
-# An episode's lines as one list: per round, the point's prefix slot, then
-# each chunk followed by the slot after it; slots sit at the even entries.
-_ROUND_STRIDE = 2 * len(_ROUND_CHUNKS)
-
-
-def _round_template(episode: int, priced: PricedDecisions, texts: _Texts) -> list:
-    """The ``rounds.jsonl`` lines of one episode's priced decisions, pre-split into chunks.
-
-    Rendered once per decision, with ``texts``: the list holds
-    ``_ROUND_CHUNKS`` filled with each round's decision members, and
-    leaves each slot a point fills (its key prefix and its link's members)
-    None, for ``_round_lines`` to fill per point.
-    """
-    n = priced.n_rounds
-    # The decision's members, in line order.
-    columns = iter(_column_texts(texts, {
-        "round": np.arange(n),
-        "m": priced.m,
-        "reject_pos": ["null" if j < 0 else texts.ints[j] for j in priced.reject_pos.tolist()],
-        "accepted": priced.accepted,
-        "committed": priced.committed,
-        "draft_s": priced.draft_s,
-        "verify_s": priced.verify_s,
-        "head_s": priced.head_s,
-        "accepted_critical": priced.accepted_critical,
-    }, [0, n], [episode]))
-    chunks: list = [None] * (_ROUND_STRIDE * n)
-    for i, chunk in enumerate(_ROUND_CHUNKS):
-        own = [next(columns) for _ in range(chunk.count("%s"))]
-        # Each distinct chunk is made once: rounds repeat chunks across the
-        # block's episodes and decisions, and the block holds every template
-        # until its last point.
-        chunks[2 * i + 1::_ROUND_STRIDE] = (
-            list(map(texts.chunks[chunk].__getitem__, zip(*own))) if own else [chunk] * n)
-    return chunks
-
-
-def _round_lines(point: dict, templates: Sequence[list], link: LinkBill, texts: _Texts,
-                 first_episode: int = 0) -> Iterator[str]:
-    """One point's ``rounds.jsonl`` lines, one string per episode of its batch.
-
-    The batch holds the sweep's episodes ``first_episode`` on, in order.
-    Episode e's lines are compact ``json.dumps({**point, "episode": e,
-    "round": r, **columns})``: ``templates[i]`` is the ``_round_template``
-    of the priced decisions the batch's i-th episode was billed from, and
-    ``link`` the batch's bill. Each link column is rendered with ``texts``
-    into one list, checked before any line is made, and each episode's
-    lines are its template's chunks joined with its slice of them.
-    """
-    comm, bounds = link.comm, link.bounds.tolist()
-    episodes = range(first_episode, first_episode + len(templates))
-    point_prefix = _line_prefix(point)
-    # The link's members, in line order.
-    columns = _column_texts(texts, {
-        "proto": list(map(_PROTO_JSON.__getitem__, link.proto.tolist())),
-        "uplink_bits": comm.uplink_bits,
-        "downlink_bits": comm.downlink_bits,
-        "comm_s": comm.total_s,
-        "total_s": link.total_s,
-    }, bounds, episodes)
-    for episode, template, lo, hi in zip(episodes, templates, bounds, bounds[1:]):
-        parts = template.copy()
-        # The prefix of {**point, "episode": episode}: an int's JSON text is its str.
-        parts[::_ROUND_STRIDE] = [f'{point_prefix}"episode":{episode},'] * (hi - lo)
-        for slot, column in enumerate(columns, 1):
-            parts[2 * slot::_ROUND_STRIDE] = column[lo:hi]
-        yield "".join(parts)
+        if column.dtype.kind != "f":
+            texts[name] = column.tolist()
+        elif np.isfinite(column).all():
+            texts[name] = _float_texts(column)
+        else:
+            episode = episodes[np.flatnonzero(~np.isfinite(column))[0]]
+            raise ValueError(f"round column {name!r} of episode {episode} holds a "
+                             "non-finite value, which JSON cannot encode")
+    texts["reject_pos"] = ["null" if j < 0 else j for j in texts["reject_pos"]]
+    texts["proto"] = list(map(_PROTO_JSON.__getitem__, texts["proto"]))
+    # The point's key less its closing brace, with % escaped in its strings.
+    line = json.dumps(point, separators=(",", ":"))[:-1].replace("%", "%%") + "," + _ROUND_LINE
+    return "".join(map(line.__mod__, zip(episodes.tolist(), *texts.values())))
 
 
 def _sweep_points(sweep: dict) -> list[tuple]:
@@ -481,16 +383,14 @@ def _decision_key(s_idx: int, mode: str, k: int, tau: float, head: str) -> tuple
 
 
 def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Sequence[tuple],
-                heads: dict[str, HeadParams], texts: _Texts | None) -> tuple[dict, dict]:
+                heads: dict[str, HeadParams]) -> tuple[dict, dict]:
     """Decide the sweep points of episode ``ep``.
 
     The episode builds one oracle, for the points' largest window, one
     channel trace per scenario the points use, and each of ``heads``
     screens each trace. Each distinct decision (``_decision_key``) is
-    decided and priced (``price_decisions``) once, and its round lines are
-    rendered (``_round_template``) with the block's ``texts`` unless that
-    is None. Returns the traces by scenario index, and ``(priced, template
-    or None)`` per decision key.
+    decided and priced (``price_decisions``) once. Returns the traces by
+    scenario index, and the priced decisions by decision key.
     """
     oracle = episode_oracle(
         cfg.oracle(), cfg.engine(window=max(k for _, _, k, _, _ in points)), [SEED_EVAL, ep],
@@ -511,8 +411,7 @@ def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Seq
         if key not in decided:
             engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
             screen = screens[head, s_idx] if mode.startswith("wisv") else None
-            priced = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
-            decided[key] = priced, (None if texts is None else _round_template(ep, priced, texts))
+            decided[key] = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
     return traces, decided
 
 
@@ -529,14 +428,13 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
     a range), screening with ``payload["heads"]``. Then each point prices
     its link once over the block's episodes and reduces that ``LinkBill``
     once to their ``EpisodeTotals``. If ``rounds`` is given, the point's
-    round lines are written to it before its totals are yielded; the block
-    renders each distinct number of its lines once, with its own ``_Texts``.
+    round lines (``_round_lines``) are written to it before its totals are
+    yielded.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     system, scenarios = cfg.system(), cfg.raw["sweep"]["scenarios"]
     block, points = payload["episodes"], payload["points"]
-    texts = None if rounds is None else _Texts()
-    results = [_eval_point(cfg, system, ep, points, payload["heads"], texts) for ep in block]
+    results = [_eval_point(cfg, system, ep, points, payload["heads"]) for ep in block]
     traces = [episode_traces for episode_traces, _ in results]
     decided = [episode_decided for _, episode_decided in results]
     # A decision key's batch is freed after its last point.
@@ -544,12 +442,12 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
     for i, point in enumerate(points):
         s_idx, mode, k, tau, _ = point
         key = _decision_key(*point)
-        batch, templates = zip(*(episode_decided[key] for episode_decided in decided))
+        batch = [episode_decided[key] for episode_decided in decided]
         link = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
                           [episode_traces[s_idx] for episode_traces in traces])
         if rounds is not None:
-            rounds.writelines(lines.encode() for lines in _round_lines(
-                _point_key(scenarios, point), templates, link, texts, first_episode=block.start))
+            rounds.write(_round_lines(_point_key(scenarios, point), batch, link,
+                                      first_episode=block.start).encode())
         yield episode_totals(batch, link)
         if last_point[key] == i:
             for episode_decided in decided:
@@ -739,8 +637,9 @@ def cmd_ablate(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     _dump_json(out / ABLATE_META, paired)
     for s_name, pv in paired["scenarios"].items():
         print(
-            f"ablate[{s_name}]: csi aal {pv['csi']['aal_mean']:.3f} "
-            f"vs no-csi {pv['no_csi']['aal_mean']:.3f} (paired diff SEM {pv['aal_diff_sem']:.3f})"
+            f"ablate[{s_name}]: csi aal {pv[LINK_AWARE]['aal_mean']:.3f} "
+            f"vs no-csi {pv[LINK_BLIND]['aal_mean']:.3f} "
+            f"(paired diff SEM {pv['aal_diff_sem']:.3f})"
         )
     return paired
 

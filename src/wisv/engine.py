@@ -45,8 +45,8 @@ link term per trace row, each one matmul per episode. On a link whose term
 is the same in every round, the screen is one p column over the
 mismatches, and every window and tau of the episode scans a stop column
 cut from it, as ``sd_greedy`` does; otherwise a screened round adds its
-link row to its window's hidden rows. ``head.forward_batch`` serves
-training and the holdout.
+link row to its window's hidden rows. The final training accuracy and
+the holdout are scored by ``head.chunked_logits``.
 """
 
 from __future__ import annotations

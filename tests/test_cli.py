@@ -6,7 +6,6 @@ import io
 import json
 import multiprocessing
 import re
-import struct
 import tracemalloc
 from pathlib import Path
 
@@ -857,74 +856,29 @@ class TestEvalCommand:
         seen = {"reject_pos": set(), "proto": set()}
         for mode in MODES:
             eng = cfg.engine(mode=mode, window=10, tau=0.9)
-            results = [one_episode(system, eng, engine.episode_oracle(
-                           cfg.oracle(), eng, [SEED_EVAL, ep], mode == "sd_reject"), trace, head)
-                       for ep, trace in enumerate(traces)]
-            batch = [priced for priced, _, _ in results]
+            batch = [one_episode(system, eng, engine.episode_oracle(
+                         cfg.oracle(), eng, [SEED_EVAL, ep], mode == "sd_reject"), trace, head)[0]
+                     for ep, trace in enumerate(traces)]
             link = engine.price_link(system, eng, batch, traces)
             point = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
-            texts = cli._Texts()  # one block's memos, shared by its templates and lines
-            templates = [cli._round_template(ep, priced, texts) for ep, priced in enumerate(batch)]
-            lines = list(cli._round_lines(point, templates, link, texts))
-            assert len(lines) == 2
-            for ep, (priced, own, _) in enumerate(results):
+            lines = cli._round_lines(point, batch, link).splitlines(keepends=True)
+            for ep, (priced, trace) in enumerate(zip(batch, traces)):
+                own = engine.price_link(system, eng, [priced], [trace])
                 reference = reference_round_lines({**point, "episode": ep}, priced, own)
-                assert lines[ep] == reference, (mode, ep)
+                episode_lines, lines = lines[:priced.n_rounds], lines[priced.n_rounds:]
+                assert "".join(episode_lines) == reference, (mode, ep)
                 for line in reference.splitlines():
                     record = json.loads(line)
                     seen["reject_pos"].add(record["reject_pos"] is None)
                     seen["proto"].add(record["proto"])
+            assert lines == []
         assert seen == {"reject_pos": {True, False}, "proto": {None, "FH", "SH"}}
 
-    def test_one_template_serves_every_link(self, small_run):
-        # FH, SH and adaptive on two links share one priced decision and its
-        # one template; each point fills in only its link's columns.
-        cfg, out = small_run
-        head = cli.load_params(out / HEAD)
-        system, oracle_cfg = cfg.system(), cfg.oracle()
-        links = [generate_trace(cfg.channel({"rtt_s": rtt}), 0, rounds=40)
-                 for rtt in (0.05, 0.005)]
-        eng = cfg.engine(mode="wisv_fh", window=10, tau=0.9)
-        oracle = engine.episode_oracle(oracle_cfg, eng, [SEED_EVAL, 4], False)
-        screen, = engine.head_screens(head, oracle, links[:1], system.bounds)
-        priced = engine.price_decisions(system, eng, engine.decide(eng, oracle, screen))
-        texts = cli._Texts()
-        template = cli._round_template(0, priced, texts)
-        for mode in ("wisv_fh", "wisv_sh", "wisv_adaptive"):
-            eng = cfg.engine(mode=mode, window=10, tau=0.9)
-            for trace in links:
-                link = engine.price_link(system, eng, [priced], [trace])
-                point = {"scenario": "s", "mode": mode, "k": 10, "tau": 0.9}
-                assert list(cli._round_lines(point, [template], link, texts)) == [
-                    reference_round_lines({**point, "episode": 0}, priced, link)]
-
-    def test_non_finite_round_column_raises(self, small_run):
-        cfg, _ = small_run
-        system, eng = cfg.system(), cfg.engine()
-        trace = generate_trace(cfg.channel({}), 0, rounds=4)
-        res, _, _ = one_episode(system, eng, engine.episode_oracle(cfg.oracle(), eng, 0, False),
-                                trace)
-        # A decision column fails once per decision, a link column per point.
-        head_s = res.head_s.copy()
-        head_s[1] = np.nan
-        with pytest.raises(ValueError, match="round column 'head_s' of episode 3"):
-            cli._round_template(3, dataclasses.replace(res, head_s=head_s), cli._Texts())
-        # A link column fails naming the episode whose slice holds the value:
-        # the last of four, then the second of three.
-        for n_episodes, bad_episode in ((4, 3), (3, 1)):
-            link = engine.price_link(system, eng, [res] * n_episodes, [trace] * n_episodes)
-            link.total_s[link.bounds[bad_episode]] = np.inf
-            with pytest.raises(ValueError,
-                               match=f"round column 'total_s' of episode {bad_episode}"):
-                texts = cli._Texts()
-                next(cli._round_lines({}, [cli._round_template(0, res, texts)] * n_episodes,
-                                      link, texts))
-
     def test_block_memos_keep_number_kinds_apart(self, small_run):
-        # One block of two episodes renders through one pair of memos. Its
-        # head_s column holds 0.0 and -0.0 (episode 0 writes -0.0 first),
-        # and a draft_s of 1.0 follows the int 1 of round 1: a memo keyed by
-        # value alone would write "-0.0" for 0.0, or "1" for 1.0.
+        # One block of two episodes renders in one call. Its head_s column
+        # holds 0.0 and -0.0 (episode 0 writes -0.0 first), and a draft_s of
+        # 1.0 follows the int 1 of round 1: a text keyed by value alone would
+        # write "-0.0" for 0.0, or "1" for 1.0.
         cfg, _ = small_run
         system, eng = cfg.system(), cfg.engine(mode="sd_greedy", window=10)
         traces = [generate_trace(cfg.channel({}), ep, rounds=40) for ep in range(2)]
@@ -939,61 +893,43 @@ class TestEvalCommand:
             batch.append(dataclasses.replace(priced, head_s=head_s, draft_s=draft_s))
         link = engine.price_link(system, eng, batch, traces)
         point = {"scenario": "s", "mode": "sd_greedy", "k": 10, "tau": 0.9}
-        texts = cli._Texts()
-        templates = [cli._round_template(ep, priced, texts) for ep, priced in enumerate(batch)]
-        lines = list(cli._round_lines(point, templates, link, texts))
-        assert len(lines) == 2
+        lines = cli._round_lines(point, batch, link).splitlines(keepends=True)
         for ep, (priced, trace) in enumerate(zip(batch, traces)):
             own = engine.price_link(system, eng, [priced], [trace])
-            assert lines[ep] == reference_round_lines({**point, "episode": ep}, priced, own)
-            assert '"head_s":-0.0,' in lines[ep] and '"head_s":0.0,' in lines[ep]
-            assert '"round":1,' in lines[ep] and '"draft_s":1.0,' in lines[ep]
+            reference = reference_round_lines({**point, "episode": ep}, priced, own)
+            episode_lines, lines = lines[:priced.n_rounds], lines[priced.n_rounds:]
+            assert "".join(episode_lines) == reference
+            assert '"head_s":-0.0,' in reference and '"head_s":0.0,' in reference
+            assert '"round":1,' in reference and '"draft_s":1.0,' in reference
+        assert lines == []
 
-    def test_each_float_rendered_once_per_memo_scope(self, small_run, tmp_path, monkeypatch):
-        # A block renders each distinct float of its round lines once. A
-        # second eval in the same process, and each block of a split sweep,
-        # renders all of its own again: no memo outlives its block.
-        # Points that differ only in tau bill equal comm_s values, so a memo
-        # per point would render some of them twice.
-        cfg, out = small_run
-        cfg = derived_config(cfg, episodes=3, tau_values=[0.5, 0.9])
-        copy_artifacts(out, tmp_path)
-        rendered = []
-        real = cli._float_json
-
-        def counting(bits):
-            rendered.append(bits)
-            return real(bits)
-
-        def distinct_floats(text):
-            # The members after the point's key: tau is written with the key.
-            return {struct.unpack("q", struct.pack("d", value))[0]
-                    for line in text.splitlines()
-                    for name, value in json.loads(line).items()
-                    if type(value) is float and name != "tau"}
-
-        monkeypatch.setattr(cli, "_float_json", counting)
-        for _ in range(2):
-            rendered.clear()
-            cmd_eval(cfg, tmp_path)
-            round_floats = distinct_floats((tmp_path / ROUNDS_JSONL).read_text())
-            assert len(round_floats) > 100
-            assert sorted(rendered) == sorted(round_floats)
-
-        head = cli.load_params(out / HEAD)
-        per_block = []
-        for block in cli._blocks(3, 2):
-            rendered.clear()
-            sink = io.BytesIO()
-            list(cli._sweep_block({"raw": cfg.raw, "episodes": block,
-                                   "points": cli._sweep_points(cfg.raw["sweep"]),
-                                   "heads": {cli.LINK_AWARE: head}}, sink))
-            per_block.append(distinct_floats(sink.getvalue().decode()))
-            assert sorted(rendered) == sorted(per_block[-1])
-        assert per_block[0] & per_block[1]
+    def test_non_finite_round_column_raises(self, small_run):
+        cfg, _ = small_run
+        system, eng = cfg.system(), cfg.engine()
+        trace = generate_trace(cfg.channel({}), 0, rounds=4)
+        res, _, _ = one_episode(system, eng, engine.episode_oracle(cfg.oracle(), eng, 0, False),
+                                trace)
+        head_s = res.head_s.copy()
+        head_s[1] = np.nan
+        point = {"scenario": "s", "mode": eng.mode, "k": eng.window, "tau": eng.tau}
+        # A decision column and a link column each fail naming the sweep's
+        # episode whose slice holds the value: the last of a batch of four
+        # from episode 0, then the second of a batch of three from episode 5.
+        for n_episodes, bad, first_episode in ((4, 3, 0), (3, 1, 5)):
+            batch = [res] * n_episodes
+            link = engine.price_link(system, eng, batch, [trace] * n_episodes)
+            poisoned = batch.copy()
+            poisoned[bad] = dataclasses.replace(res, head_s=head_s)
+            with pytest.raises(ValueError,
+                               match=f"round column 'head_s' of episode {first_episode + bad} "):
+                cli._round_lines(point, poisoned, link, first_episode)
+            link.total_s[link.bounds[bad]] = np.inf
+            with pytest.raises(ValueError,
+                               match=f"round column 'total_s' of episode {first_episode + bad} "):
+                cli._round_lines(point, batch, link, first_episode)
 
     def test_failed_eval_leaves_no_stream(self, small_run, tmp_path, monkeypatch):
-        # A late point carries a non-finite round latency in the sweep's
+        # A late point carries a non-finite round draft time in the sweep's
         # third episode, which is the second block's under --jobs 2: eval
         # refuses naming that episode, and neither stream nor any block's
         # scratch file is left behind, in a fresh directory or over a
@@ -1005,11 +941,10 @@ class TestEvalCommand:
         real_point, real_link = cli._eval_point, cli.price_link
         calls = []
 
-        def poisoned(cfg, system, ep, points, heads, texts):
-            traces, decided = real_point(cfg, system, ep, points, heads, texts)
+        def poisoned(cfg, system, ep, points, heads):
+            traces, decided = real_point(cfg, system, ep, points, heads)
             if ep == 2:
-                # After its template is rendered, so only the billed total fails.
-                decided[late_key][0].draft_s[2] = np.nan
+                decided[late_key].draft_s[2] = np.nan
             return traces, decided
 
         def counting(*args):
@@ -1032,7 +967,7 @@ class TestEvalCommand:
             run_dir = tmp_path / f"jobs{jobs}"
             copy_artifacts(out, run_dir)
             poison()
-            with pytest.raises(ValueError, match="round column 'total_s' of episode 2"):
+            with pytest.raises(ValueError, match="round column 'draft_s' of episode 2"):
                 cmd_eval(cfg, run_dir, jobs=jobs)
             # Serially the first 12 points were streamed; the blocks bill in workers.
             assert len(calls) == (13 if jobs == 1 else 0)
@@ -1042,7 +977,7 @@ class TestEvalCommand:
             cmd_eval(cfg, run_dir, jobs=jobs)
             complete = {name: (run_dir / name).read_bytes() for name in EVAL_FILES}
             poison()
-            with pytest.raises(ValueError, match="round column 'total_s' of episode 2"):
+            with pytest.raises(ValueError, match="round column 'draft_s' of episode 2"):
                 cmd_eval(cfg, run_dir, jobs=jobs)
             monkeypatch.undo()
             assert {name: (run_dir / name).read_bytes() for name in EVAL_FILES} == complete
