@@ -44,7 +44,7 @@ from .engine import (
     price_link,
     select_protocol,
 )
-from .head import HeadParams, TrainConfig, bce_from_logit, forward_batch, train
+from .head import HeadParams, TrainConfig, forward_batch, train
 from .labeler import (
     Episode,
     RelabelConfig,

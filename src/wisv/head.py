@@ -10,6 +10,9 @@ Training draws dropout masks with inverted scaling, so inference
 plain mini-batch SGD with momentum, weight decay on the weight matrices,
 and a positive-class weight for imbalance; gradients are exact
 backpropagation, and the BCE loss is always evaluated from the logit.
+A training step reuses its buffers and fuses ops only where the fused op
+is exact (``_Step`` says why each one is), so it computes bit for bit
+what a fresh-array evaluation of these formulas computes.
 """
 
 from __future__ import annotations
@@ -89,11 +92,18 @@ def init_params(d_in: int, d_j: int, seed: int) -> HeadParams:
     )
 
 
+def _logistic(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(-|s|)`` and the numerically stable sigmoid of float64 logits ``s``.
+
+    The training step's BCE reuses the first, so it is computed once.
+    """
+    e = np.exp(-np.abs(s))
+    return e, np.where(s >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x):
     """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _logistic(np.asarray(x, dtype=np.float64))[1]
 
 
 def forward_batch(params: HeadParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,78 +137,103 @@ def chunked_logits(params: HeadParams, x: np.ndarray, rows: np.ndarray) -> np.nd
     return s
 
 
-def bce_from_logit(s, y, pos_weight: float = 1.0):
-    """Elementwise BCE evaluated from the logit (log-sum-exp form)."""
-    s = np.asarray(s, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    # softplus(x) = max(x, 0) + log1p(exp(-|x|)); loss is y*softplus(-s) + (1-y)*softplus(s)
-    common = np.log1p(np.exp(-np.abs(s)))
-    loss_pos = np.maximum(-s, 0.0) + common
-    loss_neg = np.maximum(s, 0.0) + common
-    return pos_weight * y * loss_pos + (1.0 - y) * loss_neg
+def _split(flat: np.ndarray, d_in: int, d_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the w1, b1 and w2 blocks of a flat [w1; b1; w2; b2] vector."""
+    n1 = d_j * d_in
+    return flat[:n1].reshape(d_j, d_in), flat[n1 : n1 + d_j], flat[n1 + d_j : n1 + 2 * d_j]
 
 
 class _Step:
-    """Buffers for an SGD step on up to ``rows`` rows, allocated once per ``train`` call.
+    """An SGD step on up to ``rows`` rows, with every buffer allocated once per ``train`` call.
 
-    Fresh batch-size temporaries on every step are given back to the OS and
-    page-faulted in again once the heap holds nothing larger; reused
-    buffers are not. ``gather`` takes the batch in the features' dtype and
-    ``x`` holds it widened to float64; they are one array for float64 input.
+    The parameters ``theta``, their gradient ``grad`` and a ``scratch``
+    are flat [w1; b1; w2; b2] vectors, so one momentum update moves all
+    four blocks. ``gather`` takes the batch in the
+    features' dtype and ``x`` holds it widened to float64; they are one
+    array for float64 input. ``gate`` first receives the dropout uniforms
+    and ``kept`` their draw. Fresh batch-size temporaries on every step
+    would be given back to the OS and page-faulted in again; reused
+    buffers are not.
+
+    The step computes bit for bit what a fresh-array evaluation of the
+    module's formulas computes (with the already-scaled mask
+    ``kept / keep``), because every op it fuses or reorders is exact:
+
+    * ``act`` is ReLU'd in place, and ``act > 0`` is ``pre > 0`` for every
+      float, NaN included;
+    * the unit gate ``(kept & (pre > 0)) * (1 / keep)`` is 1/keep or +0,
+      as are the mask ``kept / keep`` and ``mask * (pre > 0)``. Where the
+      gate is 0, ``max(pre, 0)`` is a zero, and a zero times +0 or times
+      1/keep keeps its sign, so ``act *= gate`` is ``act *= mask``. ``gpre``
+      is multiplied by the gate once in place of the mask and then the 0/1
+      flags: a product times 1 is itself, and times +0 is the zero that
+      the product times 0 is;
+    * ``exp(-|s|)``, ``1 + exp(-|s|)``, ``pos_weight * y`` and ``1 - y``
+      are computed once where the formulas use them twice;
+    * ``.sum() / m`` is the reduction and division ``np.mean`` makes, and
+      ``gs[:, None] * w2`` is the product ``np.outer`` makes;
+    * the GEMMs, GEMVs and reductions are the same calls on the same
+      operands, only with ``out=`` buffers, and an elementwise op on the
+      flat vectors is that op on each block.
     """
 
-    def __init__(self, rows: int, d_in: int, d_j: int, dtype: np.dtype) -> None:
+    def __init__(self, params: HeadParams, rows: int, dtype: np.dtype) -> None:
+        d_in, d_j = params.d_in, params.d_j
+        self.theta = np.concatenate([params.w1.ravel(), params.b1, params.w2, [params.b2]])
+        self.grad = np.empty_like(self.theta)
+        self.scratch = np.empty_like(self.theta)
+        self.w1, self.b1, self.w2 = _split(self.theta, d_in, d_j)
+        self.gw1, self.gb1, self.gw2 = _split(self.grad, d_in, d_j)
+        self.w1_scratch = _split(self.scratch, d_in, d_j)[0]
         self.x = np.empty((rows, d_in))
         self.gather = self.x if dtype == np.float64 else np.empty((rows, d_in), dtype=dtype)
-        self.pre = np.empty((rows, d_j))
         self.act = np.empty((rows, d_j))
-        self.grad = np.empty((rows, d_j))
-        self.uniform = np.empty((rows, d_j))
-        self.mask = np.empty((rows, d_j))
-        self.flags = np.empty((rows, d_j), dtype=bool)
-        self.gw1 = np.empty((d_j, d_in))
-        self.w1_scratch = np.empty((d_j, d_in))
+        self.gpre = np.empty((rows, d_j))
+        self.gate = np.empty((rows, d_j))
+        self.kept = np.empty((rows, d_j), dtype=bool)
+        self.live = np.empty((rows, d_j), dtype=bool)
 
     def loss_and_grads(
-        self,
-        params: HeadParams,
-        m: int,
-        y: np.ndarray,
-        pos_weight: float,
-        weight_decay: float,
-        dropout: bool,
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """``loss_and_grads`` on the batch in ``x[:m]``, with ``mask[:m]`` if ``dropout``.
+        self, m: int, y: np.ndarray, pos_weight: float, weight_decay: float, scale: float | None
+    ) -> float:
+        """The loss of the batch in ``x[:m]``, leaving its gradient in ``grad``.
 
-        Every array op is the one a fresh-array evaluation would make, in its
-        order, so the results are bit for bit the same; the returned w1
-        gradient is ``gw1``, overwritten by the next step.
+        ``scale`` is 1/keep for a dropout whose draw is in ``kept[:m]``, or
+        None for no dropout.
         """
-        x, pre, act, gpre = self.x[:m], self.pre[:m], self.act[:m], self.grad[:m]
-        np.matmul(x, params.w1.T, out=pre)
-        pre += params.b1
-        np.maximum(pre, 0.0, out=act)
-        if dropout:
-            act *= self.mask[:m]
-        s = act @ params.w2 + params.b2
-        p = sigmoid(s)
+        x, act, gpre = self.x[:m], self.act[:m], self.gpre[:m]
+        np.matmul(x, self.w1.T, out=act)
+        act += self.b1
+        np.maximum(act, 0.0, out=act)
+        gate = np.greater(act, 0.0, out=self.live[:m])
+        if scale is not None:
+            gate &= self.kept[:m]
+            gate = np.multiply(gate, scale, out=self.gate[:m])
+            act *= gate
+        s = act @ self.w2
+        s += self.theta[-1]
+        e, p = _logistic(s)
 
-        loss = float(np.mean(bce_from_logit(s, y, pos_weight)))
-        w1_sq = float(np.sum(np.square(params.w1, out=self.w1_scratch)))
-        loss += 0.5 * weight_decay * (w1_sq + float(np.sum(params.w2**2)))
+        # Weighted BCE from the logit: y * softplus(-s) + (1 - y) * softplus(s),
+        # with softplus(t) = max(t, 0) + log1p(exp(-|t|)).
+        wy, ny = pos_weight * y, 1.0 - y
+        common = np.log1p(e)
+        bce = wy * (np.maximum(-s, 0.0) + common) + ny * (np.maximum(s, 0.0) + common)
+        w1_sq = np.square(self.w1, out=self.w1_scratch).sum()
+        loss = float(bce.sum() / m)
+        loss += 0.5 * weight_decay * (float(w1_sq) + float(np.square(self.w2).sum()))
 
         # d loss / d s, mean reduction
-        gs = ((1.0 - y) * p + pos_weight * y * (p - 1.0)) / m
-        gw2 = act.T @ gs + weight_decay * params.w2
-        gb2 = float(np.sum(gs))
-        np.outer(gs, params.w2, out=gpre)
-        if dropout:
-            gpre *= self.mask[:m]
-        gpre *= np.greater(pre, 0.0, out=self.flags[:m])
-        gw1 = np.matmul(gpre.T, x, out=self.gw1)
-        gw1 += np.multiply(weight_decay, params.w1, out=self.w1_scratch)
-        gb1 = gpre.sum(axis=0)
-        return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": np.float64(gb2)}
+        gs = (ny * p + wy * (p - 1.0)) / m
+        np.matmul(act.T, gs, out=self.gw2)
+        self.gw2 += weight_decay * self.w2
+        self.grad[-1] = gs.sum()
+        np.multiply(gs[:, None], self.w2, out=gpre)
+        gpre *= gate
+        np.matmul(gpre.T, x, out=self.gw1)
+        self.gw1 += np.multiply(weight_decay, self.w1, out=self.w1_scratch)
+        gpre.sum(axis=0, out=self.gb1)
+        return loss
 
 
 def loss_and_grads(
@@ -207,23 +242,26 @@ def loss_and_grads(
     y: np.ndarray,
     pos_weight: float = 1.0,
     weight_decay: float = 0.0,
-    dropout_mask: np.ndarray | None = None,
+    kept: np.ndarray | None = None,
+    keep: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean weighted BCE (+ L2 on the weight matrices) and its exact gradients.
 
-    ``dropout_mask``, when given, is the already-scaled multiplicative mask
-    applied to the hidden activations; passing None disables dropout, which
-    keeps the function deterministic for finite-difference checks. It runs
-    the step code ``train`` runs, on buffers of its own.
+    ``kept``, when given, is an (n, d_j) boolean dropout draw: each kept
+    hidden unit is scaled by 1/``keep`` and the others are dropped. None
+    disables dropout, which keeps the function deterministic for
+    finite-difference checks. It runs the step code ``train`` runs, on
+    buffers of its own.
     """
-    step = _Step(x.shape[0], params.d_in, params.d_j, np.dtype(np.float64))
+    step = _Step(params, x.shape[0], np.dtype(np.float64))
     step.x[:] = x
-    if dropout_mask is not None:
-        step.mask[:] = dropout_mask
-    return step.loss_and_grads(
-        params, x.shape[0], np.asarray(y, dtype=np.float64), pos_weight, weight_decay,
-        dropout_mask is not None,
+    if kept is not None:
+        step.kept[:] = kept
+    loss = step.loss_and_grads(
+        x.shape[0], np.asarray(y, dtype=np.float64), pos_weight, weight_decay,
+        None if kept is None else 1.0 / keep,
     )
+    return loss, {"w1": step.gw1, "b1": step.gb1, "w2": step.gw2, "b2": step.grad[-1]}
 
 
 @dataclass
@@ -242,9 +280,10 @@ def train(
     into one float64 buffer, so float32 features train exactly as their
     float64 copy does. Training on ``rows`` trains exactly as on
     ``x[rows], y[rows]``, without building that copy: each batch gathers
-    its rows from ``x``. The positive-class weight is #neg/#pos, recomputed
-    from the training rows; a single-class training set is rejected
-    because that weight is undefined.
+    its rows from ``x``. A row outside [0, n) is refused before training.
+    The positive-class weight is #neg/#pos, recomputed from the training
+    rows; a single-class training set is rejected because that weight is
+    undefined.
     """
     x = np.asarray(x)
     if x.dtype != np.float32:
@@ -254,6 +293,11 @@ def train(
     if x.ndim != 2 or x.shape[0] != y.shape[0] or len(rows) == 0:
         raise ValueError("dataset must be an (n, d_in) matrix with n labels, "
                          "and the training rows nonempty")
+    outside = rows[(rows < 0) | (rows >= len(y))]
+    if len(outside):
+        # The batch gather clips an index, so such a row would train under another row's label.
+        raise ValueError(f"{len(outside)} training rows lie outside [0, {len(y)}): "
+                         f"{outside[:5].tolist()}")
     y = y[rows]
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
@@ -262,48 +306,34 @@ def train(
     pos_weight = n_neg / n_pos
 
     n, d_in = len(rows), x.shape[1]
-    params = init_params(d_in, cfg.hidden_dim, cfg.seed)
+    step = _Step(init_params(d_in, cfg.hidden_dim, cfg.seed), min(cfg.batch_size, n), x.dtype)
     rng = np.random.default_rng([cfg.seed, 0x7EA1])
-    vel = {
-        "w1": np.zeros_like(params.w1),
-        "b1": np.zeros_like(params.b1),
-        "w2": np.zeros_like(params.w2),
-        "b2": np.float64(0.0),
-    }
+    vel = np.zeros_like(step.theta)
     report = TrainReport(pos_weight=pos_weight)
     keep = 1.0 - cfg.dropout
-    dropout = cfg.dropout > 0.0
-    step = _Step(min(cfg.batch_size, n), d_in, cfg.hidden_dim, x.dtype)
+    scale = 1.0 / keep if cfg.dropout > 0.0 else None
+    starts = range(0, n, cfg.batch_size)
 
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        n_batches = 0
-        for lo in range(0, n, cfg.batch_size):
+        for lo in starts:
             idx = order[lo : lo + cfg.batch_size]
             m = len(idx)
-            np.take(x, rows[idx], axis=0, out=step.gather[:m])
+            # mode="clip" writes straight into ``out``; "raise" would buffer it.
+            x.take(rows.take(idx), axis=0, out=step.gather[:m], mode="clip")
             if step.gather is not step.x:
                 step.x[:m] = step.gather[:m]
-            if dropout:
-                # The mask is (uniform < keep) / keep, one uniform per hidden unit and row.
-                np.less(rng.random(out=step.uniform[:m]), keep, out=step.flags[:m])
-                np.divide(step.flags[:m], keep, out=step.mask[:m])
-            loss, grads = step.loss_and_grads(
-                params, m, y[idx], pos_weight, cfg.weight_decay, dropout
-            )
-            for key in ("w1", "b1", "w2"):
-                vel[key] *= cfg.momentum
-                vel[key] += grads[key]
-            vel["b2"] = cfg.momentum * vel["b2"] + grads["b2"]
-            params.w1 -= np.multiply(cfg.learning_rate, vel["w1"], out=step.w1_scratch)
-            params.b1 -= cfg.learning_rate * vel["b1"]
-            params.w2 -= cfg.learning_rate * vel["w2"]
-            params.b2 -= cfg.learning_rate * float(vel["b2"])
-            epoch_loss += loss
-            n_batches += 1
-        report.epoch_losses.append(epoch_loss / n_batches)
+            if scale is not None:
+                # One uniform per hidden unit and row; a unit is kept when its uniform < keep.
+                np.less(rng.random(out=step.gate[:m]), keep, out=step.kept[:m])
+            epoch_loss += step.loss_and_grads(m, y.take(idx), pos_weight, cfg.weight_decay, scale)
+            vel *= cfg.momentum
+            vel += step.grad
+            step.theta -= np.multiply(cfg.learning_rate, vel, out=step.scratch)
+        report.epoch_losses.append(epoch_loss / len(starts))
 
+    params = HeadParams(step.w1, step.b1, step.w2, float(step.theta[-1]))
     s = chunked_logits(params, x, rows)
     report.final_train_accuracy = float(np.mean((s >= 0.0) == (y == 1.0)))
     return params, report
@@ -341,8 +371,4 @@ def load_params(path: str | Path) -> HeadParams:
     if len(raw) != need:
         raise ValueError(f"truncated head file {path}: {len(raw)} bytes, expected {need}")
     flat = np.frombuffer(raw, dtype="<f4", offset=start).astype(np.float64)
-    w1 = flat[: d_j * d_in].reshape(d_j, d_in)
-    b1 = flat[d_j * d_in : d_j * d_in + d_j]
-    w2 = flat[d_j * d_in + d_j : d_j * d_in + 2 * d_j]
-    b2 = float(flat[-1])
-    return HeadParams(w1=w1, b1=b1, w2=w2, b2=b2)
+    return HeadParams(*_split(flat, d_in, d_j), b2=float(flat[-1]))

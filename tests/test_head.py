@@ -11,7 +11,6 @@ from wisv.head import (
     INFERENCE_CHUNK,
     HeadParams,
     TrainConfig,
-    bce_from_logit,
     chunked_logits,
     forward_batch,
     init_params,
@@ -47,6 +46,79 @@ def one(params, z):
 
 def logit(p):
     return np.log(p) - np.log1p(-p)
+
+
+def bce(s, y):
+    """BCE of logit s against label y: the loss of one row through a head whose only nonzero
+    parameter is b2 = s."""
+    params = HeadParams(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=s)
+    return loss_and_grads(params, np.zeros((1, 1)), np.array([y]))[0]
+
+
+def reference_loss_and_grads(params, x, y, pos_weight, weight_decay, mask):
+    """The loss and gradients on fresh arrays, ``mask`` an already-scaled dropout mask or None."""
+    n = x.shape[0]
+    pre = x @ params.w1.T + params.b1
+    act = np.maximum(pre, 0.0)
+    if mask is not None:
+        act = act * mask
+    s = act @ params.w2 + params.b2
+    e = np.exp(-np.abs(s))
+    p = np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    common = np.log1p(np.exp(-np.abs(s)))
+    loss_pos = np.maximum(-s, 0.0) + common
+    loss_neg = np.maximum(s, 0.0) + common
+    loss = float(np.mean(pos_weight * y * loss_pos + (1.0 - y) * loss_neg))
+    loss += 0.5 * weight_decay * (float(np.sum(params.w1**2)) + float(np.sum(params.w2**2)))
+    gs = ((1.0 - y) * p + pos_weight * y * (p - 1.0)) / n
+    gact = np.outer(gs, params.w2)
+    if mask is not None:
+        gact = gact * mask
+    gpre = gact * (pre > 0.0)
+    return loss, {"w1": gpre.T @ x + weight_decay * params.w1, "b1": gpre.sum(axis=0),
+                  "w2": act.T @ gs + weight_decay * params.w2, "b2": np.float64(np.sum(gs))}
+
+
+def reference_train(x, y, cfg, rows=None):
+    """``train`` on fresh arrays: an ``np.take`` gather, an ``np.divide`` mask, a momentum dict."""
+    rows = np.arange(len(y)) if rows is None else rows
+    y = np.asarray(y, dtype=np.float64)[rows]
+    pos_weight = int(np.sum(y == 0)) / int(np.sum(y == 1))
+    params = init_params(x.shape[1], cfg.hidden_dim, cfg.seed)
+    rng = np.random.default_rng([cfg.seed, 0x7EA1])
+    vel = {"w1": np.zeros_like(params.w1), "b1": np.zeros_like(params.b1),
+           "w2": np.zeros_like(params.w2), "b2": np.float64(0.0)}
+    keep = 1.0 - cfg.dropout
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(rows))
+        total, batches = 0.0, 0
+        for lo in range(0, len(rows), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            xb = np.take(x, rows[idx], axis=0).astype(np.float64)
+            mask = None
+            if cfg.dropout > 0.0:
+                mask = np.divide(rng.random((len(idx), cfg.hidden_dim)) < keep, keep)
+            loss, grads = reference_loss_and_grads(params, xb, y[idx], pos_weight,
+                                                   cfg.weight_decay, mask)
+            vel = {key: cfg.momentum * vel[key] + grads[key] for key in vel}
+            params = HeadParams(w1=params.w1 - cfg.learning_rate * vel["w1"],
+                                b1=params.b1 - cfg.learning_rate * vel["b1"],
+                                w2=params.w2 - cfg.learning_rate * vel["w2"],
+                                b2=params.b2 - cfg.learning_rate * float(vel["b2"]))
+            total += loss
+            batches += 1
+        losses.append(total / batches)
+    s = chunked_logits(params, x, rows)
+    return params, losses, float(np.mean((s >= 0.0) == (y == 1.0)))
+
+
+def assert_same_bits(params, ref):
+    """Every parameter of ``params`` equals that of ``ref`` to the bit."""
+    for name in ("w1", "b1", "w2"):
+        np.testing.assert_array_equal(getattr(params, name).view(np.uint64),
+                                      getattr(ref, name).view(np.uint64))
+    assert np.float64(params.b2).view(np.uint64) == np.float64(ref.b2).view(np.uint64)
 
 
 def relabeled_row(h_d, h_t, csi):
@@ -148,19 +220,19 @@ class TestChunkedLogits:
 
 class TestBceLoss:
     def test_half_probability(self):
-        assert bce_from_logit(logit(0.5), 1.0) == pytest.approx(np.log(2.0), rel=1e-12)
-        assert bce_from_logit(logit(0.5), 0.0) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert bce(logit(0.5), 1.0) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert bce(logit(0.5), 0.0) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_reference_value(self):
-        assert bce_from_logit(logit(0.9), 1.0) == pytest.approx(0.10536051565782628, rel=1e-9)
+        assert bce(logit(0.9), 1.0) == pytest.approx(0.10536051565782628, rel=1e-9)
 
     def test_vanishes_as_p_approaches_label(self):
-        assert bce_from_logit(logit(1.0 - 1e-9), 1.0) < 1e-8
-        assert bce_from_logit(logit(1e-9), 0.0) < 1e-8
+        assert bce(logit(1.0 - 1e-9), 1.0) < 1e-8
+        assert bce(logit(1e-9), 0.0) < 1e-8
 
     def test_logit_form_stable_at_extremes(self):
-        assert np.isfinite(bce_from_logit(1000.0, 0.0))
-        assert bce_from_logit(1000.0, 0.0) == pytest.approx(1000.0)
+        assert np.isfinite(bce(1000.0, 0.0))
+        assert bce(1000.0, 0.0) == pytest.approx(1000.0)
 
 
 class TestGradients:
@@ -263,10 +335,7 @@ class TestTraining:
                           hidden_dim=8, seed=4)
         p32, r32 = train(x, y, cfg)
         p64, r64 = train(x.astype(np.float64), y, cfg)
-        for name in ("w1", "b1", "w2"):
-            np.testing.assert_array_equal(getattr(p32, name).view(np.uint64),
-                                          getattr(p64, name).view(np.uint64))
-        assert np.float64(p32.b2).view(np.uint64) == np.float64(p64.b2).view(np.uint64)
+        assert_same_bits(p32, p64)
         assert r32.epoch_losses == r64.epoch_losses
         assert r32.final_train_accuracy == r64.final_train_accuracy
 
@@ -279,10 +348,7 @@ class TestTraining:
                           hidden_dim=8, seed=4)
         p_rows, r_rows = train(x, y, cfg, rows=rows)
         p_copy, r_copy = train(x[rows], y[rows], cfg)
-        for name in ("w1", "b1", "w2"):
-            np.testing.assert_array_equal(getattr(p_rows, name).view(np.uint64),
-                                          getattr(p_copy, name).view(np.uint64))
-        assert np.float64(p_rows.b2).view(np.uint64) == np.float64(p_copy.b2).view(np.uint64)
+        assert_same_bits(p_rows, p_copy)
         assert r_rows.epoch_losses == r_copy.epoch_losses
         assert r_rows.final_train_accuracy == r_copy.final_train_accuracy
         assert r_rows.pos_weight == r_copy.pos_weight
@@ -292,35 +358,48 @@ class TestTraining:
     @pytest.mark.parametrize("dropout", [False, True])
     def test_loss_and_grads_match_allocating_reference(self, dropout):
         # The step reuses its buffers; each array op must still be the reference's, bit for bit.
-        def reference(params, x, y, pos_weight, weight_decay, mask):
-            n = x.shape[0]
-            pre = x @ params.w1.T + params.b1
-            act = np.maximum(pre, 0.0)
-            if mask is not None:
-                act = act * mask
-            s = act @ params.w2 + params.b2
-            p = sigmoid(s)
-            loss = float(np.mean(bce_from_logit(s, y, pos_weight)))
-            loss += 0.5 * weight_decay * (float(np.sum(params.w1**2)) + float(np.sum(params.w2**2)))
-            gs = ((1.0 - y) * p + pos_weight * y * (p - 1.0)) / n
-            gact = np.outer(gs, params.w2)
-            if mask is not None:
-                gact = gact * mask
-            gpre = gact * (pre > 0.0)
-            return loss, {"w1": gpre.T @ x + weight_decay * params.w1, "b1": gpre.sum(axis=0),
-                          "w2": act.T @ gs + weight_decay * params.w2, "b2": np.float64(np.sum(gs))}
-
         rng = np.random.default_rng(5)
         params = init_params(9, 12, seed=3)
         params.b1[:] = rng.normal(0, 0.3, 12)
         x, y = rng.normal(0, 1, (37, 9)), (rng.random(37) < 0.4).astype(np.float64)
-        mask = (rng.random((37, 12)) < 0.8) / 0.8 if dropout else None
-        loss, grads = loss_and_grads(params, x, y, 2.5, 1e-3, dropout_mask=mask)
-        ref_loss, ref_grads = reference(params, x, y, 2.5, 1e-3, mask)
+        kept = rng.random((37, 12)) < 0.8 if dropout else None
+        loss, grads = loss_and_grads(params, x, y, 2.5, 1e-3, kept=kept, keep=0.8)
+        mask = np.divide(kept, 0.8) if dropout else None
+        ref_loss, ref_grads = reference_loss_and_grads(params, x, y, 2.5, 1e-3, mask)
         assert loss == ref_loss
         for key, value in ref_grads.items():
             np.testing.assert_array_equal(np.asarray(grads[key]).view(np.uint64),
                                           np.asarray(value).view(np.uint64))
+
+    @pytest.mark.parametrize("with_rows", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_matches_fresh_array_reference(self, dtype, dropout, with_rows):
+        # The whole run, bit for bit: the last batch of each epoch is short (203 = 6 * 32 + 11).
+        rng = np.random.default_rng(13)
+        x = rng.normal(0, 1, (230, 6)).astype(dtype)
+        y = (x[:, 0] + 0.5 * rng.normal(0, 1, 230) > 0).astype(np.float64)
+        rows = rng.permutation(230)[:203] if with_rows else None
+        if not with_rows:
+            x, y = x[:203], y[:203]
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=32, weight_decay=1e-3,
+                          dropout=dropout, hidden_dim=8, seed=6)
+        params, report = train(x, y, cfg, rows=rows)
+        ref, ref_losses, ref_accuracy = reference_train(x, y, cfg, rows=rows)
+        assert_same_bits(params, ref)
+        np.testing.assert_array_equal(np.array(report.epoch_losses).view(np.uint64),
+                                      np.array(ref_losses).view(np.uint64))
+        assert report.final_train_accuracy == ref_accuracy
+
+    def test_rows_outside_the_dataset_refused_before_training(self, monkeypatch):
+        # A clipped gather would train row -1 as row 0 under row -1's label.
+        x, y = separable_dataset(n=50)
+        steps = []
+        monkeypatch.setattr(head._Step, "loss_and_grads", lambda *args: steps.append(args))
+        for bad, named in (([0, -1, 3], "[-1]"), ([49, 50, 7, -50], "[50, -50]")):
+            with pytest.raises(ValueError, match=re.escape(f"outside [0, 50): {named}")):
+                train(x, y, TrainConfig(epochs=1), rows=np.array(bad))
+        assert steps == []
 
 
 def engine_rejects(params, h_d, h_t, tau):
