@@ -6,8 +6,8 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 ``labeler`` (trace collection and link-aware relabeling), ``columns``
 (the binary column file that holds the traces' hidden rows), ``engine``
 (the head's screen of an episode, ``head_screens``, the episode decision
-loop, ``decide``, and its pricing: ``price_decisions`` once per
-decision, then ``price_link`` per link over a batch of episodes),
+loop, ``decide``, and the one latency ledger, ``price_link``, which bills
+a batch of episodes' decisions: compute, link and total per round),
 ``metrics`` (aggregation), and ``cli`` (experiment pipeline).
 """
 
@@ -35,12 +35,10 @@ from .engine import (
     EngineConfig,
     HeadScreen,
     LinkBill,
-    PricedDecisions,
     SystemModel,
     decide,
     episode_oracle,
     head_screens,
-    price_decisions,
     price_link,
     select_protocol,
 )

@@ -49,12 +49,10 @@ from .config import (
 )
 from .engine import (
     LinkBill,
-    PricedDecisions,
     SystemModel,
     decide,
     episode_oracle,
     head_screens,
-    price_decisions,
     price_link,
 )
 from .head import HeadParams, chunked_logits, load_params, save_params, sigmoid, train
@@ -293,11 +291,6 @@ def cmd_train(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 
 # JSON text of each protocol code in a round line.
 _PROTO_JSON = tuple(json.dumps(name) for name in PROTO_NAMES)
-# The members of a round line after its point's key and episode, in line order.
-_ROUND_MEMBERS = ("round", "m", "reject_pos", "accepted", "committed", "proto", "uplink_bits",
-                  "downlink_bits", "draft_s", "verify_s", "head_s", "comm_s", "total_s",
-                  "accepted_critical")
-_ROUND_LINE = ",".join(f'"{name}":%s' for name in ("episode", *_ROUND_MEMBERS)) + "}\n"
 
 
 def _episode_line(point: dict, episode: int, totals: EpisodeTotals) -> str:
@@ -325,27 +318,27 @@ def _float_texts(column: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _round_lines(point: dict, batch: Sequence[PricedDecisions], link: LinkBill,
-                 first_episode: int = 0) -> str:
+def _round_lines(point: dict, bill: LinkBill, first_episode: int = 0) -> str:
     """One point's ``rounds.jsonl`` lines over a batch of episodes.
 
-    The batch holds the sweep's episodes ``first_episode`` on, in order, and
-    ``link`` is its bill. Episode e's round r is compact ``json.dumps({**point,
-    "episode": e, "round": r, **columns})`` of the round's decision and bill
-    columns: the ``str`` of a Python int, like the ``repr`` of a float, is
-    already its JSON text. A non-finite float, which JSON writes as
-    ``NaN``, raises, naming the episode that holds it.
+    ``bill`` is the bill of the sweep's episodes ``first_episode`` on, in
+    order. Episode e's round r is compact ``json.dumps({**point, "episode":
+    e, "round": r, **columns})`` of the round's bill columns: the ``str`` of
+    a Python int, like the ``repr`` of a float, is already its JSON text. A
+    non-finite float, which JSON writes as ``NaN``, raises, naming the
+    episode that holds it.
     """
-    bounds, comm = link.bounds, link.comm
+    bounds, comm = bill.bounds, bill.comm
     counts = np.diff(bounds)
-    episodes = np.repeat(np.arange(first_episode, first_episode + len(batch)), counts)
-    columns = {"round": np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts),
-               "proto": link.proto, "uplink_bits": comm.uplink_bits,
-               "downlink_bits": comm.downlink_bits, "comm_s": comm.total_s,
-               "total_s": link.total_s}
-    columns = {name: columns[name] if name in columns
-               else np.concatenate([getattr(priced, name) for priced in batch])
-               for name in _ROUND_MEMBERS}
+    episodes = np.repeat(np.arange(first_episode, first_episode + len(counts)), counts)
+    # The members of a round line after its point's key and episode, in line order.
+    columns = {"round": np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts), "m": bill.m,
+               "reject_pos": bill.reject_pos, "accepted": bill.accepted,
+               "committed": bill.accepted + 1, "proto": bill.proto,
+               "uplink_bits": comm.uplink_bits, "downlink_bits": comm.downlink_bits,
+               "draft_s": bill.draft_s, "verify_s": bill.verify_s, "head_s": bill.head_s,
+               "comm_s": comm.total_s, "total_s": bill.total_s,
+               "accepted_critical": bill.accepted_critical}
     texts = {}
     for name, column in columns.items():
         if column.dtype.kind != "f":
@@ -359,7 +352,8 @@ def _round_lines(point: dict, batch: Sequence[PricedDecisions], link: LinkBill,
     texts["reject_pos"] = ["null" if j < 0 else j for j in texts["reject_pos"]]
     texts["proto"] = list(map(_PROTO_JSON.__getitem__, texts["proto"]))
     # The point's key less its closing brace, with % escaped in its strings.
-    line = json.dumps(point, separators=(",", ":"))[:-1].replace("%", "%%") + "," + _ROUND_LINE
+    line = (json.dumps(point, separators=(",", ":"))[:-1].replace("%", "%%") + ","
+            + ",".join(f'"{name}":%s' for name in ("episode", *columns)) + "}\n")
     return "".join(map(line.__mod__, zip(episodes.tolist(), *texts.values())))
 
 
@@ -389,8 +383,8 @@ def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Seq
     The episode builds one oracle, for the points' largest window, one
     channel trace per scenario the points use, and each of ``heads``
     screens each trace. Each distinct decision (``_decision_key``) is
-    decided and priced (``price_decisions``) once. Returns the traces by
-    scenario index, and the priced decisions by decision key.
+    decided once. Returns the traces by scenario index, and the
+    ``Decisions`` by decision key.
     """
     oracle = episode_oracle(
         cfg.oracle(), cfg.engine(window=max(k for _, _, k, _, _ in points)), [SEED_EVAL, ep],
@@ -411,7 +405,7 @@ def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Seq
         if key not in decided:
             engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
             screen = screens[head, s_idx] if mode.startswith("wisv") else None
-            decided[key] = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
+            decided[key] = decide(engine_cfg, oracle, screen)
     return traces, decided
 
 
@@ -425,11 +419,11 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
     """Run the sweep's points over one block of episodes: each point's totals, in point order.
 
     ``_eval_point`` decides each episode of the block (``payload["episodes"]``,
-    a range), screening with ``payload["heads"]``. Then each point prices
-    its link once over the block's episodes and reduces that ``LinkBill``
-    once to their ``EpisodeTotals``. If ``rounds`` is given, the point's
-    round lines (``_round_lines``) are written to it before its totals are
-    yielded.
+    a range), screening with ``payload["heads"]``. Then each point bills
+    the block's episodes in one ``price_link`` call and reduces that
+    ``LinkBill`` once to their ``EpisodeTotals``. If ``rounds`` is given,
+    the point's round lines (``_round_lines``) are written to it before its
+    totals are yielded.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     system, scenarios = cfg.system(), cfg.raw["sweep"]["scenarios"]
@@ -443,12 +437,12 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
         s_idx, mode, k, tau, _ = point
         key = _decision_key(*point)
         batch = [episode_decided[key] for episode_decided in decided]
-        link = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
+        bill = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
                           [episode_traces[s_idx] for episode_traces in traces])
         if rounds is not None:
-            rounds.write(_round_lines(_point_key(scenarios, point), batch, link,
+            rounds.write(_round_lines(_point_key(scenarios, point), bill,
                                       first_episode=block.start).encode())
-        yield episode_totals(batch, link)
+        yield episode_totals(bill)
         if last_point[key] == i:
             for episode_decided in decided:
                 del episode_decided[key]

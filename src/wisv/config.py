@@ -318,6 +318,11 @@ class ExperimentConfig:
             if regime not in REGIMES:
                 raise ValueError(f"config key '{where}.regime' must be one of {REGIMES}, got {regime!r}")
             if where.startswith("sweep."):
+                # A name keys every output line and plot panel; JSON sorts those keys as strings.
+                name = section.get("name")
+                if not isinstance(name, str) or not name:
+                    raise ValueError(f"config key '{where}.name' must be a nonempty string, "
+                                     f"got {name!r}")
                 for key in sorted(_REGIME_ONLY_FIELDS - _REGIME_FIELDS[regime]):
                     if section.get(key) is not None:
                         raise ValueError(f"config key '{where}.{key}' is never read by the "

@@ -18,23 +18,20 @@ oracle's position columns and scans the rounds over a stop column: the
 first mismatch (``sd_greedy``), the first draft the per-position
 speculative-sampling draw rejects (``sd_reject``), or the first mismatch
 the head screens at p >= tau. The loop records integer ``Decisions``
-columns per round. Pricing is the one latency ledger, in two halves.
-``price_decisions`` prices what no link reads, once per ``Decisions``:
-each round's draft and verify compute from its prefix length
-(``compute.window_flops``), the head's screening of its m mismatches on the
-head-verified modes, and the episode's sums. ``price_link`` prices one link
-over a batch of episodes' priced decisions, placed back to back, each
-episode on its own trace: it picks each round's wire protocol code
-(``wire.PROTO_*``), prices the communication from the per-round CSI columns
-with ``wire.round_comm``, and adds up each round's latency, in one pass
-over the batch. Decisions never read the protocol, and only the
-head-verified modes read the channel: FH, SH and adaptive share one
-decision and one priced decision, and differ only in the ``proto`` column.
-A batch's bill is its ``LinkBill`` columns; ``metrics.episode_totals`` is
-the one reduction, to each episode's totals. A sweep decides and prices
-each decision once per episode, with one oracle per episode
-(``episode_oracle``), and prices each point's link once over all its
-episodes.
+columns per round. ``price_link`` is the one latency ledger: it bills a
+batch of episodes' decisions, placed back to back, each episode on its own
+trace. Per round it prices the draft and verify compute from the prefix
+length (``compute.window_flops``), the head's screening of the m
+mismatches on the head-verified modes, the wire protocol code
+(``wire.PROTO_*``) and the communication from the CSI columns
+(``wire.round_comm``), and adds them up, in one pass over the batch.
+Decisions never read the protocol, and only the head-verified modes read
+the channel: FH, SH and adaptive share one decision, and their bills
+differ only in the protocol and what it prices. A batch's bill is its
+``LinkBill`` columns; ``metrics.episode_totals`` is the one reduction, to
+each episode's totals. A sweep decides each decision once per episode,
+with one oracle per episode (``episode_oracle``), and bills each point
+once over all its episodes.
 
 The head-verified modes decide from a ``HeadScreen``, built once per
 (head, episode, trace) by ``head_screens``. A sweep may name several
@@ -117,7 +114,7 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """The wire and compute models that ``price_decisions`` and ``price_link`` price with.
+    """The wire and compute models that ``price_link`` prices with.
 
     Pricing reads no CSI scaling; ``bounds`` rides along for
     ``head_screens``, which normalizes the link features with it.
@@ -156,6 +153,8 @@ class Decisions:
     accept), ``accepted`` draft tokens and accepted critical mismatches.
     ``start`` is the round's prefix length, so a rejection sits at
     position ``start + reject_pos``. ``tokens`` is the committed stream.
+    ``window`` and ``head_verified`` are the window and the kind of
+    verifier they were decided for; only a bill of both may price them.
     """
 
     tokens: np.ndarray
@@ -164,6 +163,8 @@ class Decisions:
     reject_pos: np.ndarray
     accepted: np.ndarray
     accepted_critical: np.ndarray
+    window: int
+    head_verified: bool
 
     @property
     def n_rounds(self) -> int:
@@ -171,40 +172,27 @@ class Decisions:
 
 
 @dataclass(frozen=True)
-class PricedDecisions(Decisions):
-    """An episode's ``Decisions`` with the half of its bill that no link reads.
-
-    ``price_decisions`` prices it once per ``Decisions`` for a ``window`` and
-    for head-verified modes or not; every point billed from it shares both.
-    ``committed`` is accepted + 1 per round; ``draft_s`` and ``verify_s``
-    draft and verify each round's window, and ``head_s`` screens its m
-    localized mismatches on the head-verified modes (0 otherwise).
-    ``n_accepted``, ``n_tokens`` and ``n_accepted_critical`` are the sums of
-    ``accepted``, ``committed`` and ``accepted_critical``.
-    """
-
-    window: int
-    head_verified: bool
-    committed: np.ndarray
-    draft_s: np.ndarray
-    verify_s: np.ndarray
-    head_s: np.ndarray
-    n_accepted: int
-    n_tokens: int
-    n_accepted_critical: int
-
-
-@dataclass(frozen=True)
 class LinkBill:
-    """The link's columns of a batch of billed episodes, placed back to back.
+    """The round columns of a batch of billed episodes, placed back to back.
 
     Episode e of the batch holds entries ``bounds[e]:bounds[e + 1]`` of
-    each column: ``proto`` is the protocol code each round was billed
-    under, ``comm`` its communication and ``total_s`` its latency.
-    ``metrics.episode_totals`` reduces it to each episode's metrics.
+    each column. ``start``, ``m``, ``reject_pos``, ``accepted`` and
+    ``accepted_critical`` are its ``Decisions`` columns; ``draft_s``,
+    ``verify_s`` and ``head_s`` its rounds' compute; ``proto`` the
+    protocol code each round was billed under, ``comm`` its communication
+    and ``total_s`` its latency. ``metrics.episode_totals`` reduces it to
+    each episode's metrics.
     """
 
     bounds: np.ndarray
+    start: np.ndarray
+    m: np.ndarray
+    reject_pos: np.ndarray
+    accepted: np.ndarray
+    accepted_critical: np.ndarray
+    draft_s: np.ndarray
+    verify_s: np.ndarray
+    head_s: np.ndarray
     proto: np.ndarray
     comm: LatencyBreakdown
     total_s: np.ndarray
@@ -360,66 +348,35 @@ def decide(
         # Accepted drafts keep the draft token; elsewhere the target agrees with it.
         tokens = oracle.draft_tokens[lo:prefix].copy()
         tokens[fix - lo] = oracle.target_tokens[fix]
-    return Decisions(tokens, start, m, reject_pos, accepted, accepted_critical)
-
-
-def price_decisions(
-    system: SystemModel, engine_cfg: EngineConfig, decisions: Decisions
-) -> PricedDecisions:
-    """The half of an episode's bill that no link reads, for ``engine_cfg``'s window and mode.
-
-    Every round drafts and verifies its window from its prefix length;
-    under a head-verified mode (FH, SH or adaptive) it also screens its m
-    localized mismatches. Refuses a round whose m is not in [0, k].
-    """
-    k, start, m = engine_cfg.window, decisions.start, decisions.m
-    if np.any((m < 0) | (m > k)):
-        raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
-    head_verified = engine_cfg.mode.startswith("wisv")
-    screened = m if head_verified else np.zeros_like(m)
-    committed = decisions.accepted + 1
-    return PricedDecisions(
-        **vars(decisions),
-        window=k,
-        head_verified=head_verified,
-        committed=committed,
-        draft_s=exec_time(window_flops(system.draft_dims, system.consts, start, k),
-                          system.hw_draft),
-        verify_s=exec_time(window_flops(system.target_dims, system.consts, start, k),
-                           system.hw_target),
-        head_s=exec_time(head_flops(system.head_d_in, system.head_d_j, screened),
-                         system.hw_target),
-        n_accepted=int(decisions.accepted.sum()),
-        n_tokens=int(committed.sum()),
-        n_accepted_critical=int(decisions.accepted_critical.sum()),
-    )
+    return Decisions(tokens, start, m, reject_pos, accepted, accepted_critical, k, screening)
 
 
 def price_link(
     system: SystemModel,
     engine_cfg: EngineConfig,
-    batch: Sequence[PricedDecisions],
+    batch: Sequence[Decisions],
     traces: Sequence[CsiState],
 ) -> LinkBill:
-    """Bill a batch of episodes' priced decisions under ``engine_cfg``'s protocol and CSI.
+    """Bill a batch of episodes' decisions under ``engine_cfg``'s protocol and CSI.
 
     Episode e is billed on ``traces[e]``: its round r uses the trace's state
     r, wrapping if the episode outlives the trace, so no wrap crosses an
     episode. The episodes' rounds are placed back to back and priced in one
-    pass. Adaptive picks FH or SH per round from that state's RTT. Every
-    round's latency is its communication plus its priced compute.
+    pass. Every round drafts and verifies its window from its prefix
+    length; under a head-verified mode (FH, SH or adaptive) it also screens
+    its m localized mismatches. Adaptive picks FH or SH per round from the
+    state's RTT. Every round's latency is its communication plus its
+    compute.
     """
-    for priced in batch:
-        if (engine_cfg.window, engine_cfg.mode.startswith("wisv")) != (
-            priced.window, priced.head_verified
-        ):
-            raise ValueError(f"decisions priced for window {priced.window} and head_verified="
-                             f"{priced.head_verified} cannot be billed as {engine_cfg.mode} "
-                             f"with window {engine_cfg.window}")
+    k, head_verified = engine_cfg.window, engine_cfg.mode.startswith("wisv")
+    for window, verified in {(decisions.window, decisions.head_verified) for decisions in batch}:
+        if (window, verified) != (k, head_verified):
+            raise ValueError(f"decisions decided for window {window} and head_verified="
+                             f"{verified} cannot be billed as {engine_cfg.mode} with window {k}")
     if len(batch) != len(traces):
         raise ValueError(f"a batch of {len(batch)} episodes needs as many traces, "
                          f"got {len(traces)}")
-    n_rounds = [priced.n_rounds for priced in batch]
+    n_rounds = [decisions.n_rounds for decisions in batch]
     bounds = np.cumsum([0, *n_rounds])
     # Batch round i is round r = i - bounds[e] of its episode e, so it reads
     # state r (wrapping) of traces[e], found at traces[e]'s offset in the
@@ -434,14 +391,28 @@ def price_link(
         proto = select_protocol(csi.rtt, engine_cfg.adaptive_rtt_cutoff_s)
     else:
         proto = np.full(bounds[-1], code, dtype=np.int64)
-
-    def column(name: str) -> np.ndarray:
-        return np.concatenate([getattr(priced, name) for priced in batch])
-
-    comm = round_comm(system.wire, engine_cfg.window, proto, column("m"), csi)
+    start, m, reject_pos, accepted, accepted_critical = (
+        np.concatenate([getattr(decisions, name) for decisions in batch])
+        for name in ("start", "m", "reject_pos", "accepted", "accepted_critical")
+    )
+    comm = round_comm(system.wire, k, proto, m, csi)
+    draft_s = exec_time(window_flops(system.draft_dims, system.consts, start, k),
+                        system.hw_draft)
+    verify_s = exec_time(window_flops(system.target_dims, system.consts, start, k),
+                         system.hw_target)
+    head_s = exec_time(head_flops(system.head_d_in, system.head_d_j,
+                                  m if head_verified else np.zeros_like(m)), system.hw_target)
     return LinkBill(
         bounds=bounds,
+        start=start,
+        m=m,
+        reject_pos=reject_pos,
+        accepted=accepted,
+        accepted_critical=accepted_critical,
+        draft_s=draft_s,
+        verify_s=verify_s,
+        head_s=head_s,
         proto=proto,
         comm=comm,
-        total_s=round_latency(column("draft_s"), comm, column("verify_s"), column("head_s")),
+        total_s=round_latency(draft_s, comm, verify_s, head_s),
     )

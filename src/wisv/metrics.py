@@ -1,9 +1,11 @@
 """Aggregation of episode results into system-level metrics.
 
 An episode is reduced once, to its ``EpisodeTotals``: the metric keys of
-its ``episodes.jsonl`` line, in line order. ``episode_totals`` reduces a
-batch of episodes billed in one ``engine.price_link`` call. Float columns
-are added in round order, as Python's ``sum`` adds a list: ``np.sum`` adds
+its ``episodes.jsonl`` line, in line order. ``episode_totals`` reduces the
+``LinkBill`` of a batch of episodes, the whole ledger that one
+``engine.price_link`` call returns. Integer columns are summed per episode
+with ``np.add.reduceat``, which is exact in any order. Float columns are
+added in round order, as Python's ``sum`` adds a list: ``np.sum`` adds
 pairwise and ``np.add.reduceat`` in its own order, and either can move the
 last digit of a written number. A sweep point is its episodes' totals in
 episode order, and ``summarize`` of them is the metric columns of the
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import LinkBill, PricedDecisions
+from .engine import LinkBill
 
 
 @dataclass(frozen=True)
@@ -53,32 +55,38 @@ class EpisodeTotals:
     correct: bool
 
 
-def episode_totals(batch: Sequence[PricedDecisions], link: LinkBill) -> list[EpisodeTotals]:
-    """Each episode's metrics, from a batch's priced decisions and its ``price_link`` bill.
+def episode_totals(bill: LinkBill) -> list[EpisodeTotals]:
+    """Each episode's metrics, from a batch's ``price_link`` bill.
 
     An episode's latency is the round-order sum of its slice of one
-    ``total_s`` list; its bit counts are integer sums, which are exact in
-    any order.
+    ``total_s`` list; its counts are integer sums, and its aal an int
+    divided by an int.
     """
-    if any(priced.n_rounds == 0 for priced in batch):
+    rounds = np.diff(bill.bounds)
+    if not rounds.all():
         # reduceat would give an empty slice the next episode's first entry.
         raise ValueError("episode has no rounds")
-    bounds, total_s = link.bounds.tolist(), link.total_s.tolist()
-    uplink_bits = np.add.reduceat(link.comm.uplink_bits, link.bounds[:-1]).tolist()
-    downlink_bits = np.add.reduceat(link.comm.downlink_bits, link.bounds[:-1]).tolist()
+    bounds, total_s = bill.bounds.tolist(), bill.total_s.tolist()
+
+    def per_episode(column: np.ndarray) -> list[int]:
+        return np.add.reduceat(column, bill.bounds[:-1]).tolist()
+
     return [
         EpisodeTotals(
-            rounds=priced.n_rounds,
-            aal=priced.n_accepted / priced.n_rounds,
-            accepted=priced.n_accepted,
-            tokens=priced.n_tokens,
+            rounds=n,
+            aal=accepted / n,
+            accepted=accepted,
+            tokens=accepted + n,
             latency_s=sum(total_s[lo:hi]),
             uplink_bits=up,
             downlink_bits=down,
-            accepted_critical=priced.n_accepted_critical,
-            correct=priced.n_accepted_critical == 0,
+            accepted_critical=critical,
+            correct=critical == 0,
         )
-        for priced, lo, hi, up, down in zip(batch, bounds, bounds[1:], uplink_bits, downlink_bits)
+        for n, lo, hi, accepted, critical, up, down in zip(
+            rounds.tolist(), bounds, bounds[1:], per_episode(bill.accepted),
+            per_episode(bill.accepted_critical), per_episode(bill.comm.uplink_bits),
+            per_episode(bill.comm.downlink_bits))
     ]
 
 

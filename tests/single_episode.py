@@ -5,33 +5,26 @@ import numpy as np
 
 from wisv.channel import N_CSI_FEATURES, CsiState, NormalizationBounds
 from wisv.compute import FlopsConstants, HardwareProfile, ModelDims
-from wisv.engine import (
-    EngineConfig,
-    SystemModel,
-    decide,
-    head_screens,
-    price_decisions,
-    price_link,
-)
+from wisv.engine import EngineConfig, SystemModel, decide, head_screens, price_link
 from wisv.metrics import episode_totals
 from wisv.oracle import EpisodeOracle, OracleConfig
 from wisv.wire import WireConfig
 
 
 def one_episode(system, engine_cfg, oracle, trace, head=None):
-    """Decide ``oracle``'s episode, price it, and bill its link on ``trace`` as a batch of one.
+    """Decide ``oracle``'s episode and bill it on ``trace`` as a batch of one.
 
     The head-verified modes screen with ``head``; without one, ``decide``
-    refuses them. Returns the ``PricedDecisions``, the ``LinkBill`` and the
+    refuses them. Returns the ``Decisions``, the ``LinkBill`` and the
     episode's ``EpisodeTotals``.
     """
     screen = None
     if engine_cfg.mode.startswith("wisv") and head is not None:
         (screen,) = head_screens(head, oracle, [trace], system.bounds)
-    priced = price_decisions(system, engine_cfg, decide(engine_cfg, oracle, screen))
-    link = price_link(system, engine_cfg, [priced], [trace])
-    (totals,) = episode_totals([priced], link)
-    return priced, link, totals
+    decisions = decide(engine_cfg, oracle, screen)
+    bill = price_link(system, engine_cfg, [decisions], [trace])
+    (totals,) = episode_totals(bill)
+    return decisions, bill, totals
 
 
 def small_system():
@@ -82,9 +75,9 @@ def crafted_oracle(tokens, argmax, crit=None, h_draft=None, h_target=None):
 
 
 def run_one_round(oracle, mode, k, params=None, tau=0.5, csi=CSI):
-    """The priced decisions and link bill of exactly one round of the hand-built oracle."""
+    """The decisions and bill of exactly one round of the hand-built oracle."""
     eng = EngineConfig(mode=mode, window=k, tau=tau, max_tokens=1, prefix_len=0)
     trace = csi.take(np.zeros(1, dtype=np.int64))  # a one-round trace
-    priced, link, _ = one_episode(SYSTEM, eng, oracle, trace, params)
-    assert priced.n_rounds == 1
-    return priced, link
+    decisions, bill, _ = one_episode(SYSTEM, eng, oracle, trace, params)
+    assert decisions.n_rounds == 1
+    return decisions, bill

@@ -26,7 +26,7 @@ from wisv.compute import (
     window_flops,
 )
 from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
-from wisv.engine import decide, episode_oracle, head_screens, price_decisions, price_link
+from wisv.engine import decide, episode_oracle, head_screens, price_link
 from wisv.head import HeadParams, init_params, load_params, loss_and_grads
 from wisv.labeler import solve_budget_exact
 from wisv.metrics import episode_totals, summarize
@@ -93,14 +93,12 @@ def episode_inputs(cfg, ep, head):
 
 
 def bill_batch(cfg, eng, batch, traces):
-    """Price a batch of episodes' decisions and bill its link in one ``price_link`` call.
+    """Bill a batch of episodes' decisions in one ``price_link`` call.
 
-    Returns the priced decisions, the ``LinkBill`` and each episode's totals.
+    Returns the ``LinkBill`` and each episode's totals.
     """
-    system = cfg.system()
-    priced = [price_decisions(system, eng, decisions) for decisions in batch]
-    link = price_link(system, eng, priced, traces)
-    return priced, link, episode_totals(priced, link)
+    bill = price_link(cfg.system(), eng, batch, traces)
+    return bill, episode_totals(bill)
 
 
 def test_criterion_1_formula_exactness():
@@ -249,10 +247,10 @@ def test_criterion_5_reduction_equivalence():
         greedy.append(decide(greedy_eng, oracle))
         wisv.append(decide(wisv_eng, oracle, screen))
         traces.append(trace)
-    g_priced, _, g_totals = bill_batch(cfg, greedy_eng, greedy, traces)
-    w_priced, _, w_totals = bill_batch(cfg, wisv_eng, wisv, traces)
+    _, g_totals = bill_batch(cfg, greedy_eng, greedy, traces)
+    _, w_totals = bill_batch(cfg, wisv_eng, wisv, traces)
     mismatching = 0
-    for g, w, g_ep, w_ep in zip(g_priced, w_priced, g_totals, w_totals):
+    for g, w, g_ep, w_ep in zip(greedy, wisv, g_totals, w_totals):
         same = np.array_equal(g.tokens, w.tokens)
         if not (same and g.n_rounds == w.n_rounds and g_ep.aal == w_ep.aal):
             mismatching += 1
@@ -271,10 +269,10 @@ def test_criterion_6_fh_sh_invariance(pipeline):
         fh_decisions.append(decide(fh_eng, oracle, screen))
         sh_decisions.append(decide(sh_eng, oracle, screen))
         traces.append(trace)
-    fh_priced, fh_link, fh_totals = bill_batch(cfg, fh_eng, fh_decisions, traces)
-    sh_priced, sh_link, sh_totals = bill_batch(cfg, sh_eng, sh_decisions, traces)
+    fh_link, fh_totals = bill_batch(cfg, fh_eng, fh_decisions, traces)
+    sh_link, sh_totals = bill_batch(cfg, sh_eng, sh_decisions, traces)
     violations = 0
-    for ep, (fh, sh) in enumerate(zip(fh_priced, sh_priced)):
+    for ep, (fh, sh) in enumerate(zip(fh_decisions, sh_decisions)):
         same = np.array_equal(fh.tokens, sh.tokens)
         if fh_totals[ep].aal != sh_totals[ep].aal or fh.n_rounds != sh.n_rounds or not same:
             violations += 1

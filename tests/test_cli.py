@@ -95,15 +95,15 @@ ROUND_COLUMNS = ["m", "reject_pos", "accepted", "committed", "proto", "uplink_bi
                  "accepted_critical"]
 
 
-def reference_round_lines(key, priced, link):
-    """One episode's round lines, one ``json.dumps`` per round of every decision and bill column.
+def reference_round_lines(key, bill):
+    """One episode's round lines, one ``json.dumps`` per round of every bill column.
 
-    ``link`` is the episode's own bill, a batch of one.
+    ``bill`` is the episode's own bill, a batch of one.
     """
-    comm = link.comm
-    columns = [priced.m, priced.reject_pos, priced.accepted, priced.committed, link.proto,
-               comm.uplink_bits, comm.downlink_bits, priced.draft_s, priced.verify_s,
-               priced.head_s, comm.total_s, link.total_s, priced.accepted_critical]
+    comm = bill.comm
+    columns = [bill.m, bill.reject_pos, bill.accepted, bill.accepted + 1, bill.proto,
+               comm.uplink_bits, comm.downlink_bits, bill.draft_s, bill.verify_s,
+               bill.head_s, comm.total_s, bill.total_s, bill.accepted_critical]
     lines = ""
     for r, values in enumerate(zip(*(c.tolist() for c in columns))):
         record = dict(zip(ROUND_COLUMNS, values))
@@ -298,6 +298,9 @@ class TestConfig:
             ({"train": {"weight_decay": -5}}, "weight_decay must be nonnegative, got -5"),
             ({"train": {"weight_decay": -1e-4}},
              "weight_decay must be nonnegative, got -0.0001"),
+            ({"sweep": {"scenarios": [{"name": "fast"}, {"name": 500}]},
+              "ablate": {"scenarios": ["fast"]}},
+             "config key 'sweep.scenarios[1].name' must be a nonempty string, got 500"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -773,7 +776,7 @@ class TestEvalCommand:
                     assert cli._episode_line(point, ep, totals) == json.dumps(
                         {**key, **vars(ref_totals)}, separators=(",", ":")) + "\n"
                     episode_lines, lines = lines[:ref.n_rounds], lines[ref.n_rounds:]
-                    assert "".join(episode_lines) == reference_round_lines(key, ref, ref_link)
+                    assert "".join(episode_lines) == reference_round_lines(key, ref_link)
                     rounds = [json.loads(line) for line in episode_lines]
                     assert len(rounds) == ref.n_rounds
                     if mode == "wisv_adaptive":
@@ -789,12 +792,14 @@ class TestEvalCommand:
         assert by_tau[0.5] != by_tau[0.9]
         assert by_scenario[0] != by_scenario[1]
 
-    def test_each_decision_priced_once(self, small_run, tmp_path, monkeypatch):
-        """A sweep_static-shaped grid prices its 30 decisions per episode once, not its 80
-        points, and each point's link once over a block's episodes.
+    def test_each_decision_decided_once_and_each_point_billed_once(self, small_run, tmp_path,
+                                                                   monkeypatch):
+        """A sweep_static-shaped grid decides its 30 decisions per episode once, not its 80
+        points, and bills each point once over a block's episodes.
 
-        Serially the sweep is one block, so there are 80 ``round_comm`` calls;
-        under ``--jobs N`` there are 80 per block."""
+        Serially the sweep is one block, so there are 80 ``round_comm`` calls
+        and 160 ``window_flops`` calls, a draft and a verify per point; under
+        ``--jobs N`` there are as many per block, whatever its episode count."""
         cfg, out = small_run
         cfg = derived_config(cfg, modes=["sd_greedy", "sd_reject", "wisv_fh", "wisv_sh"],
                              k_values=[10, 16, 24, 32, 64], tau_values=[0.5],
@@ -827,19 +832,20 @@ class TestEvalCommand:
             list(cli._sweep_block({"raw": cfg.raw, "episodes": block,
                                    "points": cli._sweep_points(cfg.raw["sweep"]),
                                    "heads": {cli.LINK_AWARE: head}}, io.BytesIO()))
+            # Per k: sd_greedy, sd_reject and one head-verified decision per scenario.
             assert decided_sizes.pop() == 5 * (2 + 4)
-            # Per k: sd_greedy, sd_reject and one head-verified decision per
-            # scenario; each is drafted and verified once.
-            assert len(calls) == 2 * 5 * (2 + 4)
+            assert len(calls) == 2 * 4 * 5 * 4
             assert sorted(set(calls)) == [10, 16, 24, 32, 64]
             assert len(comm_calls) == 4 * 5 * 4
 
+        calls.clear()
         comm_calls.clear()
         copy_artifacts(out, tmp_path)
         cmd_eval(cfg, tmp_path)
-        # One call per point, each over both episodes' rounds; billing per
-        # (point, episode) would make 4 x 5 x 4 x 2 = 160.
+        # One bill per point, each over both episodes' rounds; billing per
+        # (point, episode) would make 4 x 5 x 4 x 2 = 160 round_comm calls.
         assert len(comm_calls) == 4 * 5 * 4
+        assert len(calls) == 2 * 4 * 5 * 4
         with open(tmp_path / ROUNDS_JSONL) as fh:
             assert sum(comm_calls) == sum(1 for _ in fh)
 
@@ -859,13 +865,13 @@ class TestEvalCommand:
             batch = [one_episode(system, eng, engine.episode_oracle(
                          cfg.oracle(), eng, [SEED_EVAL, ep], mode == "sd_reject"), trace, head)[0]
                      for ep, trace in enumerate(traces)]
-            link = engine.price_link(system, eng, batch, traces)
+            bill = engine.price_link(system, eng, batch, traces)
             point = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
-            lines = cli._round_lines(point, batch, link).splitlines(keepends=True)
-            for ep, (priced, trace) in enumerate(zip(batch, traces)):
-                own = engine.price_link(system, eng, [priced], [trace])
-                reference = reference_round_lines({**point, "episode": ep}, priced, own)
-                episode_lines, lines = lines[:priced.n_rounds], lines[priced.n_rounds:]
+            lines = cli._round_lines(point, bill).splitlines(keepends=True)
+            for ep, (decisions, trace) in enumerate(zip(batch, traces)):
+                own = engine.price_link(system, eng, [decisions], [trace])
+                reference = reference_round_lines({**point, "episode": ep}, own)
+                episode_lines, lines = lines[:decisions.n_rounds], lines[decisions.n_rounds:]
                 assert "".join(episode_lines) == reference, (mode, ep)
                 for line in reference.splitlines():
                     record = json.loads(line)
@@ -882,22 +888,24 @@ class TestEvalCommand:
         cfg, _ = small_run
         system, eng = cfg.system(), cfg.engine(mode="sd_greedy", window=10)
         traces = [generate_trace(cfg.channel({}), ep, rounds=40) for ep in range(2)]
-        batch = []
+        batch, owns = [], []
         for ep, trace in enumerate(traces):
             oracle = engine.episode_oracle(cfg.oracle(), eng, [SEED_EVAL, ep], False)
-            priced, _, _ = one_episode(system, eng, oracle, trace)
-            head_s, draft_s = priced.head_s.copy(), priced.draft_s.copy()
-            assert priced.n_rounds > 3 and not head_s.any()
-            head_s[0 if ep == 0 else -1] = -0.0
-            draft_s[2 + ep] = 1.0
-            batch.append(dataclasses.replace(priced, head_s=head_s, draft_s=draft_s))
-        link = engine.price_link(system, eng, batch, traces)
+            decisions, own, _ = one_episode(system, eng, oracle, trace)
+            assert decisions.n_rounds > 3 and not own.head_s.any()
+            batch.append(decisions)
+            owns.append(own)
+        bill = engine.price_link(system, eng, batch, traces)
+        # The same rounds of the batch's bill and of each episode's own.
+        for ep, own in enumerate(owns):
+            for target, offset in ((bill, bill.bounds[ep]), (own, 0)):
+                target.head_s[offset + (0 if ep == 0 else len(own.m) - 1)] = -0.0
+                target.draft_s[offset + 2 + ep] = 1.0
         point = {"scenario": "s", "mode": "sd_greedy", "k": 10, "tau": 0.9}
-        lines = cli._round_lines(point, batch, link).splitlines(keepends=True)
-        for ep, (priced, trace) in enumerate(zip(batch, traces)):
-            own = engine.price_link(system, eng, [priced], [trace])
-            reference = reference_round_lines({**point, "episode": ep}, priced, own)
-            episode_lines, lines = lines[:priced.n_rounds], lines[priced.n_rounds:]
+        lines = cli._round_lines(point, bill).splitlines(keepends=True)
+        for ep, (decisions, own) in enumerate(zip(batch, owns)):
+            reference = reference_round_lines({**point, "episode": ep}, own)
+            episode_lines, lines = lines[:decisions.n_rounds], lines[decisions.n_rounds:]
             assert "".join(episode_lines) == reference
             assert '"head_s":-0.0,' in reference and '"head_s":0.0,' in reference
             assert '"round":1,' in reference and '"draft_s":1.0,' in reference
@@ -909,24 +917,21 @@ class TestEvalCommand:
         trace = generate_trace(cfg.channel({}), 0, rounds=4)
         res, _, _ = one_episode(system, eng, engine.episode_oracle(cfg.oracle(), eng, 0, False),
                                 trace)
-        head_s = res.head_s.copy()
-        head_s[1] = np.nan
         point = {"scenario": "s", "mode": eng.mode, "k": eng.window, "tau": eng.tau}
-        # A decision column and a link column each fail naming the sweep's
+        # A compute column and a link column each fail naming the sweep's
         # episode whose slice holds the value: the last of a batch of four
         # from episode 0, then the second of a batch of three from episode 5.
         for n_episodes, bad, first_episode in ((4, 3, 0), (3, 1, 5)):
-            batch = [res] * n_episodes
-            link = engine.price_link(system, eng, batch, [trace] * n_episodes)
-            poisoned = batch.copy()
-            poisoned[bad] = dataclasses.replace(res, head_s=head_s)
+            bill = engine.price_link(system, eng, [res] * n_episodes, [trace] * n_episodes)
+            head_s = bill.head_s.copy()
+            head_s[bill.bounds[bad] + 1] = np.nan
             with pytest.raises(ValueError,
                                match=f"round column 'head_s' of episode {first_episode + bad} "):
-                cli._round_lines(point, poisoned, link, first_episode)
-            link.total_s[link.bounds[bad]] = np.inf
+                cli._round_lines(point, dataclasses.replace(bill, head_s=head_s), first_episode)
+            bill.total_s[bill.bounds[bad]] = np.inf
             with pytest.raises(ValueError,
                                match=f"round column 'total_s' of episode {first_episode + bad} "):
-                cli._round_lines(point, batch, link, first_episode)
+                cli._round_lines(point, bill, first_episode)
 
     def test_failed_eval_leaves_no_stream(self, small_run, tmp_path, monkeypatch):
         # A late point carries a non-finite round draft time in the sweep's
@@ -939,17 +944,22 @@ class TestEvalCommand:
         # The decision of the grid's 13th point (of 16), first billed there.
         late_key = cli._decision_key(1, "wisv_fh", 10, 0.9, cli.LINK_AWARE)
         real_point, real_link = cli._eval_point, cli.price_link
-        calls = []
+        calls, late = [], []
 
         def poisoned(cfg, system, ep, points, heads):
             traces, decided = real_point(cfg, system, ep, points, heads)
             if ep == 2:
-                decided[late_key].draft_s[2] = np.nan
+                late.append(decided[late_key])
             return traces, decided
 
-        def counting(*args):
+        def counting(system, engine_cfg, batch, traces):
             calls.append(None)
-            return real_link(*args)
+            bill = real_link(system, engine_cfg, batch, traces)
+            # Round 2 of episode 2 in every bill of its late decision.
+            for e, decisions in enumerate(batch):
+                if any(decisions is decided for decided in late):
+                    bill.draft_s[bill.bounds[e] + 2] = np.nan
+            return bill
 
         class ForkPool(concurrent.futures.ProcessPoolExecutor):
             # The poison reaches the workers only if they are forked from this process.
@@ -962,6 +972,7 @@ class TestEvalCommand:
             monkeypatch.setattr(cli, "price_link", counting)
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
             calls.clear()
+            late.clear()
 
         for jobs in (1, 2):
             run_dir = tmp_path / f"jobs{jobs}"

@@ -27,7 +27,6 @@ from wisv.engine import (
     decide,
     episode_oracle,
     head_screens,
-    price_decisions,
     price_link,
     select_protocol,
 )
@@ -51,8 +50,8 @@ class TestLocalize:
 
     @staticmethod
     def greedy_round(tokens, argmax):
-        priced, _ = run_one_round(crafted_oracle(tokens, argmax), "sd_greedy", len(tokens))
-        return int(priced.m[0]), int(priced.reject_pos[0])
+        decisions, _ = run_one_round(crafted_oracle(tokens, argmax), "sd_greedy", len(tokens))
+        return int(decisions.m[0]), int(decisions.reject_pos[0])
 
     def test_identical_sequences(self):
         assert self.greedy_round([1, 2, 3], [1, 2, 3, 9]) == (0, -1)
@@ -115,11 +114,11 @@ class TestWisvRound:
     def test_clean_block_full_accept_without_head_time(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
         eng = EngineConfig(mode="wisv_fh", window=10, tau=0.5, max_tokens=10, prefix_len=0)
-        res, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace(), params)
+        res, bill, _ = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace(),
+                                   params)
         assert res.n_rounds == 1
-        assert res.accepted[0] == 10
-        assert res.committed[0] == 11 and len(res.tokens) == 11
-        assert res.m[0] == 0 and res.head_s[0] == 0.0
+        assert res.accepted[0] == 10 and len(res.tokens) == 11
+        assert res.m[0] == 0 and bill.head_s[0] == 0.0
 
     def test_tiny_tau_reduces_to_greedy(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
@@ -147,9 +146,9 @@ class TestWisvRound:
 
     def test_fh_sh_payloads(self):
         oracle, params = handcrafted_oracle()
-        fh_priced, fh = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
-        sh_priced, sh = run_one_round(oracle, "wisv_sh", 6, params, tau=0.9)
-        np.testing.assert_array_equal(fh_priced.tokens, sh_priced.tokens)
+        fh_decisions, fh = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
+        sh_decisions, sh = run_one_round(oracle, "wisv_sh", 6, params, tau=0.9)
+        np.testing.assert_array_equal(fh_decisions.tokens, sh_decisions.tokens)
         assert fh.proto[0] == PROTO_FH and sh.proto[0] == PROTO_SH
         wire = SYSTEM.wire
         tokens = wire.hdr_up + 6 * wire.b_id
@@ -195,7 +194,7 @@ class TestGreedyRound:
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=10, prefix_len=0)
         res, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace())
         assert res.n_rounds == 1
-        assert res.accepted[0] == 10 and res.committed[0] == 11
+        assert res.accepted[0] == 10 and len(res.tokens) == 11
 
     def test_immediate_rejection(self):
         oracle = crafted_oracle([0, 1, 2, 3, 4, 5], [9, 1, 2, 3, 4, 5, 6])
@@ -216,7 +215,7 @@ class TestGreedyRound:
         assert res.m.sum() > 0  # mismatches are localized but never screened
         assert np.all(link.proto == PROTO_TOKENS)
         assert np.all(link.comm.uplink_bits == SYSTEM.wire.hdr_up + 10 * SYSTEM.wire.b_id)
-        assert np.all(res.head_s == 0.0)
+        assert np.all(link.head_s == 0.0)
 
     def test_mean_accepted_length_matches_closed_form(self):
         # ~50k rounds at p_match=0.9: each round starts on fresh positions,
@@ -367,8 +366,7 @@ def reference_round(system, k, prefix, m, proto, csi):
 
 
 class TestLedger:
-    """``price_decisions`` and ``price_link`` against the scalar formula of one round, round
-    by round."""
+    """``price_link`` against the scalar formula of one round, round by round."""
 
     @pytest.mark.parametrize("mode", ["sd_greedy", "sd_reject", "wisv_fh", "wisv_sh",
                                       "wisv_adaptive"])
@@ -389,11 +387,11 @@ class TestLedger:
             csi = CsiState(trace.r_up[i], trace.r_down[i], trace.per_up[i], trace.per_down[i],
                            trace.rtt[i])
             ref = reference_round(SYSTEM, 10, prefix, int(res.m[r]), int(link.proto[r]), csi)
-            got = (*(getattr(link.comm, name)[r] for name in names), res.draft_s[r],
-                   res.verify_s[r], res.head_s[r], link.total_s[r])
+            got = (*(getattr(link.comm, name)[r] for name in names), link.draft_s[r],
+                   link.verify_s[r], link.head_s[r], link.total_s[r])
             assert got == ref, r
             total += link.total_s[r]
-            prefix += int(res.committed[r])
+            prefix += int(res.accepted[r]) + 1
         assert totals.latency_s == total
         if mode == "wisv_adaptive":
             assert set(link.proto.tolist()) == {PROTO_FH, PROTO_SH}
@@ -403,8 +401,9 @@ class TestLedger:
     def test_batch_bills_each_episode_on_its_own_trace(self, mode):
         # Three episodes of different lengths on two-state traces of 7
         # rounds, each shorter than its episode: every episode wraps its own
-        # trace from its own round 0, and the batch's columns are the
-        # episodes' bills as batches of one, back to back.
+        # trace from its own round 0, and every column of the batch's bill,
+        # decision, compute and link, is the episodes' bills as batches of
+        # one, back to back.
         channel = ChannelConfig(rate_up_bps=500e6, rate_down_bps=500e6, rtt_s=0.05,
                                 regime="two-state", alt_rate_up_bps=20e6,
                                 alt_rate_down_bps=20e6, alt_rtt_s=0.005, switch_prob=0.3)
@@ -420,13 +419,14 @@ class TestLedger:
                 (screen,) = head_screens(params, oracle, [trace], SYSTEM.bounds)
             decisions = decide(eng, oracle, screen)
             assert decisions.n_rounds > 7
-            batch.append(price_decisions(SYSTEM, eng, decisions))
+            batch.append(decisions)
             traces.append(trace)
-            singles.append(price_link(SYSTEM, eng, batch[-1:], [trace]))
+            singles.append(price_link(SYSTEM, eng, [decisions], [trace]))
         link = price_link(SYSTEM, eng, batch, traces)
-        assert link.bounds.tolist() == np.cumsum([0] + [p.n_rounds for p in batch]).tolist()
-        assert len({p.n_rounds for p in batch}) == 3
-        for name in ("proto", "total_s"):
+        assert link.bounds.tolist() == np.cumsum([0] + [d.n_rounds for d in batch]).tolist()
+        assert len({d.n_rounds for d in batch}) == 3
+        for name in ("start", "m", "reject_pos", "accepted", "accepted_critical", "draft_s",
+                     "verify_s", "head_s", "proto", "total_s"):
             np.testing.assert_array_equal(
                 getattr(link, name), np.concatenate([getattr(r, name) for r in singles]))
         for name in ("uplink_s", "downlink_s", "rtt_s", "uplink_bits", "downlink_bits"):
@@ -440,28 +440,26 @@ class TestLedger:
         trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
         decisions = decide(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))
-        priced = price_decisions(SYSTEM, eng, decisions)
         with pytest.raises(ValueError, match="a batch of 2 episodes needs as many traces"):
-            price_link(SYSTEM, eng, [priced, priced], [trace])
+            price_link(SYSTEM, eng, [decisions, decisions], [trace])
 
     def test_priced_decisions_bill_only_their_window_and_verifier(self):
         trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
         decisions = decide(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))
-        priced = price_decisions(SYSTEM, eng, decisions)
         for other in (replace(eng, window=16), replace(eng, mode="wisv_sh")):
             with pytest.raises(ValueError, match="cannot be billed"):
-                price_link(SYSTEM, other, [priced], [trace])
+                price_link(SYSTEM, other, [decisions], [trace])
         bad = replace(decisions, m=np.where(decisions.m == 0, 11, decisions.m))
         with pytest.raises(ValueError, match="0 <= m <= k"):
-            price_decisions(SYSTEM, eng, bad)
+            price_link(SYSTEM, eng, [bad], [trace])
 
 
 def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=None):
     """The per-window decision loop: slice each window, localize its mismatches, screen them.
 
     ``sd_reject`` walks the window's speculative-sampling columns token by
-    token. Returns the ``Decisions`` columns as lists.
+    token. Returns the ``Decisions`` fields, its columns as lists.
     """
     mode, k = engine_cfg.mode, engine_cfg.window
     if mode.startswith("wisv"):
@@ -505,7 +503,8 @@ def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=No
         prefix += accepted + 1
     start, m, reject_col, accepted_col, crit_col = (list(c) for c in zip(*rows))
     return {"tokens": tokens, "start": start, "m": m, "reject_pos": reject_col,
-            "accepted": accepted_col, "accepted_critical": crit_col}
+            "accepted": accepted_col, "accepted_critical": crit_col, "window": k,
+            "head_verified": mode.startswith("wisv")}
 
 
 class TestDecide:
@@ -533,7 +532,7 @@ class TestDecide:
         got = decide(eng, oracle, screen_on(head, oracle, trace))
         ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
         for name in Decisions.__dataclass_fields__:
-            assert getattr(got, name).tolist() == ref[name], name
+            assert np.asarray(getattr(got, name)).tolist() == ref[name], name
         assert np.flatnonzero(got.m > 0).max() >= 7  # screened rounds wrap around the trace
         # Not vacuous: the same trace one round later gives other decisions.
         later = trace.take(np.arange(1, 8))
@@ -557,7 +556,7 @@ class TestDecide:
             got = decide(eng, oracle, screen)
             ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
             for name in Decisions.__dataclass_fields__:
-                assert getattr(got, name).tolist() == ref[name], (k, ep, name)
+                assert np.asarray(getattr(got, name)).tolist() == ref[name], (k, ep, name)
             screened += int((got.m > 0).sum())
         assert screened > 0
 
@@ -611,7 +610,7 @@ class TestHeadScreen:
             got = decide(eng, oracle, screen)
             ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
             for name in Decisions.__dataclass_fields__:
-                assert getattr(got, name).tolist() == ref[name], (k, name)
+                assert np.asarray(getattr(got, name)).tolist() == ref[name], (k, name)
             for start, reject, accepted in zip(got.start, got.reject_pos, got.accepted):
                 for pos in np.flatnonzero(oracle.mismatch[start : start + accepted]) + start:
                     verdicts.setdefault(int(pos), {})[k] = False
@@ -645,7 +644,7 @@ class TestEngineConfig:
 
 
 class TestRunEpisode:
-    """Whole episodes, each decided, priced and billed as eval's sweep does it."""
+    """Whole episodes, each decided and billed as eval's sweep does it."""
 
     def test_single_round_when_budget_fits_window(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=10, prefix_len=0)
@@ -694,15 +693,15 @@ class TestRunEpisode:
         for tau in taus:
             eng = EngineConfig(mode="wisv_fh", window=10, tau=tau, max_tokens=200)
             runs.append(one_episode(SYSTEM, eng, oracle_for(eng, 11), static_trace(), params))
-        priced = [r for r, _, _ in runs]
-        rounds = [r.n_rounds for r in priced]
+        decided = [r for r, _, _ in runs]
+        rounds = [r.n_rounds for r in decided]
         assert rounds == sorted(rounds, reverse=True)
         # higher AAL must come with fewer rounds at a fixed token budget
         aals = [totals.aal for _, _, totals in runs]
         assert aals == sorted(aals)
-        for lo, hi in zip(priced, priced[1:]):
-            cum_lo = np.cumsum(lo.committed)
-            cum_hi = np.cumsum(hi.committed)
+        for lo, hi in zip(decided, decided[1:]):
+            cum_lo = np.cumsum(lo.accepted + 1)
+            cum_hi = np.cumsum(hi.accepted + 1)
             n = min(len(cum_lo), len(cum_hi))
             assert np.all(cum_hi[:n] >= cum_lo[:n])
 

@@ -405,8 +405,8 @@ class TestTraining:
 def engine_rejects(params, h_d, h_t, tau):
     """The engine's verdict on one mismatch whose head input is [h_d; h_t; CSI]."""
     oracle = crafted_oracle([0], [1, 0], h_draft=[h_d], h_target=[h_t])
-    priced, _ = run_one_round(oracle, "wisv_fh", 1, params, tau=tau)
-    return priced.reject_pos[0] == 0
+    decisions, _ = run_one_round(oracle, "wisv_fh", 1, params, tau=tau)
+    return decisions.reject_pos[0] == 0
 
 
 def head_input(h_d, h_t):

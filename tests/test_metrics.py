@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wisv.compute import round_latency
-from wisv.engine import LinkBill, PricedDecisions
+from wisv.engine import LinkBill
 from wisv.metrics import episode_totals, summarize, write_csv
 from wisv.wire import PROTO_TOKENS, LatencyBreakdown
 
@@ -15,7 +15,7 @@ RESULTS_COLUMNS = ("mode,k,tau,rate_bps,rtt_s,aal,rounds,latency_s,throughput,ac
 
 
 def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
-    """One episode's ``(PricedDecisions, LinkBill)``, a batch of one.
+    """One episode's ``LinkBill``, a batch of one.
 
     Full-accept rounds, latency split between uplink and RTT; the first
     round accepts ``critical`` critical mismatches."""
@@ -29,36 +29,25 @@ def fake_result(accepted_lengths, latency_per_round=0.1, critical=0):
     )
     crit = np.zeros(n, dtype=np.int64)
     crit[:1] = critical
-    priced = PricedDecisions(
-        tokens=np.zeros(int((accepted + 1).sum()), dtype=np.int64),
+    return LinkBill(
+        bounds=np.array([0, n]),
         start=np.zeros(n, dtype=np.int64),
         m=np.zeros(n, dtype=np.int64),
         reject_pos=np.full(n, -1),
         accepted=accepted,
         accepted_critical=crit,
-        window=max(accepted_lengths, default=1),
-        head_verified=False,
-        committed=accepted + 1,
         draft_s=zeros,
         verify_s=zeros,
         head_s=zeros,
-        n_accepted=int(accepted.sum()),
-        n_tokens=int((accepted + 1).sum()),
-        n_accepted_critical=int(crit.sum()),
-    )
-    link = LinkBill(
-        bounds=np.array([0, n]),
         proto=np.full(n, PROTO_TOKENS),
         comm=comm,
         total_s=round_latency(zeros, comm, zeros, zeros),
     )
-    return priced, link
 
 
-def totals_of(result):
+def totals_of(bill):
     """The ``EpisodeTotals`` of ``fake_result``'s episode."""
-    priced, link = result
-    (totals,) = episode_totals([priced], link)
+    (totals,) = episode_totals(bill)
     return totals
 
 
@@ -90,32 +79,33 @@ class TestEpisodeTotals:
     def test_batch_reduces_to_each_episodes_totals(self):
         # Three episodes of different lengths and latencies, billed back to
         # back: each reduces exactly as on its own.
-        results = [fake_result([2, 3, 1], 0.1, critical=1), fake_result([4], 0.3),
-                   fake_result([1, 1, 5, 2], 0.07)]
-        links = [own for _, own in results]
-        link = LinkBill(
-            bounds=np.array([0, 3, 4, 8]),
-            proto=np.concatenate([own.proto for own in links]),
-            comm=LatencyBreakdown(*(np.concatenate([getattr(own.comm, name) for own in links])
-                                    for name in ("uplink_s", "downlink_s", "rtt_s",
-                                                 "uplink_bits", "downlink_bits"))),
-            total_s=np.concatenate([own.total_s for own in links]),
-        )
-        totals = episode_totals([priced for priced, _ in results], link)
-        assert totals == [totals_of(res) for res in results]
+        bills = [fake_result([2, 3, 1], 0.1, critical=1), fake_result([4], 0.3),
+                 fake_result([1, 1, 5, 2], 0.07)]
+        bill = back_to_back(bills)
+        totals = episode_totals(bill)
+        assert totals == [totals_of(own) for own in bills]
         # Each latency is its own slice's sum in round order, not a running total.
-        assert [t.latency_s for t in totals] == [sum(own.total_s.tolist()) for own in links]
+        assert [t.latency_s for t in totals] == [sum(own.total_s.tolist()) for own in bills]
         assert [t.uplink_bits for t in totals] == [3000, 1000, 4000]
+        assert [(t.accepted, t.tokens, t.accepted_critical) for t in totals] == [
+            (6, 9, 1), (4, 5, 0), (9, 13, 0)]
 
     def test_zero_round_episode_in_batch_rejected(self):
         # reduceat would hand the empty middle episode its successor's first round.
-        results = [fake_result([2])[0], fake_result([])[0], fake_result([3])[0]]
-        link = LinkBill(np.array([0, 1, 1, 2]), np.zeros(2, dtype=np.int64),
-                        LatencyBreakdown(*([np.zeros(2)] * 3), np.ones(2, dtype=np.int64),
-                                         np.ones(2, dtype=np.int64)),
-                        np.zeros(2))
+        bill = back_to_back([fake_result([2]), fake_result([]), fake_result([3])])
+        assert bill.bounds.tolist() == [0, 1, 1, 2]
         with pytest.raises(ValueError, match="no rounds"):
-            episode_totals(results, link)
+            episode_totals(bill)
+
+
+def back_to_back(bills):
+    """One ``LinkBill`` of single-episode bills, placed back to back."""
+    comm = LatencyBreakdown(*(np.concatenate([getattr(own.comm, f.name) for own in bills])
+                              for f in dataclasses.fields(LatencyBreakdown)))
+    columns = {f.name: np.concatenate([getattr(own, f.name) for own in bills])
+               for f in dataclasses.fields(LinkBill) if f.name not in ("bounds", "comm")}
+    bounds = np.cumsum([0, *(len(own.m) for own in bills)])
+    return LinkBill(bounds=bounds, comm=comm, **columns)
 
 
 class TestRoundCount:
@@ -139,7 +129,7 @@ class TestLatency:
 
     def test_matches_component_recomputation(self):
         results = [fake_result([2, 3], 0.05), fake_result([4], 0.2)]
-        recomputed = np.mean([sum(link.comm.total_s) for _, link in results])
+        recomputed = np.mean([sum(bill.comm.total_s) for bill in results])
         eps = [totals_of(res) for res in results]
         assert summarize(eps)["latency_s"] == pytest.approx(recomputed, rel=1e-12)
 

@@ -46,6 +46,8 @@ def test_every_live_patch_target_exists(monkeypatch):
     missing = {(module, attribute) for module, attribute in targets
                if not hasattr(importlib.import_module(module), attribute)}
     assert missing <= DEAD_TARGETS, sorted(missing - DEAD_TARGETS)
-    # Not vacuous: the spans of eval's episodes and of the trace files are checked.
+    # Not vacuous: the spans of eval's episodes, of the trace files and of
+    # the ledger's compute are checked.
     assert {("wisv.cli", "_eval_point"), ("wisv.cli", "write_traces"),
-            ("wisv.cli", "read_traces")} <= targets - missing
+            ("wisv.cli", "read_traces"), ("wisv.engine", "head_flops"),
+            ("wisv.engine", "exec_time"), ("wisv.engine", "round_latency")} <= targets - missing
