@@ -5,9 +5,11 @@ Library layout mirrors the system: ``channel`` (link state), ``wire``
 ``oracle`` (synthetic drafter/target pair), ``head`` (rejection MLP),
 ``labeler`` (trace collection and link-aware relabeling), ``columns``
 (the binary column file that holds the traces' hidden rows), ``engine``
-(the head's screen of an episode, ``head_screens``, the episode decision
-loop, ``decide``, and the one latency ledger, ``price_link``, which bills
-a batch of episodes' decisions: compute, link and total per round),
+(the head's screen of an episode, ``head_screens``, the decision kernel,
+``decide``, which advances a batch of (config, episode, screen) lanes one
+round per step into one ragged ``Decisions``, and the one latency ledger,
+``price_link``, which bills a batch of episodes' decisions on their
+``TraceBatch``: compute, link and total per round),
 ``metrics`` (aggregation), and ``cli`` (experiment pipeline).
 """
 
@@ -33,9 +35,13 @@ from .compute import (
 from .engine import (
     Decisions,
     EngineConfig,
+    EpisodeColumns,
     HeadScreen,
+    Lane,
     LinkBill,
     SystemModel,
+    TraceBatch,
+    committed_tokens,
     decide,
     episode_oracle,
     head_screens,
@@ -54,7 +60,13 @@ from .labeler import (
     solve_budget_exact,
 )
 from .metrics import EpisodeTotals, episode_totals
-from .oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
+from .oracle import (
+    EpisodeOracle,
+    OracleConfig,
+    calibrate_p_match,
+    speculative_columns,
+    speculative_fix,
+)
 from .wire import LatencyBreakdown, WireConfig, round_comm
 
 __version__ = "0.1.0"

@@ -100,6 +100,8 @@ class NormalizationBounds:
     def __post_init__(self) -> None:
         if not (0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
+        if not math.isfinite(self.rtt_max):
+            raise ValueError(f"rtt_max must be finite, got {self.rtt_max!r}")
         if self.rtt_max <= 0:
             raise ValueError("rtt_max must be positive")
 

@@ -30,6 +30,7 @@ import os
 import sys
 from collections.abc import Iterator, Sequence
 from itertools import chain, product
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO
 
@@ -48,8 +49,13 @@ from .config import (
     ExperimentConfig,
 )
 from .engine import (
+    Decisions,
+    EngineConfig,
+    EpisodeColumns,
+    Lane,
     LinkBill,
     SystemModel,
+    TraceBatch,
     decide,
     episode_oracle,
     head_screens,
@@ -377,19 +383,20 @@ def _decision_key(s_idx: int, mode: str, k: int, tau: float, head: str) -> tuple
 
 
 def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Sequence[tuple],
-                heads: dict[str, HeadParams]) -> tuple[dict, dict]:
-    """Decide the sweep points of episode ``ep``.
+                heads: dict[str, HeadParams], engines: dict[tuple, EngineConfig]) -> tuple[dict, dict]:
+    """Prepare the decisions of the sweep points of episode ``ep``.
 
-    The episode builds one oracle, for the points' largest window, one
-    channel trace per scenario the points use, and each of ``heads``
-    screens each trace. Each distinct decision (``_decision_key``) is
-    decided once. Returns the traces by scenario index, and the
-    ``Decisions`` by decision key.
+    The episode builds one oracle, for the widest of ``engines``, the
+    decision configs by decision key (``_decision_key``), one channel trace
+    per scenario the points use, and each of ``heads`` screens each trace.
+    Returns the traces by scenario index, and by decision key the episode's
+    ``Lane`` on its ``EpisodeColumns``, for the block to decide, or, where
+    its screen's link fluctuates, its one-lane ``Decisions``, decided here
+    while the screen's link rows are held. The oracle is freed on return.
     """
-    oracle = episode_oracle(
-        cfg.oracle(), cfg.engine(window=max(k for _, _, k, _, _ in points)), [SEED_EVAL, ep],
-        with_distributions=any(mode == "sd_reject" for _, mode, *_ in points),
-    )
+    widest = max(engines.values(), key=attrgetter("window"))
+    oracle = episode_oracle(cfg.oracle(), widest, [SEED_EVAL, ep],
+                            with_distributions=any(mode == "sd_reject" for _, mode, *_ in points))
     # Deduplicated first: one trace per scenario, not one per point.
     scenarios, rounds = cfg.raw["sweep"]["scenarios"], cfg.raw["engine"]["max_tokens"]
     traces = {s_idx: generate_trace(cfg.channel(scenarios[s_idx]),
@@ -398,14 +405,19 @@ def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Seq
     screens = {(name, s_idx): screen for name, head in heads.items()
                for s_idx, screen in zip(traces, head_screens(
                    head, oracle, list(traces.values()), system.bounds))}
+    columns = EpisodeColumns.of(oracle)
     decided: dict = {}
-    for point in points:
-        s_idx, mode, k, tau, head = point
-        key = _decision_key(*point)
+    for s_idx, mode, k, tau, head in points:
+        key = _decision_key(s_idx, mode, k, tau, head)
         if key not in decided:
-            engine_cfg = cfg.engine(mode=mode, window=k, tau=tau)
             screen = screens[head, s_idx] if mode.startswith("wisv") else None
-            decided[key] = decide(engine_cfg, oracle, screen)
+            decided[key] = Lane(engines[key], columns, screen)
+    per_round = [key for key, lane in decided.items()
+                 if lane.screen is not None and lane.screen.p is None]
+    if per_round:
+        decisions = decide([decided[key] for key in per_round])
+        for j, key in enumerate(per_round):
+            decided[key] = decisions.lanes(j, j + 1)
     return traces, decided
 
 
@@ -415,37 +427,67 @@ def _point_key(scenarios: Sequence[dict], point: tuple) -> dict:
     return {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau}
 
 
+def _block_decisions(decided: Sequence[dict], keys: Sequence[tuple]) -> dict[tuple, Decisions]:
+    """Each decision key's ``Decisions`` over a block's episodes, in episode order.
+
+    ``decided`` holds each episode's ``_eval_point`` lanes and decisions.
+    The block's lanes are decided in one ``decide`` call, ordered by
+    decision key first and episode second, so a key whose episodes are all
+    lanes is one slice of its output.
+    """
+    lanes, at = [], {}
+    for key in keys:
+        for e, episode_decided in enumerate(decided):
+            if isinstance(episode_decided[key], Lane):
+                at[key, e] = len(lanes)
+                lanes.append(episode_decided[key])
+    batch = decide(lanes) if lanes else None
+    n = len(decided)
+    by_key = {}
+    for key in keys:
+        if all((key, e) in at for e in range(n)):
+            by_key[key] = batch.lanes(at[key, 0], at[key, 0] + n)
+        else:
+            by_key[key] = Decisions.concat([
+                batch.lanes(at[key, e], at[key, e] + 1) if (key, e) in at else episode_decided[key]
+                for e, episode_decided in enumerate(decided)])
+    return by_key
+
+
 def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[EpisodeTotals]]:
     """Run the sweep's points over one block of episodes: each point's totals, in point order.
 
-    ``_eval_point`` decides each episode of the block (``payload["episodes"]``,
-    a range), screening with ``payload["heads"]``. Then each point bills
-    the block's episodes in one ``price_link`` call and reduces that
-    ``LinkBill`` once to their ``EpisodeTotals``. If ``rounds`` is given,
-    the point's round lines (``_round_lines``) are written to it before its
-    totals are yielded.
+    ``_eval_point`` prepares each episode of the block (``payload["episodes"]``,
+    a range), screening with ``payload["heads"]``, and ``_block_decisions``
+    decides them together. Then each point bills the block's episodes in
+    one ``price_link`` call, from its decision key's slice of the block's
+    decisions and its scenario's traces, placed back to back once per
+    block, and reduces that ``LinkBill`` once to their ``EpisodeTotals``.
+    If ``rounds`` is given, the point's round lines (``_round_lines``) are
+    written to it before its totals are yielded.
     """
     cfg = ExperimentConfig(raw=payload["raw"])
     system, scenarios = cfg.system(), cfg.raw["sweep"]["scenarios"]
     block, points = payload["episodes"], payload["points"]
-    results = [_eval_point(cfg, system, ep, points, payload["heads"]) for ep in block]
-    traces = [episode_traces for episode_traces, _ in results]
-    decided = [episode_decided for _, episode_decided in results]
-    # A decision key's batch is freed after its last point.
-    last_point = {_decision_key(*point): i for i, point in enumerate(points)}
-    for i, point in enumerate(points):
+    # One decision config per decision key, from the key's first point.
+    engines: dict = {}
+    for s_idx, mode, k, tau, head in points:
+        engines.setdefault(_decision_key(s_idx, mode, k, tau, head),
+                           cfg.engine(mode=mode, window=k, tau=tau))
+    results = [_eval_point(cfg, system, ep, points, payload["heads"], engines) for ep in block]
+    decided = _block_decisions([episode_decided for _, episode_decided in results],
+                               list(engines))
+    traces = {s_idx: TraceBatch.of([episode_traces[s_idx] for episode_traces, _ in results])
+              for s_idx in results[0][0]}
+    del results
+    for point in points:
         s_idx, mode, k, tau, _ = point
-        key = _decision_key(*point)
-        batch = [episode_decided[key] for episode_decided in decided]
-        bill = price_link(system, cfg.engine(mode=mode, window=k, tau=tau), batch,
-                          [episode_traces[s_idx] for episode_traces in traces])
+        bill = price_link(system, cfg.engine(mode=mode, window=k, tau=tau),
+                          decided[_decision_key(*point)], traces[s_idx])
         if rounds is not None:
             rounds.write(_round_lines(_point_key(scenarios, point), bill,
                                       first_episode=block.start).encode())
         yield episode_totals(bill)
-        if last_point[key] == i:
-            for episode_decided in decided:
-                del episode_decided[key]
 
 
 def _sweep_worker(payload: dict, scratch: Path | None) -> list[tuple[int, list[EpisodeTotals]]]:

@@ -14,6 +14,7 @@ utilization factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class HardwareProfile:
     utilization: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.peak_flops):
+            raise ValueError(f"peak_flops must be finite, got {self.peak_flops!r}")
         if self.peak_flops <= 0:
             raise ValueError("peak_flops must be positive")
         if not 0.0 < self.utilization <= 1.0:
@@ -55,6 +58,9 @@ class FlopsConstants:
     c4: float = 2.0
 
     def __post_init__(self) -> None:
+        for name in ("c1", "c2", "c3", "c4"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if min(self.c1, self.c2, self.c3, self.c4) <= 0:
             raise ValueError("all constants must be positive")
 

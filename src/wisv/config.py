@@ -331,6 +331,8 @@ class ExperimentConfig:
                 self.channel(section)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"config section {where!r}: {exc}") from exc
+        # The typed views below refuse a non-finite value too, without its dotted key.
+        _check_finite(self.raw, "")
         abl = self.raw["ablate"]
         # Instantiating the typed views runs their own invariant checks; every
         # engine variant the sweep and the ablation will run is built here.
@@ -361,7 +363,6 @@ class ExperimentConfig:
         self.system()
         self.relabel()
         self.train()
-        _check_finite(self.raw, "")
 
     @property
     def seed(self) -> int:

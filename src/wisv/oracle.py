@@ -21,6 +21,7 @@ head has signal to learn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ class OracleConfig:
             raise ValueError("p_match must lie in (0, 1]")
         if not 0.0 <= self.p_crit <= 1.0:
             raise ValueError("p_crit must lie in [0, 1]")
+        for name in ("sep", "noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sep < 0 or self.noise <= 0:
             raise ValueError("need sep >= 0 and noise > 0")
         if min(self.d_h_draft, self.d_h_target) < 1:
@@ -78,21 +82,34 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def speculative_columns(
     p_draft: np.ndarray, p_target: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Speculative sampling at every position: (draft, accept, residual, bonus).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Speculative sampling's draft at every position: (draft, accept).
 
     Row i of the (n, vocab) distributions and the (n, 4) uniforms gives
-    position i's draft token y ~ p_draft (at u[i, 0]), whether it is
-    accepted, u[i, 1] < min(1, p_target(y) / p_draft(y)), the token a
-    rejection emits from the normalized residual max(p_target - p_draft, 0),
-    or from p_target where that is all zero (at u[i, 2]), and the bonus
-    token a full accept emits from p_target (at u[i, 3]). A decode drafts
-    a position at most once and never drafts a bonus position, so one draw
-    per position is exact speculative sampling.
+    position i's draft token y ~ p_draft (at u[i, 0]) and whether it is
+    accepted, u[i, 1] < min(1, p_target(y) / p_draft(y)). The token the
+    window emits at its fix position is ``speculative_fix``'s, from the
+    same row. A decode drafts a position at most once and never drafts a
+    bonus position, so one draw per position is exact speculative sampling.
     """
     rows = np.arange(len(u))
     draft = _inverse_cdf(np.cumsum(p_draft, axis=1), u[:, 0])
     accept = u[:, 1] < np.minimum(1.0, p_target[rows, draft] / p_draft[rows, draft])
+    return draft, accept
+
+
+def speculative_fix(
+    p_draft: np.ndarray, p_target: np.ndarray, u: np.ndarray, rejected: np.ndarray
+) -> np.ndarray:
+    """The token speculative sampling emits at each row's fix position.
+
+    Where ``rejected``, the row's draft was rejected, and the token is
+    drawn from the normalized residual max(p_target - p_draft, 0), or from
+    p_target where that is all zero (at u[i, 2]); elsewhere the window was
+    fully accepted, and the bonus token is drawn from p_target (at u[i, 3]).
+    Each row's cumulative sums are its own sequential adds, so a row draws
+    the same token whichever rows are drawn with it.
+    """
     target_cdf = np.cumsum(p_target, axis=1)
     residual_cdf = np.cumsum(np.maximum(p_target - p_draft, 0.0), axis=1)
     total = residual_cdf[:, -1]
@@ -100,7 +117,7 @@ def speculative_columns(
     residual_cdf[degenerate] = target_cdf[degenerate]
     # The residual is drawn unnormalized: its cumulative sums against u * total.
     residual = _inverse_cdf(residual_cdf, u[:, 2] * np.where(degenerate, 1.0, total))
-    return draft, accept, residual, _inverse_cdf(target_cdf, u[:, 3])
+    return np.where(rejected, residual, _inverse_cdf(target_cdf, u[:, 3]))
 
 
 class EpisodeOracle:
@@ -114,8 +131,9 @@ class EpisodeOracle:
     the hidden noise, and only then, ``with_distributions``, the
     distribution pair and the speculative-sampling uniforms. So a
     position's data depends neither on ``n_positions`` nor on
-    ``with_distributions``. Without them, ``p_draft``, ``p_target`` and
-    ``sd_reject``'s ``speculative_columns`` (``spec_*``) are None.
+    ``with_distributions``. Without them, ``p_draft``, ``p_target``,
+    ``sd_reject``'s ``speculative_columns`` (``spec_draft``, ``spec_accept``)
+    and their uniforms ``spec_u`` are None.
     """
 
     def __init__(
@@ -147,13 +165,13 @@ class EpisodeOracle:
         self.h_draft = u * unit_direction(d_d) + config.noise * noise[:, :d_d]
         self.h_target = u * unit_direction(config.d_h_target) + config.noise * noise[:, d_d:]
         self.p_draft = self.p_target = None
-        self.spec_draft = self.spec_accept = self.spec_residual = self.spec_bonus = None
+        self.spec_draft = self.spec_accept = self.spec_u = None
         if with_distributions:
-            pair, spec_u = sampling
+            pair, self.spec_u = sampling
             self.p_target = pair[:, 0]
             self.p_draft = (1.0 - config.mixing) * self.p_target + config.mixing * pair[:, 1]
-            (self.spec_draft, self.spec_accept, self.spec_residual,
-             self.spec_bonus) = speculative_columns(self.p_draft, self.p_target, spec_u)
+            self.spec_draft, self.spec_accept = speculative_columns(self.p_draft, self.p_target,
+                                                                    self.spec_u)
 
 
 def geometric_accepted_length(p_match: float, k: int) -> float:

@@ -5,24 +5,32 @@ import numpy as np
 
 from wisv.channel import N_CSI_FEATURES, CsiState, NormalizationBounds
 from wisv.compute import FlopsConstants, HardwareProfile, ModelDims
-from wisv.engine import EngineConfig, SystemModel, decide, head_screens, price_link
+from wisv.engine import (
+    EngineConfig,
+    Lane,
+    SystemModel,
+    TraceBatch,
+    decide,
+    head_screens,
+    price_link,
+)
 from wisv.metrics import episode_totals
 from wisv.oracle import EpisodeOracle, OracleConfig
 from wisv.wire import WireConfig
 
 
 def one_episode(system, engine_cfg, oracle, trace, head=None):
-    """Decide ``oracle``'s episode and bill it on ``trace`` as a batch of one.
+    """Decide ``oracle``'s episode as one lane and bill it on ``trace`` as a batch of one.
 
     The head-verified modes screen with ``head``; without one, ``decide``
-    refuses them. Returns the ``Decisions``, the ``LinkBill`` and the
-    episode's ``EpisodeTotals``.
+    refuses them. Returns the one-lane ``Decisions``, the ``LinkBill`` and
+    the episode's ``EpisodeTotals``.
     """
     screen = None
     if engine_cfg.mode.startswith("wisv") and head is not None:
         (screen,) = head_screens(head, oracle, [trace], system.bounds)
-    decisions = decide(engine_cfg, oracle, screen)
-    bill = price_link(system, engine_cfg, [decisions], [trace])
+    decisions = decide([Lane(engine_cfg, oracle, screen)])
+    bill = price_link(system, engine_cfg, decisions, TraceBatch.of([trace]))
     (totals,) = episode_totals(bill)
     return decisions, bill, totals
 

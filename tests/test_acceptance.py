@@ -26,11 +26,25 @@ from wisv.compute import (
     window_flops,
 )
 from wisv.config import SEED_CHANNEL, SEED_EVAL, ExperimentConfig
-from wisv.engine import decide, episode_oracle, head_screens, price_link
+from wisv.engine import (
+    Lane,
+    TraceBatch,
+    committed_tokens,
+    decide,
+    episode_oracle,
+    head_screens,
+    price_link,
+)
 from wisv.head import HeadParams, init_params, load_params, loss_and_grads
 from wisv.labeler import solve_budget_exact
 from wisv.metrics import episode_totals, summarize
-from wisv.oracle import EpisodeOracle, OracleConfig, calibrate_p_match, speculative_columns
+from wisv.oracle import (
+    EpisodeOracle,
+    OracleConfig,
+    calibrate_p_match,
+    speculative_columns,
+    speculative_fix,
+)
 from wisv.wire import (
     PROTO_DENSE,
     PROTO_FH,
@@ -97,7 +111,7 @@ def bill_batch(cfg, eng, batch, traces):
 
     Returns the ``LinkBill`` and each episode's totals.
     """
-    bill = price_link(cfg.system(), eng, batch, traces)
+    bill = price_link(cfg.system(), eng, batch, TraceBatch.of(traces))
     return bill, episode_totals(bill)
 
 
@@ -192,7 +206,9 @@ def test_criterion_3_speculative_sampling_exactness():
     p_target = np.tile(oracle.p_target[0], (chunk, 1))
     counts = np.zeros(cfg.vocab_syn)
     for _ in range(trials // chunk):
-        draft, accept, residual, _ = speculative_columns(p_draft, p_target, rng.random((chunk, 4)))
+        u = rng.random((chunk, 4))
+        draft, accept = speculative_columns(p_draft, p_target, u)
+        residual = speculative_fix(p_draft, p_target, u, ~accept)
         counts += np.bincount(np.where(accept, draft, residual), minlength=cfg.vocab_syn)
     tv = 0.5 * np.abs(counts / trials - oracle.p_target[0]).sum()
     dt = time.monotonic() - t0
@@ -241,18 +257,23 @@ def test_criterion_5_reduction_equivalence():
     cfg = default_config()
     head = init_params(cfg.feature_dim(), 16, seed=0)
     greedy_eng, wisv_eng = cfg.engine(mode="sd_greedy"), cfg.engine(mode="wisv_fh", tau=1e-12)
-    greedy, wisv, traces = [], [], []
+    oracles, greedy, wisv, traces = [], [], [], []
     for ep in range(100):
         oracle, trace, screen = episode_inputs(cfg, ep, head)
-        greedy.append(decide(greedy_eng, oracle))
-        wisv.append(decide(wisv_eng, oracle, screen))
+        oracles.append(oracle)
+        greedy.append(Lane(greedy_eng, oracle))
+        wisv.append(Lane(wisv_eng, oracle, screen))
         traces.append(trace)
+    # Both modes' episodes in one call: greedy lanes 0-99, then wisv lanes 100-199.
+    decided = decide(greedy + wisv)
+    greedy, wisv = decided.lanes(0, 100), decided.lanes(100, 200)
     _, g_totals = bill_batch(cfg, greedy_eng, greedy, traces)
     _, w_totals = bill_batch(cfg, wisv_eng, wisv, traces)
     mismatching = 0
-    for g, w, g_ep, w_ep in zip(greedy, wisv, g_totals, w_totals):
-        same = np.array_equal(g.tokens, w.tokens)
-        if not (same and g.n_rounds == w.n_rounds and g_ep.aal == w_ep.aal):
+    for ep, (oracle, g_ep, w_ep) in enumerate(zip(oracles, g_totals, w_totals)):
+        same = np.array_equal(committed_tokens(oracle, greedy, ep),
+                              committed_tokens(oracle, wisv, ep))
+        if not (same and g_ep.rounds == w_ep.rounds and g_ep.aal == w_ep.aal):
             mismatching += 1
     dt = time.monotonic() - t0
     report(5, mismatching == 0 and dt < 30.0,
@@ -263,25 +284,32 @@ def test_criterion_6_fh_sh_invariance(pipeline):
     cfg, _, head = pipeline
     wire, k = cfg.system().wire, cfg.engine().window
     fh_eng, sh_eng = cfg.engine(mode="wisv_fh", tau=0.9), cfg.engine(mode="wisv_sh", tau=0.9)
-    fh_decisions, sh_decisions, traces = [], [], []
+    oracles, fh_lanes, sh_lanes, traces = [], [], [], []
     for ep in range(50):
         oracle, trace, screen = episode_inputs(cfg, ep, head)
-        fh_decisions.append(decide(fh_eng, oracle, screen))
-        sh_decisions.append(decide(sh_eng, oracle, screen))
+        oracles.append(oracle)
+        fh_lanes.append(Lane(fh_eng, oracle, screen))
+        sh_lanes.append(Lane(sh_eng, oracle, screen))
         traces.append(trace)
+    # Both modes' episodes in one call: FH lanes 0-49, then SH lanes 50-99.
+    decided = decide(fh_lanes + sh_lanes)
+    fh_decisions, sh_decisions = decided.lanes(0, 50), decided.lanes(50, 100)
     fh_link, fh_totals = bill_batch(cfg, fh_eng, fh_decisions, traces)
     sh_link, sh_totals = bill_batch(cfg, sh_eng, sh_decisions, traces)
     violations = 0
-    for ep, (fh, sh) in enumerate(zip(fh_decisions, sh_decisions)):
-        same = np.array_equal(fh.tokens, sh.tokens)
-        if fh_totals[ep].aal != sh_totals[ep].aal or fh.n_rounds != sh.n_rounds or not same:
+    for ep, oracle in enumerate(oracles):
+        same = np.array_equal(committed_tokens(oracle, fh_decisions, ep),
+                              committed_tokens(oracle, sh_decisions, ep))
+        if (fh_totals[ep].aal != sh_totals[ep].aal or fh_totals[ep].rounds != sh_totals[ep].rounds
+                or not same):
             violations += 1
             continue
         # Each episode's rounds, at its offset in its own batch.
-        fh_up, sh_up = (link.comm.uplink_bits[link.bounds[ep]:link.bounds[ep + 1]]
-                        for link in (fh_link, sh_link))
+        fh_up, sh_up, fh_m = (column[fh_link.bounds[ep]:fh_link.bounds[ep + 1]]
+                              for column in (fh_link.comm.uplink_bits, sh_link.comm.uplink_bits,
+                                             fh_link.m))
         violations += np.count_nonzero(sh_up > fh_up + wire.hdr_up)
-        violations += np.count_nonzero((fh.m < k) & (sh_up >= fh_up + wire.hdr_up))
+        violations += np.count_nonzero((fh_m < k) & (sh_up >= fh_up + wire.hdr_up))
     report(6, violations == 0,
            "AAL/rounds/tokens identical across FH and SH; per-round SH uplink bound holds")
 

@@ -795,7 +795,7 @@ class TestEvalCommand:
     def test_each_decision_decided_once_and_each_point_billed_once(self, small_run, tmp_path,
                                                                    monkeypatch):
         """A sweep_static-shaped grid decides its 30 decisions per episode once, not its 80
-        points, and bills each point once over a block's episodes.
+        points, in one kernel call per block, and bills each point once over a block's episodes.
 
         Serially the sweep is one block, so there are 80 ``round_comm`` calls
         and 160 ``window_flops`` calls, a draft and a verify per point; under
@@ -805,8 +805,9 @@ class TestEvalCommand:
                              k_values=[10, 16, 24, 32, 64], tau_values=[0.5],
                              scenarios=DEFAULT_CONFIG["sweep"]["scenarios"], episodes=2)
         assert len(cfg.raw["sweep"]["scenarios"]) == 4
-        calls, comm_calls, decided_sizes = [], [], []
+        calls, comm_calls, decided_sizes, lanes = [], [], [], []
         real, real_comm, real_point = engine.window_flops, engine.round_comm, cli._eval_point
+        real_decide = cli.decide
 
         def counting(*args, **kwargs):
             calls.append(args[-1])
@@ -821,6 +822,11 @@ class TestEvalCommand:
             decided_sizes.append(len(decided))
             return traces, decided
 
+        def deciding(batch):
+            lanes.append(len(batch))
+            return real_decide(batch)
+
+        monkeypatch.setattr(cli, "decide", deciding)
         monkeypatch.setattr(engine, "window_flops", counting)
         monkeypatch.setattr(engine, "round_comm", counting_comm)
         monkeypatch.setattr(cli, "_eval_point", recording_point)
@@ -832,8 +838,10 @@ class TestEvalCommand:
             list(cli._sweep_block({"raw": cfg.raw, "episodes": block,
                                    "points": cli._sweep_points(cfg.raw["sweep"]),
                                    "heads": {cli.LINK_AWARE: head}}, io.BytesIO()))
-            # Per k: sd_greedy, sd_reject and one head-verified decision per scenario.
+            # Per k: sd_greedy, sd_reject and one head-verified decision per scenario,
+            # all on static links: one kernel call decides the block's lanes.
             assert decided_sizes.pop() == 5 * (2 + 4)
+            assert lanes.pop() == 5 * (2 + 4) and not lanes
             assert len(calls) == 2 * 4 * 5 * 4
             assert sorted(set(calls)) == [10, 16, 24, 32, 64]
             assert len(comm_calls) == 4 * 5 * 4
@@ -865,11 +873,12 @@ class TestEvalCommand:
             batch = [one_episode(system, eng, engine.episode_oracle(
                          cfg.oracle(), eng, [SEED_EVAL, ep], mode == "sd_reject"), trace, head)[0]
                      for ep, trace in enumerate(traces)]
-            bill = engine.price_link(system, eng, batch, traces)
+            bill = engine.price_link(system, eng, engine.Decisions.concat(batch),
+                                     engine.TraceBatch.of(traces))
             point = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
             lines = cli._round_lines(point, bill).splitlines(keepends=True)
             for ep, (decisions, trace) in enumerate(zip(batch, traces)):
-                own = engine.price_link(system, eng, [decisions], [trace])
+                own = engine.price_link(system, eng, decisions, engine.TraceBatch.of([trace]))
                 reference = reference_round_lines({**point, "episode": ep}, own)
                 episode_lines, lines = lines[:decisions.n_rounds], lines[decisions.n_rounds:]
                 assert "".join(episode_lines) == reference, (mode, ep)
@@ -895,7 +904,8 @@ class TestEvalCommand:
             assert decisions.n_rounds > 3 and not own.head_s.any()
             batch.append(decisions)
             owns.append(own)
-        bill = engine.price_link(system, eng, batch, traces)
+        bill = engine.price_link(system, eng, engine.Decisions.concat(batch),
+                                 engine.TraceBatch.of(traces))
         # The same rounds of the batch's bill and of each episode's own.
         for ep, own in enumerate(owns):
             for target, offset in ((bill, bill.bounds[ep]), (own, 0)):
@@ -922,7 +932,8 @@ class TestEvalCommand:
         # episode whose slice holds the value: the last of a batch of four
         # from episode 0, then the second of a batch of three from episode 5.
         for n_episodes, bad, first_episode in ((4, 3, 0), (3, 1, 5)):
-            bill = engine.price_link(system, eng, [res] * n_episodes, [trace] * n_episodes)
+            bill = engine.price_link(system, eng, engine.Decisions.concat([res] * n_episodes),
+                                     engine.TraceBatch.of([trace] * n_episodes))
             head_s = bill.head_s.copy()
             head_s[bill.bounds[bad] + 1] = np.nan
             with pytest.raises(ValueError,
@@ -943,21 +954,28 @@ class TestEvalCommand:
         cfg = derived_config(cfg, episodes=3)
         # The decision of the grid's 13th point (of 16), first billed there.
         late_key = cli._decision_key(1, "wisv_fh", 10, 0.9, cli.LINK_AWARE)
-        real_point, real_link = cli._eval_point, cli.price_link
-        calls, late = [], []
+        real_point, real_block, real_link = cli._eval_point, cli._block_decisions, cli.price_link
+        calls, episodes, late = [], {}, []
 
-        def poisoned(cfg, system, ep, points, heads):
-            traces, decided = real_point(cfg, system, ep, points, heads)
-            if ep == 2:
-                late.append(decided[late_key])
+        def recording(cfg, system, ep, points, heads, engines):
+            traces, decided = real_point(cfg, system, ep, points, heads, engines)
+            episodes[id(decided)] = ep
             return traces, decided
 
-        def counting(system, engine_cfg, batch, traces):
+        def poisoned(decided, keys):
+            by_key = real_block(decided, keys)
+            block = [episodes[id(episode_decided)] for episode_decided in decided]
+            if 2 in block:
+                # The late decision's lanes, and episode 2's place among them.
+                late.append((by_key[late_key], block.index(2)))
+            return by_key
+
+        def counting(system, engine_cfg, decisions, traces):
             calls.append(None)
-            bill = real_link(system, engine_cfg, batch, traces)
+            bill = real_link(system, engine_cfg, decisions, traces)
             # Round 2 of episode 2 in every bill of its late decision.
-            for e, decisions in enumerate(batch):
-                if any(decisions is decided for decided in late):
+            for decided, e in late:
+                if decisions is decided:
                     bill.draft_s[bill.bounds[e] + 2] = np.nan
             return bill
 
@@ -968,10 +986,12 @@ class TestEvalCommand:
                                  mp_context=multiprocessing.get_context("fork"))
 
         def poison():
-            monkeypatch.setattr(cli, "_eval_point", poisoned)
+            monkeypatch.setattr(cli, "_eval_point", recording)
+            monkeypatch.setattr(cli, "_block_decisions", poisoned)
             monkeypatch.setattr(cli, "price_link", counting)
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ForkPool)
             calls.clear()
+            episodes.clear()
             late.clear()
 
         for jobs in (1, 2):
@@ -1168,14 +1188,21 @@ class TestAblateCommand:
     def test_one_oracle_and_trace_per_episode(self, small_run, tmp_path, monkeypatch):
         """Every scenario and variant shares each episode's oracle; variants share its traces.
 
-        Each (scenario, variant) point decides once per episode and prices its
-        link once, over its episodes."""
+        The block's episodes are decided in one kernel call, except where a
+        screen's link fluctuates: those lanes are decided in one call per
+        episode. Each (scenario, variant) point prices its link once, over
+        its episodes."""
         cfg, out = small_run
         raw = copy.deepcopy(cfg.raw)
-        raw["ablate"].update(episodes=3, scenarios=["500mbps_50ms", "20mbps_5ms"])
+        raw["sweep"]["scenarios"].append(
+            {"name": "sampled", "regime": "sampled", "rate_up_bps": 1e8, "rate_down_bps": 1e8,
+             "rtt_s": 0.02, "rate_up_range_bps": [2e7, 5e8], "rate_down_range_bps": [2e7, 5e8],
+             "rtt_range_s": [0.002, 0.06]})
+        raw["ablate"].update(episodes=3, scenarios=["500mbps_50ms", "sampled"])
         small = ExperimentConfig(raw=raw)
         small.validate()
         calls = {"oracle": 0, "trace": 0, "decide": 0, "link": 0}
+        lanes = []
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -1183,16 +1210,25 @@ class TestAblateCommand:
                 return real(*args, **kwargs)
             return wrapper
 
+        def deciding(batch):
+            lanes.append(len(batch))
+            return real_decide(batch)
+
+        real_decide = cli.decide
         monkeypatch.setattr(engine, "EpisodeOracle", counting("oracle", engine.EpisodeOracle))
         monkeypatch.setattr(cli, "generate_trace", counting("trace", cli.generate_trace))
-        monkeypatch.setattr(cli, "decide", counting("decide", cli.decide))
+        monkeypatch.setattr(cli, "decide", counting("decide", deciding))
         monkeypatch.setattr(cli, "price_link", counting("link", cli.price_link))
         copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
         paired = cli.cmd_ablate(small, tmp_path)
-        # episodes; scenarios x episodes; episodes x scenarios x variants;
+        # episodes; scenarios x episodes; one call per episode for the
+        # link-aware head on the sampled link, then one for the block;
         # scenarios x variants
-        assert calls == {"oracle": 3, "trace": 2 * 3, "decide": 3 * 2 * 2, "link": 2 * 2}
-        assert set(paired["scenarios"]) == {"500mbps_50ms", "20mbps_5ms"}
+        assert calls == {"oracle": 3, "trace": 2 * 3, "decide": 3 + 1, "link": 2 * 2}
+        # The block's lanes: episodes x (variants on the static link + the
+        # link-blind head, whose screen is constant on any link).
+        assert lanes == [1, 1, 1, 3 * (2 + 1)]
+        assert set(paired["scenarios"]) == {"500mbps_50ms", "sampled"}
 
     def test_parallel_matches_serial(self, small_run, tmp_path, monkeypatch):
         """``--jobs 2`` runs the ablation on a pool and writes the serial run's files."""

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,15 +16,20 @@ from wisv.channel import (
     N_CSI_FEATURES,
     ChannelConfig,
     CsiState,
+    NormalizationBounds,
     effective_rate,
     features,
     generate_trace,
 )
-from wisv.compute import exec_time, head_flops, window_flops
+from wisv.compute import FlopsConstants, HardwareProfile, exec_time, head_flops, window_flops
 from wisv.engine import (
     MODES,
+    ROUND_COLUMNS,
     Decisions,
     EngineConfig,
+    Lane,
+    TraceBatch,
+    committed_tokens,
     decide,
     episode_oracle,
     head_screens,
@@ -31,7 +37,13 @@ from wisv.engine import (
     select_protocol,
 )
 from wisv.head import HeadParams, forward_batch, init_params
-from wisv.oracle import EpisodeOracle, geometric_accepted_length, speculative_columns
+from wisv.oracle import (
+    EpisodeOracle,
+    OracleConfig,
+    geometric_accepted_length,
+    speculative_columns,
+    speculative_fix,
+)
 from wisv.wire import PROTO_DENSE, PROTO_FH, PROTO_SH, PROTO_TOKENS
 
 
@@ -114,10 +126,10 @@ class TestWisvRound:
     def test_clean_block_full_accept_without_head_time(self):
         params = init_params(4 + 4 + 5, 8, seed=0)
         eng = EngineConfig(mode="wisv_fh", window=10, tau=0.5, max_tokens=10, prefix_len=0)
-        res, bill, _ = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace(),
-                                   params)
+        oracle = oracle_for(eng, p_match=1.0)
+        res, bill, _ = one_episode(SYSTEM, eng, oracle, static_trace(), params)
         assert res.n_rounds == 1
-        assert res.accepted[0] == 10 and len(res.tokens) == 11
+        assert res.accepted[0] == 10 and len(committed_tokens(oracle, res, 0)) == 11
         assert res.m[0] == 0 and bill.head_s[0] == 0.0
 
     def test_tiny_tau_reduces_to_greedy(self):
@@ -127,11 +139,12 @@ class TestWisvRound:
             runs = []
             for mode, tau in (("wisv_fh", 1e-12), ("sd_greedy", 0.5)):
                 eng = EngineConfig(mode=mode, window=20, tau=tau, max_tokens=1, prefix_len=0)
-                runs.append(one_episode(SYSTEM, eng, oracle_for(eng, seed), static_trace(),
-                                        params)[0])
-            wisv, greedy = runs
+                oracle = oracle_for(eng, seed)
+                decisions = one_episode(SYSTEM, eng, oracle, static_trace(), params)[0]
+                runs.append((decisions, committed_tokens(oracle, decisions, 0)))
+            (wisv, wisv_tokens), (greedy, greedy_tokens) = runs
             screened += int(greedy.m[0] > 0)
-            np.testing.assert_array_equal(wisv.tokens, greedy.tokens)
+            np.testing.assert_array_equal(wisv_tokens, greedy_tokens)
             assert wisv.accepted[0] == greedy.accepted[0]
         assert screened > 0  # not vacuous: some window has a mismatch to screen
 
@@ -141,14 +154,16 @@ class TestWisvRound:
         assert res.m[0] == 2
         assert res.reject_pos[0] == 5
         assert res.accepted[0] == 5
-        assert res.tokens.tolist() == [0, 1, 2, 3, 4, 9]  # draft kept at 2, corrected at 5
+        # The draft kept at 2, corrected at 5.
+        assert committed_tokens(oracle, res, 0).tolist() == [0, 1, 2, 3, 4, 9]
         assert res.accepted_critical[0] == 1
 
     def test_fh_sh_payloads(self):
         oracle, params = handcrafted_oracle()
         fh_decisions, fh = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
         sh_decisions, sh = run_one_round(oracle, "wisv_sh", 6, params, tau=0.9)
-        np.testing.assert_array_equal(fh_decisions.tokens, sh_decisions.tokens)
+        np.testing.assert_array_equal(committed_tokens(oracle, fh_decisions, 0),
+                                      committed_tokens(oracle, sh_decisions, 0))
         assert fh.proto[0] == PROTO_FH and sh.proto[0] == PROTO_SH
         wire = SYSTEM.wire
         tokens = wire.hdr_up + 6 * wire.b_id
@@ -164,7 +179,8 @@ class TestWisvRound:
         oracle, params = handcrafted_oracle()  # head reads only h_draft[0]
         a, _ = run_one_round(oracle, "wisv_fh", 6, params, tau=0.9)
         b, _ = run_one_round(oracle, "wisv_fh", 6, link_blind(params), tau=0.9)
-        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(committed_tokens(oracle, a, 0),
+                                      committed_tokens(oracle, b, 0))
         assert (a.reject_pos[0], a.accepted[0]) == (b.reject_pos[0], b.accepted[0])
 
     def test_link_blind_head_decides_alike_on_any_link(self):
@@ -173,7 +189,7 @@ class TestWisvRound:
 
         def decisions(params, trace):
             oracle = episode_oracle(oracle_config(), eng, 3, False)
-            return decide(eng, oracle, screen_on(params, oracle, trace))
+            return decide([Lane(eng, oracle, screen_on(params, oracle, trace))])
 
         head = rtt_reading_head(4)
         aware = [decisions(head, trace) for trace in links]
@@ -192,15 +208,16 @@ class TestWisvRound:
 class TestGreedyRound:
     def test_clean_block(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=10, prefix_len=0)
-        res, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, p_match=1.0), static_trace())
+        oracle = oracle_for(eng, p_match=1.0)
+        res, _, _ = one_episode(SYSTEM, eng, oracle, static_trace())
         assert res.n_rounds == 1
-        assert res.accepted[0] == 10 and len(res.tokens) == 11
+        assert res.accepted[0] == 10 and len(committed_tokens(oracle, res, 0)) == 11
 
     def test_immediate_rejection(self):
         oracle = crafted_oracle([0, 1, 2, 3, 4, 5], [9, 1, 2, 3, 4, 5, 6])
         res, _ = run_one_round(oracle, "sd_greedy", 6)
         assert res.accepted[0] == 0
-        assert res.tokens.tolist() == [9]
+        assert committed_tokens(oracle, res, 0).tolist() == [9]
 
     def test_never_accepts_critical(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=500, prefix_len=0)
@@ -258,14 +275,15 @@ class TestRejectRound:
         oracle = EpisodeOracle(cfg, seed=5, n_positions=40, with_distributions=True)
         assert oracle.spec_accept.all()
         eng = EngineConfig(mode="sd_reject", window=10, max_tokens=1, prefix_len=0)
-        got = decide(eng, oracle)
+        got = decide([Lane(eng, oracle)])
         assert got.accepted.tolist() == [10] and got.reject_pos.tolist() == [-1]
 
     def test_zero_target_mass_always_rejected(self):
         p_draft = np.tile([1.0, 0.0, 0.0, 0.0], (20, 1))
         p_target = np.tile([0.0, 1.0, 0.0, 0.0], (20, 1))
         u = np.random.default_rng(0).random((20, 4))
-        draft, accept, residual, _ = speculative_columns(p_draft, p_target, u)
+        draft, accept = speculative_columns(p_draft, p_target, u)
+        residual = speculative_fix(p_draft, p_target, u, ~accept)
         assert (draft == 0).all() and not accept.any()
         assert (residual == 1).all()  # residual mass sits entirely on token 1
 
@@ -276,7 +294,8 @@ class TestRejectRound:
         # token 1, while a 0/0 residual would land on token 0 and an
         # unnormalized zero residual on the last token.
         u = np.array([[0.3, 1.0 - 1e-16, 0.5, 0.5]])
-        draft, accept, residual, _ = speculative_columns(p_draft, p_target, u)
+        draft, accept = speculative_columns(p_draft, p_target, u)
+        residual = speculative_fix(p_draft, p_target, u, ~accept)
         assert (draft[0], accept[0], residual[0]) == (1, False, 1)
 
     def test_dense_probability_payload(self):
@@ -299,7 +318,8 @@ class TestRejectRound:
         p_draft = np.tile(oracle.p_draft[0], (trials, 1))
         p_target = np.tile(oracle.p_target[0], (trials, 1))
         u = np.random.default_rng(1).random((trials, 4))
-        draft, accept, residual, _ = speculative_columns(p_draft, p_target, u)
+        draft, accept = speculative_columns(p_draft, p_target, u)
+        residual = speculative_fix(p_draft, p_target, u, np.ones(trials, dtype=bool))
         counts = np.bincount(np.where(accept, draft, residual), minlength=cfg.vocab_syn)
         tv = 0.5 * np.abs(counts / trials - oracle.p_target[0]).sum()
         assert tv < 0.02
@@ -315,7 +335,7 @@ class TestRejectRound:
         cfg = oracle_config(mixing=0.7, vocab_syn=8, d_h_draft=1, d_h_target=1)
         eng = EngineConfig(mode="sd_reject", window=k, max_tokens=15_000, prefix_len=0)
         oracle = episode_oracle(cfg, eng, 8, True)
-        got = decide(eng, oracle)
+        got = decide([Lane(eng, oracle)])
         alpha = np.minimum(oracle.p_draft, oracle.p_target).sum(axis=1)
         rng = np.random.default_rng(2)
         expected = np.zeros(k + 1)
@@ -400,15 +420,15 @@ class TestLedger:
     @pytest.mark.parametrize("mode", ["sd_greedy", "wisv_sh", "wisv_adaptive"])
     def test_batch_bills_each_episode_on_its_own_trace(self, mode):
         # Three episodes of different lengths on two-state traces of 7
-        # rounds, each shorter than its episode: every episode wraps its own
-        # trace from its own round 0, and every column of the batch's bill,
-        # decision, compute and link, is the episodes' bills as batches of
-        # one, back to back.
+        # rounds, each shorter than its episode, decided as three lanes of
+        # one call: every episode wraps its own trace from its own round 0,
+        # and every column of the batch's bill, decision, compute and link,
+        # is the episodes' bills as lanes and batches of one, back to back.
         channel = ChannelConfig(rate_up_bps=500e6, rate_down_bps=500e6, rtt_s=0.05,
                                 regime="two-state", alt_rate_up_bps=20e6,
                                 alt_rate_down_bps=20e6, alt_rtt_s=0.005, switch_prob=0.3)
         params = init_params(4 + 4 + 5, 8, seed=1)
-        batch, traces, singles = [], [], []
+        lanes, traces, singles = [], [], []
         for ep, max_tokens in enumerate((150, 90, 120)):
             eng = EngineConfig(mode=mode, window=10, tau=0.6, max_tokens=max_tokens,
                                prefix_len=32)
@@ -417,14 +437,15 @@ class TestLedger:
             screen = None
             if mode.startswith("wisv"):
                 (screen,) = head_screens(params, oracle, [trace], SYSTEM.bounds)
-            decisions = decide(eng, oracle, screen)
-            assert decisions.n_rounds > 7
-            batch.append(decisions)
+            lanes.append(Lane(eng, oracle, screen))
             traces.append(trace)
-            singles.append(price_link(SYSTEM, eng, [decisions], [trace]))
-        link = price_link(SYSTEM, eng, batch, traces)
-        assert link.bounds.tolist() == np.cumsum([0] + [d.n_rounds for d in batch]).tolist()
-        assert len({d.n_rounds for d in batch}) == 3
+            decisions = decide(lanes[-1:])
+            assert decisions.n_rounds > 7
+            singles.append(price_link(SYSTEM, eng, decisions, TraceBatch.of([trace])))
+        batch = decide(lanes)
+        link = price_link(SYSTEM, eng, batch, TraceBatch.of(traces))
+        assert link.bounds.tolist() == np.cumsum([0] + [r.bounds[-1] for r in singles]).tolist()
+        assert len(set(np.diff(link.bounds).tolist())) == 3
         for name in ("start", "m", "reject_pos", "accepted", "accepted_critical", "draft_s",
                      "verify_s", "head_s", "proto", "total_s"):
             np.testing.assert_array_equal(
@@ -439,27 +460,50 @@ class TestLedger:
     def test_batch_needs_one_trace_per_episode(self):
         trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
-        decisions = decide(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))
+        decisions = decide([Lane(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))])
         with pytest.raises(ValueError, match="a batch of 2 episodes needs as many traces"):
-            price_link(SYSTEM, eng, [decisions, decisions], [trace])
+            price_link(SYSTEM, eng, Decisions.concat([decisions, decisions]),
+                       TraceBatch.of([trace]))
 
     def test_priced_decisions_bill_only_their_window_and_verifier(self):
-        trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
+        trace = TraceBatch.of([generate_trace(ChannelConfig(), seed=0, rounds=4)])
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
-        decisions = decide(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))
+        decisions = decide([Lane(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))])
         for other in (replace(eng, window=16), replace(eng, mode="wisv_sh")):
             with pytest.raises(ValueError, match="cannot be billed"):
-                price_link(SYSTEM, other, [decisions], [trace])
+                price_link(SYSTEM, other, decisions, trace)
         bad = replace(decisions, m=np.where(decisions.m == 0, 11, decisions.m))
         with pytest.raises(ValueError, match="0 <= m <= k"):
-            price_link(SYSTEM, eng, [bad], [trace])
+            price_link(SYSTEM, eng, bad, trace)
+
+
+def reference_fix(oracle, pos, rejected):
+    """The token speculative sampling emits at ``pos``, drawn from that position's row alone.
+
+    A rejection draws from the residual max(p_target - p_draft, 0) at
+    uniform 2, unnormalized, or from p_target where the residual is all
+    zero; a full accept draws the bonus token from p_target at uniform 3.
+    """
+    p_draft, p_target, u = oracle.p_draft[pos], oracle.p_target[pos], oracle.spec_u[pos]
+
+    def draw(cdf, x):
+        return min(int(np.searchsorted(cdf, x, side="right")), len(cdf) - 1)
+
+    target_cdf = np.cumsum(p_target)
+    if not rejected:
+        return draw(target_cdf, u[3])
+    residual_cdf = np.cumsum(np.maximum(p_target - p_draft, 0.0))
+    total = residual_cdf[-1]
+    return draw(target_cdf, u[2]) if total <= 0.0 else draw(residual_cdf, u[2] * total)
 
 
 def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=None):
     """The per-window decision loop: slice each window, localize its mismatches, screen them.
 
     ``sd_reject`` walks the window's speculative-sampling columns token by
-    token. Returns the ``Decisions`` fields, its columns as lists.
+    token and draws its fix token with ``reference_fix``. Returns the
+    ``Decisions`` round columns as lists, the committed ``tokens``, the
+    ``window`` and the ``mode``.
     """
     mode, k = engine_cfg.mode, engine_cfg.window
     if mode.startswith("wisv"):
@@ -473,8 +517,8 @@ def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=No
             accepts = oracle.spec_accept[window].tolist()
             reject_pos = accepts.index(False) if False in accepts else None
             mismatches = [] if reject_pos is None else [reject_pos]
-            fix = (oracle.spec_bonus[prefix + k] if reject_pos is None
-                   else oracle.spec_residual[prefix + reject_pos])
+            fix = (reference_fix(oracle, prefix + k, False) if reject_pos is None
+                   else reference_fix(oracle, prefix + reject_pos, True))
         else:
             drafted = oracle.draft_tokens[window].tolist()
             argmax = oracle.target_tokens[prefix : prefix + k + 1]
@@ -501,24 +545,34 @@ def reference_decide(engine_cfg, oracle, head_params=None, trace=None, bounds=No
         rejected = -1 if reject_pos is None else reject_pos
         rows.append((prefix, len(mismatches), rejected, accepted, n_crit))
         prefix += accepted + 1
-    start, m, reject_col, accepted_col, crit_col = (list(c) for c in zip(*rows))
-    return {"tokens": tokens, "start": start, "m": m, "reject_pos": reject_col,
-            "accepted": accepted_col, "accepted_critical": crit_col, "window": k,
-            "head_verified": mode.startswith("wisv")}
+    return {**dict(zip(ROUND_COLUMNS, (list(c) for c in zip(*rows)))), "tokens": tokens,
+            "window": k, "mode": mode}
+
+
+def assert_lane_matches(decisions, lane, oracle, ref, msg=None):
+    """Lane ``lane`` of ``decisions``, decided on ``oracle``, equals ``reference_decide``'s ``ref``."""
+    lo, hi = decisions.bounds[lane], decisions.bounds[lane + 1]
+    for name in ROUND_COLUMNS:
+        assert getattr(decisions, name)[lo:hi].tolist() == ref[name], (msg, name)
+    assert committed_tokens(oracle, decisions, lane).tolist() == ref["tokens"], (msg, "tokens")
+    assert (decisions.window[lane], decisions.mode[lane]) == (ref["window"], ref["mode"]), msg
 
 
 class TestDecide:
     def test_greedy_needs_no_channel(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=150, prefix_len=32)
         oracle = episode_oracle(oracle_config(), eng, 5, False)
-        got = decide(eng, oracle)
-        ref, _, _ = one_episode(SYSTEM, eng, oracle_for(eng, 5), static_trace())
-        for name in ("tokens", "m", "reject_pos", "accepted", "accepted_critical"):
+        got = decide([Lane(eng, oracle)])
+        ref_oracle = oracle_for(eng, 5)
+        ref, _, _ = one_episode(SYSTEM, eng, ref_oracle, static_trace())
+        for name in ROUND_COLUMNS:
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+        np.testing.assert_array_equal(committed_tokens(oracle, got, 0),
+                                      committed_tokens(ref_oracle, ref, 0))
 
     def test_start_is_each_rounds_prefix(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=150, prefix_len=32)
-        got = decide(eng, episode_oracle(oracle_config(), eng, 5, False))
+        got = decide([Lane(eng, episode_oracle(oracle_config(), eng, 5, False))])
         committed = got.accepted + 1
         np.testing.assert_array_equal(got.start, 32 + np.cumsum(committed) - committed)
 
@@ -529,14 +583,13 @@ class TestDecide:
         eng = EngineConfig(mode="wisv_sh", window=10, tau=0.3, max_tokens=200)
         oracle = episode_oracle(oracle_config(), eng, 2, False)
         head = rtt_reading_head(4)
-        got = decide(eng, oracle, screen_on(head, oracle, trace))
-        ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
-        for name in Decisions.__dataclass_fields__:
-            assert np.asarray(getattr(got, name)).tolist() == ref[name], name
+        got = decide([Lane(eng, oracle, screen_on(head, oracle, trace))])
+        assert_lane_matches(got, 0, oracle, reference_decide(eng, oracle, head, trace,
+                                                             SYSTEM.bounds))
         assert np.flatnonzero(got.m > 0).max() >= 7  # screened rounds wrap around the trace
         # Not vacuous: the same trace one round later gives other decisions.
         later = trace.take(np.arange(1, 8))
-        moved = decide(eng, oracle, screen_on(head, oracle, later))
+        moved = decide([Lane(eng, oracle, screen_on(head, oracle, later))])
         assert moved.reject_pos.tolist() != got.reject_pos.tolist()
         assert moved.reject_pos.tolist() == reference_decide(eng, oracle, head, later,
                                                              SYSTEM.bounds)["reject_pos"]
@@ -553,18 +606,68 @@ class TestDecide:
             eng = EngineConfig(mode=mode, window=k, tau=0.3, max_tokens=200, prefix_len=16)
             oracle = episode_oracle(oracle_config(), eng, ep, mode == "sd_reject")
             screen = screen_on(head, oracle, trace) if mode.startswith("wisv") else None
-            got = decide(eng, oracle, screen)
-            ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
-            for name in Decisions.__dataclass_fields__:
-                assert np.asarray(getattr(got, name)).tolist() == ref[name], (k, ep, name)
+            got = decide([Lane(eng, oracle, screen)])
+            assert_lane_matches(got, 0, oracle,
+                                reference_decide(eng, oracle, head, trace, SYSTEM.bounds), (k, ep))
             screened += int((got.m > 0).sum())
         assert screened > 0
+
+    def test_many_lanes_in_one_call_match_the_reference(self):
+        # Every mode at windows 1, 4, 10 and 64 and two taus, on a static, a
+        # two-state and a sampled trace of each of three episodes, as lanes
+        # of one call in shuffled order. Lanes on one episode share its
+        # oracle; the head-verified lanes on one trace share its screen.
+        channels = [ChannelConfig(rate_up_bps=20e6, rate_down_bps=20e6, rtt_s=0.005),
+                    ChannelConfig(rate_up_bps=500e6, rate_down_bps=500e6, rtt_s=0.05,
+                                  regime="two-state", alt_rate_up_bps=20e6,
+                                  alt_rate_down_bps=20e6, alt_rtt_s=0.005, switch_prob=0.3),
+                    ChannelConfig(regime="sampled", rate_up_range_bps=(20e6, 500e6),
+                                  rtt_range_s=(0.002, 0.06))]
+        head = rtt_reading_head(4)
+        widest = EngineConfig(window=64, max_tokens=120, prefix_len=16)
+        cases = []
+        for ep in range(3):
+            oracle = episode_oracle(oracle_config(p_match=0.85), widest, ep, True)
+            traces = [generate_trace(channel, seed=ep, rounds=30) for channel in channels]
+            screens = head_screens(head, oracle, traces, SYSTEM.bounds)
+            for mode in MODES:
+                for k in (1, 4, 10, 64):
+                    for tau in (0.3, 0.6):
+                        eng = replace(widest, mode=mode, window=k, tau=tau)
+                        if not mode.startswith("wisv"):
+                            if tau == 0.3:
+                                cases.append((Lane(eng, oracle), oracle, None))
+                            continue
+                        cases += [(Lane(eng, oracle, screen), oracle, trace)
+                                  for trace, screen in zip(traces, screens)]
+        order = np.random.default_rng(7).permutation(len(cases))
+        got = decide([cases[i][0] for i in order])
+        per_round = 0
+        for lane, i in enumerate(order.tolist()):
+            (eng, _, screen), oracle, trace = cases[i]
+            per_round += screen is not None and screen.p is None
+            ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
+            assert_lane_matches(got, lane, oracle, ref, (i, eng.mode, eng.window, eng.tau))
+        # Episodes x fluctuating traces x head-verified modes x windows x taus:
+        # the two-state and sampled screens read each round's link row.
+        assert per_round == 3 * 2 * 3 * 4 * 2
+
+    def test_many_lane_calls_refuse_as_one_lane_calls_do(self):
+        eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
+        fits = EpisodeOracle(oracle_config(), seed=0, n_positions=200)
+        short = EpisodeOracle(oracle_config(), seed=1, n_positions=30)
+        with pytest.raises(IndexError, match="ran out of pregenerated positions"):
+            decide([Lane(eng, fits), Lane(eng, short), Lane(eng, fits)])
+        with pytest.raises(ValueError, match="requires a head screen"):
+            decide([Lane(eng, fits), Lane(replace(eng, mode="wisv_fh"), fits)])
+        with pytest.raises(RuntimeError, match="distributions"):
+            decide([Lane(eng, fits), Lane(replace(eng, mode="sd_reject"), fits)])
 
     def test_screening_needs_a_head_screen(self):
         eng = EngineConfig(mode="wisv_sh", window=10)
         oracle = episode_oracle(oracle_config(), eng, 0, False)
         with pytest.raises(ValueError, match="requires a head screen"):
-            decide(eng, oracle)
+            decide([Lane(eng, oracle)])
 
     @pytest.mark.parametrize("missing", ["trace", "bounds"])
     def test_screening_needs_trace_and_bounds(self, missing):
@@ -607,10 +710,9 @@ class TestHeadScreen:
         verdicts: dict = {}  # position -> rejected, per window
         for k in (4, 10, 24, 64):
             eng = EngineConfig(mode="wisv_fh", window=k, tau=0.5, max_tokens=200)
-            got = decide(eng, oracle, screen)
-            ref = reference_decide(eng, oracle, head, trace, SYSTEM.bounds)
-            for name in Decisions.__dataclass_fields__:
-                assert np.asarray(getattr(got, name)).tolist() == ref[name], (k, name)
+            got = decide([Lane(eng, oracle, screen)])
+            assert_lane_matches(got, 0, oracle,
+                                reference_decide(eng, oracle, head, trace, SYSTEM.bounds), k)
             for start, reject, accepted in zip(got.start, got.reject_pos, got.accepted):
                 for pos in np.flatnonzero(oracle.mismatch[start : start + accepted]) + start:
                     verdicts.setdefault(int(pos), {})[k] = False
@@ -643,6 +745,21 @@ class TestEngineConfig:
         assert eng.window == 4
 
 
+@pytest.mark.parametrize("cls, field, others", [
+    (HardwareProfile, "peak_flops", {"utilization": 0.3}),
+    *((FlopsConstants, field, {}) for field in ("c1", "c2", "c3", "c4")),
+    (OracleConfig, "sep", {}),
+    (OracleConfig, "noise", {}),
+    (NormalizationBounds, "rtt_max", {}),
+    (EngineConfig, "adaptive_rtt_cutoff_s", {}),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_refused_by_name(cls, field, others, value):
+    # A NaN fails no range check, and an infinity passes a positivity check.
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        cls(**{field: value}, **others)
+
+
 class TestRunEpisode:
     """Whole episodes, each decided and billed as eval's sweep does it."""
 
@@ -654,10 +771,11 @@ class TestRunEpisode:
 
     def test_token_conservation(self):
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=200, prefix_len=32)
-        res, _, totals = one_episode(SYSTEM, eng, oracle_for(eng, 1), static_trace())
+        oracle = oracle_for(eng, 1)
+        res, _, totals = one_episode(SYSTEM, eng, oracle, static_trace())
         per_round = np.where(res.reject_pos >= 0, res.accepted + 1, 10 + 1)
         tokens = totals.tokens
-        assert tokens == per_round.sum() == len(res.tokens)
+        assert tokens == per_round.sum() == len(committed_tokens(oracle, res, 0))
         assert tokens >= 200
 
     def test_greedy_vs_tiny_tau_wisv_identical(self):
@@ -665,10 +783,11 @@ class TestRunEpisode:
         for ep in range(5):
             eng_g = EngineConfig(mode="sd_greedy", window=10, max_tokens=150)
             eng_w = EngineConfig(mode="wisv_fh", window=10, tau=1e-12, max_tokens=150)
-            g, _, g_totals = one_episode(SYSTEM, eng_g, oracle_for(eng_g, ep), static_trace())
-            w, _, w_totals = one_episode(SYSTEM, eng_w, oracle_for(eng_w, ep), static_trace(),
-                                         params)
-            np.testing.assert_array_equal(g.tokens, w.tokens)
+            oracle = oracle_for(eng_g, ep)
+            g, _, g_totals = one_episode(SYSTEM, eng_g, oracle, static_trace())
+            w, _, w_totals = one_episode(SYSTEM, eng_w, oracle, static_trace(), params)
+            np.testing.assert_array_equal(committed_tokens(oracle, g, 0),
+                                          committed_tokens(oracle, w, 0))
             assert g.n_rounds == w.n_rounds
             assert g_totals.aal == w_totals.aal
 
@@ -677,11 +796,11 @@ class TestRunEpisode:
         for ep in range(5):
             fh_cfg = EngineConfig(mode="wisv_fh", window=10, tau=0.6, max_tokens=150)
             sh_cfg = EngineConfig(mode="wisv_sh", window=10, tau=0.6, max_tokens=150)
-            fh, fh_link, _ = one_episode(SYSTEM, fh_cfg, oracle_for(fh_cfg, ep), static_trace(),
-                                         params)
-            sh, sh_link, _ = one_episode(SYSTEM, sh_cfg, oracle_for(sh_cfg, ep), static_trace(),
-                                         params)
-            np.testing.assert_array_equal(fh.tokens, sh.tokens)
+            oracle = oracle_for(fh_cfg, ep)
+            fh, fh_link, _ = one_episode(SYSTEM, fh_cfg, oracle, static_trace(), params)
+            sh, sh_link, _ = one_episode(SYSTEM, sh_cfg, oracle, static_trace(), params)
+            np.testing.assert_array_equal(committed_tokens(oracle, fh, 0),
+                                          committed_tokens(oracle, sh, 0))
             assert fh.n_rounds == sh.n_rounds
             assert np.all(sh_link.comm.uplink_bits
                           <= fh_link.comm.uplink_bits + SYSTEM.wire.hdr_up)
@@ -733,9 +852,11 @@ class TestRunEpisode:
 
     def test_seed_determinism(self):
         eng = EngineConfig(mode="sd_reject", window=8, max_tokens=80)
-        a, _, a_totals = one_episode(SYSTEM, eng, oracle_for(eng, 9), static_trace())
-        b, _, b_totals = one_episode(SYSTEM, eng, oracle_for(eng, 9), static_trace())
-        np.testing.assert_array_equal(a.tokens, b.tokens)
+        oracles = oracle_for(eng, 9), oracle_for(eng, 9)
+        a, _, a_totals = one_episode(SYSTEM, eng, oracles[0], static_trace())
+        b, _, b_totals = one_episode(SYSTEM, eng, oracles[1], static_trace())
+        np.testing.assert_array_equal(committed_tokens(oracles[0], a, 0),
+                                      committed_tokens(oracles[1], b, 0))
         assert a_totals.latency_s == b_totals.latency_s
 
     def test_bad_mode_rejected(self):

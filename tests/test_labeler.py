@@ -11,6 +11,7 @@ from wisv.channel import ChannelConfig, CsiState, NormalizationBounds, features,
 from wisv.columns import read_columns, write_columns
 from wisv.head import sigmoid
 from wisv.labeler import (
+    EPISODES_PER_CALL,
     Episode,
     RelabelConfig,
     collect_traces,
@@ -87,8 +88,11 @@ class TestCollectTraces:
         assert all(ep.h_draft.shape == (0, 2) and ep.h_target.shape == (0, 3) for ep in eps)
 
     def test_matches_reference_greedy_replay(self):
+        # More episodes than one decide call takes, so a call boundary is crossed.
         cfg = OracleConfig(p_match=0.8, d_h_draft=2, d_h_target=3)
-        eps = collect_traces(6, cfg, seed=4, window=7, max_tokens=90, prefix_len=5)
+        n_episodes = EPISODES_PER_CALL + 3
+        eps = collect_traces(n_episodes, cfg, seed=4, window=7, max_tokens=90, prefix_len=5)
+        assert [ep.episode_id for ep in eps] == list(range(n_episodes))
         for ep in eps:
             oracle, rows = greedy_replay(cfg, [4, ep.episode_id], window=7, max_tokens=90,
                                          prefix_len=5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wisv.engine import EngineConfig, decide, episode_oracle
+from wisv.engine import EngineConfig, Lane, committed_tokens, decide, episode_oracle
 from wisv.oracle import (
     BLOCK,
     EpisodeOracle,
@@ -58,9 +58,9 @@ class TestDraft:
         # A round needs its window and the bonus position after it.
         oracle = EpisodeOracle(slim_config(p_match=1.0), seed=0, n_positions=20)
         fits = EngineConfig(window=9, max_tokens=1, prefix_len=10)
-        assert decide(fits, oracle).accepted.tolist() == [9]
+        assert decide([Lane(fits, oracle)]).accepted.tolist() == [9]
         with pytest.raises(IndexError):
-            decide(EngineConfig(window=10, max_tokens=1, prefix_len=10), oracle)
+            decide([Lane(EngineConfig(window=10, max_tokens=1, prefix_len=10), oracle)])
         with pytest.raises(ValueError):
             EngineConfig(window=0)
 
@@ -69,7 +69,7 @@ class TestPositionKeying:
     """A position's data depends only on the seeds and the position."""
 
     FIELDS = ("mismatch", "crit", "draft_tokens", "target_tokens", "h_draft", "h_target")
-    SAMPLING = ("p_draft", "p_target", "spec_draft", "spec_accept", "spec_residual", "spec_bonus")
+    SAMPLING = ("p_draft", "p_target", "spec_draft", "spec_accept", "spec_u")
 
     def test_fields_equal_across_lengths_and_distributions(self):
         cfg = slim_config(p_match=0.6)
@@ -96,8 +96,9 @@ class TestPositionKeying:
         # So a k=4 decode on the k=64 oracle decides exactly as on its own.
         for mode in ("sd_greedy", "sd_reject"):
             eng = EngineConfig(mode=mode, window=4)
-            a, b = (decide(eng, oracle) for oracle in oracles.values())
-            np.testing.assert_array_equal(a.tokens, b.tokens)
+            a, b = (decide([Lane(eng, oracle)]) for oracle in oracles.values())
+            np.testing.assert_array_equal(committed_tokens(oracles[4], a, 0),
+                                          committed_tokens(oracles[64], b, 0))
             np.testing.assert_array_equal(a.reject_pos, b.reject_pos)
 
 
@@ -110,8 +111,8 @@ class TestVerifyView:
     def test_extra_bonus_token_present(self):
         # A full accept commits the window plus the target token after it.
         oracle = EpisodeOracle(slim_config(p_match=1.0), seed=2, n_positions=100)
-        got = decide(EngineConfig(window=10, max_tokens=1, prefix_len=0), oracle)
-        np.testing.assert_array_equal(got.tokens, oracle.target_tokens[:11])
+        got = decide([Lane(EngineConfig(window=10, max_tokens=1, prefix_len=0), oracle)])
+        np.testing.assert_array_equal(committed_tokens(oracle, got, 0), oracle.target_tokens[:11])
 
     def test_no_critical_when_p_crit_zero(self):
         oracle = EpisodeOracle(slim_config(p_crit=0.0, p_match=0.5), seed=0, n_positions=10_000)
@@ -191,7 +192,8 @@ class TestDistributions:
         oracle = EpisodeOracle(slim_config(), seed=0, n_positions=20)
         assert oracle.p_draft is None and oracle.spec_accept is None
         with pytest.raises(RuntimeError, match="distributions"):
-            decide(EngineConfig(mode="sd_reject", window=4, max_tokens=4, prefix_len=0), oracle)
+            decide([Lane(EngineConfig(mode="sd_reject", window=4, max_tokens=4, prefix_len=0),
+                         oracle)])
 
 
 class TestConfigValidation:
