@@ -93,17 +93,17 @@ class NormalizationBounds:
     Defaults bracket the 20 Mbps .. 1 Gbps / 5 ms .. 50 ms operating range.
     """
 
-    r_min: float = 10e6
-    r_max: float = 1e9
-    rtt_max: float = 0.1
+    r_min_bps: float = 10e6
+    r_max_bps: float = 1e9
+    rtt_max_s: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
-        if not math.isfinite(self.rtt_max):
-            raise ValueError(f"rtt_max must be finite, got {self.rtt_max!r}")
-        if self.rtt_max <= 0:
-            raise ValueError("rtt_max must be positive")
+        if not (0 < self.r_min_bps < self.r_max_bps):
+            raise ValueError("need 0 < r_min_bps < r_max_bps")
+        if not math.isfinite(self.rtt_max_s):
+            raise ValueError(f"rtt_max_s must be finite, got {self.rtt_max_s!r}")
+        if self.rtt_max_s <= 0:
+            raise ValueError("rtt_max_s must be positive")
 
 
 def effective_rate(state: CsiState, direction: str) -> float | np.ndarray:
@@ -116,8 +116,8 @@ def effective_rate(state: CsiState, direction: str) -> float | np.ndarray:
 
 
 def _log_unit(rate: float | np.ndarray, bounds: NormalizationBounds) -> float | np.ndarray:
-    x = (np.log(rate) - math.log(bounds.r_min)) / (
-        math.log(bounds.r_max) - math.log(bounds.r_min)
+    x = (np.log(rate) - math.log(bounds.r_min_bps)) / (
+        math.log(bounds.r_max_bps) - math.log(bounds.r_min_bps)
     )
     return np.clip(x, 0.0, 1.0)
 
@@ -125,8 +125,8 @@ def _log_unit(rate: float | np.ndarray, bounds: NormalizationBounds) -> float | 
 def quality(state: CsiState, bounds: NormalizationBounds) -> float | np.ndarray:
     """Channel quality q in [0, 1], one value per round of an array state.
 
-    Log interpolation of the effective uplink goodput between r_min and
-    r_max, clamped. Monotone nondecreasing in r_up and nonincreasing in
+    Log interpolation of the effective uplink goodput between r_min_bps and
+    r_max_bps, clamped. Monotone nondecreasing in r_up and nonincreasing in
     per_up.
     """
     return _log_unit(effective_rate(state, "up"), bounds)
@@ -136,7 +136,7 @@ def features(state: CsiState, bounds: NormalizationBounds) -> np.ndarray:
     """5-entry CSI feature vector, every entry in [0, 1]; (n, 5) for an array state.
 
     Layout: [log-unit r_up, log-unit r_down, per_up, per_down,
-    rtt / rtt_max clamped]. PERs pass through raw (already unit scale).
+    rtt / rtt_max_s clamped]. PERs pass through raw (already unit scale).
     """
     return np.stack(
         [
@@ -144,7 +144,7 @@ def features(state: CsiState, bounds: NormalizationBounds) -> np.ndarray:
             _log_unit(state.r_down, bounds),
             state.per_up,
             state.per_down,
-            np.minimum(1.0, state.rtt / bounds.rtt_max),
+            np.minimum(1.0, state.rtt / bounds.rtt_max_s),
         ],
         axis=-1,
     )

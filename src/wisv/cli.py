@@ -115,15 +115,7 @@ def _check_lineage(cfg: ExperimentConfig, record: Path, sections, stage: str) ->
 
 
 def cmd_trace(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
-    eng = cfg.raw["engine"]
-    episodes = collect_traces(
-        cfg.raw["trace"]["episodes"],
-        cfg.oracle(),
-        seed=SEED_TRACE,
-        window=eng["window"],
-        max_tokens=eng["max_tokens"],
-        prefix_len=eng["prefix_len"],
-    )
+    episodes = collect_traces(cfg.raw["trace"]["episodes"], cfg.oracle(), SEED_TRACE, cfg.engine())
     write_traces(out / TRACES, out / TRACES_HIDDEN, episodes)
     n_mismatch = sum(len(ep) for ep in episodes)
     n_critical = sum(int(ep.base_labels.sum()) for ep in episodes if len(ep))

@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
@@ -180,19 +181,31 @@ def _check_keys(section: dict, allowed, path: str) -> None:
             _check_keys(value, expected, dotted)
 
 
+def _leaves(value, path: str = ""):
+    """Each (dotted key, value) pair of the scalars under ``value``; list entries are indexed."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
 def _check_finite(value, path: str) -> None:
     """Reject a NaN or infinite number anywhere under ``value``, naming its dotted path.
 
     A NaN compares false with every bound, so range checks pass it.
     """
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"config key {path!r} must be finite, got {value!r}")
+    for dotted, item in _leaves(value, path):
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ValueError(f"config key {dotted!r} must be finite, got {item!r}")
+
+
+# The keys that hold text, list indices dropped; each has its own check.
+_TEXT_KEYS = frozenset({"output_dir", "compute.preset", "sweep.modes", "ablate.scenarios",
+                        "labeler.channel.regime", "sweep.scenarios.name", "sweep.scenarios.regime"})
 
 
 # Counts and widths that size a stage's work or a billed cost; zero,
@@ -244,6 +257,11 @@ def _at(raw: dict, dotted: str):
     return reduce(dict.__getitem__, dotted.split("."), raw)
 
 
+def _without(section: dict, *keys: str) -> dict:
+    """``section`` less ``keys``: those its typed view derives from, or another reader owns."""
+    return {key: value for key, value in section.items() if key not in keys}
+
+
 def config_hash(raw: dict) -> str:
     """Stable hash of the fully merged configuration."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -278,6 +296,9 @@ class ExperimentConfig:
         # Every output and lineage record hashes the raw value, so none may stand for another.
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValueError(f"config key 'seed' must be a nonnegative integer, got {seed!r}")
+        out = self.raw["output_dir"]
+        if not isinstance(out, str):
+            raise ValueError(f"config key 'output_dir' must be a path, got {out!r}")
         if "switch_prob" in self.raw["labeler"]["channel"]:
             raise ValueError(
                 "config section 'labeler.channel': switch_prob ('labeler.channel.switch_prob') "
@@ -311,6 +332,13 @@ class ExperimentConfig:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ValueError(f"config key {dotted!r}: a {what} must be an integer, "
                                      f"got {v!r}")
+        # No other scalar is text or a bool: a bool passes a range check as 0 or 1,
+        # and some views would coerce the text YAML makes of an exponent.
+        for dotted, value in _leaves(self.raw):
+            text = re.sub(r"\[\d+\]", "", dotted) in _TEXT_KEYS
+            if isinstance(value, (bool, str)) and not text:
+                hint = "; YAML reads 5e8 as text and wants 5.0e+8" if isinstance(value, str) else ""
+                raise ValueError(f"config key {dotted!r} must be a number, got {value!r}{hint}")
         channels = {"labeler.channel": self.raw["labeler"]["channel"]}
         channels.update((f"sweep.scenarios[{i}]", sc) for i, sc in enumerate(sweep["scenarios"]))
         for where, section in channels.items():
@@ -327,6 +355,12 @@ class ExperimentConfig:
                     if section.get(key) is not None:
                         raise ValueError(f"config key '{where}.{key}' is never read by the "
                                          f"{regime!r} regime; remove it or set its regime")
+            for key in RANGE_FIELDS:
+                span = section.get(key)
+                if span is not None and not (isinstance(span, list) and len(span) == 2
+                                             and all(isinstance(e, (int, float)) for e in span)):
+                    raise ValueError(f"config key '{where}.{key}' must be a [lo, hi] pair of "
+                                     f"numbers, got {span!r}")
             try:
                 self.channel(section)
             except (TypeError, ValueError) as exc:
@@ -378,79 +412,38 @@ class ExperimentConfig:
 
     def channel(self, section: dict) -> ChannelConfig:
         """The channel of a ``labeler.channel`` or ``sweep.scenarios`` section."""
-        sec = dict(section)
-        sec.pop("name", None)
+        sec = _without(section, "name")
         for key in RANGE_FIELDS:
-            if key in sec and sec[key] is not None:
+            if sec.get(key) is not None:
                 sec[key] = tuple(sec[key])
         return ChannelConfig(**sec)
 
     def bounds(self) -> NormalizationBounds:
-        sec = self.raw["normalization"]
-        return NormalizationBounds(
-            r_min=sec["r_min_bps"], r_max=sec["r_max_bps"], rtt_max=sec["rtt_max_s"]
-        )
+        return NormalizationBounds(**self.raw["normalization"])
 
     def oracle(self) -> OracleConfig:
         sec = self.raw["oracle"]
         p_match = sec["p_match"]
         if p_match is None:
             p_match = calibrate_p_match(sec["target_aal"], sec["calibrate_k"])
-        return OracleConfig(
-            p_match=p_match,
-            p_crit=sec["p_crit"],
-            sep=sec["sep"],
-            noise=sec["noise"],
-            d_h_draft=sec["d_h_draft"],
-            d_h_target=sec["d_h_target"],
-            vocab_syn=sec["vocab_syn"],
-            mixing=sec["mixing"],
-            seed=self.seed,
-        )
+        sec = _without(sec, "p_match", "target_aal", "calibrate_k")
+        return OracleConfig(**sec, p_match=p_match, seed=self.seed)
 
     def engine(self, **overrides) -> EngineConfig:
-        sec = dict(self.raw["engine"])
-        sec.update(overrides)
-        sec.setdefault("mode", "sd_greedy")
-        return EngineConfig(**sec)
+        return EngineConfig(**{"mode": "sd_greedy", **self.raw["engine"], **overrides})
 
     def relabel(self) -> RelabelConfig:
-        sec = self.raw["labeler"]
-        return RelabelConfig(
-            alpha=sec["alpha"],
-            rho=sec["rho"],
-            lambda_hi=sec["lambda_hi"],
-            lambda_lo=sec["lambda_lo"],
-            csi_samples_per_episode=sec["csi_samples_per_episode"],
-        )
+        return RelabelConfig(**_without(self.raw["labeler"], "channel"))
 
     def train(self) -> TrainConfig:
-        sec = self.raw["train"]
-        return TrainConfig(
-            learning_rate=sec["learning_rate"],
-            epochs=sec["epochs"],
-            batch_size=sec["batch_size"],
-            weight_decay=sec["weight_decay"],
-            momentum=sec["momentum"],
-            dropout=sec["dropout"],
-            hidden_dim=sec["hidden_dim"],
-            seed=self.seed,
-        )
+        return TrainConfig(**_without(self.raw["train"], "holdout_fraction"), seed=self.seed)
 
     def system(self) -> SystemModel:
         """The deployed system: ``compute.preset`` sets every model width it bills."""
-        comp, sec = self.raw["compute"], self.raw["wire"]
+        comp = self.raw["compute"]
         draft_dims, target_dims = MODEL_PRESETS[comp["preset"]]
         return SystemModel(
-            wire=WireConfig(
-                vocab_size=draft_dims.vocab,
-                d_h=draft_dims.hidden,
-                b_h=sec["b_h"],
-                b_pos=sec["b_pos"],
-                b_prob=sec["b_prob"],
-                hdr_up=sec["hdr_up_bits"],
-                hdr_down=sec["hdr_down_bits"],
-            ),
+            wire=WireConfig(**self.raw["wire"], vocab_size=draft_dims.vocab, d_h=draft_dims.hidden),
             draft_dims=draft_dims,
             target_dims=target_dims,
             consts=FlopsConstants(**comp["constants"]),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -86,34 +86,32 @@ def collect_traces(
     n_episodes: int,
     oracle_cfg: OracleConfig,
     seed: int,
-    window: int = 10,
-    max_tokens: int = 256,
-    prefix_len: int = 64,
+    engine_cfg: EngineConfig = EngineConfig(),
 ) -> list[Episode]:
     """Decode episodes under greedy verification and keep each materialized mismatch.
 
-    Episode ``ep`` is decided in ``sd_greedy`` mode on the oracle seeded
-    ``[seed, ep]``, as one lane of a ``decide`` call over up to
-    ``EPISODES_PER_CALL`` consecutive episodes. A greedy round rejects at
-    its first mismatch, so the rounds that reject name every mismatch the
-    decoding meets exactly once, in increasing position order. Each oracle
-    is freed once its mismatch columns, and its rows at the mismatches a
-    round can reject at, are kept; the episode's columns are those rows at
-    the rejected positions.
+    ``engine_cfg``'s window, token budget and prefix length set the
+    decoding; its mode is replaced by ``sd_greedy``. Episode ``ep`` is
+    decided on the oracle seeded ``[seed, ep]``, as one lane of a
+    ``decide`` call over up to ``EPISODES_PER_CALL`` consecutive episodes.
+    A greedy round rejects at its first mismatch, so the rounds that
+    reject name every mismatch the decoding meets exactly once, in
+    increasing position order. Each oracle is freed once its mismatch
+    columns, and its rows at the mismatches a round can reject at, are
+    kept; the episode's columns are those rows at the rejected positions.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
-    engine_cfg = EngineConfig(
-        mode="sd_greedy", window=window, max_tokens=max_tokens, prefix_len=prefix_len
-    )
+    engine_cfg = replace(engine_cfg, mode="sd_greedy")
     # A round starts before the budget's end and rejects inside its window.
-    reach = slice(prefix_len, prefix_len + max_tokens + window)
+    prefix = engine_cfg.prefix_len
+    reach = slice(prefix, prefix + engine_cfg.max_tokens + engine_cfg.window)
     episodes = []
     for first in range(0, n_episodes, EPISODES_PER_CALL):
         lanes, kept = [], []
         for ep in range(first, min(first + EPISODES_PER_CALL, n_episodes)):
             oracle = episode_oracle(oracle_cfg, engine_cfg, [seed, ep], False)
-            at = np.flatnonzero(oracle.mismatch[reach]) + prefix_len
+            at = np.flatnonzero(oracle.mismatch[reach]) + prefix
             lanes.append(Lane(engine_cfg, EpisodeColumns.of(oracle)))
             kept.append((at, oracle.draft_tokens[at], oracle.target_tokens[at], oracle.crit[at],
                          oracle.h_draft[at], oracle.h_target[at]))

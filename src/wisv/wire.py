@@ -17,14 +17,15 @@ Every round of an episode uses one of four wire protocols, coded as in
 Each protocol is one row of a payload table for the window k, with five
 entries: uplink bits, uplink bits per requested hidden state, downlink
 bits, downlink bits per request, and exchanges. With the token-ID uplink
-``tokens = hdr_up + k*b_id`` and the feedback ``feedback = hdr_down + b_pos
-+ b_id`` (header, rejected position, corrected token ID):
+``tokens = hdr_up_bits + k*b_id`` and the feedback ``feedback =
+hdr_down_bits + b_pos + b_id`` (header, rejected position, corrected
+token ID):
 
-    code          uplink                   + per m   downlink             + per m   exchanges
-    PROTO_TOKENS  tokens                   0         feedback             0         1
-    PROTO_DENSE   tokens + k*vocab*b_prob  0         feedback             0         1
-    PROTO_FH      tokens + k*d_h*b_h       0         feedback             0         1
-    PROTO_SH      tokens + hdr_up          d_h*b_h   feedback + hdr_down  b_pos     2
+    code          uplink                   + per m  downlink                  + per m  exchanges
+    PROTO_TOKENS  tokens                   0        feedback                  0        1
+    PROTO_DENSE   tokens + k*vocab*b_prob  0        feedback                  0        1
+    PROTO_FH      tokens + k*d_h*b_h       0        feedback                  0        1
+    PROTO_SH      tokens + hdr_up_bits     d_h*b_h  feedback + hdr_down_bits  b_pos    2
 
 A round with m requests is its row plus m times the per-request entries,
 and ``round_comm`` prices it with one formula: serialization time for a
@@ -63,13 +64,13 @@ class WireConfig:
     b_h: int = 16
     b_pos: int = 16
     b_prob: int = 16
-    hdr_up: int = 320
-    hdr_down: int = 320
+    hdr_up_bits: int = 320
+    hdr_down_bits: int = 320
 
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        for name in ("d_h", "b_h", "b_pos", "b_prob", "hdr_up", "hdr_down"):
+        for name in ("d_h", "b_h", "b_pos", "b_prob", "hdr_up_bits", "hdr_down_bits"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -98,13 +99,14 @@ class LatencyBreakdown:
 
 def _payload_table(cfg: WireConfig, k: int) -> np.ndarray:
     """The (4, 5) payload table of window ``k``, one row per protocol code."""
-    tokens = cfg.hdr_up + k * cfg.b_id
-    feedback = cfg.hdr_down + cfg.b_pos + cfg.b_id
+    tokens = cfg.hdr_up_bits + k * cfg.b_id
+    feedback = cfg.hdr_down_bits + cfg.b_pos + cfg.b_id
     return np.array([
         [tokens, 0, feedback, 0, 1],
         [tokens + k * cfg.vocab_size * cfg.b_prob, 0, feedback, 0, 1],
         [tokens + k * cfg.d_h * cfg.b_h, 0, feedback, 0, 1],
-        [tokens + cfg.hdr_up, cfg.d_h * cfg.b_h, feedback + cfg.hdr_down, cfg.b_pos, 2],
+        [tokens + cfg.hdr_up_bits, cfg.d_h * cfg.b_h, feedback + cfg.hdr_down_bits,
+         cfg.b_pos, 2],
     ])
 
 

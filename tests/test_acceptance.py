@@ -131,13 +131,13 @@ def test_criterion_1_formula_exactness():
 
     assert hidden(wire) == 32768
     assert hidden(WireConfig(d_h=896)) == 14336
-    assert comm(WireConfig(hdr_down=0), 10, PROTO_TOKENS).downlink_bits == 33
+    assert comm(WireConfig(hdr_down_bits=0), 10, PROTO_TOKENS).downlink_bits == 33
     assert comm(wire, 10, PROTO_FH).downlink_bits == 353
     assert comm(wire, 10, PROTO_FH).uplink_bits == 328170
     assert second_uplink(wire, 10, 2) == 65856
     assert second_uplink(wire, 10, 1) / 20e6 == pytest.approx(1.6544e-3, rel=rel)
     small = WireConfig(vocab_size=64)
-    assert comm(small, 1, PROTO_DENSE).uplink_bits == small.hdr_up + 6 + 1024
+    assert comm(small, 1, PROTO_DENSE).uplink_bits == small.hdr_up_bits + 6 + 1024
     assert comm(wire, 10, PROTO_DENSE).uplink_bits == 20521450
 
     csi = CsiState(500e6, 500e6, 0.0, 0.0, 0.05)
@@ -308,8 +308,8 @@ def test_criterion_6_fh_sh_invariance(pipeline):
         fh_up, sh_up, fh_m = (column[fh_link.bounds[ep]:fh_link.bounds[ep + 1]]
                               for column in (fh_link.comm.uplink_bits, sh_link.comm.uplink_bits,
                                              fh_link.m))
-        violations += np.count_nonzero(sh_up > fh_up + wire.hdr_up)
-        violations += np.count_nonzero((fh_m < k) & (sh_up >= fh_up + wire.hdr_up))
+        violations += np.count_nonzero(sh_up > fh_up + wire.hdr_up_bits)
+        violations += np.count_nonzero((fh_m < k) & (sh_up >= fh_up + wire.hdr_up_bits))
     report(6, violations == 0,
            "AAL/rounds/tokens identical across FH and SH; per-round SH uplink bound holds")
 

@@ -88,10 +88,10 @@ class TestCsiStateInvariants:
 
 class TestQuality:
     def test_lower_bound(self):
-        assert quality(make_state(r_up=BOUNDS.r_min), BOUNDS) == 0.0
+        assert quality(make_state(r_up=BOUNDS.r_min_bps), BOUNDS) == 0.0
 
     def test_upper_bound(self):
-        assert quality(make_state(r_up=BOUNDS.r_max), BOUNDS) == 1.0
+        assert quality(make_state(r_up=BOUNDS.r_max_bps), BOUNDS) == 1.0
 
     def test_log_midpoint(self):
         # effective 100e6 sits exactly halfway between 10e6 and 1e9 on a log axis
@@ -122,13 +122,12 @@ class TestQuality:
 
 class TestFeatures:
     def test_best_case_saturates(self):
-        state = make_state(r_up=BOUNDS.r_max, r_down=BOUNDS.r_max, rtt=0.0)
+        state = make_state(r_up=BOUNDS.r_max_bps, r_down=BOUNDS.r_max_bps, rtt=0.0)
         np.testing.assert_array_equal(features(state, BOUNDS), [1, 1, 0, 0, 0])
 
     def test_worst_case(self):
-        state = make_state(
-            r_up=BOUNDS.r_min, r_down=BOUNDS.r_min, per_up=0.9, per_down=0.8, rtt=BOUNDS.rtt_max
-        )
+        state = make_state(r_up=BOUNDS.r_min_bps, r_down=BOUNDS.r_min_bps, per_up=0.9,
+                           per_down=0.8, rtt=BOUNDS.rtt_max_s)
         np.testing.assert_array_equal(features(state, BOUNDS), [0, 0, 0.9, 0.8, 1])
 
     def test_per_passes_through_raw(self):

@@ -15,7 +15,7 @@ import yaml
 from single_episode import one_episode
 
 from wisv import cli, engine, wire
-from wisv.channel import CsiState, generate_trace
+from wisv.channel import CsiState, NormalizationBounds, generate_trace
 from wisv.cli import (
     ABLATE_CSV,
     ABLATE_META,
@@ -46,9 +46,11 @@ from wisv.config import (
     config_hash,
 )
 from wisv.engine import MODES
-from wisv.head import INFERENCE_CHUNK, HeadParams, forward_batch, train
-from wisv.labeler import read_dataset, read_traces, write_traces
+from wisv.head import INFERENCE_CHUNK, HeadParams, TrainConfig, forward_batch, train
+from wisv.labeler import RelabelConfig, read_dataset, read_traces, write_traces
 from wisv.metrics import EpisodeTotals, summarize
+from wisv.oracle import OracleConfig
+from wisv.wire import WireConfig
 
 SMALL_OVERRIDES = {
     "trace": {"episodes": 50},
@@ -118,6 +120,27 @@ def write_config(tmp_path, overrides=None):
     with open(path, "w") as fh:
         yaml.safe_dump(overrides if overrides is not None else SMALL_OVERRIDES, fh)
     return path
+
+
+# YAML text holding an exponent that lacks a dot or an exponent sign, which
+# PyYAML reads as a string: (text, dotted key, the string).
+EXPONENT_TEXT = [
+    ("normalization: {r_max_bps: 1e9}", "normalization.r_max_bps", "1e9"),
+    ("train: {learning_rate: 3e-3}", "train.learning_rate", "3e-3"),
+    ("labeler: {rho: 1e-1}", "labeler.rho", "1e-1"),
+    ("labeler: {channel: {rtt_s: 5e-2}}", "labeler.channel.rtt_s", "5e-2"),
+    ("compute: {device: {peak_flops: 1e13}}", "compute.device.peak_flops", "1e13"),
+    ("oracle: {p_crit: 3e-1}", "oracle.p_crit", "3e-1"),
+    ("engine: {adaptive_rtt_cutoff_s: 1e-2}", "engine.adaptive_rtt_cutoff_s", "1e-2"),
+    ("sweep: {tau_values: [9e-1]}", "sweep.tau_values[0]", "9e-1"),
+    ("sweep: {scenarios: [{name: a, rate_up_bps: 5e8}]}\nablate: {scenarios: [a]}",
+     "sweep.scenarios[0].rate_up_bps", "5e8"),
+    ("sweep: {scenarios: [{name: a, regime: sampled, rtt_range_s: [0.002, 6e-2]}]}\n"
+     "ablate: {scenarios: [a]}", "sweep.scenarios[0].rtt_range_s[1]", "6e-2"),
+    ("ablate: {tau: 95e-2}", "ablate.tau", "95e-2"),
+    ("sweep: {scenarios: [{name: a, rate_down_bps: 5.0e8}]}\nablate: {scenarios: [a]}",
+     "sweep.scenarios[0].rate_down_bps", "5.0e8"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +324,7 @@ class TestConfig:
             ({"sweep": {"scenarios": [{"name": "fast"}, {"name": 500}]},
               "ablate": {"scenarios": ["fast"]}},
              "config key 'sweep.scenarios[1].name' must be a nonempty string, got 500"),
+            ({"output_dir": True}, "config key 'output_dir' must be a path, got True"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -338,6 +362,59 @@ class TestConfig:
             ExperimentConfig.load(write_config(tmp_path, {"seed": seed}))
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.load(seed=seed)
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("oracle.p_match", {"oracle": {"p_match": True}}),
+        ("compute.device.utilization", {"compute": {"device": {"utilization": True}}}),
+        ("sweep.scenarios[0].rtt_s", {"sweep": {"scenarios": [{"name": "a", "rtt_s": True}]},
+                                      "ablate": {"scenarios": ["a"]}}),
+        ("labeler.rho", {"labeler": {"rho": True}}),
+        ("normalization.rtt_max_s", {"normalization": {"rtt_max_s": True}}),
+        ("engine.adaptive_rtt_cutoff_s", {"engine": {"adaptive_rtt_cutoff_s": True}}),
+    ])
+    def test_boolean_rejected(self, tmp_path, key, overrides):
+        # Each is a float key that would read True as 1 (a 1 s RTT, say).
+        with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be a number, "
+                                                       "got True")):
+            ExperimentConfig.load(write_config(tmp_path, overrides))
+
+    @pytest.mark.parametrize("text, key, value", EXPONENT_TEXT,
+                             ids=[key for _, key, _ in EXPONENT_TEXT])
+    def test_exponent_read_as_text_rejected(self, tmp_path, text, key, value):
+        # YAML reads these exponents as text; a float wants a dot and a signed exponent.
+        path = tmp_path / "config.yaml"
+        path.write_text(text + "\n")
+        message = (f"config key {key!r} must be a number, got {value!r}; "
+                   "YAML reads 5e8 as text and wants 5.0e+8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.load(path)
+
+    @pytest.mark.parametrize("span", [[0.002, 0.01, 0.06], [0.002], 0.05])
+    def test_range_not_a_pair_rejected(self, tmp_path, span):
+        overrides = {"sweep": {"scenarios": [{"name": "a", "regime": "sampled",
+                                              "rtt_range_s": span}]},
+                     "ablate": {"scenarios": ["a"]}}
+        message = (f"config key 'sweep.scenarios[0].rtt_range_s' must be a [lo, hi] pair of "
+                   f"numbers, got {span!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.load(write_config(tmp_path, overrides))
+        with pytest.raises(ValueError, match=re.escape("'labeler.channel.rtt_range_s' must be")):
+            ExperimentConfig.load(write_config(tmp_path, {"labeler": {"channel": {
+                "rtt_range_s": span}}}))
+
+    @pytest.mark.parametrize("section, view, derived, read_elsewhere", [
+        ("oracle", OracleConfig, {"seed"}, {"target_aal", "calibrate_k"}),
+        ("labeler", RelabelConfig, set(), {"channel"}),
+        ("train", TrainConfig, {"seed"}, {"holdout_fraction"}),
+        ("wire", WireConfig, {"vocab_size", "d_h"}, set()),
+        ("normalization", NormalizationBounds, set(), set()),
+    ])
+    def test_section_keys_are_view_fields(self, section, view, derived, read_elsewhere):
+        # ``derived`` fields come from elsewhere in the config (the master seed,
+        # the preset's widths); ``read_elsewhere`` keys feed a derivation or
+        # another reader. A key without its field would load, hash and do nothing.
+        fields = {f.name for f in dataclasses.fields(view)}
+        assert DEFAULT_CONFIG[section].keys() - read_elsewhere == fields - derived
 
     def test_shipped_configs_load(self):
         root = Path(__file__).resolve().parents[1]

@@ -166,13 +166,13 @@ class TestWisvRound:
                                       committed_tokens(oracle, sh_decisions, 0))
         assert fh.proto[0] == PROTO_FH and sh.proto[0] == PROTO_SH
         wire = SYSTEM.wire
-        tokens = wire.hdr_up + 6 * wire.b_id
+        tokens = wire.hdr_up_bits + 6 * wire.b_id
         assert fh.comm.uplink_bits[0] == tokens + 6 * wire.d_h * wire.b_h
         # The token-ID uplink, then a hidden uplink for the two requested positions.
-        assert sh.comm.uplink_bits[0] == tokens + wire.hdr_up + 2 * wire.d_h * wire.b_h
-        feedback = wire.hdr_down + wire.b_pos + wire.b_id
+        assert sh.comm.uplink_bits[0] == tokens + wire.hdr_up_bits + 2 * wire.d_h * wire.b_h
+        feedback = wire.hdr_down_bits + wire.b_pos + wire.b_id
         assert fh.comm.downlink_bits[0] == feedback
-        assert sh.comm.downlink_bits[0] == feedback + wire.hdr_down + 2 * wire.b_pos
+        assert sh.comm.downlink_bits[0] == feedback + wire.hdr_down_bits + 2 * wire.b_pos
         assert sh.comm.rtt_s[0] == pytest.approx(2 * CSI.rtt)
 
     def test_zeroed_csi_weights_change_nothing_for_csi_blind_head(self):
@@ -231,7 +231,7 @@ class TestGreedyRound:
         res, link, _ = one_episode(SYSTEM, eng, oracle_for(eng), static_trace())
         assert res.m.sum() > 0  # mismatches are localized but never screened
         assert np.all(link.proto == PROTO_TOKENS)
-        assert np.all(link.comm.uplink_bits == SYSTEM.wire.hdr_up + 10 * SYSTEM.wire.b_id)
+        assert np.all(link.comm.uplink_bits == SYSTEM.wire.hdr_up_bits + 10 * SYSTEM.wire.b_id)
         assert np.all(link.head_s == 0.0)
 
     def test_mean_accepted_length_matches_closed_form(self):
@@ -305,7 +305,7 @@ class TestRejectRound:
         wire = SYSTEM.wire
         assert link.proto[0] == PROTO_DENSE
         assert link.comm.uplink_bits[0] == (
-            wire.hdr_up + 10 * wire.b_id + 10 * wire.vocab_size * wire.b_prob
+            wire.hdr_up_bits + 10 * wire.b_id + 10 * wire.vocab_size * wire.b_prob
         )
 
     def test_emitted_token_matches_target_distribution(self):
@@ -364,15 +364,15 @@ def reference_round(system, k, prefix, m, proto, csi):
     """
     wire = system.wire
     hidden = wire.d_h * wire.b_h
-    uplink = wire.hdr_up + k * wire.b_id  # token IDs
+    uplink = wire.hdr_up_bits + k * wire.b_id  # token IDs
     if proto == PROTO_DENSE:
         uplink += k * wire.vocab_size * wire.b_prob
     elif proto == PROTO_FH:
         uplink += k * hidden
-    downlink, exchanges = wire.hdr_down + wire.b_pos + wire.b_id, 1  # feedback
+    downlink, exchanges = wire.hdr_down_bits + wire.b_pos + wire.b_id, 1  # feedback
     if proto == PROTO_SH:  # position request and on-demand hidden uplink
-        uplink, downlink, exchanges = (uplink + wire.hdr_up + m * hidden,
-                                       downlink + wire.hdr_down + m * wire.b_pos, 2)
+        uplink, downlink, exchanges = (uplink + wire.hdr_up_bits + m * hidden,
+                                       downlink + wire.hdr_down_bits + m * wire.b_pos, 2)
     up_s, down_s = uplink / effective_rate(csi, "up"), downlink / effective_rate(csi, "down")
     rtt_s = exchanges * csi.rtt
     draft_s = exec_time(window_flops(system.draft_dims, system.consts, prefix, k),
@@ -750,7 +750,7 @@ class TestEngineConfig:
     *((FlopsConstants, field, {}) for field in ("c1", "c2", "c3", "c4")),
     (OracleConfig, "sep", {}),
     (OracleConfig, "noise", {}),
-    (NormalizationBounds, "rtt_max", {}),
+    (NormalizationBounds, "rtt_max_s", {}),
     (EngineConfig, "adaptive_rtt_cutoff_s", {}),
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -803,7 +803,7 @@ class TestRunEpisode:
                                           committed_tokens(oracle, sh, 0))
             assert fh.n_rounds == sh.n_rounds
             assert np.all(sh_link.comm.uplink_bits
-                          <= fh_link.comm.uplink_bits + SYSTEM.wire.hdr_up)
+                          <= fh_link.comm.uplink_bits + SYSTEM.wire.hdr_up_bits)
 
     def test_prefix_dominance_and_round_count_monotone_in_tau(self):
         params = init_params(4 + 4 + 5, 8, seed=3)

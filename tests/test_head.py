@@ -136,7 +136,7 @@ class TestAssemble:
     """Head input layout [h_draft; h_target; csi], as the labeler assembles it."""
 
     def test_zeros_through(self):
-        # At or below r_min with zero RTT every CSI feature is 0.
+        # At or below r_min_bps with zero RTT every CSI feature is 0.
         out = relabeled_row(np.zeros(3), np.zeros(4), CsiState(5e6, 5e6, 0.0, 0.0, 0.0))
         np.testing.assert_array_equal(out, np.zeros(12))
 

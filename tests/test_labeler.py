@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wisv.channel import ChannelConfig, CsiState, NormalizationBounds, features, generate_trace, quality
 from wisv.columns import read_columns, write_columns
+from wisv.engine import EngineConfig
 from wisv.head import sigmoid
 from wisv.labeler import (
     EPISODES_PER_CALL,
@@ -88,10 +89,12 @@ class TestCollectTraces:
         assert all(ep.h_draft.shape == (0, 2) and ep.h_target.shape == (0, 3) for ep in eps)
 
     def test_matches_reference_greedy_replay(self):
-        # More episodes than one decide call takes, so a call boundary is crossed.
+        # More episodes than one decide call takes, so a call boundary is crossed;
+        # the engine view's mode is replaced by greedy verification.
         cfg = OracleConfig(p_match=0.8, d_h_draft=2, d_h_target=3)
         n_episodes = EPISODES_PER_CALL + 3
-        eps = collect_traces(n_episodes, cfg, seed=4, window=7, max_tokens=90, prefix_len=5)
+        engine_cfg = EngineConfig(mode="wisv_sh", window=7, max_tokens=90, prefix_len=5)
+        eps = collect_traces(n_episodes, cfg, 4, engine_cfg)
         assert [ep.episode_id for ep in eps] == list(range(n_episodes))
         for ep in eps:
             oracle, rows = greedy_replay(cfg, [4, ep.episode_id], window=7, max_tokens=90,

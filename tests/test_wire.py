@@ -65,10 +65,11 @@ class TestBitFormulas:
 
     def test_feedback_bits_no_header(self):
         for proto in (PROTO_TOKENS, PROTO_DENSE, PROTO_FH):
-            assert downlink(WireConfig(hdr_down=0, b_pos=16), 10, proto) == 33
+            assert downlink(WireConfig(hdr_down_bits=0, b_pos=16), 10, proto) == 33
 
     def test_feedback_bits_minimal(self):
-        cfg = WireConfig(vocab_size=2, d_h=1, b_h=0, b_pos=0, b_prob=0, hdr_up=0, hdr_down=0)
+        cfg = WireConfig(vocab_size=2, d_h=1, b_h=0, b_pos=0, b_prob=0, hdr_up_bits=0,
+                         hdr_down_bits=0)
         assert downlink(cfg, 1, PROTO_TOKENS) == 1
 
     def test_feedback_bits_default_header(self):
@@ -79,7 +80,7 @@ class TestBitFormulas:
         assert uplink(DEFAULT, 10, PROTO_FH) == 328170
 
     def test_fh_uplink_single_token(self):
-        expected = DEFAULT.hdr_up + DEFAULT.b_id + DEFAULT.d_h * DEFAULT.b_h
+        expected = DEFAULT.hdr_up_bits + DEFAULT.b_id + DEFAULT.d_h * DEFAULT.b_h
         assert uplink(DEFAULT, 1, PROTO_FH) == expected
 
     def test_fh_uplink_linear_in_window(self):
@@ -94,15 +95,17 @@ class TestBitFormulas:
     def test_sh_bits_no_request(self):
         # The token-ID uplink plus an empty hidden uplink's header; the
         # feedback plus an empty position request's header.
-        assert uplink(DEFAULT, 10, PROTO_SH, 0) == 2 * DEFAULT.hdr_up + 10 * DEFAULT.b_id == 810
-        assert downlink(DEFAULT, 10, PROTO_SH, 0) == 353 + DEFAULT.hdr_down == 673
+        assert uplink(DEFAULT, 10, PROTO_SH, 0) == 2 * DEFAULT.hdr_up_bits + 10 * DEFAULT.b_id
+        assert 2 * DEFAULT.hdr_up_bits + 10 * DEFAULT.b_id == 810
+        assert downlink(DEFAULT, 10, PROTO_SH, 0) == 353 + DEFAULT.hdr_down_bits == 673
 
     def test_sh_bits_two_requests(self):
         assert second_uplink(DEFAULT, 10, 2) == 320 + 2 * 32768 == 65856
         assert downlink(DEFAULT, 10, PROTO_SH, 2) == 673 + 2 * DEFAULT.b_pos
 
     def test_sh_full_request_equals_fh_plus_header(self):
-        assert uplink(DEFAULT, 10, PROTO_SH, 10) == uplink(DEFAULT, 10, PROTO_FH) + DEFAULT.hdr_up
+        fh = uplink(DEFAULT, 10, PROTO_FH)
+        assert uplink(DEFAULT, 10, PROTO_SH, 10) == fh + DEFAULT.hdr_up_bits
 
     def test_sh_request_exceeding_window_rejected(self):
         for proto in CODES:
@@ -112,7 +115,7 @@ class TestBitFormulas:
 
     def test_reject_uplink_small_vocab(self):
         cfg = WireConfig(vocab_size=64, b_prob=16)
-        assert uplink(cfg, 1, PROTO_DENSE) == cfg.hdr_up + 6 + 1024
+        assert uplink(cfg, 1, PROTO_DENSE) == cfg.hdr_up_bits + 6 + 1024
 
     def test_reject_uplink_dominates_fh(self):
         bits = uplink(DEFAULT, 10, PROTO_DENSE)
@@ -128,7 +131,7 @@ class TestBitFormulas:
         if m > k:
             return
         sh_up = uplink(DEFAULT, k, PROTO_SH, m)
-        fh_up = uplink(DEFAULT, k, PROTO_FH) + DEFAULT.hdr_up
+        fh_up = uplink(DEFAULT, k, PROTO_FH) + DEFAULT.hdr_up_bits
         assert sh_up <= fh_up
         if m < k:
             assert sh_up < fh_up
@@ -173,8 +176,8 @@ class TestCommLatency:
         expected = (
             lat_fh.total_s
             - 10 * DEFAULT.d_h * DEFAULT.b_h / rate
-            + DEFAULT.hdr_up / rate
-            + DEFAULT.hdr_down / rate
+            + DEFAULT.hdr_up_bits / rate
+            + DEFAULT.hdr_down_bits / rate
         )
         assert lat_sh.total_s == pytest.approx(expected, rel=1e-12)
 
@@ -184,8 +187,8 @@ class TestCommLatency:
     def test_latency_linear_in_bits(self):
         csi = make_csi(rtt=0.0)
         token_ids = 10 * DEFAULT.b_id
-        one = round_comm(WireConfig(hdr_up=1000 - token_ids), 10, PROTO_TOKENS, 0, csi)
-        three = round_comm(WireConfig(hdr_up=3000 - token_ids), 10, PROTO_TOKENS, 0, csi)
+        one = round_comm(WireConfig(hdr_up_bits=1000 - token_ids), 10, PROTO_TOKENS, 0, csi)
+        three = round_comm(WireConfig(hdr_up_bits=3000 - token_ids), 10, PROTO_TOKENS, 0, csi)
         assert (one.uplink_bits, three.uplink_bits) == (1000, 3000)
         assert three.uplink_s == pytest.approx(3.0 * one.uplink_s, rel=1e-12)
 
