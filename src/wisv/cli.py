@@ -376,15 +376,15 @@ def _decision_key(s_idx: int, mode: str, k: int, tau: float, head: str) -> tuple
 
 def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Sequence[tuple],
                 heads: dict[str, HeadParams], engines: dict[tuple, EngineConfig]) -> tuple[dict, dict]:
-    """Prepare the decisions of the sweep points of episode ``ep``.
+    """The lanes of the sweep points of episode ``ep``, for the block to decide.
 
     The episode builds one oracle, for the widest of ``engines``, the
     decision configs by decision key (``_decision_key``), one channel trace
     per scenario the points use, and each of ``heads`` screens each trace.
     Returns the traces by scenario index, and by decision key the episode's
-    ``Lane`` on its ``EpisodeColumns``, for the block to decide, or, where
-    its screen's link fluctuates, its one-lane ``Decisions``, decided here
-    while the screen's link rows are held. The oracle is freed on return.
+    ``Lane`` on its ``EpisodeColumns``; a screen on a fluctuating link
+    keeps its trace's CSI rows for the block's ``decide`` call. The oracle
+    is freed on return.
     """
     widest = max(engines.values(), key=attrgetter("window"))
     oracle = episode_oracle(cfg.oracle(), widest, [SEED_EVAL, ep],
@@ -398,19 +398,13 @@ def _eval_point(cfg: ExperimentConfig, system: SystemModel, ep: int, points: Seq
                for s_idx, screen in zip(traces, head_screens(
                    head, oracle, list(traces.values()), system.bounds))}
     columns = EpisodeColumns.of(oracle)
-    decided: dict = {}
+    lanes: dict = {}
     for s_idx, mode, k, tau, head in points:
         key = _decision_key(s_idx, mode, k, tau, head)
-        if key not in decided:
+        if key not in lanes:
             screen = screens[head, s_idx] if mode.startswith("wisv") else None
-            decided[key] = Lane(engines[key], columns, screen)
-    per_round = [key for key, lane in decided.items()
-                 if lane.screen is not None and lane.screen.p is None]
-    if per_round:
-        decisions = decide([decided[key] for key in per_round])
-        for j, key in enumerate(per_round):
-            decided[key] = decisions.lanes(j, j + 1)
-    return traces, decided
+            lanes[key] = Lane(engines[key], columns, screen)
+    return traces, lanes
 
 
 def _point_key(scenarios: Sequence[dict], point: tuple) -> dict:
@@ -419,31 +413,16 @@ def _point_key(scenarios: Sequence[dict], point: tuple) -> dict:
     return {"scenario": scenarios[s_idx]["name"], "mode": mode, "k": k, "tau": tau}
 
 
-def _block_decisions(decided: Sequence[dict], keys: Sequence[tuple]) -> dict[tuple, Decisions]:
+def _block_decisions(lanes: Sequence[dict], keys: Sequence[tuple]) -> dict[tuple, Decisions]:
     """Each decision key's ``Decisions`` over a block's episodes, in episode order.
 
-    ``decided`` holds each episode's ``_eval_point`` lanes and decisions.
-    The block's lanes are decided in one ``decide`` call, ordered by
-    decision key first and episode second, so a key whose episodes are all
-    lanes is one slice of its output.
+    ``lanes`` holds each episode's ``_eval_point`` lanes. The block's lanes
+    are decided in one ``decide`` call, ordered by decision key first and
+    episode second, so each key's lanes are one slice of its output.
     """
-    lanes, at = [], {}
-    for key in keys:
-        for e, episode_decided in enumerate(decided):
-            if isinstance(episode_decided[key], Lane):
-                at[key, e] = len(lanes)
-                lanes.append(episode_decided[key])
-    batch = decide(lanes) if lanes else None
-    n = len(decided)
-    by_key = {}
-    for key in keys:
-        if all((key, e) in at for e in range(n)):
-            by_key[key] = batch.lanes(at[key, 0], at[key, 0] + n)
-        else:
-            by_key[key] = Decisions.concat([
-                batch.lanes(at[key, e], at[key, e] + 1) if (key, e) in at else episode_decided[key]
-                for e, episode_decided in enumerate(decided)])
-    return by_key
+    batch = decide([episode_lanes[key] for key in keys for episode_lanes in lanes])
+    n = len(lanes)
+    return {key: batch.lanes(i * n, (i + 1) * n) for i, key in enumerate(keys)}
 
 
 def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[EpisodeTotals]]:
@@ -467,8 +446,7 @@ def _sweep_block(payload: dict, rounds: BinaryIO | None) -> Iterator[list[Episod
         engines.setdefault(_decision_key(s_idx, mode, k, tau, head),
                            cfg.engine(mode=mode, window=k, tau=tau))
     results = [_eval_point(cfg, system, ep, points, payload["heads"], engines) for ep in block]
-    decided = _block_decisions([episode_decided for _, episode_decided in results],
-                               list(engines))
+    decided = _block_decisions([episode_lanes for _, episode_lanes in results], list(engines))
     traces = {s_idx: TraceBatch.of([episode_traces[s_idx] for episode_traces, _ in results])
               for s_idx in results[0][0]}
     del results

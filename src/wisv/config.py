@@ -219,7 +219,41 @@ _POSITIVE_COUNTS = (
     "train.epochs",
     "train.batch_size",
     "train.hidden_dim",
+    "oracle.calibrate_k",
 )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_CHANNEL_DEFAULTS = {f.name: f.default for f in fields(ChannelConfig)}
+# Number keys whose default is null: a null p_match is calibrated, and a null
+# alternate field repeats its base value. The sampled ranges hold pairs.
+_NULLABLE_NUMBERS = frozenset({"p_match", *(key for key in _CHANNEL_KEYS if key.startswith("alt_"))})
+
+
+def _numbers(section: dict, defaults: dict, path: str):
+    """Each (dotted key, value) of ``section`` whose key must hold a number.
+
+    Those are the keys whose default is a number, and the nullable number
+    keys unless they hold null; a sweep grid of numbers yields each entry.
+    A channel section's keys take ``ChannelConfig``'s defaults.
+    """
+    for key, value in section.items():
+        dotted = f"{path}.{key}" if path else str(key)
+        default = defaults.get(key)
+        if dotted in _CHANNEL_SECTIONS:
+            yield from _numbers(value, _CHANNEL_DEFAULTS, dotted)
+        elif dotted == "sweep.scenarios":
+            for i, scenario in enumerate(value):
+                yield from _numbers(scenario, _CHANNEL_DEFAULTS, f"{dotted}[{i}]")
+        elif isinstance(default, dict):
+            yield from _numbers(value, default, dotted)
+        elif isinstance(default, list) and all(map(_is_number, default)):
+            yield from ((f"{dotted}[{i}]", item) for i, item in enumerate(value))
+        elif _is_number(default) or (key in _NULLABLE_NUMBERS and value is not None):
+            yield dotted, value
 
 
 # Integer keys (a list holds one per entry) and what each one sizes: a
@@ -339,6 +373,10 @@ class ExperimentConfig:
             if isinstance(value, (bool, str)) and not text:
                 hint = "; YAML reads 5e8 as text and wants 5.0e+8" if isinstance(value, str) else ""
                 raise ValueError(f"config key {dotted!r} must be a number, got {value!r}{hint}")
+        # Nor is a null (where none is allowed), a list or a mapping a number.
+        for dotted, value in _numbers(self.raw, DEFAULT_CONFIG, ""):
+            if not _is_number(value):
+                raise ValueError(f"config key {dotted!r} must be a number, got {value!r}")
         channels = {"labeler.channel": self.raw["labeler"]["channel"]}
         channels.update((f"sweep.scenarios[{i}]", sc) for i, sc in enumerate(sweep["scenarios"]))
         for where, section in channels.items():

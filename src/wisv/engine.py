@@ -42,12 +42,16 @@ The head-verified modes decide from a ``HeadScreen``, built once per
 (head, episode, trace) by ``head_screens``. A sweep may name several
 heads: the ablation is eval's sweep over a link-aware and a link-blind
 head, which share each episode's oracle and traces. The head's first
-layer is linear, so it splits into a hidden-state term per mismatch and a
-link term per trace row, each one matmul per episode. On a link whose term
-is the same in every round, the screen is one p column over the
-mismatches, and every window and tau of the episode scans a stop column
-cut from it, as ``sd_greedy`` does; otherwise a screened round adds its
-link row to its window's hidden rows. The final training accuracy and
+layer is linear, so it splits into a hidden-state term per mismatch, one
+matmul per episode, and a link term per CSI feature row (``link_term``).
+On a link whose term is the same in every round, the screen is one p
+column over the mismatches, and every window and tau of the episode scans
+a stop column cut from it, as ``sd_greedy`` does; otherwise each iteration
+of ``decide`` screens the rounds of all its fluctuating-link lanes that
+hold a mismatch in one batch, each on its own CSI row. Both paths compute
+p with the same row-invariant steps (``link_term``, ``screen_p``), so a
+mismatch's p does not depend on which rows share its batch, nor on how a
+sweep splits its episodes into blocks. The final training accuracy and
 the holdout are scored by ``head.chunked_logits``.
 """
 
@@ -194,19 +198,6 @@ class Decisions:
                          *(getattr(self, name)[first:last] for name in ROUND_COLUMNS),
                          self.window[lo:hi], self.mode[lo:hi])
 
-    @staticmethod
-    def concat(batches: Sequence[Decisions]) -> Decisions:
-        """The lanes of ``batches``, one batch after another."""
-        offsets = np.cumsum([0, *(batch.n_rounds for batch in batches)])
-        return Decisions(
-            np.concatenate([[0], *(batch.bounds[1:] + offset
-                                   for batch, offset in zip(batches, offsets))]),
-            *(np.concatenate([getattr(batch, name) for batch in batches])
-              for name in ROUND_COLUMNS),
-            sum((batch.window for batch in batches), ()),
-            sum((batch.mode for batch in batches), ()),
-        )
-
 
 @dataclass(frozen=True)
 class LinkBill:
@@ -255,29 +246,63 @@ def episode_oracle(
     )
 
 
+def link_term(csi: np.ndarray, w_csi: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """The head's first-layer link term ``w1_c · csi + b1`` of each CSI feature row.
+
+    ``csi`` is (n, 5). ``w_csi`` is the head's CSI weights as (5, d_j), or
+    one such per row, (n, 5, d_j); ``b1`` is its bias, (d_j,) or (n, d_j).
+    Each entry adds the features' products in feature order, then the bias,
+    elementwise, so a row's term does not depend on which rows share the
+    call, as a matmul's bits do.
+    """
+    link = csi[:, :1] * w_csi[..., 0, :]
+    for f in range(1, N_CSI_FEATURES):
+        link += csi[:, f:f + 1] * w_csi[..., f, :]
+    link += b1
+    return link
+
+
+def screen_p(hidden: np.ndarray, link: np.ndarray, w2: np.ndarray, b2) -> np.ndarray:
+    """Rejection probabilities of hidden-term rows under link-term rows, row by row.
+
+    ``hidden`` is (n, d_j); ``link`` is (n, d_j) or one row for all.
+    ``w2`` and ``b2`` are the head's second layer, shared or one per row.
+    Every step is elementwise except each row's sum of ``act * w2``, reduced
+    within the row, so a row's p does not depend on which rows share the
+    call: ``act @ w2`` is a GEMV whose bits move with the row count.
+    """
+    act = np.maximum(hidden + link, 0.0)
+    return sigmoid((act * w2).sum(axis=1) + b2)
+
+
+def _csi_weights(head: HeadParams) -> np.ndarray:
+    """The head's first-layer weights of the CSI features, (5, d_j)."""
+    return head.w1[:, head.d_in - N_CSI_FEATURES:].T
+
+
 @dataclass(frozen=True)
 class HeadScreen:
     """One head's screen of one episode's mismatches on one link.
 
     The head's first layer splits as ``w1 · [h_d; h_t; csi] + b1 = w1_h · h
     + (w1_c · csi + b1)``. ``hidden`` holds the first term for every mismatch
-    of the episode, in position order, and ``link`` the second for every
-    trace row, or its one row when all rows are equal. Then ``p`` is every
-    mismatch's rejection probability; otherwise it is None, and round r
-    screens its window's mismatches on link row ``r % len(link)``
-    (``round_p``).
+    of the episode, in position order, and ``csi`` the trace's CSI feature
+    rows, or its one row when every row gives the same link term
+    (``link_term``). Then ``p`` is every mismatch's rejection probability;
+    otherwise it is None, and round r screens its window's mismatches on
+    CSI row ``r % len(csi)`` (``round_p``; ``decide`` screens such rounds
+    of all its lanes in one batch, with the same row-invariant steps).
     """
 
+    head: HeadParams
     hidden: np.ndarray
-    link: np.ndarray
-    w2: np.ndarray
-    b2: float
+    csi: np.ndarray
     p: np.ndarray | None = None
 
     def round_p(self, rows: slice, r: int) -> np.ndarray:
-        """Rejection probabilities of the mismatches ``rows`` under link row ``r``, wrapping."""
-        act = np.maximum(self.hidden[rows] + self.link[r % len(self.link)], 0.0)
-        return sigmoid(act @ self.w2 + self.b2)
+        """Rejection probabilities of the mismatches ``rows`` under CSI row ``r``, wrapping."""
+        link = link_term(self.csi[[r % len(self.csi)]], _csi_weights(self.head), self.head.b1)
+        return screen_p(self.hidden[rows], link, self.head.w2, self.head.b2)
 
 
 def head_screens(
@@ -289,8 +314,11 @@ def head_screens(
     """The head's screen of the oracle's mismatches on each trace.
 
     The hidden-state term is one matmul over the episode's mismatches,
-    shared by every trace; the link term is one matmul over each trace's
-    CSI feature rows (a scalar state is one row).
+    shared by every trace. A trace's link term (``link_term``) is the same
+    in every round when each CSI feature that varies over its rows (a
+    scalar state is one row) has zero weights: on a static link, or for a
+    link-blind head. Then the screen is the p column of its first row;
+    otherwise it keeps the CSI rows, not their (n, d_j) link terms.
     """
     if traces is None or bounds is None:
         raise ValueError("head screening requires a channel trace and normalization bounds")
@@ -303,12 +331,13 @@ def head_screens(
         csi = np.atleast_2d(features(trace, bounds))
         if not np.all(np.isfinite(csi)):
             raise ValueError("non-finite feature input")
-        link = csi @ head_params.w1[:, d_h:].T + head_params.b1
-        if not (link == link[0]).all():
-            screens.append(HeadScreen(hidden, link, head_params.w2, head_params.b2))
+        # A feature that varies over the trace moves the link term only
+        # through a nonzero weight.
+        if _csi_weights(head_params)[(csi != csi[0]).any(axis=0)].any():
+            screens.append(HeadScreen(head_params, hidden, csi))
             continue
         # Every round reads the same row: screen each mismatch once.
-        screen = HeadScreen(hidden, link[:1].copy(), head_params.w2, head_params.b2)
+        screen = HeadScreen(head_params, hidden, csi[:1].copy())
         screens.append(replace(screen, p=screen.round_p(slice(None), 0)))
     return screens
 
@@ -349,6 +378,67 @@ def _placed(columns: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarray:
     return np.concatenate([column + offset for column, offset in zip(columns, offsets)])
 
 
+def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct ``items`` (by identity) in first-seen order, and each item's index among them."""
+    first: dict[int, object] = {}
+    for item in items:
+        first.setdefault(id(item), item)
+    index = {key: i for i, key in enumerate(first)}
+    return list(first.values()), np.array([index[id(item)] for item in items])
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``arrays`` (by identity) stacked once, and each input's first row in it."""
+    distinct, which = _distinct(arrays)
+    return np.concatenate(distinct), np.cumsum([0, *map(len, distinct)])[which]
+
+
+class _RoundScreens:
+    """The fluctuating-link lanes of a ``decide`` call, whose rounds are screened in batches.
+
+    Slot s is the s-th such lane. The slots' hidden terms and CSI rows are
+    placed back to back once, and their heads' weights stacked, so a batch
+    of rounds is one gather per array. Slot s's mismatch i, which is stop
+    ``first_stop[s] + i`` of the call, is row ``hidden_shift[s] +
+    first_stop[s] + i`` of ``hidden``.
+    """
+
+    def __init__(self, lanes: Sequence[Lane], first_stop: np.ndarray):
+        screens = [lane.screen for lane in lanes]
+        self.hidden, hidden_at = _stacked([screen.hidden for screen in screens])
+        self.hidden_shift = hidden_at - first_stop
+        self.csi, self.csi_at = _stacked([screen.csi for screen in screens])
+        self.csi_len = np.array([len(screen.csi) for screen in screens])
+        heads, self.head = _distinct([screen.head for screen in screens])
+        self.w_csi = np.stack([_csi_weights(head) for head in heads])
+        self.b1 = np.stack([head.b1 for head in heads])
+        self.w2 = np.stack([head.w2 for head in heads])
+        self.b2 = np.array([head.b2 for head in heads], dtype=np.float64)
+        self.tau = np.array([lane.engine_cfg.tau for lane in lanes])
+
+    def fix_at(self, slot: np.ndarray, r: int, first: np.ndarray, last: np.ndarray,
+               stop_at: np.ndarray, bonus: np.ndarray) -> np.ndarray:
+        """Each screened round's fix position, in the call's stop space.
+
+        Slot ``slot[j]``'s round ``r`` screens stops ``first[j]`` to
+        ``last[j] - 1`` of ``stop_at`` (at least one) on its CSI row ``r``,
+        wrapping, and fixes at the first whose p is >= its tau, or at its
+        bonus position ``bonus[j]`` if none is.
+        """
+        counts = last - first
+        seg = np.cumsum(counts) - counts
+        owner = np.repeat(np.arange(len(slot)), counts)
+        stop = np.arange(counts.sum()) + np.repeat(first - seg, counts)
+        head = self.head[slot]
+        link = link_term(self.csi[self.csi_at[slot] + r % self.csi_len[slot]],
+                         self.w_csi[head], self.b1[head])
+        row_head = head[owner]
+        p = screen_p(self.hidden[stop + self.hidden_shift[slot][owner]], link[owner],
+                     self.w2[row_head], self.b2[row_head])
+        at = np.where(p >= self.tau[slot][owner], stop_at[stop], bonus[owner])
+        return np.minimum.reduceat(at, seg)
+
+
 def decide(lanes: Sequence[Lane]) -> Decisions:
     """Verify each lane's episode to its token budget; lane l is lane l of the result.
 
@@ -358,16 +448,19 @@ def decide(lanes: Sequence[Lane]) -> Decisions:
     speculative-sampling columns reject for ``sd_reject``, and, for the
     head-verified modes on a constant link, the mismatches whose p in the
     screen is >= tau. On any other link a head-verified round that holds a
-    mismatch screens all of its window's mismatches on its own link row
-    (``HeadScreen.round_p``, one call per such round) and stops at the
-    first at p >= tau.
+    mismatch screens all of its window's mismatches on its own CSI row and
+    stops at the first at p >= tau.
 
     The lanes' distinct stop columns are placed back to back once, as their
     stop positions, and each iteration advances every unfinished lane by
     one round, to its next stop (one ``searchsorted`` over them all) or its
-    window's end. ``m`` and ``accepted_critical`` count the episodes'
-    mismatch and critical positions the same way. A round past its oracle
-    raises ``IndexError``.
+    window's end. In the same iteration the fluctuating-link rounds that
+    hold a mismatch, of every such lane, are screened in one batch: their
+    windows' hidden rows, each round's link term added, through
+    ``screen_p``, and one ``np.minimum.reduceat`` finds each round's first
+    stop. ``m`` and ``accepted_critical`` count the episodes' mismatch and
+    critical positions the same way. A round past its oracle raises
+    ``IndexError``.
     """
     if not lanes:
         raise ValueError("decide needs at least one lane")
@@ -422,30 +515,33 @@ def decide(lanes: Sequence[Lane]) -> Decisions:
     pos = off + np.array([lane.engine_cfg.prefix_len for lane in lanes], dtype=np.int64)
     fits = off + lengths[lane_stop] - k
     end = pos + np.array([lane.engine_cfg.max_tokens for lane in lanes], dtype=np.int64)
-    per_round = np.array(lane_per_round)
 
     # A lane runs while its next round is in its budget and fits its oracle;
     # one that leaves its oracle inside its budget raises.
     if (pos >= fits).any():
         raise IndexError("episode oracle ran out of pregenerated positions")
-    active, act = np.arange(len(lanes)), (k + 1, np.minimum(end, fits), end, off, per_round)
-    screened, visits = per_round.any(), []
+    # The fluctuating-link lanes, slot s the s-th of them, screen their rounds in batches.
+    per_round = np.array(lane_per_round)
+    screens = None
+    if per_round.any():
+        first_stop = np.cumsum([0, *map(len, stops)])[np.array(lane_stop)[per_round]]
+        screens = _RoundScreens([lane for lane, each in zip(lanes, lane_per_round) if each],
+                                first_stop)
+    slot = np.where(per_round, np.cumsum(per_round) - 1, -1)
+    active, act = np.arange(len(lanes)), (k + 1, np.minimum(end, fits), end, slot)
+    visits = []
     while active.size:
-        act_k1, act_runs, act_end, act_off, act_per_round = act
+        act_k1, act_runs, act_end, act_slot = act
         # One past each round's fix position: its first stop, or its bonus position.
-        after = np.minimum(after_stop[np.searchsorted(stop_at, pos)], pos + act_k1)
-        if screened:
-            for j in np.flatnonzero(act_per_round & (after - pos < act_k1)).tolist():
-                lane = int(active[j])
-                engine_cfg, _, screen = lanes[lane]
-                at = mismatches[lane_episode[lane]]
-                prefix = int(pos[j] - act_off[j])
-                # The episode's mismatches before the round, and before its window's end.
-                first, last = np.searchsorted(at, [prefix, prefix + engine_cfg.window]).tolist()
-                p = screen.round_p(slice(first, last), len(visits))
-                hits = np.flatnonzero(p >= engine_cfg.tau)
-                reject = int(at[first + hits[0]]) - prefix if hits.size else engine_cfg.window
-                after[j] = pos[j] + reject + 1
+        first = np.searchsorted(stop_at, pos)
+        after = np.minimum(after_stop[first], pos + act_k1)
+        if screens is not None:
+            # The fluctuating-link rounds that hold a mismatch, screened together.
+            j = np.flatnonzero((act_slot >= 0) & (after - pos < act_k1))
+            if j.size:
+                bonus = pos[j] + act_k1[j] - 1
+                after[j] = 1 + screens.fix_at(act_slot[j], len(visits), first[j],
+                                              np.searchsorted(stop_at, bonus), stop_at, bonus)
         visits.append((active, pos, after))
         going = after < act_runs
         if not going.all():

@@ -325,6 +325,12 @@ class TestConfig:
               "ablate": {"scenarios": ["fast"]}},
              "config key 'sweep.scenarios[1].name' must be a nonempty string, got 500"),
             ({"output_dir": True}, "config key 'output_dir' must be a path, got True"),
+            ({"oracle": {"calibrate_k": 10.5}},
+             "'oracle.calibrate_k' must be a positive integer, got 10.5"),
+            ({"oracle": {"calibrate_k": 0}},
+             "'oracle.calibrate_k' must be a positive integer, got 0"),
+            ({"oracle": {"calibrate_k": True}},
+             "'oracle.calibrate_k' must be a positive integer, got True"),
         ],
     )
     def test_impossible_value_rejected(self, tmp_path, overrides, message):
@@ -377,6 +383,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be a number, "
                                                        "got True")):
             ExperimentConfig.load(write_config(tmp_path, overrides))
+
+    @pytest.mark.parametrize("key, value, overrides", [
+        ("labeler.rho", None, {"labeler": {"rho": None}}),
+        ("train.learning_rate", [0.003], {"train": {"learning_rate": [0.003]}}),
+        ("normalization.rtt_max_s", {"s": 0.1}, {"normalization": {"rtt_max_s": {"s": 0.1}}}),
+    ])
+    def test_non_number_rejected(self, tmp_path, key, value, overrides):
+        # The typed views would compare it and fail with a TypeError naming no key.
+        with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be a number, "
+                                                       f"got {value!r}")):
+            ExperimentConfig.load(write_config(tmp_path, overrides))
+
+    def test_null_allowed_only_where_a_default_is_null(self, tmp_path):
+        ExperimentConfig.load(write_config(tmp_path, {
+            "oracle": {"p_match": None}, "labeler": {"channel": {"alt_rtt_s": None}},
+            "sweep": {"scenarios": [{"name": "a", "regime": "sampled", "rtt_range_s": None}]},
+            "ablate": {"scenarios": ["a"]}}))
+        with pytest.raises(ValueError, match=re.escape(
+                "config key 'sweep.scenarios[0].rtt_s' must be a number, got None")):
+            ExperimentConfig.load(write_config(tmp_path, {
+                "sweep": {"scenarios": [{"name": "a", "rtt_s": None}]},
+                "ablate": {"scenarios": ["a"]}}))
 
     @pytest.mark.parametrize("text, key, value", EXPONENT_TEXT,
                              ids=[key for _, key, _ in EXPONENT_TEXT])
@@ -737,6 +765,42 @@ class TestEvalCommand:
                 assert sorted(path.name for path in run_dir.iterdir()) == sorted(
                     [HEAD, HEAD + ".json", *EVAL_FILES])
 
+    def test_parallel_matches_serial_on_fluctuating_links(self, small_run, tmp_path):
+        # The block split decides which fluctuating-link lanes are screened
+        # in one batch; 5 episodes run as one block, blocks of 3 and 2, and
+        # blocks of 2, 2 and 1.
+        cfg, out = small_run
+        scenarios = [
+            {"name": "two_state", "regime": "two-state", "rate_up_bps": 500e6,
+             "rate_down_bps": 500e6, "rtt_s": 0.05, "alt_rate_up_bps": 20e6,
+             "alt_rate_down_bps": 20e6, "alt_rtt_s": 0.005, "switch_prob": 0.3},
+            {"name": "sampled", "regime": "sampled", "rate_up_bps": 1e8, "rate_down_bps": 1e8,
+             "rtt_s": 0.02, "rate_up_range_bps": [2e7, 5e8], "rate_down_range_bps": [2e7, 5e8],
+             "rtt_range_s": [0.002, 0.06]},
+        ]
+        raw = copy.deepcopy(cfg.raw)
+        raw["sweep"].update(modes=["sd_greedy", "wisv_fh", "wisv_adaptive"], k_values=[4, 10],
+                            tau_values=[0.5, 0.9], episodes=5, scenarios=scenarios)
+        raw["ablate"]["scenarios"] = ["sampled"]
+        derived = ExperimentConfig(raw=raw)
+        derived.validate()
+        # Not vacuous: the deployed head's screens on both links read each round's CSI.
+        head = cli.load_params(out / HEAD)
+        oracle = engine.episode_oracle(derived.oracle(), derived.engine(window=10),
+                                       [SEED_EVAL, 0], False)
+        traces = [generate_trace(derived.channel(scenario), [derived.seed, SEED_CHANNEL, s_idx, 0],
+                                 rounds=derived.raw["engine"]["max_tokens"])
+                  for s_idx, scenario in enumerate(scenarios)]
+        assert [screen.p for screen in engine.head_screens(
+            head, oracle, traces, derived.system().bounds)] == [None, None]
+        run_dirs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2, 3)]
+        for jobs, run_dir in enumerate(run_dirs, start=1):
+            copy_artifacts(out, run_dir)
+            cmd_eval(derived, run_dir, jobs=jobs)
+        for run_dir in run_dirs[1:]:
+            for name in EVAL_FILES:
+                assert (run_dir / name).read_bytes() == (run_dirs[0] / name).read_bytes(), name
+
     def test_pool_capped_at_blocks(self, small_run, tmp_path, monkeypatch):
         """The pool gets one worker per block, never more than there are episodes.
 
@@ -947,10 +1011,14 @@ class TestEvalCommand:
         seen = {"reject_pos": set(), "proto": set()}
         for mode in MODES:
             eng = cfg.engine(mode=mode, window=10, tau=0.9)
-            batch = [one_episode(system, eng, engine.episode_oracle(
-                         cfg.oracle(), eng, [SEED_EVAL, ep], mode == "sd_reject"), trace, head)[0]
-                     for ep, trace in enumerate(traces)]
-            bill = engine.price_link(system, eng, engine.Decisions.concat(batch),
+            oracles = [engine.episode_oracle(cfg.oracle(), eng, [SEED_EVAL, ep],
+                                             mode == "sd_reject") for ep in range(2)]
+            batch = [one_episode(system, eng, oracle, trace, head)[0]
+                     for oracle, trace in zip(oracles, traces)]
+            lanes = [engine.Lane(eng, oracle, engine.head_screens(
+                         head, oracle, [trace], system.bounds)[0] if mode.startswith("wisv")
+                         else None) for oracle, trace in zip(oracles, traces)]
+            bill = engine.price_link(system, eng, engine.decide(lanes),
                                      engine.TraceBatch.of(traces))
             point = {"scenario": "100%_two\"state", "mode": mode, "k": 10, "tau": 0.9}
             lines = cli._round_lines(point, bill).splitlines(keepends=True)
@@ -974,15 +1042,15 @@ class TestEvalCommand:
         cfg, _ = small_run
         system, eng = cfg.system(), cfg.engine(mode="sd_greedy", window=10)
         traces = [generate_trace(cfg.channel({}), ep, rounds=40) for ep in range(2)]
-        batch, owns = [], []
+        batch, owns, lanes = [], [], []
         for ep, trace in enumerate(traces):
             oracle = engine.episode_oracle(cfg.oracle(), eng, [SEED_EVAL, ep], False)
             decisions, own, _ = one_episode(system, eng, oracle, trace)
             assert decisions.n_rounds > 3 and not own.head_s.any()
             batch.append(decisions)
             owns.append(own)
-        bill = engine.price_link(system, eng, engine.Decisions.concat(batch),
-                                 engine.TraceBatch.of(traces))
+            lanes.append(engine.Lane(eng, oracle))
+        bill = engine.price_link(system, eng, engine.decide(lanes), engine.TraceBatch.of(traces))
         # The same rounds of the batch's bill and of each episode's own.
         for ep, own in enumerate(owns):
             for target, offset in ((bill, bill.bounds[ep]), (own, 0)):
@@ -1002,14 +1070,13 @@ class TestEvalCommand:
         cfg, _ = small_run
         system, eng = cfg.system(), cfg.engine()
         trace = generate_trace(cfg.channel({}), 0, rounds=4)
-        res, _, _ = one_episode(system, eng, engine.episode_oracle(cfg.oracle(), eng, 0, False),
-                                trace)
+        lane = engine.Lane(eng, engine.episode_oracle(cfg.oracle(), eng, 0, False))
         point = {"scenario": "s", "mode": eng.mode, "k": eng.window, "tau": eng.tau}
         # A compute column and a link column each fail naming the sweep's
         # episode whose slice holds the value: the last of a batch of four
         # from episode 0, then the second of a batch of three from episode 5.
         for n_episodes, bad, first_episode in ((4, 3, 0), (3, 1, 5)):
-            bill = engine.price_link(system, eng, engine.Decisions.concat([res] * n_episodes),
+            bill = engine.price_link(system, eng, engine.decide([lane] * n_episodes),
                                      engine.TraceBatch.of([trace] * n_episodes))
             head_s = bill.head_s.copy()
             head_s[bill.bounds[bad] + 1] = np.nan
@@ -1265,10 +1332,9 @@ class TestAblateCommand:
     def test_one_oracle_and_trace_per_episode(self, small_run, tmp_path, monkeypatch):
         """Every scenario and variant shares each episode's oracle; variants share its traces.
 
-        The block's episodes are decided in one kernel call, except where a
-        screen's link fluctuates: those lanes are decided in one call per
-        episode. Each (scenario, variant) point prices its link once, over
-        its episodes."""
+        The block's episodes are decided in one kernel call, on static and
+        fluctuating links alike. Each (scenario, variant) point prices its
+        link once, over its episodes."""
         cfg, out = small_run
         raw = copy.deepcopy(cfg.raw)
         raw["sweep"]["scenarios"].append(
@@ -1298,13 +1364,11 @@ class TestAblateCommand:
         monkeypatch.setattr(cli, "price_link", counting("link", cli.price_link))
         copy_artifacts(out, tmp_path, names=self.ABLATE_INPUTS)
         paired = cli.cmd_ablate(small, tmp_path)
-        # episodes; scenarios x episodes; one call per episode for the
-        # link-aware head on the sampled link, then one for the block;
-        # scenarios x variants
-        assert calls == {"oracle": 3, "trace": 2 * 3, "decide": 3 + 1, "link": 2 * 2}
-        # The block's lanes: episodes x (variants on the static link + the
-        # link-blind head, whose screen is constant on any link).
-        assert lanes == [1, 1, 1, 3 * (2 + 1)]
+        # episodes; scenarios x episodes; one call for the block; scenarios x variants
+        assert calls == {"oracle": 3, "trace": 2 * 3, "decide": 1, "link": 2 * 2}
+        # The block's lanes: episodes x scenarios x variants, the link-aware
+        # head's on the sampled link among them.
+        assert lanes == [3 * 2 * 2]
         assert set(paired["scenarios"]) == {"500mbps_50ms", "sampled"}
 
     def test_parallel_matches_serial(self, small_run, tmp_path, monkeypatch):

@@ -33,7 +33,9 @@ from wisv.engine import (
     decide,
     episode_oracle,
     head_screens,
+    link_term,
     price_link,
+    screen_p,
     select_protocol,
 )
 from wisv.head import HeadParams, forward_batch, init_params
@@ -460,10 +462,9 @@ class TestLedger:
     def test_batch_needs_one_trace_per_episode(self):
         trace = generate_trace(ChannelConfig(), seed=0, rounds=4)
         eng = EngineConfig(mode="sd_greedy", window=10, max_tokens=60, prefix_len=8)
-        decisions = decide([Lane(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))])
+        lane = Lane(eng, EpisodeOracle(oracle_config(), seed=0, n_positions=200))
         with pytest.raises(ValueError, match="a batch of 2 episodes needs as many traces"):
-            price_link(SYSTEM, eng, Decisions.concat([decisions, decisions]),
-                       TraceBatch.of([trace]))
+            price_link(SYSTEM, eng, decide([lane, lane]), TraceBatch.of([trace]))
 
     def test_priced_decisions_bill_only_their_window_and_verifier(self):
         trace = TraceBatch.of([generate_trace(ChannelConfig(), seed=0, rounds=4)])
@@ -699,6 +700,84 @@ class TestHeadScreen:
             _, want = forward_batch(head, z)
             got = screen.p if screen.p is not None else screen.round_p(slice(None), r)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_p_is_row_invariant(self):
+        # A mismatch's p has the same bits screened alone, with its window, in
+        # a batch with other episodes' and the other head's rows, and as the
+        # constant column of a link whose every row is this round's.
+        sampled = ChannelConfig(regime="sampled", rate_up_range_bps=(20e6, 500e6),
+                                rtt_range_s=(0.002, 0.06))
+        heads = [init_params(4 + 4 + 5, 8, seed=seed) for seed in (1, 2)]
+        for i, head in enumerate(heads):
+            head.b1 = np.linspace(-0.5, 0.5, 8) * (i + 1)
+        widest = EngineConfig(mode="wisv_fh", window=24, max_tokens=200)
+        screens = []  # (head, trace, screen) of each head on each episode's trace
+        for ep in range(3):
+            oracle = episode_oracle(oracle_config(), widest, ep, False)
+            trace = generate_trace(sampled, seed=ep, rounds=20)
+            for head in heads:
+                screen = screen_on(head, oracle, trace)
+                assert screen.p is None and len(screen.hidden) > 10
+                screens.append((head, oracle, trace, screen))
+        rng = np.random.default_rng(5)
+        rows, want = [], []  # each batch row's (hidden, CSI row, head), and its p alone
+        for head, oracle, trace, screen in screens:
+            n = len(screen.hidden)
+            for r in rng.choice(20, size=4, replace=False).tolist():
+                whole = screen.round_p(slice(None), r)
+                lo = int(rng.integers(0, n - 5))
+                window = screen.round_p(slice(lo, lo + 5), r)
+                alone = [screen.round_p(slice(i, i + 1), r)[0] for i in range(n)]
+                assert (whole == alone).all() and (window == whole[lo:lo + 5]).all()
+                # The constant column of a static link at this round's state.
+                static = screen_on(head, oracle, trace.take(np.full(7, r)))
+                assert (static.p == whole).all()
+                for i in rng.choice(n, size=3, replace=False).tolist():
+                    rows.append((screen.hidden[i], screen.csi[r], head))
+                    want.append(whole[i])
+        # One call over the rows of every episode and both heads, in shuffled
+        # order, each row with its own head's weights.
+        order = rng.permutation(len(rows))
+        hidden, csi, row_heads = zip(*(rows[i] for i in order))
+        w_csi = np.stack([h.w1[:, -N_CSI_FEATURES:].T for h in row_heads])
+        link = link_term(np.array(csi), w_csi, np.stack([h.b1 for h in row_heads]))
+        got = screen_p(np.array(hidden), link, np.stack([h.w2 for h in row_heads]),
+                       np.array([h.b2 for h in row_heads]))
+        assert (got == np.array(want)[order]).all()
+
+    @pytest.mark.parametrize("regime", ["two-state", "sampled"])
+    def test_lanes_decide_alike_in_one_call_or_one_call_each(self, regime):
+        # Two heads, windows and taus on each of three episodes' fluctuating
+        # traces: the batched screens give every lane the decisions it gets alone.
+        channel = ChannelConfig(rate_up_bps=500e6, rate_down_bps=500e6, rtt_s=0.05,
+                                regime=regime, alt_rate_up_bps=20e6, alt_rate_down_bps=20e6,
+                                alt_rtt_s=0.005, switch_prob=0.3)
+        if regime == "sampled":
+            channel = ChannelConfig(regime="sampled", rate_up_range_bps=(20e6, 500e6),
+                                    rtt_range_s=(0.002, 0.06))
+        heads = [init_params(4 + 4 + 5, 8, seed=seed) for seed in (1, 2)]
+        heads[0].b1 = np.linspace(-0.5, 0.5, 8)
+        heads[1].w1[:, -N_CSI_FEATURES:] *= 20.0  # the link moves p across tau
+        widest = EngineConfig(mode="wisv_fh", window=24, max_tokens=150, prefix_len=16)
+        lanes = []
+        for ep in range(3):
+            oracle = episode_oracle(oracle_config(p_match=0.8), widest, ep, False)
+            trace = generate_trace(channel, seed=ep, rounds=30)
+            for head in heads:
+                screen = screen_on(head, oracle, trace)
+                assert screen.p is None
+                lanes += [Lane(replace(widest, window=k, tau=tau), oracle, screen)
+                          for k in (4, 10, 24) for tau in (0.3, 0.5, 0.7)]
+        together = decide(lanes)
+        for lane, alone in enumerate(decide([lane]) for lane in lanes):
+            mine = together.lanes(lane, lane + 1)
+            for name in ("bounds", *ROUND_COLUMNS):
+                assert (getattr(mine, name) == getattr(alone, name)).all(), (lane, name)
+            assert (mine.window, mine.mode) == (alone.window, alone.mode)
+        # Not vacuous: the heads accept some mismatches and reject others.
+        screened = together.m > 0
+        assert (together.reject_pos[screened] >= 0).any()
+        assert (together.reject_pos[screened] < 0).any()
 
     def test_constant_link_verdicts_are_shared_across_windows(self):
         head = init_params(4 + 4 + 5, 8, seed=1)
